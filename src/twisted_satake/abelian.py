@@ -12,6 +12,7 @@ no machine-width overflow anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,7 +113,7 @@ class IntMatrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)}, expected {self.cols}")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
 
     def determinant(self):
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -203,12 +204,12 @@ class SmithDecomposition:
     V: IntMatrix
     original: IntMatrix
 
-    @property
+    @functools.cached_property
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D[i, i] for i in range(n))
 
-    @property
+    @functools.cached_property
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
@@ -403,14 +404,14 @@ class QuotientPresentation:
     quotient: FgAbelianGroup
     u_inverse: IntMatrix
 
-    @property
+    @functools.cached_property
     def torsion_slots(self):
         """(smith index, invariant factor) pairs for the torsion coordinates."""
         return tuple(
             (i, d) for i, d in enumerate(self.smith.diagonal) if d > 1
         )
 
-    @property
+    @functools.cached_property
     def free_slots(self):
         return tuple(range(self.smith.rank, self.ambient_rank))
 
@@ -568,16 +569,17 @@ def induced_map_kernel(m: IntMatrix, q: QuotientPresentation):
     return [vec[:k] for vec in integer_kernel_basis(combined)]
 
 
-def solve_integer(m: IntMatrix, target):
-    """One integer solution x of m x = target, or None.
+def solve_integer(dec: SmithDecomposition, target):
+    """One integer solution x of m x = target, or None, where dec is the
+    Smith decomposition of m; one decomposition serves every target.
 
-    Via Smith form: with U m V = D and w = U target, the system needs
-    d_i | w_i on the diagonal and w_i = 0 beyond the rank.
+    With U m V = D and w = U target, the system needs d_i | w_i on the
+    diagonal and w_i = 0 beyond the rank.
     """
+    m = dec.original
     target = tuple(int(x) for x in target)
     if len(target) != m.rows:
         raise DimensionMismatch("target length does not match matrix rows")
-    dec = smith_normal_form(m)
     w = dec.U.apply(target)
     y = [0] * m.cols
     diag = dec.diagonal

@@ -320,28 +320,31 @@ def _summands_text(result):
     ) or "0"
 
 
+def _refuse(args, e: UnsupportedDecompositionError):
+    """Report a refused decomposition as an answer (exit 0), with the
+    restriction multiset when one was computed."""
+    payload = {
+        "error": str(e),
+        "restriction": (
+            [[format_class(k), m] for k, m in e.restriction.entries]
+            if e.restriction is not None else None
+        ),
+    }
+    lines = [f"unsupported decomposition: {e}"]
+    if e.restriction is not None:
+        lines.extend(f"  weight {format_class(k)} multiplicity {m}"
+                     for k, m in e.restriction.entries)
+    _emit(args, {"result": payload}, lines)
+    return EXIT_OK
+
+
 def cmd_branch(args, t):
     profile = parse_profile(args.coeff)
     weight = parse_vector(args.weight)
     try:
         result = branch_to_fixed_group(t, weight, profile)
     except UnsupportedDecompositionError as e:
-        payload = {
-            "error": str(e),
-            "restriction": (
-                [[format_class(k), m] for k, m in e.restriction.entries]
-                if e.restriction is not None else None
-            ),
-        }
-        if args.format == "json":
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "command": "branch",
-                              "result": payload}, sort_keys=True))
-        else:
-            print(f"unsupported decomposition: {e}")
-            if e.restriction is not None:
-                for k, m in e.restriction.entries:
-                    print(f"  weight {format_class(k)} multiplicity {m}")
-        return EXIT_OK
+        return _refuse(args, e)
     payload = {
         "summands": [[format_class(cls), m] for cls, m in result.summands],
         "restriction": [[format_class(k), m] for k, m in result.restriction.entries],
@@ -353,7 +356,10 @@ def cmd_branch(args, t):
 
 def cmd_tensor(args, t):
     profile = parse_profile(args.coeff)
-    result = decompose_tensor(t, parse_class(args.lam), parse_class(args.mu), profile)
+    try:
+        result = decompose_tensor(t, parse_class(args.lam), parse_class(args.mu), profile)
+    except UnsupportedDecompositionError as e:
+        return _refuse(args, e)
     payload = {"summands": [[format_class(cls), m] for cls, m in result.summands]}
     _emit(args, {"result": payload}, [_summands_text(result)])
     return EXIT_OK

@@ -16,16 +16,32 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import IntMatrix, InvariantViolation, solve_integer
+from .abelian import (
+    DependentBasisError,
+    DimensionMismatch,
+    IntMatrix,
+    InvariantViolation,
+    SmithDecomposition,
+    dot,
+    rational_solve,
+    smith_normal_form,
+    solve_integer,
+    vec_sub,
+)
 from .galois import (
     TwistedRootDatum,
     average_map,
+    average_vector,
     coinvariants,
+    group_order,
+    group_sum,
+    orbit_coroot_classes,
     relative_simple_roots,
 )
 from .rootdatum import (
     dominant_coweights_up_to_height,
     dot_frac,
+    fundamental_coweights_rational,
     pairing_with_roots_matrix,
     rho_data,
 )
@@ -47,25 +63,98 @@ class OrderCertificate:
     coefficients: tuple  # one nonnegative integer per simple-coroot orbit
 
 
+# ---------------------------------------------------------------------------
+# The per-datum integer substrate
+
+
+@dataclass(frozen=True)
+class _Substrate:
+    """Integer data that heights, dominance and the order read for one datum.
+
+    Classes are read in coordinates (free..., torsion...).  The average of
+    a class is linear in them, so |I| times its pairings with the simple
+    roots and with 2*rho are integer dot products with fixed rows; the
+    torsion entries of those rows are zero, as torsion classes average to
+    zero.  The order is one integer system on the same coordinates,
+    decomposed once.
+    """
+
+    group_order: int          # |I|
+    torsion_rank: int
+    free_sums: tuple          # sum_gamma gamma(lift e_j), per free basis class j
+    root_pairings: tuple      # per simple root alpha_i: |I| <average of basis class, alpha_i>
+    heights: tuple            # |I| <average of basis class, 2 rho>, per basis class
+    num_orbits: int
+    order_system: SmithDecomposition  # of [orbit coroot classes | torsion moduli]
+
+    def coordinates(self, cls):
+        """Free then torsion coordinates of a class, as one vector."""
+        free, torsion = cls
+        if len(free) != len(self.free_sums) or len(torsion) != self.torsion_rank:
+            raise DimensionMismatch("class does not match this presentation")
+        return tuple(free) + tuple(torsion)
+
+
+@functools.lru_cache(maxsize=None)
+def _substrate(t: TwistedRootDatum) -> _Substrate:
+    """Build the substrate once per datum, on first use."""
+    c = coinvariants(t)
+    r, s = c.free_rank, len(c.torsion)
+
+    def basis_sum(free_index, torsion_index):
+        free = tuple(int(j == free_index) for j in range(r))
+        torsion = tuple(int(k == torsion_index) for k in range(s))
+        return group_sum(t, c.lift((free, torsion)))
+
+    for k in range(s):
+        if any(basis_sum(None, k)):
+            raise InvariantViolation("a torsion class has a nonzero average")
+    free_sums = tuple(basis_sum(j, None) for j in range(r))
+
+    def row(chi):
+        return tuple(dot(v, chi) for v in free_sums) + (0,) * s
+
+    # mu - lam = sum c_O [coroot_O] in X_*(T)_I is an integer system on class
+    # coordinates once each torsion coordinate may move by its invariant factor.
+    orbit_classes = orbit_coroot_classes(t)
+    moduli = [
+        tuple(d if i == r + k else 0 for i in range(r + s)) for k, d in enumerate(c.torsion)
+    ]
+    system = IntMatrix.from_columns(
+        [free + torsion for free, torsion in orbit_classes] + moduli, nrows=r + s
+    )
+    return _Substrate(
+        group_order=group_order(t),
+        torsion_rank=s,
+        free_sums=free_sums,
+        root_pairings=tuple(row(alpha) for alpha in t.base.simple_roots),
+        heights=row(rho_data(t.base).two_rho),
+        num_orbits=len(orbit_classes),
+        order_system=smith_normal_form(system),
+    )
+
+
 def pair_with_character(t: TwistedRootDatum, cls, chi) -> Fraction:
     """<average lift of cls, chi>, exact."""
     return dot_frac(average_map(t, cls), chi)
 
 
-@functools.lru_cache(maxsize=None)
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
     """<average lift, 2 rho>; integral on dominant classes (tested)."""
-    return pair_with_character(t, cls, rho_data(t.base).two_rho)
+    sub = _substrate(t)
+    return Fraction(dot(sub.heights, sub.coordinates(cls)), sub.group_order)
 
 
 def is_dominant_class(t: TwistedRootDatum, cls):
     """The DominantClass witness, or None."""
-    pairings = tuple(
-        pair_with_character(t, cls, alpha) for alpha in t.base.simple_roots
+    sub = _substrate(t)
+    x = sub.coordinates(cls)
+    pairings = [dot(row, x) for row in sub.root_pairings]
+    if any(p < 0 for p in pairings):
+        return None
+    return DominantClass(
+        cls=cls, certificate=tuple(Fraction(p, sub.group_order) for p in pairings)
     )
-    if all(p >= 0 for p in pairings):
-        return DominantClass(cls=cls, certificate=pairings)
-    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,22 +178,18 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 @functools.lru_cache(maxsize=None)
 def leq(t: TwistedRootDatum, lam, mu):
-    """mu - lam as a nonnegative combination of coroot-orbit classes, or None."""
-    c = coinvariants(t)
-    rel = relative_simple_roots(t)
-    diff = c.sub(mu, lam)
-    reps = [orbit[0] for orbit in rel.simple_orbit_list]
-    cols = [t.base.simple_coroots[i] for i in reps]
-    # Solve lift(diff) = sum c_O coroot_O modulo the relation lattice; the
-    # orbit part of a solution is unique by the verified injectivity of
-    # (Z Phi^vee)_I -> X_*(T)_I.
-    from .galois import one_minus_gamma_columns
+    """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
 
-    m = IntMatrix.from_columns(cols + one_minus_gamma_columns(t), nrows=t.rank)
-    sol = solve_integer(m, c.lift(diff))
+    The datum's one Smith decomposition of [orbit coroot classes | torsion
+    moduli], built on first use, solves mu - lam = sum c_O [coroot_O] on
+    class coordinates; the orbit part of a solution is unique by the
+    verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    """
+    sub = _substrate(t)
+    sol = solve_integer(sub.order_system, vec_sub(sub.coordinates(mu), sub.coordinates(lam)))
     if sol is None:
         return None
-    coeffs = tuple(sol[: len(cols)])
+    coeffs = tuple(sol[: sub.num_orbits])
     if any(x < 0 for x in coeffs):
         return None
     return OrderCertificate(coefficients=coeffs)
@@ -130,36 +215,18 @@ def _torsion_combinations(c):
     return itertools.product(*[range(d) for d in factors])
 
 
-@functools.lru_cache(maxsize=None)
-def _free_to_average(t: TwistedRootDatum):
-    """Average vectors of the free basis classes, as Fraction tuples."""
-    c = coinvariants(t)
-    r = c.free_rank
-    out = []
-    for j in range(r):
-        basis_class = (tuple(1 if s == j else 0 for s in range(r)), (0,) * len(c.torsion))
-        out.append(average_map(t, basis_class))
-    return tuple(out)
-
-
 def _has_invariant_central_direction(t: TwistedRootDatum) -> bool:
     """Does a nonzero rational free-coordinate direction pair to zero with
     every simple root?  Such directions make height slabs infinite."""
-    from .abelian import rational_solve, DependentBasisError
-
-    avgs = _free_to_average(t)
-    if not avgs:
+    sub = _substrate(t)
+    if not sub.free_sums:
         return False
-    k = t.base.num_simple
-    # Columns of the pairing map free-coords -> (pairings with roots).
-    cols = [
-        tuple(dot_frac(avg, alpha) for alpha in t.base.simple_roots)
-        for avg in avgs
-    ]
-    if k == 0:
+    if not sub.root_pairings:
         return True
+    # Columns of the pairing map free-coords -> (pairings with roots).
+    cols = list(zip(*sub.root_pairings))[: len(sub.free_sums)]
     try:
-        rational_solve(cols, (Fraction(0),) * k)
+        rational_solve(cols, (0,) * len(sub.root_pairings))
     except DependentBasisError:
         return True
     return False
@@ -200,50 +267,32 @@ def _free_box(t: TwistedRootDatum, max_height):
     at most max_height: write the average over the averaged fundamental
     coweights (nonnegative coefficients, height-bounded) and push the cone
     vertices through the inverse of free-coords -> average."""
-    from .abelian import rational_solve
-    from .rootdatum import fundamental_coweights_rational
-
-    c = coinvariants(t)
-    r = c.free_rank
-    if r == 0:
+    sub = _substrate(t)
+    if not sub.free_sums:
         return ()
     rel = relative_simple_roots(t)
     omegas = fundamental_coweights_rational(t.base)
     two_rho = rho_data(t.base).two_rho
-    orbit_avgs = []
-    for orbit in rel.simple_orbit_list:
-        w = omegas[orbit[0]]
-        elems_avg = average_vector_frac(t, w)
-        orbit_avgs.append(elems_avg)
+    orbit_avgs = [average_vector(t, omegas[orbit[0]]) for orbit in rel.simple_orbit_list]
     heights = [dot_frac(v, two_rho) for v in orbit_avgs]
     if any(h <= 0 for h in heights):
         raise InvariantViolation("averaged fundamental coweight with nonpositive height")
 
-    free_avgs = _free_to_average(t)
-    # free coords as rational functions of the average: solve per orbit avg.
+    # Free coordinates of each orbit average; free_sums are |I| times the
+    # averages of the free basis classes.
+    orbit_coords = []
+    for v in orbit_avgs:
+        coords = rational_solve(sub.free_sums, v)
+        if coords is None:
+            raise InvariantViolation("orbit average outside the free span")
+        orbit_coords.append([x * sub.group_order for x in coords])
     bounds = []
-    for i in range(r):
+    for i in range(len(sub.free_sums)):
         total = Fraction(0)
-        for v, h in zip(orbit_avgs, heights):
-            coords = rational_solve([tuple(a) for a in free_avgs], tuple(v))
-            if coords is None:
-                raise InvariantViolation("orbit average outside the free span")
+        for coords, h in zip(orbit_coords, heights):
             total += abs(coords[i]) * Fraction(max_height) / h
         bounds.append(int(total))
     return tuple(bounds)
-
-
-def average_vector_frac(t: TwistedRootDatum, v):
-    """Average of a rational vector over the automorphism group."""
-    from .galois import group_elements
-
-    elems = group_elements(t)
-    n = t.rank
-    total = [Fraction(0)] * n
-    for mat, _perm in elems:
-        for i in range(n):
-            total[i] += sum(Fraction(mat[i, j]) * v[j] for j in range(n))
-    return tuple(x / len(elems) for x in total)
 
 
 def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):
@@ -269,10 +318,7 @@ def surjectivity_conditions(t: TwistedRootDatum, max_height=12, coord_bound=None
     """Condition (c) of the dominant-lifting criterion (X_*(T) -> X_*(T_ad)
     surjective) alongside the observed image within a bounded cone; the
     implication runs one way only, and both facts are reported as computed."""
-    pairing = pairing_with_roots_matrix(t.base)
-    from .abelian import smith_normal_form
-
-    dec = smith_normal_form(pairing)
+    dec = smith_normal_form(pairing_with_roots_matrix(t.base))
     k = t.base.num_simple
     center_is_torus = dec.rank == k and all(d == 1 for d in dec.diagonal[:k])
     image = dominant_image_monoid(t, max_height, coord_bound)

@@ -100,6 +100,14 @@ class TwistedRootDatum:
     generators: tuple
     name: str = field(default="", compare=False)
 
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.base, self.generators))
+
+    def __hash__(self):
+        # Every per-datum cache hashes the datum on each lookup.
+        return self._hash
+
     @staticmethod
     def make(base, generators, name=""):
         t = TwistedRootDatum(base=base, generators=tuple(generators), name=name or base.name)
@@ -222,16 +230,19 @@ def average_map(t: TwistedRootDatum, cls):
     return average_vector(t, lift)
 
 
+def group_sum(t: TwistedRootDatum, v):
+    """sum_gamma gamma(v) over the enumerated group; integral on integral v."""
+    total = [0] * t.rank
+    for mat, _perm in group_elements(t):
+        for i, x in enumerate(mat.apply(v)):
+            total[i] += x
+    return tuple(total)
+
+
 def average_vector(t: TwistedRootDatum, v):
-    elems = group_elements(t)
-    n = t.rank
-    total = [0] * n
-    for mat, _perm in elems:
-        img = mat.apply(v)
-        for i in range(n):
-            total[i] += img[i]
-    size = len(elems)
-    return tuple(Fraction(x, size) for x in total)
+    """(1/|I|) sum_gamma gamma(v), exact; v may be integral or rational."""
+    size = group_order(t)
+    return tuple(Fraction(x, size) for x in group_sum(t, v))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +418,9 @@ def fundamental_coweight_pairing(t: TwistedRootDatum, orbit, beta_index) -> Frac
         raise DimensionMismatch(f"{orbit} is not an I-orbit of simple roots")
     omegas = fundamental_coweights_rational(t.base)
     rep = orbit[0]
-    avg = _average_fraction_vector(t, omegas[rep])
+    avg = average_vector(t, omegas[rep])
     beta = t.base.simple_roots[beta_index]
     return sum((a * b for a, b in zip(avg, beta)), Fraction(0))
-
-
-def _average_fraction_vector(t: TwistedRootDatum, v):
-    elems = group_elements(t)
-    n = t.rank
-    total = [Fraction(0)] * n
-    for mat, _perm in elems:
-        for i in range(n):
-            total[i] += sum(Fraction(mat[i, j]) * v[j] for j in range(n))
-    return tuple(x / len(elems) for x in total)
 
 
 def invariant_subspace_dimension(t: TwistedRootDatum) -> int:

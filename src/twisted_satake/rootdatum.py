@@ -10,6 +10,8 @@ downstream formula stays a dot product.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -321,51 +323,61 @@ def fundamental_coweights_rational(d: BasedRootDatum):
     return tuple(out)
 
 
-def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
-    """All dominant cocharacters v with <v, 2rho> <= max_height.
+@functools.lru_cache(maxsize=None)
+def _fundamental_cone(d: BasedRootDatum):
+    """(den, den * omega_i^vee, den * <omega_i^vee, 2rho>) for a semisimple
+    datum, with den the common denominator of the fundamental coweights."""
+    omegas = fundamental_coweights_rational(d)
+    den = math.lcm(1, *(x.denominator for w in omegas for x in w))
+    scaled = tuple(tuple(int(x * den) for x in w) for w in omegas)
+    two_rho = rho_data(d).two_rho
+    heights = tuple(dot(w, two_rho) for w in scaled)
+    if any(h <= 0 for h in heights):
+        raise InvariantViolation("fundamental coweight with nonpositive height")
+    return den, scaled, heights
 
-    For semisimple data the search box is derived exactly from the
-    fundamental-coweight cone; data with central directions need an explicit
-    coord_bound since their dominant cone is infinite in every height slab.
+
+def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
+    """All dominant cocharacters v with <v, 2rho> <= max_height, sorted.
+
+    For semisimple data v = sum c_i omega_i^vee with c_i = <v, alpha_i>, so
+    the search walks the cone of c >= 0 with sum c_i <omega_i^vee, 2rho> <=
+    max_height and keeps the integral combinations.  The fundamental
+    coweights over a common denominator and their heights are computed once
+    per datum.  Data with central directions need an explicit coord_bound,
+    since their dominant cone is infinite in every height slab; for them a
+    coordinate box is scanned.
     """
     require_valid(d)
-    two_rho = rho_data(d).two_rho
-
-    def is_dom(v):
-        return all(dot(v, a) >= 0 for a in d.simple_roots)
-
-    if d.num_simple == d.rank:
-        omegas = fundamental_coweights_rational(d)
-        heights = [dot_frac(w, two_rho) for w in omegas]
-        if any(h <= 0 for h in heights):
-            raise InvariantViolation("fundamental coweight with nonpositive height")
-        # v = sum c_i omega_i^vee, c_i = <v, alpha_i> >= 0, sum c_i h_i <= H
-        bounds = []
-        for t in range(d.rank):
-            b = sum(
-                (abs(w[t]) * Fraction(max_height) / h for w, h in zip(omegas, heights)),
-                Fraction(0),
-            )
-            bounds.append(int(b))
-        ranges = [range(-b, b + 1) for b in bounds]
-    else:
+    if d.num_simple != d.rank:
         if coord_bound is None:
             raise ValueError("datum has central directions; pass coord_bound")
-        ranges = [range(-coord_bound, coord_bound + 1) for _ in range(d.rank)]
+        two_rho = rho_data(d).two_rho
+        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=d.rank)
+        return sorted(
+            v for v in box
+            if all(dot(v, a) >= 0 for a in d.simple_roots) and dot(v, two_rho) <= max_height
+        )
 
+    den, scaled, heights = _fundamental_cone(d)
     out = []
-    for v in _product(ranges):
-        if is_dom(v) and dot(v, two_rho) <= max_height:
-            out.append(v)
+
+    def walk(i, acc, budget):
+        # acc = den * (sum over j < i of c_j omega_j^vee); budget = den * height left
+        if i == d.num_simple:
+            if all(x % den == 0 for x in acc):
+                out.append(tuple(x // den for x in acc))
+            return
+        while budget >= 0:
+            walk(i + 1, acc, budget)
+            acc = vec_add(acc, scaled[i])
+            budget -= heights[i]
+
+    if max_height >= 0:
+        walk(0, (0,) * d.rank, den * max_height)
     out.sort()
     return out
 
 
 def dot_frac(u, v):
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _product(ranges):
-    import itertools
-
-    return itertools.product(*ranges)

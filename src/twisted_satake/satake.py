@@ -87,14 +87,21 @@ class SchubertPoset:
         return tuple(lo for lo, up, _c in self.relations if up == label) + (label,)
 
     def covering_relations(self):
-        """Hasse edges: lower < upper with nothing strictly between."""
-        strict = {(lo, up) for lo, up, _c in self.relations if lo != up}
+        """Hasse edges: lower < upper with nothing strictly between, sorted.
+
+        With L(u) the strict lower set of u, the covers of u are L(u) minus
+        the union of L(m) over the labels m in L(u).
+        """
+        labels = set(self.labels)
+        lower = {}
+        for lo, up, _c in self.relations:
+            if lo != up:
+                lower.setdefault(up, set()).add(lo)
         covers = []
-        for lo, up in sorted(strict):
-            if not any((lo, mid) in strict and (mid, up) in strict
-                       for mid in self.labels if mid not in (lo, up)):
-                covers.append((lo, up))
-        return tuple(covers)
+        for up, below in lower.items():
+            between = set().union(*(lower.get(m, ()) for m in below & labels))
+            covers.extend((lo, up) for lo in below - between)
+        return tuple(sorted(covers))
 
 
 def strata_below(t: TwistedRootDatum, cls):
@@ -239,11 +246,14 @@ def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None
     Kottwitz component; inconsistency is an invariant violation, never a
     silent answer.  None when the bound sees no stratum in the component."""
     labels = enumerate_dominant_classes(t, max_height, coord_bound)
-    parities = set()
-    for cls in labels:
-        if component_of(t, cls) != component:
-            continue
-        parities.add(stratum(t, cls).dim % 2)
+    members = [cls for cls in labels if component_of(t, cls) == component]
+    return component_parity(t, component, members)
+
+
+def component_parity(t: TwistedRootDatum, component, classes):
+    """The common parity of the stratum dimensions of dominant classes in
+    one component; InvariantViolation when they disagree, None when empty."""
+    parities = {stratum(t, cls).dim % 2 for cls in classes}
     if not parities:
         return None
     if len(parities) != 1:

@@ -27,7 +27,7 @@ from .galois import (
 )
 from .rep import branch_to_fixed_group, irreducible_character, total_dimension
 from .rootdatum import dominant_coweights_up_to_height, dualize
-from .satake import component_of, parity_check, stratum
+from .satake import component_of, component_parity, format_class, stratum
 from .weyl import enumerate_absolute_weyl, fixed_weyl_subgroup, relative_weyl
 
 SUITE_NAMES = ("exactness", "orbits", "parity", "weyl-oracle", "branching")
@@ -127,16 +127,16 @@ def _suite_orbits(t, max_height=12):
 
 
 def _suite_parity(t, max_height=20):
+    """parity_check on every component the bound sees, from one enumeration."""
     kwargs = _bounded_kwargs(t)
-    labels = enumerate_dominant_classes(t, max_height, **kwargs)
-    components = sorted({component_of(t, cls) for cls in labels})
+    by_component = {}
+    for cls in enumerate_dominant_classes(t, max_height, **kwargs):
+        by_component.setdefault(component_of(t, cls), []).append(cls)
     out = []
-    for comp in components:
-        from .satake import format_class
-
+    for comp in sorted(by_component):
         tag = f"component-{format_class(comp)}"
         try:
-            p = parity_check(t, comp, max_height, **kwargs)
+            p = component_parity(t, comp, by_component[comp])
             out.append(CheckResult("parity", tag, True, detail=f"parity {p}"))
         except InvariantViolation as e:
             out.append(CheckResult("parity", tag, False, detail=str(e)))

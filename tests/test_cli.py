@@ -113,6 +113,17 @@ class TestBranchTensor:
         assert "unsupported decomposition" in out
         assert "multiplicity 1" in out
 
+    def test_tensor_modular_refusal(self, capsys):
+        code, out, _ = run(capsys, "tensor", "SU3", "1", "1", "--coeff", "Fl:2")
+        assert code == EXIT_OK
+        assert out.startswith("unsupported decomposition: ")
+        assert len(out.splitlines()) == 1
+        code, out, _ = run(capsys, "tensor", "SU3", "1", "2", "--coeff", "Zl:3",
+                           "--format", "json")
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert "error" in result and "summands" not in result
+
     def test_bad_prime_rejected(self, capsys):
         code, _out, err = run(capsys, "branch", "SU3", "--weight", "1,0", "--coeff", "Fl:4")
         assert code == EXIT_INPUT

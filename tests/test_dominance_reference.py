@@ -1,0 +1,203 @@
+"""The per-datum dominance substrate against the implementations it replaced.
+
+The reference functions below are the earlier request-path code, kept as
+oracles: `leq` by a fresh Smith normal form of [orbit coroots | (1 - gamma)
+columns] per pair, heights and dominance by Fraction averages, the
+box scan of dominant coweights, and the triple-loop Hasse diagram.  The
+sweep covers every fixed preset, SU5, SU7, torus-rank-2 and a datum whose
+coinvariants carry torsion, at small bounds.
+"""
+
+import itertools
+
+import pytest
+
+from twisted_satake import abelian, coweights, galois, rootdatum
+from twisted_satake.abelian import IntMatrix, smith_normal_form, solve_integer
+from twisted_satake.coweights import (
+    DominantClass,
+    OrderCertificate,
+    _has_invariant_central_direction,
+    class_height,
+    enumerate_dominant_classes,
+    is_dominant_class,
+    leq,
+)
+from twisted_satake.galois import (
+    DiagramAutomorphism,
+    TwistedRootDatum,
+    average_map,
+    coinvariants,
+    one_minus_gamma_columns,
+    relative_simple_roots,
+)
+from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
+from twisted_satake.rootdatum import (
+    BasedRootDatum,
+    dominant_coweights_up_to_height,
+    dot_frac,
+    dualize,
+    fundamental_coweights_rational,
+    rho_data,
+)
+from twisted_satake.satake import closure_poset
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+
+
+def ref_leq(t, lam, mu):
+    c = coinvariants(t)
+    rel = relative_simple_roots(t)
+    cols = [t.base.simple_coroots[orbit[0]] for orbit in rel.simple_orbit_list]
+    m = IntMatrix.from_columns(cols + one_minus_gamma_columns(t), nrows=t.rank)
+    sol = solve_integer(smith_normal_form(m), c.lift(c.sub(mu, lam)))
+    if sol is None:
+        return None
+    coeffs = tuple(sol[: len(cols)])
+    if any(x < 0 for x in coeffs):
+        return None
+    return OrderCertificate(coefficients=coeffs)
+
+
+def ref_class_height(t, cls):
+    return dot_frac(average_map(t, cls), rho_data(t.base).two_rho)
+
+
+def ref_is_dominant_class(t, cls):
+    avg = average_map(t, cls)
+    pairings = tuple(dot_frac(avg, alpha) for alpha in t.base.simple_roots)
+    if all(p >= 0 for p in pairings):
+        return DominantClass(cls=cls, certificate=pairings)
+    return None
+
+
+def ref_dominant_coweights_up_to_height(d, max_height, coord_bound=None):
+    two_rho = rho_data(d).two_rho
+    if d.num_simple == d.rank:
+        omegas = fundamental_coweights_rational(d)
+        heights = [dot_frac(w, two_rho) for w in omegas]
+        bounds = [
+            int(sum((abs(w[i]) * max_height / h for w, h in zip(omegas, heights)), 0))
+            for i in range(d.rank)
+        ]
+        ranges = [range(-b, b + 1) for b in bounds]
+    else:
+        ranges = [range(-coord_bound, coord_bound + 1)] * d.rank
+    return sorted(
+        v for v in itertools.product(*ranges)
+        if all(sum(a * b for a, b in zip(v, alpha)) >= 0 for alpha in d.simple_roots)
+        and sum(a * b for a, b in zip(v, two_rho)) <= max_height
+    )
+
+
+def ref_covering_relations(poset):
+    strict = {(lo, up) for lo, up, _c in poset.relations if lo != up}
+    covers = []
+    for lo, up in sorted(strict):
+        if not any((lo, mid) in strict and (mid, up) in strict
+                   for mid in poset.labels if mid not in (lo, up)):
+            covers.append((lo, up))
+    return tuple(covers)
+
+
+# ---------------------------------------------------------------------------
+# The sweep
+
+
+def u3_like():
+    """Rank-3 A2 lattice with the flip (a,b,c) -> (-c,-b,-a): X_*(T)_I = Z + Z/2."""
+    base = BasedRootDatum.make(
+        3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)], name="U3-like"
+    )
+    flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0), order=2)
+    return TwistedRootDatum.make(base, (flip,), name="U3-like")
+
+
+SWEEP = tuple(dict.fromkeys(DEFAULT_PRESET_NAMES + ("SU5", "SU7", "torus-rank-2", "U3-like")))
+
+
+def datum(name):
+    return u3_like() if name == "U3-like" else preset(name)
+
+
+def bounds(t):
+    """(height bound, coord_bound) small enough for the reference code."""
+    if _has_invariant_central_direction(t):
+        return 6, 2
+    return (8 if t.rank > 3 else 12), None
+
+
+def box_classes(t, reach):
+    c = coinvariants(t)
+    torsion = itertools.product(*[range(d) for d in c.torsion])
+    free = itertools.product(range(-reach, reach + 1), repeat=c.free_rank)
+    return [(f, s) for f, s in itertools.product(free, torsion)]
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_heights_and_witnesses_match_fraction_averages(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    classes = box_classes(t, 2) + enumerate_dominant_classes(t, height, coord)
+    for cls in classes:
+        assert class_height(t, cls) == ref_class_height(t, cls), cls
+        assert is_dominant_class(t, cls) == ref_is_dominant_class(t, cls), cls
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_leq_certificates_match_fresh_solver(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    for classes in (enumerate_dominant_classes(t, height, coord), box_classes(t, 1)):
+        for lam, mu in itertools.product(classes, repeat=2):
+            assert leq(t, lam, mu) == ref_leq(t, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_covering_relations_match_triple_loop(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    poset = closure_poset(t, max_height=height, coord_bound=coord)
+    assert poset.covering_relations() == ref_covering_relations(poset)
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_cone_walk_matches_box_scan(name):
+    t = datum(name)
+    height, _coord = bounds(t)
+    coord = None if t.base.num_simple == t.rank else 2
+    for d in (t.base, dualize(t.base)):
+        for h in (-1, 0, 1, height):
+            assert dominant_coweights_up_to_height(d, h, coord) == \
+                ref_dominant_coweights_up_to_height(d, h, coord), (d, h)
+
+
+def test_cone_walk_larger_su5():
+    d = preset("SU5").base
+    assert dominant_coweights_up_to_height(d, 14) == ref_dominant_coweights_up_to_height(d, 14)
+
+
+def test_smith_forms_do_not_grow_with_labels(monkeypatch):
+    """closure_poset builds a constant number of Smith normal forms per
+    datum, however many labels (and leq pairs) it compares."""
+    calls = []
+    real = abelian.smith_normal_form
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(coweights, "smith_normal_form", counting)
+    seen = {}
+    for height in (20, 200):
+        for module in (galois, rootdatum, coweights):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        calls.clear()
+        poset = closure_poset(preset("SU3"), max_height=height)
+        seen[height] = (len(poset.strata), len(calls))
+    assert seen[200][0] > 5 * seen[20][0]
+    assert seen[20][1] == seen[200][1] <= 5

@@ -1,7 +1,11 @@
 """Every preset passes every verification suite within the default bounds."""
 
-from twisted_satake.presets import default_presets
-from twisted_satake.suites import SUITE_NAMES, run_suite
+import pytest
+
+from twisted_satake.coweights import enumerate_dominant_classes
+from twisted_satake.presets import default_presets, preset
+from twisted_satake.satake import component_of, format_class, parity_check
+from twisted_satake.suites import SUITE_NAMES, CheckResult, run_suite
 
 
 def test_every_preset_passes_all_suites():
@@ -15,3 +19,16 @@ def test_every_preset_passes_all_suites():
 
 def test_suite_names_cover_cli_choices():
     assert set(SUITE_NAMES) == {"exactness", "orbits", "parity", "weyl-oracle", "branching"}
+
+
+@pytest.mark.parametrize("name, kwargs", [("SU3", {}), ("torus-rank-2", {"coord_bound": 4})])
+def test_parity_suite_equals_per_component_checks(name, kwargs):
+    t = preset(name)
+    components = sorted({component_of(t, cls) for cls in enumerate_dominant_classes(t, 20, **kwargs)})
+    expected = [
+        CheckResult("parity", f"component-{format_class(comp)}", True,
+                    detail=f"parity {parity_check(t, comp, 20, **kwargs)}")
+        for comp in components
+    ]
+    assert expected
+    assert run_suite(t, "parity") == expected
