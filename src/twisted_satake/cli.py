@@ -1,8 +1,10 @@
 """Command-line surface: describe / compute verbs / verify.
 
 Exit codes: 0 success, 1 usage error, 2 input validation error, 3 property
-suite failure.  Every number emitted is exact: integers, or fractions
-rendered "p/q"; identical configurations produce byte-identical output.
+suite failure, 4 internal defect (a broken internal invariant or an
+enumeration past its bound, reported as one line on stderr).  Every number
+emitted is exact: integers, or fractions rendered "p/q"; identical
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .satake import (
     poset_to_json,
 )
 from .suites import SUITE_NAMES, run_suite
-from .weyl import relative_weyl
+from .weyl import EnumerationBoundExceeded, relative_weyl
 
 SCHEMA_VERSION = "1"
 
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_PROPERTY = 3
+EXIT_DEFECT = 4
 
 
 class UsageExit(Exception):
@@ -460,6 +463,9 @@ def main(argv=None) -> int:
             DimensionMismatch, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except (InvariantViolation, EnumerationBoundExceeded) as e:
+        print(f"internal defect: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Characteristic-zero character arithmetic on twisted data.
 
 Irreducible characters are computed by the Freudenthal recursion with the
-invariant form built from coroot pairings, all in exact rationals.  For a
-twisted datum s regarded as the group being restricted, the restriction to
-the fixed subgroup pushes the character along the class map of X^*(s)_I,
-and the char-0 decomposition extracts folded irreducibles by repeated
+invariant form built from coroot pairings, all in integers: the recursion
+is scaled by 4 and run on 2nu + 2rho, and the depth of each weight comes
+from the walk that generates the weight set.  For a twisted datum s
+regarded as the group being restricted, the restriction to the fixed
+subgroup pushes the character along the class map of X^*(s)_I, and the
+char-0 decomposition extracts folded irreducibles by repeated
 highest-weight subtraction under the dominance order.  Positive
 characteristic profiles return the restriction multiset but refuse
 irreducible decomposition: that side of the theory is not semisimple, and a
@@ -15,12 +17,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .abelian import DimensionMismatch, InvariantViolation, dot, vec_sub
+from .abelian import DimensionMismatch, InvariantViolation, dot, vec_add, vec_scale, vec_sub
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
-from .rootdatum import BasedRootDatum, full_root_system, require_valid
+from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
 from .coweights import project_dominant
 
 
@@ -84,35 +85,61 @@ def total_dimension(w: WeightMultiset) -> int:
 # Freudenthal characters
 
 
-def _invariant_form(system):
-    """B(x, y) = sum over roots of <beta^vee, x><beta^vee, y>: an exact
-    W-invariant form on the character space, positive on the root span."""
-    coroots = [c for _r, c in system.positive]
+@dataclass(frozen=True)
+class _FreudenthalData:
+    """Per-datum integer data for the Freudenthal recursion.
 
-    def form(x, y):
-        total = Fraction(0)
+    The form is Q(x, y) = sum over positive coroots of <beta^vee, x><beta^vee,
+    y>, W-invariant and integral on integer vectors (half the usual B; the
+    factor cancels in the recursion).  For each positive root alpha it holds
+    the vector q_alpha with Q(x, alpha) = <q_alpha, x>, and Q(alpha, alpha).
+    """
+
+    positive: tuple   # (alpha, q_alpha, Q(alpha, alpha)) per positive root
+    coroots: tuple    # the positive coroots
+    two_rho: tuple
+    height: tuple     # sum of the positive coroots: the height functional
+
+    def norm(self, x):
+        return sum(dot(c, x) ** 2 for c in self.coroots)
+
+
+@functools.lru_cache(maxsize=None)
+def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
+    pairs = full_root_system(d).positive
+    coroots = tuple(c for _r, c in pairs)
+    positive = []
+    for alpha, _coroot in pairs:
+        q = (0,) * d.rank
         for c in coroots:
-            total += Fraction(dot(c, x)) * dot(c, y)
-        return 2 * total
-
-    return form
+            q = vec_add(q, vec_scale(dot(c, alpha), c))
+        positive.append((alpha, q, dot(q, alpha)))
+    height = (0,) * d.rank
+    for c in coroots:
+        height = vec_add(height, c)
+    return _FreudenthalData(
+        positive=tuple(positive), coroots=coroots,
+        two_rho=rho_data(d).two_rho, height=height,
+    )
 
 
 def _weight_support(d: BasedRootDatum, lam):
     """The saturated weight set of the irreducible with highest weight lam,
-    generated downward along simple-root strings."""
-    support = {lam}
+    generated downward along simple-root strings, each weight mapped to its
+    depth: the sum of the simple-root coordinates of lam - nu.  A step j
+    down a string from nu has depth depth(nu) + j."""
+    support = {lam: 0}
     frontier = [lam]
     while frontier:
         new = []
         for nu in frontier:
+            depth = support[nu]
             for alpha, coroot in zip(d.simple_roots, d.simple_coroots):
-                p = dot(coroot, nu)
                 current = nu
-                for _ in range(p):
+                for j in range(1, dot(coroot, nu) + 1):
                     current = vec_sub(current, alpha)
                     if current not in support:
-                        support.add(current)
+                        support[current] = depth + j
                         new.append(current)
         frontier = new
     return support
@@ -125,7 +152,12 @@ def is_dominant_character(d: BasedRootDatum, lam) -> bool:
 @functools.lru_cache(maxsize=None)
 def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     """Weight multiplicities of the irreducible with highest weight lam,
-    by the Freudenthal recursion; exact, with the multiset frozen."""
+    by the Freudenthal recursion in integers; the multiset is frozen.
+
+    With Q as in _FreudenthalData, the recursion
+        (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)
+    is multiplied by 4 and written with 2nu + 2rho, so both sides are integers.
+    """
     require_valid(d)
     lam = tuple(int(x) for x in lam)
     if len(lam) != d.rank:
@@ -135,24 +167,18 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     if d.num_simple == 0:
         return WeightMultiset.make("absolute", {lam: 1})
 
-    system = full_root_system(d)
-    form = _invariant_form(system)
-    rho = tuple(Fraction(x, 2) for x in _two_rho(d))
+    data = _freudenthal_data(d)
+    two_rho = data.two_rho
     support = _weight_support(d, lam)
-
-    def depth(nu):
-        coords = system.simple_coordinates(vec_sub(lam, nu))
-        return sum(coords)
-
-    ordered = sorted(support, key=lambda nu: (depth(nu), nu))
-    lam_rho = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-    norm_lam = form(lam_rho, lam_rho)
+    ordered = sorted(support, key=lambda nu: (support[nu], nu))
+    norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
     mult = {lam: 1}
     for nu in ordered:
         if nu == lam:
             continue
-        total = Fraction(0)
-        for alpha, _coroot in system.positive:
+        total = 0
+        for alpha, q, q_alpha in data.positive:
+            base = dot(q, nu)
             k = 1
             while True:
                 shifted = tuple(x + k * a for x, a in zip(nu, alpha))
@@ -162,35 +188,17 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
                         break
                     m = 0
                 if m:
-                    total += m * form(shifted, alpha)
+                    total += m * (base + k * q_alpha)
                 k += 1
-        nu_rho = tuple(Fraction(x) + r for x, r in zip(nu, rho))
-        denom = norm_lam - form(nu_rho, nu_rho)
+        denom = norm_lam - data.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
         if denom <= 0:
             raise InvariantViolation("Freudenthal denominator must be positive")
-        value = 2 * total / denom
-        if value.denominator != 1 or value < 0:
+        value, remainder = divmod(8 * total, denom)
+        if remainder or value < 0:
             raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
         if value:
-            mult[nu] = int(value)
+            mult[nu] = value
     return WeightMultiset.make("absolute", mult)
-
-
-def _two_rho(d: BasedRootDatum):
-    system = full_root_system(d)
-    total = (0,) * d.rank
-    for root, _c in system.positive:
-        total = tuple(a + b for a, b in zip(total, root))
-    return total
-
-
-def _two_rho_check(d: BasedRootDatum):
-    """Sum of the positive coroots: the height functional on characters."""
-    system = full_root_system(d)
-    total = (0,) * d.rank
-    for _root, coroot in system.positive:
-        total = tuple(a + b for a, b in zip(total, coroot))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +261,7 @@ def _extract_irreducibles(folded: BasedRootDatum, mapping):
     """Greedy highest-weight extraction: subtract the irreducible character
     at a maximal-height dominant weight until nothing remains."""
     remaining = dict(mapping)
-    height = _two_rho_check(folded)
+    height = _freudenthal_data(folded).height
     summands = {}
     while remaining:
         top = max(remaining, key=lambda v: (dot(height, v), v))
@@ -356,18 +364,3 @@ def weight_rank(t: TwistedRootDatum, mu_cls, nu_cls, profile: CoefficientProfile
         raise NonDominantWeightError(f"{mu_cls} is not a dominant class")
     char = irreducible_character(folded, mu_vec)
     return char.multiplicity(nu_vec)
-
-
-def folded_irreducible_character(
-    t_or_s: TwistedRootDatum, cls, side: str = "dual", profile: CoefficientProfile = CHAR0
-) -> WeightMultiset:
-    """Character of a folded irreducible as a coinvariant multiset.
-
-    side="dual": classes in X^*(s)_I of the given datum s (the branching
-    side); side="original": classes in X_*(t)_I (the Schubert side).
-    """
-    s = t_or_s if side == "dual" else dual_twisted(t_or_s)
-    desc = _folded_context(s, profile)
-    folded = desc.folded_cartan.datum
-    char = irreducible_character(folded, _class_to_vector(cls))
-    return WeightMultiset.make("coinvariant", {(k, ()): m for k, m in char.entries})

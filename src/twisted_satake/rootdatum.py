@@ -138,8 +138,14 @@ def validate(d: BasedRootDatum) -> ValidityReport:
     return ValidityReport(tuple(checks))
 
 
+@functools.lru_cache(maxsize=None)
+def _validity_report(d: BasedRootDatum) -> ValidityReport:
+    """validate(d), run once per datum: it is pure and only reports."""
+    return validate(d)
+
+
 def require_valid(d: BasedRootDatum):
-    report = validate(d)
+    report = _validity_report(d)
     if not report.valid:
         name, detail = report.first_violation
         raise InvalidDatumError(f"invalid root datum ({name}): {detail}")
@@ -148,23 +154,34 @@ def require_valid(d: BasedRootDatum):
 @functools.lru_cache(maxsize=None)
 def _reflection_closure(d: BasedRootDatum):
     """All (root, coroot) pairs generated from the simple ones by simple
-    reflections; raises InvariantViolation when the closure exceeds the cap."""
-    pairs = set(zip(d.simple_roots, d.simple_coroots))
-    frontier = list(pairs)
+    reflections, each mapped to its coordinates over the simple roots;
+    raises InvariantViolation when the closure exceeds the cap.
+
+    s_i changes coordinate i of beta by -<alpha_i^vee, beta> and no other,
+    so the coordinates stay integers.  They are well defined because the
+    simple roots are independent (validate checks this first).
+    """
+    k = d.num_simple
+    pairs = {
+        pair: tuple(int(i == j) for j in range(k))
+        for i, pair in enumerate(zip(d.simple_roots, d.simple_coroots))
+    }
+    frontier = list(pairs.items())
     while frontier:
         new = []
-        for beta, beta_v in frontier:
-            for alpha, alpha_v in zip(d.simple_roots, d.simple_coroots):
+        for (beta, beta_v), coords in frontier:
+            for i, (alpha, alpha_v) in enumerate(zip(d.simple_roots, d.simple_coroots)):
                 n = dot(alpha_v, beta)
                 m = dot(beta_v, alpha)
                 img = (vec_sub(beta, vec_scale(n, alpha)), vec_sub(beta_v, vec_scale(m, alpha_v)))
                 if img not in pairs:
-                    pairs.add(img)
-                    new.append(img)
+                    img_coords = coords[:i] + (coords[i] - n,) + coords[i + 1:]
+                    pairs[img] = img_coords
+                    new.append((img, img_coords))
                     if len(pairs) > ROOT_CLOSURE_CAP:
                         raise InvariantViolation("reflection closure is not finite")
         frontier = new
-    return frozenset(pairs)
+    return tuple(sorted(pairs.items()))
 
 
 @dataclass(frozen=True)
@@ -174,6 +191,7 @@ class RootSystem:
     datum: BasedRootDatum
     positive: tuple      # (root, coroot) pairs, deterministic order
     negative: tuple
+    coordinates: dict = field(compare=False, repr=False)  # root -> simple-root coordinates
 
     @property
     def all_pairs(self):
@@ -191,10 +209,7 @@ class RootSystem:
 
     def simple_coordinates(self, root):
         """Coordinates of a root over the simple roots (integers)."""
-        sol = rational_solve(self.datum.simple_roots, root)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise InvariantViolation("root outside the integral simple-root span")
-        return tuple(int(x) for x in sol)
+        return self.coordinates[root]
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,21 +217,20 @@ def full_root_system(d: BasedRootDatum) -> RootSystem:
     """Reflection closure of the simple roots, split into positive and
     negative roots by simple-root coordinates."""
     require_valid(d)
-    pairs = _reflection_closure(d)
     pos, neg = [], []
-    for beta, beta_v in sorted(pairs):
-        sol = rational_solve(d.simple_roots, beta) if d.num_simple else None
-        if sol is None:
-            raise InvariantViolation("closure left the simple-root span")
-        if all(x >= 0 for x in sol):
+    coordinates = {}
+    for (beta, beta_v), coords in _reflection_closure(d):
+        if all(x >= 0 for x in coords):
             pos.append((beta, beta_v))
-        elif all(x <= 0 for x in sol):
+        elif all(x <= 0 for x in coords):
             neg.append((beta, beta_v))
         else:
             raise InvariantViolation(f"root {beta} has mixed-sign coordinates")
+        coordinates[beta] = coords
     if len(pos) != len(neg):
         raise InvariantViolation("positivity split is not symmetric")
-    return RootSystem(datum=d, positive=tuple(pos), negative=tuple(neg))
+    return RootSystem(datum=d, positive=tuple(pos), negative=tuple(neg),
+                      coordinates=coordinates)
 
 
 def dualize(d: BasedRootDatum) -> BasedRootDatum:

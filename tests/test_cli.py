@@ -2,7 +2,10 @@
 
 import json
 
-from twisted_satake.cli import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
+from twisted_satake import cli
+from twisted_satake.abelian import InvariantViolation
+from twisted_satake.cli import EXIT_DEFECT, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
+from twisted_satake.weyl import EnumerationBoundExceeded
 
 
 def run(capsys, *argv):
@@ -239,3 +242,24 @@ class TestExitCodes:
         code, _out, err = run(capsys, "schubert", "SU3", "--bound", "0")
         assert code == EXIT_INPUT
         assert "positive" in err
+
+    def test_invariant_violation_is_internal_defect(self, capsys, monkeypatch):
+        def broken(args, t):
+            raise InvariantViolation("Freudenthal denominator must be positive")
+
+        monkeypatch.setattr(cli, "cmd_branch", broken)
+        code, out, err = run(capsys, "branch", "SU3", "--weight", "1,0")
+        assert code == EXIT_DEFECT
+        assert out == ""
+        assert err == ("internal defect: InvariantViolation: "
+                       "Freudenthal denominator must be positive\n")
+
+    def test_enumeration_bound_is_internal_defect(self, capsys, monkeypatch):
+        def too_large(args, t):
+            raise EnumerationBoundExceeded("Weyl group exceeds bound")
+
+        monkeypatch.setattr(cli, "cmd_describe", too_large)
+        code, out, err = run(capsys, "describe", "SU3")
+        assert code == EXIT_DEFECT
+        assert out == ""
+        assert err == "internal defect: EnumerationBoundExceeded: Weyl group exceeds bound\n"

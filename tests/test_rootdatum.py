@@ -2,8 +2,9 @@
 
 import pytest
 
-from twisted_satake.abelian import FgAbelianGroup
-from twisted_satake.presets import preset
+from twisted_satake import rootdatum
+from twisted_satake.abelian import FgAbelianGroup, rational_solve
+from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
     BasedRootDatum,
     dominant_coweights_up_to_height,
@@ -13,6 +14,7 @@ from twisted_satake.rootdatum import (
     fundamental_group,
     is_adjoint,
     is_simply_connected,
+    require_valid,
     rho_data,
     validate,
 )
@@ -62,6 +64,26 @@ class TestValidate:
         assert not report.valid
         assert report.first_violation[0] == "finite-type"
 
+    def test_require_valid_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return validate(d)
+
+        monkeypatch.setattr(rootdatum, "validate", counting)
+        rootdatum._validity_report.cache_clear()
+        d = gl3_datum()
+        for _ in range(5):
+            require_valid(d)
+        assert calls == [d]
+
+    def test_require_valid_still_raises_when_cached(self):
+        d = BasedRootDatum.make(1, [(3,)], [(1,)])
+        for _ in range(2):
+            with pytest.raises(rootdatum.InvalidDatumError):
+                require_valid(d)
+
 
 class TestDualize:
     def test_sl2_to_pgl2(self):
@@ -108,6 +130,16 @@ class TestFullRootSystem:
         for name, n in [("SL3", 2), ("SU4", 3), ("SU5", 4)]:
             system = full_root_system(preset(name).base)
             assert len(system.roots) == n * (n + 1)
+
+    def test_stored_coordinates_match_rational_solve(self):
+        for name in DEFAULT_PRESET_NAMES:
+            base = preset(name).base
+            for d in (base, dualize(base)):
+                system = full_root_system(d)
+                assert set(system.coordinates) == set(system.roots), name
+                for root in system.roots:
+                    sol = rational_solve(d.simple_roots, root)
+                    assert system.simple_coordinates(root) == tuple(sol), (name, d, root)
 
 
 class TestFundamentalGroup:
