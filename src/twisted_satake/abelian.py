@@ -594,10 +594,3 @@ def solve_integer(dec: SmithDecomposition, target):
             if i < m.cols:
                 y[i] = w[i] // d
     return dec.V.apply(y)
-
-
-def group_from_quotient_of_quotient(q: QuotientPresentation, extra_columns):
-    """Invariants of (Z^n / relations) / <extra classes>: adjoin columns and re-present."""
-    cols = [q.relations.column(j) for j in range(q.relations.cols)] + [tuple(c) for c in extra_columns]
-    pres = quotient_group(q.ambient_rank, IntMatrix.from_columns(cols, nrows=q.ambient_rank))
-    return pres.quotient

@@ -9,8 +9,11 @@ character lattice X^*(s)_I (computed as the cocharacter coinvariants of the
 dual datum), the descended Weyl group, and, for registry presets and split
 data, the folded root datum produced by the standard recipe (orthogonal
 orbit: common root class with the summed coroots; adjacent pair: root class
-with the doubled summed coroots), validated on the spot against the
-brute-force fixed-Weyl-subgroup oracle.
+with the doubled summed coroots).  Registry membership is decided from the
+datum's structure alone.  On the request path the folded datum is checked
+only by |W(folded)| = |W0|; the brute-force fixed-Weyl-subgroup oracle
+(`weyl.fixed_weyl_subgroup`) runs in `verify <datum> weyl-oracle` and the
+tests.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .galois import (
     relative_simple_roots,
 )
 from .rootdatum import BasedRootDatum, InvalidDatumError, require_valid, validate
-from .weyl import enumerate_absolute_weyl, fixed_weyl_subgroup, relative_weyl
+from .weyl import enumerate_absolute_weyl, relative_weyl
 
 
 class UnsupportedFoldingError(ValueError):
@@ -198,26 +201,24 @@ def _fold_recipe(s: TwistedRootDatum):
 
 
 def _registry_known(s: TwistedRootDatum) -> bool:
+    """Whether s equals a registry preset or the dual of one: a fixed entry,
+    or SU<k> for odd k (rank k - 1), recognised by rebuilding it."""
     from . import presets
 
-    for entry in presets._HANDED_OUT.values():
-        if s == entry.twisted or s == dual_twisted(entry.twisted):
-            return True
-    return False
+    candidates = [entry.twisted for entry in presets._FIXED.values()]
+    if s.rank % 2 == 0 and s.rank >= 2:
+        candidates.append(presets._special_unitary(s.rank + 1).twisted)
+    return any(s == c or s == dual_twisted(c) for c in candidates)
 
 
 def _connectedness_char0(s: TwistedRootDatum) -> str:
     from . import presets
     from .rootdatum import is_simply_connected
 
-    if not s.generators:
-        return "yes"
-    if is_simply_connected(s.base):
+    if not s.generators or is_simply_connected(s.base):
         return "yes"  # fixed points in a simply connected group are connected
-    for entry in presets._HANDED_OUT.values():
-        if s == entry.twisted:
-            return entry.connected_char0
-    # Case-by-case knowledge is recorded per datum; everything else stays open.
+    if any(s == entry.twisted for entry in presets._FIXED.values()):
+        return "yes"  # the fixed entries are checked case by case
     return "unknown"
 
 
@@ -253,9 +254,10 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     """Combinatorial model of the fixed-point group of the datum s.
 
     The torus is X^*(s)_I; the Weyl group is the descended relative group.
-    Folded Cartan data appear only for split actions and registry presets,
-    where they are validated against the fixed-Weyl-subgroup oracle; unknown
-    foldings yield an absent folded_cartan, never a guess.
+    Folded Cartan data appear only for split actions and data equal to a
+    registry preset or its dual, where |W(folded)| must equal |W0|; unknown
+    foldings yield an absent folded_cartan, never a guess.  The result
+    depends on s and the profile alone.
     """
     dual = dual_twisted(s)
     torus = coinvariants(dual)
@@ -273,13 +275,10 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     if orbits_ok and (not s.generators or _registry_known(s)):
         folded = _fold_recipe(s)
         if folded is not None:
-            # Oracle: the folded Weyl group must match the fixed subgroup of
-            # the absolute Weyl group, and the descended group order.
-            oracle = len(fixed_weyl_subgroup(s))
             folded_order = len(enumerate_absolute_weyl(folded.datum))
-            if folded_order != oracle or weyl.order != folded_order:
+            if weyl.order != folded_order:
                 raise InvariantViolation(
-                    f"folded Weyl order {folded_order} disagrees with oracle {oracle}"
+                    f"folded Weyl order {folded_order} disagrees with |W0| = {weyl.order}"
                 )
     if folded is not None and not profile.is_char0 and profile.ell == 2 and adjacent:
         # The fixed group fails smoothness here; its special fiber is the

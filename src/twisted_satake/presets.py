@@ -8,11 +8,14 @@ into the familiar sum-zero/quotient coordinates on Z^3 (and its analogues)
 so that hand computations in those coordinates can be replayed verbatim.
 
 Parameterized families: ``SU<odd k>`` for the quasi-split special unitary
-groups split by a quadratic extension, and ``torus-rank-<n>``.
+groups split by a quadratic extension, and ``torus-rank-<n>``.  Their
+builders are pure and memoised, so a lookup changes no state that other
+code reads.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -42,9 +45,6 @@ class PresetEntry:
     name: str
     twisted: TwistedRootDatum
     embedding: AmbientEmbedding | None = None
-    # Known structural facts, resolved case by case: connectedness of the
-    # fixed-point group of the datum's own action, in characteristic 0.
-    connected_char0: str = "unknown"  # "yes" | "no" | "unknown"
 
 
 class UnknownPresetError(KeyError):
@@ -102,6 +102,7 @@ def _unitary_embedding(n_ambient):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _special_unitary(k_odd):
     """SU_k for odd k: the A_(k-1) datum with the diagram flip."""
     n = k_odd - 1
@@ -113,17 +114,13 @@ def _special_unitary(k_odd):
         name=f"SU{k_odd}",
         twisted=t,
         embedding=_unitary_embedding(k_odd),
-        connected_char0="yes",  # fixed points in a simply connected group
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _torus(n):
     base = BasedRootDatum.make(n, [], [], name=f"torus-rank-{n}")
-    return PresetEntry(
-        name=f"torus-rank-{n}",
-        twisted=split_twisted(base),
-        connected_char0="yes",
-    )
+    return PresetEntry(name=f"torus-rank-{n}", twisted=split_twisted(base))
 
 
 def _build_fixed_registry():
@@ -133,19 +130,19 @@ def _build_fixed_registry():
         entries[entry.name] = entry
 
     a1 = [[2]]
-    add(PresetEntry("SL2", split_twisted(_cartan_sc(a1, "SL2")), connected_char0="yes"))
-    add(PresetEntry("PGL2", split_twisted(_cartan_ad(a1, "PGL2")), connected_char0="yes"))
+    add(PresetEntry("SL2", split_twisted(_cartan_sc(a1, "SL2"))))
+    add(PresetEntry("PGL2", split_twisted(_cartan_ad(a1, "PGL2"))))
 
     a2 = _a_n_cartan(2)
-    add(PresetEntry("SL3", split_twisted(_cartan_sc(a2, "SL3")), connected_char0="yes"))
-    add(PresetEntry("PGL3", split_twisted(_cartan_ad(a2, "PGL3")), connected_char0="yes"))
+    add(PresetEntry("SL3", split_twisted(_cartan_sc(a2, "SL3"))))
+    add(PresetEntry("PGL3", split_twisted(_cartan_ad(a2, "PGL3"))))
 
     # Sp4 = C2: alpha_1 short, alpha_2 long.
     c2 = [[2, -2], [-1, 2]]
-    add(PresetEntry("Sp4", split_twisted(_cartan_sc(c2, "Sp4")), connected_char0="yes"))
+    add(PresetEntry("Sp4", split_twisted(_cartan_sc(c2, "Sp4"))))
 
     g2 = [[2, -3], [-1, 2]]
-    add(PresetEntry("G2", split_twisted(_cartan_sc(g2, "G2")), connected_char0="yes"))
+    add(PresetEntry("G2", split_twisted(_cartan_sc(g2, "G2"))))
 
     # SL2 x SL2 with the factor swap.
     sl2sq = BasedRootDatum.make(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)], name="SL2xSL2-swap")
@@ -153,7 +150,6 @@ def _build_fixed_registry():
     add(PresetEntry(
         "SL2xSL2-swap",
         TwistedRootDatum.make(sl2sq, (swap,), name="SL2xSL2-swap"),
-        connected_char0="yes",
     ))
 
     add(_special_unitary(3))
@@ -173,7 +169,6 @@ def _build_fixed_registry():
         "PSU3",
         TwistedRootDatum.make(psu3_base, (psu3_gen,), name="PSU3"),
         embedding=psu3_embed,
-        connected_char0="yes",  # explicit rank-one computation
     ))
 
     # SU4: A3 with the flip exchanging the outer nodes.
@@ -185,7 +180,6 @@ def _build_fixed_registry():
         "SU4",
         TwistedRootDatum.make(su4_base, (su4_gen,), name="SU4"),
         embedding=_unitary_embedding(4),
-        connected_char0="yes",
     ))
 
     # Spin8 with the triality rotation (1 -> 3 -> 4 -> 1, central node fixed).
@@ -201,7 +195,6 @@ def _build_fixed_registry():
     add(PresetEntry(
         "Spin8-triality",
         TwistedRootDatum.make(spin8_base, (spin8_gen,), name="Spin8-triality"),
-        connected_char0="yes",
     ))
 
     add(_torus(1))
@@ -215,33 +208,26 @@ _FIXED = _build_fixed_registry()
 #: Names quantified over by "every preset" test suites.
 DEFAULT_PRESET_NAMES = tuple(sorted(_FIXED))
 
-#: Every entry this process has handed out, fixed or parameterized; folding
-#: availability checks consult it (registry data only, never synthesized).
-_HANDED_OUT = dict(_FIXED)
-
 _SU_RE = re.compile(r"^SU\((\d+)\)$|^SU(\d+)$")
 _TORUS_RE = re.compile(r"^torus-rank-(\d+)$")
 
 
 def get_preset(name: str) -> PresetEntry:
-    """Registry lookup; parameterized families are built on demand."""
-    if name in _HANDED_OUT:
-        return _HANDED_OUT[name]
+    """Registry lookup; parameterized families come from memoised builders,
+    so repeated lookups return the same entry."""
+    if name in _FIXED:
+        return _FIXED[name]
     m = _SU_RE.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
         if k >= 3 and k % 2 == 1:
-            entry = _special_unitary(k)
-            _HANDED_OUT[entry.name] = entry
-            return entry
+            return _special_unitary(k)
         raise UnknownPresetError(
             f"{name}: only odd unitary ranks >= 3 are provided (SU4 is a fixed preset)"
         )
     m = _TORUS_RE.match(name)
     if m:
-        entry = _torus(int(m.group(1)))
-        _HANDED_OUT[entry.name] = entry
-        return entry
+        return _torus(int(m.group(1)))
     raise UnknownPresetError(name)
 
 

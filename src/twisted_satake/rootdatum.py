@@ -253,14 +253,6 @@ def fundamental_group(d: BasedRootDatum) -> FgAbelianGroup:
     return quotient_group(d.rank, relations).quotient
 
 
-def coroot_lattice_presentation(d: BasedRootDatum):
-    """Quotient presentation of X_*(T) by the coroot lattice (the
-    fundamental group with its class map)."""
-    require_valid(d)
-    relations = IntMatrix.from_columns(list(d.simple_coroots), nrows=d.rank)
-    return quotient_group(d.rank, relations)
-
-
 @dataclass(frozen=True)
 class RhoData:
     """2*rho and its Levi variants, as exact character vectors."""

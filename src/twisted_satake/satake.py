@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .abelian import DimensionMismatch, InvariantViolation
 from .coweights import (
+    NonDominantError,
     class_height,
     dominant_representative,
     enumerate_dominant_classes,
@@ -32,10 +33,6 @@ from .galois import (
     relative_simple_roots,
 )
 from .rootdatum import rho_data
-
-
-class NonDominantError(ValueError):
-    pass
 
 
 def _require_dominant(t, cls):

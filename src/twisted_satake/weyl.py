@@ -64,29 +64,34 @@ def simple_reflection(d: BasedRootDatum, i: int) -> WeylElement:
     return WeylElement(matrix=IntMatrix.from_columns(cols, nrows=n), word=(i,))
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
-    """Breadth-first closure of the simple reflections; words are shortest."""
-    require_valid(d)
-    gens = [simple_reflection(d, i) for i in range(d.num_simple)]
-    ident = WeylElement(matrix=IntMatrix.identity(d.rank), word=())
+def _closure(rank, gens, bound=None, message=""):
+    """Breadth-first closure of labelled generators (label, WeylElement),
+    sorted by (word length, matrix); words are shortest, recorded in the
+    labels of the generators applied on the left."""
+    ident = WeylElement(matrix=IntMatrix.identity(rank), word=())
     seen = {ident.matrix: ident}
     frontier = [ident]
     while frontier:
         new = []
         for w in frontier:
-            for i, g in enumerate(gens):
+            for label, g in gens:
                 m = g.matrix.mul(w.matrix)
                 if m not in seen:
-                    elem = WeylElement(matrix=m, word=(i,) + w.word)
+                    elem = WeylElement(matrix=m, word=(label,) + w.word)
                     seen[m] = elem
                     new.append(elem)
-                    if len(seen) > bound:
-                        raise EnumerationBoundExceeded(
-                            f"Weyl group exceeds bound {bound}"
-                        )
+                    if bound is not None and len(seen) > bound:
+                        raise EnumerationBoundExceeded(message)
         frontier = new
     return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.matrix.entries)))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
+    """Breadth-first closure of the simple reflections; words are shortest."""
+    require_valid(d)
+    gens = [(i, simple_reflection(d, i)) for i in range(d.num_simple)]
+    return _closure(d.rank, gens, bound, f"Weyl group exceeds bound {bound}")
 
 
 def _is_negative_root(d: BasedRootDatum, chi):
@@ -103,23 +108,10 @@ def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     reflections: the unique element of that subgroup sending every simple
     root of the subset to a negative root."""
     subset = tuple(sorted(subset))
-    gens = [simple_reflection(d, i) for i in subset]
-    ident = WeylElement(matrix=IntMatrix.identity(d.rank), word=())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i, g in zip(subset, gens):
-                m = g.matrix.mul(w.matrix)
-                if m not in seen:
-                    elem = WeylElement(matrix=m, word=(i,) + w.word)
-                    seen[m] = elem
-                    new.append(elem)
-        frontier = new
+    elements = _closure(d.rank, [(i, simple_reflection(d, i)) for i in subset])
     candidates = [
         w
-        for w in seen.values()
+        for w in elements
         if all(_is_negative_root(d, w.apply_char(d.simple_roots[i])) for i in subset)
     ]
     if len(candidates) != 1:
@@ -155,11 +147,6 @@ class RelativeWeylGroup:
         """The descended action on a coinvariant class."""
         c = coinvariants(self.datum)
         return c.class_of(w.apply(c.lift(cls)))
-
-    def act_rational(self, w: WeylElement, point):
-        """The linear action on a rational point of the apartment, given in
-        free coinvariant coordinates."""
-        return _free_matrix(self.datum, w.matrix).apply_frac(point)
 
     def orbit(self, cls):
         return tuple(sorted({self.act(w, cls) for w in self.elements}))
@@ -215,22 +202,9 @@ def relative_weyl(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT) -> Relat
                     "orbit reflection does not commute with the inertia action"
                 )
         gens.append(WeylElement(matrix=w.matrix, word=(rel.simple_orbit_list.index(orbit),)))
-    ident = WeylElement(matrix=IntMatrix.identity(t.rank), word=())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i, g in enumerate(gens):
-                m = g.matrix.mul(w.matrix)
-                if m not in seen:
-                    elem = WeylElement(matrix=m, word=(i,) + w.word)
-                    seen[m] = elem
-                    new.append(elem)
-                    if len(seen) > bound:
-                        raise EnumerationBoundExceeded("relative Weyl group exceeds bound")
-        frontier = new
-    elements = tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.matrix.entries)))
+    elements = _closure(
+        t.rank, list(enumerate(gens)), bound, "relative Weyl group exceeds bound"
+    )
     return RelativeWeylGroup(datum=t, generators=tuple(gens), elements=elements)
 
 

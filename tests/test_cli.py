@@ -1,7 +1,11 @@
 """The command-line surface: verbs, formats, exit codes, file input."""
 
 import json
+import os
+import subprocess
+import sys
 
+import twisted_satake
 from twisted_satake import cli
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.cli import EXIT_DEFECT, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
@@ -12,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*argv, timeout=60):
+    """One CLI run in a fresh interpreter: nothing cached, no lookup history."""
+    src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "twisted_satake.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestDescribe:
@@ -263,3 +278,49 @@ class TestExitCodes:
         assert code == EXIT_DEFECT
         assert out == ""
         assert err == "internal defect: EnumerationBoundExceeded: Weyl group exceeds bound\n"
+
+
+def _su7_file_datum():
+    """SU7 written out by hand: the A6 Cartan columns as roots, the standard
+    basis as coroots, and the flip of the diagram as the inertia generator."""
+    n = 6
+    cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
+              for i in range(n)]
+    flip = [n - 1 - i for i in range(n)]
+    return {
+        "name": "SU7",
+        "base": {
+            "rank": n,
+            "simple_roots": [[cartan[i][j] for i in range(n)] for j in range(n)],
+            "simple_coroots": [[int(i == j) for i in range(n)] for j in range(n)],
+        },
+        "generators": [{
+            "lattice_map": [[int(flip[j] == i) for j in range(n)] for i in range(n)],
+            "root_permutation": flip,
+        }],
+    }
+
+
+class TestFoldingFromDatum:
+    """Folded data depend on the datum alone, whichever way it arrives."""
+
+    def test_file_equal_to_su7_matches_preset(self, tmp_path):
+        path = tmp_path / "su7.json"
+        path.write_text(json.dumps(_su7_file_datum()))
+        for rest in (["describe"], ["describe", "--format", "json"],
+                     ["branch", "--weight", "1,0,0,0,0,0"],
+                     ["branch", "--weight", "1,0,0,0,0,0", "--format", "json"]):
+            from_file = run_cold(rest[0], "--file", str(path), *rest[1:])
+            from_preset = run_cold(rest[0], "SU7", *rest[1:])
+            assert from_file.returncode == from_preset.returncode == EXIT_OK, rest
+            assert from_file.stdout == from_preset.stdout, rest
+        assert "label=rank-3" in run_cold("describe", "--file", str(path)).stdout
+
+    def test_cold_describe_su9_finishes(self):
+        # The absolute Weyl group of SU9 has 9! elements; describe must not
+        # enumerate it.
+        proc = run_cold("describe", "SU9", "--format", "json", timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        fixed = json.loads(proc.stdout)["result"]["fixed_group"]
+        assert fixed["label"] == "rank-4"
+        assert fixed["folded_cartan"]["type"] == "rank-4"

@@ -147,6 +147,15 @@ class TestProjection:
         with pytest.raises(Exception):
             project_dominant(t, emb.to_internal((0, 1, -1)))  # b > a: not dominant
 
+    def test_one_non_dominant_error(self):
+        from twisted_satake import coweights, satake
+
+        assert satake.NonDominantError is coweights.NonDominantError
+        t = preset("SU3")
+        emb = get_preset("SU3").embedding
+        with pytest.raises(satake.NonDominantError):
+            project_dominant(t, emb.to_internal((0, 1, -1)))
+
 
 class TestImageMonoid:
     def test_su3_exact_image(self):

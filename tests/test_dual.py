@@ -1,7 +1,13 @@
 """Dual transport, fixed-group descriptors, rank-one cases, adjoint quotients."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import twisted_satake
 from twisted_satake.abelian import FgAbelianGroup, IntMatrix
 from twisted_satake.dual import (
     CHAR0,
@@ -202,3 +208,43 @@ class TestAdjointQuotient:
             aq = adjoint_quotient(preset(name))
             rep = surjectivity_conditions(aq.adjoint, 8)
             assert rep.center_is_torus and rep.surjective_observed, name
+
+
+_ORDER_SCRIPT = textwrap.dedent("""
+    import dataclasses
+    from twisted_satake import presets
+    from twisted_satake.dual import fixed_group_descriptor
+
+    def fields(desc):
+        return {f.name: getattr(desc, f.name) for f in dataclasses.fields(desc)}
+
+    direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
+    assert direct.label == "rank-3", direct.label
+    fixed_group_descriptor.cache_clear()
+    via_preset = fixed_group_descriptor(presets.preset("SU7"))
+    assert fields(via_preset) == fields(direct)
+    presets.get_preset("SU7")
+    fixed_group_descriptor.cache_clear()
+    after = fixed_group_descriptor(presets._special_unitary(7).twisted)
+    assert fields(after) == fields(direct)
+    print("ok")
+""")
+
+
+def test_descriptor_independent_of_preset_lookups():
+    # A fresh interpreter, so no earlier lookup in this test session counts.
+    src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_family_lookups_are_memoised():
+    from twisted_satake.presets import get_preset
+
+    assert get_preset("SU7") is get_preset("SU7")
+    assert get_preset("SU(7)") is get_preset("SU7")
+    assert get_preset("torus-rank-3") is get_preset("torus-rank-3")

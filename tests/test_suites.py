@@ -32,3 +32,11 @@ def test_parity_suite_equals_per_component_checks(name, kwargs):
     ]
     assert expected
     assert run_suite(t, "parity") == expected
+
+
+def test_weyl_oracle_suite_passes_on_su7():
+    # The brute-force |W^I| oracle left the request path; the suite keeps it.
+    records = run_suite(preset("SU7"), "weyl-oracle")
+    assert [r for r in records if not r.passed] == []
+    oracle = next(r for r in records if r.name == "relative-order-equals-fixed-subgroup")
+    assert oracle.detail == "|W0| = 48, |W^I| = 48"
