@@ -13,25 +13,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (
-    DependentBasisError,
     DimensionMismatch,
     IntMatrix,
     InvariantViolation,
-    SmithDecomposition,
     dot,
-    rational_solve,
     smith_normal_form,
-    solve_integer,
     vec_sub,
 )
 from .galois import (
     TwistedRootDatum,
     average_map,
-    average_vector,
     coinvariants,
     group_order,
     group_sum,
@@ -39,9 +35,9 @@ from .galois import (
     relative_simple_roots,
 )
 from .rootdatum import (
+    _walk_cone,
     dominant_coweights_up_to_height,
     dot_frac,
-    fundamental_coweights_rational,
     pairing_with_roots_matrix,
     rho_data,
 )
@@ -69,14 +65,29 @@ class OrderCertificate:
 
 @dataclass(frozen=True)
 class _Substrate:
-    """Integer data that heights, dominance and the order read for one datum.
+    """Integer data that heights, dominance, the order and the bounded cone
+    read for one datum.
 
-    Classes are read in coordinates (free..., torsion...).  The average of
-    a class is linear in them, so |I| times its pairings with the simple
+    Classes are read in coordinates x = (free..., torsion...).  The average
+    of a class is linear in them, so |I| times its pairings with the simple
     roots and with 2*rho are integer dot products with fixed rows; the
     torsion entries of those rows are zero, as torsion classes average to
-    zero.  The order is one integer system on the same coordinates,
-    decomposed once.
+    zero.
+
+    The order solves mu - lam = sum c_O [coroot_O] on class coordinates,
+    with U M V = D the Smith decomposition of M = [orbit coroot classes |
+    torsion moduli] (rank k, diagonal d_i, L = lcm d_i).  With w = U x, a
+    class's order key is (w_i mod d_i for i < k) + (w_i for i >= k), and its
+    order coordinates c are the orbit entries of V z, where z_i =
+    w_i L / d_i for i < k and 0 beyond.  By linearity lam <= mu exactly when
+    the keys agree and c(mu) - c(lam) >= 0, with certificate
+    (c(mu) - c(lam)) / L: the integer solution of the system, read without
+    solving it per pair.
+
+    Without invariant central directions, y_O = |I| <average, alpha_O> (one
+    simple root per orbit) is an invertible map of the free coordinates,
+    and |I| * height = sum_O N_O y_O.  `cone` holds (den, den times the free
+    coordinates of each unit y_O, N_O); it is None with central directions.
     """
 
     group_order: int          # |I|
@@ -84,8 +95,11 @@ class _Substrate:
     free_sums: tuple          # sum_gamma gamma(lift e_j), per free basis class j
     root_pairings: tuple      # per simple root alpha_i: |I| <average of basis class, alpha_i>
     heights: tuple            # |I| <average of basis class, 2 rho>, per basis class
-    num_orbits: int
-    order_system: SmithDecomposition  # of [orbit coroot classes | torsion moduli]
+    order_rows: tuple         # the rows of U
+    order_moduli: tuple       # d_i for i < k
+    order_lift: tuple         # per orbit O: V[O][i] * L / d_i for i < k
+    order_scale: int          # L
+    cone: tuple | None
 
     def coordinates(self, cls):
         """Free then torsion coordinates of a class, as one vector."""
@@ -93,6 +107,39 @@ class _Substrate:
         if len(free) != len(self.free_sums) or len(torsion) != self.torsion_rank:
             raise DimensionMismatch("class does not match this presentation")
         return tuple(free) + tuple(torsion)
+
+    def order_coordinates(self, cls):
+        """(order key, L-scaled orbit coordinates) of a class."""
+        x = self.coordinates(cls)
+        w = [dot(row, x) for row in self.order_rows]
+        k = len(self.order_moduli)
+        key = tuple(a % d for a, d in zip(w, self.order_moduli)) + tuple(w[k:])
+        return key, tuple(dot(row, w) for row in self.order_lift)
+
+
+def _relative_cone(free_rank, orbit_pairings, heights):
+    """(den, den * A^-1 columns, N) for the square pairing map A of free
+    coordinates onto y, or None when A has a kernel (a central direction).
+
+    With U A V = D, A^-1 = V D^-1 U; N_O = heights . A^-1 e_O.
+    """
+    rows = [row[:free_rank] for row in orbit_pairings]
+    if len(rows) > free_rank:
+        raise InvariantViolation("more simple-root orbits than free coordinates")
+    dec = smith_normal_form(IntMatrix.from_rows(rows))
+    if dec.rank < free_rank:
+        return None
+    den = math.lcm(*dec.diagonal)
+    scaled_u = [[x * (den // d) for x in dec.U.row(i)] for i, d in enumerate(dec.diagonal)]
+    inverse = dec.V.mul(IntMatrix.from_rows(scaled_u))
+    generators = tuple(inverse.column(j) for j in range(free_rank))
+    weights = []
+    for g in generators:
+        n, rem = divmod(dot(heights[:free_rank], g), den)
+        if rem or n <= 0:
+            raise InvariantViolation("orbit weight of 2 rho is not a positive integer")
+        weights.append(n)
+    return den, generators, tuple(weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,17 +167,31 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     moduli = [
         tuple(d if i == r + k else 0 for i in range(r + s)) for k, d in enumerate(c.torsion)
     ]
-    system = IntMatrix.from_columns(
+    system = smith_normal_form(IntMatrix.from_columns(
         [free + torsion for free, torsion in orbit_classes] + moduli, nrows=r + s
+    ))
+    diagonal = system.diagonal[: system.rank]
+    scale = math.lcm(1, *diagonal)
+    order_lift = tuple(
+        tuple(system.V[o, i] * (scale // d) for i, d in enumerate(diagonal))
+        for o in range(len(orbit_classes))
     )
+    root_pairings = tuple(row(alpha) for alpha in t.base.simple_roots)
+    heights = row(rho_data(t.base).two_rho)
+    rel = relative_simple_roots(t)
     return _Substrate(
         group_order=group_order(t),
         torsion_rank=s,
         free_sums=free_sums,
-        root_pairings=tuple(row(alpha) for alpha in t.base.simple_roots),
-        heights=row(rho_data(t.base).two_rho),
-        num_orbits=len(orbit_classes),
-        order_system=smith_normal_form(system),
+        root_pairings=root_pairings,
+        heights=heights,
+        order_rows=tuple(system.U.row(i) for i in range(r + s)),
+        order_moduli=diagonal,
+        order_lift=order_lift,
+        order_scale=scale,
+        cone=_relative_cone(
+            r, [root_pairings[orbit[0]] for orbit in rel.simple_orbit_list], heights
+        ),
     )
 
 
@@ -177,22 +238,55 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 
 @functools.lru_cache(maxsize=None)
+def _order_coordinates(t: TwistedRootDatum, cls):
+    return _substrate(t).order_coordinates(cls)
+
+
+@functools.lru_cache(maxsize=None)
 def leq(t: TwistedRootDatum, lam, mu):
     """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
 
-    The datum's one Smith decomposition of [orbit coroot classes | torsion
-    moduli], built on first use, solves mu - lam = sum c_O [coroot_O] on
-    class coordinates; the orbit part of a solution is unique by the
-    verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    Reads the order key and orbit coordinates of each class, computed once
+    per class from the datum's one Smith decomposition of [orbit coroot
+    classes | torsion moduli]: the certificate is the integer solution of
+    mu - lam = sum c_O [coroot_O], unique in its orbit part by the verified
+    injectivity of (Z Phi^vee)_I -> X_*(T)_I.
     """
-    sub = _substrate(t)
-    sol = solve_integer(sub.order_system, vec_sub(sub.coordinates(mu), sub.coordinates(lam)))
-    if sol is None:
+    key_lam, c_lam = _order_coordinates(t, lam)
+    key_mu, c_mu = _order_coordinates(t, mu)
+    if key_lam != key_mu:
         return None
-    coeffs = tuple(sol[: sub.num_orbits])
-    if any(x < 0 for x in coeffs):
+    coeffs = _certificate(_substrate(t).order_scale, c_lam, c_mu)
+    return None if coeffs is None else OrderCertificate(coefficients=coeffs)
+
+
+def _certificate(scale, c_lam, c_mu):
+    """(c(mu) - c(lam)) / L for classes with equal keys, or None when an
+    entry is negative."""
+    diff = vec_sub(c_mu, c_lam)
+    if any(x < 0 for x in diff):
         return None
-    return OrderCertificate(coefficients=coeffs)
+    return tuple(x // scale for x in diff)
+
+
+def order_relations(t: TwistedRootDatum, labels):
+    """Every (lam, mu, certificate coefficients) with lam <= mu among the
+    labels, sorted: the triples of `leq`, from each label's order
+    coordinates and one tuple subtraction per pair with equal keys."""
+    scale = _substrate(t).order_scale
+    groups = {}
+    for cls in labels:
+        key, coords = _order_coordinates(t, cls)
+        groups.setdefault(key, []).append((cls, coords))
+    out = []
+    for members in groups.values():
+        for lam, c_lam in members:
+            for mu, c_mu in members:
+                coeffs = _certificate(scale, c_lam, c_mu)
+                if coeffs is not None:
+                    out.append((lam, mu, coeffs))
+    out.sort()
+    return tuple(out)
 
 
 def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
@@ -218,81 +312,39 @@ def _torsion_combinations(c):
 def _has_invariant_central_direction(t: TwistedRootDatum) -> bool:
     """Does a nonzero rational free-coordinate direction pair to zero with
     every simple root?  Such directions make height slabs infinite."""
-    sub = _substrate(t)
-    if not sub.free_sums:
-        return False
-    if not sub.root_pairings:
-        return True
-    # Columns of the pairing map free-coords -> (pairings with roots).
-    cols = list(zip(*sub.root_pairings))[: len(sub.free_sums)]
-    try:
-        rational_solve(cols, (0,) * len(sub.root_pairings))
-    except DependentBasisError:
-        return True
-    return False
+    return _substrate(t).cone is None
 
 
 def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None):
-    """All dominant classes with <average, 2 rho> <= max_height.
+    """All dominant classes with <average, 2 rho> <= max_height, sorted.
 
-    The free-coordinate search box is derived exactly from the averaged
-    fundamental-coweight cone; data with invariant central directions (tori,
-    GL-like lattices) need an explicit coord_bound.
+    Without invariant central directions the free coordinates are a linear
+    bijection of y = (|I| <average, alpha_O>)_O over the simple-root orbits,
+    and |I| * height = sum_O N_O y_O, so the search walks the simplex y >= 0,
+    sum_O N_O y_O <= |I| * max_height, keeps the integral points, and pairs
+    each with every torsion combination; every class it returns is
+    re-checked.  Data with invariant central directions (tori, GL-like
+    lattices) need an explicit coord_bound: a free-coordinate box is scanned.
     """
     c = coinvariants(t)
-    r = c.free_rank
-
-    if _has_invariant_central_direction(t):
+    sub = _substrate(t)
+    if sub.cone is None:
         if coord_bound is None:
             raise ValueError("datum has invariant central directions; pass coord_bound")
-        ranges = [range(-coord_bound, coord_bound + 1)] * r
+        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.free_rank)
+        out = [
+            cls for cls in itertools.product(box, _torsion_combinations(c))
+            if class_height(t, cls) <= max_height and is_dominant_class(t, cls) is not None
+        ]
     else:
-        ranges = [range(-b, b + 1) for b in _free_box(t, max_height)]
-
-    out = []
-    for free in itertools.product(*ranges):
-        for torsion in _torsion_combinations(c):
-            cls = (tuple(free), tuple(torsion))
-            if class_height(t, cls) > max_height:
-                continue
-            if is_dominant_class(t, cls) is not None:
-                out.append(cls)
+        den, generators, weights = sub.cone
+        frees = _walk_cone(den, generators, weights, sub.group_order * max_height)
+        out = list(itertools.product(frees, _torsion_combinations(c)))
+        for cls in out:
+            if class_height(t, cls) > max_height or is_dominant_class(t, cls) is None:
+                raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _free_box(t: TwistedRootDatum, max_height):
-    """Exact per-coordinate bounds covering every dominant class of height
-    at most max_height: write the average over the averaged fundamental
-    coweights (nonnegative coefficients, height-bounded) and push the cone
-    vertices through the inverse of free-coords -> average."""
-    sub = _substrate(t)
-    if not sub.free_sums:
-        return ()
-    rel = relative_simple_roots(t)
-    omegas = fundamental_coweights_rational(t.base)
-    two_rho = rho_data(t.base).two_rho
-    orbit_avgs = [average_vector(t, omegas[orbit[0]]) for orbit in rel.simple_orbit_list]
-    heights = [dot_frac(v, two_rho) for v in orbit_avgs]
-    if any(h <= 0 for h in heights):
-        raise InvariantViolation("averaged fundamental coweight with nonpositive height")
-
-    # Free coordinates of each orbit average; free_sums are |I| times the
-    # averages of the free basis classes.
-    orbit_coords = []
-    for v in orbit_avgs:
-        coords = rational_solve(sub.free_sums, v)
-        if coords is None:
-            raise InvariantViolation("orbit average outside the free span")
-        orbit_coords.append([x * sub.group_order for x in coords])
-    bounds = []
-    for i in range(len(sub.free_sums)):
-        total = Fraction(0)
-        for coords, h in zip(orbit_coords, heights):
-            total += abs(coords[i]) * Fraction(max_height) / h
-        bounds.append(int(total))
-    return tuple(bounds)
 
 
 def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):

@@ -366,22 +366,32 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
         )
 
     den, scaled, heights = _fundamental_cone(d)
+    return sorted(_walk_cone(den, scaled, heights, den * max_height))
+
+
+def _walk_cone(den, generators, weights, budget):
+    """The integral points sum c_i generators[i] / den over integers c >= 0
+    with sum c_i weights[i] <= budget, in walk order.
+
+    generators are den times the cone's generators, each weight is positive,
+    and every c in the simplex is visited once.
+    """
+    n = len(generators)
     out = []
 
     def walk(i, acc, budget):
-        # acc = den * (sum over j < i of c_j omega_j^vee); budget = den * height left
-        if i == d.num_simple:
+        # acc = sum over j < i of c_j generators[j]; budget = what is left
+        if i == n:
             if all(x % den == 0 for x in acc):
                 out.append(tuple(x // den for x in acc))
             return
         while budget >= 0:
             walk(i + 1, acc, budget)
-            acc = vec_add(acc, scaled[i])
-            budget -= heights[i]
+            acc = vec_add(acc, generators[i])
+            budget -= weights[i]
 
-    if max_height >= 0:
-        walk(0, (0,) * d.rank, den * max_height)
-    out.sort()
+    if budget >= 0:
+        walk(0, (0,) * (len(generators[0]) if n else 0), budget)
     return out
 
 

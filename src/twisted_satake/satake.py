@@ -11,7 +11,6 @@ integrality, so the assertion doubles as a defect detector.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +23,17 @@ from .coweights import (
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
+    order_relations,
     pair_with_character,
 )
 from .galois import (
     TwistedRootDatum,
     coinvariants,
+    orbit_coroot_classes,
     pi1_coinvariants_presentation,
     relative_simple_roots,
 )
-from .rootdatum import rho_data
+from .rootdatum import _walk_cone, rho_data
 
 
 def _require_dominant(t, cls):
@@ -102,19 +103,16 @@ class SchubertPoset:
 
 
 def strata_below(t: TwistedRootDatum, cls):
-    """The dominant classes mu <= cls: enumerate the coefficient cone over
-    the coroot-orbit classes (each step drops the height by exactly 2)."""
+    """The dominant classes mu <= cls, sorted: walk the coefficient simplex
+    sum c_O <= height/2 over the coroot-orbit classes (each step drops the
+    height by exactly 2) and keep the dominant differences."""
     _require_dominant(t, cls)
     c = coinvariants(t)
-    from .galois import orbit_coroot_classes
-
     basis = orbit_coroot_classes(t)
     h = _integral(class_height(t, cls), "stratum dimension")
-    max_steps = h // 2
+    unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     out = set()
-    for coeffs in itertools.product(range(max_steps + 1), repeat=len(basis)):
-        if sum(coeffs) > max_steps:
-            continue
+    for coeffs in _walk_cone(1, unit, (1,) * len(basis), h // 2):
         cur = cls
         for x, b in zip(coeffs, basis):
             cur = c.sub(cur, c.scale(x, b))
@@ -133,13 +131,7 @@ def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=No
     else:
         labels = enumerate_dominant_classes(t, max_height, coord_bound)
     strata = tuple(sorted((stratum(t, l) for l in labels), key=lambda s: (s.dim, s.label)))
-    relations = []
-    for lo in labels:
-        for up in labels:
-            cert = leq(t, lo, up)
-            if cert is not None:
-                relations.append((lo, up, cert.coefficients))
-    poset = SchubertPoset(datum=t, strata=strata, relations=tuple(sorted(relations)))
+    poset = SchubertPoset(datum=t, strata=strata, relations=order_relations(t, labels))
     _check_poset(t, poset)
     return poset
 

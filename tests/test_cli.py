@@ -324,3 +324,17 @@ class TestFoldingFromDatum:
         fixed = json.loads(proc.stdout)["result"]["fixed_group"]
         assert fixed["label"] == "rank-4"
         assert fixed["folded_cartan"]["type"] == "rank-4"
+
+
+class TestColdSU9Posets:
+    """The bounded cone of SU9 is walked, not scanned, so these finish cold."""
+
+    def test_schubert_su9_bound_12(self):
+        proc = run_cold("schubert", "SU9", "--bound", "12", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["result"]["nodes"]) == 8
+
+    def test_dominant_image_su9_bound_12(self):
+        proc = run_cold("dominant-image", "SU9", "--bound", "12", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["result"]["dominant_cone"]) == 8

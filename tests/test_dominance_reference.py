@@ -3,17 +3,29 @@
 The reference functions below are the earlier request-path code, kept as
 oracles: `leq` by a fresh Smith normal form of [orbit coroots | (1 - gamma)
 columns] per pair, heights and dominance by Fraction averages, the
-box scan of dominant coweights, and the triple-loop Hasse diagram.  The
-sweep covers every fixed preset, SU5, SU7, torus-rank-2 and a datum whose
-coinvariants carry torsion, at small bounds.
+box scans of dominant coweights and of dominant classes, the central-
+direction test by a rational solve, the coefficient box below a stratum,
+and the triple-loop Hasse diagram.  The sweep covers every fixed preset,
+SU5, SU7, torus-rank-2 and a datum whose coinvariants carry torsion, at
+small bounds.
 """
 
+import functools
 import itertools
+import sys
+from fractions import Fraction
 
 import pytest
 
 from twisted_satake import abelian, coweights, galois, rootdatum
-from twisted_satake.abelian import IntMatrix, smith_normal_form, solve_integer
+from twisted_satake.abelian import (
+    DependentBasisError,
+    IntMatrix,
+    InvariantViolation,
+    rational_solve,
+    smith_normal_form,
+    solve_integer,
+)
 from twisted_satake.coweights import (
     DominantClass,
     OrderCertificate,
@@ -27,8 +39,10 @@ from twisted_satake.galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
     average_map,
+    average_vector,
     coinvariants,
     one_minus_gamma_columns,
+    orbit_coroot_classes,
     relative_simple_roots,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
@@ -40,7 +54,7 @@ from twisted_satake.rootdatum import (
     fundamental_coweights_rational,
     rho_data,
 )
-from twisted_satake.satake import closure_poset
+from twisted_satake.satake import closure_poset, strata_below
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -99,6 +113,94 @@ def ref_covering_relations(poset):
                    for mid in poset.labels if mid not in (lo, up)):
             covers.append((lo, up))
     return tuple(covers)
+
+
+def ref_has_invariant_central_direction(t):
+    sub = coweights._substrate(t)
+    if not sub.free_sums:
+        return False
+    if not sub.root_pairings:
+        return True
+    # Columns of the pairing map free-coords -> (pairings with roots).
+    cols = list(zip(*sub.root_pairings))[: len(sub.free_sums)]
+    try:
+        rational_solve(cols, (0,) * len(sub.root_pairings))
+    except DependentBasisError:
+        return True
+    return False
+
+
+def ref_enumerate_dominant_classes(t, max_height, coord_bound=None):
+    c = coinvariants(t)
+    r = c.free_rank
+
+    if ref_has_invariant_central_direction(t):
+        if coord_bound is None:
+            raise ValueError("datum has invariant central directions; pass coord_bound")
+        ranges = [range(-coord_bound, coord_bound + 1)] * r
+    else:
+        ranges = [range(-b, b + 1) for b in _free_box(t, max_height)]
+
+    out = []
+    for free in itertools.product(*ranges):
+        for torsion in itertools.product(*[range(d) for _i, d in c.presentation.torsion_slots]):
+            cls = (tuple(free), tuple(torsion))
+            if class_height(t, cls) > max_height:
+                continue
+            if is_dominant_class(t, cls) is not None:
+                out.append(cls)
+    out.sort()
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _free_box(t, max_height):
+    """Exact per-coordinate bounds covering every dominant class of height
+    at most max_height: write the average over the averaged fundamental
+    coweights (nonnegative coefficients, height-bounded) and push the cone
+    vertices through the inverse of free-coords -> average."""
+    sub = coweights._substrate(t)
+    if not sub.free_sums:
+        return ()
+    rel = relative_simple_roots(t)
+    omegas = fundamental_coweights_rational(t.base)
+    two_rho = rho_data(t.base).two_rho
+    orbit_avgs = [average_vector(t, omegas[orbit[0]]) for orbit in rel.simple_orbit_list]
+    heights = [dot_frac(v, two_rho) for v in orbit_avgs]
+    if any(h <= 0 for h in heights):
+        raise InvariantViolation("averaged fundamental coweight with nonpositive height")
+
+    # Free coordinates of each orbit average; free_sums are |I| times the
+    # averages of the free basis classes.
+    orbit_coords = []
+    for v in orbit_avgs:
+        coords = rational_solve(sub.free_sums, v)
+        if coords is None:
+            raise InvariantViolation("orbit average outside the free span")
+        orbit_coords.append([x * sub.group_order for x in coords])
+    bounds = []
+    for i in range(len(sub.free_sums)):
+        total = Fraction(0)
+        for coords, h in zip(orbit_coords, heights):
+            total += abs(coords[i]) * Fraction(max_height) / h
+        bounds.append(int(total))
+    return tuple(bounds)
+
+
+def ref_strata_below(t, cls):
+    c = coinvariants(t)
+    basis = orbit_coroot_classes(t)
+    max_steps = int(class_height(t, cls)) // 2
+    out = set()
+    for coeffs in itertools.product(range(max_steps + 1), repeat=len(basis)):
+        if sum(coeffs) > max_steps:
+            continue
+        cur = cls
+        for x, b in zip(coeffs, basis):
+            cur = c.sub(cur, c.scale(x, b))
+        if is_dominant_class(t, cur) is not None:
+            out.add(cur)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +303,68 @@ def test_smith_forms_do_not_grow_with_labels(monkeypatch):
         seen[height] = (len(poset.strata), len(calls))
     assert seen[200][0] > 5 * seen[20][0]
     assert seen[20][1] == seen[200][1] <= 5
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_central_direction_test_matches_rational_solve(name):
+    t = datum(name)
+    assert _has_invariant_central_direction(t) == ref_has_invariant_central_direction(t)
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_relative_cone_walk_matches_box_scan(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    for h in (-1, 0, 1, 2, height):
+        assert enumerate_dominant_classes(t, h, coord) == \
+            ref_enumerate_dominant_classes(t, h, coord), h
+
+
+def test_relative_cone_walk_su9():
+    t = preset("SU9")
+    classes = enumerate_dominant_classes(t, 12)
+    assert classes == ref_enumerate_dominant_classes(t, 12)
+    assert len(classes) == 2
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_relations_match_per_pair_solver(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    poset = closure_poset(t, max_height=height, coord_bound=coord)
+    expected = []
+    for lo, up in itertools.product(poset.labels, repeat=2):
+        cert = ref_leq(t, lo, up)
+        if cert is not None:
+            expected.append((lo, up, cert.coefficients))
+    assert poset.relations == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_strata_below_matches_coefficient_box(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    for cls in enumerate_dominant_classes(t, height, coord):
+        assert strata_below(t, cls) == ref_strata_below(t, cls), cls
+
+
+def test_closure_poset_makes_no_per_pair_solves(monkeypatch):
+    """The order is read from per-class coordinates: closure_poset never
+    calls the integer solver, however many label pairs it compares."""
+    calls = []
+    real = abelian.solve_integer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twisted_satake") and getattr(module, "solve_integer", None) is real:
+            monkeypatch.setattr(module, "solve_integer", counting)
+    for module in (galois, rootdatum, coweights):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    poset = closure_poset(preset("SU3"), max_height=200)
+    assert len(poset.relations) > len(poset.strata) > 50
+    assert calls == []
