@@ -415,6 +415,12 @@ class QuotientPresentation:
     def free_slots(self):
         return tuple(range(self.smith.rank, self.ambient_rank))
 
+    @functools.cached_property
+    def unit_lifts(self):
+        """`lift` of each unit class, free slots first and then torsion slots."""
+        slots = self.free_slots + tuple(i for i, _d in self.torsion_slots)
+        return tuple(self.u_inverse.column(i) for i in slots)
+
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
         v = tuple(int(x) for x in v)
@@ -479,10 +485,6 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentat
         quotient=q,
         u_inverse=u_inv,
     )
-
-
-def class_of(q: QuotientPresentation, v):
-    return q.class_of(v)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .abelian import DimensionMismatch, InvariantViolation
 from .coweights import dominant_image_monoid, enumerate_dominant_classes
@@ -67,12 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
 class InputError(Exception):
     pass
-
-
-def _fmt_number(x):
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
 
 
 def parse_class(text: str):

@@ -69,10 +69,11 @@ class _Substrate:
     read for one datum.
 
     Classes are read in coordinates x = (free..., torsion...).  The average
-    of a class is linear in them, so |I| times its pairings with the simple
-    roots and with 2*rho are integer dot products with fixed rows; the
-    torsion entries of those rows are zero, as torsion classes average to
-    zero.
+    of a class is linear in them, with |I| times the average of unit class
+    j equal to the group sum of the presentation's `unit_lifts[j]`.  So |I|
+    times its pairings with the simple roots and with 2*rho are integer dot
+    products with fixed rows; the torsion entries of those rows are zero,
+    as torsion classes average to zero (checked on their group sums).
 
     The order solves mu - lam = sum c_O [coroot_O] on class coordinates,
     with U M V = D the Smith decomposition of M = [orbit coroot classes |
@@ -147,16 +148,10 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
     r, s = c.free_rank, len(c.torsion)
-
-    def basis_sum(free_index, torsion_index):
-        free = tuple(int(j == free_index) for j in range(r))
-        torsion = tuple(int(k == torsion_index) for k in range(s))
-        return group_sum(t, c.lift((free, torsion)))
-
-    for k in range(s):
-        if any(basis_sum(None, k)):
-            raise InvariantViolation("a torsion class has a nonzero average")
-    free_sums = tuple(basis_sum(j, None) for j in range(r))
+    sums = [group_sum(t, v) for v in c.presentation.unit_lifts]
+    if any(any(v) for v in sums[r:]):
+        raise InvariantViolation("a torsion class has a nonzero average")
+    free_sums = tuple(sums[:r])
 
     def row(chi):
         return tuple(dot(v, chi) for v in free_sums) + (0,) * s

@@ -34,10 +34,6 @@ from .rootdatum import BasedRootDatum, InvalidDatumError, require_valid, validat
 from .weyl import enumerate_absolute_weyl, relative_weyl
 
 
-class UnsupportedFoldingError(ValueError):
-    """No verified folded root datum is available for this input."""
-
-
 # ---------------------------------------------------------------------------
 # Coefficient profiles
 
@@ -183,11 +179,7 @@ def _fold_recipe(s: TwistedRootDatum):
             for idx in range(s.rank):
                 kappa[idx] += multiplier * s.base.simple_coroots[i][idx]
         # Express the invariant functional <kappa, -> in free coordinates.
-        row = []
-        for j in range(r):
-            basis_class = (tuple(1 if q == j else 0 for q in range(r)), ())
-            row.append(dot(kappa, chars.lift(basis_class)))
-        folded_coroots.append(tuple(row))
+        folded_coroots.append(tuple(dot(kappa, v) for v in chars.presentation.unit_lifts))
     folded = BasedRootDatum.make(r, folded_roots, folded_coroots, name=f"({s.name})^I" if s.name else "")
     report = validate(folded)
     if not report.valid:

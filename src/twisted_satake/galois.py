@@ -251,12 +251,11 @@ def average_vector(t: TwistedRootDatum, v):
 
 @dataclass(frozen=True)
 class RelativeRootData:
-    """I-orbits of simple roots with their type and rational averages."""
+    """I-orbits of simple roots with their type."""
 
     datum: TwistedRootDatum
     simple_orbit_list: tuple   # tuple of sorted index tuples
     orbit_type: tuple          # "orthogonal" | "adjacent-pair", per orbit
-    averaged_simple_roots: tuple  # Fraction tuples, per orbit
 
     @property
     def relative_rank(self):
@@ -279,7 +278,6 @@ def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
         seen.update(orbit)
         orbits.append(tuple(orbit))
     types = []
-    averages = []
     for orbit in orbits:
         pairings = [
             t.base.cartan_entry(i, j)
@@ -295,17 +293,10 @@ def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
             raise UnsupportedOrbitError(
                 f"orbit {orbit} is neither orthogonal nor an adjacent A2 pair"
             )
-        size = len(orbit)
-        avg = tuple(
-            sum((Fraction(t.base.simple_roots[i][s]) for i in orbit), Fraction(0)) / size
-            for s in range(t.rank)
-        )
-        averages.append(avg)
     return RelativeRootData(
         datum=t,
         simple_orbit_list=tuple(orbits),
         orbit_type=tuple(types),
-        averaged_simple_roots=tuple(averages),
     )
 
 

@@ -201,12 +201,6 @@ class RootSystem:
     def roots(self):
         return tuple(r for r, _c in self.all_pairs)
 
-    def coroot_of(self, root):
-        for r, c in self.all_pairs:
-            if r == root:
-                return c
-        raise KeyError(root)
-
     def simple_coordinates(self, root):
         """Coordinates of a root over the simple roots (integers)."""
         return self.coordinates[root]

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 from .abelian import InvariantViolation
 from .coweights import (
+    _has_invariant_central_direction,
     dominant_representative,
     enumerate_dominant_classes,
     is_dominant_class,
 )
-from .dual import CHAR0, fixed_group_descriptor
+from .dual import CHAR0, dual_twisted, fixed_group_descriptor
 from .galois import (
     TwistedRootDatum,
     _matrix_order,
@@ -26,7 +27,12 @@ from .galois import (
     coroot_coinvariants_exact_sequence,
     kottwitz_components,
 )
-from .rep import branch_to_fixed_group, irreducible_character, total_dimension
+from .rep import (
+    branch_to_fixed_group,
+    irreducible_character,
+    is_dominant_character,
+    total_dimension,
+)
 from .rootdatum import dominant_coweights_up_to_height, dualize
 from .satake import component_of, component_parity, format_class
 from .weyl import enumerate_absolute_weyl, fixed_weyl_subgroup, relative_weyl
@@ -42,14 +48,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _needs_coord_bound(t):
-    from .coweights import _has_invariant_central_direction
-
-    return _has_invariant_central_direction(t)
-
-
 def _bounded_kwargs(t, coord_bound=4):
-    return {"coord_bound": coord_bound} if _needs_coord_bound(t) else {}
+    return {"coord_bound": coord_bound} if _has_invariant_central_direction(t) else {}
 
 
 def run_suite(t: TwistedRootDatum, suite: str, seed=2024):
@@ -189,9 +189,6 @@ def _suite_weyl_oracle(t):
         # Dominant-cone geometry: folded dominance agrees with the average
         # pairing dominance on a bounded ball.
         kwargs = _bounded_kwargs(t)
-        from .dual import dual_twisted
-        from .rep import is_dominant_character
-
         dual = dual_twisted(t)
         dual_desc = fixed_group_descriptor(dual, CHAR0)
         if dual_desc.folded_cartan is not None:
@@ -216,7 +213,7 @@ def _suite_branching(t, seed=2024, count=5, max_height=16):
     # Dominant characters of t = dominant coweights of the dual base.
     duals = dominant_coweights_up_to_height(
         dualize(t.base), max_height,
-        coord_bound=4 if _needs_coord_bound(t) else None,
+        coord_bound=4 if _has_invariant_central_direction(t) else None,
     )
     rng = random.Random(seed)
     sample = duals if len(duals) <= count else rng.sample(duals, count)

@@ -3,8 +3,16 @@
 Weyl elements are stored as matrices acting on the cocharacter lattice, with
 optional words; equality is matrix equality.  The relative simple reflection
 attached to an orbit of simple roots is the longest element of the parabolic
-subgroup generated by the orbit: it commutes with the inertia generators and
-therefore descends to the coinvariant lattice, where it is an involution.
+subgroup generated by the orbit: the last element of its length-sorted
+closure, checked to be the only one of its length and to negate the orbit's
+simple roots.  It commutes with the inertia generators and therefore
+descends to the coinvariant lattice, where it is an involution.
+
+Every lattice map that reaches the coinvariants (a W0 element, or the
+finite part of an Iwahori-Weyl element) does so through one integer matrix
+on class coordinates (free..., torsion...), built once per (datum, map) by
+`_descended`; acting is one matrix-vector product with the torsion entries
+reduced by their invariant factors.
 
 The Iwahori-Weyl group is the semidirect product of the descended finite
 group with the coinvariant translations, with multiplication
@@ -18,7 +26,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .abelian import DimensionMismatch, IntMatrix, InvariantViolation
+from .abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import BasedRootDatum, full_root_system, require_valid
 
@@ -42,7 +50,7 @@ class WeylElement:
     @functools.cached_property
     def char_matrix(self):
         """The contragredient action on the character lattice."""
-        return self.matrix.inverse_unimodular().transpose()
+        return self.inverse_matrix.transpose()
 
     def apply_char(self, chi):
         return self.char_matrix.apply(chi)
@@ -94,29 +102,21 @@ def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
     return _closure(d.rank, gens, bound, f"Weyl group exceeds bound {bound}")
 
 
-def _is_negative_root(d: BasedRootDatum, chi):
-    system = full_root_system(d)
-    for root, _coroot in system.negative:
-        if root == chi:
-            return True
-    return False
-
-
 @functools.lru_cache(maxsize=None)
 def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     """The longest element of the parabolic generated by the given simple
-    reflections: the unique element of that subgroup sending every simple
-    root of the subset to a negative root."""
+    reflections: the last element of the closure, whose words are shortest
+    and sorted by length.  It must be the only element of its length and
+    send every simple root of the subset to a negative root."""
     subset = tuple(sorted(subset))
     elements = _closure(d.rank, [(i, simple_reflection(d, i)) for i in subset])
-    candidates = [
-        w
-        for w in elements
-        if all(_is_negative_root(d, w.apply_char(d.simple_roots[i])) for i in subset)
-    ]
-    if len(candidates) != 1:
+    longest = elements[-1]
+    if len(elements) > 1 and len(elements[-2].word) == len(longest.word):
         raise InvariantViolation("parabolic longest element is not unique")
-    return candidates[0]
+    negative = {root for root, _coroot in full_root_system(d).negative}
+    if any(longest.apply_char(d.simple_roots[i]) not in negative for i in subset):
+        raise InvariantViolation("parabolic longest element keeps a simple root positive")
+    return longest
 
 
 def fixed_weyl_subgroup(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
@@ -144,48 +144,45 @@ class RelativeWeylGroup:
         return len(self.elements)
 
     def act(self, w: WeylElement, cls):
-        """The descended action on a coinvariant class."""
-        c = coinvariants(self.datum)
-        return c.class_of(w.apply(c.lift(cls)))
+        """The descended action on a coinvariant class, read from the
+        cached integer map that w induces on class coordinates."""
+        return _descend(self.datum, w.matrix, cls)
 
     def orbit(self, cls):
         return tuple(sorted({self.act(w, cls) for w in self.elements}))
 
 
-@dataclass(frozen=True)
-class _FracMatrix:
-    rows: int
-    cols: int
-    entries: tuple
-
-    def apply_frac(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch("point has wrong dimension")
-        return tuple(
-            sum(
-                (self.entries[i * self.cols + j] * Fraction(v[j]) for j in range(self.cols)),
-                Fraction(0),
-            )
-            for i in range(self.rows)
-        )
-
-
 @functools.lru_cache(maxsize=None)
-def _free_matrix(t: TwistedRootDatum, m: IntMatrix) -> _FracMatrix:
-    """The matrix induced on the free coinvariant coordinates by an
-    I-commuting lattice map."""
-    c = coinvariants(t)
-    r = c.free_rank
+def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
+    """The integer matrix an I-commuting lattice map m induces on class
+    coordinates (free..., torsion...): column j is the normal form of m
+    applied to the lift of unit class j.
+
+    Lift and normal form are Z-linear before the torsion reduction, and
+    d_i times a torsion unit lifts into the relation span, so the matrix
+    acts on any representative of a class.  Torsion classes stay torsion,
+    so the torsion-to-free block is zero.
+    """
+    p = coinvariants(t).presentation
+    r = len(p.free_slots)
     cols = []
-    for j in range(r):
-        basis_class = (tuple(1 if s == j else 0 for s in range(r)), (0,) * len(c.torsion))
-        img = c.class_of(m.apply(c.lift(basis_class)))
-        cols.append(img[0])
-    return _FracMatrix(
-        rows=r,
-        cols=r,
-        entries=tuple(Fraction(cols[j][i]) for i in range(r) for j in range(r)),
-    )
+    for v in p.unit_lifts:
+        free, torsion = p.class_of(m.apply(v))
+        cols.append(free + torsion)
+    if any(any(col[:r]) for col in cols[r:]):
+        raise InvariantViolation("a torsion class left the torsion subgroup")
+    return IntMatrix.from_columns(cols, nrows=len(cols))
+
+
+def _descend(t: TwistedRootDatum, m: IntMatrix, cls):
+    """The normal form of the class m sends cls to."""
+    p = coinvariants(t).presentation
+    free, torsion = cls
+    if len(free) != len(p.free_slots) or len(torsion) != len(p.torsion_slots):
+        raise DimensionMismatch("class does not match this presentation")
+    y = _descended(t, m).apply(tuple(int(x) for x in free) + tuple(int(x) for x in torsion))
+    r = len(free)
+    return y[:r], tuple(a % d for a, (_i, d) in zip(y[r:], p.torsion_slots))
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,8 +241,7 @@ def iw_multiply(x: IwahoriWeylElement, y: IwahoriWeylElement) -> IwahoriWeylElem
         raise DimensionMismatch("elements live over different twisted data")
     t = x.datum
     c = coinvariants(t)
-    w2_inv = y.finite.inverse_matrix
-    moved = c.class_of(w2_inv.apply(c.lift(x.translation)))
+    moved = _descend(t, y.finite.inverse_matrix, x.translation)
     return IwahoriWeylElement(
         datum=t,
         finite=WeylElement(matrix=x.finite.matrix.mul(y.finite.matrix)),
@@ -256,22 +252,23 @@ def iw_multiply(x: IwahoriWeylElement, y: IwahoriWeylElement) -> IwahoriWeylElem
 def iw_inverse(x: IwahoriWeylElement) -> IwahoriWeylElement:
     t = x.datum
     c = coinvariants(t)
-    w_inv = x.finite.inverse_matrix
-    moved = c.class_of(x.finite.matrix.apply(c.lift(x.translation)))
+    moved = _descend(t, x.finite.matrix, x.translation)
     return IwahoriWeylElement(
         datum=t,
-        finite=WeylElement(matrix=w_inv),
+        finite=WeylElement(matrix=x.finite.inverse_matrix),
         translation=c.neg(moved),
     )
 
 
 def iw_affine_action(x: IwahoriWeylElement, point):
     """Right action on the rational apartment (free coinvariant coordinates):
-    p -> w^{-1}(p) - mu, so a pure translation class mu sends p to p - mu."""
+    p -> w^{-1}(p) - mu, so a pure translation class mu sends p to p - mu.
+    w^{-1} acts through the free block of its descended map."""
     t = x.datum
-    c = coinvariants(t)
+    r = coinvariants(t).free_rank
     point = tuple(Fraction(p) for p in point)
-    if len(point) != c.free_rank:
+    if len(point) != r:
         raise DimensionMismatch("point has wrong dimension for the apartment")
-    moved = _free_matrix(t, x.finite.inverse_matrix).apply_frac(point)
+    a = _descended(t, x.finite.inverse_matrix)
+    moved = (dot(a.row(i)[:r], point) for i in range(r))
     return tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))

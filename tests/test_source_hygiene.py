@@ -1,0 +1,52 @@
+"""Every module-level private function and class of the package is used.
+
+A private helper (a name starting with "_") that nothing in the package
+refers to is dead code; this test reads the sources with `ast` and lists
+every such helper whose name appears nowhere in the package outside its
+own definition.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "twisted_satake"
+
+
+def _referenced_names(tree, skip):
+    """Names read, attribute names and imported names in tree, outside the
+    nodes in skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_private_helpers_are_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    private = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    }
+    assert private, "no private helpers found; is the source path right?"
+    unused = []
+    for (module, name), definition in sorted(private.items()):
+        used = any(
+            name in _referenced_names(tree, {definition} if other == module else set())
+            for other, tree in trees.items()
+        )
+        if not used:
+            unused.append(f"{module}:{definition.lineno} {name}")
+    assert unused == []
