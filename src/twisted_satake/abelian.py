@@ -13,6 +13,7 @@ no machine-width overflow anywhere.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,11 +102,12 @@ class IntMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
+            for column in columns:
+                out.append(sum(map(operator.mul, ri, column)))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, v):

@@ -141,62 +141,88 @@ def _resolve_datum(args) -> TwistedRootDatum:
         raise InputError(f"unknown preset {e}") from None
 
 
-def build_parser() -> _Parser:
+def _common(sp, with_bound=False):
+    sp.add_argument("preset", nargs="?", help="preset name (or use --file)")
+    sp.add_argument("--file", help="JSON twisted-datum file")
+    sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
+    sp.add_argument("--coeff", default="char0",
+                    help="coefficient profile: char0 | Zl:<p> | Fl:<p>")
+    if with_bound:
+        sp.add_argument("--bound", type=int, default=6,
+                        help="rho-height bound on classes")
+    sp.add_argument("--coord-bound", type=int, default=None,
+                    help="coordinate box for data with central directions")
+
+
+def _bounded(sp):
+    _common(sp, with_bound=True)
+
+
+def _mv_args(sp):
+    _common(sp)
+    sp.add_argument("--mu", required=True)
+    sp.add_argument("--lam", required=True)
+
+
+def _conv_args(sp):
+    _common(sp)
+    sp.add_argument("--mu", required=True)
+    sp.add_argument("--mu2", required=True)
+    sp.add_argument("--lam", required=True)
+    sp.add_argument("--lam2", required=True)
+
+
+def _branch_args(sp):
+    _common(sp)
+    sp.add_argument("--weight", required=True, help="dominant character, comma separated")
+
+
+def _tensor_args(sp):
+    sp.add_argument("preset", nargs="?")
+    sp.add_argument("lam", help="dominant folded class")
+    sp.add_argument("mu", help="dominant folded class")
+    sp.add_argument("--file", help="JSON twisted-datum file")
+    sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
+    sp.add_argument("--coeff", default="char0")
+    sp.add_argument("--coord-bound", type=int, default=None)
+
+
+def _corr_args(sp):
+    _common(sp)
+    sp.add_argument("--levi", default="all", help="orbit indices 'all', 'none', or '0,1'")
+    sp.add_argument("--vector", required=True, help="lattice vector, comma separated")
+
+
+def _verify_args(sp):
+    _common(sp)
+    sp.add_argument("suite", choices=SUITE_NAMES + ("all",))
+
+
+# (name, help, add-arguments function) per subcommand, in help order.
+SUBCOMMANDS = (
+    ("describe", "datum summary", _common),
+    ("schubert", "Schubert strata and closure order", _bounded),
+    ("mv", "attractor-intersection cell", _mv_args),
+    ("conv", "convolution cell", _conv_args),
+    ("branch", "restrict an irreducible to the fixed group", _branch_args),
+    ("tensor", "folded tensor decomposition", _tensor_args),
+    ("dominant-image", "image of the dominant projection", _bounded),
+    ("corr", "constant-term normalization shift", _corr_args),
+    ("verify", "run property suites", _verify_args),
+)
+
+
+def build_parser(argv=None) -> _Parser:
+    """The CLI parser.  When argv starts with a known subcommand, only that
+    subcommand's parser is built; otherwise (no arguments, an option first,
+    or an unknown command) all of them are, so help and usage errors list
+    every command."""
     p = _Parser(prog="twisted-satake", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_bound=False):
-        sp.add_argument("preset", nargs="?", help="preset name (or use --file)")
-        sp.add_argument("--file", help="JSON twisted-datum file")
-        sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
-        sp.add_argument("--coeff", default="char0",
-                        help="coefficient profile: char0 | Zl:<p> | Fl:<p>")
-        if with_bound:
-            sp.add_argument("--bound", type=int, default=6,
-                            help="rho-height bound on classes")
-        sp.add_argument("--coord-bound", type=int, default=None,
-                        help="coordinate box for data with central directions")
-
-    common(sub.add_parser("describe", help="datum summary"))
-    common(sub.add_parser("schubert", help="Schubert strata and closure order"), with_bound=True)
-
-    mv = sub.add_parser("mv", help="attractor-intersection cell")
-    common(mv)
-    mv.add_argument("--mu", required=True)
-    mv.add_argument("--lam", required=True)
-
-    cv = sub.add_parser("conv", help="convolution cell")
-    common(cv)
-    cv.add_argument("--mu", required=True)
-    cv.add_argument("--mu2", required=True)
-    cv.add_argument("--lam", required=True)
-    cv.add_argument("--lam2", required=True)
-
-    br = sub.add_parser("branch", help="restrict an irreducible to the fixed group")
-    common(br)
-    br.add_argument("--weight", required=True, help="dominant character, comma separated")
-
-    tn = sub.add_parser("tensor", help="folded tensor decomposition")
-    tn.add_argument("preset", nargs="?")
-    tn.add_argument("lam", help="dominant folded class")
-    tn.add_argument("mu", help="dominant folded class")
-    tn.add_argument("--file", help="JSON twisted-datum file")
-    tn.add_argument("--format", choices=("table", "json", "dot"), default="table")
-    tn.add_argument("--coeff", default="char0")
-    tn.add_argument("--coord-bound", type=int, default=None)
-
-    common(sub.add_parser("dominant-image", help="image of the dominant projection"),
-           with_bound=True)
-
-    cr = sub.add_parser("corr", help="constant-term normalization shift")
-    common(cr)
-    cr.add_argument("--levi", default="all", help="orbit indices 'all', 'none', or '0,1'")
-    cr.add_argument("--vector", required=True, help="lattice vector, comma separated")
-
-    vf = sub.add_parser("verify", help="run property suites")
-    common(vf)
-    vf.add_argument("suite", choices=SUITE_NAMES + ("all",))
-
+    known = bool(argv) and any(argv[0] == name for name, _help, _add in SUBCOMMANDS)
+    for name, help_text, add_arguments in SUBCOMMANDS:
+        if not known or name == argv[0]:
+            add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -420,7 +446,9 @@ def cmd_verify(args, t_or_error):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except UsageExit as e:

@@ -194,13 +194,18 @@ def _fold_recipe(s: TwistedRootDatum):
 
 def _registry_known(s: TwistedRootDatum) -> bool:
     """Whether s equals a registry preset or the dual of one: a fixed entry,
-    or SU<k> for odd k (rank k - 1), recognised by rebuilding it."""
+    or SU<k> for odd k (rank k - 1), recognised by rebuilding it.
+
+    s is the dual of c exactly when dual_twisted(s) equals c, since
+    dual_twisted is an involution up to equality; so only the dual of s is
+    built."""
     from . import presets
 
     candidates = [entry.twisted for entry in presets._FIXED.values()]
     if s.rank % 2 == 0 and s.rank >= 2:
         candidates.append(presets._special_unitary(s.rank + 1).twisted)
-    return any(s == c or s == dual_twisted(c) for c in candidates)
+    dual = dual_twisted(s)
+    return any(c == s or c == dual for c in candidates)
 
 
 def _connectedness_char0(s: TwistedRootDatum) -> str:

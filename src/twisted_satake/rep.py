@@ -2,8 +2,14 @@
 
 Irreducible characters are computed by the Freudenthal recursion with the
 invariant form built from coroot pairings, all in integers: the recursion
-is scaled by 4 and run on 2nu + 2rho, and the depth of each weight comes
-from the walk that generates the weight set.  For a twisted datum s
+is scaled by 4 and run on 2nu + 2rho.  It runs on the dominant weights only
+(Moody-Patera): they are reached from the highest weight by a walk down
+positive roots through dominant weights, which also gives each one's depth,
+and every multiplicity the recursion reads is looked up at the dominant
+conjugate of its weight.  Each dominant weight is then expanded into its
+W-orbit, and the total multiplicity must equal the Weyl dimension, computed
+exactly in integers, so a dominant weight missed by the walk cannot pass
+silently.  For a twisted datum s
 regarded as the group being restricted, the restriction to the fixed
 subgroup pushes the character along the class map of X^*(s)_I, and the
 char-0 decomposition extracts folded irreducibles by repeated
@@ -103,6 +109,19 @@ class _FreudenthalData:
     def norm(self, x):
         return sum(dot(c, x) ** 2 for c in self.coroots)
 
+    def weyl_dimension(self, lam):
+        """prod <beta^vee, 2lam + 2rho> / prod <beta^vee, 2rho> over the
+        positive coroots, in integers."""
+        num = den = 1
+        for c in self.coroots:
+            r = dot(c, self.two_rho)
+            num *= 2 * dot(c, lam) + r
+            den *= r
+        value, remainder = divmod(num, den)
+        if remainder:
+            raise InvariantViolation("Weyl dimension is not an integer")
+        return value
+
 
 @functools.lru_cache(maxsize=None)
 def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
@@ -123,24 +142,28 @@ def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
     )
 
 
-def _weight_support(d: BasedRootDatum, lam):
-    """The saturated weight set of the irreducible with highest weight lam,
-    generated downward along simple-root strings, each weight mapped to its
-    depth: the sum of the simple-root coordinates of lam - nu.  A step j
-    down a string from nu has depth depth(nu) + j."""
+def _dominant_support(d: BasedRootDatum, lam):
+    """The dominant weights of the irreducible with highest weight lam, each
+    mapped to its depth: the sum of the simple-root coordinates of lam - nu.
+
+    They are the dominant nu <= lam, and Stembridge ("The partial order of
+    dominant weights", Adv. Math. 140, 1998) joins each of them to lam by
+    a chain of dominant weights whose steps are positive roots, so the walk
+    down from lam by positive roots through dominant weights reaches them
+    all; a step by alpha adds ht(alpha) to the depth."""
+    system = full_root_system(d)
+    steps = [(alpha, sum(system.coordinates[alpha])) for alpha, _coroot in system.positive]
     support = {lam: 0}
     frontier = [lam]
     while frontier:
         new = []
         for nu in frontier:
             depth = support[nu]
-            for alpha, coroot in zip(d.simple_roots, d.simple_coroots):
-                current = nu
-                for j in range(1, dot(coroot, nu) + 1):
-                    current = vec_sub(current, alpha)
-                    if current not in support:
-                        support[current] = depth + j
-                        new.append(current)
+            for alpha, height in steps:
+                lower = vec_sub(nu, alpha)
+                if lower not in support and is_dominant_character(d, lower):
+                    support[lower] = depth + height
+                    new.append(lower)
         frontier = new
     return support
 
@@ -157,6 +180,14 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     With Q as in _FreudenthalData, the recursion
         (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)
     is multiplied by 4 and written with 2nu + 2rho, so both sides are integers.
+    It runs on the dominant weights only, in order of depth, and reads each
+    m(nu + k alpha) at the dominant conjugate of nu + k alpha (Moody and
+    Patera, "Fast recursion formula for weight multiplicities", Bull. AMS 7,
+    1982).  That conjugate lies strictly less deep than nu, so its
+    multiplicity is known; the alpha-string stops at the first conjugate
+    outside the dominant support, since weight strings are unbroken.  Each
+    dominant weight is then expanded into its W-orbit, and the total must
+    equal the Weyl dimension.
     """
     require_valid(d)
     lam = tuple(int(x) for x in lam)
@@ -169,7 +200,28 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
 
     data = _freudenthal_data(d)
     two_rho = data.two_rho
-    support = _weight_support(d, lam)
+    simple = tuple(zip(d.simple_roots, d.simple_coroots))
+    conjugates = {}
+
+    def dominant_conjugate(x):
+        """Reflect x by simple reflections until it is dominant; every
+        point on the way is memoised with the same answer."""
+        path = []
+        while x not in conjugates:
+            path.append(x)
+            for alpha, coroot in simple:
+                p = dot(coroot, x)
+                if p < 0:
+                    x = tuple(a - p * b for a, b in zip(x, alpha))
+                    break
+            else:
+                conjugates[x] = x
+        found = conjugates[x]
+        for y in path:
+            conjugates[y] = found
+        return found
+
+    support = _dominant_support(d, lam)
     ordered = sorted(support, key=lambda nu: (support[nu], nu))
     norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
     mult = {lam: 1}
@@ -179,14 +231,14 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
         total = 0
         for alpha, q, q_alpha in data.positive:
             base = dot(q, nu)
+            shifted = nu
             k = 1
             while True:
-                shifted = tuple(x + k * a for x, a in zip(nu, alpha))
-                m = mult.get(shifted)
-                if m is None:
-                    if shifted not in support:
-                        break
-                    m = 0
+                shifted = vec_add(shifted, alpha)
+                conjugate = dominant_conjugate(shifted)
+                if conjugate not in support:
+                    break
+                m = mult.get(conjugate, 0)
                 if m:
                     total += m * (base + k * q_alpha)
                 k += 1
@@ -198,7 +250,27 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
             raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
         if value:
             mult[nu] = value
-    return WeightMultiset.make("absolute", mult)
+
+    # The orbit of a dominant mu is reached from mu by the s_i that lower:
+    # those with <alpha_i^vee, x> > 0.  Each point carries its pairings with
+    # the simple coroots, which s_i changes by p times column i of the Cartan
+    # matrix.  Distinct dominant weights have disjoint orbits.
+    columns = tuple(tuple(dot(c, alpha) for c in d.simple_coroots) for alpha in d.simple_roots)
+    weights = {}
+    for mu, m in mult.items():
+        weights[mu] = m
+        stack = [(mu, tuple(dot(c, mu) for c in d.simple_coroots))]
+        while stack:
+            x, pairings = stack.pop()
+            for alpha, column, p in zip(d.simple_roots, columns, pairings):
+                if p > 0:
+                    y = tuple(a - p * b for a, b in zip(x, alpha))
+                    if y not in weights:
+                        weights[y] = m
+                        stack.append((y, tuple(c - p * e for c, e in zip(pairings, column))))
+    if sum(weights.values()) != data.weyl_dimension(lam):
+        raise InvariantViolation("Freudenthal multiplicities do not sum to the Weyl dimension")
+    return WeightMultiset.make("absolute", weights)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ gcd/determinant arithmetic) before being frozen into assertions.
 """
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -233,3 +234,29 @@ class TestRationalSolve:
 
     def test_outside_span(self):
         assert rational_solve([(1, 0, 0)], (0, 1, 0)) is None
+
+
+def triple_loop_product(a, b):
+    return [
+        [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+MUL_SHAPES = [(n, k, m) for n in (0, 1, 3) for k in (0, 2, 4) for m in (0, 1, 5)] + [(8, 8, 8)]
+
+
+class TestMul:
+    @pytest.mark.parametrize("n,k,m", MUL_SHAPES)
+    def test_matches_triple_loop(self, n, k, m):
+        rng = random.Random(1000 * n + 10 * k + m)
+        for _ in range(5):
+            a = IntMatrix(n, k, tuple(rng.randint(-9, 9) for _ in range(n * k)))
+            b = IntMatrix(k, m, tuple(rng.randint(-9, 9) for _ in range(k * m)))
+            product = a.mul(b)
+            assert (product.rows, product.cols) == (n, m)
+            assert [list(product.row(i)) for i in range(n)] == triple_loop_product(a, b)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import twisted_satake
 from twisted_satake import cli
 from twisted_satake.abelian import InvariantViolation
@@ -338,3 +340,74 @@ class TestColdSU9Posets:
         proc = run_cold("dominant-image", "SU9", "--bound", "12", "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["result"]["dominant_cone"]) == 8
+
+
+PARSE_CASES = [
+    ["describe", "SU3", "--format", "json"],
+    ["schubert", "SU3", "--bound", "4", "--coord-bound", "2"],
+    ["mv", "SU3", "--mu", "1", "--lam", "2"],
+    ["conv", "SU3", "--mu", "1", "--mu2", "1", "--lam", "2", "--lam2", "2"],
+    ["branch", "SU5", "--weight", "1,0,0,1", "--coeff", "Fl:3"],
+    ["tensor", "SL2", "1", "1", "--format", "json"],
+    ["dominant-image", "SU3", "--bound", "5"],
+    ["corr", "SU3", "--levi", "none", "--vector", "1,0"],
+    ["verify", "--file", "x.json", "all"],
+]
+
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["--format", "json"],
+    ["branch", "SU5"],
+    ["schubert", "SU3", "--bound", "x"],
+    ["verify", "SU3", "nope"],
+    ["describe", "SU3", "--bogus"],
+    ["tensor", "SL2"],
+    ["describe", "SU3", "--format", "xml"],
+]
+
+
+def _subcommand_names(parser):
+    (action,) = parser._subparsers._group_actions
+    return list(action.choices)
+
+
+class TestOneSubcommandParser:
+    def test_cases_cover_every_subcommand(self):
+        assert [argv[0] for argv in PARSE_CASES] == [name for name, _h, _a in cli.SUBCOMMANDS]
+        assert _subcommand_names(cli.build_parser()) == [argv[0] for argv in PARSE_CASES]
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=[argv[0] for argv in PARSE_CASES])
+    def test_namespace_matches_full_parser(self, argv):
+        parser = cli.build_parser(argv)
+        assert _subcommand_names(parser) == [argv[0]]
+        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--format", "json"]])
+    def test_no_known_command_builds_all(self, argv):
+        assert _subcommand_names(cli.build_parser(argv)) == [argv[0] for argv in PARSE_CASES]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[argv[0], "-h"] for argv in PARSE_CASES])
+    def test_help_matches_full_parser(self, argv, capsys):
+        outputs = []
+        for parser in (cli.build_parser(argv), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: twisted-satake")
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) or "empty" for a in USAGE_ERRORS])
+    def test_usage_error_matches_full_parser(self, argv, capsys):
+        with pytest.raises(cli.UsageExit) as exc:
+            cli.build_parser().parse_args(argv)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"usage error: {exc.value}\n"
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["twisted-satake", "describe", "SL2"])
+        assert main() == EXIT_OK
+        assert "|I| 1" in capsys.readouterr().out

@@ -9,17 +9,24 @@ import pytest
 
 import twisted_satake
 from twisted_satake.abelian import FgAbelianGroup, IntMatrix
+from twisted_satake import presets
 from twisted_satake.dual import (
     CHAR0,
+    _registry_known,
     adjoint_quotient,
     classify_rank_one,
     dual_twisted,
     fixed_group_descriptor,
     parse_profile,
 )
-from twisted_satake.galois import coinvariants, kottwitz_components
-from twisted_satake.presets import default_presets, preset
-from twisted_satake.rootdatum import InvalidDatumError, is_adjoint
+from twisted_satake.galois import (
+    DiagramAutomorphism,
+    TwistedRootDatum,
+    coinvariants,
+    kottwitz_components,
+)
+from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
+from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
 from twisted_satake.weyl import enumerate_absolute_weyl, fixed_weyl_subgroup
 
 
@@ -248,3 +255,44 @@ def test_family_lookups_are_memoised():
     assert get_preset("SU7") is get_preset("SU7")
     assert get_preset("SU(7)") is get_preset("SU7")
     assert get_preset("torus-rank-3") is get_preset("torus-rank-3")
+
+
+def ref_registry_known(s):
+    """The registry check as it was: one dual per candidate."""
+    candidates = [entry.twisted for entry in presets._FIXED.values()]
+    if s.rank % 2 == 0 and s.rank >= 2:
+        candidates.append(presets._special_unitary(s.rank + 1).twisted)
+    return any(s == c or s == dual_twisted(c) for c in candidates)
+
+
+REGISTRY_DATA = [
+    t for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11")
+    for t in (preset(name), dual_twisted(preset(name)))
+]
+
+
+class TestRegistryKnown:
+    @pytest.mark.parametrize("t", REGISTRY_DATA, ids=[t.name for t in REGISTRY_DATA])
+    def test_matches_per_candidate_duals(self, t):
+        assert _registry_known(t) == ref_registry_known(t)
+        assert _registry_known(t)
+
+    def test_unregistered_datum(self):
+        """A swap datum on A1 x A1 x A1 (rank 3, not a registry shape) is
+        known to neither version."""
+        base = BasedRootDatum.make(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+                                   [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        swap = DiagramAutomorphism.make([[0, 1, 0], [1, 0, 0], [0, 0, 1]], (1, 0, 2))
+        t = TwistedRootDatum.make(base, (swap,))
+        assert _registry_known(t) is ref_registry_known(t) is False
+        assert _registry_known(dual_twisted(t)) is ref_registry_known(dual_twisted(t)) is False
+
+    def test_builds_one_dual(self):
+        """Only the dual of the datum itself is built."""
+        t = preset("SU9")
+        dual_twisted(t)
+        before = dual_twisted.cache_info()
+        assert _registry_known(t)
+        after = dual_twisted.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1

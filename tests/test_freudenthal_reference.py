@@ -1,11 +1,14 @@
-"""The integer Freudenthal recursion against the implementation it replaced.
+"""The dominant-weight Freudenthal recursion against the implementations it
+replaced.
 
-The reference below is the earlier request-path code, kept as the oracle:
-the recursion in `Fraction`s with the invariant form as a closure, rho as
-half of 2rho, and the depth of each weight from a rational solve of
-lam - nu over the simple roots.  The sweep covers every dominant weight up
-to height 16 of every fixed preset's base, its dual and its folded datum,
-plus SU7, and the 51 smallest-dimension weights of SU5 and Spin8-triality.
+Two earlier request-path versions are kept as oracles.  The first is the
+recursion in `Fraction`s with the invariant form as a closure, rho as half
+of 2rho, and the depth of each weight from a rational solve of lam - nu over
+the simple roots.  The second is the integer recursion over the full
+saturated weight set, with depth from the simple-root-string walk that
+generates it.  The sweep covers every dominant weight up to height 16 of
+every fixed preset's base, its dual and its folded datum, plus SU7, and the
+51 smallest-dimension weights of SU5 and Spin8-triality.
 """
 
 import functools
@@ -18,7 +21,14 @@ import pytest
 from twisted_satake.abelian import InvariantViolation, dot, rational_solve, vec_sub
 from twisted_satake.dual import fixed_group_descriptor
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
-from twisted_satake.rep import WeightMultiset, irreducible_character, total_dimension
+from twisted_satake import rep
+from twisted_satake.rep import (
+    WeightMultiset,
+    _freudenthal_data,
+    irreducible_character,
+    is_dominant_character,
+    total_dimension,
+)
 from twisted_satake.rootdatum import (
     dominant_coweights_up_to_height,
     dualize,
@@ -121,6 +131,70 @@ def ref_irreducible_character(d, lam):
     return WeightMultiset.make("absolute", mult)
 
 
+def ref_int_weight_support(d, lam):
+    """The saturated weight set of the irreducible with highest weight lam,
+    generated downward along simple-root strings, each weight mapped to its
+    depth: the sum of the simple-root coordinates of lam - nu.  A step j
+    down a string from nu has depth depth(nu) + j."""
+    support = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for nu in frontier:
+            depth = support[nu]
+            for alpha, coroot in zip(d.simple_roots, d.simple_coroots):
+                current = nu
+                for j in range(1, dot(coroot, nu) + 1):
+                    current = vec_sub(current, alpha)
+                    if current not in support:
+                        support[current] = depth + j
+                        new.append(current)
+        frontier = new
+    return support
+
+
+@functools.lru_cache(maxsize=None)
+def ref_irreducible_character_int(d, lam):
+    """The integer recursion over the full weight set, as it ran before the
+    dominant-weight scheme."""
+    lam = tuple(int(x) for x in lam)
+    if d.num_simple == 0:
+        return WeightMultiset.make("absolute", {lam: 1})
+
+    data = _freudenthal_data(d)
+    two_rho = data.two_rho
+    support = ref_int_weight_support(d, lam)
+    ordered = sorted(support, key=lambda nu: (support[nu], nu))
+    norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
+    mult = {lam: 1}
+    for nu in ordered:
+        if nu == lam:
+            continue
+        total = 0
+        for alpha, q, q_alpha in data.positive:
+            base = dot(q, nu)
+            k = 1
+            while True:
+                shifted = tuple(x + k * a for x, a in zip(nu, alpha))
+                m = mult.get(shifted)
+                if m is None:
+                    if shifted not in support:
+                        break
+                    m = 0
+                if m:
+                    total += m * (base + k * q_alpha)
+                k += 1
+        denom = norm_lam - data.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
+        if denom <= 0:
+            raise InvariantViolation("Freudenthal denominator must be positive")
+        value, remainder = divmod(8 * total, denom)
+        if remainder or value < 0:
+            raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
+        if value:
+            mult[nu] = value
+    return WeightMultiset.make("absolute", mult)
+
+
 # ---------------------------------------------------------------------------
 # The sweep
 
@@ -149,6 +223,12 @@ def test_characters_match_fraction_reference(label, d):
         assert irreducible_character(d, lam) == ref_irreducible_character(d, lam), (label, lam)
 
 
+@pytest.mark.parametrize("label,d", SWEEP, ids=[label for label, _d in SWEEP])
+def test_characters_match_integer_reference(label, d):
+    for lam in dominant_weights(d, 16):
+        assert irreducible_character(d, lam) == ref_irreducible_character_int(d, lam), (label, lam)
+
+
 def weyl_dimension(d, lam):
     two_rho = rho_data(d).two_rho
     num = den = 1
@@ -171,6 +251,7 @@ def test_smallest_weights_match_fraction_reference(name):
     for lam in smallest_weights(d):
         char = irreducible_character(d, lam)
         assert char == ref_irreducible_character(d, lam), lam
+        assert char == ref_irreducible_character_int(d, lam), lam
         assert total_dimension(char) == weyl_dimension(d, lam), lam
 
 
@@ -194,3 +275,38 @@ def test_warm_datum_miss_makes_no_rational_solve(monkeypatch):
     assert irreducible_character.cache_info().misses == 2
     assert total_dimension(char) == weyl_dimension(d, (2, 1, 1, 3))
     assert calls == []
+
+
+def test_spin8_triality_4444():
+    """95,569 weights, 799 of them dominant, and dimension 5^12 from the
+    Weyl formula."""
+    d = preset("Spin8-triality").base
+    lam = (4, 4, 4, 4)
+    char = irreducible_character(d, lam)
+    assert len(char.entries) == 95_569
+    assert sum(1 for nu in char.support if is_dominant_character(d, nu)) == 799
+    assert weyl_dimension(d, lam) == 5 ** 12
+    assert total_dimension(char) == 5 ** 12
+
+
+@pytest.mark.parametrize("name,lam", [("SU5", (2, 1, 1, 2)), ("Spin8-triality", (1, 1, 1, 1))])
+def test_missed_dominant_weight_is_caught(name, lam, monkeypatch):
+    """A walk that loses one dominant weight cannot pass silently.  The
+    deepest one is read by no other weight's recursion, so only the
+    Weyl-dimension total can catch it."""
+    d = preset(name).base
+    walk = rep._dominant_support
+
+    def lossy(d, lam):
+        support = walk(d, lam)
+        deepest = max(support, key=lambda nu: (support[nu], nu))
+        del support[deepest]
+        return support
+
+    irreducible_character.cache_clear()
+    monkeypatch.setattr(rep, "_dominant_support", lossy)
+    try:
+        with pytest.raises(InvariantViolation):
+            irreducible_character(d, lam)
+    finally:
+        irreducible_character.cache_clear()
