@@ -110,12 +110,16 @@ class IntMatrix:
                 out.append(sum(map(operator.mul, ri, column)))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
+    @functools.cached_property
+    def _rows(self):
+        return tuple(self.row(i) for i in range(self.rows))
+
     def apply(self, v):
         """Matrix times column vector, as a tuple."""
         v = tuple(v)
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)}, expected {self.cols}")
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(map(operator.mul, r, v)) for r in self._rows])
 
     def determinant(self):
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -178,19 +182,20 @@ class IntMatrix:
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"{len(u)} != {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_scale(c, v):
-    return tuple(c * a for a in v)
+    # not map(c.__mul__, v): int.__mul__ returns NotImplemented for a Fraction
+    return tuple([c * a for a in v])
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +456,7 @@ class QuotientPresentation:
         return ((0,) * len(self.free_slots), (0,) * len(self.torsion_slots))
 
     def add(self, c1, c2):
-        f = tuple(a + b for a, b in zip(c1[0], c2[0]))
+        f = vec_add(c1[0], c2[0])
         t = tuple((a + b) % d for (a, b), (_i, d) in zip(zip(c1[1], c2[1]), self.torsion_slots))
         return (f, t)
 

@@ -5,13 +5,21 @@ suite failure, 4 internal defect (a broken internal invariant or an
 enumeration past its bound, reported as one line on stderr).  Every number
 emitted is exact: integers, or fractions rendered "p/q"; identical
 configurations produce byte-identical output.
+
+A well-formed command line, `<command> <every positional> (--flag value)*`
+with each flag spelt out in full, is read straight from the `SUBCOMMANDS`
+table, so answering it never imports argparse (nor the gettext and locale
+modules argparse loads).  Every other command line goes to an argparse
+parser built from the same table: it prints help, reports usage errors,
+and still accepts `--flag=value`, abbreviated flags and options placed
+before positionals.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .abelian import DimensionMismatch, InvariantViolation
 from .coweights import dominant_image_monoid, enumerate_dominant_classes
@@ -40,8 +48,8 @@ from .satake import (
     corr,
     format_class,
     mv_cell,
+    poset_document,
     poset_to_dot,
-    poset_to_json,
 )
 from .suites import SUITE_NAMES, run_suite
 from .weyl import EnumerationBoundExceeded, relative_weyl
@@ -54,14 +62,12 @@ EXIT_INPUT = 2
 EXIT_PROPERTY = 3
 EXIT_DEFECT = 4
 
+# `-h` shows the first two paragraphs of this docstring (none under -OO).
+_HELP_DESCRIPTION = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+
 
 class UsageExit(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageExit(message)
 
 
 class InputError(Exception):
@@ -141,88 +147,125 @@ def _resolve_datum(args) -> TwistedRootDatum:
         raise InputError(f"unknown preset {e}") from None
 
 
-def _common(sp, with_bound=False):
-    sp.add_argument("preset", nargs="?", help="preset name (or use --file)")
-    sp.add_argument("--file", help="JSON twisted-datum file")
-    sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
-    sp.add_argument("--coeff", default="char0",
-                    help="coefficient profile: char0 | Zl:<p> | Fl:<p>")
-    if with_bound:
-        sp.add_argument("--bound", type=int, default=6,
-                        help="rho-height bound on classes")
-    sp.add_argument("--coord-bound", type=int, default=None,
+def _arg(name, **spec):
+    """One argument of a subcommand: its flag or positional name and the
+    keywords `add_argument` takes for it."""
+    return (name, spec)
+
+
+_PRESET = _arg("preset", nargs="?", help="preset name (or use --file)")
+_FILE = _arg("--file", help="JSON twisted-datum file")
+_FORMAT = _arg("--format", choices=("table", "json", "dot"), default="table")
+_COEFF = _arg("--coeff", default="char0", help="coefficient profile: char0 | Zl:<p> | Fl:<p>")
+_BOUND = _arg("--bound", type=int, default=6, help="rho-height bound on classes")
+_COORD_BOUND = _arg("--coord-bound", type=int, default=None,
                     help="coordinate box for data with central directions")
+_COMMON = (_PRESET, _FILE, _FORMAT, _COEFF, _COORD_BOUND)
+_BOUNDED = (_PRESET, _FILE, _FORMAT, _COEFF, _BOUND, _COORD_BOUND)
 
-
-def _bounded(sp):
-    _common(sp, with_bound=True)
-
-
-def _mv_args(sp):
-    _common(sp)
-    sp.add_argument("--mu", required=True)
-    sp.add_argument("--lam", required=True)
-
-
-def _conv_args(sp):
-    _common(sp)
-    sp.add_argument("--mu", required=True)
-    sp.add_argument("--mu2", required=True)
-    sp.add_argument("--lam", required=True)
-    sp.add_argument("--lam2", required=True)
-
-
-def _branch_args(sp):
-    _common(sp)
-    sp.add_argument("--weight", required=True, help="dominant character, comma separated")
-
-
-def _tensor_args(sp):
-    sp.add_argument("preset", nargs="?")
-    sp.add_argument("lam", help="dominant folded class")
-    sp.add_argument("mu", help="dominant folded class")
-    sp.add_argument("--file", help="JSON twisted-datum file")
-    sp.add_argument("--format", choices=("table", "json", "dot"), default="table")
-    sp.add_argument("--coeff", default="char0")
-    sp.add_argument("--coord-bound", type=int, default=None)
-
-
-def _corr_args(sp):
-    _common(sp)
-    sp.add_argument("--levi", default="all", help="orbit indices 'all', 'none', or '0,1'")
-    sp.add_argument("--vector", required=True, help="lattice vector, comma separated")
-
-
-def _verify_args(sp):
-    _common(sp)
-    sp.add_argument("suite", choices=SUITE_NAMES + ("all",))
-
-
-# (name, help, add-arguments function) per subcommand, in help order.
+# (name, help, arguments) per subcommand, in help order; arguments in the
+# order argparse is given them.
 SUBCOMMANDS = (
-    ("describe", "datum summary", _common),
-    ("schubert", "Schubert strata and closure order", _bounded),
-    ("mv", "attractor-intersection cell", _mv_args),
-    ("conv", "convolution cell", _conv_args),
-    ("branch", "restrict an irreducible to the fixed group", _branch_args),
-    ("tensor", "folded tensor decomposition", _tensor_args),
-    ("dominant-image", "image of the dominant projection", _bounded),
-    ("corr", "constant-term normalization shift", _corr_args),
-    ("verify", "run property suites", _verify_args),
+    ("describe", "datum summary", _COMMON),
+    ("schubert", "Schubert strata and closure order", _BOUNDED),
+    ("mv", "attractor-intersection cell", _COMMON + (
+        _arg("--mu", required=True),
+        _arg("--lam", required=True),
+    )),
+    ("conv", "convolution cell", _COMMON + (
+        _arg("--mu", required=True),
+        _arg("--mu2", required=True),
+        _arg("--lam", required=True),
+        _arg("--lam2", required=True),
+    )),
+    ("branch", "restrict an irreducible to the fixed group", _COMMON + (
+        _arg("--weight", required=True, help="dominant character, comma separated"),
+    )),
+    ("tensor", "folded tensor decomposition", (
+        _arg("preset", nargs="?"),
+        _arg("lam", help="dominant folded class"),
+        _arg("mu", help="dominant folded class"),
+        _FILE,
+        _FORMAT,
+        _arg("--coeff", default="char0"),
+        _arg("--coord-bound", type=int, default=None),
+    )),
+    ("dominant-image", "image of the dominant projection", _BOUNDED),
+    ("corr", "constant-term normalization shift", _COMMON + (
+        _arg("--levi", default="all", help="orbit indices 'all', 'none', or '0,1'"),
+        _arg("--vector", required=True, help="lattice vector, comma separated"),
+    )),
+    ("verify", "run property suites", _COMMON + (
+        _arg("suite", choices=SUITE_NAMES + ("all",)),
+    )),
 )
 
 
-def build_parser(argv=None) -> _Parser:
-    """The CLI parser.  When argv starts with a known subcommand, only that
+def _parse_plain(argv):
+    """The attributes argparse would set for argv, read from `SUBCOMMANDS`
+    when argv has the plain shape `<command> <every positional>
+    (--flag value)*`; None for any other argv, which is left to argparse.
+
+    Declined: a flag that is not one of the command's flags spelt out in
+    full, `--flag=value`, a repeated flag, a token starting with "-" where
+    a positional or a value belongs (so `-h`, `--help` and `--`), a value
+    its type or choices reject, and a missing required option."""
+    arguments = next((a for name, _help, a in SUBCOMMANDS if argv and argv[0] == name), None)
+    if arguments is None:
+        return None
+    specs = dict(arguments)
+    positionals = [name for name in specs if not name.startswith("-")]
+    tokens = argv[1:]
+    n = len(positionals)
+    if len(tokens) < n or (len(tokens) - n) % 2:
+        return None
+    given = dict(zip(positionals, tokens))
+    for flag, value in zip(tokens[n::2], tokens[n + 1::2]):
+        if flag in given or flag not in specs:
+            return None
+        given[flag] = value
+    if any(value.startswith("-") for value in given.values()):
+        return None
+    out = {"command": argv[0]}
+    for name, spec in arguments:
+        if name in given:
+            value = given[name]
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default")
+        dest = name.lstrip("-").replace("-", "_") if name.startswith("-") else name
+        out[dest] = value
+    return out
+
+
+def build_parser(argv=None):
+    """The argparse parser, built from `SUBCOMMANDS` for help and usage
+    errors.  When argv starts with a known subcommand, only that
     subcommand's parser is built; otherwise (no arguments, an option first,
     or an unknown command) all of them are, so help and usage errors list
     every command."""
-    p = _Parser(prog="twisted-satake", description=__doc__)
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageExit(message)
+
+    p = Parser(prog="twisted-satake", description=_HELP_DESCRIPTION)
     sub = p.add_subparsers(dest="command", required=True)
-    known = bool(argv) and any(argv[0] == name for name, _help, _add in SUBCOMMANDS)
-    for name, help_text, add_arguments in SUBCOMMANDS:
+    known = bool(argv) and any(argv[0] == name for name, _help, _args in SUBCOMMANDS)
+    for name, help_text, arguments in SUBCOMMANDS:
         if not known or name == argv[0]:
-            add_arguments(sub.add_parser(name, help=help_text))
+            sp = sub.add_parser(name, help=help_text)
+            for flag, spec in arguments:
+                sp.add_argument(flag, **spec)
     return p
 
 
@@ -296,7 +339,7 @@ def cmd_schubert(args, t):
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "schubert",
-            "result": json.loads(poset_to_json(poset)),
+            "result": poset_document(poset),
         }
         print(json.dumps(doc, sort_keys=True))
         return EXIT_OK
@@ -448,12 +491,15 @@ def cmd_verify(args, t_or_error):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except UsageExit as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    plain = _parse_plain(argv)
+    if plain is not None:
+        args = SimpleNamespace(**plain)
+    else:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except UsageExit as e:
+            print(f"usage error: {e}", file=sys.stderr)
+            return EXIT_USAGE
 
     try:
         if getattr(args, "bound", None) is not None and args.bound <= 0:

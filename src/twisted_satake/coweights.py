@@ -286,7 +286,7 @@ def order_relations(t: TwistedRootDatum, labels):
 
 def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
     """Class of a dominant absolute coweight; dominance is preserved."""
-    if any(sum(a * b for a, b in zip(v, alpha)) < 0 for alpha in t.base.simple_roots):
+    if any(dot(v, alpha) < 0 for alpha in t.base.simple_roots):
         raise NonDominantError(f"{v} is not a dominant coweight")
     c = coinvariants(t)
     witness = is_dominant_class(t, c.class_of(v))

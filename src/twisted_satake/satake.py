@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import DimensionMismatch, InvariantViolation
+from .abelian import DimensionMismatch, InvariantViolation, vec_sub
 from .coweights import (
     NonDominantError,
     class_height,
@@ -224,7 +224,7 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     for i in levi_orbits:
         subset.update(rel.simple_orbit_list[i])
     rd = rho_data(t.base)
-    shift = tuple(a - b for a, b in zip(rd.two_rho, rd.two_rho_levi(subset)))
+    shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
     c = coinvariants(t)
     value = pair_with_character(t, c.class_of(tuple(v)), shift)
     return _integral(value, "corr value")
@@ -264,7 +264,8 @@ def format_class(cls) -> str:
     return head or "0"
 
 
-def poset_to_json(poset: SchubertPoset) -> str:
+def poset_document(poset: SchubertPoset) -> dict:
+    """The strata and covering relations as JSON-ready nodes and edges."""
     nodes = [
         {"label": format_class(s.label), "dim": s.dim, "component": format_class(s.component)}
         for s in poset.strata
@@ -273,7 +274,11 @@ def poset_to_json(poset: SchubertPoset) -> str:
         {"lower": format_class(lo), "upper": format_class(up)}
         for lo, up in poset.covering_relations()
     ]
-    return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True)
+    return {"nodes": nodes, "edges": edges}
+
+
+def poset_to_json(poset: SchubertPoset) -> str:
+    return json.dumps(poset_document(poset), sort_keys=True)
 
 
 def poset_to_dot(poset: SchubertPoset) -> str:

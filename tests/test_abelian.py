@@ -7,6 +7,7 @@ gcd/determinant arithmetic) before being frozen into assertions.
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,12 +19,16 @@ from twisted_satake.abelian import (
     DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
+    dot,
     induced_map_kernel,
     integer_kernel_basis,
     membership_and_coordinates,
     quotient_group,
     rational_solve,
     smith_normal_form,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 
@@ -260,3 +265,114 @@ class TestMul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))
+
+
+# The generator-sum kernels the map-based ones replaced, kept verbatim.
+
+
+def ref_dot(u, v):
+    if len(u) != len(v):
+        raise DimensionMismatch(f"{len(u)} != {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
+
+
+def ref_vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ref_vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def ref_vec_scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def ref_apply(m, v):
+    v = tuple(v)
+    if len(v) != m.cols:
+        raise DimensionMismatch(f"vector length {len(v)}, expected {m.cols}")
+    return tuple(sum(a * b for a, b in zip(m.row(i), v)) for i in range(m.rows))
+
+
+def _entry(rng):
+    """Small, negative, or past 2**64 in absolute value."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return rng.randint(-10**6, -1)
+    return rng.choice((1, -1)) * (2**64 + rng.randint(0, 2**70))
+
+
+def _vector(rng, n):
+    return tuple(_entry(rng) for _ in range(n))
+
+
+def _same(x, y):
+    """Equal, and of the same type entry by entry."""
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    return type(x) is type(y) and x == y
+
+
+KERNEL_LENGTHS = (0, 1, 2, 5, 8)
+
+
+class TestKernelsMatchGeneratorSums:
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_vector_kernels(self, n):
+        rng = random.Random(7000 + n)
+        for _ in range(20):
+            u, v = _vector(rng, n), _vector(rng, n)
+            c = _entry(rng)
+            assert _same(dot(u, v), ref_dot(u, v))
+            assert _same(vec_add(u, v), ref_vec_add(u, v))
+            assert _same(vec_sub(u, v), ref_vec_sub(u, v))
+            assert _same(vec_scale(c, v), ref_vec_scale(c, v))
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    def test_fraction_entries(self, n):
+        rng = random.Random(7100 + n)
+        for _ in range(20):
+            v = _vector(rng, n)
+            q = tuple(Fraction(_entry(rng), rng.randint(1, 9)) for _ in range(n))
+            c, f = _entry(rng), Fraction(_entry(rng), rng.randint(2, 9))
+            assert _same(vec_scale(c, q), ref_vec_scale(c, q))
+            assert _same(vec_scale(f, v), ref_vec_scale(f, v))
+            assert _same(vec_scale(f, q), ref_vec_scale(f, q))
+            assert _same(dot(v, q), ref_dot(v, q))
+            assert _same(vec_add(v, q), ref_vec_add(v, q))
+            assert _same(vec_sub(q, v), ref_vec_sub(q, v))
+
+    def test_int_times_fraction(self):
+        assert vec_scale(2, (Fraction(1, 2), 3)) == (1, 6)
+        assert vec_scale(Fraction(1, 2), (2, 3)) == (1, Fraction(3, 2))
+
+    def test_unequal_lengths(self):
+        u, v = (1, 2, 3), (4, 5)
+        with pytest.raises(DimensionMismatch) as new:
+            dot(u, v)
+        with pytest.raises(DimensionMismatch) as old:
+            ref_dot(u, v)
+        assert str(new.value) == str(old.value) == "3 != 2"
+        assert vec_add(u, v) == ref_vec_add(u, v)
+        assert vec_sub(v, u) == ref_vec_sub(v, u)
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6), (8, 8)])
+    def test_apply(self, n, m):
+        rng = random.Random(7200 + 10 * n + m)
+        a = IntMatrix(n, m, _vector(rng, n * m))
+        for _ in range(10):
+            v = _vector(rng, m)
+            assert _same(a.apply(v), ref_apply(a, v))
+            assert a.apply(iter(v)) == a.apply(list(v)) == ref_apply(a, v)
+        for wrong in (m + 1, m - 1):
+            if wrong < 0:
+                continue
+            v = _vector(rng, wrong)
+            with pytest.raises(DimensionMismatch) as new:
+                a.apply(v)
+            with pytest.raises(DimensionMismatch) as old:
+                ref_apply(a, v)
+            assert str(new.value) == str(old.value)

@@ -1,7 +1,10 @@
 """The command-line surface: verbs, formats, exit codes, file input."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -411,3 +414,188 @@ class TestOneSubcommandParser:
         monkeypatch.setattr(sys, "argv", ["twisted-satake", "describe", "SL2"])
         assert main() == EXIT_OK
         assert "|I| 1" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The table parser against argparse
+
+# A valid value for each argument, per subcommand where it differs; every
+# plain argv built from these is a cheap answer or a cheap input error.
+ARG_VALUES = {
+    "preset": "SU3", "lam": "1", "mu": "1", "suite": "all",
+    "--file": "no-such-datum.json", "--format": "json", "--coeff": "char0",
+    "--bound": "2", "--coord-bound": "3", "--mu": "1", "--mu2": "1",
+    "--lam": "2", "--lam2": "2", "--weight": "1,0", "--levi": "none",
+    "--vector": "1,0",
+}
+COMMAND_VALUES = {"tensor": {"preset": "SL2"}}
+OTHER_VALUES = {"--format": "table", "--coeff": "Fl:2", "--bound": "3", "--levi": "all",
+                "suite": "orbits"}
+
+
+def _value(command, name):
+    return COMMAND_VALUES.get(command, {}).get(name, ARG_VALUES[name])
+
+
+def _split(arguments):
+    positionals = [name for name, _spec in arguments if not name.startswith("-")]
+    options = [(name, spec) for name, spec in arguments if name.startswith("-")]
+    return positionals, options
+
+
+def plain_argvs(command, arguments, rng):
+    """<command> <every positional> (--flag value)*: all options in table
+    order, only the required ones, and random subsets in random order."""
+    positionals, options = _split(arguments)
+    head = [command] + [_value(command, name) for name in positionals]
+    orders = [[f for f, _s in options], [f for f, spec in options if spec.get("required")]]
+    for _ in range(8):
+        chosen = [f for f, spec in options if spec.get("required") or rng.random() < 0.5]
+        rng.shuffle(chosen)
+        orders.append(chosen)
+    argvs = []
+    for flags in orders:
+        argv = list(head)
+        for flag in flags:
+            argv += [flag, _value(command, flag)]
+        argvs.append(argv)
+    return argvs
+
+
+def flat(pairs):
+    return [token for pair in pairs for token in pair]
+
+
+def mutated_argvs(command, arguments, argv, rng):
+    """Shapes the table parser must leave to argparse, made from one plain
+    argv whose options start after its positionals."""
+    positionals, options = _split(arguments)
+    n = 1 + len(positionals)
+    head, pairs = argv[:n], [argv[i:i + 2] for i in range(n, len(argv), 2)]
+    out = [head + flat(pairs[::-1])]
+    if pairs:
+        i = rng.randrange(len(pairs))
+        flag, value = pairs[i]
+        out += [
+            head + flat(pairs[:i]) + [f"{flag}={value}"] + flat(pairs[i + 1:]),
+            head + flat(pairs[:i]) + [flag[:-1], value] + flat(pairs[i + 1:]),
+            head + flat(pairs[:i]) + [flag[:4], value] + flat(pairs[i + 1:]),
+            argv + [flag, value],
+            argv + [flag, OTHER_VALUES.get(flag, value)],
+            head + flat(pairs[:i]) + [flag, "-1"] + flat(pairs[i + 1:]),
+            head + flat(pairs[:i]) + [flag, "-1,0"] + flat(pairs[i + 1:]),
+            head + flat(pairs[:i]) + [flag] + flat(pairs[i + 1:]),
+            [command] + flat(pairs) + argv[1:n],
+            argv[:1] + flat(pairs) + argv[1:n],
+        ]
+    for flag, spec in options:
+        if spec.get("required"):
+            out.append(head + flat(p for p in pairs if p[0] != flag))
+        if spec.get("type") is int:
+            out += [argv + [flag, "x"], argv + [flag, "1.5"], argv + [flag, "0"]]
+        if "choices" in spec:
+            out.append(argv + [flag, "xml"])
+    for k, name in enumerate(positionals, start=1):
+        out.append(argv[:k] + ["-2"] + argv[k + 1:])
+        out.append(argv[:k] + argv[k + 1:])
+        if name == "suite":
+            out.append(argv[:k] + ["nope"] + argv[k + 1:])
+    out += [argv + ["extra"], head + ["extra"] + argv[n:], argv + ["--bogus", "1"],
+            [command.upper()] + argv[1:], argv[:1]]
+    for k in range(1, len(argv) + 1):
+        for token in ("-h", "--help", "--"):
+            out.append(argv[:k] + [token] + argv[k:])
+    return out
+
+
+def corpus(command):
+    """A seeded argv corpus for one subcommand: (plain argvs, other argvs)."""
+    (arguments,) = [a for name, _h, a in cli.SUBCOMMANDS if name == command]
+    rng = random.Random(f"cli-corpus:{command}")
+    plain = plain_argvs(command, arguments, rng)
+    others = [m for argv in plain[:4] for m in mutated_argvs(command, arguments, argv, rng)]
+    return plain, others
+
+
+COMMANDS = [name for name, _h, _a in cli.SUBCOMMANDS]
+
+
+def argparse_vars(argv):
+    """vars() of the full argparse Namespace, or None when argparse prints
+    help or reports a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except (cli.UsageExit, SystemExit):
+            return None
+
+
+def main_outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestTableParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_plain_argvs_are_answered_from_the_table(self, command):
+        plain, _others = corpus(command)
+        for argv in plain:
+            expected = argparse_vars(argv)
+            assert expected is not None, argv
+            assert cli._parse_plain(argv) == expected, argv
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_other_argvs_decline_or_agree(self, command):
+        _plain, others = corpus(command)
+        for argv in others:
+            got = cli._parse_plain(argv)
+            if got is not None:
+                assert got == argparse_vars(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["--"], ["frobnicate"], ["--format", "json"],
+        ["mv", "SU3", "--mu=-1", "--lam=1"], ["describe", "SU3", "--form", "json"],
+        ["describe", "SU3", "--format", "json", "--format", "table"],
+        ["schubert", "SU3", "--bound", "-1"], ["tensor", "SL2", "-1", "1"],
+        ["verify", "all", "--file", "x.json"], ["describe", "--format", "json", "SU3"],
+    ])
+    def test_declines(self, argv):
+        assert cli._parse_plain(argv) is None
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_matches_argparse_main(self, command, capsys, monkeypatch):
+        plain, others = corpus(command)
+        outcomes = [main_outcome(argv, capsys) for argv in plain + others]
+        monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+        forced = [main_outcome(argv, capsys) for argv in plain + others]
+        for argv, got, expected in zip(plain + others, outcomes, forced):
+            assert got == expected, argv
+        assert any(code == EXIT_OK for code, _out, _err in outcomes[:len(plain)])
+
+
+def test_answers_load_no_argparse():
+    """A fresh interpreter answers well-formed queries without importing
+    argparse, gettext or locale; help still goes through argparse."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from twisted_satake.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [main(['schubert', 'SU3', '--bound', '2', '--format', 'json']),\n"
+        "             main(['branch', 'SU3', '--weight', '1,0'])]\n"
+        "print(codes, out.getvalue().splitlines()[-1])\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] V(1)", "[]"]
+    help_proc = run_cold("-h")
+    assert help_proc.returncode == 0
+    assert help_proc.stdout.startswith("usage: twisted-satake")
