@@ -155,30 +155,31 @@ def _arg(name, **spec):
 
 _PRESET = _arg("preset", nargs="?", help="preset name (or use --file)")
 _FILE = _arg("--file", help="JSON twisted-datum file")
-_FORMAT = _arg("--format", choices=("table", "json", "dot"), default="table")
+_FORMAT = _arg("--format", choices=("table", "json"), default="table")
+_DOT_FORMAT = _arg("--format", choices=("table", "json", "dot"), default="table")
 _COEFF = _arg("--coeff", default="char0", help="coefficient profile: char0 | Zl:<p> | Fl:<p>")
 _BOUND = _arg("--bound", type=int, default=6, help="rho-height bound on classes")
 _COORD_BOUND = _arg("--coord-bound", type=int, default=None,
                     help="coordinate box for data with central directions")
-_COMMON = (_PRESET, _FILE, _FORMAT, _COEFF, _COORD_BOUND)
-_BOUNDED = (_PRESET, _FILE, _FORMAT, _COEFF, _BOUND, _COORD_BOUND)
+_DATUM = (_PRESET, _FILE, _FORMAT)
 
 # (name, help, arguments) per subcommand, in help order; arguments in the
-# order argparse is given them.
+# order argparse is given them.  Each command takes only the flags it reads.
 SUBCOMMANDS = (
-    ("describe", "datum summary", _COMMON),
-    ("schubert", "Schubert strata and closure order", _BOUNDED),
-    ("mv", "attractor-intersection cell", _COMMON + (
+    ("describe", "datum summary", _DATUM + (_COEFF,)),
+    ("schubert", "Schubert strata and closure order", (_PRESET, _FILE, _DOT_FORMAT, _BOUND, _COORD_BOUND)),
+    ("mv", "attractor-intersection cell", _DATUM + (
         _arg("--mu", required=True),
         _arg("--lam", required=True),
     )),
-    ("conv", "convolution cell", _COMMON + (
+    ("conv", "convolution cell", _DATUM + (
         _arg("--mu", required=True),
         _arg("--mu2", required=True),
         _arg("--lam", required=True),
         _arg("--lam2", required=True),
     )),
-    ("branch", "restrict an irreducible to the fixed group", _COMMON + (
+    ("branch", "restrict an irreducible to the fixed group", _DATUM + (
+        _COEFF,
         _arg("--weight", required=True, help="dominant character, comma separated"),
     )),
     ("tensor", "folded tensor decomposition", (
@@ -187,15 +188,14 @@ SUBCOMMANDS = (
         _arg("mu", help="dominant folded class"),
         _FILE,
         _FORMAT,
-        _arg("--coeff", default="char0"),
-        _arg("--coord-bound", type=int, default=None),
+        _COEFF,
     )),
-    ("dominant-image", "image of the dominant projection", _BOUNDED),
-    ("corr", "constant-term normalization shift", _COMMON + (
+    ("dominant-image", "image of the dominant projection", _DATUM + (_BOUND, _COORD_BOUND)),
+    ("corr", "constant-term normalization shift", _DATUM + (
         _arg("--levi", default="all", help="orbit indices 'all', 'none', or '0,1'"),
         _arg("--vector", required=True, help="lattice vector, comma separated"),
     )),
-    ("verify", "run property suites", _COMMON + (
+    ("verify", "run property suites", _DATUM + (
         _arg("suite", choices=SUITE_NAMES + ("all",)),
     )),
 )
@@ -330,8 +330,7 @@ def cmd_describe(args, t):
 
 
 def cmd_schubert(args, t):
-    kwargs = {"coord_bound": args.coord_bound} if args.coord_bound is not None else {}
-    poset = closure_poset(t, max_height=2 * args.bound, **kwargs)
+    poset = closure_poset(t, max_height=2 * args.bound, coord_bound=args.coord_bound)
     if args.format == "dot":
         print(poset_to_dot(poset))
         return EXIT_OK
@@ -431,9 +430,8 @@ def cmd_tensor(args, t):
 
 
 def cmd_dominant_image(args, t):
-    kwargs = {"coord_bound": args.coord_bound} if args.coord_bound is not None else {}
-    image = dominant_image_monoid(t, 2 * args.bound, **kwargs)
-    cone = enumerate_dominant_classes(t, 2 * args.bound, **kwargs)
+    image = dominant_image_monoid(t, 2 * args.bound, args.coord_bound)
+    cone = enumerate_dominant_classes(t, 2 * args.bound, args.coord_bound)
     payload = {
         "image": [format_class(c) for c in image],
         "dominant_cone": [format_class(c) for c in cone],

@@ -35,13 +35,15 @@ from .galois import (
     relative_simple_roots,
 )
 from .rootdatum import (
+    _dominant_cone,
     _walk_cone,
     dominant_coweights_up_to_height,
     dot_frac,
+    full_root_system,
     pairing_with_roots_matrix,
     rho_data,
 )
-from .weyl import relative_weyl
+from .weyl import WeylElement, dominant_walk, relative_weyl
 
 
 class NonDominantError(ValueError):
@@ -89,6 +91,10 @@ class _Substrate:
     simple root per orbit) is an invertible map of the free coordinates,
     and |I| * height = sum_O N_O y_O.  `cone` holds (den, den times the free
     coordinates of each unit y_O, N_O); it is None with central directions.
+
+    Orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O =
+    (|O| / |I|) root_pairings[O[0]] pairs x with the sum of O's simple roots, and
+    a_O = m_O [coroot_O] with m_O = 2 for an adjacent pair (alpha_i + alpha_j), else 1.
     """
 
     group_order: int          # |I|
@@ -101,6 +107,7 @@ class _Substrate:
     order_lift: tuple         # per orbit O: V[O][i] * L / d_i for i < k
     order_scale: int          # L
     cone: tuple | None
+    reflections: tuple        # (c_O, a_O) per orbit
 
     def coordinates(self, cls):
         """Free then torsion coordinates of a class, as one vector."""
@@ -116,31 +123,6 @@ class _Substrate:
         k = len(self.order_moduli)
         key = tuple(a % d for a, d in zip(w, self.order_moduli)) + tuple(w[k:])
         return key, tuple(dot(row, w) for row in self.order_lift)
-
-
-def _relative_cone(free_rank, orbit_pairings, heights):
-    """(den, den * A^-1 columns, N) for the square pairing map A of free
-    coordinates onto y, or None when A has a kernel (a central direction).
-
-    With U A V = D, A^-1 = V D^-1 U; N_O = heights . A^-1 e_O.
-    """
-    rows = [row[:free_rank] for row in orbit_pairings]
-    if len(rows) > free_rank:
-        raise InvariantViolation("more simple-root orbits than free coordinates")
-    dec = smith_normal_form(IntMatrix.from_rows(rows))
-    if dec.rank < free_rank:
-        return None
-    den = math.lcm(*dec.diagonal)
-    scaled_u = [[x * (den // d) for x in dec.U.row(i)] for i, d in enumerate(dec.diagonal)]
-    inverse = dec.V.mul(IntMatrix.from_rows(scaled_u))
-    generators = tuple(inverse.column(j) for j in range(free_rank))
-    weights = []
-    for g in generators:
-        n, rem = divmod(dot(heights[:free_rank], g), den)
-        if rem or n <= 0:
-            raise InvariantViolation("orbit weight of 2 rho is not a positive integer")
-        weights.append(n)
-    return den, generators, tuple(weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,8 +166,13 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
         order_moduli=diagonal,
         order_lift=order_lift,
         order_scale=scale,
-        cone=_relative_cone(
-            r, [root_pairings[orbit[0]] for orbit in rel.simple_orbit_list], heights
+        cone=_dominant_cone(
+            r, tuple(root_pairings[orbit[0]] for orbit in rel.simple_orbit_list), heights
+        ),
+        reflections=tuple(
+            (tuple(len(orbit) * x // group_order(t) for x in root_pairings[orbit[0]]),
+             tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
+            for orbit, kind, (free, torsion) in zip(rel.simple_orbit_list, rel.orbit_type, orbit_classes)
         ),
     )
 
@@ -215,21 +202,19 @@ def is_dominant_class(t: TwistedRootDatum, cls):
 
 @functools.lru_cache(maxsize=None)
 def dominant_representative(t: TwistedRootDatum, cls):
-    """The unique dominant class in the W0-orbit, with a group element
-    carrying the input onto it."""
+    """The dominant class in the W0-orbit of cls, with the chamber walk's element
+    carrying cls onto it (not the first such element in closure order); the
+    class is read from that element's descended action and checked dominant."""
+    sub = _substrate(t)
+    limit = len(full_root_system(t.base).positive)
+    _point, word = dominant_walk(sub.coordinates(cls), sub.reflections, limit)
     w0 = relative_weyl(t)
-    hits = []
-    for w in w0.elements:
-        image = w0.act(w, cls)
-        witness = is_dominant_class(t, image)
-        if witness is not None:
-            hits.append((witness, w))
-    if not hits:
-        raise InvariantViolation("W0-orbit contains no dominant class")
-    distinct = {h[0].cls for h in hits}
-    if len(distinct) != 1:
-        raise InvariantViolation("W0-orbit contains several dominant classes")
-    return hits[0]
+    w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
+                                     IntMatrix.identity(t.rank)), word=word)
+    witness = is_dominant_class(t, w0.act(w, cls))
+    if witness is None:
+        raise InvariantViolation("the chamber walk ended outside the dominant cone")
+    return witness, w
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,6 +29,7 @@ from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descripto
 from .galois import TwistedRootDatum, coinvariants
 from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
 from .coweights import project_dominant
+from .weyl import dominant_walk
 
 
 class NonDominantWeightError(ValueError):
@@ -200,27 +201,8 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
 
     data = _freudenthal_data(d)
     two_rho = data.two_rho
-    simple = tuple(zip(d.simple_roots, d.simple_coroots))
+    simple = tuple(zip(d.simple_coroots, d.simple_roots))
     conjugates = {}
-
-    def dominant_conjugate(x):
-        """Reflect x by simple reflections until it is dominant; every
-        point on the way is memoised with the same answer."""
-        path = []
-        while x not in conjugates:
-            path.append(x)
-            for alpha, coroot in simple:
-                p = dot(coroot, x)
-                if p < 0:
-                    x = tuple(a - p * b for a, b in zip(x, alpha))
-                    break
-            else:
-                conjugates[x] = x
-        found = conjugates[x]
-        for y in path:
-            conjugates[y] = found
-        return found
-
     support = _dominant_support(d, lam)
     ordered = sorted(support, key=lambda nu: (support[nu], nu))
     norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
@@ -235,7 +217,9 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
             k = 1
             while True:
                 shifted = vec_add(shifted, alpha)
-                conjugate = dominant_conjugate(shifted)
+                if shifted not in conjugates:
+                    conjugates[shifted] = dominant_walk(shifted, simple, len(data.coroots))[0]
+                conjugate = conjugates[shifted]
                 if conjugate not in support:
                     break
                 m = mult.get(conjugate, 0)
@@ -307,8 +291,9 @@ class DecompositionResult:
         return dict(self.summands)
 
 
-def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restriction=None):
-    """The folded datum of the fixed group of s, or the documented refusal."""
+def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restriction=None, classes=()):
+    """The folded datum of the fixed group of s, or the documented refusal;
+    then DimensionMismatch unless each of the classes is shaped like X^*(s)_I."""
     if not profile.is_char0:
         raise UnsupportedDecompositionError(
             f"profile {profile} is not semisimple; restriction only",
@@ -319,6 +304,8 @@ def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restrictio
         raise UnsupportedDecompositionError(
             "no verified folded root datum for this input", restriction=restriction
         )
+    for cls in classes:
+        desc.fixed_torus_characters.lift(cls)
     return desc
 
 
@@ -398,7 +385,7 @@ def decompose_tensor(
 ) -> DecompositionResult:
     """Product of two folded irreducible characters, decomposed again; the
     unit object tensors trivially and dimensions multiply."""
-    desc = _folded_context(s, profile)
+    desc = _folded_context(s, profile, classes=(lam_cls, mu_cls))
     folded = desc.folded_cartan.datum
     a = _class_to_vector(lam_cls)
     b = _class_to_vector(mu_cls)
@@ -428,7 +415,7 @@ def weight_rank(t: TwistedRootDatum, mu_cls, nu_cls, profile: CoefficientProfile
     """The rank of the weight space attached to nu in the folded irreducible
     with highest class mu, both classes living in X_*(t)_I."""
     s = dual_twisted(t)
-    desc = _folded_context(s, profile)
+    desc = _folded_context(s, profile, classes=(mu_cls, nu_cls))
     folded = desc.folded_cartan.datum
     mu_vec = _class_to_vector(mu_cls)
     nu_vec = _class_to_vector(nu_cls)

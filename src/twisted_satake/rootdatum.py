@@ -23,6 +23,7 @@ from .abelian import (
     dot,
     quotient_group,
     rational_solve,
+    smith_normal_form,
     vec_add,
     vec_scale,
     vec_sub,
@@ -324,17 +325,28 @@ def fundamental_coweights_rational(d: BasedRootDatum):
 
 
 @functools.lru_cache(maxsize=None)
-def _fundamental_cone(d: BasedRootDatum):
-    """(den, den * omega_i^vee, den * <omega_i^vee, 2rho>) for a semisimple
-    datum, with den the common denominator of the fundamental coweights."""
-    omegas = fundamental_coweights_rational(d)
-    den = math.lcm(1, *(x.denominator for w in omegas for x in w))
-    scaled = tuple(tuple(int(x * den) for x in w) for w in omegas)
-    two_rho = rho_data(d).two_rho
-    heights = tuple(dot(w, two_rho) for w in scaled)
-    if any(h <= 0 for h in heights):
-        raise InvariantViolation("fundamental coweight with nonpositive height")
-    return den, scaled, heights
+def _dominant_cone(free_rank, pairings, heights):
+    """(den, den * A^-1 columns, N) for the square map A of free
+    coordinates onto their pairings with the given rows, or None when A has
+    a kernel (a central direction): the cone is A^-1 (y >= 0), with height
+    weights N_O = heights . A^-1 e_O.  With U A V = D, A^-1 = V D^-1 U.
+    """
+    if len(pairings) > free_rank:
+        raise InvariantViolation("more pairing rows than free coordinates")
+    dec = smith_normal_form(IntMatrix.from_rows([row[:free_rank] for row in pairings]))
+    if dec.rank < free_rank:
+        return None
+    den = math.lcm(*dec.diagonal)
+    scaled_u = [[x * (den // d) for x in dec.U.row(i)] for i, d in enumerate(dec.diagonal)]
+    inverse = dec.V.mul(IntMatrix.from_rows(scaled_u))
+    generators = tuple(inverse.column(j) for j in range(free_rank))
+    weights = []
+    for g in generators:
+        n, rem = divmod(dot(heights[:free_rank], g), den)
+        if rem or n <= 0:
+            raise InvariantViolation("cone weight of 2 rho is not a positive integer")
+        weights.append(n)
+    return den, generators, tuple(weights)
 
 
 def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
@@ -342,25 +354,25 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
 
     For semisimple data v = sum c_i omega_i^vee with c_i = <v, alpha_i>, so
     the search walks the cone of c >= 0 with sum c_i <omega_i^vee, 2rho> <=
-    max_height and keeps the integral combinations.  The fundamental
-    coweights over a common denominator and their heights are computed once
-    per datum.  Data with central directions need an explicit coord_bound,
+    max_height and keeps the integral combinations; `_dominant_cone` of the
+    simple roots and 2rho gives the omega_i^vee and their heights once per
+    datum.  Data with central directions need an explicit coord_bound,
     since their dominant cone is infinite in every height slab; for them a
     coordinate box is scanned.
     """
     require_valid(d)
+    two_rho = rho_data(d).two_rho
     if d.num_simple != d.rank:
         if coord_bound is None:
             raise ValueError("datum has central directions; pass coord_bound")
-        two_rho = rho_data(d).two_rho
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=d.rank)
         return sorted(
             v for v in box
             if all(dot(v, a) >= 0 for a in d.simple_roots) and dot(v, two_rho) <= max_height
         )
 
-    den, scaled, heights = _fundamental_cone(d)
-    return sorted(_walk_cone(den, scaled, heights, den * max_height))
+    den, generators, weights = _dominant_cone(d.rank, d.simple_roots, two_rho)
+    return sorted(_walk_cone(den, generators, weights, max_height))
 
 
 def _walk_cone(den, generators, weights, budget):

@@ -14,6 +14,9 @@ on class coordinates (free..., torsion...), built once per (datum, map) by
 `_descended`; acting is one matrix-vector product with the torsion entries
 reduced by their invariant factors.
 
+`dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
+Reflection Groups and Coxeter Groups, 1.6-1.8); W0's `elements` are built when first read.
+
 The Iwahori-Weyl group is the semidirect product of the descended finite
 group with the coinvariant translations, with multiplication
 (w1, l1)(w2, l2) = (w1 w2, w2^{-1} l1 + l2); it acts on the rational
@@ -94,6 +97,24 @@ def _closure(rank, gens, bound=None, message=""):
     return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.matrix.entries)))
 
 
+def dominant_walk(x, simple, limit):
+    """(dominant point, word) for x under the reflections y -> y - <c, y> a for
+    (c, a) in `simple`: each step applies the first with <c, y> < 0; the word
+    lists the indices applied, last first.  No correct walk is longer than the
+    number of positive roots, so a walk past `limit` steps raises."""
+    word = []
+    for _step in range(limit + 1):
+        for i, (c, a) in enumerate(simple):
+            p = dot(c, x)
+            if p < 0:
+                x = tuple(v - p * b for v, b in zip(x, a))
+                word.append(i)
+                break
+        else:
+            return x, tuple(reversed(word))
+    raise InvariantViolation(f"chamber walk exceeded {limit} steps")
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
     """Breadth-first closure of the simple reflections; words are shortest."""
@@ -137,7 +158,12 @@ class RelativeWeylGroup:
 
     datum: TwistedRootDatum
     generators: tuple   # WeylElement per orbit
-    elements: tuple     # enumerated closure
+    bound: int          # the most elements `elements` may enumerate
+
+    @functools.cached_property
+    def elements(self):
+        return _closure(self.datum.rank, list(enumerate(self.generators)), self.bound,
+                        "relative Weyl group exceeds bound")
 
     @property
     def order(self):
@@ -199,10 +225,7 @@ def relative_weyl(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT) -> Relat
                     "orbit reflection does not commute with the inertia action"
                 )
         gens.append(WeylElement(matrix=w.matrix, word=(rel.simple_orbit_list.index(orbit),)))
-    elements = _closure(
-        t.rank, list(enumerate(gens)), bound, "relative Weyl group exceeds bound"
-    )
-    return RelativeWeylGroup(datum=t, generators=tuple(gens), elements=elements)
+    return RelativeWeylGroup(datum=t, generators=tuple(gens), bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +242,7 @@ class IwahoriWeylElement:
 
 
 def iw_identity(t: TwistedRootDatum) -> IwahoriWeylElement:
-    c = coinvariants(t)
-    return IwahoriWeylElement(
-        datum=t,
-        finite=WeylElement(matrix=IntMatrix.identity(t.rank), word=()),
-        translation=c.zero(),
-    )
+    return iw_translation(t, coinvariants(t).zero())
 
 
 def iw_translation(t: TwistedRootDatum, cls) -> IwahoriWeylElement:

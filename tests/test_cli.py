@@ -151,6 +151,24 @@ class TestBranchTensor:
         code, _out, err = run(capsys, "branch", "SU3", "--weight", "1,0", "--coeff", "Fl:4")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [
+        ["tensor", "SL2", "1;1", "1"],
+        ["tensor", "SU3", "1;0", "1"],
+        ["tensor", "SU3", "1", "1;0"],
+    ])
+    def test_tensor_rejects_malformed_classes(self, capsys, argv):
+        """X^*(s)_I has no torsion coordinate for SL2 or SU3, so a class
+        with one is an input error, as it is for mv."""
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: class does not match this presentation\n"
+
+    def test_tensor_modular_refusal_precedes_class_check(self, capsys):
+        code, out, _err = run(capsys, "tensor", "SU3", "1;0", "1", "--coeff", "Fl:2")
+        assert code == EXIT_OK
+        assert out.startswith("unsupported decomposition: ")
+
 
 class TestDominantImage:
     def test_su3_exact_image(self, capsys):
@@ -357,7 +375,28 @@ PARSE_CASES = [
     ["verify", "--file", "x.json", "all"],
 ]
 
-USAGE_ERRORS = [
+# The flags each command accepted without reading them, and `--format dot`
+# everywhere but schubert: usage errors now.
+COEFF, COORD, DOT = ["--coeff", "char0"], ["--coord-bound", "2"], ["--format", "dot"]
+MV_ARGS = ["--mu", "1", "--lam", "1"]
+CONV_ARGS = ["--mu", "1", "--mu2", "1", "--lam", "1", "--lam2", "1"]
+REMOVED_FLAGS = [
+    [command, "SU3", *extra, *flag]
+    for command, extra, flags in (
+        ("describe", [], [COORD, DOT]),
+        ("schubert", [], [COEFF]),
+        ("mv", MV_ARGS, [COEFF, COORD, DOT]),
+        ("conv", CONV_ARGS, [COEFF, COORD, DOT]),
+        ("branch", ["--weight", "1,0"], [COORD, DOT]),
+        ("tensor", ["1", "1"], [COORD, DOT]),
+        ("dominant-image", [], [COEFF, DOT]),
+        ("corr", ["--vector", "1,0"], [COEFF, COORD, DOT]),
+        ("verify", ["all"], [COEFF, COORD, DOT]),
+    )
+    for flag in flags
+]
+
+USAGE_ERRORS = REMOVED_FLAGS + [
     [],
     ["frobnicate"],
     ["--format", "json"],
@@ -376,6 +415,17 @@ def _subcommand_names(parser):
 
 
 class TestOneSubcommandParser:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        flags = {
+            name: [flag for flag, _spec in arguments if flag.startswith("-")]
+            for name, _help, arguments in cli.SUBCOMMANDS
+        }
+        assert sum(len(f) for f in flags.values()) == 34
+        assert [name for name, f in flags.items() if "--coeff" in f] == \
+            ["describe", "branch", "tensor"]
+        assert [name for name, f in flags.items() if "--coord-bound" in f] == \
+            ["schubert", "dominant-image"]
+
     def test_cases_cover_every_subcommand(self):
         assert [argv[0] for argv in PARSE_CASES] == [name for name, _h, _a in cli.SUBCOMMANDS]
         assert _subcommand_names(cli.build_parser()) == [argv[0] for argv in PARSE_CASES]

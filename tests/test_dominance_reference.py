@@ -12,6 +12,7 @@ small bounds.
 
 import functools
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from twisted_satake.abelian import (
     DependentBasisError,
     IntMatrix,
     InvariantViolation,
+    dot,
     rational_solve,
     smith_normal_form,
     solve_integer,
@@ -103,6 +105,19 @@ def ref_dominant_coweights_up_to_height(d, max_height, coord_bound=None):
         if all(sum(a * b for a, b in zip(v, alpha)) >= 0 for alpha in d.simple_roots)
         and sum(a * b for a, b in zip(v, two_rho)) <= max_height
     )
+
+
+def ref_fundamental_cone(d):
+    """(den, den * omega_i^vee, den * <omega_i^vee, 2rho>) for a semisimple
+    datum, with den the common denominator of the fundamental coweights."""
+    omegas = fundamental_coweights_rational(d)
+    den = math.lcm(1, *(x.denominator for w in omegas for x in w))
+    scaled = tuple(tuple(int(x * den) for x in w) for w in omegas)
+    two_rho = rho_data(d).two_rho
+    heights = tuple(dot(w, two_rho) for w in scaled)
+    if any(h <= 0 for h in heights):
+        raise InvariantViolation("fundamental coweight with nonpositive height")
+    return den, scaled, heights
 
 
 def ref_covering_relations(poset):
@@ -368,3 +383,30 @@ def test_closure_poset_makes_no_per_pair_solves(monkeypatch):
     poset = closure_poset(preset("SU3"), max_height=200)
     assert len(poset.relations) > len(poset.strata) > 50
     assert calls == []
+
+
+CONE_SWEEP = tuple(
+    name for name in dict.fromkeys(DEFAULT_PRESET_NAMES + ("SU5", "SU7", "SU9"))
+    if not name.startswith("torus")
+)
+
+
+@pytest.mark.parametrize("name", CONE_SWEEP)
+def test_dominant_cone_matches_fundamental_coweights(name):
+    """The one cone builder, on the simple roots and 2rho, gives the
+    fundamental coweights and their heights, and the same bounded cone."""
+    base = preset(name).base
+    for d in (base, dualize(base)):
+        if d.num_simple != d.rank:
+            continue
+        ref_den, scaled, ref_heights = ref_fundamental_cone(d)
+        den, generators, weights = rootdatum._dominant_cone(
+            d.rank, d.simple_roots, rho_data(d).two_rho
+        )
+        assert [[Fraction(x, den) for x in g] for g in generators] == \
+            [[Fraction(x, ref_den) for x in w] for w in scaled]
+        assert [n * ref_den for n in weights] == list(ref_heights)
+        for h in (-1, 0, 1, 2, 7, 12):
+            assert dominant_coweights_up_to_height(d, h) == sorted(
+                rootdatum._walk_cone(ref_den, scaled, ref_heights, ref_den * h)
+            ), h

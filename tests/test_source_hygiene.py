@@ -1,9 +1,12 @@
-"""Every module-level private function and class of the package is used.
+"""Every module-level private function and class of the package is used,
+and every module-level import is read.
 
 A private helper (a name starting with "_") that nothing in the package
 refers to is dead code; this test reads the sources with `ast` and lists
 every such helper whose name appears nowhere in the package outside its
-own definition.
+own definition.  Likewise a name a module imports at module level and never
+reads is a stale import.  `__init__.py` is exempt from the import check:
+it imports to re-export.
 """
 
 import ast
@@ -50,3 +53,21 @@ def test_private_helpers_are_referenced():
         if not used:
             unused.append(f"{module}:{definition.lineno} {name}")
     assert unused == []
+
+
+def test_module_level_imports_are_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []

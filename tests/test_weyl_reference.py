@@ -8,8 +8,14 @@ for negated simple roots, and the unit-class loops of the dominance
 substrate and of the folding recipe.  The sweep covers every fixed preset,
 its dual, SU7 and a datum whose coinvariants are Z + Z/2, on classes with
 negative free entries and torsion residues outside [0, d).
+
+`ref_dominant_representative` is the W0 scan the chamber walk replaced;
+the walk is compared with it on the same sweep plus SU9, and two wrong
+reflections (no doubling for an adjacent pair, c_O with the wrong sign) must
+be caught rather than loop.
 """
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -17,9 +23,9 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import abelian
+from twisted_satake import abelian, coweights, weyl
 from twisted_satake.abelian import DimensionMismatch, InvariantViolation, dot
-from twisted_satake.coweights import _substrate
+from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
     DiagramAutomorphism,
@@ -30,10 +36,12 @@ from twisted_satake.galois import (
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import BasedRootDatum, full_root_system
+from twisted_satake.satake import conv_cell, mv_cell
 from twisted_satake.weyl import (
     IwahoriWeylElement,
     WeylElement,
     _closure,
+    _descended,
     iw_affine_action,
     iw_inverse,
     iw_multiply,
@@ -103,6 +111,24 @@ def ref_longest_parabolic_element(d, subset):
     if len(candidates) != 1:
         raise InvariantViolation("parabolic longest element is not unique")
     return candidates[0]
+
+
+def ref_dominant_representative(t, cls):
+    """The unique dominant class in the W0-orbit, with a group element
+    carrying the input onto it."""
+    w0 = relative_weyl(t)
+    hits = []
+    for w in w0.elements:
+        image = w0.act(w, cls)
+        witness = is_dominant_class(t, image)
+        if witness is not None:
+            hits.append((witness, w))
+    if not hits:
+        raise InvariantViolation("W0-orbit contains no dominant class")
+    distinct = {h[0].cls for h in hits}
+    if len(distinct) != 1:
+        raise InvariantViolation("W0-orbit contains several dominant classes")
+    return hits[0]
 
 
 def ref_free_sums(t):
@@ -292,3 +318,119 @@ def test_warm_action_makes_no_lift_or_class_of_calls(monkeypatch):
         for cls in classes:
             w0.act(w, cls)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The chamber walk against the W0 scan
+
+WALK_SWEEP = SWEEP + ("SU9",)
+
+
+def walk_classes(t):
+    """The sample classes and their images under every element of W0."""
+    w0 = relative_weyl(t)
+    base = sample_classes(t)
+    return list(dict.fromkeys(base + [w0.act(w, cls) for w in w0.elements for cls in base[:4]]))
+
+
+@pytest.mark.parametrize("name", WALK_SWEEP)
+def test_dominant_representative_matches_w0_scan(name):
+    t = datum(name)
+    w0 = relative_weyl(t)
+    matrices = {e.matrix for e in w0.elements}
+    for cls in walk_classes(t):
+        witness, w = dominant_representative(t, cls)
+        ref_witness, _ref_w = ref_dominant_representative(t, cls)
+        assert witness == ref_witness, cls
+        assert w0.act(w, cls) == witness.cls, cls
+        assert w.matrix in matrices, cls
+
+
+@pytest.mark.parametrize("name", WALK_SWEEP)
+def test_reflection_rows_match_descended_generators(name):
+    """x - <c_O, x> a_O is the descended matrix of the orbit's generator,
+    with torsion entries read modulo their invariant factors."""
+    t = datum(name)
+    torsion = coinvariants(t).torsion
+    sub = _substrate(t)
+    n = len(sub.free_sums) + len(torsion)
+    moduli = (0,) * len(sub.free_sums) + tuple(torsion)
+    for g, (c, a) in zip(relative_weyl(t).generators, sub.reflections):
+        m = _descended(t, g.matrix)
+        for j in range(n):
+            unit = tuple(int(k == j) for k in range(n))
+            got = tuple(u - c[j] * x for u, x in zip(unit, a))
+            want = m.column(j)
+            assert all(
+                (x - y) % d == 0 if d else x == y for x, y, d in zip(got, want, moduli)
+            ), (g.word, j)
+
+
+def _mutated_walk(monkeypatch, mutate):
+    """dominant_representative, uncached, reading mutated reflections."""
+    real = coweights._substrate
+
+    def substrate(t):
+        sub = real(t)
+        rel = relative_simple_roots(t)
+        reflections = tuple(
+            mutate(kind, c, a) for kind, (c, a) in zip(rel.orbit_type, sub.reflections)
+        )
+        return dataclasses.replace(sub, reflections=reflections)
+
+    monkeypatch.setattr(coweights, "_substrate", substrate)
+    return dominant_representative.__wrapped__
+
+
+def _halve_adjacent(kind, c, a):
+    return c, (tuple(x // 2 for x in a) if kind == "adjacent-pair" else a)
+
+
+def _flip_pairing(kind, c, a):
+    return tuple(-x for x in c), a
+
+
+@pytest.mark.parametrize("mutate", [_halve_adjacent, _flip_pairing])
+def test_wrong_reflections_are_caught(monkeypatch, mutate):
+    """A wrong reflection raises InvariantViolation or gives a class the W0
+    scan disagrees with; the step limit keeps every walk finite."""
+    caught = 0
+    checked = 0
+    for name in ("SU5", "SU7", "SU9", "SU4", "Spin8-triality"):
+        t = datum(name)
+        classes = walk_classes(t)
+        expected = [ref_dominant_representative(t, cls)[0].cls for cls in classes]
+        walk = _mutated_walk(monkeypatch, mutate)
+        for cls, want in zip(classes, expected):
+            checked += 1
+            try:
+                got = walk(t, cls)[0].cls
+            except InvariantViolation:
+                caught += 1
+                continue
+            caught += got != want
+        monkeypatch.undo()
+    assert caught > 0, checked
+
+
+def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
+    """mv_cell and conv_cell on SU11 build W0's generators, each the longest
+    element of a parabolic of at most 6 elements, but never enumerate W0
+    (|W0| = 3,840 there)."""
+    t = preset("SU11")
+    relative_weyl.cache_clear()
+    dominant_representative.cache_clear()
+    real = weyl._closure
+
+    def small_closure(*args, **kwargs):
+        elements = real(*args, **kwargs)
+        if len(elements) > 6:
+            raise AssertionError(f"a closure of {len(elements)} elements was built")
+        return elements
+
+    monkeypatch.setattr(weyl, "_closure", small_closure)
+    mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
+    cell = mv_cell(t, mu, lam)
+    assert cell.nonempty and cell.dim == 0
+    conv = conv_cell(t, mu, mu, lam, lam)
+    assert conv.nonempty and conv.dim == 0
