@@ -125,58 +125,70 @@ class IntMatrix:
         """Exact determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.row_list()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, sign, pivot = _bareiss(self.row_list())
+        return sign * pivot if rank == self.rows else 0
+
+    def rank(self):
+        """Rank over Q, by the same elimination."""
+        return _bareiss(self.row_list())[0]
 
     def is_unimodular(self):
         return self.rows == self.cols and self.determinant() in (1, -1)
 
     def inverse_unimodular(self):
-        """Inverse of a unimodular matrix, exact and integral."""
+        """Inverse of a unimodular matrix, exact and integral.
+
+        Integer Gauss-Jordan on [A | I]: Euclid's algorithm on row pairs
+        leaves the gcd of each pivot column in the pivot, and the block still
+        to be reduced keeps determinant +-1, so that gcd is 1 up to sign.
+        """
         n = self.rows
         if n != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
-        # Gauss-Jordan over Q; integrality follows from det = +-1.
-        a = [[Fraction(x) for x in self.row(i)] + [Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
+        det = self.determinant()
+        if det == 0:
+            raise ValueError("matrix is singular")
+        if det not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        a = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
         for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
+            for r in range(col + 1, n):
+                while a[r][col]:
+                    q = a[col][col] // a[r][col]
+                    a[col], a[r] = a[r], [x - q * y for x, y in zip(a[col], a[r])]
             pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
+            if pv not in (1, -1):
+                raise InvariantViolation("unimodular elimination left a pivot other than +-1")
+            a[col] = [pv * x for x in a[col]]
             for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
+                f = a[r][col]
+                if r != col and f:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        out = []
-        for i in range(n):
-            for j in range(n):
-                q = a[i][n + j]
-                if q.denominator != 1:
-                    raise ValueError("matrix is not unimodular")
-                out.append(int(q))
-        return IntMatrix(n, n, tuple(out))
+        return IntMatrix(n, n, tuple(x for row in a for x in row[n:]))
+
+
+def _bareiss(a):
+    """Fraction-free row echelon form of the rows a, in place: (rank, sign of
+    the row permutation, last pivot).  Each entry below the pivots stays a
+    minor of the input, so every division is exact; on a square matrix of
+    full rank the last pivot is the determinant up to that sign."""
+    n = len(a)
+    m = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(m):
+        piv = next((i for i in range(rank, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        p, row = a[rank][c], a[rank]
+        for i in range(rank + 1, n):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
 
 def dot(u, v):
@@ -204,12 +216,13 @@ def vec_scale(c, v):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * original * V = D with U, V unimodular and D in Smith form."""
+    """U * original * V = D with U, V unimodular and D in Smith form; U_inverse = U^-1."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     original: IntMatrix
+    U_inverse: IntMatrix
 
     @functools.cached_property
     def diagonal(self):
@@ -221,9 +234,15 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _swap_rows(a, u, i, j):
+# Each row operation E on (a, u) also applies E^-1 on the right of u_inv,
+# as a column operation, so u_inv stays the inverse of u.
+
+
+def _swap_rows(a, u, u_inv, i, j):
     a[i], a[j] = a[j], a[i]
     u[i], u[j] = u[j], u[i]
+    for row in u_inv:
+        row[i], row[j] = row[j], row[i]
 
 
 def _swap_cols(a, v, i, j):
@@ -233,15 +252,19 @@ def _swap_cols(a, v, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _negate_row(a, u, i):
+def _negate_row(a, u, u_inv, i):
     a[i] = [-x for x in a[i]]
     u[i] = [-x for x in u[i]]
+    for row in u_inv:
+        row[i] = -row[i]
 
 
-def _row_op(a, u, i, j, q):
-    # row_i -= q * row_j
+def _row_op(a, u, u_inv, i, j, q):
+    # row_i -= q * row_j; its inverse is col_j += q * col_i
     a[i] = [x - q * y for x, y in zip(a[i], a[j])]
     u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    for row in u_inv:
+        row[j] += q * row[i]
 
 
 def _col_op(a, v, i, j, q):
@@ -263,6 +286,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     n, mcols = m.rows, m.cols
     a = m.row_list()
     u = IntMatrix.identity(n).row_list()
+    u_inv = IntMatrix.identity(n).row_list()
     v = IntMatrix.identity(mcols).row_list()
 
     def find_pivot(t):
@@ -279,10 +303,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         pos = find_pivot(t)
         if pos is None:
             break
-        _swap_rows(a, u, t, pos[0])
+        _swap_rows(a, u, u_inv, t, pos[0])
         _swap_cols(a, v, t, pos[1])
         if a[t][t] < 0:
-            _negate_row(a, u, t)
+            _negate_row(a, u, u_inv, t)
         while True:
             # Reduce the pivot column and row.  A nonzero remainder becomes
             # the new, strictly smaller pivot, so this terminates.
@@ -290,11 +314,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             for i in range(t + 1, n):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    _row_op(a, u, i, t, q)
+                    _row_op(a, u, u_inv, i, t, q)
                     if a[i][t] != 0:
-                        _swap_rows(a, u, t, i)
+                        _swap_rows(a, u, u_inv, t, i)
                         if a[t][t] < 0:
-                            _negate_row(a, u, t)
+                            _negate_row(a, u, u_inv, t)
                         dirty = True
             for j in range(t + 1, mcols):
                 if a[t][j] != 0:
@@ -316,7 +340,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     break
             if witness is None:
                 break
-            _row_op(a, u, t, witness, -1)
+            _row_op(a, u, u_inv, t, witness, -1)
         t += 1
 
     rank = t
@@ -326,12 +350,15 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         lead = next((x for x in u[i] if x != 0), 0)
         if lead < 0:
             u[i] = [-x for x in u[i]]
+            for row in u_inv:
+                row[i] = -row[i]
 
     U = IntMatrix.from_rows(u) if n else IntMatrix(0, 0, ())
+    U_inv = IntMatrix.from_rows(u_inv) if n else IntMatrix(0, 0, ())
     V = IntMatrix.from_rows(v) if mcols else IntMatrix(0, 0, ())
     D = IntMatrix.from_rows(a) if a else IntMatrix(0, mcols, ())
 
-    dec = SmithDecomposition(U=U, D=D, V=V, original=m)
+    dec = SmithDecomposition(U=U, D=D, V=V, original=m, U_inverse=U_inv)
     _check_smith(dec)
     return dec
 
@@ -339,6 +366,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def _check_smith(dec: SmithDecomposition):
     if not dec.U.is_unimodular() or not dec.V.is_unimodular():
         raise InvariantViolation("Smith transform matrices must be unimodular")
+    if dec.U.mul(dec.U_inverse) != IntMatrix.identity(dec.U.rows):
+        raise InvariantViolation("U * U_inverse != I")
     if dec.U.mul(dec.original).mul(dec.V) != dec.D:
         raise InvariantViolation("U * A * V != D")
     diag = dec.diagonal
@@ -409,7 +438,6 @@ class QuotientPresentation:
     relations: IntMatrix
     smith: SmithDecomposition
     quotient: FgAbelianGroup
-    u_inverse: IntMatrix
 
     @functools.cached_property
     def torsion_slots(self):
@@ -426,7 +454,7 @@ class QuotientPresentation:
     def unit_lifts(self):
         """`lift` of each unit class, free slots first and then torsion slots."""
         slots = self.free_slots + tuple(i for i, _d in self.torsion_slots)
-        return tuple(self.u_inverse.column(i) for i in slots)
+        return tuple(self.smith.U_inverse.column(i) for i in slots)
 
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
@@ -450,7 +478,7 @@ class QuotientPresentation:
             w[i] = int(x)
         for x, (i, _d) in zip(torsion, self.torsion_slots):
             w[i] = int(x)
-        return self.u_inverse.apply(w)
+        return self.smith.U_inverse.apply(w)
 
     def zero_class(self):
         return ((0,) * len(self.free_slots), (0,) * len(self.torsion_slots))
@@ -484,13 +512,11 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentat
     factors = tuple(d for d in dec.diagonal if d > 1)
     free_rank = ambient_rank - dec.rank
     q = FgAbelianGroup(free_rank=free_rank, invariant_factors=factors)
-    u_inv = dec.U.inverse_unimodular() if ambient_rank else IntMatrix(0, 0, ())
     return QuotientPresentation(
         ambient_rank=ambient_rank,
         relations=relations,
         smith=dec,
         quotient=q,
-        u_inverse=u_inv,
     )
 
 

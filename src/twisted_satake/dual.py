@@ -11,7 +11,11 @@ data, the folded root datum produced by the standard recipe (orthogonal
 orbit: common root class with the summed coroots; adjacent pair: root class
 with the doubled summed coroots).  Registry membership is decided from the
 datum's structure alone.  On the request path the folded datum is checked
-only by |W(folded)| = |W0|; the brute-force fixed-Weyl-subgroup oracle
+by comparing generators, with no group enumerated: the descended matrix of
+each W0 generator on X^*(s)_I must equal the folded simple reflection there.
+W^I acts faithfully on X_I tensor Q, because 2rho^vee of the dual is I-fixed
+and regular, so equal generators give |W(folded)| = |W0| (`_check_fold`
+carries the proof).  The brute-force fixed-Weyl-subgroup oracle
 (`weyl.fixed_weyl_subgroup`) runs in `verify <datum> weyl-oracle` and the
 tests.
 """
@@ -30,8 +34,8 @@ from .galois import (
     one_minus_gamma_columns,
     relative_simple_roots,
 )
-from .rootdatum import BasedRootDatum, InvalidDatumError, require_valid, validate
-from .weyl import enumerate_absolute_weyl, relative_weyl
+from .rootdatum import BasedRootDatum, InvalidDatumError, _validity_report, require_valid
+from .weyl import _descended, relative_weyl, simple_reflection
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _fold_recipe(s: TwistedRootDatum):
         # Express the invariant functional <kappa, -> in free coordinates.
         folded_coroots.append(tuple(dot(kappa, v) for v in chars.presentation.unit_lifts))
     folded = BasedRootDatum.make(r, folded_roots, folded_coroots, name=f"({s.name})^I" if s.name else "")
-    report = validate(folded)
+    report = _validity_report(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
     return FoldedCartan(
@@ -190,6 +194,32 @@ def _fold_recipe(s: TwistedRootDatum):
         simple_roots=tuple(folded_roots),
         simple_coroots=tuple(folded_coroots),
     )
+
+
+def _check_fold(weyl, folded: FoldedCartan):
+    """Each W0 generator, descended to class coordinates of X^*(s)_I, must
+    equal the folded simple reflection of its orbit there: the transpose of
+    `simple_reflection(folded.datum, O)`, which acts on the cocharacter copy.
+
+    This implies |W(folded)| = |W0| with no enumeration.  Equal generators
+    make descended W0 and W(folded) one subgroup of GL(X^*(s)_I), up to the
+    transpose, which keeps orders.  W0 lies in W^I, the I-commuting part of
+    the dual's Weyl group: its generators are products of simple reflections
+    and commute with I (`relative_weyl` checks both).  W^I acts faithfully
+    on X_I tensor Q = (X tensor Q)^I: an element acting trivially fixes the
+    I-fixed vector 2rho^vee of the dual, which pairs to 2 with every simple
+    root and so is regular, and only 1 fixes a regular vector.  So descent
+    is injective on W0, and |W0| = |descended W0| = |W(folded)|.  The check
+    is strictly stronger than comparing orders: it also fails when the
+    folded simple roots or the W0 generators are permuted.
+    """
+    if len(weyl.generators) != folded.datum.num_simple:
+        raise InvariantViolation(
+            f"{folded.datum.num_simple} folded simple roots for {len(weyl.generators)} W0 generators"
+        )
+    for o, w in enumerate(weyl.generators):
+        if _descended(weyl.datum, w.matrix) != simple_reflection(folded.datum, o).matrix.transpose():
+            raise InvariantViolation(f"descended W0 generator {o} is not folded reflection {o}")
 
 
 def _registry_known(s: TwistedRootDatum) -> bool:
@@ -252,9 +282,9 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
 
     The torus is X^*(s)_I; the Weyl group is the descended relative group.
     Folded Cartan data appear only for split actions and data equal to a
-    registry preset or its dual, where |W(folded)| must equal |W0|; unknown
-    foldings yield an absent folded_cartan, never a guess.  The result
-    depends on s and the profile alone.
+    registry preset or its dual, where they must pass `_check_fold`;
+    unknown foldings yield an absent folded_cartan, never a guess.  The
+    result depends on s and the profile alone.
     """
     dual = dual_twisted(s)
     torus = coinvariants(dual)
@@ -272,11 +302,7 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     if orbits_ok and (not s.generators or _registry_known(s)):
         folded = _fold_recipe(s)
         if folded is not None:
-            folded_order = len(enumerate_absolute_weyl(folded.datum))
-            if weyl.order != folded_order:
-                raise InvariantViolation(
-                    f"folded Weyl order {folded_order} disagrees with |W0| = {weyl.order}"
-                )
+            _check_fold(weyl, folded)
     if folded is not None and not profile.is_char0 and profile.ell == 2 and adjacent:
         # The fixed group fails smoothness here; its special fiber is the
         # quasi-reductive mechanism, so no reductive root datum is published.

@@ -119,7 +119,9 @@ class TwistedRootDatum:
         return self.base.rank
 
 
+@functools.lru_cache(maxsize=None)
 def validate_twisted(t: TwistedRootDatum):
+    """Raise unless t is valid; a datum that passes is not checked again."""
     require_valid(t.base)
     for g in t.generators:
         check_pinned(t.base, g)

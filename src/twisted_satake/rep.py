@@ -28,7 +28,6 @@ from .abelian import DimensionMismatch, InvariantViolation, dot, vec_add, vec_sc
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
 from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
-from .coweights import project_dominant
 from .weyl import dominant_walk
 
 
@@ -375,7 +374,11 @@ def _verify_branch(s, lam, result, restricted, folded):
             rebuilt[k] = rebuilt.get(k, 0) + m * mult
     if rebuilt != restricted.as_dict():
         raise ResidualError("branch summands do not reconstruct the restriction")
-    top = project_dominant(dual_twisted(s), lam).cls
+    # The folded coroot kappa_O is m_O times the I-invariant sum of O's
+    # coroots, so this is the dominance test of coweights.is_dominant_class.
+    top = coinvariants(dual_twisted(s)).class_of(lam)
+    if not is_dominant_character(folded, top[0]):
+        raise InvariantViolation("projection of a dominant coweight must be dominant")
     if result.as_dict().get(top, 0) < 1:
         raise InvariantViolation("projected highest class missing from the branch")
 

@@ -25,8 +25,6 @@ from .abelian import (
     rational_solve,
     smith_normal_form,
     vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 ROOT_CLOSURE_CAP = 5000
@@ -97,19 +95,9 @@ def validate(d: BasedRootDatum) -> ValidityReport:
     if not shapes_ok:
         return ValidityReport(tuple(checks))
 
-    if d.num_simple:
-        try:
-            rational_solve(d.simple_roots, (0,) * d.rank)
-            roots_indep = True
-        except Exception:
-            roots_indep = False
-        try:
-            rational_solve(d.simple_coroots, (0,) * d.rank)
-            coroots_indep = True
-        except Exception:
-            coroots_indep = False
-    else:
-        roots_indep = coroots_indep = True
+    k = d.num_simple
+    roots_indep = IntMatrix.from_rows(d.simple_roots).rank() == k
+    coroots_indep = IntMatrix.from_rows(d.simple_coroots).rank() == k
     checks.append(("independence", roots_indep and coroots_indep,
                    "simple roots and coroots must be linearly independent over Q"))
 
@@ -174,7 +162,10 @@ def _reflection_closure(d: BasedRootDatum):
             for i, (alpha, alpha_v) in enumerate(zip(d.simple_roots, d.simple_coroots)):
                 n = dot(alpha_v, beta)
                 m = dot(beta_v, alpha)
-                img = (vec_sub(beta, vec_scale(n, alpha)), vec_sub(beta_v, vec_scale(m, alpha_v)))
+                if n == m == 0:
+                    continue  # s_i fixes the pair
+                img = (tuple([b - n * a for b, a in zip(beta, alpha)]),
+                       tuple([b - m * a for b, a in zip(beta_v, alpha_v)]))
                 if img not in pairs:
                     img_coords = coords[:i] + (coords[i] - n,) + coords[i + 1:]
                     pairs[img] = img_coords

@@ -16,6 +16,10 @@ reduced by their invariant factors.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
 Reflection Groups and Coxeter Groups, 1.6-1.8); W0's `elements` are built when first read.
+The folded datum is certified from W0's generators alone: `dual._check_fold`
+compares each, descended by `_descended`, with a folded simple reflection;
+descent is faithful on W^I (2rho^vee of the dual is I-fixed and regular), so
+|W0| = |W(folded)| without enumerating either group.
 
 The Iwahori-Weyl group is the semidirect product of the descended finite
 group with the coinvariant translations, with multiplication

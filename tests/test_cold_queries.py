@@ -1,0 +1,148 @@
+"""Cold `branch` and `tensor` queries, each in a fresh interpreter.
+
+The guard tests answer each query with `fractions.Fraction.__new__`
+counting, and then with `weyl._closure` refusing any closure of more than 8
+elements (the largest parabolic, Spin8-triality's orthogonal triple) while
+`enumerate_absolute_weyl` and `RelativeWeylGroup.elements` raise: a cold
+query builds no Fraction and enumerates neither W0 nor W(folded).
+
+The order test runs describe/branch/tensor queries in one interpreter,
+forward and reversed, and requires each to print what it prints alone:
+per-datum caches (validation among them) must not leak one query's state
+into another's answer.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import twisted_satake
+from twisted_satake.cli import main
+from twisted_satake.presets import preset
+
+GUARDED = [
+    ["branch", "SU3", "--weight", "1,1"],
+    ["branch", "SU4", "--weight", "1,0,1"],
+    ["branch", "SU5", "--weight", "1,0,0,1", "--format", "json"],
+    ["branch", "SL2xSL2-swap", "--weight", "1,2"],
+    ["branch", "Spin8-triality", "--weight", "1,0,1,0"],
+    ["tensor", "SU3", "1", "2"],
+    ["tensor", "SU4", "1,0", "0,1"],
+    ["tensor", "SU5", "1,0", "0,1", "--format", "json"],
+    ["tensor", "SL2xSL2-swap", "1", "2"],
+    ["tensor", "Spin8-triality", "1,0", "0,1"],
+    ["branch", "SU11", "--weight", "1,0,0,0,0,0,0,0,0,0"],
+    ["tensor", "SU3", "1", "2", "--coeff", "Fl:2", "--format", "json"],
+]
+
+_RUN = """
+import contextlib, hashlib, io, json, sys
+from twisted_satake.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps([out, COUNT()]))
+"""
+
+COUNT_FRACTIONS = """
+import fractions
+made = [0]
+real_new = fractions.Fraction.__new__
+def counting_new(cls, *args, **kwargs):
+    made[0] += 1
+    return real_new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counting_new
+COUNT = lambda: made[0]
+"""
+
+REFUSE_ENUMERATION = """
+import sys
+import twisted_satake.cli
+from twisted_satake import weyl
+real_closure = weyl._closure
+def small_closure(*args, **kwargs):
+    elements = real_closure(*args, **kwargs)
+    if len(elements) > 8:
+        raise AssertionError(f"a closure of {len(elements)} elements was built")
+    return elements
+def refuse(*args, **kwargs):
+    raise AssertionError("a Weyl group was enumerated")
+weyl._closure = small_closure
+for name, module in list(sys.modules.items()):
+    if name.startswith("twisted_satake") and hasattr(module, "enumerate_absolute_weyl"):
+        module.enumerate_absolute_weyl = refuse
+weyl.RelativeWeylGroup.elements = property(refuse)
+COUNT = lambda: 0
+"""
+
+
+def run_fresh(prelude, queries):
+    """([code, stdout] per query, counter) from one fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", prelude + _RUN, json.dumps(queries)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def answer(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(list(argv))
+    return [code, buf.getvalue()]
+
+
+@pytest.mark.parametrize("argv", GUARDED, ids=" ".join)
+def test_cold_query_builds_no_fraction(argv):
+    results, made = run_fresh(COUNT_FRACTIONS, [argv])
+    assert results == [answer(argv)]
+    assert made == 0
+
+
+@pytest.mark.parametrize("argv", GUARDED, ids=" ".join)
+def test_cold_query_enumerates_no_weyl_group(argv):
+    results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
+    assert results == [answer(argv)]
+    assert results[0][0] == 0
+
+
+def _su3_file(tmp_path):
+    t = preset("SU3")
+    doc = {
+        "name": "my-unitary-3",
+        "base": {
+            "rank": t.rank,
+            "simple_roots": [list(r) for r in t.base.simple_roots],
+            "simple_coroots": [list(c) for c in t.base.simple_coroots],
+        },
+        "generators": [
+            {"lattice_map": g.lattice_map.row_list(), "root_permutation": list(g.root_permutation)}
+            for g in t.generators
+        ],
+    }
+    path = tmp_path / "su3-copy.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_answers_do_not_depend_on_query_order(tmp_path):
+    path = _su3_file(tmp_path)
+    queries = [argv for argv in GUARDED if "--coeff" not in argv and argv[1] != "SU11"]
+    queries += [["describe", name] for name in ("SU3", "SU4", "SU5", "SL2xSL2-swap",
+                                                "Spin8-triality", "SL2", "PGL2")]
+    queries += [["describe", "--file", path], ["branch", "--file", path, "--weight", "1,1"],
+                ["tensor", "--file", path, "1", "2", "--format", "json"]]
+    alone = [run_fresh("COUNT = lambda: 0\n", [argv])[0][0] for argv in queries]
+    forward, _ = run_fresh("COUNT = lambda: 0\n", queries)
+    backward, _ = run_fresh("COUNT = lambda: 0\n", queries[::-1])
+    assert forward == alone
+    assert backward[::-1] == alone
+    assert all(code == 0 for code, _out in alone)
