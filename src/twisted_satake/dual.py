@@ -42,6 +42,9 @@ from .weyl import _descended, relative_weyl, simple_reflection
 # Coefficient profiles
 
 
+ELL_CAP = 2**64   # _is_prime is exact below it
+
+
 @dataclass(frozen=True)
 class CoefficientProfile:
     kind: str          # "char0" | "Z_ell" | "F_ell"
@@ -54,6 +57,8 @@ class CoefficientProfile:
             if self.ell is not None:
                 raise ValueError("char0 takes no prime")
         else:
+            if self.ell is not None and self.ell >= ELL_CAP:
+                raise ValueError(f"profile needs a prime ell below 2^64, got {self.ell}")
             if self.ell is None or self.ell < 2 or not _is_prime(self.ell):
                 raise ValueError("profile needs a prime ell")
 
@@ -72,13 +77,17 @@ CHAR0 = CoefficientProfile("char0")
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    """Miller-Rabin on the prime bases 2..37: deterministic, and exact below
+    2^64 (Jaeschke, "On strong pseudoprimes to several bases", Math. Comp.
+    61, 1993).  n - 1 = d * 2^s with d odd."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in witnesses):
+        return n in witnesses
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in witnesses:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        p += 1
     return True
 
 

@@ -12,8 +12,10 @@ exactly in integers, so a dominant weight missed by the walk cannot pass
 silently.  For a twisted datum s
 regarded as the group being restricted, the restriction to the fixed
 subgroup pushes the character along the class map of X^*(s)_I, and the
-char-0 decomposition extracts folded irreducibles by repeated
-highest-weight subtraction under the dominance order.  Positive
+char-0 decomposition straightens each weight of the restriction under the
+dot action of the folded Weyl group (the Brauer-Klimyk rule), one chamber
+walk per weight; a tensor product straightens one character shifted by the
+other highest weight.  Positive
 characteristic profiles return the restriction multiset but refuse
 irreducible decomposition: that side of the theory is not semisimple, and a
 silently truncated answer would be a defect, not a result.
@@ -45,8 +47,8 @@ class UnsupportedDecompositionError(RuntimeError):
 
 
 class ResidualError(InvariantViolation):
-    """Highest-weight extraction did not terminate cleanly: invalid folded
-    data, never a recoverable state."""
+    """A decomposition with a negative multiplicity, or one that does not
+    rebuild its input: invalid folded data, never a recoverable state."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ class _FreudenthalData:
     positive: tuple   # (alpha, q_alpha, Q(alpha, alpha)) per positive root
     coroots: tuple    # the positive coroots
     two_rho: tuple
-    height: tuple     # sum of the positive coroots: the height functional
 
     def norm(self, x):
         return sum(dot(c, x) ** 2 for c in self.coroots)
@@ -133,12 +134,8 @@ def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
         for c in coroots:
             q = vec_add(q, vec_scale(dot(c, alpha), c))
         positive.append((alpha, q, dot(q, alpha)))
-    height = (0,) * d.rank
-    for c in coroots:
-        height = vec_add(height, c)
     return _FreudenthalData(
-        positive=tuple(positive), coroots=coroots,
-        two_rho=rho_data(d).two_rho, height=height,
+        positive=tuple(positive), coroots=coroots, two_rho=rho_data(d).two_rho,
     )
 
 
@@ -315,28 +312,31 @@ def _class_to_vector(cls):
     return free
 
 
-def _extract_irreducibles(folded: BasedRootDatum, mapping):
-    """Greedy highest-weight extraction: subtract the irreducible character
-    at a maximal-height dominant weight until nothing remains."""
-    remaining = dict(mapping)
-    height = _freudenthal_data(folded).height
-    summands = {}
-    while remaining:
-        top = max(remaining, key=lambda v: (dot(height, v), v))
-        m = remaining[top]
-        if m < 0 or not is_dominant_character(folded, top):
-            raise ResidualError(f"extraction stuck at {top} with multiplicity {m}")
-        char = irreducible_character(folded, top)
-        for key, mult in char.entries:
-            new = remaining.get(key, 0) - m * mult
-            if new < 0:
-                raise ResidualError(f"negative multiplicity at {key}")
-            if new:
-                remaining[key] = new
-            else:
-                remaining.pop(key, None)
-        summands[top] = summands.get(top, 0) + m
-    return summands
+def _straighten(folded: BasedRootDatum, mapping, shift):
+    """The folded irreducibles in chi (x) V(shift), as sorted summands, for chi
+    the W-invariant character {nu: mapping[nu]}: the Brauer-Klimyk rule.
+
+    With A_x the alternating sum of e^{wx} over W, chi * A_{b+rho} is the sum
+    of chi(nu) * A_{nu+b+rho} over the weights nu of chi.  A_{nu+b+rho} is 0
+    when nu+b+rho lies on a wall, and eps(w) * A_{w(nu+b+rho)} otherwise, so
+    dividing by A_rho gives c[w(nu+b+rho) - rho] += eps(w) * chi(nu).  The
+    walk runs on 2nu + 2b + 2rho, in integers; eps(w) is its word's parity."""
+    data = _freudenthal_data(folded)
+    simple = tuple(zip(folded.simple_coroots, folded.simple_roots))
+    start = vec_add(data.two_rho, vec_scale(2, shift))
+    c = {}
+    for nu, m in mapping.items():
+        x, word = dominant_walk(vec_add(vec_scale(2, nu), start), simple, len(data.coroots))
+        if any(dot(coroot, x) == 0 for coroot, _root in simple):
+            continue
+        doubled = vec_sub(x, data.two_rho)
+        if any(v % 2 for v in doubled):
+            raise InvariantViolation(f"w(nu + rho) - rho is not integral at {nu}")
+        mu = tuple(v // 2 for v in doubled)
+        c[mu] = c.get(mu, 0) + (-m if len(word) % 2 else m)
+    if any(m < 0 for m in c.values()):
+        raise ResidualError("straightening left a negative multiplicity")
+    return tuple(sorted(((mu, ()), m) for mu, m in c.items() if m))
 
 
 def branch_to_fixed_group(
@@ -355,9 +355,8 @@ def branch_to_fixed_group(
     desc = _folded_context(s, profile, restriction=restricted)
     folded = desc.folded_cartan.datum
     mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
-    summands = _extract_irreducibles(folded, mapping)
     result = DecompositionResult(
-        summands=tuple(sorted(((vec, ()), m) for vec, m in summands.items())),
+        summands=_straighten(folded, mapping, (0,) * folded.rank),
         residual=WeightMultiset.make("coinvariant", {}),
         restriction=restricted,
     )
@@ -386,30 +385,24 @@ def _verify_branch(s, lam, result, restricted, folded):
 def decompose_tensor(
     s: TwistedRootDatum, lam_cls, mu_cls, profile: CoefficientProfile = CHAR0
 ) -> DecompositionResult:
-    """Product of two folded irreducible characters, decomposed again; the
-    unit object tensors trivially and dimensions multiply."""
+    """V(lam) (x) V(mu) on the folded datum, by the Brauer-Klimyk rule: the
+    character of the smaller factor, shifted by the other highest weight and
+    straightened.  The unit object tensors trivially and dimensions multiply."""
     desc = _folded_context(s, profile, classes=(lam_cls, mu_cls))
     folded = desc.folded_cartan.datum
     a = _class_to_vector(lam_cls)
     b = _class_to_vector(mu_cls)
-    char_a = irreducible_character(folded, a)
-    char_b = irreducible_character(folded, b)
-    product = {}
-    for ka, ma in char_a.entries:
-        for kb, mb in char_b.entries:
-            key = tuple(x + y for x, y in zip(ka, kb))
-            product[key] = product.get(key, 0) + ma * mb
-    summands = _extract_irreducibles(folded, product)
+    for v in (a, b):
+        if not is_dominant_character(folded, v):
+            raise NonDominantWeightError(f"{v} is not dominant")
+    dim = _freudenthal_data(folded).weyl_dimension
+    if dim(a) > dim(b):
+        a, b = b, a
     result = DecompositionResult(
-        summands=tuple(sorted(((vec, ()), m) for vec, m in summands.items())),
+        summands=_straighten(folded, irreducible_character(folded, a).as_dict(), b),
         residual=WeightMultiset.make("coinvariant", {}),
     )
-    dims = total_dimension(char_a) * total_dimension(char_b)
-    rebuilt = sum(
-        m * total_dimension(irreducible_character(folded, cls[0]))
-        for cls, m in result.summands
-    )
-    if dims != rebuilt:
+    if dim(a) * dim(b) != sum(m * dim(cls[0]) for cls, m in result.summands):
         raise ResidualError("tensor dimensions do not multiply")
     return result
 

@@ -81,9 +81,6 @@ class SchubertPoset:
     def labels(self):
         return tuple(s.label for s in self.strata)
 
-    def below(self, label):
-        return tuple(lo for lo, up, _c in self.relations if up == label) + (label,)
-
     def covering_relations(self):
         """Hasse edges: lower < upper with nothing strictly between, sorted.
 

@@ -162,11 +162,10 @@ class RelativeWeylGroup:
 
     datum: TwistedRootDatum
     generators: tuple   # WeylElement per orbit
-    bound: int          # the most elements `elements` may enumerate
 
     @functools.cached_property
     def elements(self):
-        return _closure(self.datum.rank, list(enumerate(self.generators)), self.bound,
+        return _closure(self.datum.rank, list(enumerate(self.generators)), WEYL_BOUND_DEFAULT,
                         "relative Weyl group exceeds bound")
 
     @property
@@ -216,7 +215,7 @@ def _descend(t: TwistedRootDatum, m: IntMatrix, cls):
 
 
 @functools.lru_cache(maxsize=None)
-def relative_weyl(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT) -> RelativeWeylGroup:
+def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
     """W0, generated by the longest parabolic elements of the orbits."""
     rel = relative_simple_roots(t)
     gens = []
@@ -229,7 +228,7 @@ def relative_weyl(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT) -> Relat
                     "orbit reflection does not commute with the inertia action"
                 )
         gens.append(WeylElement(matrix=w.matrix, word=(rel.simple_orbit_list.index(orbit),)))
-    return RelativeWeylGroup(datum=t, generators=tuple(gens), bound=bound)
+    return RelativeWeylGroup(datum=t, generators=tuple(gens))
 
 
 # ---------------------------------------------------------------------------

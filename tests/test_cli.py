@@ -151,6 +151,20 @@ class TestBranchTensor:
         code, _out, err = run(capsys, "branch", "SU3", "--weight", "1,0", "--coeff", "Fl:4")
         assert code == EXIT_INPUT
 
+    def test_large_prime_answers(self, capsys):
+        code, out, _err = run(capsys, "branch", "SU3", "--weight", "1,0",
+                              "--coeff", "Fl:1000000000000000003")
+        assert code == EXIT_OK
+        assert out.startswith("unsupported decomposition: profile Fl:1000000000000000003 ")
+
+    @pytest.mark.parametrize("ell,message", [
+        ("1000000000000000001", "input error: profile needs a prime ell\n"),
+        (str(2**64 + 13), f"input error: profile needs a prime ell below 2^64, got {2**64 + 13}\n"),
+    ])
+    def test_large_ell_refused(self, capsys, ell, message):
+        code, out, err = run(capsys, "branch", "SU3", "--weight", "1,0", "--coeff", "Fl:" + ell)
+        assert (code, out, err) == (EXIT_INPUT, "", message)
+
     @pytest.mark.parametrize("argv", [
         ["tensor", "SL2", "1;1", "1"],
         ["tensor", "SU3", "1;0", "1"],

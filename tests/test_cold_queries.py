@@ -4,7 +4,9 @@ The guard tests answer each query with `fractions.Fraction.__new__`
 counting, and then with `weyl._closure` refusing any closure of more than 8
 elements (the largest parabolic, Spin8-triality's orthogonal triple) while
 `enumerate_absolute_weyl` and `RelativeWeylGroup.elements` raise: a cold
-query builds no Fraction and enumerates neither W0 nor W(folded).
+query builds no Fraction and enumerates neither W0 nor W(folded).  A cold
+char-0 `tensor` computes exactly one folded character (one cache miss of
+`rep.irreducible_character`), and a refused modular one computes none.
 
 The order test runs describe/branch/tensor queries in one interpreter,
 forward and reversed, and requires each to print what it prints alone:
@@ -82,6 +84,11 @@ weyl.RelativeWeylGroup.elements = property(refuse)
 COUNT = lambda: 0
 """
 
+COUNT_CHARACTERS = """
+from twisted_satake import rep
+COUNT = lambda: rep.irreducible_character.cache_info().misses
+"""
+
 
 def run_fresh(prelude, queries):
     """([code, stdout] per query, counter) from one fresh interpreter."""
@@ -112,6 +119,13 @@ def test_cold_query_enumerates_no_weyl_group(argv):
     results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
     assert results == [answer(argv)]
     assert results[0][0] == 0
+
+
+@pytest.mark.parametrize("argv", [argv for argv in GUARDED if argv[0] == "tensor"], ids=" ".join)
+def test_cold_tensor_computes_one_character(argv):
+    results, misses = run_fresh(COUNT_CHARACTERS, [argv])
+    assert results == [answer(argv)]
+    assert misses == (0 if "--coeff" in argv else 1)
 
 
 def _su3_file(tmp_path):

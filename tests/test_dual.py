@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -12,6 +13,9 @@ from twisted_satake.abelian import FgAbelianGroup, IntMatrix
 from twisted_satake import presets
 from twisted_satake.dual import (
     CHAR0,
+    ELL_CAP,
+    CoefficientProfile,
+    _is_prime,
     _registry_known,
     adjoint_quotient,
     classify_rank_one,
@@ -28,6 +32,41 @@ from twisted_satake.galois import (
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
 from twisted_satake.weyl import enumerate_absolute_weyl, fixed_weyl_subgroup
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimeProfiles:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 10**5) if _is_prime(n)] == \
+            [n for n in range(-3, 10**5) if _trial_division(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first k prime bases, k = 1..11,
+        # and two Carmichael numbers
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 561, 41041):
+            assert not _is_prime(n), n
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        profile = parse_profile("Fl:1000000000000000003")
+        assert time.perf_counter() - start < 1
+        assert profile.ell == 10**18 + 3 and str(profile) == "Fl:1000000000000000003"
+        assert parse_profile(f"Zl:{2**64 - 59}").ell == 2**64 - 59
+
+    def test_large_composite_refused(self):
+        with pytest.raises(ValueError, match="profile needs a prime ell$"):
+            parse_profile("Fl:1000000000000000001")
+
+    @pytest.mark.parametrize("ell", [ELL_CAP, ELL_CAP + 13, 318665857834031151167461])
+    def test_ell_at_or_above_the_cap_refused(self, ell):
+        # the last is a strong pseudoprime to every base 2..37
+        assert ELL_CAP == 2**64
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            CoefficientProfile("F_ell", ell)
 
 
 class TestDualTwisted:
