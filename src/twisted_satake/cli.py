@@ -40,7 +40,7 @@ from .rep import (
     total_dimension,
 )
 from .rootdatum import BasedRootDatum, InvalidDatumError, full_root_system
-from .presets import UnknownPresetError, preset
+from .presets import UnknownPresetError, get_preset
 from .satake import (
     NonDominantError,
     closure_poset,
@@ -95,7 +95,9 @@ def parse_vector(text: str):
         raise InputError(f"cannot parse vector {text!r}: {e}") from None
 
 
-def load_datum_file(path: str) -> TwistedRootDatum:
+def load_datum_file(path: str):
+    """(display name, datum) from a JSON datum file; the name is the
+    file's "name" field, or empty."""
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -105,46 +107,68 @@ def load_datum_file(path: str) -> TwistedRootDatum:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return datum_from_dict(data, where=path)
+    datum = datum_from_dict(data, where=path)
+    return str(data.get("name", "")), datum
+
+
+def _integers(value, field, where, depth):
+    """A JSON integer (depth 0) or a list of depth - 1 values, checked entry
+    by entry; anything else is an input error naming the field."""
+    if depth == 0:
+        if type(value) is not int:  # JSON true and false load as bool, an int subclass
+            raise InputError(f"{where}: field '{field}' must be an integer, got {json.dumps(value)}")
+        return value
+    if not isinstance(value, list):
+        raise InputError(f"{where}: field '{field}' must be a list")
+    return [_integers(x, f"{field}[{i}]", where, depth - 1) for i, x in enumerate(value)]
+
+
+def _object(value, field, where, keys):
+    """A JSON object holding every one of keys."""
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: field '{field}' must be an object")
+    for key in keys:
+        if key not in value:
+            raise InputError(f"{where}: missing field '{field}.{key}'")
+    return value
 
 
 def datum_from_dict(data, where="input") -> TwistedRootDatum:
     if not isinstance(data, dict) or "base" not in data:
         raise InputError(f"{where}: missing field 'base'")
-    base = data["base"]
-    for key in ("rank", "simple_roots", "simple_coroots"):
-        if key not in base:
-            raise InputError(f"{where}: missing field 'base.{key}'")
-    try:
-        datum = BasedRootDatum.make(
-            int(base["rank"]), base["simple_roots"], base["simple_coroots"],
-            name=str(data.get("name", "")),
-        )
-    except (TypeError, ValueError, DimensionMismatch) as e:
-        raise InputError(f"{where}: bad base datum: {e}") from None
+    base = _object(data["base"], "base", where, ("rank", "simple_roots", "simple_coroots"))
+    datum = BasedRootDatum.make(
+        _integers(base["rank"], "base.rank", where, 0),
+        _integers(base["simple_roots"], "base.simple_roots", where, 2),
+        _integers(base["simple_coroots"], "base.simple_coroots", where, 2),
+    )
+    generators = data.get("generators", [])
+    if not isinstance(generators, list):
+        raise InputError(f"{where}: field 'generators' must be a list")
     gens = []
-    for idx, g in enumerate(data.get("generators", [])):
-        for key in ("lattice_map", "root_permutation"):
-            if key not in g:
-                raise InputError(f"{where}: missing field 'generators[{idx}].{key}'")
+    for idx, g in enumerate(generators):
+        field = f"generators[{idx}]"
+        g = _object(g, field, where, ("lattice_map", "root_permutation"))
+        lattice_map = _integers(g["lattice_map"], f"{field}.lattice_map", where, 2)
+        root_permutation = _integers(g["root_permutation"], f"{field}.root_permutation", where, 1)
         try:
-            gens.append(
-                DiagramAutomorphism.make(g["lattice_map"], g["root_permutation"])
-            )
-        except (TypeError, ValueError, DimensionMismatch, InvariantViolation) as e:
+            gens.append(DiagramAutomorphism.make(lattice_map, root_permutation))
+        except (ValueError, InvariantViolation) as e:
             raise InputError(f"{where}: bad generator {idx}: {e}") from None
-    return TwistedRootDatum.make(datum, tuple(gens), name=str(data.get("name", "")))
+    return TwistedRootDatum.make(datum, tuple(gens))
 
 
-def _resolve_datum(args) -> TwistedRootDatum:
+def _resolve_datum(args):
+    """(display name, datum): a preset's registry name, or a file's "name"."""
     if getattr(args, "file", None):
         return load_datum_file(args.file)
     if not args.preset:
         raise InputError("pass a preset name or --file PATH")
     try:
-        return preset(args.preset)
+        entry = get_preset(args.preset)
     except UnknownPresetError as e:
         raise InputError(f"unknown preset {e}") from None
+    return entry.name, entry.twisted
 
 
 def _arg(name, **spec):
@@ -284,7 +308,7 @@ def cmd_describe(args, t):
     desc = fixed_group_descriptor(t, parse_profile(args.coeff))
     system = full_root_system(t.base)
     payload = {
-        "name": t.name or "(anonymous)",
+        "name": args.display_name or "(anonymous)",
         "rank": t.rank,
         "absolute_roots": len(system.roots),
         "inertia_order": group_order(t),
@@ -334,16 +358,12 @@ def cmd_schubert(args, t):
     if args.format == "dot":
         print(poset_to_dot(poset))
         return EXIT_OK
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "schubert",
-            "result": poset_document(poset),
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return EXIT_OK
-    for s in poset.strata:
-        print(f"stratum {format_class(s.label):12s} dim {s.dim:4d} component {format_class(s.component)}")
+    lines = [
+        f"stratum {format_class(s.label):12s} dim {s.dim:4d} component {format_class(s.component)}"
+        for s in poset.strata
+    ]
+    # the covering relations are computed for the JSON document only
+    _emit(args, {"result": poset_document(poset)} if args.format == "json" else {}, lines)
     return EXIT_OK
 
 
@@ -505,7 +525,7 @@ def main(argv=None) -> int:
         if getattr(args, "coord_bound", None) is not None and args.coord_bound <= 0:
             raise InputError("--coord-bound must be positive")
         try:
-            t = _resolve_datum(args)
+            args.display_name, t = _resolve_datum(args)
         except (InputError, InvalidDatumError, InvariantViolation) as e:
             # verify reports datum violations as failing checks, not input errors
             if args.command == "verify" and not isinstance(e, InputError):

@@ -27,7 +27,6 @@ from .abelian import (
 )
 from .galois import (
     TwistedRootDatum,
-    average_map,
     coinvariants,
     group_order,
     group_sum,
@@ -38,7 +37,6 @@ from .rootdatum import (
     _dominant_cone,
     _walk_cone,
     dominant_coweights_up_to_height,
-    dot_frac,
     full_root_system,
     pairing_with_roots_matrix,
     rho_data,
@@ -116,6 +114,11 @@ class _Substrate:
             raise DimensionMismatch("class does not match this presentation")
         return tuple(free) + tuple(torsion)
 
+    def scaled_pairing(self, cls, chi):
+        """|I| <average of cls, chi>, an integer: torsion classes average to zero."""
+        free = self.coordinates(cls)[: len(self.free_sums)]
+        return dot(free, [dot(v, chi) for v in self.free_sums])
+
     def order_coordinates(self, cls):
         """(order key, L-scaled orbit coordinates) of a class."""
         x = self.coordinates(cls)
@@ -175,11 +178,6 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
             for orbit, kind, (free, torsion) in zip(rel.simple_orbit_list, rel.orbit_type, orbit_classes)
         ),
     )
-
-
-def pair_with_character(t: TwistedRootDatum, cls, chi) -> Fraction:
-    """<average lift of cls, chi>, exact."""
-    return dot_frac(average_map(t, cls), chi)
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:

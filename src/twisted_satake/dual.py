@@ -34,7 +34,7 @@ from .galois import (
     one_minus_gamma_columns,
     relative_simple_roots,
 )
-from .rootdatum import BasedRootDatum, InvalidDatumError, _validity_report, require_valid
+from .rootdatum import BasedRootDatum, InvalidDatumError, _validity_report, dualize, require_valid
 from .weyl import _descended, relative_weyl, simple_reflection
 
 
@@ -107,13 +107,7 @@ def parse_profile(text: str) -> CoefficientProfile:
 @functools.lru_cache(maxsize=None)
 def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
     """Dualize the base and transport each generator contragrediently."""
-    require_valid(t.base)
-    dual_base = BasedRootDatum(
-        rank=t.base.rank,
-        simple_roots=t.base.simple_coroots,
-        simple_coroots=t.base.simple_roots,
-        name=(t.base.name + "-dual") if t.base.name else "",
-    )
+    base = dualize(t.base)
     gens = tuple(
         DiagramAutomorphism(
             lattice_map=g.lattice_map.inverse_unimodular().transpose(),
@@ -122,7 +116,7 @@ def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
         )
         for g in t.generators
     )
-    return TwistedRootDatum.make(dual_base, gens, name=(t.name + "-dual") if t.name else "")
+    return TwistedRootDatum.make(base, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def _fold_recipe(s: TwistedRootDatum):
                 kappa[idx] += multiplier * s.base.simple_coroots[i][idx]
         # Express the invariant functional <kappa, -> in free coordinates.
         folded_coroots.append(tuple(dot(kappa, v) for v in chars.presentation.unit_lifts))
-    folded = BasedRootDatum.make(r, folded_roots, folded_coroots, name=f"({s.name})^I" if s.name else "")
+    folded = BasedRootDatum.make(r, folded_roots, folded_coroots)
     report = _validity_report(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
@@ -387,7 +381,6 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
         k,
         [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)],
         [tuple(cartan[i][j] for j in range(k)) for i in range(k)],
-        name=(t.base.name + "-ad") if t.base.name else "",
     )
     gens = []
     for g in t.generators:
@@ -396,7 +389,7 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
             [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
         )
         gens.append(DiagramAutomorphism(lattice_map=lattice, root_permutation=perm, order=g.order))
-    adjoint = TwistedRootDatum.make(ad_base, tuple(gens), name=(t.name + "-ad") if t.name else "")
+    adjoint = TwistedRootDatum.make(ad_base, tuple(gens))
     to_ad = IntMatrix.from_rows([list(alpha) for alpha in t.base.simple_roots])
     kernel = tuple(integer_kernel_basis(to_ad))
     out = AdjointQuotient(source=t, adjoint=adjoint, to_adjoint=to_ad, kernel_basis=kernel)

@@ -10,7 +10,7 @@ an exact section, and rational averaging back into the invariant subspace.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (
@@ -98,7 +98,6 @@ class TwistedRootDatum:
 
     base: BasedRootDatum
     generators: tuple
-    name: str = field(default="", compare=False)
 
     @functools.cached_property
     def _hash(self):
@@ -109,8 +108,8 @@ class TwistedRootDatum:
         return self._hash
 
     @staticmethod
-    def make(base, generators, name=""):
-        t = TwistedRootDatum(base=base, generators=tuple(generators), name=name or base.name)
+    def make(base, generators):
+        t = TwistedRootDatum(base=base, generators=tuple(generators))
         validate_twisted(t)
         return t
 
@@ -128,9 +127,9 @@ def validate_twisted(t: TwistedRootDatum):
     group_elements(t)
 
 
-def split_twisted(base: BasedRootDatum, name="") -> TwistedRootDatum:
+def split_twisted(base: BasedRootDatum) -> TwistedRootDatum:
     """The split form: trivial inertia action."""
-    return TwistedRootDatum.make(base, (), name=name or base.name)
+    return TwistedRootDatum.make(base, ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,7 +223,6 @@ def coinvariants(t: TwistedRootDatum) -> CoinvariantLattice:
     return CoinvariantLattice(datum=t, presentation=pres, group=pres.quotient)
 
 
-@functools.lru_cache(maxsize=None)
 def average_map(t: TwistedRootDatum, cls):
     """The rational invariant cocharacter (1/|I|) sum_gamma gamma(lift)."""
     c = coinvariants(t)

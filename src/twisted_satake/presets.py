@@ -51,22 +51,22 @@ class UnknownPresetError(KeyError):
     pass
 
 
-def _cartan_sc(cartan, name):
+def _cartan_sc(cartan):
     """Simply connected datum from a Cartan matrix: coroots standard basis,
     roots the Cartan columns."""
     k = len(cartan)
     roots = [tuple(cartan[i][j] for i in range(k)) for j in range(k)]
     coroots = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    return BasedRootDatum.make(k, roots, coroots, name=name)
+    return BasedRootDatum.make(k, roots, coroots)
 
 
-def _cartan_ad(cartan, name):
+def _cartan_ad(cartan):
     """Adjoint datum from a Cartan matrix: roots standard basis, coroots the
     Cartan rows."""
     k = len(cartan)
     roots = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     coroots = [tuple(cartan[j][i] for i in range(k)) for j in range(k)]
-    return BasedRootDatum.make(k, roots, coroots, name=name)
+    return BasedRootDatum.make(k, roots, coroots)
 
 
 def _a_n_cartan(n):
@@ -106,20 +106,19 @@ def _unitary_embedding(n_ambient):
 def _special_unitary(k_odd):
     """SU_k for odd k: the A_(k-1) datum with the diagram flip."""
     n = k_odd - 1
-    base = _cartan_sc(_a_n_cartan(n), f"SU{k_odd}")
+    base = _cartan_sc(_a_n_cartan(n))
     flip = _flip(n)
     gen = DiagramAutomorphism.make(_permutation_matrix(flip), flip, order=2)
-    t = TwistedRootDatum.make(base, (gen,), name=f"SU{k_odd}")
     return PresetEntry(
         name=f"SU{k_odd}",
-        twisted=t,
+        twisted=TwistedRootDatum.make(base, (gen,)),
         embedding=_unitary_embedding(k_odd),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _torus(n):
-    base = BasedRootDatum.make(n, [], [], name=f"torus-rank-{n}")
+    base = BasedRootDatum.make(n, [], [])
     return PresetEntry(name=f"torus-rank-{n}", twisted=split_twisted(base))
 
 
@@ -130,33 +129,33 @@ def _build_fixed_registry():
         entries[entry.name] = entry
 
     a1 = [[2]]
-    add(PresetEntry("SL2", split_twisted(_cartan_sc(a1, "SL2"))))
-    add(PresetEntry("PGL2", split_twisted(_cartan_ad(a1, "PGL2"))))
+    add(PresetEntry("SL2", split_twisted(_cartan_sc(a1))))
+    add(PresetEntry("PGL2", split_twisted(_cartan_ad(a1))))
 
     a2 = _a_n_cartan(2)
-    add(PresetEntry("SL3", split_twisted(_cartan_sc(a2, "SL3"))))
-    add(PresetEntry("PGL3", split_twisted(_cartan_ad(a2, "PGL3"))))
+    add(PresetEntry("SL3", split_twisted(_cartan_sc(a2))))
+    add(PresetEntry("PGL3", split_twisted(_cartan_ad(a2))))
 
     # Sp4 = C2: alpha_1 short, alpha_2 long.
     c2 = [[2, -2], [-1, 2]]
-    add(PresetEntry("Sp4", split_twisted(_cartan_sc(c2, "Sp4"))))
+    add(PresetEntry("Sp4", split_twisted(_cartan_sc(c2))))
 
     g2 = [[2, -3], [-1, 2]]
-    add(PresetEntry("G2", split_twisted(_cartan_sc(g2, "G2"))))
+    add(PresetEntry("G2", split_twisted(_cartan_sc(g2))))
 
     # SL2 x SL2 with the factor swap.
-    sl2sq = BasedRootDatum.make(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)], name="SL2xSL2-swap")
+    sl2sq = BasedRootDatum.make(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)])
     swap = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=2)
     add(PresetEntry(
         "SL2xSL2-swap",
-        TwistedRootDatum.make(sl2sq, (swap,), name="SL2xSL2-swap"),
+        TwistedRootDatum.make(sl2sq, (swap,)),
     ))
 
     add(_special_unitary(3))
     add(_special_unitary(5))
 
     # PSU3: the adjoint A2 datum with the flip on the coweight basis.
-    psu3_base = _cartan_ad(a2, "PSU3")
+    psu3_base = _cartan_ad(a2)
     psu3_gen = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=2)
     # Coweight-lattice coordinates inside Z^3/(1,1,1): class of (a,b,c)
     # has internal coordinates (a-b, b-c); omega_1 lifts to (1,0,0).
@@ -167,18 +166,18 @@ def _build_fixed_registry():
     )
     add(PresetEntry(
         "PSU3",
-        TwistedRootDatum.make(psu3_base, (psu3_gen,), name="PSU3"),
+        TwistedRootDatum.make(psu3_base, (psu3_gen,)),
         embedding=psu3_embed,
     ))
 
     # SU4: A3 with the flip exchanging the outer nodes.
     a3 = _a_n_cartan(3)
-    su4_base = _cartan_sc(a3, "SU4")
+    su4_base = _cartan_sc(a3)
     su4_perm = (2, 1, 0)
     su4_gen = DiagramAutomorphism.make(_permutation_matrix(su4_perm), su4_perm, order=2)
     add(PresetEntry(
         "SU4",
-        TwistedRootDatum.make(su4_base, (su4_gen,), name="SU4"),
+        TwistedRootDatum.make(su4_base, (su4_gen,)),
         embedding=_unitary_embedding(4),
     ))
 
@@ -189,12 +188,12 @@ def _build_fixed_registry():
         [0, -1, 2, 0],
         [0, -1, 0, 2],
     ]
-    spin8_base = _cartan_sc(d4, "Spin8-triality")
+    spin8_base = _cartan_sc(d4)
     tri = (2, 1, 3, 0)  # 0 -> 2 -> 3 -> 0 in zero-based node labels
     spin8_gen = DiagramAutomorphism.make(_permutation_matrix(tri), tri, order=3)
     add(PresetEntry(
         "Spin8-triality",
-        TwistedRootDatum.make(spin8_base, (spin8_gen,), name="Spin8-triality"),
+        TwistedRootDatum.make(spin8_base, (spin8_gen,)),
     ))
 
     add(_torus(1))

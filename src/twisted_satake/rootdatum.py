@@ -42,15 +42,13 @@ class BasedRootDatum:
     rank: int
     simple_roots: tuple
     simple_coroots: tuple
-    name: str = field(default="", compare=False)
 
     @staticmethod
-    def make(rank, simple_roots, simple_coroots, name=""):
+    def make(rank, simple_roots, simple_coroots):
         return BasedRootDatum(
             rank=rank,
             simple_roots=tuple(tuple(int(x) for x in r) for r in simple_roots),
             simple_coroots=tuple(tuple(int(x) for x in r) for r in simple_coroots),
-            name=name,
         )
 
     @property
@@ -222,13 +220,7 @@ def full_root_system(d: BasedRootDatum) -> RootSystem:
 def dualize(d: BasedRootDatum) -> BasedRootDatum:
     """Swap the character and cocharacter copies; an involution."""
     require_valid(d)
-    name = d.name + "^" if d.name else ""
-    return BasedRootDatum(
-        rank=d.rank,
-        simple_roots=d.simple_coroots,
-        simple_coroots=d.simple_roots,
-        name=name.rstrip("^") + "^" if d.name else "",
-    )
+    return BasedRootDatum(rank=d.rank, simple_roots=d.simple_coroots, simple_coroots=d.simple_roots)
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,7 +382,3 @@ def _walk_cone(den, generators, weights, budget):
     if budget >= 0:
         walk(0, (0,) * (len(generators[0]) if n else 0), budget)
     return out
-
-
-def dot_frac(u, v):
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))

@@ -18,13 +18,13 @@ from fractions import Fraction
 from .abelian import DimensionMismatch, InvariantViolation, vec_sub
 from .coweights import (
     NonDominantError,
+    _substrate,
     class_height,
     dominant_representative,
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
     order_relations,
-    pair_with_character,
 )
 from .galois import (
     TwistedRootDatum,
@@ -222,9 +222,9 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
         subset.update(rel.simple_orbit_list[i])
     rd = rho_data(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
-    c = coinvariants(t)
-    value = pair_with_character(t, c.class_of(tuple(v)), shift)
-    return _integral(value, "corr value")
+    sub = _substrate(t)
+    value = sub.scaled_pairing(coinvariants(t).class_of(tuple(v)), shift)
+    return _integral(Fraction(value, sub.group_order), "corr value")
 
 
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):

@@ -277,6 +277,46 @@ class TestFileInput:
         assert "simple_coroots" in err
 
 
+_SU3_BASE = {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}
+_SU3_FLIP = {"lattice_map": [[0, 1], [1, 0]], "root_permutation": [1, 0]}
+
+# (file contents, the field its one error line must name)
+MALFORMED_FILES = {
+    "float-roots": ({"name": "x", "base": {"rank": 1, "simple_roots": [[2.9]],
+                                           "simple_coroots": [[1.2]]}},
+                    "base.simple_roots[0][0]"),
+    "float-rank": ({"base": dict(_SU3_BASE, rank=2.7), "generators": [_SU3_FLIP]}, "base.rank"),
+    "float-lattice-map": ({"base": _SU3_BASE, "generators": [
+        dict(_SU3_FLIP, lattice_map=[[0, 1.9], [1, 0]])]}, "generators[0].lattice_map[0][1]"),
+    "float-root-permutation": ({"base": _SU3_BASE, "generators": [
+        dict(_SU3_FLIP, root_permutation=[1.5, 0])]}, "generators[0].root_permutation[0]"),
+    "bool-coroot": ({"base": dict(_SU3_BASE, simple_coroots=[[True, 0], [0, 1]])},
+                    "base.simple_coroots[0][0]"),
+    "string-rank": ({"base": dict(_SU3_BASE, rank="2")}, "base.rank"),
+    "base-not-object": ({"base": 5}, "base"),
+    "generators-not-list": ({"base": _SU3_BASE, "generators": 5}, "generators"),
+    "generator-not-object": ({"base": _SU3_BASE, "generators": [5]}, "generators[0]"),
+}
+
+
+@pytest.mark.parametrize("command", [["describe"], ["verify", "all"]], ids=" ".join)
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_file_is_one_input_error(tmp_path, command, case):
+    """A file whose fields have the wrong JSON type is refused with exit 2
+    and one line naming the field: never truncated and answered, never a
+    traceback."""
+    doc, field = MALFORMED_FILES[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cold(*command, "--file", str(path))
+    assert proc.returncode == EXIT_INPUT, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"input error: {path}: ")
+    assert proc.stderr.count("\n") == 1
+    assert f"'{field}'" in proc.stderr
+
+
 class TestExitCodes:
     def test_unknown_preset(self, capsys):
         code, _out, err = run(capsys, "describe", "NOPE")

@@ -13,6 +13,7 @@ small bounds.
 import functools
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from twisted_satake.abelian import (
     rational_solve,
     smith_normal_form,
     solve_integer,
+    vec_sub,
 )
 from twisted_satake.coweights import (
     DominantClass,
@@ -51,15 +53,18 @@ from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
     BasedRootDatum,
     dominant_coweights_up_to_height,
-    dot_frac,
     dualize,
     fundamental_coweights_rational,
     rho_data,
 )
-from twisted_satake.satake import closure_poset, strata_below
+from twisted_satake.satake import closure_poset, corr, strata_below
 
 # ---------------------------------------------------------------------------
 # Reference implementations
+
+
+def dot_frac(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
 def ref_leq(t, lam, mu):
@@ -86,6 +91,17 @@ def ref_is_dominant_class(t, cls):
     if all(p >= 0 for p in pairings):
         return DominantClass(cls=cls, certificate=pairings)
     return None
+
+
+def ref_corr(t, levi_orbits, v):
+    """<Fraction average of the class of v, 2 rho - 2 rho_M>."""
+    rel = relative_simple_roots(t)
+    subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
+    rd = rho_data(t.base)
+    shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
+    value = dot_frac(average_map(t, coinvariants(t).class_of(tuple(v))), shift)
+    assert value.denominator == 1
+    return int(value)
 
 
 def ref_dominant_coweights_up_to_height(d, max_height, coord_bound=None):
@@ -225,10 +241,10 @@ def ref_strata_below(t, cls):
 def u3_like():
     """Rank-3 A2 lattice with the flip (a,b,c) -> (-c,-b,-a): X_*(T)_I = Z + Z/2."""
     base = BasedRootDatum.make(
-        3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)], name="U3-like"
+        3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]
     )
     flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0), order=2)
-    return TwistedRootDatum.make(base, (flip,), name="U3-like")
+    return TwistedRootDatum.make(base, (flip,))
 
 
 SWEEP = tuple(dict.fromkeys(DEFAULT_PRESET_NAMES + ("SU5", "SU7", "torus-rank-2", "U3-like")))
@@ -260,6 +276,18 @@ def test_heights_and_witnesses_match_fraction_averages(name):
     for cls in classes:
         assert class_height(t, cls) == ref_class_height(t, cls), cls
         assert is_dominant_class(t, cls) == ref_is_dominant_class(t, cls), cls
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_corr_matches_fraction_average(name):
+    t = datum(name)
+    orbits = range(relative_simple_roots(t).relative_rank)
+    rng = random.Random(name)
+    vectors = [tuple(rng.randint(-4, 4) for _ in range(t.rank)) for _ in range(6)]
+    for size in range(len(orbits) + 1):
+        for levi in itertools.combinations(orbits, size):
+            for v in vectors:
+                assert corr(t, levi, v) == ref_corr(t, levi, v), (levi, v)
 
 
 @pytest.mark.parametrize("name", SWEEP)

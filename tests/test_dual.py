@@ -171,7 +171,6 @@ class TestFixedGroupDescriptor:
             4,
             [(2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)],
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-            name="SL3xSL3",
         )
         swap = DiagramAutomorphism.make(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
@@ -277,15 +276,43 @@ _ORDER_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_descriptor_independent_of_preset_lookups():
-    # A fresh interpreter, so no earlier lookup in this test session counts.
+def run_fresh(script, *args):
+    """stdout of script in a fresh interpreter, so no earlier call in this
+    test session counts."""
     src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    return proc.stdout
+
+
+def test_descriptor_independent_of_preset_lookups():
+    assert run_fresh(_ORDER_SCRIPT) == "ok\n"
+
+
+_EQUAL_DATUM_SCRIPT = textwrap.dedent("""
+    import sys
+    from twisted_satake import (
+        coinvariants, dual_twisted, fixed_group_descriptor, preset, relative_weyl,
+    )
+
+    queries = (relative_weyl, fixed_group_descriptor, coinvariants)
+    if sys.argv[1] == "dual-first":
+        equal = dual_twisted(preset("PGL2"))
+        assert equal == preset("SL2")
+        for query in queries:
+            query(equal)
+    print(repr(tuple(query(preset("SL2")) for query in queries)))
+""")
+
+
+def test_cached_answers_independent_of_which_equal_datum_came_first():
+    """Per-datum caches key on equality; an answer must not carry anything
+    of the equal datum that happened to fill the cache."""
+    alone = run_fresh(_EQUAL_DATUM_SCRIPT, "alone")
+    assert run_fresh(_EQUAL_DATUM_SCRIPT, "dual-first") == alone
 
 
 def test_family_lookups_are_memoised():
@@ -304,14 +331,14 @@ def ref_registry_known(s):
     return any(s == c or s == dual_twisted(c) for c in candidates)
 
 
-REGISTRY_DATA = [
-    t for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11")
-    for t in (preset(name), dual_twisted(preset(name)))
-]
+REGISTRY_DATA = {
+    label: t for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11")
+    for label, t in ((name, preset(name)), (f"{name}-dual", dual_twisted(preset(name))))
+}
 
 
 class TestRegistryKnown:
-    @pytest.mark.parametrize("t", REGISTRY_DATA, ids=[t.name for t in REGISTRY_DATA])
+    @pytest.mark.parametrize("t", list(REGISTRY_DATA.values()), ids=list(REGISTRY_DATA))
     def test_matches_per_candidate_duals(self, t):
         assert _registry_known(t) == ref_registry_known(t)
         assert _registry_known(t)

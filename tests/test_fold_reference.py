@@ -73,7 +73,7 @@ def test_generator_check_agrees_with_order_check(name):
 
 def refold(folded, roots, coroots):
     """A FoldedCartan on the same lattice with other simple roots/coroots."""
-    d = BasedRootDatum.make(folded.datum.rank, roots, coroots, name=folded.datum.name)
+    d = BasedRootDatum.make(folded.datum.rank, roots, coroots)
     return FoldedCartan(
         type_label=folded.type_label, datum=d,
         simple_roots=d.simple_roots, simple_coroots=d.simple_coroots,

@@ -65,7 +65,7 @@ class TestCoinvariants:
             assert c.class_of(internal) == ((a - (-a - b),), ())
 
     def test_swap_on_z2(self):
-        base = BasedRootDatum.make(2, [], [], name="T2")
+        base = BasedRootDatum.make(2, [], [])
         swap = DiagramAutomorphism.make([[0, 1], [1, 0]], (), order=2)
         t = TwistedRootDatum.make(base, (swap,))
         c = coinvariants(t)

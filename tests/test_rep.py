@@ -262,7 +262,7 @@ class TestBranch:
         from twisted_satake.rootdatum import BasedRootDatum
 
         gl3 = split_twisted(BasedRootDatum.make(
-            3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)], name="GL3"
+            3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]
         ))
         res = branch_to_fixed_group(gl3, (1, 0, 0))
         assert res.as_dict() == {((1, 0, 0), ()): 1}

@@ -1,5 +1,7 @@
 """Based root datum validity, duality, root systems, rho, fundamental groups."""
 
+from fractions import Fraction
+
 import pytest
 
 from twisted_satake import rootdatum
@@ -20,6 +22,10 @@ from twisted_satake.rootdatum import (
 )
 
 
+def dot_frac(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
 def gl3_datum():
     # The rank-3 datum with an A2 root system in sum-zero coordinates:
     # roots and coroots agree, pairing is the dot product.
@@ -27,7 +33,6 @@ def gl3_datum():
         3,
         [(1, -1, 0), (0, 1, -1)],
         [(1, -1, 0), (0, 1, -1)],
-        name="GL3",
     )
 
 
@@ -206,8 +211,6 @@ class TestLatticeFlags:
         assert not is_adjoint(preset("SL2xSL2-swap").base)
 
     def test_fundamental_coweights(self):
-        from twisted_satake.rootdatum import dot_frac
-
         d = preset("Sp4").base
         omegas = fundamental_coweights_rational(d)
         for i, w in enumerate(omegas):

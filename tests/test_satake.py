@@ -1,6 +1,7 @@
 """Schubert strata, closure posets, cells, corr, parity, exports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,10 @@ from twisted_satake.satake import (
     strata_below,
     stratum,
 )
+
+
+def dot_frac(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
 def su3_class(n):
@@ -54,7 +59,7 @@ class TestStratum:
         lift_b = emb.to_internal((0, 1, -1))
         assert c.class_of(lift_a) == c.class_of(lift_b)
         from twisted_satake.galois import average_vector
-        from twisted_satake.rootdatum import rho_data, dot_frac
+        from twisted_satake.rootdatum import rho_data
 
         two_rho = rho_data(t.base).two_rho
         assert dot_frac(average_vector(t, lift_a), two_rho) == dot_frac(

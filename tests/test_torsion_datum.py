@@ -32,12 +32,12 @@ from twisted_satake.suites import run_suite
 @pytest.fixture(scope="module")
 def u3_like():
     base = BasedRootDatum.make(
-        3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)], name="U3-like"
+        3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]
     )
     flip = DiagramAutomorphism.make(
         [[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0), order=2
     )
-    return TwistedRootDatum.make(base, (flip,), name="U3-like")
+    return TwistedRootDatum.make(base, (flip,))
 
 
 def test_coinvariants_have_torsion(u3_like):
