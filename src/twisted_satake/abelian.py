@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import frozen
 
 
 class DimensionMismatch(ValueError):
@@ -34,7 +35,7 @@ class InvariantViolation(AssertionError):
 # Integer matrices
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Immutable integer matrix, row-major entries."""
 
@@ -214,7 +215,7 @@ def vec_scale(c, v):
 # Smith normal form
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     """U * original * V = D with U, V unimodular and D in Smith form; U_inverse = U^-1."""
 
@@ -388,7 +389,7 @@ def _check_smith(dec: SmithDecomposition):
 # Finitely generated abelian groups and quotient presentations
 
 
-@dataclass(frozen=True)
+@frozen
 class FgAbelianGroup:
     """Z^free_rank + Z/d_1 + ... + Z/d_k with 1 < d_1 | d_2 | ... | d_k."""
 
@@ -425,7 +426,7 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@frozen
 class QuotientPresentation:
     """Z^ambient_rank modulo the column span of `relations`.
 

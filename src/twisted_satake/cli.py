@@ -108,7 +108,10 @@ def load_datum_file(path: str):
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     datum = datum_from_dict(data, where=path)
-    return str(data.get("name", "")), datum
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise InputError(f"{path}: field 'name' must be a string, got {json.dumps(name)}")
+    return name, datum
 
 
 def _integers(value, field, where, depth):

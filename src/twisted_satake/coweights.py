@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import frozen
 from .abelian import (
     DimensionMismatch,
     IntMatrix,
@@ -48,13 +48,13 @@ class NonDominantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class DominantClass:
     cls: tuple
     certificate: tuple  # <average, alpha_i> over the absolute simple roots
 
 
-@dataclass(frozen=True)
+@frozen
 class OrderCertificate:
     coefficients: tuple  # one nonnegative integer per simple-coroot orbit
 
@@ -63,7 +63,7 @@ class OrderCertificate:
 # The per-datum integer substrate
 
 
-@dataclass(frozen=True)
+@frozen
 class _Substrate:
     """Integer data that heights, dominance, the order and the bounded cone
     read for one datum.
@@ -335,7 +335,7 @@ def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):
     return sorted({project_dominant(t, v).cls for v in sources})
 
 
-@dataclass(frozen=True)
+@frozen
 class SurjectivityReport:
     center_is_torus: bool
     surjective_observed: bool

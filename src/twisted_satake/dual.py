@@ -23,8 +23,8 @@ tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
+from ._value import frozen
 from .abelian import IntMatrix, InvariantViolation, dot, integer_kernel_basis, quotient_group
 from .galois import (
     DiagramAutomorphism,
@@ -45,7 +45,7 @@ from .weyl import _descended, relative_weyl, simple_reflection
 ELL_CAP = 2**64   # _is_prime is exact below it
 
 
-@dataclass(frozen=True)
+@frozen
 class CoefficientProfile:
     kind: str          # "char0" | "Z_ell" | "F_ell"
     ell: int | None = None
@@ -123,7 +123,7 @@ def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
 # Folding recipe
 
 
-@dataclass(frozen=True)
+@frozen
 class FoldedCartan:
     """Root datum of the fixed-point group on the free part of X^*(s)_I."""
 
@@ -252,7 +252,7 @@ def _connectedness_char0(s: TwistedRootDatum) -> str:
     return "unknown"
 
 
-@dataclass(frozen=True)
+@frozen
 class FoldedGroupDescriptor:
     source: TwistedRootDatum
     profile: CoefficientProfile
@@ -336,7 +336,7 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
 # Rank-one classification
 
 
-@dataclass(frozen=True)
+@frozen
 class RankOneCase:
     case: str               # "A" (orthogonal orbits) | "B" (adjacent A2 pair)
     char0_fixed_group: str  # "SL2" | "PGL2"
@@ -362,7 +362,7 @@ def classify_rank_one(t: TwistedRootDatum) -> RankOneCase:
 # Adjoint quotient
 
 
-@dataclass(frozen=True)
+@frozen
 class AdjointQuotient:
     source: TwistedRootDatum
     adjoint: TwistedRootDatum

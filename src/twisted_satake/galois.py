@@ -10,9 +10,9 @@ an exact section, and rational averaging back into the invariant subspace.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import frozen
 from .abelian import (
     DimensionMismatch,
     FgAbelianGroup,
@@ -37,7 +37,7 @@ class UnsupportedOrbitError(ValueError):
     adjacent A2 pair; nothing in scope produces these."""
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagramAutomorphism:
     """A pinned automorphism: a unimodular map on X_*(T) together with the
     permutation it induces on the simple roots."""
@@ -47,16 +47,21 @@ class DiagramAutomorphism:
     order: int
 
     def __post_init__(self):
-        if self.lattice_map.rows != self.lattice_map.cols:
-            raise DimensionMismatch("lattice map must be square")
+        _require_square(self.lattice_map)
 
     @staticmethod
     def make(lattice_map, root_permutation, order=None):
         m = lattice_map if isinstance(lattice_map, IntMatrix) else IntMatrix.from_rows(lattice_map)
         perm = tuple(int(x) for x in root_permutation)
         if order is None:
-            order = _matrix_order(m)
+            order = _matrix_order(_require_square(m))
         return DiagramAutomorphism(lattice_map=m, root_permutation=perm, order=order)
+
+
+def _require_square(m: IntMatrix):
+    if m.rows != m.cols:
+        raise DimensionMismatch("lattice map must be square")
+    return m
 
 
 def _matrix_order(m: IntMatrix, cap=64):
@@ -91,7 +96,7 @@ def check_pinned(base: BasedRootDatum, g: DiagramAutomorphism):
             raise InvalidDatumError(f"contragredient does not send root {i} to root {j}")
 
 
-@dataclass(frozen=True)
+@frozen
 class TwistedRootDatum:
     """A based, pinned root datum with a finite group of diagram
     automorphisms (the inertia action)."""
@@ -164,7 +169,7 @@ def group_order(t: TwistedRootDatum) -> int:
 # Coinvariants
 
 
-@dataclass(frozen=True)
+@frozen
 class CoinvariantLattice:
     """X_*(T)_I presented by Smith normal form of the (1-gamma) columns."""
 
@@ -249,7 +254,7 @@ def average_vector(t: TwistedRootDatum, v):
 # Relative roots
 
 
-@dataclass(frozen=True)
+@frozen
 class RelativeRootData:
     """I-orbits of simple roots with their type."""
 
@@ -312,7 +317,7 @@ def orbit_coroot_classes(t: TwistedRootDatum):
 # The coroot-coinvariants exact sequence and Kottwitz components
 
 
-@dataclass(frozen=True)
+@frozen
 class ExactSequenceData:
     """(Z Phi^vee)_I -> X_*(T)_I -> pi_1(G)_I with the verification record."""
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
+from ._value import frozen
 from .abelian import IntMatrix
 from .galois import DiagramAutomorphism, TwistedRootDatum, split_twisted
 from .rootdatum import BasedRootDatum
 
 
-@dataclass(frozen=True)
+@frozen
 class AmbientEmbedding:
     """Round trip between internal Z^rank coordinates and a familiar ambient
     presentation (for the unitary family: Z^3-style coordinates)."""
@@ -40,7 +40,7 @@ class AmbientEmbedding:
         return self.into_ambient.apply(v)
 
 
-@dataclass(frozen=True)
+@frozen
 class PresetEntry:
     name: str
     twisted: TwistedRootDatum

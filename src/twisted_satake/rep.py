@@ -24,8 +24,8 @@ silently truncated answer would be a defect, not a result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
+from ._value import field, frozen
 from .abelian import DimensionMismatch, InvariantViolation, dot, vec_add, vec_scale, vec_sub
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
@@ -51,7 +51,7 @@ class ResidualError(InvariantViolation):
     rebuild its input: invalid folded data, never a recoverable state."""
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightMultiset:
     """Finitely supported positive multiplicities on a weight lattice.
 
@@ -93,7 +93,7 @@ def total_dimension(w: WeightMultiset) -> int:
 # Freudenthal characters
 
 
-@dataclass(frozen=True)
+@frozen
 class _FreudenthalData:
     """Per-datum integer data for the Freudenthal recursion.
 
@@ -277,7 +277,7 @@ def restrict_to_coinvariants(t: TwistedRootDatum, w: WeightMultiset) -> WeightMu
 # Folded decomposition
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionResult:
     summands: tuple            # sorted ((dominant class, multiplicity), ...)
     residual: WeightMultiset   # empty on success

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import field, frozen
 from .abelian import (
     DimensionMismatch,
     FgAbelianGroup,
@@ -34,7 +34,7 @@ class InvalidDatumError(ValueError):
     """An operation with precondition `datum valid` received an invalid one."""
 
 
-@dataclass(frozen=True)
+@frozen
 class BasedRootDatum:
     """Simple roots in the character copy of Z^rank, simple coroots in the
     cocharacter copy, paired by the dot product."""
@@ -64,7 +64,7 @@ class BasedRootDatum:
         return tuple(tuple(self.cartan_entry(i, j) for j in range(k)) for i in range(k))
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidityReport:
     checks: tuple  # (name, ok, detail) triples, in evaluation order
 
@@ -174,7 +174,7 @@ def _reflection_closure(d: BasedRootDatum):
     return tuple(sorted(pairs.items()))
 
 
-@dataclass(frozen=True)
+@frozen
 class RootSystem:
     """The full (absolute) root system of a datum, with positivity split."""
 
@@ -231,7 +231,7 @@ def fundamental_group(d: BasedRootDatum) -> FgAbelianGroup:
     return quotient_group(d.rank, relations).quotient
 
 
-@dataclass(frozen=True)
+@frozen
 class RhoData:
     """2*rho and its Levi variants, as exact character vectors."""
 

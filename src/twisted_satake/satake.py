@@ -12,9 +12,9 @@ integrality, so the assertion doubles as a defect detector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import frozen
 from .abelian import DimensionMismatch, InvariantViolation, vec_sub
 from .coweights import (
     NonDominantError,
@@ -47,7 +47,7 @@ def _integral(x: Fraction, what: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class SchubertStratum:
     label: tuple       # dominant coinvariant class
     dim: int           # <label, 2 rho>
@@ -71,7 +71,7 @@ def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
 
 
-@dataclass(frozen=True)
+@frozen
 class SchubertPoset:
     datum: TwistedRootDatum
     strata: tuple          # SchubertStratum, sorted by (dim, label)
@@ -151,7 +151,7 @@ def _check_poset(t, poset):
 # Semi-infinite and convolution cells
 
 
-@dataclass(frozen=True)
+@frozen
 class MvCell:
     mu: tuple
     lam: tuple
@@ -172,7 +172,7 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     return MvCell(mu=mu, lam=lam, nonempty=True, dim=_integral(half, "cell half-pairing"))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvCell:
     mu: tuple
     mu2: tuple

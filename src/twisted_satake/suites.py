@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._value import frozen
 from .abelian import InvariantViolation
 from .coweights import (
     _has_invariant_central_direction,
@@ -40,7 +40,7 @@ from .weyl import enumerate_absolute_weyl, fixed_weyl_subgroup, relative_weyl
 SUITE_NAMES = ("exactness", "orbits", "parity", "weyl-oracle", "branching")
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     suite: str
     name: str

@@ -30,9 +30,9 @@ apartment on the right, a translation class mu moving a point p to p - mu.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import field, frozen
 from .abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import BasedRootDatum, full_root_system, require_valid
@@ -44,7 +44,7 @@ class EnumerationBoundExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class WeylElement:
     """A Weyl group element as its action on the cocharacter lattice."""
 
@@ -156,7 +156,7 @@ def fixed_weyl_subgroup(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class RelativeWeylGroup:
     """W0 with one generator per simple-root orbit, acting on coinvariants."""
 
@@ -235,7 +235,7 @@ def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
 # Iwahori-Weyl group
 
 
-@dataclass(frozen=True)
+@frozen
 class IwahoriWeylElement:
     """(finite part, translation class) in W_a x| X_*(T)_I."""
 

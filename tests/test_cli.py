@@ -296,6 +296,9 @@ MALFORMED_FILES = {
     "base-not-object": ({"base": 5}, "base"),
     "generators-not-list": ({"base": _SU3_BASE, "generators": 5}, "generators"),
     "generator-not-object": ({"base": _SU3_BASE, "generators": [5]}, "generators[0]"),
+    "name-null": ({"name": None, "base": _SU3_BASE}, "name"),
+    "name-list": ({"name": ["a"], "base": _SU3_BASE}, "name"),
+    "name-number": ({"name": 3, "base": _SU3_BASE}, "name"),
 }
 
 
@@ -315,6 +318,19 @@ def test_malformed_file_is_one_input_error(tmp_path, command, case):
     assert proc.stderr.startswith(f"input error: {path}: ")
     assert proc.stderr.count("\n") == 1
     assert f"'{field}'" in proc.stderr
+
+
+def test_non_square_lattice_map_is_refused_as_such(tmp_path):
+    """The square check comes before the matrix order is computed, so the
+    message says what is wrong rather than reporting a product mismatch."""
+    path = tmp_path / "non-square.json"
+    path.write_text(json.dumps({
+        "base": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+        "generators": [{"lattice_map": [[1, 0]], "root_permutation": [0]}]}))
+    proc = run_cold("describe", "--file", str(path))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {path}: bad generator 0: lattice map must be square\n"
 
 
 class TestExitCodes:
@@ -683,7 +699,8 @@ class TestTableParser:
 
 def test_answers_load_no_argparse():
     """A fresh interpreter answers well-formed queries without importing
-    argparse, gettext or locale; help still goes through argparse."""
+    argparse, gettext or locale, nor dataclasses and the introspection
+    modules it pulls in; help still goes through argparse."""
     code = (
         "import contextlib, io, sys\n"
         "from twisted_satake.cli import main\n"
@@ -692,6 +709,8 @@ def test_answers_load_no_argparse():
         "             main(['branch', 'SU3', '--weight', '1,0'])]\n"
         "print(codes, out.getvalue().splitlines()[-1])\n"
         "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        "             if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -699,7 +718,7 @@ def test_answers_load_no_argparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0] V(1)", "[]"]
+    assert proc.stdout.splitlines() == ["[0, 0] V(1)", "[]", "[]"]
     help_proc = run_cold("-h")
     assert help_proc.returncode == 0
     assert help_proc.stdout.startswith("usage: twisted-satake")

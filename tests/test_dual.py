@@ -256,12 +256,12 @@ class TestAdjointQuotient:
 
 
 _ORDER_SCRIPT = textwrap.dedent("""
-    import dataclasses
     from twisted_satake import presets
+    from twisted_satake._value import fields as field_names
     from twisted_satake.dual import fixed_group_descriptor
 
     def fields(desc):
-        return {f.name: getattr(desc, f.name) for f in dataclasses.fields(desc)}
+        return {name: getattr(desc, name) for name in field_names(desc)}
 
     direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
     assert direct.label == "rank-3", direct.label

@@ -10,11 +10,10 @@ generators keeps both orders, so the reference passes them, and only the
 generator check catches them.
 """
 
-import dataclasses
-
 import pytest
 
 from twisted_satake import dual
+from twisted_satake._value import fields
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.dual import (
     CHAR0,
@@ -102,8 +101,13 @@ def descriptor_with(monkeypatch, s, fold=None, weyl=None):
     return fixed_group_descriptor.__wrapped__(s, CHAR0)
 
 
+def replace(value, **changes):
+    """A copy of a package value with the given fields changed."""
+    return type(value)(**{name: getattr(value, name) for name in fields(value)} | changes)
+
+
 def permute_generators(w0):
-    return dataclasses.replace(w0, generators=w0.generators[::-1])
+    return replace(w0, generators=w0.generators[::-1])
 
 
 def orbit_swaps():
@@ -123,7 +127,7 @@ def test_swapped_orbit_type_is_caught(monkeypatch, name, orbit):
         rel = real(t)
         kinds = list(rel.orbit_type)
         kinds[orbit] = "orthogonal" if kinds[orbit] == "adjacent-pair" else "adjacent-pair"
-        return dataclasses.replace(rel, orbit_type=tuple(kinds))
+        return replace(rel, orbit_type=tuple(kinds))
 
     monkeypatch.setattr(dual, "relative_simple_roots", swapped)
     with pytest.raises(InvariantViolation):

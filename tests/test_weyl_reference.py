@@ -15,7 +15,6 @@ reflections (no doubling for an adjacent pair, c_O with the wrong sign) must
 be caught rather than loop.
 """
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import abelian, coweights, weyl
+from twisted_satake._value import fields
 from twisted_satake.abelian import DimensionMismatch, InvariantViolation, dot
 from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
@@ -376,7 +376,8 @@ def _mutated_walk(monkeypatch, mutate):
         reflections = tuple(
             mutate(kind, c, a) for kind, (c, a) in zip(rel.orbit_type, sub.reflections)
         )
-        return dataclasses.replace(sub, reflections=reflections)
+        kept = {name: getattr(sub, name) for name in fields(sub)}
+        return type(sub)(**kept | {"reflections": reflections})
 
     monkeypatch.setattr(coweights, "_substrate", substrate)
     return dominant_representative.__wrapped__
