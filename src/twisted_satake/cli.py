@@ -140,8 +140,11 @@ def datum_from_dict(data, where="input") -> TwistedRootDatum:
     if not isinstance(data, dict) or "base" not in data:
         raise InputError(f"{where}: missing field 'base'")
     base = _object(data["base"], "base", where, ("rank", "simple_roots", "simple_coroots"))
+    rank = _integers(base["rank"], "base.rank", where, 0)
+    if rank < 0:
+        raise InputError(f"{where}: field 'base.rank' must be nonnegative, got {rank}")
     datum = BasedRootDatum.make(
-        _integers(base["rank"], "base.rank", where, 0),
+        rank,
         _integers(base["simple_roots"], "base.simple_roots", where, 2),
         _integers(base["simple_coroots"], "base.simple_coroots", where, 2),
     )

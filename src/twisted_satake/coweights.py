@@ -308,7 +308,8 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     sub = _substrate(t)
     if sub.cone is None:
         if coord_bound is None:
-            raise ValueError("datum has invariant central directions; pass coord_bound")
+            raise ValueError("datum has invariant central directions; "
+                             "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.free_rank)
         out = [
             cls for cls in itertools.product(box, _torsion_combinations(c))

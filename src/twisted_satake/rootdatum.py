@@ -85,7 +85,8 @@ def validate(d: BasedRootDatum) -> ValidityReport:
     checks = []
 
     shapes_ok = (
-        len(d.simple_roots) == len(d.simple_coroots)
+        d.rank >= 0
+        and len(d.simple_roots) == len(d.simple_coroots)
         and all(len(r) == d.rank for r in d.simple_roots)
         and all(len(c) == d.rank for c in d.simple_coroots)
     )
@@ -347,7 +348,8 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
     two_rho = rho_data(d).two_rho
     if d.num_simple != d.rank:
         if coord_bound is None:
-            raise ValueError("datum has central directions; pass coord_bound")
+            raise ValueError("datum has central directions; "
+                             "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=d.rank)
         return sorted(
             v for v in box

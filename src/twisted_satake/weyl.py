@@ -2,11 +2,17 @@
 
 Weyl elements are stored as matrices acting on the cocharacter lattice, with
 optional words; equality is matrix equality.  The relative simple reflection
-attached to an orbit of simple roots is the longest element of the parabolic
-subgroup generated by the orbit: the last element of its length-sorted
-closure, checked to be the only one of its length and to negate the orbit's
-simple roots.  It commutes with the inertia generators and therefore
-descends to the coinvariant lattice, where it is an involution.
+attached to an orbit J of simple roots is the longest element w_J of the
+parabolic subgroup generated by J: the chamber walk from -2rho_J by J's
+simple reflections must end at the W_J-regular +2rho_J, which certifies
+w_J.  It commutes with the inertia generators and therefore descends to
+the coinvariant lattice, where it is an involution.
+
+Orders are counted from root heights, |W| = prod (ht a + 1) / ht a over the
+positive roots of a reduced root system (Macdonald, Math. Ann. 199, 1972;
+Kostant, Amer. J. Math. 81, 1959).  The groups are enumerated only for
+`verify` and the tests, and refused before the first step when the order
+exceeds their bound.
 
 Every lattice map that reaches the coinvariants (a W0 element, or the
 finite part of an Iwahori-Weyl element) does so through one integer matrix
@@ -15,7 +21,7 @@ on class coordinates (free..., torsion...), built once per (datum, map) by
 reduced by their invariant factors.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
-Reflection Groups and Coxeter Groups, 1.6-1.8); W0's `elements` are built when first read.
+Reflection Groups and Coxeter Groups, 1.6-1.8).
 The folded datum is certified from W0's generators alone: `dual._check_fold`
 compares each, descended by `_descended`, with a folded simple reflection;
 descent is faithful on W^I (2rho^vee of the dual is I-fixed and regular), so
@@ -35,7 +41,7 @@ from fractions import Fraction
 from ._value import field, frozen
 from .abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
-from .rootdatum import BasedRootDatum, full_root_system, require_valid
+from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
 
 WEYL_BOUND_DEFAULT = 10**6
 
@@ -119,29 +125,56 @@ def dominant_walk(x, simple, limit):
     raise InvariantViolation(f"chamber walk exceeded {limit} steps")
 
 
+def _weyl_order(d: BasedRootDatum, orbits):
+    """|W| by the height product over the indivisible roots that d's
+    positive roots restrict to, their simple coordinates summed over each
+    orbit (nonzero, as the orbits cover every index); the doubles 2a of a
+    BC pair are dropped."""
+    system = full_root_system(d)
+    restricted = {
+        tuple(sum(system.simple_coordinates(root)[i] for i in orbit) for orbit in orbits)
+        for root, _coroot in system.positive
+    }
+    doubles = {tuple(2 * x for x in r) for r in restricted}
+    num = den = 1
+    for r in restricted - doubles:
+        num *= sum(r) + 1
+        den *= sum(r)
+    order, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"height product {num}/{den} is not an integer")
+    return order
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
-    """Breadth-first closure of the simple reflections; words are shortest."""
+    """Breadth-first closure of the simple reflections; words are shortest.
+    A group of more than `bound` elements is refused before it is built."""
     require_valid(d)
+    message = f"Weyl group exceeds bound {bound}"
+    if _weyl_order(d, [(i,) for i in range(d.num_simple)]) > bound:
+        raise EnumerationBoundExceeded(message)
     gens = [(i, simple_reflection(d, i)) for i in range(d.num_simple)]
-    return _closure(d.rank, gens, bound, f"Weyl group exceeds bound {bound}")
+    return _closure(d.rank, gens, bound, message)
 
 
 @functools.lru_cache(maxsize=None)
 def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
-    """The longest element of the parabolic generated by the given simple
-    reflections: the last element of the closure, whose words are shortest
-    and sorted by length.  It must be the only element of its length and
-    send every simple root of the subset to a negative root."""
+    """The longest element w_J of the parabolic generated by the simple
+    reflections in J = subset, by the chamber walk from -2rho_J on
+    characters.  Read from the right, its word takes the least right
+    descent at each step, as the closure's shortest words do."""
     subset = tuple(sorted(subset))
-    elements = _closure(d.rank, [(i, simple_reflection(d, i)) for i in subset])
-    longest = elements[-1]
-    if len(elements) > 1 and len(elements[-2].word) == len(longest.word):
-        raise InvariantViolation("parabolic longest element is not unique")
-    negative = {root for root, _coroot in full_root_system(d).negative}
-    if any(longest.apply_char(d.simple_roots[i]) not in negative for i in subset):
-        raise InvariantViolation("parabolic longest element keeps a simple root positive")
-    return longest
+    two_rho = rho_data(d).two_rho_levi(subset)
+    simple = [(d.simple_coroots[i], d.simple_roots[i]) for i in subset]
+    end, steps = dominant_walk(tuple(-x for x in two_rho), simple, len(full_root_system(d).positive))
+    if end != two_rho:
+        raise InvariantViolation("parabolic walk from -2rho_J does not end at 2rho_J")
+    word = tuple(subset[k] for k in steps)
+    matrix = IntMatrix.identity(d.rank)
+    for i in word:
+        matrix = matrix.mul(simple_reflection(d, i).matrix)
+    return WeylElement(matrix=matrix, word=word)
 
 
 def fixed_weyl_subgroup(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
@@ -165,12 +198,15 @@ class RelativeWeylGroup:
 
     @functools.cached_property
     def elements(self):
+        message = "relative Weyl group exceeds bound"
+        if self.order > WEYL_BOUND_DEFAULT:
+            raise EnumerationBoundExceeded(message)
         return _closure(self.datum.rank, list(enumerate(self.generators)), WEYL_BOUND_DEFAULT,
-                        "relative Weyl group exceeds bound")
+                        message)
 
     @property
     def order(self):
-        return len(self.elements)
+        return _weyl_order(self.datum.base, relative_simple_roots(self.datum).simple_orbit_list)
 
     def act(self, w: WeylElement, cls):
         """The descended action on a coinvariant class, read from the

@@ -299,6 +299,8 @@ MALFORMED_FILES = {
     "name-null": ({"name": None, "base": _SU3_BASE}, "name"),
     "name-list": ({"name": ["a"], "base": _SU3_BASE}, "name"),
     "name-number": ({"name": 3, "base": _SU3_BASE}, "name"),
+    "negative-rank": ({"base": {"rank": -1, "simple_roots": [], "simple_coroots": []}},
+                      "base.rank"),
 }
 
 
@@ -361,6 +363,17 @@ class TestExitCodes:
         assert out == ""
         assert err == ("internal defect: InvariantViolation: "
                        "Freudenthal denominator must be positive\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["schubert", "torus-rank-1", "--bound", "2"],
+        ["dominant-image", "torus-rank-2", "--bound", "2"],
+    ], ids=" ".join)
+    def test_missing_coord_bound_names_the_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "--coord-bound" in err
 
     def test_enumeration_bound_is_internal_defect(self, capsys, monkeypatch):
         def too_large(args, t):

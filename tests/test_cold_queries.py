@@ -1,10 +1,11 @@
 """Cold `branch` and `tensor` queries, each in a fresh interpreter.
 
 The guard tests answer each query with `fractions.Fraction.__new__`
-counting, and then with `weyl._closure` refusing any closure of more than 8
-elements (the largest parabolic, Spin8-triality's orthogonal triple) while
-`enumerate_absolute_weyl` and `RelativeWeylGroup.elements` raise: a cold
-query builds no Fraction and enumerates neither W0 nor W(folded).  A cold
+counting, and then with `weyl._closure`, `enumerate_absolute_weyl` and
+`RelativeWeylGroup.elements` raising: a cold query builds no Fraction and
+no group closure, not even of a parabolic subgroup.  Every command but
+`verify`, on the five branch presets, and `describe` on SU13 and SU17
+(|W0| = 46,080 and 10,321,920) are answered under the same refusal.  A cold
 char-0 `tensor` computes exactly one folded character (one cache miss of
 `rep.irreducible_character`), and a refused modular one computes none.
 
@@ -42,6 +43,34 @@ GUARDED = [
     ["tensor", "SU3", "1", "2", "--coeff", "Fl:2", "--format", "json"],
 ]
 
+# (class, absolute weight, tensor factors, cocharacter) per branch preset
+_BRANCH_PRESET_ARGS = {
+    "SU3": ("1", "1,1", ["1", "2"], "1,0"),
+    "SU4": ("1,1", "1,0,1", ["1,0", "0,1"], "1,0,0"),
+    "SU5": ("1,1", "1,0,0,1", ["1,0", "0,1"], "1,0,0,0"),
+    "SL2xSL2-swap": ("1", "1,2", ["1", "2"], "1,0"),
+    "Spin8-triality": ("1,2", "1,0,1,0", ["1,0", "0,1"], "1,0,0,0"),
+}
+
+
+def _every_command(name, lam, weight, factors, vector):
+    neg = ",".join(str(-int(x)) for x in lam.split(","))
+    return [
+        ["describe", name],
+        ["schubert", name, "--bound", "4"],
+        ["mv", name, f"--mu={neg}", "--lam", lam],
+        ["conv", name, f"--mu={neg}", "--mu2", lam, "--lam", lam, "--lam2", lam],
+        ["branch", name, "--weight", weight],
+        ["tensor", name, *factors],
+        ["dominant-image", name, "--bound", "4"],
+        ["corr", name, "--vector", vector],
+    ]
+
+
+CLOSURE_FREE = [
+    argv for name, args in _BRANCH_PRESET_ARGS.items() for argv in _every_command(name, *args)
+] + [["describe", "SU13"], ["describe", "SU17", "--format", "json"]]
+
 _RUN = """
 import contextlib, hashlib, io, json, sys
 from twisted_satake.cli import main
@@ -68,15 +97,9 @@ REFUSE_ENUMERATION = """
 import sys
 import twisted_satake.cli
 from twisted_satake import weyl
-real_closure = weyl._closure
-def small_closure(*args, **kwargs):
-    elements = real_closure(*args, **kwargs)
-    if len(elements) > 8:
-        raise AssertionError(f"a closure of {len(elements)} elements was built")
-    return elements
 def refuse(*args, **kwargs):
     raise AssertionError("a Weyl group was enumerated")
-weyl._closure = small_closure
+weyl._closure = refuse
 for name, module in list(sys.modules.items()):
     if name.startswith("twisted_satake") and hasattr(module, "enumerate_absolute_weyl"):
         module.enumerate_absolute_weyl = refuse
@@ -116,6 +139,13 @@ def test_cold_query_builds_no_fraction(argv):
 
 @pytest.mark.parametrize("argv", GUARDED, ids=" ".join)
 def test_cold_query_enumerates_no_weyl_group(argv):
+    results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
+    assert results == [answer(argv)]
+    assert results[0][0] == 0
+
+
+@pytest.mark.parametrize("argv", CLOSURE_FREE, ids=" ".join)
+def test_cold_command_builds_no_closure(argv):
     results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
     assert results == [answer(argv)]
     assert results[0][0] == 0

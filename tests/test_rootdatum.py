@@ -53,6 +53,11 @@ class TestValidate:
         # Reflection closure finds all 6 roots.
         assert len(full_root_system(gl3_datum()).roots) == 6
 
+    def test_negative_rank_rejected(self):
+        report = validate(BasedRootDatum.make(-1, [], []))
+        assert not report.valid
+        assert report.first_violation[0] == "shape"
+
     def test_positive_offdiagonal_rejected(self):
         d = BasedRootDatum.make(2, [(2, 1), (1, 2)], [(1, 0), (0, 1)])
         report = validate(d)

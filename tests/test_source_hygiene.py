@@ -7,6 +7,10 @@ every such helper whose name appears nowhere in the package outside its
 own definition.  Likewise a name a module imports at module level and never
 reads is a stale import.  `__init__.py` is exempt from the import check:
 it imports to re-export.
+
+The breadth-first group closure `weyl._closure` is referred to only from
+the two enumerations that `verify` and the tests read:
+`enumerate_absolute_weyl` and `RelativeWeylGroup.elements`.
 """
 
 import ast
@@ -71,3 +75,34 @@ def test_module_level_imports_are_read():
                     if name not in read:
                         unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
+
+
+def _enclosing_names(tree, name):
+    """Qualified names of the functions in which `name` is read, as a
+    variable or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.append(".".join(scope))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_closure_is_read_only_by_the_enumerations():
+    readers = {
+        (path.name, reader)
+        for path in sorted(SRC.glob("*.py"))
+        for reader in _enclosing_names(ast.parse(path.read_text()), "_closure")
+    }
+    assert readers == {
+        ("weyl.py", "enumerate_absolute_weyl"),
+        ("weyl.py", "RelativeWeylGroup.elements"),
+    }

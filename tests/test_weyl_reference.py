@@ -13,6 +13,12 @@ negative free entries and torsion residues outside [0, d).
 the walk is compared with it on the same sweep plus SU9, and two wrong
 reflections (no doubling for an adjacent pair, c_O with the wrong sign) must
 be caught rather than loop.
+
+The closure is the oracle for the height-product orders: `len(elements)`
+for `RelativeWeylGroup.order`, on the sweep, SU9, SU11 and a split
+A1 x A2 x G2 product, and `enumerate_absolute_weyl` for the split order of
+every base datum of the sweep and the product.  Both enumerations refuse an order past their
+bound without building anything.
 """
 
 import functools
@@ -33,15 +39,19 @@ from twisted_satake.galois import (
     coinvariants,
     group_sum,
     relative_simple_roots,
+    split_twisted,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import BasedRootDatum, full_root_system
 from twisted_satake.satake import conv_cell, mv_cell
 from twisted_satake.weyl import (
+    WEYL_BOUND_DEFAULT,
+    EnumerationBoundExceeded,
     IwahoriWeylElement,
     WeylElement,
     _closure,
     _descended,
+    enumerate_absolute_weyl,
     iw_affine_action,
     iw_inverse,
     iw_multiply,
@@ -414,24 +424,76 @@ def test_wrong_reflections_are_caught(monkeypatch, mutate):
     assert caught > 0, checked
 
 
+def _refuse_closure(*args, **kwargs):
+    raise AssertionError("a Weyl group closure was built")
+
+
 def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     """mv_cell and conv_cell on SU11 build W0's generators, each the longest
-    element of a parabolic of at most 6 elements, but never enumerate W0
+    element of a parabolic by one chamber walk, but build no closure
     (|W0| = 3,840 there)."""
     t = preset("SU11")
     relative_weyl.cache_clear()
+    longest_parabolic_element.cache_clear()
     dominant_representative.cache_clear()
-    real = weyl._closure
-
-    def small_closure(*args, **kwargs):
-        elements = real(*args, **kwargs)
-        if len(elements) > 6:
-            raise AssertionError(f"a closure of {len(elements)} elements was built")
-        return elements
-
-    monkeypatch.setattr(weyl, "_closure", small_closure)
+    monkeypatch.setattr(weyl, "_closure", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
     cell = mv_cell(t, mu, lam)
     assert cell.nonempty and cell.dim == 0
     conv = conv_cell(t, mu, mu, lam, lam)
     assert conv.nonempty and conv.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# Orders from root heights against the closure
+
+
+def split_product(*data):
+    """The split datum whose base is the direct sum of the given bases."""
+    rank = sum(d.rank for d in data)
+    roots, coroots, offset = [], [], 0
+    for d in data:
+        before, after = (0,) * offset, (0,) * (rank - offset - d.rank)
+        roots += [before + r + after for r in d.simple_roots]
+        coroots += [before + c + after for c in d.simple_coroots]
+        offset += d.rank
+    return split_twisted(BasedRootDatum.make(rank, roots, coroots))
+
+
+ORDER_SWEEP = SWEEP + ("SU9", "SU11", "A1xA2xG2")
+
+
+def order_datum(name):
+    if name == "A1xA2xG2":
+        return split_product(*(preset(p).base for p in ("SL2", "SL3", "G2")))
+    return datum(name)
+
+
+@pytest.mark.parametrize("name", ORDER_SWEEP)
+def test_relative_order_matches_closure(name):
+    w0 = relative_weyl(order_datum(name))
+    assert w0.order == len(w0.elements)
+
+
+@pytest.mark.parametrize("name", SWEEP + ("A1xA2xG2",))
+def test_absolute_order_matches_enumeration(name):
+    d = order_datum(name).base
+    assert relative_weyl(split_twisted(d)).order == len(enumerate_absolute_weyl(d))
+
+
+def test_bounds_refuse_before_building(monkeypatch):
+    """An order past the bound is refused with the closure's own message,
+    and an order at the bound is still enumerated."""
+    d = preset("SU5").base
+    enumerate_absolute_weyl.cache_clear()
+    monkeypatch.setattr(weyl, "_closure", _refuse_closure)
+    with pytest.raises(EnumerationBoundExceeded, match="^Weyl group exceeds bound 119$"):
+        enumerate_absolute_weyl(d, 119)
+    with pytest.raises(EnumerationBoundExceeded, match=f"^Weyl group exceeds bound {WEYL_BOUND_DEFAULT}$"):
+        enumerate_absolute_weyl(preset("SU11").base)
+    w0 = relative_weyl(preset("SU17"))
+    assert w0.order == 10_321_920
+    with pytest.raises(EnumerationBoundExceeded, match="^relative Weyl group exceeds bound$"):
+        w0.elements
+    monkeypatch.undo()
+    assert len(enumerate_absolute_weyl(d, 120)) == 120
