@@ -27,7 +27,6 @@ from .rootdatum import (
     validate,
 )
 from .galois import (
-    CoinvariantLattice,
     DiagramAutomorphism,
     TwistedRootDatum,
     average_map,

@@ -80,6 +80,12 @@ class IntMatrix:
     def zero(n, m):
         return IntMatrix(n, m, (0,) * (n * m))
 
+    @staticmethod
+    def permutation(perm):
+        """The matrix sending basis vector j to basis vector perm[j]."""
+        k = len(perm)
+        return IntMatrix.from_rows([[int(perm[j] == i) for j in range(k)] for i in range(k)])
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -432,7 +438,9 @@ class QuotientPresentation:
 
     Classes carry a canonical normal form: the coordinates U*v, with torsion
     slots reduced mod their invariant factor and unit slots dropped.  Equality
-    of classes is equality of normal forms.
+    of classes is equality of normal forms.  A class (free, torsion) has the
+    coordinate vector free + torsion; only this class reads, reduces and
+    flattens class coordinates.
     """
 
     ambient_rank: int
@@ -452,10 +460,14 @@ class QuotientPresentation:
         return tuple(range(self.smith.rank, self.ambient_rank))
 
     @functools.cached_property
+    def _coordinate_slots(self):
+        """The Smith index of each class coordinate: free slots, then torsion slots."""
+        return self.free_slots + tuple(i for i, _d in self.torsion_slots)
+
+    @functools.cached_property
     def unit_lifts(self):
-        """`lift` of each unit class, free slots first and then torsion slots."""
-        slots = self.free_slots + tuple(i for i, _d in self.torsion_slots)
-        return tuple(self.smith.U_inverse.column(i) for i in slots)
+        """`lift` of each unit class, in coordinate order."""
+        return tuple(self.smith.U_inverse.column(i) for i in self._coordinate_slots)
 
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
@@ -469,38 +481,40 @@ class QuotientPresentation:
         torsion = tuple(w[i] % d for i, d in self.torsion_slots)
         return (free, torsion)
 
-    def lift(self, cls):
-        """A representative in Z^ambient_rank of a normal-form class."""
+    def coordinates(self, cls):
+        """The flat coordinate vector free + torsion of a class."""
         free, torsion = cls
         if len(free) != len(self.free_slots) or len(torsion) != len(self.torsion_slots):
             raise DimensionMismatch("class does not match this presentation")
+        return tuple(free) + tuple(torsion)
+
+    def normal_form(self, x):
+        """The class with coordinates x, torsion entries reduced mod their
+        invariant factors."""
+        r = len(self.free_slots)
+        return tuple(x[:r]), tuple([a % d for a, (_i, d) in zip(x[r:], self.torsion_slots)])
+
+    def lift(self, cls):
+        """A representative in Z^ambient_rank of a normal-form class."""
         w = [0] * self.ambient_rank
-        for x, i in zip(free, self.free_slots):
-            w[i] = int(x)
-        for x, (i, _d) in zip(torsion, self.torsion_slots):
+        for i, x in zip(self._coordinate_slots, self.coordinates(cls)):
             w[i] = int(x)
         return self.smith.U_inverse.apply(w)
 
     def zero_class(self):
-        return ((0,) * len(self.free_slots), (0,) * len(self.torsion_slots))
+        return self.normal_form((0,) * (len(self.free_slots) + len(self.torsion_slots)))
 
     def add(self, c1, c2):
-        f = vec_add(c1[0], c2[0])
-        t = tuple((a + b) % d for (a, b), (_i, d) in zip(zip(c1[1], c2[1]), self.torsion_slots))
-        return (f, t)
+        return self.normal_form(vec_add(self.coordinates(c1), self.coordinates(c2)))
 
     def neg(self, c):
-        f = tuple(-a for a in c[0])
-        t = tuple((-a) % d for a, (_i, d) in zip(c[1], self.torsion_slots))
-        return (f, t)
+        return self.normal_form(vec_scale(-1, self.coordinates(c)))
 
     def sub(self, c1, c2):
-        return self.add(c1, self.neg(c2))
+        return self.normal_form(vec_sub(self.coordinates(c1), self.coordinates(c2)))
 
     def scale(self, n, c):
-        f = tuple(n * a for a in c[0])
-        t = tuple((n * a) % d for a, (_i, d) in zip(c[1], self.torsion_slots))
-        return (f, t)
+        return self.normal_form(vec_scale(n, self.coordinates(c)))
 
 
 def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentation:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 input validation error, 3 property
 suite failure, 4 internal defect (a broken internal invariant or an
-enumeration past its bound, reported as one line on stderr).  Every number
+enumeration past its bound, reported as one line on stderr), 141 stdout
+closed by its reader before the answer was written.  Every number
 emitted is exact: integers, or fractions rendered "p/q"; identical
 configurations produce byte-identical output.
 
@@ -18,6 +19,7 @@ before positionals.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -61,6 +63,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_PROPERTY = 3
 EXIT_DEFECT = 4
+EXIT_PIPE = 141   # 128 + SIGPIPE: what a shell reports when the reader of stdout quit early
 
 # `-h` shows the first two paragraphs of this docstring (none under -OO).
 _HELP_DESCRIPTION = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
@@ -310,7 +313,6 @@ def _emit(args, payload, extra_text_lines):
 
 def cmd_describe(args, t):
     rel = relative_simple_roots(t)
-    c = coinvariants(t)
     desc = fixed_group_descriptor(t, parse_profile(args.coeff))
     system = full_root_system(t.base)
     payload = {
@@ -322,7 +324,7 @@ def cmd_describe(args, t):
             {"indices": list(orbit), "type": kind}
             for orbit, kind in zip(rel.simple_orbit_list, rel.orbit_type)
         ],
-        "coinvariants": str(c.group),
+        "coinvariants": str(coinvariants(t).quotient),
         "pi1_coinvariants": str(kottwitz_components(t)),
         "relative_weyl_order": relative_weyl(t).order,
         "fixed_group": {
@@ -513,6 +515,20 @@ def cmd_verify(args, t_or_error):
 
 
 def main(argv=None) -> int:
+    """Answer one command line; the exit code.  When the reader of stdout
+    has gone, stdout is pointed at os.devnull, so the flush at exit stays
+    quiet, and the code is EXIT_PIPE; no signal handler is installed."""
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # also after help, which exits by SystemExit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+
+
+def _run(argv):
     if argv is None:
         argv = sys.argv[1:]
     plain = _parse_plain(argv)

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from ._value import frozen
 from .abelian import (
-    DimensionMismatch,
     IntMatrix,
     InvariantViolation,
     dot,
@@ -68,7 +67,8 @@ class _Substrate:
     """Integer data that heights, dominance, the order and the bounded cone
     read for one datum.
 
-    Classes are read in coordinates x = (free..., torsion...).  The average
+    Classes are read in the coordinates x = (free..., torsion...) that
+    `coinvariants(t).coordinates` gives.  The average
     of a class is linear in them, with |I| times the average of unit class
     j equal to the group sum of the presentation's `unit_lifts[j]`.  So |I|
     times its pairings with the simple roots and with 2*rho are integer dot
@@ -96,7 +96,6 @@ class _Substrate:
     """
 
     group_order: int          # |I|
-    torsion_rank: int
     free_sums: tuple          # sum_gamma gamma(lift e_j), per free basis class j
     root_pairings: tuple      # per simple root alpha_i: |I| <average of basis class, alpha_i>
     heights: tuple            # |I| <average of basis class, 2 rho>, per basis class
@@ -107,21 +106,13 @@ class _Substrate:
     cone: tuple | None
     reflections: tuple        # (c_O, a_O) per orbit
 
-    def coordinates(self, cls):
-        """Free then torsion coordinates of a class, as one vector."""
-        free, torsion = cls
-        if len(free) != len(self.free_sums) or len(torsion) != self.torsion_rank:
-            raise DimensionMismatch("class does not match this presentation")
-        return tuple(free) + tuple(torsion)
+    def scaled_pairing(self, x, chi):
+        """|I| <average of the class with coordinates x, chi>, an integer:
+        torsion classes average to zero."""
+        return dot(x[: len(self.free_sums)], [dot(v, chi) for v in self.free_sums])
 
-    def scaled_pairing(self, cls, chi):
-        """|I| <average of cls, chi>, an integer: torsion classes average to zero."""
-        free = self.coordinates(cls)[: len(self.free_sums)]
-        return dot(free, [dot(v, chi) for v in self.free_sums])
-
-    def order_coordinates(self, cls):
-        """(order key, L-scaled orbit coordinates) of a class."""
-        x = self.coordinates(cls)
+    def order_coordinates(self, x):
+        """(order key, L-scaled orbit coordinates) of the class with coordinates x."""
         w = [dot(row, x) for row in self.order_rows]
         k = len(self.order_moduli)
         key = tuple(a % d for a, d in zip(w, self.order_moduli)) + tuple(w[k:])
@@ -132,8 +123,9 @@ class _Substrate:
 def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
-    r, s = c.free_rank, len(c.torsion)
-    sums = [group_sum(t, v) for v in c.presentation.unit_lifts]
+    r, factors = c.quotient.free_rank, c.quotient.invariant_factors
+    s = len(factors)
+    sums = [group_sum(t, v) for v in c.unit_lifts]
     if any(any(v) for v in sums[r:]):
         raise InvariantViolation("a torsion class has a nonzero average")
     free_sums = tuple(sums[:r])
@@ -145,7 +137,7 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     # coordinates once each torsion coordinate may move by its invariant factor.
     orbit_classes = orbit_coroot_classes(t)
     moduli = [
-        tuple(d if i == r + k else 0 for i in range(r + s)) for k, d in enumerate(c.torsion)
+        tuple(d if i == r + k else 0 for i in range(r + s)) for k, d in enumerate(factors)
     ]
     system = smith_normal_form(IntMatrix.from_columns(
         [free + torsion for free, torsion in orbit_classes] + moduli, nrows=r + s
@@ -161,7 +153,6 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     rel = relative_simple_roots(t)
     return _Substrate(
         group_order=group_order(t),
-        torsion_rank=s,
         free_sums=free_sums,
         root_pairings=root_pairings,
         heights=heights,
@@ -183,13 +174,13 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
     """<average lift, 2 rho>; integral on dominant classes (tested)."""
     sub = _substrate(t)
-    return Fraction(dot(sub.heights, sub.coordinates(cls)), sub.group_order)
+    return Fraction(dot(sub.heights, coinvariants(t).coordinates(cls)), sub.group_order)
 
 
 def is_dominant_class(t: TwistedRootDatum, cls):
     """The DominantClass witness, or None."""
     sub = _substrate(t)
-    x = sub.coordinates(cls)
+    x = coinvariants(t).coordinates(cls)
     pairings = [dot(row, x) for row in sub.root_pairings]
     if any(p < 0 for p in pairings):
         return None
@@ -205,7 +196,7 @@ def dominant_representative(t: TwistedRootDatum, cls):
     class is read from that element's descended action and checked dominant."""
     sub = _substrate(t)
     limit = len(full_root_system(t.base).positive)
-    _point, word = dominant_walk(sub.coordinates(cls), sub.reflections, limit)
+    _point, word = dominant_walk(coinvariants(t).coordinates(cls), sub.reflections, limit)
     w0 = relative_weyl(t)
     w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
                                      IntMatrix.identity(t.rank)), word=word)
@@ -217,7 +208,7 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 @functools.lru_cache(maxsize=None)
 def _order_coordinates(t: TwistedRootDatum, cls):
-    return _substrate(t).order_coordinates(cls)
+    return _substrate(t).order_coordinates(coinvariants(t).coordinates(cls))
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,8 +274,7 @@ def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
 
 
 def _torsion_combinations(c):
-    factors = [d for _i, d in c.presentation.torsion_slots]
-    return itertools.product(*[range(d) for d in factors])
+    return itertools.product(*[range(d) for d in c.quotient.invariant_factors])
 
 
 def _has_invariant_central_direction(t: TwistedRootDatum) -> bool:
@@ -310,7 +300,7 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
         if coord_bound is None:
             raise ValueError("datum has invariant central directions; "
                              "pass coord_bound (--coord-bound on the command line)")
-        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.free_rank)
+        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.quotient.free_rank)
         out = [
             cls for cls in itertools.product(box, _torsion_combinations(c))
             if class_height(t, cls) <= max_height and is_dominant_class(t, cls) is not None

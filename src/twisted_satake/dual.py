@@ -34,7 +34,14 @@ from .galois import (
     one_minus_gamma_columns,
     relative_simple_roots,
 )
-from .rootdatum import BasedRootDatum, InvalidDatumError, _validity_report, dualize, require_valid
+from .rootdatum import (
+    BasedRootDatum,
+    InvalidDatumError,
+    _validity_report,
+    adjoint_from_cartan,
+    dualize,
+    require_valid,
+)
 from .weyl import _descended, relative_weyl, simple_reflection
 
 
@@ -96,7 +103,11 @@ def parse_profile(text: str) -> CoefficientProfile:
         return CHAR0
     for tag, kind in (("Zl:", "Z_ell"), ("Fl:", "F_ell")):
         if text.startswith(tag):
-            return CoefficientProfile(kind, int(text[len(tag):]))
+            try:
+                ell = int(text[len(tag):])
+            except ValueError:
+                break
+            return CoefficientProfile(kind, ell)
     raise ValueError(f"cannot parse coefficient profile {text!r}")
 
 
@@ -168,10 +179,10 @@ def _fold_recipe(s: TwistedRootDatum):
     of X^*(s)_I; None when torsion obstructs a based presentation."""
     dual = dual_twisted(s)
     chars = coinvariants(dual)  # X^*(s)_I
-    if chars.torsion:
+    if chars.quotient.invariant_factors:
         return None
     rel = relative_simple_roots(s)
-    r = chars.free_rank
+    r = chars.quotient.free_rank
     folded_roots = []
     folded_coroots = []
     for orbit, kind in zip(rel.simple_orbit_list, rel.orbit_type):
@@ -186,7 +197,7 @@ def _fold_recipe(s: TwistedRootDatum):
             for idx in range(s.rank):
                 kappa[idx] += multiplier * s.base.simple_coroots[i][idx]
         # Express the invariant functional <kappa, -> in free coordinates.
-        folded_coroots.append(tuple(dot(kappa, v) for v in chars.presentation.unit_lifts))
+        folded_coroots.append(tuple(dot(kappa, v) for v in chars.unit_lifts))
     folded = BasedRootDatum.make(r, folded_roots, folded_coroots)
     report = _validity_report(folded)
     if not report.valid:
@@ -256,7 +267,7 @@ def _connectedness_char0(s: TwistedRootDatum) -> str:
 class FoldedGroupDescriptor:
     source: TwistedRootDatum
     profile: CoefficientProfile
-    fixed_torus_characters: object        # CoinvariantLattice of dual_twisted(s)
+    fixed_torus_characters: object        # X^*(s)_I = coinvariants(dual_twisted(s))
     descended_weyl: object                # RelativeWeylGroup of dual_twisted(s)
     folded_cartan: FoldedCartan | None
     label: str | None
@@ -375,21 +386,12 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
     """The adjoint datum on the fundamental-coweight lattice, with the
     transported action and the natural map from X_*(T)."""
     require_valid(t.base)
-    k = t.base.num_simple
-    cartan = t.base.cartan_matrix()
-    ad_base = BasedRootDatum.make(
-        k,
-        [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)],
-        [tuple(cartan[i][j] for j in range(k)) for i in range(k)],
+    gens = tuple(
+        DiagramAutomorphism(lattice_map=IntMatrix.permutation(g.root_permutation),
+                            root_permutation=g.root_permutation, order=g.order)
+        for g in t.generators
     )
-    gens = []
-    for g in t.generators:
-        perm = g.root_permutation
-        lattice = IntMatrix.from_rows(
-            [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
-        )
-        gens.append(DiagramAutomorphism(lattice_map=lattice, root_permutation=perm, order=g.order))
-    adjoint = TwistedRootDatum.make(ad_base, tuple(gens))
+    adjoint = TwistedRootDatum.make(adjoint_from_cartan(t.base.cartan_matrix()), gens)
     to_ad = IntMatrix.from_rows([list(alpha) for alpha in t.base.simple_roots])
     kernel = tuple(integer_kernel_basis(to_ad))
     out = AdjointQuotient(source=t, adjoint=adjoint, to_adjoint=to_ad, kernel_basis=kernel)

@@ -18,6 +18,7 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     InvariantViolation,
+    QuotientPresentation,
     induced_map_kernel,
     quotient_group,
 )
@@ -169,44 +170,6 @@ def group_order(t: TwistedRootDatum) -> int:
 # Coinvariants
 
 
-@frozen
-class CoinvariantLattice:
-    """X_*(T)_I presented by Smith normal form of the (1-gamma) columns."""
-
-    datum: TwistedRootDatum
-    presentation: object  # QuotientPresentation
-    group: FgAbelianGroup
-
-    @property
-    def torsion(self):
-        return self.group.invariant_factors
-
-    @property
-    def free_rank(self):
-        return self.group.free_rank
-
-    def class_of(self, v):
-        return self.presentation.class_of(v)
-
-    def lift(self, cls):
-        return self.presentation.lift(cls)
-
-    def zero(self):
-        return self.presentation.zero_class()
-
-    def add(self, a, b):
-        return self.presentation.add(a, b)
-
-    def sub(self, a, b):
-        return self.presentation.sub(a, b)
-
-    def neg(self, a):
-        return self.presentation.neg(a)
-
-    def scale(self, n, a):
-        return self.presentation.scale(n, a)
-
-
 def one_minus_gamma_columns(t: TwistedRootDatum):
     """Columns (1 - gamma) e_j over the generators; they span the full
     augmentation sublattice (1 - g)X_*(T) over the whole group."""
@@ -221,18 +184,17 @@ def one_minus_gamma_columns(t: TwistedRootDatum):
 
 
 @functools.lru_cache(maxsize=None)
-def coinvariants(t: TwistedRootDatum) -> CoinvariantLattice:
+def coinvariants(t: TwistedRootDatum) -> QuotientPresentation:
+    """X_*(T)_I, presented by Smith normal form of the (1 - gamma) columns;
+    its `quotient` is the group."""
     validate_twisted(t)
     relations = IntMatrix.from_columns(one_minus_gamma_columns(t), nrows=t.rank)
-    pres = quotient_group(t.rank, relations)
-    return CoinvariantLattice(datum=t, presentation=pres, group=pres.quotient)
+    return quotient_group(t.rank, relations)
 
 
 def average_map(t: TwistedRootDatum, cls):
     """The rational invariant cocharacter (1/|I|) sum_gamma gamma(lift)."""
-    c = coinvariants(t)
-    lift = c.lift(cls)
-    return average_vector(t, lift)
+    return average_vector(t, coinvariants(t).lift(cls))
 
 
 def group_sum(t: TwistedRootDatum, v):
@@ -361,7 +323,7 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     m = IntMatrix.from_columns(
         [t.base.simple_coroots[i] for i in orbit_reps], nrows=t.rank
     )
-    kernel_gens = induced_map_kernel(m, c.presentation)
+    kernel_gens = induced_map_kernel(m, c)
     injective = all(all(x == 0 for x in g) for g in kernel_gens)
 
     # Cokernel: X_*(T)_I modulo the orbit classes, against pi_1(G)_I.
@@ -373,7 +335,7 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     data = ExactSequenceData(
         datum=t,
         coroot_coinvariants=coroot_coinv,
-        middle=c.group,
+        middle=c.quotient,
         cokernel=coker,
         pi1_coinvariants=pi1,
         injective=injective,

@@ -21,7 +21,7 @@ import re
 from ._value import frozen
 from .abelian import IntMatrix
 from .galois import DiagramAutomorphism, TwistedRootDatum, split_twisted
-from .rootdatum import BasedRootDatum
+from .rootdatum import BasedRootDatum, adjoint_from_cartan
 
 
 @frozen
@@ -60,24 +60,8 @@ def _cartan_sc(cartan):
     return BasedRootDatum.make(k, roots, coroots)
 
 
-def _cartan_ad(cartan):
-    """Adjoint datum from a Cartan matrix: roots standard basis, coroots the
-    Cartan rows."""
-    k = len(cartan)
-    roots = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    coroots = [tuple(cartan[j][i] for i in range(k)) for j in range(k)]
-    return BasedRootDatum.make(k, roots, coroots)
-
-
 def _a_n_cartan(n):
     return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-
-
-def _permutation_matrix(perm):
-    k = len(perm)
-    return IntMatrix.from_rows(
-        [[1 if perm[j] == i else 0 for j in range(k)] for i in range(k)]
-    )
 
 
 def _flip(n):
@@ -108,7 +92,7 @@ def _special_unitary(k_odd):
     n = k_odd - 1
     base = _cartan_sc(_a_n_cartan(n))
     flip = _flip(n)
-    gen = DiagramAutomorphism.make(_permutation_matrix(flip), flip, order=2)
+    gen = DiagramAutomorphism.make(IntMatrix.permutation(flip), flip, order=2)
     return PresetEntry(
         name=f"SU{k_odd}",
         twisted=TwistedRootDatum.make(base, (gen,)),
@@ -130,11 +114,11 @@ def _build_fixed_registry():
 
     a1 = [[2]]
     add(PresetEntry("SL2", split_twisted(_cartan_sc(a1))))
-    add(PresetEntry("PGL2", split_twisted(_cartan_ad(a1))))
+    add(PresetEntry("PGL2", split_twisted(adjoint_from_cartan(a1))))
 
     a2 = _a_n_cartan(2)
     add(PresetEntry("SL3", split_twisted(_cartan_sc(a2))))
-    add(PresetEntry("PGL3", split_twisted(_cartan_ad(a2))))
+    add(PresetEntry("PGL3", split_twisted(adjoint_from_cartan(a2))))
 
     # Sp4 = C2: alpha_1 short, alpha_2 long.
     c2 = [[2, -2], [-1, 2]]
@@ -155,7 +139,7 @@ def _build_fixed_registry():
     add(_special_unitary(5))
 
     # PSU3: the adjoint A2 datum with the flip on the coweight basis.
-    psu3_base = _cartan_ad(a2)
+    psu3_base = adjoint_from_cartan(a2)
     psu3_gen = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=2)
     # Coweight-lattice coordinates inside Z^3/(1,1,1): class of (a,b,c)
     # has internal coordinates (a-b, b-c); omega_1 lifts to (1,0,0).
@@ -174,7 +158,7 @@ def _build_fixed_registry():
     a3 = _a_n_cartan(3)
     su4_base = _cartan_sc(a3)
     su4_perm = (2, 1, 0)
-    su4_gen = DiagramAutomorphism.make(_permutation_matrix(su4_perm), su4_perm, order=2)
+    su4_gen = DiagramAutomorphism.make(IntMatrix.permutation(su4_perm), su4_perm, order=2)
     add(PresetEntry(
         "SU4",
         TwistedRootDatum.make(su4_base, (su4_gen,)),
@@ -190,7 +174,7 @@ def _build_fixed_registry():
     ]
     spin8_base = _cartan_sc(d4)
     tri = (2, 1, 3, 0)  # 0 -> 2 -> 3 -> 0 in zero-based node labels
-    spin8_gen = DiagramAutomorphism.make(_permutation_matrix(tri), tri, order=3)
+    spin8_gen = DiagramAutomorphism.make(IntMatrix.permutation(tri), tri, order=3)
     add(PresetEntry(
         "Spin8-triality",
         TwistedRootDatum.make(spin8_base, (spin8_gen,)),

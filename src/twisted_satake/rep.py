@@ -301,7 +301,7 @@ def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restrictio
             "no verified folded root datum for this input", restriction=restriction
         )
     for cls in classes:
-        desc.fixed_torus_characters.lift(cls)
+        desc.fixed_torus_characters.coordinates(cls)
     return desc
 
 

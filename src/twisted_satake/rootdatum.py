@@ -218,6 +218,14 @@ def full_root_system(d: BasedRootDatum) -> RootSystem:
                       coordinates=coordinates)
 
 
+def adjoint_from_cartan(cartan) -> BasedRootDatum:
+    """The adjoint datum of a Cartan matrix: the simple roots on the standard
+    basis (so the fundamental coweights are), the coroots the Cartan rows."""
+    k = len(cartan)
+    roots = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    return BasedRootDatum.make(k, roots, [tuple(row) for row in cartan])
+
+
 def dualize(d: BasedRootDatum) -> BasedRootDatum:
     """Swap the character and cocharacter copies; an involution."""
     require_valid(d)

@@ -222,8 +222,8 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
         subset.update(rel.simple_orbit_list[i])
     rd = rho_data(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
-    sub = _substrate(t)
-    value = sub.scaled_pairing(coinvariants(t).class_of(tuple(v)), shift)
+    sub, c = _substrate(t), coinvariants(t)
+    value = sub.scaled_pairing(c.coordinates(c.class_of(tuple(v))), shift)
     return _integral(Fraction(value, sub.group_order), "corr value")
 
 

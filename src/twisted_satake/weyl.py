@@ -228,12 +228,9 @@ def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
     acts on any representative of a class.  Torsion classes stay torsion,
     so the torsion-to-free block is zero.
     """
-    p = coinvariants(t).presentation
-    r = len(p.free_slots)
-    cols = []
-    for v in p.unit_lifts:
-        free, torsion = p.class_of(m.apply(v))
-        cols.append(free + torsion)
+    p = coinvariants(t)
+    r = p.quotient.free_rank
+    cols = [p.coordinates(p.class_of(m.apply(v))) for v in p.unit_lifts]
     if any(any(col[:r]) for col in cols[r:]):
         raise InvariantViolation("a torsion class left the torsion subgroup")
     return IntMatrix.from_columns(cols, nrows=len(cols))
@@ -241,13 +238,8 @@ def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
 
 def _descend(t: TwistedRootDatum, m: IntMatrix, cls):
     """The normal form of the class m sends cls to."""
-    p = coinvariants(t).presentation
-    free, torsion = cls
-    if len(free) != len(p.free_slots) or len(torsion) != len(p.torsion_slots):
-        raise DimensionMismatch("class does not match this presentation")
-    y = _descended(t, m).apply(tuple(int(x) for x in free) + tuple(int(x) for x in torsion))
-    r = len(free)
-    return y[:r], tuple(a % d for a, (_i, d) in zip(y[r:], p.torsion_slots))
+    p = coinvariants(t)
+    return p.normal_form(_descended(t, m).apply(p.coordinates(cls)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,7 +273,7 @@ class IwahoriWeylElement:
 
 
 def iw_identity(t: TwistedRootDatum) -> IwahoriWeylElement:
-    return iw_translation(t, coinvariants(t).zero())
+    return iw_translation(t, coinvariants(t).zero_class())
 
 
 def iw_translation(t: TwistedRootDatum, cls) -> IwahoriWeylElement:
@@ -322,7 +314,7 @@ def iw_affine_action(x: IwahoriWeylElement, point):
     p -> w^{-1}(p) - mu, so a pure translation class mu sends p to p - mu.
     w^{-1} acts through the free block of its descended map."""
     t = x.datum
-    r = coinvariants(t).free_rank
+    r = coinvariants(t).quotient.free_rank
     point = tuple(Fraction(p) for p in point)
     if len(point) != r:
         raise DimensionMismatch("point has wrong dimension for the apartment")

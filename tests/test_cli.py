@@ -151,6 +151,12 @@ class TestBranchTensor:
         code, _out, err = run(capsys, "branch", "SU3", "--weight", "1,0", "--coeff", "Fl:4")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("text", ["Fl:x", "Zl:", "Fl:2.0", "Qp:3"])
+    def test_unparsable_profile_is_named(self, capsys, text):
+        code, out, err = run(capsys, "describe", "SU3", "--coeff", text)
+        assert (code, out, err) == (
+            EXIT_INPUT, "", f"input error: cannot parse coefficient profile {text!r}\n")
+
     def test_large_prime_answers(self, capsys):
         code, out, _err = run(capsys, "branch", "SU3", "--weight", "1,0",
                               "--coeff", "Fl:1000000000000000003")
@@ -384,6 +390,30 @@ class TestExitCodes:
         assert code == EXIT_DEFECT
         assert out == ""
         assert err == "internal defect: EnumerationBoundExceeded: Weyl group exceeds bound\n"
+
+    @pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["describe", "SU4"], ["-h"]], ids=" ".join)
+    def test_closed_stdout_exits_141_without_traceback(self, argv, buffering):
+        """`twisted-satake describe SU4 | head -0`: the reader is gone before
+        the answer is written (unbuffered) or flushed (buffered).  Help is
+        written by argparse, which drops a failed write, so unbuffered help
+        still exits 0."""
+        src = os.path.dirname(os.path.dirname(twisted_satake.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "twisted_satake.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        expected = 0 if argv == ["-h"] and buffering == "unbuffered" else cli.EXIT_PIPE
+        assert (proc.returncode, proc.stderr) == (expected, b"")
+        assert cli.EXIT_PIPE == 141
 
 
 def _su7_file_datum():

@@ -30,7 +30,7 @@ class TestDominance:
     def test_zero_dominant(self):
         for name, entry in default_presets():
             t = entry.twisted
-            zero = coinvariants(t).zero()
+            zero = coinvariants(t).zero_class()
             assert is_dominant_class(t, zero) is not None, name
 
     def test_su3_values(self):

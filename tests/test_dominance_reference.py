@@ -163,7 +163,7 @@ def ref_has_invariant_central_direction(t):
 
 def ref_enumerate_dominant_classes(t, max_height, coord_bound=None):
     c = coinvariants(t)
-    r = c.free_rank
+    r = c.quotient.free_rank
 
     if ref_has_invariant_central_direction(t):
         if coord_bound is None:
@@ -174,7 +174,7 @@ def ref_enumerate_dominant_classes(t, max_height, coord_bound=None):
 
     out = []
     for free in itertools.product(*ranges):
-        for torsion in itertools.product(*[range(d) for _i, d in c.presentation.torsion_slots]):
+        for torsion in itertools.product(*[range(d) for d in c.quotient.invariant_factors]):
             cls = (tuple(free), tuple(torsion))
             if class_height(t, cls) > max_height:
                 continue
@@ -263,8 +263,8 @@ def bounds(t):
 
 def box_classes(t, reach):
     c = coinvariants(t)
-    torsion = itertools.product(*[range(d) for d in c.torsion])
-    free = itertools.product(range(-reach, reach + 1), repeat=c.free_rank)
+    torsion = itertools.product(*[range(d) for d in c.quotient.invariant_factors])
+    free = itertools.product(range(-reach, reach + 1), repeat=c.quotient.free_rank)
     return [(f, s) for f, s in itertools.product(free, torsion)]
 
 

@@ -57,6 +57,11 @@ class TestPrimeProfiles:
         assert profile.ell == 10**18 + 3 and str(profile) == "Fl:1000000000000000003"
         assert parse_profile(f"Zl:{2**64 - 59}").ell == 2**64 - 59
 
+    @pytest.mark.parametrize("text", ["Fl:x", "Zl:", "Fl: 3x", "char1", "Fl3"])
+    def test_unparsable_profile_is_named(self, text):
+        with pytest.raises(ValueError, match=f"^cannot parse coefficient profile {text!r}$"):
+            parse_profile(text)
+
     def test_large_composite_refused(self):
         with pytest.raises(ValueError, match="profile needs a prime ell$"):
             parse_profile("Fl:1000000000000000001")
@@ -89,7 +94,7 @@ class TestFixedGroupDescriptor:
     def test_swap_pair_gives_sl2(self):
         desc = fixed_group_descriptor(preset("SL2xSL2-swap"))
         assert desc.label == "SL2"
-        assert desc.fixed_torus_characters.group == FgAbelianGroup(1, ())
+        assert desc.fixed_torus_characters.quotient == FgAbelianGroup(1, ())
         assert desc.descended_weyl.order == 2
 
     def test_su3_gives_pgl2(self):
@@ -120,7 +125,7 @@ class TestFixedGroupDescriptor:
         for name, entry in default_presets():
             t = entry.twisted
             desc = fixed_group_descriptor(dual_twisted(t))
-            assert desc.fixed_torus_characters.group == coinvariants(t).group, name
+            assert desc.fixed_torus_characters.quotient == coinvariants(t).quotient, name
 
     def test_folded_weyl_matches_oracle(self):
         for name, entry in default_presets():

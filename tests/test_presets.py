@@ -40,7 +40,7 @@ def test_parameterized_unitary_family():
 def test_parameterized_torus_family():
     t = preset("torus-rank-5")
     assert t.rank == 5 and group_order(t) == 1
-    assert coinvariants(t).free_rank == 5
+    assert coinvariants(t).quotient.free_rank == 5
 
 
 def test_unknown_rejected():

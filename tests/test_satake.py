@@ -39,7 +39,7 @@ class TestStratum:
     def test_base_point(self):
         for name, entry in default_presets():
             t = entry.twisted
-            s = stratum(t, coinvariants(t).zero())
+            s = stratum(t, coinvariants(t).zero_class())
             assert s.dim == 0, name
 
     def test_split_sl2_coroot(self):
@@ -253,7 +253,7 @@ class TestParity:
             if name.startswith("torus"):
                 continue
             t = entry.twisted
-            assert parity_check(t, component_of(t, coinvariants(t).zero())) == 0, name
+            assert parity_check(t, component_of(t, coinvariants(t).zero_class())) == 0, name
 
     def test_pgl2_odd_component(self):
         # The one-dimensional projective-line component: parity 1.

@@ -33,7 +33,7 @@ def check(m: IntMatrix):
 
 
 def relation_matrices(t):
-    yield coinvariants(t).presentation.relations
+    yield coinvariants(t).relations
     yield pi1_coinvariants_presentation(t).relations
     # The relations of fundamental_group: X_*(T) modulo the coroot lattice.
     yield IntMatrix.from_columns(list(t.base.simple_coroots), nrows=t.rank)

@@ -10,7 +10,9 @@ it imports to re-export.
 
 The breadth-first group closure `weyl._closure` is referred to only from
 the two enumerations that `verify` and the tests read:
-`enumerate_absolute_weyl` and `RelativeWeylGroup.elements`.
+`enumerate_absolute_weyl` and `RelativeWeylGroup.elements`.  The Smith
+slots of a coinvariant class are read only inside
+`abelian.QuotientPresentation`.
 """
 
 import ast
@@ -106,3 +108,16 @@ def test_closure_is_read_only_by_the_enumerations():
         ("weyl.py", "enumerate_absolute_weyl"),
         ("weyl.py", "RelativeWeylGroup.elements"),
     }
+
+
+def test_class_slots_are_read_only_by_the_presentation():
+    """How a class (free, torsion) maps to Smith coordinates, is reduced and
+    is shape-checked is known to `abelian.QuotientPresentation` alone; every
+    other module reads classes through its `coordinates` and `normal_form`."""
+    readers = {
+        (path.name, reader.split(".")[0])
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("free_slots", "torsion_slots")
+        for reader in _enclosing_names(ast.parse(path.read_text()), name)
+    }
+    assert readers == {("abelian.py", "QuotientPresentation")}

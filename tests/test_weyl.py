@@ -111,7 +111,7 @@ class TestRelativeWeyl:
             t = entry.twisted
             w0 = relative_weyl(t)
             c = coinvariants(t)
-            probe = (tuple(range(1, c.free_rank + 1)), (0,) * len(c.torsion))
+            probe = (tuple(range(1, c.quotient.free_rank + 1)), (0,) * len(c.quotient.invariant_factors))
             for s in w0.generators:
                 assert w0.act(s, w0.act(s, probe)) == probe, name
 
@@ -132,7 +132,7 @@ class TestRelativeWeyl:
             c = coinvariants(t)
             for s in relative_weyl(t).generators:
                 for col in one_minus_gamma_columns(t):
-                    assert c.class_of(s.apply(col)) == c.zero(), name
+                    assert c.class_of(s.apply(col)) == c.zero_class(), name
 
 
 class TestIwahoriWeyl:
@@ -147,7 +147,7 @@ class TestIwahoriWeyl:
     def test_conjugation_moves_translation(self):
         t = preset("SU3")
         s = relative_weyl(t).generators[0]
-        sw = IwahoriWeylElement(t, s, coinvariants(t).zero())
+        sw = IwahoriWeylElement(t, s, coinvariants(t).zero_class())
         lam = iw_translation(t, ((3,), ()))
         conj = iw_multiply(iw_multiply(sw, lam), iw_inverse(sw))
         assert conj.finite.matrix == IntMatrix.identity(2)

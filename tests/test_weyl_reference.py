@@ -89,10 +89,10 @@ class _FracMatrix:
 
 def ref_free_matrix(t, m):
     c = coinvariants(t)
-    r = c.free_rank
+    r = c.quotient.free_rank
     cols = []
     for j in range(r):
-        basis_class = (tuple(1 if s == j else 0 for s in range(r)), (0,) * len(c.torsion))
+        basis_class = (tuple(1 if s == j else 0 for s in range(r)), (0,) * len(c.quotient.invariant_factors))
         img = c.class_of(m.apply(c.lift(basis_class)))
         cols.append(img[0])
     return _FracMatrix(
@@ -144,7 +144,7 @@ def ref_dominant_representative(t, cls):
 def ref_free_sums(t):
     """The unit-class loop of the dominance substrate."""
     c = coinvariants(t)
-    r, s = c.free_rank, len(c.torsion)
+    r, s = c.quotient.free_rank, len(c.quotient.invariant_factors)
 
     def basis_sum(free_index, torsion_index):
         free = tuple(int(j == free_index) for j in range(r))
@@ -161,7 +161,7 @@ def ref_folded_coroots(s):
     """The kappa rows of the folding recipe, one unit class at a time."""
     chars = coinvariants(dual_twisted(s))
     rel = relative_simple_roots(s)
-    r = chars.free_rank
+    r = chars.quotient.free_rank
     out = []
     for orbit, kind in zip(rel.simple_orbit_list, rel.orbit_type):
         multiplier = 2 if kind == "adjacent-pair" else 1
@@ -209,16 +209,16 @@ def datum(name):
 def sample_classes(t):
     """Classes with negative free entries and torsion residues outside [0, d)."""
     c = coinvariants(t)
-    r = c.free_rank
+    r = c.quotient.free_rank
     frees = [(0,) * r]
     frees += [tuple(x if k == j else 0 for k in range(r)) for j in range(r) for x in (1, -1)]
     frees += [tuple((-2, 3, -1, 5)[k % 4] for k in range(r))]
-    torsions = list(itertools.product(*[(0, -1, d + 1, -2 * d - 1) for d in c.torsion]))
+    torsions = list(itertools.product(*[(0, -1, d + 1, -2 * d - 1) for d in c.quotient.invariant_factors]))
     return [(f, s) for f in dict.fromkeys(frees) for s in torsions]
 
 
 def apartment_points(t):
-    r = coinvariants(t).free_rank
+    r = coinvariants(t).quotient.free_rank
     return [
         (0,) * r,
         tuple(Fraction(k + 1, 3) * (-1) ** k for k in range(r)),
@@ -285,12 +285,12 @@ def test_longest_parabolic_elements_match_negative_root_scan(name):
 def test_unit_lifts_match_reference_loops(name):
     t = datum(name)
     c = coinvariants(t)
-    r, s = c.free_rank, len(c.torsion)
+    r, s = c.quotient.free_rank, len(c.quotient.invariant_factors)
     units = [
         (tuple(int(k == j) for k in range(r)), tuple(int(k == j - r) for k in range(s)))
         for j in range(r + s)
     ]
-    assert c.presentation.unit_lifts == tuple(c.lift(u) for u in units)
+    assert c.unit_lifts == tuple(c.lift(u) for u in units)
     assert _substrate(t).free_sums == ref_free_sums(t)
     folded = fixed_group_descriptor(t).folded_cartan
     if folded is not None:
@@ -361,7 +361,7 @@ def test_reflection_rows_match_descended_generators(name):
     """x - <c_O, x> a_O is the descended matrix of the orbit's generator,
     with torsion entries read modulo their invariant factors."""
     t = datum(name)
-    torsion = coinvariants(t).torsion
+    torsion = coinvariants(t).quotient.invariant_factors
     sub = _substrate(t)
     n = len(sub.free_sums) + len(torsion)
     moduli = (0,) * len(sub.free_sums) + tuple(torsion)
