@@ -4,17 +4,19 @@ Everything downstream (coinvariant lattices, fundamental groups, component
 groups) is a quotient of some Z^n by the column span of an integer matrix.
 This module provides the substrate: Smith normal form with recorded
 unimodular transformations, canonical quotient presentations with decidable
-equality of classes, and exact membership tests in integer spans.
+equality of classes, and exact integer solutions of linear systems, which
+answer membership in integer spans.  Every system is solved through one
+Smith decomposition; no rational elimination runs.
 
-All arithmetic is arbitrary-precision (Python int / Fraction); no floats,
-no machine-width overflow anywhere.
+All arithmetic is arbitrary-precision Python int; no floats, no
+machine-width overflow anywhere.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from fractions import Fraction
 
 from ._value import frozen
 
@@ -536,63 +538,26 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentat
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra helpers
-
-
-def rational_solve(columns, target):
-    """Solve sum_j x_j * columns[j] = target over Q.
-
-    Returns the unique solution when the columns are independent, None when
-    the target is outside the span.  Raises DependentBasisError when the
-    columns are dependent.
-    """
-    cols = [tuple(c) for c in columns]
-    k = len(cols)
-    n = len(target) if not cols else len(cols[0])
-    if any(len(c) != n for c in cols) or len(target) != n:
-        raise DimensionMismatch("ragged solve input")
-    # Augmented row-reduction over Q.
-    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < k:
-        raise DependentBasisError("columns are linearly dependent over Q")
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][k]
-    return tuple(sol)
+# Integer spans and kernels
 
 
 def membership_and_coordinates(basis, v):
     """Integer coordinates of v in the integral span of `basis`, or None.
 
     The basis must be linearly independent over Q; dependent input is
-    rejected with DependentBasisError.
+    rejected with DependentBasisError.  Rational entries are scaled by their
+    common denominator, which keeps the coordinates; independent columns
+    then leave no free variable, so the one Smith solution is the answer.
     """
     if not basis:
         return () if all(x == 0 for x in v) else None
-    sol = rational_solve(basis, v)
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+    den = math.lcm(*(x.denominator for x in (*v, *(x for col in basis for x in col))))
+    m = IntMatrix.from_columns([[x * den for x in col] for col in basis])
+    if len(v) != m.rows:
+        raise DimensionMismatch("target length does not match the basis vectors")
+    if m.rank() < m.cols:
+        raise DependentBasisError("columns are linearly dependent over Q")
+    return solve_integer(smith_normal_form(m), [x * den for x in v])
 
 
 def integer_kernel_basis(m: IntMatrix):

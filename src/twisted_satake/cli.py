@@ -332,8 +332,8 @@ def cmd_describe(args, t):
             "folded_cartan": (
                 {
                     "type": desc.folded_cartan.type_label,
-                    "simple_roots": [list(r) for r in desc.folded_cartan.simple_roots],
-                    "simple_coroots": [list(r) for r in desc.folded_cartan.simple_coroots],
+                    "simple_roots": [list(r) for r in desc.folded_cartan.datum.simple_roots],
+                    "simple_coroots": [list(r) for r in desc.folded_cartan.datum.simple_coroots],
                 }
                 if desc.folded_cartan
                 else None
@@ -481,7 +481,10 @@ def cmd_corr(args, t):
     elif args.levi == "none":
         orbits = ()
     else:
-        orbits = tuple(int(x) for x in args.levi.split(",") if x != "")
+        try:
+            orbits = tuple(int(x) for x in args.levi.split(",") if x != "")
+        except ValueError:
+            raise InputError(f"cannot parse --levi {args.levi!r}") from None
     value = corr(t, orbits, parse_vector(args.vector))
     _emit(args, {"result": {"corr": value}}, [f"corr = {value}"])
     return EXIT_OK
@@ -500,17 +503,13 @@ def cmd_verify(args, t_or_error):
             for r in results
         ]
     failed = [r for r in records if not r["passed"]]
-    if args.format == "json":
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION, "command": "verify",
-            "result": {"checks": records, "passed": not failed},
-        }, sort_keys=True))
-    else:
-        for r in records:
-            status = "ok  " if r["passed"] else "FAIL"
-            detail = f"  ({r['detail']})" if r["detail"] else ""
-            print(f"{status} {r['suite']}/{r['name']}{detail}")
-        print(f"{'pass' if not failed else 'fail'}: {len(records) - len(failed)}/{len(records)} checks")
+    lines = [
+        f"{'ok  ' if r['passed'] else 'FAIL'} {r['suite']}/{r['name']}"
+        + (f"  ({r['detail']})" if r["detail"] else "")
+        for r in records
+    ]
+    lines.append(f"{'pass' if not failed else 'fail'}: {len(records) - len(failed)}/{len(records)} checks")
+    _emit(args, {"result": {"checks": records, "passed": not failed}}, lines)
     return EXIT_OK if not failed else EXIT_PROPERTY
 
 

@@ -37,7 +37,6 @@ from .rootdatum import (
     _walk_cone,
     dominant_coweights_up_to_height,
     full_root_system,
-    pairing_with_roots_matrix,
     rho_data,
 )
 from .weyl import WeylElement, dominant_walk, relative_weyl
@@ -339,7 +338,7 @@ def surjectivity_conditions(t: TwistedRootDatum, max_height=12, coord_bound=None
     """Condition (c) of the dominant-lifting criterion (X_*(T) -> X_*(T_ad)
     surjective) alongside the observed image within a bounded cone; the
     implication runs one way only, and both facts are reported as computed."""
-    dec = smith_normal_form(pairing_with_roots_matrix(t.base))
+    dec = smith_normal_form(IntMatrix.from_rows(t.base.simple_roots))
     k = t.base.num_simple
     center_is_torus = dec.rank == k and all(d == 1 for d in dec.diagonal[:k])
     image = dominant_image_monoid(t, max_height, coord_bound)

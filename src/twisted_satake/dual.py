@@ -140,8 +140,6 @@ class FoldedCartan:
 
     type_label: str
     datum: BasedRootDatum
-    simple_roots: tuple
-    simple_coroots: tuple
 
 
 def _classify_label(d: BasedRootDatum):
@@ -202,12 +200,7 @@ def _fold_recipe(s: TwistedRootDatum):
     report = _validity_report(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
-    return FoldedCartan(
-        type_label=_classify_label(folded),
-        datum=folded,
-        simple_roots=tuple(folded_roots),
-        simple_coroots=tuple(folded_coroots),
-    )
+    return FoldedCartan(type_label=_classify_label(folded), datum=folded)
 
 
 def _check_fold(weyl, folded: FoldedCartan):

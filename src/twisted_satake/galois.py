@@ -25,9 +25,10 @@ from .abelian import (
 from .rootdatum import (
     BasedRootDatum,
     InvalidDatumError,
-    fundamental_coweights_rational,
+    _dominant_cone,
     is_adjoint,
     require_valid,
+    rho_data,
 )
 
 GROUP_CLOSURE_CAP = 10000
@@ -366,7 +367,9 @@ def kottwitz_components(t: TwistedRootDatum) -> FgAbelianGroup:
 def fundamental_coweight_pairing(t: TwistedRootDatum, orbit, beta_index) -> Fraction:
     """<a_1(averaged fundamental coweight of the orbit), beta>, exactly.
 
-    Requires an adjoint base, where the fundamental coweights are a Z-basis.
+    Requires an adjoint base, where the fundamental coweights are a Z-basis:
+    the dominant cone of the simple roots is generated by them with
+    denominator 1.
     """
     if not is_adjoint(t.base):
         raise InvalidDatumError("fundamental coweight pairing needs an adjoint base datum")
@@ -374,19 +377,10 @@ def fundamental_coweight_pairing(t: TwistedRootDatum, orbit, beta_index) -> Frac
     orbit = tuple(sorted(orbit))
     if orbit not in rel.simple_orbit_list:
         raise DimensionMismatch(f"{orbit} is not an I-orbit of simple roots")
-    omegas = fundamental_coweights_rational(t.base)
-    rep = orbit[0]
-    avg = average_vector(t, omegas[rep])
-    beta = t.base.simple_roots[beta_index]
+    base = t.base
+    den, omegas, _heights = _dominant_cone(base.rank, base.simple_roots, rho_data(base).two_rho)
+    if den != 1:
+        raise InvariantViolation("fundamental coweights of an adjoint datum are not integral")
+    avg = average_vector(t, omegas[orbit[0]])
+    beta = base.simple_roots[beta_index]
     return sum((a * b for a, b in zip(avg, beta)), Fraction(0))
-
-
-def invariant_subspace_dimension(t: TwistedRootDatum) -> int:
-    """Dimension over Q of the gamma-invariant subspace of X_*(T) tensor Q."""
-    from .abelian import smith_normal_form
-
-    cols = one_minus_gamma_columns(t)
-    if not cols:
-        return t.rank
-    m = IntMatrix.from_columns(cols, nrows=t.rank)
-    return t.rank - smith_normal_form(m).rank

@@ -48,7 +48,11 @@ class PresetEntry:
 
 
 class UnknownPresetError(KeyError):
-    pass
+    """A name the registry lacks; str() quotes the name, then says why."""
+
+    def __str__(self):
+        name, *why = self.args
+        return ": ".join((repr(name), *why))
 
 
 def _cartan_sc(cartan):
@@ -206,7 +210,7 @@ def get_preset(name: str) -> PresetEntry:
         if k >= 3 and k % 2 == 1:
             return _special_unitary(k)
         raise UnknownPresetError(
-            f"{name}: only odd unitary ranks >= 3 are provided (SU4 is a fixed preset)"
+            name, "only odd unitary ranks >= 3 are provided (SU4 is a fixed preset)"
         )
     m = _TORUS_RE.match(name)
     if m:

@@ -280,7 +280,6 @@ def restrict_to_coinvariants(t: TwistedRootDatum, w: WeightMultiset) -> WeightMu
 @frozen
 class DecompositionResult:
     summands: tuple            # sorted ((dominant class, multiplicity), ...)
-    residual: WeightMultiset   # empty on success
     restriction: WeightMultiset = field(compare=False, default=None)
 
     def as_dict(self):
@@ -357,7 +356,6 @@ def branch_to_fixed_group(
     mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
     result = DecompositionResult(
         summands=_straighten(folded, mapping, (0,) * folded.rank),
-        residual=WeightMultiset.make("coinvariant", {}),
         restriction=restricted,
     )
     _verify_branch(s, lam, result, restricted, folded)
@@ -399,9 +397,7 @@ def decompose_tensor(
     if dim(a) > dim(b):
         a, b = b, a
     result = DecompositionResult(
-        summands=_straighten(folded, irreducible_character(folded, a).as_dict(), b),
-        residual=WeightMultiset.make("coinvariant", {}),
-    )
+        summands=_straighten(folded, irreducible_character(folded, a).as_dict(), b))
     if dim(a) * dim(b) != sum(m * dim(cls[0]) for cls, m in result.summands):
         raise ResidualError("tensor dimensions do not multiply")
     return result

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 from ._value import field, frozen
 from .abelian import (
@@ -22,7 +21,6 @@ from .abelian import (
     InvariantViolation,
     dot,
     quotient_group,
-    rational_solve,
     smith_normal_form,
     vec_add,
 )
@@ -288,32 +286,6 @@ def is_adjoint(d: BasedRootDatum) -> bool:
         return False
     m = IntMatrix.from_rows(list(d.simple_roots))
     return m.is_unimodular()
-
-
-def pairing_with_roots_matrix(d: BasedRootDatum) -> IntMatrix:
-    """The map X_*(T) -> Z^{num_simple}, v -> (<v, alpha_j>)_j, as a matrix."""
-    return IntMatrix.from_rows(list(d.simple_roots))
-
-
-def fundamental_coweights_rational(d: BasedRootDatum):
-    """Rational coweights omega_i^vee in the span of the coroots with
-    <omega_i^vee, alpha_j> = delta_ij.  Exists for any valid datum."""
-    require_valid(d)
-    k = d.num_simple
-    out = []
-    for i in range(k):
-        target = tuple(Fraction(int(i == j)) for j in range(k))
-        # omega_i^vee = sum_m c_m alpha_m^vee with <., alpha_j> = delta_ij
-        cols = [tuple(Fraction(d.cartan_entry(m, j)) for j in range(k)) for m in range(k)]
-        sol = rational_solve(cols, target)
-        if sol is None:
-            raise InvariantViolation("Cartan matrix is singular on a valid datum")
-        w = tuple(
-            sum((sol[m] * d.simple_coroots[m][t] for m in range(k)), Fraction(0))
-            for t in range(d.rank)
-        )
-        out.append(w)
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)

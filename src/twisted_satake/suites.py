@@ -233,7 +233,7 @@ def _suite_branching(t, seed=2024, count=5, max_height=16):
             )
             for cls, m in res.summands
         )
-        if not res.residual.is_empty or dim_in != dim_out:
+        if dim_in != dim_out:
             ok = False
             detail = f"weight {lam}: dims {dim_in} vs {dim_out}"
             break

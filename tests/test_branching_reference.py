@@ -91,7 +91,6 @@ def ref_branch_to_fixed_group(s, lam, profile=CHAR0):
     summands = ref_extract_irreducibles(folded, mapping)
     result = DecompositionResult(
         summands=tuple(sorted(((vec, ()), m) for vec, m in summands.items())),
-        residual=WeightMultiset.make("coinvariant", {}),
         restriction=restricted,
     )
     _verify_branch(s, lam, result, restricted, folded)
@@ -113,7 +112,6 @@ def ref_decompose_tensor(s, lam_cls, mu_cls, profile=CHAR0):
     summands = ref_extract_irreducibles(folded, product)
     result = DecompositionResult(
         summands=tuple(sorted(((vec, ()), m) for vec, m in summands.items())),
-        residual=WeightMultiset.make("coinvariant", {}),
     )
     dims = total_dimension(char_a) * total_dimension(char_b)
     rebuilt = sum(

@@ -216,6 +216,11 @@ class TestCorr:
         assert code == EXIT_OK
         assert "corr = 2" in out
 
+    @pytest.mark.parametrize("levi", ["x", "0,x", "1.0"])
+    def test_unparsable_levi_is_named(self, capsys, levi):
+        code, out, err = run(capsys, "corr", "SU3", "--levi", levi, "--vector", "1,0")
+        assert (code, out, err) == (EXIT_INPUT, "", f"input error: cannot parse --levi {levi!r}\n")
+
 
 class TestVerify:
     def test_su3_all(self, capsys):
@@ -345,6 +350,13 @@ class TestExitCodes:
     def test_unknown_preset(self, capsys):
         code, _out, err = run(capsys, "describe", "NOPE")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", ["SU6", "SU(4)", "SU2"])
+    def test_unknown_unitary_rank_quotes_only_the_name(self, capsys, name):
+        code, out, err = run(capsys, "describe", name)
+        assert (code, out, err) == (
+            EXIT_INPUT, "", f"input error: unknown preset {name!r}: only odd unitary "
+            "ranks >= 3 are provided (SU4 is a fixed preset)\n")
 
     def test_usage_error(self, capsys):
         code, _out, _err = run(capsys, "schubert", "SU3", "--bound", "x")

@@ -75,6 +75,8 @@ README_LINES = (
 INPUT_ERRORS = (
     ["describe"],
     ["describe", "NoSuchGroup"],
+    ["describe", "SU6"],
+    ["describe", "SU(4)"],
     ["describe", "SU3", "--coeff", "Fl:x"],
     ["describe", "SU3", "--coeff", "Fl:4"],
     ["describe", "SU3", "--coeff", "Qp:3"],

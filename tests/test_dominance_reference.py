@@ -25,7 +25,6 @@ from twisted_satake.abelian import (
     IntMatrix,
     InvariantViolation,
     dot,
-    rational_solve,
     smith_normal_form,
     solve_integer,
     vec_sub,
@@ -54,10 +53,11 @@ from twisted_satake.rootdatum import (
     BasedRootDatum,
     dominant_coweights_up_to_height,
     dualize,
-    fundamental_coweights_rational,
     rho_data,
 )
 from twisted_satake.satake import closure_poset, corr, strata_below
+
+from test_linalg_reference import fundamental_coweights_rational, rational_solve
 
 # ---------------------------------------------------------------------------
 # Reference implementations

@@ -73,20 +73,17 @@ def test_generator_check_agrees_with_order_check(name):
 def refold(folded, roots, coroots):
     """A FoldedCartan on the same lattice with other simple roots/coroots."""
     d = BasedRootDatum.make(folded.datum.rank, roots, coroots)
-    return FoldedCartan(
-        type_label=folded.type_label, datum=d,
-        simple_roots=d.simple_roots, simple_coroots=d.simple_coroots,
-    )
+    return FoldedCartan(type_label=folded.type_label, datum=d)
 
 
 def double_root(folded):
-    roots = list(folded.simple_roots)
+    roots = list(folded.datum.simple_roots)
     roots[0] = tuple(2 * x for x in roots[0])
-    return refold(folded, roots, folded.simple_coroots)
+    return refold(folded, roots, folded.datum.simple_coroots)
 
 
 def reorder_simple(folded):
-    return refold(folded, folded.simple_roots[::-1], folded.simple_coroots[::-1])
+    return refold(folded, folded.datum.simple_roots[::-1], folded.datum.simple_coroots[::-1])
 
 
 def descriptor_with(monkeypatch, s, fold=None, weyl=None):

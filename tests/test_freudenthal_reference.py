@@ -11,14 +11,14 @@ every fixed preset's base, its dual and its folded datum, plus SU7, and the
 51 smallest-dimension weights of SU5 and Spin8-triality.
 """
 
+import fractions
 import functools
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
 
-from twisted_satake.abelian import InvariantViolation, dot, rational_solve, vec_sub
+from twisted_satake.abelian import InvariantViolation, dot, vec_sub
 from twisted_satake.dual import fixed_group_descriptor
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake import rep
@@ -35,6 +35,8 @@ from twisted_satake.rootdatum import (
     full_root_system,
     rho_data,
 )
+
+from test_linalg_reference import rational_solve
 
 # ---------------------------------------------------------------------------
 # Reference implementation
@@ -255,26 +257,26 @@ def test_smallest_weights_match_fraction_reference(name):
         assert total_dimension(char) == weyl_dimension(d, lam), lam
 
 
-def test_warm_datum_miss_makes_no_rational_solve(monkeypatch):
+def test_warm_datum_miss_builds_no_fraction(monkeypatch):
     """Once a datum has answered one character, another character of it
-    runs no rational solve at all: depth comes from the support walk."""
+    builds no `Fraction` at all: depth comes from the support walk, and the
+    recursion runs in integers."""
     d = preset("SU5").base
     irreducible_character.cache_clear()
     irreducible_character(d, (1, 0, 0, 0))
-    calls = []
+    made = []
+    real_new = fractions.Fraction.__new__
 
-    def counting(*args):
-        calls.append(args)
-        return rational_solve(*args)
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("twisted_satake") and \
-                getattr(module, "rational_solve", None) is rational_solve:
-            monkeypatch.setattr(module, "rational_solve", counting)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     char = irreducible_character(d, (2, 1, 1, 3))
+    monkeypatch.undo()
     assert irreducible_character.cache_info().misses == 2
     assert total_dimension(char) == weyl_dimension(d, (2, 1, 1, 3))
-    assert calls == []
+    assert made == []
 
 
 def test_spin8_triality_4444():

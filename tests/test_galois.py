@@ -18,12 +18,13 @@ from twisted_satake.galois import (
     fundamental_coweight_pairing,
     group_elements,
     group_order,
-    invariant_subspace_dimension,
     kottwitz_components,
     relative_simple_roots,
 )
 from twisted_satake.presets import default_presets, get_preset, preset
-from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError
+from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
+
+from test_linalg_reference import fundamental_coweights_rational, invariant_subspace_dimension
 
 
 class TestTwistedValidation:
@@ -251,8 +252,6 @@ class TestFundamentalCoweightPairing:
             fundamental_coweight_pairing(preset("SU3"), (0, 1), 0)
 
     def test_formula_on_all_adjoint_presets(self):
-        from twisted_satake.rootdatum import is_adjoint
-
         for _name, entry in default_presets():
             t = entry.twisted
             if not is_adjoint(t.base):
@@ -262,3 +261,26 @@ class TestFundamentalCoweightPairing:
                 for beta in range(t.base.num_simple):
                     expected = Fraction(1, len(orbit)) if beta in orbit else Fraction(0)
                     assert fundamental_coweight_pairing(t, orbit, beta) == expected
+
+    def test_matches_rational_coweights(self):
+        """Every adjoint preset and the adjoint quotient of every preset:
+        the pairing read from the dominant cone equals the one built on the
+        rational fundamental coweights."""
+        from twisted_satake.dual import adjoint_quotient
+
+        data = []
+        for name, entry in default_presets() + [("SU7", get_preset("SU7"))]:
+            if is_adjoint(entry.twisted.base):
+                data.append(entry.twisted)
+            if not name.startswith("torus"):
+                data.append(adjoint_quotient(entry.twisted).adjoint)
+        count = 0
+        for t in data:
+            omegas = fundamental_coweights_rational(t.base)
+            for orbit in relative_simple_roots(t).simple_orbit_list:
+                avg = average_vector(t, omegas[orbit[0]])
+                for beta, root in enumerate(t.base.simple_roots):
+                    expected = sum((a * b for a, b in zip(avg, root)), Fraction(0))
+                    assert fundamental_coweight_pairing(t, orbit, beta) == expected
+                    count += 1
+        assert count > 50

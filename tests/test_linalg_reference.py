@@ -1,14 +1,30 @@
 """Integer linear algebra against the Fraction code it replaced.
 
-`ref_inverse_unimodular` is the earlier `IntMatrix.inverse_unimodular`
-(Gauss-Jordan over Q) and `ref_independence` the earlier independence test
-of `rootdatum.validate` (two `rational_solve` calls), both kept verbatim as
-oracles.  The integer inverse must agree on seeded unimodular matrices of
-sizes 0-8 with entries above 2^64, and raise the same exception type and
-message on singular and non-unimodular ones; the U^-1 recorded by
-`smith_normal_form` must equal the oracle inverse of U, also for shapes
-with no rows or no columns; integer rank must decide independence as the
-oracle does.
+The oracles below are earlier package code, kept verbatim (only the
+package's own `membership_and_coordinates` is renamed with a `ref_`
+prefix, and a function-local import became a module-level one), and
+imported by the other reference tests:
+
+- `ref_inverse_unimodular`, the earlier `IntMatrix.inverse_unimodular`
+  (Gauss-Jordan over Q);
+- `ref_independence`, the earlier independence test of
+  `rootdatum.validate` (two `rational_solve` calls);
+- `rational_solve`, Gauss-Jordan elimination in `Fraction`s, and
+  `ref_membership_and_coordinates`, the span membership built on it;
+- `fundamental_coweights_rational`, the fundamental coweights by a rational
+  solve against the Cartan matrix;
+- `invariant_subspace_dimension`, the rank of the invariant subspace by a
+  Smith decomposition of the (1 - gamma) columns of its own.
+
+The integer inverse must agree on seeded unimodular matrices of sizes 0-8
+with entries above 2^64, and raise the same exception type and message on
+singular and non-unimodular ones; the U^-1 recorded by `smith_normal_form`
+must equal the oracle inverse of U, also for shapes with no rows or no
+columns; integer rank must decide independence as the oracle does.
+`membership_and_coordinates`, one Smith solve, must return what the
+rational oracle returns on seeded bases of ranks 1-5, dependent ones and
+targets outside the span or off the lattice among them, and raise the same
+exception types.
 """
 
 import random
@@ -16,11 +32,105 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake.abelian import DimensionMismatch, IntMatrix, rational_solve, smith_normal_form
-from twisted_satake.rootdatum import BasedRootDatum, validate
+from twisted_satake.abelian import (
+    DependentBasisError,
+    DimensionMismatch,
+    IntMatrix,
+    InvariantViolation,
+    membership_and_coordinates,
+    smith_normal_form,
+)
+from twisted_satake.galois import TwistedRootDatum, one_minus_gamma_columns
+from twisted_satake.rootdatum import BasedRootDatum, require_valid, validate
 
 # ---------------------------------------------------------------------------
 # Reference implementations
+
+
+def rational_solve(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Q.
+
+    Returns the unique solution when the columns are independent, None when
+    the target is outside the span.  Raises DependentBasisError when the
+    columns are dependent.
+    """
+    cols = [tuple(c) for c in columns]
+    k = len(cols)
+    n = len(target) if not cols else len(cols[0])
+    if any(len(c) != n for c in cols) or len(target) != n:
+        raise DimensionMismatch("ragged solve input")
+    # Augmented row-reduction over Q.
+    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if len(pivots) < k:
+        raise DependentBasisError("columns are linearly dependent over Q")
+    for i in range(r, n):
+        if rows[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][k]
+    return tuple(sol)
+
+
+def ref_membership_and_coordinates(basis, v):
+    """Integer coordinates of v in the integral span of `basis`, or None.
+
+    The basis must be linearly independent over Q; dependent input is
+    rejected with DependentBasisError.
+    """
+    if not basis:
+        return () if all(x == 0 for x in v) else None
+    sol = rational_solve(basis, v)
+    if sol is None:
+        return None
+    if any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
+
+
+def fundamental_coweights_rational(d: BasedRootDatum):
+    """Rational coweights omega_i^vee in the span of the coroots with
+    <omega_i^vee, alpha_j> = delta_ij.  Exists for any valid datum."""
+    require_valid(d)
+    k = d.num_simple
+    out = []
+    for i in range(k):
+        target = tuple(Fraction(int(i == j)) for j in range(k))
+        # omega_i^vee = sum_m c_m alpha_m^vee with <., alpha_j> = delta_ij
+        cols = [tuple(Fraction(d.cartan_entry(m, j)) for j in range(k)) for m in range(k)]
+        sol = rational_solve(cols, target)
+        if sol is None:
+            raise InvariantViolation("Cartan matrix is singular on a valid datum")
+        w = tuple(
+            sum((sol[m] * d.simple_coroots[m][t] for m in range(k)), Fraction(0))
+            for t in range(d.rank)
+        )
+        out.append(w)
+    return tuple(out)
+
+
+def invariant_subspace_dimension(t: TwistedRootDatum) -> int:
+    """Dimension over Q of the gamma-invariant subspace of X_*(T) tensor Q."""
+    cols = one_minus_gamma_columns(t)
+    if not cols:
+        return t.rank
+    m = IntMatrix.from_columns(cols, nrows=t.rank)
+    return t.rank - smith_normal_form(m).rank
 
 
 def ref_inverse_unimodular(self):
@@ -187,3 +297,63 @@ def test_independence_matches_rational_solve():
         assert report["independence"] == ref_independence(d)
         seen.add(report["independence"])
     assert seen == {True, False}
+
+
+def membership_case(rng):
+    """(basis, target): k <= n + 1 columns in Z^n, n in 1..5, and a target
+    in the lattice, in the rational span but off the lattice (the first
+    column doubled after the target is built from it with an odd
+    coefficient), or drawn at random.  A quarter of the bases with two or
+    more columns are made dependent; one case in five has its basis and its
+    target divided by 1, 2 or 3 each, as Fractions; and one case in ten is
+    ragged: a column or the target one entry too long."""
+    n = rng.randint(1, 5)
+    k = rng.randint(1, n + 1)
+    basis = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+    if k > 1 and rng.randrange(4) == 0:
+        basis[-1] = tuple(2 * a - b for a, b in zip(basis[0], basis[1]))
+    coeffs = [rng.randint(-3, 3) for _ in range(k)]
+    kind = rng.choice(("lattice", "off-lattice", "random"))
+    if kind == "off-lattice":
+        coeffs[0] = 2 * coeffs[0] + 1
+    target = tuple(sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(n))
+    if kind == "off-lattice":
+        basis[0] = tuple(2 * x for x in basis[0])
+    elif kind == "random":
+        target = tuple(rng.randint(-6, 6) for _ in range(n))
+    if rng.randrange(5) == 0:
+        d, e = rng.randint(1, 3), rng.randint(1, 3)
+        basis = [tuple(Fraction(x, d) for x in col) for col in basis]
+        target = tuple(Fraction(x, e) for x in target)
+    if rng.randrange(10) == 0:
+        if rng.randrange(2):
+            target += (1,)
+        else:
+            basis[rng.randrange(k)] += (1,)
+    return basis, target
+
+
+def membership_outcome(solve, basis, target):
+    """The answer, or the type of the exception raised (the messages of
+    the rational oracle and the Smith solve differ)."""
+    try:
+        return solve(basis, target)
+    except (DependentBasisError, DimensionMismatch) as e:
+        return type(e)
+
+
+def test_membership_matches_rational_solve():
+    rng = random.Random(9500)
+    seen = set()
+    for _ in range(1500):
+        basis, target = membership_case(rng)
+        got = membership_outcome(membership_and_coordinates, basis, target)
+        assert got == membership_outcome(ref_membership_and_coordinates, basis, target), \
+            (basis, target)
+        if got is None:
+            inside = rational_solve(basis, target) is not None
+            seen.add("off-lattice" if inside else "outside-span")
+        else:
+            seen.add(got if isinstance(got, type) else "member")
+    assert seen == {"member", "off-lattice", "outside-span",
+                    DependentBasisError, DimensionMismatch}

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import rootdatum
-from twisted_satake.abelian import FgAbelianGroup, rational_solve
+from twisted_satake.abelian import FgAbelianGroup
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
     BasedRootDatum,
     dominant_coweights_up_to_height,
     dualize,
     full_root_system,
-    fundamental_coweights_rational,
     fundamental_group,
     is_adjoint,
     is_simply_connected,
@@ -20,6 +19,8 @@ from twisted_satake.rootdatum import (
     rho_data,
     validate,
 )
+
+from test_linalg_reference import fundamental_coweights_rational, rational_solve
 
 
 def dot_frac(u, v):

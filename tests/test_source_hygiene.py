@@ -12,7 +12,8 @@ The breadth-first group closure `weyl._closure` is referred to only from
 the two enumerations that `verify` and the tests read:
 `enumerate_absolute_weyl` and `RelativeWeylGroup.elements`.  The Smith
 slots of a coinvariant class are read only inside
-`abelian.QuotientPresentation`.
+`abelian.QuotientPresentation`.  `abelian` and `rootdatum` import nothing
+from `fractions`.
 """
 
 import ast
@@ -121,3 +122,18 @@ def test_class_slots_are_read_only_by_the_presentation():
         for reader in _enclosing_names(ast.parse(path.read_text()), name)
     }
     assert readers == {("abelian.py", "QuotientPresentation")}
+
+
+def test_lattice_modules_import_no_fractions():
+    """`abelian` and `rootdatum` solve every linear system through Smith
+    normal form, in integers: neither imports `fractions` or anything
+    from it, at any level."""
+    found = []
+    for name in ("abelian.py", "rootdatum.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "fractions" for alias in node.names):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

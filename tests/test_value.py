@@ -182,8 +182,7 @@ def test_defaults_apply():
     assert suites.CheckResult("s", "n", True).detail == ""
     assert presets.PresetEntry("x", ts.preset("SL2")).embedding is None
     assert presets.AmbientEmbedding(m, m).description == ""
-    empty = rep.WeightMultiset("coinvariant", ())
-    assert rep.DecompositionResult((), empty).restriction is None
+    assert rep.DecompositionResult(()).restriction is None
 
     @frozen
     class Options:

@@ -294,7 +294,7 @@ def test_unit_lifts_match_reference_loops(name):
     assert _substrate(t).free_sums == ref_free_sums(t)
     folded = fixed_group_descriptor(t).folded_cartan
     if folded is not None:
-        assert folded.simple_coroots == ref_folded_coroots(t)
+        assert folded.datum.simple_coroots == ref_folded_coroots(t)
 
 
 def test_act_rejects_mismatched_class():
