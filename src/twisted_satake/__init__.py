@@ -41,8 +41,6 @@ from .weyl import (
     IwahoriWeylElement,
     RelativeWeylGroup,
     WeylElement,
-    enumerate_absolute_weyl,
-    fixed_weyl_subgroup,
     iw_affine_action,
     iw_multiply,
     relative_weyl,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 from ._value import frozen
@@ -31,6 +32,17 @@ class DependentBasisError(ValueError):
 
 class InvariantViolation(AssertionError):
     """An internal theorem-backed invariant failed: a defect, not an input error."""
+
+
+def _integer(x):
+    """x as an int: an int, or a rational such as Fraction with denominator
+    1.  Anything else, bool and float included, is refused by name rather
+    than truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, numbers.Rational) and not isinstance(x, bool) and x.denominator == 1:
+        return int(x.numerator)
+    raise ValueError(f"not an integer entry: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +65,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows):
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(_integer, r)) for r in rows]
         n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
@@ -62,7 +74,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols, nrows=None):
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = [tuple(map(_integer, c)) for c in cols]
         if cols:
             n = len(cols[0])
             if any(len(c) != n for c in cols):
@@ -592,7 +604,7 @@ def solve_integer(dec: SmithDecomposition, target):
     diagonal and w_i = 0 beyond the rank.
     """
     m = dec.original
-    target = tuple(int(x) for x in target)
+    target = tuple(map(_integer, target))
     if len(target) != m.rows:
         raise DimensionMismatch("target length does not match matrix rows")
     w = dec.U.apply(target)

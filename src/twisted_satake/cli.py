@@ -54,7 +54,7 @@ from .satake import (
     poset_to_dot,
 )
 from .suites import SUITE_NAMES, run_suite
-from .weyl import EnumerationBoundExceeded, relative_weyl
+from .weyl import relative_weyl
 
 SCHEMA_VERSION = "1"
 
@@ -569,7 +569,7 @@ def _run(argv):
             DimensionMismatch, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvariantViolation, EnumerationBoundExceeded) as e:
+    except InvariantViolation as e:
         print(f"internal defect: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DEFECT
 

@@ -15,9 +15,8 @@ by comparing generators, with no group enumerated: the descended matrix of
 each W0 generator on X^*(s)_I must equal the folded simple reflection there.
 W^I acts faithfully on X_I tensor Q, because 2rho^vee of the dual is I-fixed
 and regular, so equal generators give |W(folded)| = |W0| (`_check_fold`
-carries the proof).  The brute-force fixed-Weyl-subgroup oracle
-(`weyl.fixed_weyl_subgroup`) runs in `verify <datum> weyl-oracle` and the
-tests.
+carries the proof).  The |W^I| oracle, a walk of the orbit of a regular
+point (`suites._regular_orbit`), runs in `verify <datum> weyl-oracle`.
 """
 
 from __future__ import annotations

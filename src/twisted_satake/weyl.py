@@ -10,9 +10,8 @@ the coinvariant lattice, where it is an involution.
 
 Orders are counted from root heights, |W| = prod (ht a + 1) / ht a over the
 positive roots of a reduced root system (Macdonald, Math. Ann. 199, 1972;
-Kostant, Amer. J. Math. 81, 1959).  The groups are enumerated only for
-`verify` and the tests, and refused before the first step when the order
-exceeds their bound.
+Kostant, Amer. J. Math. 81, 1959).  Groups are counted and walked here,
+never enumerated; the orbit oracle behind `verify` lives in `suites.py`.
 
 Every lattice map that reaches the coinvariants (a W0 element, or the
 finite part of an Iwahori-Weyl element) does so through one integer matrix
@@ -41,14 +40,7 @@ from fractions import Fraction
 from ._value import field, frozen
 from .abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
-from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
-
-WEYL_BOUND_DEFAULT = 10**6
-
-
-class EnumerationBoundExceeded(RuntimeError):
-    pass
-
+from .rootdatum import BasedRootDatum, full_root_system, rho_data
 
 @frozen
 class WeylElement:
@@ -83,28 +75,6 @@ def simple_reflection(d: BasedRootDatum, i: int) -> WeylElement:
         col = [int(j == s) - alpha[j] * coroot[s] for s in range(n)]
         cols.append(tuple(col))
     return WeylElement(matrix=IntMatrix.from_columns(cols, nrows=n), word=(i,))
-
-
-def _closure(rank, gens, bound=None, message=""):
-    """Breadth-first closure of labelled generators (label, WeylElement),
-    sorted by (word length, matrix); words are shortest, recorded in the
-    labels of the generators applied on the left."""
-    ident = WeylElement(matrix=IntMatrix.identity(rank), word=())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for label, g in gens:
-                m = g.matrix.mul(w.matrix)
-                if m not in seen:
-                    elem = WeylElement(matrix=m, word=(label,) + w.word)
-                    seen[m] = elem
-                    new.append(elem)
-                    if bound is not None and len(seen) > bound:
-                        raise EnumerationBoundExceeded(message)
-        frontier = new
-    return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.matrix.entries)))
 
 
 def dominant_walk(x, simple, limit):
@@ -147,18 +117,6 @@ def _weyl_order(d: BasedRootDatum, orbits):
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
-    """Breadth-first closure of the simple reflections; words are shortest.
-    A group of more than `bound` elements is refused before it is built."""
-    require_valid(d)
-    message = f"Weyl group exceeds bound {bound}"
-    if _weyl_order(d, [(i,) for i in range(d.num_simple)]) > bound:
-        raise EnumerationBoundExceeded(message)
-    gens = [(i, simple_reflection(d, i)) for i in range(d.num_simple)]
-    return _closure(d.rank, gens, bound, message)
-
-
-@functools.lru_cache(maxsize=None)
 def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     """The longest element w_J of the parabolic generated by the simple
     reflections in J = subset, by the chamber walk from -2rho_J on
@@ -177,32 +135,12 @@ def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     return WeylElement(matrix=matrix, word=word)
 
 
-def fixed_weyl_subgroup(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
-    """Elements of the absolute Weyl group commuting with every inertia
-    generator on X_*(T); the brute-force oracle for the folded Weyl group."""
-    elems = enumerate_absolute_weyl(t.base, bound)
-    gen_mats = [g.lattice_map for g in t.generators]
-    return tuple(
-        w
-        for w in elems
-        if all(w.matrix.mul(g) == g.mul(w.matrix) for g in gen_mats)
-    )
-
-
 @frozen
 class RelativeWeylGroup:
     """W0 with one generator per simple-root orbit, acting on coinvariants."""
 
     datum: TwistedRootDatum
     generators: tuple   # WeylElement per orbit
-
-    @functools.cached_property
-    def elements(self):
-        message = "relative Weyl group exceeds bound"
-        if self.order > WEYL_BOUND_DEFAULT:
-            raise EnumerationBoundExceeded(message)
-        return _closure(self.datum.rank, list(enumerate(self.generators)), WEYL_BOUND_DEFAULT,
-                        message)
 
     @property
     def order(self):
@@ -212,9 +150,6 @@ class RelativeWeylGroup:
         """The descended action on a coinvariant class, read from the
         cached integer map that w induces on class coordinates."""
         return _descend(self.datum, w.matrix, cls)
-
-    def orbit(self, cls):
-        return tuple(sorted({self.act(w, cls) for w in self.elements}))
 
 
 @functools.lru_cache(maxsize=None)

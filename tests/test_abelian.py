@@ -7,6 +7,7 @@ gcd/determinant arithmetic) before being frozen into assertions.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +26,7 @@ from twisted_satake.abelian import (
     membership_and_coordinates,
     quotient_group,
     smith_normal_form,
+    solve_integer,
     vec_add,
     vec_scale,
     vec_sub,
@@ -266,6 +268,51 @@ class TestMul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))
+
+
+# Entries are integers or refused: the table below places each bad value at
+# a seeded random position of an integer matrix or target.
+
+NON_INTEGERS = (Fraction(3, 2), Fraction(-1, 3), 2.7, 2.0, -0.0, True, False, "1", None, 1j)
+ENTRY_POINTS = {
+    "from_rows": lambda rows: IntMatrix.from_rows(rows),
+    "from_columns": lambda rows: IntMatrix.from_columns(rows),
+    "solve_integer": lambda rows: solve_integer(
+        smith_normal_form(IntMatrix.identity(len(rows[0]))), rows[0]),
+}
+
+
+def _with_entry(seed, value):
+    """A 2 x 3 integer table with `value` at a seeded random position of its
+    first row (the target that solve_integer reads)."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(2)]
+    rows[0][rng.randrange(3)] = value
+    return rows
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("seed, value", list(enumerate(NON_INTEGERS)))
+    def test_non_integer_is_refused_by_name(self, entry, seed, value):
+        with pytest.raises(ValueError, match=f"^not an integer entry: {re.escape(repr(value))}$"):
+            ENTRY_POINTS[entry](_with_entry(seed, value))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_integral_fraction_is_its_integer(self, entry):
+        for seed in range(10):
+            rows = _with_entry(seed, Fraction(-6, 3))
+            plain = [[int(x) for x in row] for row in rows]
+            got, want = ENTRY_POINTS[entry](rows), ENTRY_POINTS[entry](plain)
+            assert got == want
+            assert all(type(x) is int for x in getattr(got, "entries", got))
+
+    def test_entries_once_truncated(self):
+        """int() read these as (1, 2) and as the target 0, with solution (0,)."""
+        with pytest.raises(ValueError, match=r"^not an integer entry: Fraction\(3, 2\)$"):
+            IntMatrix.from_rows([[Fraction(3, 2), 2.7]])
+        with pytest.raises(ValueError, match=r"^not an integer entry: Fraction\(1, 2\)$"):
+            solve_integer(smith_normal_form(IntMatrix.from_rows([[1]])), (Fraction(1, 2),))
 
 
 # The generator-sum kernels the map-based ones replaced, kept verbatim.

@@ -14,7 +14,6 @@ import twisted_satake
 from twisted_satake import cli
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.cli import EXIT_DEFECT, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
-from twisted_satake.weyl import EnumerationBoundExceeded
 
 
 def run(capsys, *argv):
@@ -393,15 +392,14 @@ class TestExitCodes:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "--coord-bound" in err
 
-    def test_enumeration_bound_is_internal_defect(self, capsys, monkeypatch):
-        def too_large(args, t):
-            raise EnumerationBoundExceeded("Weyl group exceeds bound")
-
-        monkeypatch.setattr(cli, "cmd_describe", too_large)
-        code, out, err = run(capsys, "describe", "SU3")
-        assert code == EXIT_DEFECT
-        assert out == ""
-        assert err == "internal defect: EnumerationBoundExceeded: Weyl group exceeds bound\n"
+    def test_enumeration_bound_is_input_error(self, capsys):
+        """W(A10) has 39,916,800 elements, past the oracle's bound: a valid
+        datum the suite cannot check, refused before any walk."""
+        for suite in ("weyl-oracle", "all"):
+            code, out, err = run(capsys, "verify", "SU11", suite)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == "input error: Weyl group of order 39916800 exceeds bound 1000000\n"
 
     @pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv", [["describe", "SU4"], ["-h"]], ids=" ".join)

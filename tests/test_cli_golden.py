@@ -6,8 +6,9 @@ file, so the run also checks that answers do not depend on what the
 process computed before.  The argv cover `describe` and `verify all` on
 every fixed preset and SU7, Schubert posets and dominant images at several
 bounds, `branch` and `tensor` on the five branch presets, `mv`, `conv` and
-`corr`, the README command lines, input errors, and a `--file` datum whose
-coinvariants are Z + Z/2.
+`corr`, the README command lines, input errors, a `--file` datum whose
+coinvariants are Z + Z/2, and `verify` on data whose Weyl groups the orbit
+oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800).
 
 A line of the golden file is `<exit code> <md5 stdout> <md5 stderr> <argv
 as JSON>`.  After a change that is meant to alter output, regenerate it
@@ -108,6 +109,13 @@ INPUT_ERRORS = (
     ["verify", "--file", "nonsquare.json", "all"],
 )
 
+HEAVY = (
+    "verify SU9 all",
+    "verify SU11 weyl-oracle",
+    "verify SU11 all",
+    "verify SU17 orbits",
+)
+
 
 def _fmt(vec):
     return ",".join(str(x) for x in vec)
@@ -193,6 +201,7 @@ def golden_argvs():
     out += [["branch", *torsion, "--weight", "1,0,0"], ["branch", *torsion, "--weight", "1,0,-1"]]
     out += [line.split() for line in README_LINES]
     out += [list(argv) for argv in INPUT_ERRORS]
+    out += [line.split() for line in HEAVY]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

@@ -1,11 +1,11 @@
 """Cold `branch` and `tensor` queries, each in a fresh interpreter.
 
 The guard tests answer each query with `fractions.Fraction.__new__`
-counting, and then with `weyl._closure`, `enumerate_absolute_weyl` and
-`RelativeWeylGroup.elements` raising: a cold query builds no Fraction and
-no group closure, not even of a parabolic subgroup.  Every command but
-`verify`, on the five branch presets, and `describe` on SU13 and SU17
-(|W0| = 46,080 and 10,321,920) are answered under the same refusal.  A cold
+counting, and then with `suites._regular_orbit` and `suites._w0_orbit`, the
+package's only group walks, raising: a cold query builds no Fraction and
+walks no group orbit.  Every command but `verify`, on the five branch
+presets, and `describe` on SU13 and SU17 (|W0| = 46,080 and 10,321,920) are
+answered under the same refusal.  A cold
 char-0 `tensor` computes exactly one folded character (one cache miss of
 `rep.irreducible_character`), and a refused modular one computes none.
 
@@ -94,16 +94,11 @@ COUNT = lambda: made[0]
 """
 
 REFUSE_ENUMERATION = """
-import sys
-import twisted_satake.cli
-from twisted_satake import weyl
+from twisted_satake import suites
 def refuse(*args, **kwargs):
     raise AssertionError("a Weyl group was enumerated")
-weyl._closure = refuse
-for name, module in list(sys.modules.items()):
-    if name.startswith("twisted_satake") and hasattr(module, "enumerate_absolute_weyl"):
-        module.enumerate_absolute_weyl = refuse
-weyl.RelativeWeylGroup.elements = property(refuse)
+suites._regular_orbit = refuse
+suites._w0_orbit = refuse
 COUNT = lambda: 0
 """
 
@@ -149,6 +144,14 @@ def test_cold_command_builds_no_closure(argv):
     results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
     assert results == [answer(argv)]
     assert results[0][0] == 0
+
+
+@pytest.mark.parametrize("suite", ["weyl-oracle", "orbits"])
+def test_refusal_stops_verify(suite):
+    """The refusal reaches the walks that `verify` reads, so the guards above
+    would see a command that walked a group."""
+    with pytest.raises(AssertionError, match="a Weyl group was enumerated"):
+        run_fresh(REFUSE_ENUMERATION, [["verify", "SU3", suite]])
 
 
 @pytest.mark.parametrize("argv", [argv for argv in GUARDED if argv[0] == "tensor"], ids=" ".join)

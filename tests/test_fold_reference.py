@@ -26,7 +26,9 @@ from twisted_satake.dual import (
 from twisted_satake.galois import relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import BasedRootDatum
-from twisted_satake.weyl import enumerate_absolute_weyl, relative_weyl
+from twisted_satake.weyl import relative_weyl
+
+from test_weyl_reference import enumerate_absolute_weyl
 
 # ---------------------------------------------------------------------------
 # Reference implementation

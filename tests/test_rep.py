@@ -20,7 +20,8 @@ from twisted_satake.rep import (
     weight_rank,
 )
 from twisted_satake.rootdatum import dualize, dominant_coweights_up_to_height, full_root_system
-from twisted_satake.weyl import enumerate_absolute_weyl
+
+from test_weyl_reference import enumerate_absolute_weyl
 
 
 # ---------------------------------------------------------------------------

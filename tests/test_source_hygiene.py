@@ -8,9 +8,11 @@ own definition.  Likewise a name a module imports at module level and never
 reads is a stale import.  `__init__.py` is exempt from the import check:
 it imports to re-export.
 
-The breadth-first group closure `weyl._closure` is referred to only from
-the two enumerations that `verify` and the tests read:
-`enumerate_absolute_weyl` and `RelativeWeylGroup.elements`.  The Smith
+No module defines the breadth-first matrix closure of a Weyl group
+(`_closure`, `enumerate_absolute_weyl`, `fixed_weyl_subgroup`,
+`RelativeWeylGroup.elements` and `.orbit`); it lives in the tests as an
+oracle.  The orbit walks `_regular_orbit` and `_w0_orbit` are defined and
+read in `suites.py` alone, the module behind `verify`.  The Smith
 slots of a coinvariant class are read only inside
 `abelian.QuotientPresentation`.  `abelian` and `rootdatum` import nothing
 from `fractions`.
@@ -18,6 +20,8 @@ from `fractions`.
 
 import ast
 from pathlib import Path
+
+from twisted_satake.weyl import RelativeWeylGroup
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twisted_satake"
 
@@ -99,16 +103,33 @@ def _enclosing_names(tree, name):
     return found
 
 
-def test_closure_is_read_only_by_the_enumerations():
-    readers = {
-        (path.name, reader)
-        for path in sorted(SRC.glob("*.py"))
-        for reader in _enclosing_names(ast.parse(path.read_text()), "_closure")
-    }
-    assert readers == {
-        ("weyl.py", "enumerate_absolute_weyl"),
-        ("weyl.py", "RelativeWeylGroup.elements"),
-    }
+def _definitions(tree):
+    """Qualified names of every function and class defined in tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_no_group_closure_and_walks_only_in_suites():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = {(module, name) for module, tree in trees.items() for name in _definitions(tree)}
+    closure = {"_closure", "enumerate_absolute_weyl", "fixed_weyl_subgroup",
+               "RelativeWeylGroup.elements", "RelativeWeylGroup.orbit"}
+    assert ("weyl.py", "RelativeWeylGroup") in defined
+    assert [(m, n) for m, n in sorted(defined) if n in closure or n.rsplit(".", 1)[-1] in closure] == []
+    assert not any(hasattr(RelativeWeylGroup, name) for name in ("elements", "orbit"))
+    for walk in ("_regular_orbit", "_w0_orbit"):
+        users = {m for m, n in defined if n == walk}
+        users |= {m for m, tree in trees.items() if _enclosing_names(tree, walk)}
+        assert users == {"suites.py"}, walk
 
 
 def test_class_slots_are_read_only_by_the_presentation():

@@ -14,23 +14,35 @@ the walk is compared with it on the same sweep plus SU9, and two wrong
 reflections (no doubling for an adjacent pair, c_O with the wrong sign) must
 be caught rather than loop.
 
-The closure is the oracle for the height-product orders: `len(elements)`
-for `RelativeWeylGroup.order`, on the sweep, SU9, SU11 and a split
-A1 x A2 x G2 product, and `enumerate_absolute_weyl` for the split order of
-every base datum of the sweep and the product.  Both enumerations refuse an order past their
-bound without building anything.
+The breadth-first matrix closure below is the code `verify` read before it
+walked orbits: `_closure`, `enumerate_absolute_weyl` and
+`fixed_weyl_subgroup` as they stood in `weyl.py`, and
+`RelativeWeylGroup.elements` and `.orbit` as `relative_elements` and
+`relative_orbit`.  It is the oracle for the height-product orders:
+`len(relative_elements)` for `RelativeWeylGroup.order`, on the sweep, SU9,
+SU11 and a split A1 x A2 x G2 product, and `enumerate_absolute_weyl` for the
+split order of every base datum of the sweep and the product.  Both
+enumerations refuse an order past their bound without building anything.
+
+It is also the oracle for `suites._regular_orbit`, whose (|W|, |W^I|) must
+equal the closure's on the sweep and on every folded datum.  Three faults
+must each turn a `verify` record to FAIL: a walk that drops one orbit point,
+a fixed-point test that ignores one generator's permutation, and a W0
+generator replaced by the identity.
 """
 
 import functools
+import inspect
 import itertools
+import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from twisted_satake import abelian, coweights, weyl
+from twisted_satake import abelian, coweights, suites
 from twisted_satake._value import fields
-from twisted_satake.abelian import DimensionMismatch, InvariantViolation, dot
+from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
 from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
@@ -42,16 +54,15 @@ from twisted_satake.galois import (
     split_twisted,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
-from twisted_satake.rootdatum import BasedRootDatum, full_root_system
+from twisted_satake.rootdatum import BasedRootDatum, full_root_system, require_valid
 from twisted_satake.satake import conv_cell, mv_cell
+from twisted_satake.suites import WEYL_BOUND_DEFAULT, EnumerationBoundExceeded, run_suite
 from twisted_satake.weyl import (
-    WEYL_BOUND_DEFAULT,
-    EnumerationBoundExceeded,
     IwahoriWeylElement,
+    RelativeWeylGroup,
     WeylElement,
-    _closure,
     _descended,
-    enumerate_absolute_weyl,
+    _weyl_order,
     iw_affine_action,
     iw_inverse,
     iw_multiply,
@@ -59,6 +70,70 @@ from twisted_satake.weyl import (
     relative_weyl,
     simple_reflection,
 )
+
+# ---------------------------------------------------------------------------
+# The matrix closure
+
+
+def _closure(rank, gens, bound=None, message=""):
+    """Breadth-first closure of labelled generators (label, WeylElement),
+    sorted by (word length, matrix); words are shortest, recorded in the
+    labels of the generators applied on the left."""
+    ident = WeylElement(matrix=IntMatrix.identity(rank), word=())
+    seen = {ident.matrix: ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for label, g in gens:
+                m = g.matrix.mul(w.matrix)
+                if m not in seen:
+                    elem = WeylElement(matrix=m, word=(label,) + w.word)
+                    seen[m] = elem
+                    new.append(elem)
+                    if bound is not None and len(seen) > bound:
+                        raise EnumerationBoundExceeded(message)
+        frontier = new
+    return tuple(sorted(seen.values(), key=lambda w: (len(w.word), w.matrix.entries)))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_absolute_weyl(d: BasedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
+    """Breadth-first closure of the simple reflections; words are shortest.
+    A group of more than `bound` elements is refused before it is built."""
+    require_valid(d)
+    message = f"Weyl group exceeds bound {bound}"
+    if _weyl_order(d, [(i,) for i in range(d.num_simple)]) > bound:
+        raise EnumerationBoundExceeded(message)
+    gens = [(i, simple_reflection(d, i)) for i in range(d.num_simple)]
+    return _closure(d.rank, gens, bound, message)
+
+
+def fixed_weyl_subgroup(t: TwistedRootDatum, bound: int = WEYL_BOUND_DEFAULT):
+    """Elements of the absolute Weyl group commuting with every inertia
+    generator on X_*(T); the brute-force oracle for the folded Weyl group."""
+    elems = enumerate_absolute_weyl(t.base, bound)
+    gen_mats = [g.lattice_map for g in t.generators]
+    return tuple(
+        w
+        for w in elems
+        if all(w.matrix.mul(g) == g.mul(w.matrix) for g in gen_mats)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def relative_elements(self: RelativeWeylGroup):
+    """The elements of W0, in closure order."""
+    message = "relative Weyl group exceeds bound"
+    if self.order > WEYL_BOUND_DEFAULT:
+        raise EnumerationBoundExceeded(message)
+    return _closure(self.datum.rank, list(enumerate(self.generators)), WEYL_BOUND_DEFAULT,
+                    message)
+
+
+def relative_orbit(self: RelativeWeylGroup, cls):
+    return tuple(sorted({self.act(w, cls) for w in relative_elements(self)}))
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -128,7 +203,7 @@ def ref_dominant_representative(t, cls):
     carrying the input onto it."""
     w0 = relative_weyl(t)
     hits = []
-    for w in w0.elements:
+    for w in relative_elements(w0):
         image = w0.act(w, cls)
         witness = is_dominant_class(t, image)
         if witness is not None:
@@ -230,7 +305,7 @@ def apartment_points(t):
 def test_act_matches_lift_apply_class_of(name):
     t = datum(name)
     w0 = relative_weyl(t)
-    for w in w0.elements:
+    for w in relative_elements(w0):
         for cls in sample_classes(t):
             assert w0.act(w, cls) == ref_act(t, w, cls), (w.word, cls)
 
@@ -243,7 +318,7 @@ def test_iwahori_weyl_matches_reference(name):
     classes = sample_classes(t)
     elements = [
         IwahoriWeylElement(datum=t, finite=w, translation=cls)
-        for w in w0.elements
+        for w in relative_elements(w0)
         for cls in classes[:3]
     ]
     for x in elements[:12]:
@@ -302,13 +377,13 @@ def test_act_rejects_mismatched_class():
     w0 = relative_weyl(t)
     for cls in (((1, 1), ()), ((1,), ()), ((), (1, 1))):
         with pytest.raises(DimensionMismatch, match="class does not match this presentation"):
-            w0.act(w0.elements[-1], cls)
+            w0.act(relative_elements(w0)[-1], cls)
 
 
 def test_warm_action_makes_no_lift_or_class_of_calls(monkeypatch):
     w0 = relative_weyl(preset("SU5"))
     classes = sample_classes(w0.datum)
-    for w in w0.elements:
+    for w in relative_elements(w0):
         w0.act(w, classes[-1])
     calls = []
     presentation = abelian.QuotientPresentation
@@ -324,7 +399,7 @@ def test_warm_action_makes_no_lift_or_class_of_calls(monkeypatch):
 
     monkeypatch.setattr(presentation, "lift", counting_lift)
     monkeypatch.setattr(presentation, "class_of", counting_class_of)
-    for w in w0.elements:
+    for w in relative_elements(w0):
         for cls in classes:
             w0.act(w, cls)
     assert calls == []
@@ -340,14 +415,14 @@ def walk_classes(t):
     """The sample classes and their images under every element of W0."""
     w0 = relative_weyl(t)
     base = sample_classes(t)
-    return list(dict.fromkeys(base + [w0.act(w, cls) for w in w0.elements for cls in base[:4]]))
+    return list(dict.fromkeys(base + [w0.act(w, cls) for w in relative_elements(w0) for cls in base[:4]]))
 
 
 @pytest.mark.parametrize("name", WALK_SWEEP)
 def test_dominant_representative_matches_w0_scan(name):
     t = datum(name)
     w0 = relative_weyl(t)
-    matrices = {e.matrix for e in w0.elements}
+    matrices = {e.matrix for e in relative_elements(w0)}
     for cls in walk_classes(t):
         witness, w = dominant_representative(t, cls)
         ref_witness, _ref_w = ref_dominant_representative(t, cls)
@@ -430,13 +505,14 @@ def _refuse_closure(*args, **kwargs):
 
 def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     """mv_cell and conv_cell on SU11 build W0's generators, each the longest
-    element of a parabolic by one chamber walk, but build no closure
+    element of a parabolic by one chamber walk, but walk no group orbit
     (|W0| = 3,840 there)."""
     t = preset("SU11")
     relative_weyl.cache_clear()
     longest_parabolic_element.cache_clear()
     dominant_representative.cache_clear()
-    monkeypatch.setattr(weyl, "_closure", _refuse_closure)
+    monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
+    monkeypatch.setattr(suites, "_w0_orbit", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
     cell = mv_cell(t, mu, lam)
     assert cell.nonempty and cell.dim == 0
@@ -472,7 +548,7 @@ def order_datum(name):
 @pytest.mark.parametrize("name", ORDER_SWEEP)
 def test_relative_order_matches_closure(name):
     w0 = relative_weyl(order_datum(name))
-    assert w0.order == len(w0.elements)
+    assert w0.order == len(relative_elements(w0))
 
 
 @pytest.mark.parametrize("name", SWEEP + ("A1xA2xG2",))
@@ -486,7 +562,7 @@ def test_bounds_refuse_before_building(monkeypatch):
     and an order at the bound is still enumerated."""
     d = preset("SU5").base
     enumerate_absolute_weyl.cache_clear()
-    monkeypatch.setattr(weyl, "_closure", _refuse_closure)
+    monkeypatch.setitem(globals(), "_closure", _refuse_closure)
     with pytest.raises(EnumerationBoundExceeded, match="^Weyl group exceeds bound 119$"):
         enumerate_absolute_weyl(d, 119)
     with pytest.raises(EnumerationBoundExceeded, match=f"^Weyl group exceeds bound {WEYL_BOUND_DEFAULT}$"):
@@ -494,6 +570,102 @@ def test_bounds_refuse_before_building(monkeypatch):
     w0 = relative_weyl(preset("SU17"))
     assert w0.order == 10_321_920
     with pytest.raises(EnumerationBoundExceeded, match="^relative Weyl group exceeds bound$"):
-        w0.elements
+        relative_elements(w0)
     monkeypatch.undo()
     assert len(enumerate_absolute_weyl(d, 120)) == 120
+
+
+# ---------------------------------------------------------------------------
+# The regular-orbit walk of `verify` against the closure
+
+
+FOLDED_SWEEP = tuple(
+    name for name in SWEEP if fixed_group_descriptor(datum(name)).folded_cartan is not None
+)
+
+
+def folded_datum(name):
+    return fixed_group_descriptor(datum(name)).folded_cartan.datum
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_regular_orbit_matches_closure(name):
+    t = datum(name)
+    got = suites._regular_orbit(t.base, [g.root_permutation for g in t.generators])
+    assert got == (len(enumerate_absolute_weyl(t.base)), len(fixed_weyl_subgroup(t)))
+
+
+@pytest.mark.parametrize("name", FOLDED_SWEEP)
+def test_regular_orbit_matches_closure_on_folded_data(name):
+    d = folded_datum(name)
+    assert suites._regular_orbit(d) == (len(enumerate_absolute_weyl(d)),) * 2
+
+
+def test_regular_orbit_refuses_before_walking(monkeypatch):
+    """The height product is compared with the bound before the first
+    reflection: the walk never reads the Cartan matrix of SU11's base."""
+    d = preset("SU11").base
+    monkeypatch.setattr(type(d), "cartan_matrix", _refuse_closure)
+    with pytest.raises(EnumerationBoundExceeded,
+                       match="^Weyl group of order 39916800 exceeds bound 1000000$"):
+        suites._regular_orbit(d)
+    assert issubclass(EnumerationBoundExceeded, ValueError)
+
+
+def test_w0_orbit_matches_closure():
+    for name in SWEEP:
+        t = datum(name)
+        w0 = relative_weyl(t)
+        c = coinvariants(t)
+        for cls in sample_classes(t)[:6]:
+            cls = c.normal_form(c.coordinates(cls))
+            assert suites._w0_orbit(w0, cls) == relative_orbit(w0, cls), (name, cls)
+
+
+def _mutant(monkeypatch, old, new):
+    """Rebind `suites._regular_orbit` to its own source with `old` replaced
+    by `new`, compiled in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(suites._regular_orbit))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(suites))
+    exec(compile(source.replace(old, new), suites.__file__, "exec"), namespace)
+    monkeypatch.setattr(suites, "_regular_orbit", namespace["_regular_orbit"])
+
+
+def _failed(t, suite):
+    return [r.name for r in run_suite(t, suite) if not r.passed]
+
+
+# (source, mutated source, the weyl-oracle records that must fail)
+WALK_FAULTS = {
+    # the count misses one point of the second level
+    "drop-one-point": ("size += len(level)", "size += len(level) - (size == 1)",
+                       ["folded-cartan-weyl-order"]),
+    "ignore-one-permutation": ("for perm in permutations", "for perm in permutations[1:]",
+                               ["relative-order-equals-fixed-subgroup",
+                                "folded-cartan-weyl-order"]),
+}
+
+
+@pytest.mark.parametrize("fault", WALK_FAULTS)
+@pytest.mark.parametrize("name", ["Spin8-triality", "SU5"])
+def test_walk_faults_fail_the_weyl_oracle(monkeypatch, name, fault):
+    old, new, failing = WALK_FAULTS[fault]
+    t = datum(name)
+    assert _failed(t, "weyl-oracle") == []
+    _mutant(monkeypatch, old, new)
+    assert _failed(t, "weyl-oracle") == failing
+
+
+@pytest.mark.parametrize("name", ["Spin8-triality", "SU5", "SU3", "SU7"])
+def test_identity_generator_fails_the_orbits_suite(monkeypatch, name):
+    """With one W0 generator replaced by the identity, the orbits of a
+    proper subgroup still hold one dominant class each; at a regular class
+    they miss the antidominant chamber."""
+    t = datum(name)
+    assert _failed(t, "orbits") == []
+    w0 = relative_weyl(t)
+    identity = WeylElement(matrix=IntMatrix.identity(t.rank), word=(0,))
+    faulty = RelativeWeylGroup(datum=t, generators=(identity,) + w0.generators[1:])
+    monkeypatch.setattr(suites, "relative_weyl", lambda _t: faulty)
+    assert _failed(t, "orbits") == ["ball-bijection"]
