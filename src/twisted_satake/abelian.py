@@ -485,7 +485,7 @@ class QuotientPresentation:
 
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(_integer, v))
         if len(v) != self.ambient_rank:
             raise DimensionMismatch(
                 f"vector length {len(v)}, ambient rank {self.ambient_rank}"
@@ -496,11 +496,12 @@ class QuotientPresentation:
         return (free, torsion)
 
     def coordinates(self, cls):
-        """The flat coordinate vector free + torsion of a class."""
+        """The flat coordinate vector free + torsion of a class; a non-integer
+        entry is refused (`_integer`)."""
         free, torsion = cls
         if len(free) != len(self.free_slots) or len(torsion) != len(self.torsion_slots):
             raise DimensionMismatch("class does not match this presentation")
-        return tuple(free) + tuple(torsion)
+        return tuple(map(_integer, free)) + tuple(map(_integer, torsion))
 
     def normal_form(self, x):
         """The class with coordinates x, torsion entries reduced mod their
@@ -512,7 +513,7 @@ class QuotientPresentation:
         """A representative in Z^ambient_rank of a normal-form class."""
         w = [0] * self.ambient_rank
         for i, x in zip(self._coordinate_slots, self.coordinates(cls)):
-            w[i] = int(x)
+            w[i] = x
         return self.smith.U_inverse.apply(w)
 
     def zero_class(self):

@@ -370,7 +370,7 @@ def cmd_schubert(args, t):
         f"stratum {format_class(s.label):12s} dim {s.dim:4d} component {format_class(s.component)}"
         for s in poset.strata
     ]
-    # the covering relations are computed for the JSON document only
+    # the table lists strata only; the JSON document adds the Hasse edges
     _emit(args, {"result": poset_document(poset)} if args.format == "json" else {}, lines)
     return EXIT_OK
 

@@ -176,6 +176,14 @@ def class_height(t: TwistedRootDatum, cls) -> Fraction:
     return Fraction(dot(sub.heights, coinvariants(t).coordinates(cls)), sub.group_order)
 
 
+def _scaled_height(t: TwistedRootDatum, cls):
+    """(|I| <average, 2 rho>, whether the class is dominant): integer dot
+    products with the substrate rows, building no Fraction."""
+    sub = _substrate(t)
+    x = coinvariants(t).coordinates(cls)
+    return dot(sub.heights, x), all(dot(row, x) >= 0 for row in sub.root_pairings)
+
+
 def is_dominant_class(t: TwistedRootDatum, cls):
     """The DominantClass witness, or None."""
     sub = _substrate(t)
@@ -206,11 +214,11 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 
 @functools.lru_cache(maxsize=None)
-def _order_coordinates(t: TwistedRootDatum, cls):
-    return _substrate(t).order_coordinates(coinvariants(t).coordinates(cls))
+def _order_coordinates(t: TwistedRootDatum, x):
+    """Keyed on checked class coordinates: a class key would equate 2.0 with 2."""
+    return _substrate(t).order_coordinates(x)
 
 
-@functools.lru_cache(maxsize=None)
 def leq(t: TwistedRootDatum, lam, mu):
     """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
 
@@ -220,8 +228,9 @@ def leq(t: TwistedRootDatum, lam, mu):
     mu - lam = sum c_O [coroot_O], unique in its orbit part by the verified
     injectivity of (Z Phi^vee)_I -> X_*(T)_I.
     """
-    key_lam, c_lam = _order_coordinates(t, lam)
-    key_mu, c_mu = _order_coordinates(t, mu)
+    c = coinvariants(t)
+    key_lam, c_lam = _order_coordinates(t, c.coordinates(lam))
+    key_mu, c_mu = _order_coordinates(t, c.coordinates(mu))
     if key_lam != key_mu:
         return None
     coeffs = _certificate(_substrate(t).order_scale, c_lam, c_mu)
@@ -241,10 +250,10 @@ def order_relations(t: TwistedRootDatum, labels):
     """Every (lam, mu, certificate coefficients) with lam <= mu among the
     labels, sorted: the triples of `leq`, from each label's order
     coordinates and one tuple subtraction per pair with equal keys."""
-    scale = _substrate(t).order_scale
+    scale, c = _substrate(t).order_scale, coinvariants(t)
     groups = {}
     for cls in labels:
-        key, coords = _order_coordinates(t, cls)
+        key, coords = _order_coordinates(t, c.coordinates(cls))
         groups.setdefault(key, []).append((cls, coords))
     out = []
     for members in groups.values():
@@ -257,15 +266,19 @@ def order_relations(t: TwistedRootDatum, labels):
     return tuple(out)
 
 
-def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
-    """Class of a dominant absolute coweight; dominance is preserved."""
+def _project(t: TwistedRootDatum, v):
+    """The class of a dominant absolute coweight, checked dominant."""
     if any(dot(v, alpha) < 0 for alpha in t.base.simple_roots):
         raise NonDominantError(f"{v} is not a dominant coweight")
-    c = coinvariants(t)
-    witness = is_dominant_class(t, c.class_of(v))
-    if witness is None:
+    cls = coinvariants(t).class_of(v)
+    if not _scaled_height(t, cls)[1]:
         raise InvariantViolation("projection of a dominant coweight must be dominant")
-    return witness
+    return cls
+
+
+def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
+    """Class of a dominant absolute coweight; dominance is preserved."""
+    return is_dominant_class(t, _project(t, v))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +322,8 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
         frees = _walk_cone(den, generators, weights, sub.group_order * max_height)
         out = list(itertools.product(frees, _torsion_combinations(c)))
         for cls in out:
-            if class_height(t, cls) > max_height or is_dominant_class(t, cls) is None:
+            h, dominant = _scaled_height(t, cls)
+            if h > sub.group_order * max_height or not dominant:
                 raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
@@ -322,7 +336,7 @@ def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):
     bounded dominant cone upstairs in the bounded dominant cone downstairs.
     """
     sources = dominant_coweights_up_to_height(t.base, max_height, coord_bound)
-    return sorted({project_dominant(t, v).cls for v in sources})
+    return sorted({_project(t, v) for v in sources})
 
 
 @frozen

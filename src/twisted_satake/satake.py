@@ -2,8 +2,10 @@
 
 Strata are dominant coinvariant classes graded by the pairing of the
 average lift with 2*rho (an exact rational which the dimension theorem
-forces to be a nonnegative integer); closures are computed by the
-coroot-orbit dominance order; components by the Kottwitz class.  Cell
+forces to be a nonnegative integer, read in integer arithmetic); closures
+are computed by the coroot-orbit dominance order, whose Hasse edges come
+from each label's order coordinates (all comparable pairs only on demand,
+`SchubertPoset.relations`); components by the Kottwitz class.  Cell
 dimensions for the attractor intersections and their convolution analogues
 are half-pairings, asserted integral exactly where the theory claims
 integrality, so the assertion doubles as a defect detector.
@@ -12,17 +14,18 @@ integrality, so the assertion doubles as a defect detector.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
 from ._value import frozen
 from .abelian import DimensionMismatch, InvariantViolation, vec_sub
 from .coweights import (
     NonDominantError,
+    _order_coordinates,
+    _scaled_height,
     _substrate,
-    class_height,
     dominant_representative,
     enumerate_dominant_classes,
-    is_dominant_class,
     leq,
     order_relations,
 )
@@ -37,14 +40,20 @@ from .rootdatum import _walk_cone, rho_data
 
 
 def _require_dominant(t, cls):
-    if is_dominant_class(t, cls) is None:
+    """|I| <average, 2 rho> of a dominant class, an integer dot product;
+    NonDominantError on a class that is not dominant."""
+    h, dominant = _scaled_height(t, cls)
+    if not dominant:
         raise NonDominantError(f"{cls} is not a dominant class")
+    return h
 
 
-def _integral(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise InvariantViolation(f"{what} is not an integer: {x}")
-    return int(x)
+def _integral(num: int, den: int, what: str) -> int:
+    """num / den, which the theory makes an integer (asserted)."""
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantViolation(f"{what} is not an integer: {Fraction(num, den)}")
+    return q
 
 
 @frozen
@@ -63,9 +72,7 @@ def component_of(t: TwistedRootDatum, cls) -> tuple:
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     """The stratum attached to a dominant class, with its exact dimension."""
-    _require_dominant(t, cls)
-    h = class_height(t, cls)
-    dim = _integral(h, "stratum dimension")
+    dim = _integral(_require_dominant(t, cls), _substrate(t).group_order, "stratum dimension")
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
     return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
@@ -73,47 +80,42 @@ def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
 
 @frozen
 class SchubertPoset:
+    """The strata of a closure or height bound and the Hasse edges of their
+    order, computed from order coordinates by `closure_poset`."""
+
     datum: TwistedRootDatum
     strata: tuple          # SchubertStratum, sorted by (dim, label)
-    relations: tuple       # ((lower label, upper label, certificate coefficients), ...)
+    covers: tuple          # Hasse edges (lower label, upper label), sorted
 
     @property
     def labels(self):
         return tuple(s.label for s in self.strata)
 
-    def covering_relations(self):
-        """Hasse edges: lower < upper with nothing strictly between, sorted.
+    @property
+    def relations(self):
+        """Every (lower, upper, certificate coefficients) with lower <= upper,
+        sorted: `order_relations`, built on each read and by no command."""
+        return order_relations(self.datum, self.labels)
 
-        With L(u) the strict lower set of u, the covers of u are L(u) minus
-        the union of L(m) over the labels m in L(u).
-        """
-        labels = set(self.labels)
-        lower = {}
-        for lo, up, _c in self.relations:
-            if lo != up:
-                lower.setdefault(up, set()).add(lo)
-        covers = []
-        for up, below in lower.items():
-            between = set().union(*(lower.get(m, ()) for m in below & labels))
-            covers.extend((lo, up) for lo in below - between)
-        return tuple(sorted(covers))
+    def covering_relations(self):
+        """Hasse edges: lower < upper with nothing strictly between, sorted."""
+        return self.covers
 
 
 def strata_below(t: TwistedRootDatum, cls):
     """The dominant classes mu <= cls, sorted: walk the coefficient simplex
     sum c_O <= height/2 over the coroot-orbit classes (each step drops the
     height by exactly 2) and keep the dominant differences."""
-    _require_dominant(t, cls)
+    h = _integral(_require_dominant(t, cls), _substrate(t).group_order, "stratum dimension")
     c = coinvariants(t)
     basis = orbit_coroot_classes(t)
-    h = _integral(class_height(t, cls), "stratum dimension")
     unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     out = set()
     for coeffs in _walk_cone(1, unit, (1,) * len(basis), h // 2):
         cur = cls
         for x, b in zip(coeffs, basis):
             cur = c.sub(cur, c.scale(x, b))
-        if is_dominant_class(t, cur) is not None:
+        if _scaled_height(t, cur)[1]:
             out.add(cur)
     return sorted(out)
 
@@ -128,22 +130,46 @@ def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=No
     else:
         labels = enumerate_dominant_classes(t, max_height, coord_bound)
     strata = tuple(sorted((stratum(t, l) for l in labels), key=lambda s: (s.dim, s.label)))
-    poset = SchubertPoset(datum=t, strata=strata, relations=order_relations(t, labels))
+    poset = SchubertPoset(datum=t, strata=strata, covers=_covers(t, labels))
     _check_poset(t, poset)
     return poset
 
 
+def _covers(t, labels):
+    """The Hasse edges among the labels, sorted.  Within one order key, lam
+    <= mu exactly when c(mu) - c(lam) >= 0 entrywise, which raises the sum.
+    The covers of u are the maximal elements of its strict lower set: in
+    decreasing sum, keep each one below u and below no kept one (bitmasks
+    of strict lower sets, over the group sorted by sum)."""
+    c = coinvariants(t)
+    groups = {}
+    for cls in labels:
+        key, coords = _order_coordinates(t, c.coordinates(cls))
+        groups.setdefault(key, []).append((sum(coords), coords, cls))
+    covers = []
+    for members in groups.values():
+        members.sort()
+        lower = []
+        for i, (_, c_up, up) in enumerate(members):
+            mask = 0
+            for j in range(i - 1, -1, -1):
+                _, c_lo, lo = members[j]
+                if not mask >> j & 1 and all(map(operator.ge, c_up, c_lo)):
+                    covers.append((lo, up))
+                    mask |= lower[j] | 1 << j
+            lower.append(mask)
+    return tuple(sorted(covers))
+
+
 def _check_poset(t, poset):
-    # Dimensions strictly increase along strict order relations within a
-    # component (each certificate step has positive height).
-    dims = {s.label: s.dim for s in poset.strata}
-    comp = {s.label: s.component for s in poset.strata}
-    for lo, up, coeffs in poset.relations:
-        if lo == up:
-            continue
-        if comp[lo] != comp[up]:
+    """Components agree and dimensions strictly rise along every cover.  In
+    a finite poset each strict relation is a chain of covers, so this is
+    the same check on every strict order relation."""
+    strata = {s.label: s for s in poset.strata}
+    for lo, up in poset.covers:
+        if strata[lo].component != strata[up].component:
             raise InvariantViolation("comparable strata in different components")
-        if dims[lo] >= dims[up]:
+        if strata[lo].dim >= strata[up].dim:
             raise InvariantViolation("dimension does not increase along the order")
 
 
@@ -163,13 +189,14 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
     an integer precisely in that case (asserted)."""
-    _require_dominant(t, lam)
+    # mu's height is read before the cached chamber walk, whose key would
+    # take a non-integer entry such as 2.0 for its integer
+    h = _require_dominant(t, lam) + _scaled_height(t, mu)[0]
     rep, _w = dominant_representative(t, mu)
-    nonempty = leq(t, rep.cls, lam) is not None
-    if not nonempty:
+    if leq(t, rep.cls, lam) is None:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
-    half = (class_height(t, mu) + class_height(t, lam)) / 2
-    return MvCell(mu=mu, lam=lam, nonempty=True, dim=_integral(half, "cell half-pairing"))
+    return MvCell(mu=mu, lam=lam, nonempty=True,
+                  dim=_integral(h, 2 * _substrate(t).group_order, "cell half-pairing"))
 
 
 @frozen
@@ -186,8 +213,9 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     """Convolution analogue in the twisted labeling: both dominant
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
-    _require_dominant(t, lam)
-    _require_dominant(t, lam2)
+    # heights first, as in mv_cell
+    h = (_require_dominant(t, lam) + _require_dominant(t, lam2)
+         + _scaled_height(t, mu)[0] + _scaled_height(t, mu2)[0])
     rep1, _ = dominant_representative(t, mu)
     rep2, _ = dominant_representative(t, mu2)
     nonempty = (
@@ -195,13 +223,9 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     )
     if not nonempty:
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
-    total = (
-        class_height(t, mu) + class_height(t, mu2)
-        + class_height(t, lam) + class_height(t, lam2)
-    ) / 2
     return ConvCell(
         mu=mu, mu2=mu2, lam=lam, lam2=lam2,
-        nonempty=True, dim=_integral(total, "convolution half-pairing"),
+        nonempty=True, dim=_integral(h, 2 * _substrate(t).group_order, "convolution half-pairing"),
     )
 
 
@@ -224,7 +248,7 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
     sub, c = _substrate(t), coinvariants(t)
     value = sub.scaled_pairing(c.coordinates(c.class_of(tuple(v))), shift)
-    return _integral(Fraction(value, sub.group_order), "corr value")
+    return _integral(value, sub.group_order, "corr value")
 
 
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):

@@ -8,7 +8,8 @@ every fixed preset and SU7, Schubert posets and dominant images at several
 bounds, `branch` and `tensor` on the five branch presets, `mv`, `conv` and
 `corr`, the README command lines, input errors, a `--file` datum whose
 coinvariants are Z + Z/2, and `verify` on data whose Weyl groups the orbit
-oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800).
+oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800),
+and Schubert posets and dominant images at the sizes the benchmark queries.
 
 A line of the golden file is `<exit code> <md5 stdout> <md5 stderr> <argv
 as JSON>`.  After a change that is meant to alter output, regenerate it
@@ -116,6 +117,19 @@ HEAVY = (
     "verify SU17 orbits",
 )
 
+# Posets at the sizes the benchmark queries: long chains of strata, wide
+# bounded cones, and a torus box.
+WORKLOAD = tuple(
+    [f"schubert {p} --bound 52{fmt}" for p in ("SU3", "PSU3", "SL2xSL2-swap")
+     for fmt in ("", " --format json", " --format dot")]
+    + [f"schubert {p} --bound 18 --format json" for p in ("SU4", "SU5", "Spin8-triality")]
+    + ["schubert SU7 --bound 7 --format json",
+       "schubert SU9 --bound 3 --format json",
+       "dominant-image SU3 --bound 100 --format json",
+       "dominant-image SU5 --bound 10 --format json",
+       "schubert torus-rank-2 --bound 6 --coord-bound 3 --format json"]
+)
+
 
 def _fmt(vec):
     return ",".join(str(x) for x in vec)
@@ -202,6 +216,7 @@ def golden_argvs():
     out += [line.split() for line in README_LINES]
     out += [list(argv) for argv in INPUT_ERRORS]
     out += [line.split() for line in HEAVY]
+    out += [line.split() for line in WORKLOAD]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

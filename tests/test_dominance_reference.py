@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import abelian, coweights, galois, rootdatum
+from twisted_satake import abelian, cli, coweights, galois, rootdatum
 from twisted_satake.abelian import (
     DependentBasisError,
     IntMatrix,
@@ -308,6 +308,15 @@ def test_covering_relations_match_triple_loop(name):
 
 
 @pytest.mark.parametrize("name", SWEEP)
+def test_covering_relations_below_each_label_match_triple_loop(name):
+    t = datum(name)
+    height, coord = bounds(t)
+    for cls in enumerate_dominant_classes(t, height, coord):
+        poset = closure_poset(t, cls=cls)
+        assert poset.covering_relations() == ref_covering_relations(poset), cls
+
+
+@pytest.mark.parametrize("name", SWEEP)
 def test_cone_walk_matches_box_scan(name):
     t = datum(name)
     height, _coord = bounds(t)
@@ -411,6 +420,24 @@ def test_closure_poset_makes_no_per_pair_solves(monkeypatch):
     poset = closure_poset(preset("SU3"), max_height=200)
     assert len(poset.relations) > len(poset.strata) > 50
     assert calls == []
+
+
+def test_schubert_builds_no_relation_list(monkeypatch, capsys):
+    """Hasse edges come from order coordinates: neither closure_poset nor
+    the schubert command compares all pairs of labels."""
+    def refuse(*args):
+        raise AssertionError("all-pairs order relations on the request path")
+
+    real = coweights.order_relations
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twisted_satake") and getattr(module, "order_relations", None) is real:
+            monkeypatch.setattr(module, "order_relations", refuse)
+    monkeypatch.setattr(coweights, "_certificate", refuse)
+    assert len(closure_poset(preset("SU3"), max_height=200).covering_relations()) == 100
+    assert len(closure_poset(preset("SU4"), cls=((4, 4), ())).covering_relations()) > 5
+    for fmt in ("table", "json", "dot"):
+        assert cli.main(["schubert", "SU5", "--bound", "8", "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
 
 
 CONE_SWEEP = tuple(

@@ -41,6 +41,7 @@ _TOUR_CHECKS = """
 from fractions import Fraction
 assert average_map(su3, cls) == (Fraction(1, 2), Fraction(1, 2))
 assert stratum(su3, ((2,), ())).dim == 4
+assert [up for _lo, ((up,), _t) in closure_poset(su3, cls=((3,), ())).covers] == [1, 2, 3]
 print("ok")
 """
 

@@ -1,12 +1,17 @@
 """Schubert strata, closure posets, cells, corr, parity, exports."""
 
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from twisted_satake import satake
+from twisted_satake.abelian import InvariantViolation
 from twisted_satake.coweights import (
     enumerate_dominant_classes,
+    is_dominant_class,
     leq,
 )
 from twisted_satake.galois import coinvariants
@@ -109,6 +114,30 @@ class TestClosurePoset:
         for lo, up, _c in p.relations:
             if lo != up:
                 assert dims[lo] < dims[up]
+
+
+class TestPosetCheck:
+    """Mutations that break one cover of the SU3 chain 0 < 1 < 2 < 3 reach
+    each message of the poset check."""
+
+    def test_cover_across_components(self, monkeypatch):
+        real = satake.component_of
+        monkeypatch.setattr(satake, "component_of", lambda t, cls: (
+            ((1,), ()) if cls == su3_class(2) else real(t, cls)))
+        with pytest.raises(InvariantViolation, match="^comparable strata in different components$"):
+            closure_poset(preset("SU3"), cls=su3_class(3))
+
+    def test_cover_down_in_dimension(self, monkeypatch):
+        real = satake.stratum
+
+        def lowered(t, cls):
+            s = real(t, cls)
+            return satake.SchubertStratum(label=s.label, dim=0 if cls == su3_class(3) else s.dim,
+                                          component=s.component)
+
+        monkeypatch.setattr(satake, "stratum", lowered)
+        with pytest.raises(InvariantViolation, match="^dimension does not increase along the order$"):
+            closure_poset(preset("SU3"), max_height=6)
 
 
 class TestComponents:
@@ -295,3 +324,52 @@ class TestExports:
         assert format_class(((3,), ())) == "3"
         assert format_class(((1, -2), (1,))) == "1,-2;1"
         assert format_class(((), ())) == "0"
+
+
+# Classes are integers or refused: each entry point below reads a class (or,
+# for class_of, a vector) of SU5 with one bad entry at a seeded position.
+
+BAD_ENTRIES = (Fraction(5, 2), Fraction(1, 2), -1.5, 0.9, 2.0, True, False)
+CLASS_ENTRY_POINTS = {
+    "class_of": lambda t, cls: coinvariants(t).class_of(cls[0] + cls[0]),
+    "is_dominant_class": lambda t, cls: is_dominant_class(t, cls),
+    "stratum": lambda t, cls: stratum(t, cls).dim,
+    "closure_poset": lambda t, cls: closure_poset(t, cls=cls),
+    "leq": lambda t, cls: leq(t, ((0, 0), ()), cls),
+    "mv_cell": lambda t, cls: mv_cell(t, cls, ((1, 1), ())),
+    "conv_cell": lambda t, cls: conv_cell(t, ((0, 0), ()), cls, ((1, 1), ()), ((1, 1), ())),
+}
+
+
+class TestIntegerClasses:
+    @pytest.mark.parametrize("entry", CLASS_ENTRY_POINTS)
+    @pytest.mark.parametrize("seed, value", list(enumerate(BAD_ENTRIES)))
+    def test_non_integer_entry_is_refused_by_name(self, entry, seed, value):
+        rng = random.Random(seed)
+        free = [rng.randint(0, 3), rng.randint(0, 3)]
+        free[rng.randrange(2)] = value
+        with pytest.raises(ValueError, match=f"^not an integer entry: {re.escape(repr(value))}$"):
+            CLASS_ENTRY_POINTS[entry](preset("SU5"), (tuple(free), ()))
+
+    def test_inputs_once_answered(self):
+        """Each of these once answered for a different input, or raised TypeError."""
+        t = preset("SU3")
+        for call in (
+            lambda: coinvariants(t).class_of((Fraction(1, 2), 0)),
+            lambda: coinvariants(t).class_of((0.9, 0)),
+            lambda: stratum(t, ((Fraction(5, 2),), ())).dim,
+            lambda: closure_poset(t, cls=((Fraction(5, 2),), ())),
+            lambda: is_dominant_class(t, ((True,), ())),
+            lambda: leq(t, ((0,), ()), ((2.0,), ())),
+            lambda: mv_cell(t, ((-1.5,), ()), ((1,), ())),
+        ):
+            with pytest.raises(ValueError, match="^not an integer entry: "):
+                call()
+
+    def test_integral_fraction_is_its_integer(self):
+        t = preset("SU5")
+        c = coinvariants(t)
+        assert c.class_of((Fraction(4, 2), 1, 0, 0)) == c.class_of((2, 1, 0, 0))
+        x = c.coordinates(((Fraction(6, 3), 1), ()))
+        assert x == (2, 1) and all(type(v) is int for v in x)
+        assert stratum(t, ((Fraction(2), 1), ())) == stratum(t, ((2, 1), ()))
