@@ -328,7 +328,7 @@ def cmd_describe(args, t):
         "pi1_coinvariants": str(kottwitz_components(t)),
         "relative_weyl_order": relative_weyl(t).order,
         "fixed_group": {
-            "label": desc.label,
+            "label": desc.folded_cartan.type_label if desc.folded_cartan else None,
             "folded_cartan": (
                 {
                     "type": desc.folded_cartan.type_label,
@@ -339,7 +339,7 @@ def cmd_describe(args, t):
                 else None
             ),
             "smooth_over_Z_ell": desc.smooth_over_Z_ell,
-            "quasi_reductive_nonreductive_at_2": desc.quasi_reductive_nonreductive_at_2,
+            "quasi_reductive_nonreductive_at_2": desc.smooth_over_Z_ell == "no",
             "ell2_quasi_reductive_mechanism": desc.has_adjacent_pair_orbit,
             "connected_char0": desc.connected_char0,
         },

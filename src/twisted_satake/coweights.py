@@ -4,9 +4,12 @@ A coinvariant class is dominant when its rational average pairs
 nonnegatively with every absolute simple root; by invariance of the average
 this agrees with the pairing against the relative simple roots.  The partial
 order compares classes through the free basis of coroot-orbit classes, with
-an explicit nonnegative-integer certificate.  Heights are measured by the
-pairing of the average with 2*rho, an exact rational that the dimension
-formulas force to be an integer on dominant classes.
+an explicit nonnegative-integer certificate (`leq`), and gives the Hasse
+edges among a set of labels (`hasse_covers`); this module alone reads the
+order coordinates both come from.  Heights are measured by the pairing of
+the average with 2*rho, an exact rational that the dimension formulas force
+to be an integer on dominant classes; bounded enumeration reads them, and
+dominance, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from ._value import frozen
@@ -196,18 +200,23 @@ def is_dominant_class(t: TwistedRootDatum, cls):
     )
 
 
-@functools.lru_cache(maxsize=None)
 def dominant_representative(t: TwistedRootDatum, cls):
     """The dominant class in the W0-orbit of cls, with the chamber walk's element
     carrying cls onto it (not the first such element in closure order); the
     class is read from that element's descended action and checked dominant."""
+    return _dominant_representative(t, coinvariants(t).coordinates(cls))
+
+
+@functools.lru_cache(maxsize=None)
+def _dominant_representative(t: TwistedRootDatum, x):
+    """Keyed on checked class coordinates, as `_order_coordinates` is."""
     sub = _substrate(t)
     limit = len(full_root_system(t.base).positive)
-    _point, word = dominant_walk(coinvariants(t).coordinates(cls), sub.reflections, limit)
+    _point, word = dominant_walk(x, sub.reflections, limit)
     w0 = relative_weyl(t)
     w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
                                      IntMatrix.identity(t.rank)), word=word)
-    witness = is_dominant_class(t, w0.act(w, cls))
+    witness = is_dominant_class(t, w0.act(w, coinvariants(t).normal_form(x)))
     if witness is None:
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return witness, w
@@ -224,46 +233,47 @@ def leq(t: TwistedRootDatum, lam, mu):
 
     Reads the order key and orbit coordinates of each class, computed once
     per class from the datum's one Smith decomposition of [orbit coroot
-    classes | torsion moduli]: the certificate is the integer solution of
-    mu - lam = sum c_O [coroot_O], unique in its orbit part by the verified
-    injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    classes | torsion moduli]: the certificate (c(mu) - c(lam)) / L is the
+    integer solution of mu - lam = sum c_O [coroot_O], unique in its orbit
+    part by the verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
     """
     c = coinvariants(t)
     key_lam, c_lam = _order_coordinates(t, c.coordinates(lam))
     key_mu, c_mu = _order_coordinates(t, c.coordinates(mu))
-    if key_lam != key_mu:
-        return None
-    coeffs = _certificate(_substrate(t).order_scale, c_lam, c_mu)
-    return None if coeffs is None else OrderCertificate(coefficients=coeffs)
-
-
-def _certificate(scale, c_lam, c_mu):
-    """(c(mu) - c(lam)) / L for classes with equal keys, or None when an
-    entry is negative."""
     diff = vec_sub(c_mu, c_lam)
-    if any(x < 0 for x in diff):
+    if key_lam != key_mu or any(x < 0 for x in diff):
         return None
-    return tuple(x // scale for x in diff)
+    scale = _substrate(t).order_scale
+    return OrderCertificate(coefficients=tuple(x // scale for x in diff))
 
 
-def order_relations(t: TwistedRootDatum, labels):
-    """Every (lam, mu, certificate coefficients) with lam <= mu among the
-    labels, sorted: the triples of `leq`, from each label's order
-    coordinates and one tuple subtraction per pair with equal keys."""
-    scale, c = _substrate(t).order_scale, coinvariants(t)
+def hasse_covers(t: TwistedRootDatum, labels):
+    """The Hasse edges (lower, upper) of the order among the labels, sorted.
+
+    Within one order key, lam <= mu exactly when c(mu) - c(lam) >= 0
+    entrywise, which raises the sum.  The covers of u are the maximal
+    elements of its strict lower set: in decreasing sum, keep each one below
+    u and below no kept one (bitmasks of strict lower sets, over the group
+    sorted by sum).  No pair of labels is compared through `leq`.
+    """
+    c = coinvariants(t)
     groups = {}
     for cls in labels:
         key, coords = _order_coordinates(t, c.coordinates(cls))
-        groups.setdefault(key, []).append((cls, coords))
-    out = []
+        groups.setdefault(key, []).append((sum(coords), coords, cls))
+    covers = []
     for members in groups.values():
-        for lam, c_lam in members:
-            for mu, c_mu in members:
-                coeffs = _certificate(scale, c_lam, c_mu)
-                if coeffs is not None:
-                    out.append((lam, mu, coeffs))
-    out.sort()
-    return tuple(out)
+        members.sort()
+        lower = []
+        for i, (_, c_up, up) in enumerate(members):
+            mask = 0
+            for j in range(i - 1, -1, -1):
+                _, c_lo, lo = members[j]
+                if not mask >> j & 1 and all(map(operator.ge, c_up, c_lo)):
+                    covers.append((lo, up))
+                    mask |= lower[j] | 1 << j
+            lower.append(mask)
+    return tuple(sorted(covers))
 
 
 def _project(t: TwistedRootDatum, v):
@@ -308,25 +318,28 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     """
     c = coinvariants(t)
     sub = _substrate(t)
+    bound = sub.group_order * max_height
     if sub.cone is None:
         if coord_bound is None:
             raise ValueError("datum has invariant central directions; "
                              "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.quotient.free_rank)
-        out = [
-            cls for cls in itertools.product(box, _torsion_combinations(c))
-            if class_height(t, cls) <= max_height and is_dominant_class(t, cls) is not None
-        ]
-    else:
-        den, generators, weights = sub.cone
-        frees = _walk_cone(den, generators, weights, sub.group_order * max_height)
-        out = list(itertools.product(frees, _torsion_combinations(c)))
-        for cls in out:
-            h, dominant = _scaled_height(t, cls)
-            if h > sub.group_order * max_height or not dominant:
-                raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
+        return sorted(cls for cls in itertools.product(box, _torsion_combinations(c))
+                      if _within(t, cls, bound))
+    den, generators, weights = sub.cone
+    out = list(itertools.product(_walk_cone(den, generators, weights, bound),
+                                 _torsion_combinations(c)))
+    for cls in out:
+        if not _within(t, cls, bound):
+            raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
+
+
+def _within(t, cls, bound):
+    """Is cls dominant with |I| <average, 2 rho> <= bound?"""
+    h, dominant = _scaled_height(t, cls)
+    return h <= bound and dominant
 
 
 def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):

@@ -262,24 +262,9 @@ class FoldedGroupDescriptor:
     fixed_torus_characters: object        # X^*(s)_I = coinvariants(dual_twisted(s))
     descended_weyl: object                # RelativeWeylGroup of dual_twisted(s)
     folded_cartan: FoldedCartan | None
-    label: str | None
     smooth_over_Z_ell: str                # "yes" | "no" | "unknown"
-    quasi_reductive_nonreductive_at_2: bool
     connected_char0: str                  # "yes" | "no" | "unknown"
     has_adjacent_pair_orbit: bool
-
-    def dominant_cone(self, max_height, coord_bound=None):
-        """Bounded dominant cone of the fixed-torus character classes."""
-        from .coweights import enumerate_dominant_classes
-
-        return enumerate_dominant_classes(
-            dual_twisted(self.source), max_height, coord_bound
-        )
-
-    def is_dominant(self, cls):
-        from .coweights import is_dominant_class
-
-        return is_dominant_class(dual_twisted(self.source), cls) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,9 +312,7 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
         fixed_torus_characters=torus,
         descended_weyl=weyl,
         folded_cartan=folded,
-        label=folded.type_label if folded is not None else None,
         smooth_over_Z_ell=smooth,
-        quasi_reductive_nonreductive_at_2=bool(adjacent and not profile.is_char0 and profile.ell == 2),
         connected_char0=_connectedness_char0(s),
         has_adjacent_pair_orbit=adjacent,
     )

@@ -19,6 +19,7 @@ from .abelian import (
     IntMatrix,
     InvariantViolation,
     QuotientPresentation,
+    _integer,
     induced_map_kernel,
     quotient_group,
 )
@@ -54,7 +55,7 @@ class DiagramAutomorphism:
     @staticmethod
     def make(lattice_map, root_permutation, order=None):
         m = lattice_map if isinstance(lattice_map, IntMatrix) else IntMatrix.from_rows(lattice_map)
-        perm = tuple(int(x) for x in root_permutation)
+        perm = tuple(map(_integer, root_permutation))
         if order is None:
             order = _matrix_order(_require_square(m))
         return DiagramAutomorphism(lattice_map=m, root_permutation=perm, order=order)

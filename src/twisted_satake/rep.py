@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from ._value import field, frozen
-from .abelian import DimensionMismatch, InvariantViolation, dot, vec_add, vec_scale, vec_sub
+from .abelian import DimensionMismatch, InvariantViolation, _integer, dot, vec_add, vec_scale, vec_sub
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
 from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
@@ -187,7 +187,7 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     equal the Weyl dimension.
     """
     require_valid(d)
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(_integer, lam))
     if len(lam) != d.rank:
         raise DimensionMismatch("weight has wrong rank")
     if not is_dominant_character(d, lam):
@@ -347,7 +347,7 @@ def branch_to_fixed_group(
     The summand at the projected class of lam always appears (the projected
     class is the folded highest weight of the restriction's top stratum).
     """
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(_integer, lam))
     char = irreducible_character(s.base, lam)
     dual = dual_twisted(s)
     restricted = restrict_to_coinvariants(dual, char)

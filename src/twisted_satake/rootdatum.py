@@ -19,6 +19,7 @@ from .abelian import (
     FgAbelianGroup,
     IntMatrix,
     InvariantViolation,
+    _integer,
     dot,
     quotient_group,
     smith_normal_form,
@@ -45,8 +46,8 @@ class BasedRootDatum:
     def make(rank, simple_roots, simple_coroots):
         return BasedRootDatum(
             rank=rank,
-            simple_roots=tuple(tuple(int(x) for x in r) for r in simple_roots),
-            simple_coroots=tuple(tuple(int(x) for x in r) for r in simple_coroots),
+            simple_roots=tuple(tuple(map(_integer, r)) for r in simple_roots),
+            simple_coroots=tuple(tuple(map(_integer, r)) for r in simple_coroots),
         )
 
     @property

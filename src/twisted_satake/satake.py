@@ -3,31 +3,29 @@
 Strata are dominant coinvariant classes graded by the pairing of the
 average lift with 2*rho (an exact rational which the dimension theorem
 forces to be a nonnegative integer, read in integer arithmetic); closures
-are computed by the coroot-orbit dominance order, whose Hasse edges come
-from each label's order coordinates (all comparable pairs only on demand,
-`SchubertPoset.relations`); components by the Kottwitz class.  Cell
-dimensions for the attractor intersections and their convolution analogues
-are half-pairings, asserted integral exactly where the theory claims
-integrality, so the assertion doubles as a defect detector.
+are computed by the coroot-orbit dominance order, whose Hasse edges
+`coweights.hasse_covers` reads from each label's order coordinates;
+components by the Kottwitz class.  Cell dimensions for the attractor
+intersections and their convolution analogues are half-pairings, asserted
+integral exactly where the theory claims integrality, so the assertion
+doubles as a defect detector.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
 
 from ._value import frozen
 from .abelian import DimensionMismatch, InvariantViolation, vec_sub
 from .coweights import (
     NonDominantError,
-    _order_coordinates,
     _scaled_height,
     _substrate,
     dominant_representative,
     enumerate_dominant_classes,
+    hasse_covers,
     leq,
-    order_relations,
 )
 from .galois import (
     TwistedRootDatum,
@@ -81,7 +79,7 @@ def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
 @frozen
 class SchubertPoset:
     """The strata of a closure or height bound and the Hasse edges of their
-    order, computed from order coordinates by `closure_poset`."""
+    order, from `coweights.hasse_covers`."""
 
     datum: TwistedRootDatum
     strata: tuple          # SchubertStratum, sorted by (dim, label)
@@ -90,16 +88,6 @@ class SchubertPoset:
     @property
     def labels(self):
         return tuple(s.label for s in self.strata)
-
-    @property
-    def relations(self):
-        """Every (lower, upper, certificate coefficients) with lower <= upper,
-        sorted: `order_relations`, built on each read and by no command."""
-        return order_relations(self.datum, self.labels)
-
-    def covering_relations(self):
-        """Hasse edges: lower < upper with nothing strictly between, sorted."""
-        return self.covers
 
 
 def strata_below(t: TwistedRootDatum, cls):
@@ -130,35 +118,9 @@ def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=No
     else:
         labels = enumerate_dominant_classes(t, max_height, coord_bound)
     strata = tuple(sorted((stratum(t, l) for l in labels), key=lambda s: (s.dim, s.label)))
-    poset = SchubertPoset(datum=t, strata=strata, covers=_covers(t, labels))
+    poset = SchubertPoset(datum=t, strata=strata, covers=hasse_covers(t, labels))
     _check_poset(t, poset)
     return poset
-
-
-def _covers(t, labels):
-    """The Hasse edges among the labels, sorted.  Within one order key, lam
-    <= mu exactly when c(mu) - c(lam) >= 0 entrywise, which raises the sum.
-    The covers of u are the maximal elements of its strict lower set: in
-    decreasing sum, keep each one below u and below no kept one (bitmasks
-    of strict lower sets, over the group sorted by sum)."""
-    c = coinvariants(t)
-    groups = {}
-    for cls in labels:
-        key, coords = _order_coordinates(t, c.coordinates(cls))
-        groups.setdefault(key, []).append((sum(coords), coords, cls))
-    covers = []
-    for members in groups.values():
-        members.sort()
-        lower = []
-        for i, (_, c_up, up) in enumerate(members):
-            mask = 0
-            for j in range(i - 1, -1, -1):
-                _, c_lo, lo = members[j]
-                if not mask >> j & 1 and all(map(operator.ge, c_up, c_lo)):
-                    covers.append((lo, up))
-                    mask |= lower[j] | 1 << j
-            lower.append(mask)
-    return tuple(sorted(covers))
 
 
 def _check_poset(t, poset):
@@ -189,8 +151,6 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
     an integer precisely in that case (asserted)."""
-    # mu's height is read before the cached chamber walk, whose key would
-    # take a non-integer entry such as 2.0 for its integer
     h = _require_dominant(t, lam) + _scaled_height(t, mu)[0]
     rep, _w = dominant_representative(t, mu)
     if leq(t, rep.cls, lam) is None:
@@ -213,7 +173,6 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     """Convolution analogue in the twisted labeling: both dominant
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
-    # heights first, as in mv_cell
     h = (_require_dominant(t, lam) + _require_dominant(t, lam2)
          + _scaled_height(t, mu)[0] + _scaled_height(t, mu2)[0])
     rep1, _ = dominant_representative(t, mu)
@@ -293,7 +252,7 @@ def poset_document(poset: SchubertPoset) -> dict:
     ]
     edges = [
         {"lower": format_class(lo), "upper": format_class(up)}
-        for lo, up in poset.covering_relations()
+        for lo, up in poset.covers
     ]
     return {"nodes": nodes, "edges": edges}
 
@@ -308,7 +267,7 @@ def poset_to_dot(poset: SchubertPoset) -> str:
         lines.append(
             f'  "{format_class(s.label)}" [label="{format_class(s.label)} (dim {s.dim})"];'
         )
-    for lo, up in poset.covering_relations():
+    for lo, up in poset.covers:
         lines.append(f'  "{format_class(lo)}" -> "{format_class(up)}";')
     lines.append("}")
     return "\n".join(lines)

@@ -275,9 +275,9 @@ def test_criterion_07_rank_one_cases():
             rel = relative_simple_roots(t)
             has_pair = any(k == "adjacent-pair" for k in rel.orbit_type)
             desc = fixed_group_descriptor(t, f2)
-            assert desc.quasi_reductive_nonreductive_at_2 == has_pair, name
-        assert fixed_group_descriptor(preset("SU3"), f2).quasi_reductive_nonreductive_at_2
-        assert fixed_group_descriptor(preset("SU5"), f2).quasi_reductive_nonreductive_at_2
+            assert (desc.smooth_over_Z_ell == "no") == has_pair, name
+        assert fixed_group_descriptor(preset("SU3"), f2).smooth_over_Z_ell == "no"
+        assert fixed_group_descriptor(preset("SU5"), f2).smooth_over_Z_ell == "no"
     _assert_budget(tm)
 
 

@@ -5,7 +5,8 @@ oracles: `leq` by a fresh Smith normal form of [orbit coroots | (1 - gamma)
 columns] per pair, heights and dominance by Fraction averages, the
 box scans of dominant coweights and of dominant classes, the central-
 direction test by a rational solve, the coefficient box below a stratum,
-and the triple-loop Hasse diagram.  The sweep covers every fixed preset,
+the all-pairs relation list `order_relations` and the triple-loop Hasse
+diagram over it.  The sweep covers every fixed preset,
 SU5, SU7, torus-rank-2 and a datum whose coinvariants carry torsion, at
 small bounds.
 """
@@ -136,8 +137,38 @@ def ref_fundamental_cone(d):
     return den, scaled, heights
 
 
+def _certificate(scale, c_lam, c_mu):
+    """(c(mu) - c(lam)) / L for classes with equal keys, or None when an
+    entry is negative."""
+    diff = vec_sub(c_mu, c_lam)
+    if any(x < 0 for x in diff):
+        return None
+    return tuple(x // scale for x in diff)
+
+
+def order_relations(t, labels):
+    """Every (lam, mu, certificate coefficients) with lam <= mu among the
+    labels, sorted: the triples of `leq`, from each label's order
+    coordinates and one tuple subtraction per pair with equal keys."""
+    scale, c = coweights._substrate(t).order_scale, coinvariants(t)
+    groups = {}
+    for cls in labels:
+        key, coords = coweights._order_coordinates(t, c.coordinates(cls))
+        groups.setdefault(key, []).append((cls, coords))
+    out = []
+    for members in groups.values():
+        for lam, c_lam in members:
+            for mu, c_mu in members:
+                coeffs = _certificate(scale, c_lam, c_mu)
+                if coeffs is not None:
+                    out.append((lam, mu, coeffs))
+    out.sort()
+    return tuple(out)
+
+
 def ref_covering_relations(poset):
-    strict = {(lo, up) for lo, up, _c in poset.relations if lo != up}
+    relations = order_relations(poset.datum, poset.labels)
+    strict = {(lo, up) for lo, up, _c in relations if lo != up}
     covers = []
     for lo, up in sorted(strict):
         if not any((lo, mid) in strict and (mid, up) in strict
@@ -304,7 +335,7 @@ def test_covering_relations_match_triple_loop(name):
     t = datum(name)
     height, coord = bounds(t)
     poset = closure_poset(t, max_height=height, coord_bound=coord)
-    assert poset.covering_relations() == ref_covering_relations(poset)
+    assert poset.covers == ref_covering_relations(poset)
 
 
 @pytest.mark.parametrize("name", SWEEP)
@@ -313,7 +344,7 @@ def test_covering_relations_below_each_label_match_triple_loop(name):
     height, coord = bounds(t)
     for cls in enumerate_dominant_classes(t, height, coord):
         poset = closure_poset(t, cls=cls)
-        assert poset.covering_relations() == ref_covering_relations(poset), cls
+        assert poset.covers == ref_covering_relations(poset), cls
 
 
 @pytest.mark.parametrize("name", SWEEP)
@@ -389,7 +420,7 @@ def test_relations_match_per_pair_solver(name):
         cert = ref_leq(t, lo, up)
         if cert is not None:
             expected.append((lo, up, cert.coefficients))
-    assert poset.relations == tuple(sorted(expected))
+    assert order_relations(t, poset.labels) == tuple(sorted(expected))
 
 
 @pytest.mark.parametrize("name", SWEEP)
@@ -418,26 +449,44 @@ def test_closure_poset_makes_no_per_pair_solves(monkeypatch):
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     poset = closure_poset(preset("SU3"), max_height=200)
-    assert len(poset.relations) > len(poset.strata) > 50
+    assert len(order_relations(poset.datum, poset.labels)) > len(poset.strata) > 50
     assert calls == []
+
+
+def _refuse_everywhere(monkeypatch, *names):
+    """Patch each coweights function to raise, in every package module that
+    binds it."""
+    def refuse(*args):
+        raise AssertionError(f"one of {names} was called")
+
+    for attr in names:
+        real = getattr(coweights, attr)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twisted_satake") and getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, refuse)
 
 
 def test_schubert_builds_no_relation_list(monkeypatch, capsys):
     """Hasse edges come from order coordinates: neither closure_poset nor
-    the schubert command compares all pairs of labels."""
-    def refuse(*args):
-        raise AssertionError("all-pairs order relations on the request path")
-
-    real = coweights.order_relations
-    for name, module in list(sys.modules.items()):
-        if name.startswith("twisted_satake") and getattr(module, "order_relations", None) is real:
-            monkeypatch.setattr(module, "order_relations", refuse)
-    monkeypatch.setattr(coweights, "_certificate", refuse)
-    assert len(closure_poset(preset("SU3"), max_height=200).covering_relations()) == 100
-    assert len(closure_poset(preset("SU4"), cls=((4, 4), ())).covering_relations()) > 5
+    the schubert command compares a pair of labels through `leq`."""
+    _refuse_everywhere(monkeypatch, "leq")
+    assert len(closure_poset(preset("SU3"), max_height=200).covers) == 100
+    assert len(closure_poset(preset("SU4"), cls=((4, 4), ())).covers) > 5
     for fmt in ("table", "json", "dot"):
         assert cli.main(["schubert", "SU5", "--bound", "8", "--format", fmt]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["torus-rank-1", "torus-rank-2", "U3-like"])
+def test_bounded_enumeration_builds_no_fraction_height(monkeypatch, name):
+    """Box scans and cone walks read integer heights and dominance: with
+    the Fraction-valued class_height and is_dominant_class refused, they
+    still match the reference scan."""
+    t = datum(name)
+    cases = [(h, coord) for h in (-1, 0, 1, 2, 6) for coord in (1, 2)]
+    expected = [ref_enumerate_dominant_classes(t, h, coord) for h, coord in cases]
+    _refuse_everywhere(monkeypatch, "class_height", "is_dominant_class")
+    assert [enumerate_dominant_classes(t, h, coord) for h, coord in cases] == expected
 
 
 CONE_SWEEP = tuple(

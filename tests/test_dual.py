@@ -94,32 +94,30 @@ class TestDualTwisted:
 class TestFixedGroupDescriptor:
     def test_swap_pair_gives_sl2(self):
         desc = fixed_group_descriptor(preset("SL2xSL2-swap"))
-        assert desc.label == "SL2"
+        assert desc.folded_cartan.type_label == "SL2"
         assert desc.fixed_torus_characters.quotient == FgAbelianGroup(1, ())
         assert desc.descended_weyl.order == 2
 
     def test_su3_gives_pgl2(self):
         desc = fixed_group_descriptor(preset("SU3"))
-        assert desc.label == "PGL2"
+        assert desc.folded_cartan.type_label == "PGL2"
         assert desc.folded_cartan.datum.simple_roots == ((1,),)
         assert desc.folded_cartan.datum.simple_coroots == ((2,),)
 
     def test_su3_at_two_flags(self):
         desc = fixed_group_descriptor(preset("SU3"), parse_profile("Fl:2"))
-        assert desc.quasi_reductive_nonreductive_at_2
         assert desc.folded_cartan is None
         assert desc.smooth_over_Z_ell == "no"
 
     def test_su3_at_odd_prime(self):
         desc = fixed_group_descriptor(preset("SU3"), parse_profile("Fl:3"))
-        assert not desc.quasi_reductive_nonreductive_at_2
         assert desc.folded_cartan is not None
         assert desc.smooth_over_Z_ell == "yes"
 
     def test_orthogonal_orbits_never_flag(self):
         for name in ["SL2xSL2-swap", "SU4", "Spin8-triality", "SL3"]:
             desc = fixed_group_descriptor(preset(name), parse_profile("Fl:2"))
-            assert not desc.quasi_reductive_nonreductive_at_2, name
+            assert desc.smooth_over_Z_ell != "no", name
 
     def test_tannakian_torus_identity(self):
         # The fixed torus of the dual datum's group is X_*(T)_I of the source.
@@ -149,23 +147,25 @@ class TestFixedGroupDescriptor:
             "PGL2": "PGL2",
         }
         for name, label in expected.items():
-            assert fixed_group_descriptor(preset(name)).label == label, name
+            assert fixed_group_descriptor(preset(name)).folded_cartan.type_label == label, name
 
     def test_dual_of_unitary_hits_adjoint_entry(self):
         # dual_twisted(SU3) is structurally the PSU3 registry entry, so its
         # recorded connectedness applies.
         desc = fixed_group_descriptor(dual_twisted(preset("SU3")))
         assert desc.connected_char0 == "yes"
-        assert desc.label == "PGL2"
+        assert desc.folded_cartan.type_label == "PGL2"
 
     def test_dominant_cone_accessor(self):
-        # The descriptor's cone is the dominance data of the fixed torus:
-        # for the rank-one unitary preset, classes 0..n at height 2n.
-        desc = fixed_group_descriptor(preset("SU3"))
-        cone = desc.dominant_cone(8)
+        # The fixed torus's dominance data is that of the dual datum: for
+        # the rank-one unitary preset, classes 0..n at height 2n.
+        from twisted_satake.coweights import enumerate_dominant_classes, is_dominant_class
+
+        dual = dual_twisted(fixed_group_descriptor(preset("SU3")).source)
+        cone = enumerate_dominant_classes(dual, 8)
         assert [c[0][0] for c in cone] == [0, 1, 2, 3, 4]
-        assert desc.is_dominant(((2,), ()))
-        assert not desc.is_dominant(((-1,), ()))
+        assert is_dominant_class(dual, ((2,), ())) is not None
+        assert is_dominant_class(dual, ((-1,), ())) is None
 
     def test_unknown_folding_refused_for_user_data(self):
         # A structurally fine twisted datum that is not in the registry gets
@@ -186,7 +186,6 @@ class TestFixedGroupDescriptor:
         t = TwistedRootDatum.make(base, (swap,))
         desc = fixed_group_descriptor(t)
         assert desc.folded_cartan is None
-        assert desc.label is None
 
 
 class TestRankOne:
@@ -213,7 +212,7 @@ class TestRankOne:
             case = classify_rank_one(preset(name))
             adj = adjoint_quotient(preset(name)).adjoint
             desc = fixed_group_descriptor(dual_twisted(adj))
-            assert desc.label == case.char0_fixed_group, name
+            assert desc.folded_cartan.type_label == case.char0_fixed_group, name
 
 
 class TestAdjointQuotient:
@@ -270,7 +269,7 @@ _ORDER_SCRIPT = textwrap.dedent("""
         return {name: getattr(desc, name) for name in field_names(desc)}
 
     direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
-    assert direct.label == "rank-3", direct.label
+    assert direct.folded_cartan.type_label == "rank-3", direct.folded_cartan
     fixed_group_descriptor.cache_clear()
     via_preset = fixed_group_descriptor(presets.preset("SU7"))
     assert fields(via_preset) == fields(direct)

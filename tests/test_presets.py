@@ -62,4 +62,4 @@ def test_su5_middle_orbit_flags_at_two():
     from twisted_satake.dual import fixed_group_descriptor, parse_profile
 
     desc = fixed_group_descriptor(preset("SU5"), parse_profile("Fl:2"))
-    assert desc.quasi_reductive_nonreductive_at_2
+    assert desc.smooth_over_Z_ell == "no"

@@ -10,12 +10,15 @@ import pytest
 from twisted_satake import satake
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.coweights import (
+    dominant_representative,
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
 )
-from twisted_satake.galois import coinvariants
+from twisted_satake.galois import DiagramAutomorphism, coinvariants
 from twisted_satake.presets import default_presets, get_preset, preset
+from twisted_satake.rep import branch_to_fixed_group
+from twisted_satake.rootdatum import BasedRootDatum
 from twisted_satake.satake import (
     NonDominantError,
     closure_poset,
@@ -31,6 +34,7 @@ from twisted_satake.satake import (
     stratum,
 )
 
+from test_dominance_reference import order_relations
 from test_weyl_reference import relative_elements
 
 
@@ -87,8 +91,7 @@ class TestClosurePoset:
     def test_su3_chain(self):
         p = closure_poset(preset("SU3"), cls=su3_class(3))
         assert [x[0][0] for x in p.labels] == [0, 1, 2, 3]
-        covers = p.covering_relations()
-        assert len(covers) == 3
+        assert len(p.covers) == 3
 
     def test_split_sl2_two_strata(self):
         p = closure_poset(preset("SL2"), cls=((1,), ()))
@@ -111,7 +114,7 @@ class TestClosurePoset:
     def test_dims_increase_along_order(self):
         p = closure_poset(preset("SU4"), max_height=8)
         dims = {s.label: s.dim for s in p.strata}
-        for lo, up, _c in p.relations:
+        for lo, up, _c in order_relations(p.datum, p.labels):
             if lo != up:
                 assert dims[lo] < dims[up]
 
@@ -326,8 +329,12 @@ class TestExports:
         assert format_class(((), ())) == "0"
 
 
-# Classes are integers or refused: each entry point below reads a class (or,
-# for class_of, a vector) of SU5 with one bad entry at a seeded position.
+# Classes are integers or refused: each entry point below reads a class of
+# SU5 with one bad entry at a seeded position, or a vector, a root row or a
+# root permutation made from that class's two free entries.  The cached
+# dominant_representative is first asked for the class with its entries
+# truncated (2.0 -> 2, True -> 1), so a cache keyed on the class would
+# answer the bad one.
 
 BAD_ENTRIES = (Fraction(5, 2), Fraction(1, 2), -1.5, 0.9, 2.0, True, False)
 CLASS_ENTRY_POINTS = {
@@ -338,6 +345,13 @@ CLASS_ENTRY_POINTS = {
     "leq": lambda t, cls: leq(t, ((0, 0), ()), cls),
     "mv_cell": lambda t, cls: mv_cell(t, cls, ((1, 1), ())),
     "conv_cell": lambda t, cls: conv_cell(t, ((0, 0), ()), cls, ((1, 1), ()), ((1, 1), ())),
+    "dominant_representative": lambda t, cls: (
+        dominant_representative(t, (tuple(map(int, cls[0])), ())),
+        dominant_representative(t, cls),
+    ),
+    "branch_to_fixed_group": lambda t, cls: branch_to_fixed_group(preset("SU3"), cls[0]),
+    "BasedRootDatum.make": lambda t, cls: BasedRootDatum.make(2, [cls[0], (0, 1)], [(1, 0), (0, 1)]),
+    "DiagramAutomorphism.make": lambda t, cls: DiagramAutomorphism.make([[1, 0], [0, 1]], cls[0]),
 }
 
 
@@ -362,6 +376,11 @@ class TestIntegerClasses:
             lambda: is_dominant_class(t, ((True,), ())),
             lambda: leq(t, ((0,), ()), ((2.0,), ())),
             lambda: mv_cell(t, ((-1.5,), ()), ((1,), ())),
+            lambda: branch_to_fixed_group(t, (1.7, 0)),
+            lambda: BasedRootDatum.make(1, [[2.9]], [[1]]),
+            lambda: DiagramAutomorphism.make([[1]], (0.5,)),
+            lambda: (dominant_representative(t, ((2,), ())), dominant_representative(t, ((2.0,), ()))),
+            lambda: (dominant_representative(t, ((1,), ())), dominant_representative(t, ((True,), ()))),
         ):
             with pytest.raises(ValueError, match="^not an integer entry: "):
                 call()

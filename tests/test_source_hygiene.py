@@ -14,8 +14,10 @@ No module defines the breadth-first matrix closure of a Weyl group
 oracle.  The orbit walks `_regular_orbit` and `_w0_orbit` are defined and
 read in `suites.py` alone, the module behind `verify`.  The Smith
 slots of a coinvariant class are read only inside
-`abelian.QuotientPresentation`.  `abelian` and `rootdatum` import nothing
-from `fractions`.
+`abelian.QuotientPresentation`.  The order coordinates of a class are
+read only in `coweights`, and no module lists all comparable pairs of the
+dominance order.  `abelian` and `rootdatum` import nothing from
+`fractions`.
 """
 
 import ast
@@ -143,6 +145,20 @@ def test_class_slots_are_read_only_by_the_presentation():
         for reader in _enclosing_names(ast.parse(path.read_text()), name)
     }
     assert readers == {("abelian.py", "QuotientPresentation")}
+
+
+def test_order_coordinates_are_read_only_in_coweights():
+    """The dominance order's coordinates are known to `coweights` alone:
+    `_order_coordinates` and the substrate's `order_*` rows appear in no
+    other module, `hasse_covers` is defined, and the all-pairs relation
+    list `order_relations` is defined nowhere in the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    names = ("_order_coordinates", "order_rows", "order_lift", "order_scale", "order_moduli")
+    readers = {module for module, tree in trees.items()
+               if set(names) & _referenced_names(tree, set())}
+    assert readers == {"coweights.py"}
+    defined = {n.rsplit(".", 1)[-1] for tree in trees.values() for n in _definitions(tree)}
+    assert "hasse_covers" in defined and "order_relations" not in defined
 
 
 def test_lattice_modules_import_no_fractions():

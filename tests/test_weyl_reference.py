@@ -465,7 +465,8 @@ def _mutated_walk(monkeypatch, mutate):
         return type(sub)(**kept | {"reflections": reflections})
 
     monkeypatch.setattr(coweights, "_substrate", substrate)
-    return dominant_representative.__wrapped__
+    walk = coweights._dominant_representative.__wrapped__
+    return lambda t, cls: walk(t, coinvariants(t).coordinates(cls))
 
 
 def _halve_adjacent(kind, c, a):
@@ -510,7 +511,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     t = preset("SU11")
     relative_weyl.cache_clear()
     longest_parabolic_element.cache_clear()
-    dominant_representative.cache_clear()
+    coweights._dominant_representative.cache_clear()
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
     monkeypatch.setattr(suites, "_w0_orbit", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
