@@ -356,7 +356,6 @@ def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):
 class SurjectivityReport:
     center_is_torus: bool
     surjective_observed: bool
-    height_bound: int
     image_size: int
     cone_size: int
 
@@ -373,7 +372,6 @@ def surjectivity_conditions(t: TwistedRootDatum, max_height=12, coord_bound=None
     return SurjectivityReport(
         center_is_torus=center_is_torus,
         surjective_observed=set(image) == set(cone),
-        height_bound=max_height,
         image_size=len(image),
         cone_size=len(cone),
     )

@@ -3,16 +3,18 @@ quotients.
 
 `dual_twisted` transports a pinned inertia action to the dual datum (same
 permutation of simple objects, contragredient lattice map).  For a twisted
-datum s regarded as the group being fixed, `fixed_group_descriptor(s)`
-assembles the combinatorial model of the fixed-point group: the fixed-torus
-character lattice X^*(s)_I (computed as the cocharacter coinvariants of the
-dual datum), the descended Weyl group, and, for registry presets and split
-data, the folded root datum produced by the standard recipe (orthogonal
-orbit: common root class with the summed coroots; adjacent pair: root class
-with the doubled summed coroots).  Registry membership is decided from the
-datum's structure alone.  On the request path the folded datum is checked
-by comparing generators, with no group enumerated: the descended matrix of
-each W0 generator on X^*(s)_I must equal the folded simple reflection there.
+datum s regarded as the group being fixed, the fixed-torus character
+lattice X^*(s)_I is `coinvariants(dual_twisted(s))` (the cocharacter
+coinvariants of the dual datum) and the descended Weyl group is
+`relative_weyl(dual_twisted(s))`.  `fixed_group_descriptor(s)` adds what
+those do not say: smoothness, connectedness and, for registry presets and
+split data, the folded root datum produced by the standard recipe
+(orthogonal orbit: common root class with the summed coroots; adjacent
+pair: root class with the doubled summed coroots).  Registry membership is
+decided from the datum's structure alone.  On the request path the folded
+datum is checked by comparing generators, with no group enumerated: the
+descended matrix of each W0 generator on X^*(s)_I must equal the folded
+simple reflection there.
 W^I acts faithfully on X_I tensor Q, because 2rho^vee of the dual is I-fixed
 and regular, so equal generators give |W(folded)| = |W0| (`_check_fold`
 carries the proof).  The |W^I| oracle, a walk of the orbit of a regular
@@ -122,7 +124,6 @@ def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
         DiagramAutomorphism(
             lattice_map=g.lattice_map.inverse_unimodular().transpose(),
             root_permutation=g.root_permutation,
-            order=g.order,
         )
         for g in t.generators
     )
@@ -257,10 +258,9 @@ def _connectedness_char0(s: TwistedRootDatum) -> str:
 
 @frozen
 class FoldedGroupDescriptor:
-    source: TwistedRootDatum
-    profile: CoefficientProfile
-    fixed_torus_characters: object        # X^*(s)_I = coinvariants(dual_twisted(s))
-    descended_weyl: object                # RelativeWeylGroup of dual_twisted(s)
+    """The fixed-point group of s beyond its torus and Weyl group; see
+    `fixed_group_descriptor`."""
+
     folded_cartan: FoldedCartan | None
     smooth_over_Z_ell: str                # "yes" | "no" | "unknown"
     connected_char0: str                  # "yes" | "no" | "unknown"
@@ -269,17 +269,18 @@ class FoldedGroupDescriptor:
 
 @functools.lru_cache(maxsize=None)
 def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CHAR0) -> FoldedGroupDescriptor:
-    """Combinatorial model of the fixed-point group of the datum s.
+    """The folded root datum, smoothness and connectedness of the fixed-point
+    group of the datum s.
 
-    The torus is X^*(s)_I; the Weyl group is the descended relative group.
-    Folded Cartan data appear only for split actions and data equal to a
-    registry preset or its dual, where they must pass `_check_fold`;
-    unknown foldings yield an absent folded_cartan, never a guess.  The
-    result depends on s and the profile alone.
+    Its torus X^*(s)_I and its Weyl group, the descended relative group, are
+    `coinvariants` and `relative_weyl` of `dual_twisted(s)`; the descriptor
+    does not hold them.  Folded Cartan data appear only for split actions
+    and data equal to a registry preset or its dual, where they must pass
+    `_check_fold` against that Weyl group; unknown foldings yield an absent
+    folded_cartan, never a guess.  The result depends on s and the profile
+    alone.
     """
-    dual = dual_twisted(s)
-    torus = coinvariants(dual)
-    weyl = relative_weyl(dual)
+    weyl = relative_weyl(dual_twisted(s))
 
     try:
         rel = relative_simple_roots(s)
@@ -307,10 +308,6 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
         smooth = "yes" if orbits_ok else "unknown"
 
     return FoldedGroupDescriptor(
-        source=s,
-        profile=profile,
-        fixed_torus_characters=torus,
-        descended_weyl=weyl,
         folded_cartan=folded,
         smooth_over_Z_ell=smooth,
         connected_char0=_connectedness_char0(s),
@@ -363,11 +360,13 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
     require_valid(t.base)
     gens = tuple(
         DiagramAutomorphism(lattice_map=IntMatrix.permutation(g.root_permutation),
-                            root_permutation=g.root_permutation, order=g.order)
+                            root_permutation=g.root_permutation)
         for g in t.generators
     )
     adjoint = TwistedRootDatum.make(adjoint_from_cartan(t.base.cartan_matrix()), gens)
-    to_ad = IntMatrix.from_rows([list(alpha) for alpha in t.base.simple_roots])
+    # num_simple x rank, so a torus maps onto the zero lattice with full kernel.
+    roots = t.base.simple_roots
+    to_ad = IntMatrix(len(roots), t.rank, tuple(x for alpha in roots for x in alpha))
     kernel = tuple(integer_kernel_basis(to_ad))
     out = AdjointQuotient(source=t, adjoint=adjoint, to_adjoint=to_ad, kernel_basis=kernel)
     verify_adjoint_right_exactness(out)

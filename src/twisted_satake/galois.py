@@ -33,6 +33,7 @@ from .rootdatum import (
 )
 
 GROUP_CLOSURE_CAP = 10000
+MATRIX_ORDER_CAP = 64
 
 
 class UnsupportedOrbitError(ValueError):
@@ -43,22 +44,21 @@ class UnsupportedOrbitError(ValueError):
 @frozen
 class DiagramAutomorphism:
     """A pinned automorphism: a unimodular map on X_*(T) together with the
-    permutation it induces on the simple roots."""
+    permutation it induces on the simple roots.  Its order is that of the
+    lattice map; `make` and `check_pinned` refuse a map of infinite order."""
 
     lattice_map: IntMatrix
     root_permutation: tuple
-    order: int
 
     def __post_init__(self):
         _require_square(self.lattice_map)
 
     @staticmethod
-    def make(lattice_map, root_permutation, order=None):
+    def make(lattice_map, root_permutation):
         m = lattice_map if isinstance(lattice_map, IntMatrix) else IntMatrix.from_rows(lattice_map)
         perm = tuple(map(_integer, root_permutation))
-        if order is None:
-            order = _matrix_order(_require_square(m))
-        return DiagramAutomorphism(lattice_map=m, root_permutation=perm, order=order)
+        _matrix_order(_require_square(m))
+        return DiagramAutomorphism(lattice_map=m, root_permutation=perm)
 
 
 def _require_square(m: IntMatrix):
@@ -67,10 +67,10 @@ def _require_square(m: IntMatrix):
     return m
 
 
-def _matrix_order(m: IntMatrix, cap=64):
+def _matrix_order(m: IntMatrix):
     acc = m
     ident = IntMatrix.identity(m.rows)
-    for k in range(1, cap + 1):
+    for k in range(1, MATRIX_ORDER_CAP + 1):
         if acc == ident:
             return k
         acc = acc.mul(m)
@@ -86,8 +86,7 @@ def check_pinned(base: BasedRootDatum, g: DiagramAutomorphism):
         raise InvalidDatumError("lattice map is not unimodular")
     if sorted(g.root_permutation) != list(range(base.num_simple)):
         raise InvalidDatumError("root_permutation is not a permutation of the simple indices")
-    if _matrix_order(g.lattice_map) != g.order:
-        raise InvalidDatumError("declared order does not match the lattice map")
+    _matrix_order(g.lattice_map)  # a generator built without `make` may have infinite order
     lt = g.lattice_map.transpose()
     for i, (root, coroot) in enumerate(zip(base.simple_roots, base.simple_coroots)):
         j = g.root_permutation[i]
@@ -222,7 +221,6 @@ def average_vector(t: TwistedRootDatum, v):
 class RelativeRootData:
     """I-orbits of simple roots with their type."""
 
-    datum: TwistedRootDatum
     simple_orbit_list: tuple   # tuple of sorted index tuples
     orbit_type: tuple          # "orthogonal" | "adjacent-pair", per orbit
 
@@ -262,11 +260,7 @@ def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
             raise UnsupportedOrbitError(
                 f"orbit {orbit} is neither orthogonal nor an adjacent A2 pair"
             )
-    return RelativeRootData(
-        datum=t,
-        simple_orbit_list=tuple(orbits),
-        orbit_type=tuple(types),
-    )
+    return RelativeRootData(simple_orbit_list=tuple(orbits), orbit_type=tuple(types))
 
 
 def orbit_coroot_classes(t: TwistedRootDatum):
@@ -285,9 +279,7 @@ def orbit_coroot_classes(t: TwistedRootDatum):
 class ExactSequenceData:
     """(Z Phi^vee)_I -> X_*(T)_I -> pi_1(G)_I with the verification record."""
 
-    datum: TwistedRootDatum
     coroot_coinvariants: FgAbelianGroup
-    middle: FgAbelianGroup
     cokernel: FgAbelianGroup
     pi1_coinvariants: FgAbelianGroup
     injective: bool
@@ -335,9 +327,7 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     coker = quotient_group(t.rank, IntMatrix.from_columns(coker_cols, nrows=t.rank)).quotient
     pi1 = kottwitz_components(t)
     data = ExactSequenceData(
-        datum=t,
         coroot_coinvariants=coroot_coinv,
-        middle=c.quotient,
         cokernel=coker,
         pi1_coinvariants=pi1,
         injective=injective,

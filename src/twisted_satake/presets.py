@@ -31,7 +31,6 @@ class AmbientEmbedding:
 
     into_ambient: IntMatrix   # internal -> ambient representative
     from_ambient: IntMatrix   # ambient representative -> internal
-    description: str = ""
 
     def to_internal(self, v):
         return self.from_ambient.apply(v)
@@ -83,24 +82,20 @@ def _unitary_embedding(n_ambient):
     back = IntMatrix.from_rows(
         [[1 if j <= i else 0 for j in range(n_ambient)] for i in range(k)]
     )
-    return AmbientEmbedding(
-        into_ambient=into,
-        from_ambient=back,
-        description=f"sum-zero sublattice of Z^{n_ambient}, basis e_i - e_(i+1)",
-    )
+    return AmbientEmbedding(into_ambient=into, from_ambient=back)
 
 
 @functools.lru_cache(maxsize=None)
-def _special_unitary(k_odd):
-    """SU_k for odd k: the A_(k-1) datum with the diagram flip."""
-    n = k_odd - 1
+def _special_unitary(k):
+    """SU_k: A_(k-1) with the diagram flip."""
+    n = k - 1
     base = _cartan_sc(_a_n_cartan(n))
     flip = _flip(n)
-    gen = DiagramAutomorphism.make(IntMatrix.permutation(flip), flip, order=2)
+    gen = DiagramAutomorphism.make(IntMatrix.permutation(flip), flip)
     return PresetEntry(
-        name=f"SU{k_odd}",
+        name=f"SU{k}",
         twisted=TwistedRootDatum.make(base, (gen,)),
-        embedding=_unitary_embedding(k_odd),
+        embedding=_unitary_embedding(k),
     )
 
 
@@ -133,7 +128,7 @@ def _build_fixed_registry():
 
     # SL2 x SL2 with the factor swap.
     sl2sq = BasedRootDatum.make(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)])
-    swap = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=2)
+    swap = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0))
     add(PresetEntry(
         "SL2xSL2-swap",
         TwistedRootDatum.make(sl2sq, (swap,)),
@@ -144,13 +139,12 @@ def _build_fixed_registry():
 
     # PSU3: the adjoint A2 datum with the flip on the coweight basis.
     psu3_base = adjoint_from_cartan(a2)
-    psu3_gen = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=2)
+    psu3_gen = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0))
     # Coweight-lattice coordinates inside Z^3/(1,1,1): class of (a,b,c)
     # has internal coordinates (a-b, b-c); omega_1 lifts to (1,0,0).
     psu3_embed = AmbientEmbedding(
         into_ambient=IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]]),
         from_ambient=IntMatrix.from_rows([[1, -1, 0], [0, 1, -1]]),
-        description="Z^3 modulo the diagonal, representatives with last entry 0",
     )
     add(PresetEntry(
         "PSU3",
@@ -158,16 +152,7 @@ def _build_fixed_registry():
         embedding=psu3_embed,
     ))
 
-    # SU4: A3 with the flip exchanging the outer nodes.
-    a3 = _a_n_cartan(3)
-    su4_base = _cartan_sc(a3)
-    su4_perm = (2, 1, 0)
-    su4_gen = DiagramAutomorphism.make(IntMatrix.permutation(su4_perm), su4_perm, order=2)
-    add(PresetEntry(
-        "SU4",
-        TwistedRootDatum.make(su4_base, (su4_gen,)),
-        embedding=_unitary_embedding(4),
-    ))
+    add(_special_unitary(4))
 
     # Spin8 with the triality rotation (1 -> 3 -> 4 -> 1, central node fixed).
     d4 = [
@@ -178,7 +163,7 @@ def _build_fixed_registry():
     ]
     spin8_base = _cartan_sc(d4)
     tri = (2, 1, 3, 0)  # 0 -> 2 -> 3 -> 0 in zero-based node labels
-    spin8_gen = DiagramAutomorphism.make(IntMatrix.permutation(tri), tri, order=3)
+    spin8_gen = DiagramAutomorphism.make(IntMatrix.permutation(tri), tri)
     add(PresetEntry(
         "Spin8-triality",
         TwistedRootDatum.make(spin8_base, (spin8_gen,)),

@@ -299,8 +299,9 @@ def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restrictio
         raise UnsupportedDecompositionError(
             "no verified folded root datum for this input", restriction=restriction
         )
+    chars = coinvariants(dual_twisted(s))
     for cls in classes:
-        desc.fixed_torus_characters.coordinates(cls)
+        chars.coordinates(cls)
     return desc
 
 

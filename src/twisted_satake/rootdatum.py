@@ -178,7 +178,6 @@ def _reflection_closure(d: BasedRootDatum):
 class RootSystem:
     """The full (absolute) root system of a datum, with positivity split."""
 
-    datum: BasedRootDatum
     positive: tuple      # (root, coroot) pairs, deterministic order
     negative: tuple
     coordinates: dict = field(compare=False, repr=False)  # root -> simple-root coordinates
@@ -213,8 +212,7 @@ def full_root_system(d: BasedRootDatum) -> RootSystem:
         coordinates[beta] = coords
     if len(pos) != len(neg):
         raise InvariantViolation("positivity split is not symmetric")
-    return RootSystem(datum=d, positive=tuple(pos), negative=tuple(neg),
-                      coordinates=coordinates)
+    return RootSystem(positive=tuple(pos), negative=tuple(neg), coordinates=coordinates)
 
 
 def adjoint_from_cartan(cartan) -> BasedRootDatum:

@@ -81,7 +81,6 @@ class SchubertPoset:
     """The strata of a closure or height bound and the Hasse edges of their
     order, from `coweights.hasse_covers`."""
 
-    datum: TwistedRootDatum
     strata: tuple          # SchubertStratum, sorted by (dim, label)
     covers: tuple          # Hasse edges (lower label, upper label), sorted
 
@@ -118,7 +117,7 @@ def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=No
     else:
         labels = enumerate_dominant_classes(t, max_height, coord_bound)
     strata = tuple(sorted((stratum(t, l) for l in labels), key=lambda s: (s.dim, s.label)))
-    poset = SchubertPoset(datum=t, strata=strata, covers=hasse_covers(t, labels))
+    poset = SchubertPoset(strata=strata, covers=hasse_covers(t, labels))
     _check_poset(t, poset)
     return poset
 

@@ -41,6 +41,16 @@ SUITE_NAMES = ("exactness", "orbits", "parity", "weyl-oracle", "branching")
 
 WEYL_BOUND_DEFAULT = 10**6
 
+# The suites' fixed sizes: the coordinate box for data with an invariant
+# central direction, the height of each enumerated ball, and the seeded
+# sample of dominant weights that the branching suite checks.
+COORD_BOUND = 4
+ORBITS_HEIGHT = 12
+PARITY_HEIGHT = 20
+BRANCHING_HEIGHT = 16
+BRANCHING_SAMPLE = 5
+BRANCHING_SEED = 2024
+
 
 class EnumerationBoundExceeded(ValueError):
     """A Weyl group too large for the orbit oracle: an input error."""
@@ -54,15 +64,15 @@ class CheckResult:
     detail: str = ""
 
 
-def _bounded_kwargs(t, coord_bound=4):
-    return {"coord_bound": coord_bound} if _has_invariant_central_direction(t) else {}
+def _bounded_kwargs(t):
+    return {"coord_bound": COORD_BOUND} if _has_invariant_central_direction(t) else {}
 
 
-def run_suite(t: TwistedRootDatum, suite: str, seed=2024):
+def run_suite(t: TwistedRootDatum, suite: str):
     if suite == "all":
         out = []
         for name in SUITE_NAMES:
-            out.extend(run_suite(t, name, seed=seed))
+            out.extend(run_suite(t, name))
         return out
     if suite == "exactness":
         return _suite_exactness(t)
@@ -73,7 +83,7 @@ def run_suite(t: TwistedRootDatum, suite: str, seed=2024):
     if suite == "weyl-oracle":
         return _suite_weyl_oracle(t)
     if suite == "branching":
-        return _suite_branching(t, seed=seed)
+        return _suite_branching(t)
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -148,10 +158,9 @@ def _suite_exactness(t):
     return out
 
 
-def _suite_orbits(t, max_height=12):
+def _suite_orbits(t):
     out = []
-    kwargs = _bounded_kwargs(t)
-    doms = enumerate_dominant_classes(t, max_height, **kwargs)
+    doms = enumerate_dominant_classes(t, ORBITS_HEIGHT, **_bounded_kwargs(t))
     w0 = relative_weyl(t)
     neg = coinvariants(t).neg
     orbit_of = {d: _w0_orbit(w0, d) for d in doms}
@@ -178,11 +187,10 @@ def _suite_orbits(t, max_height=12):
     return out
 
 
-def _suite_parity(t, max_height=20):
+def _suite_parity(t):
     """parity_check on every component the bound sees, from one enumeration."""
-    kwargs = _bounded_kwargs(t)
     by_component = {}
-    for cls in enumerate_dominant_classes(t, max_height, **kwargs):
+    for cls in enumerate_dominant_classes(t, PARITY_HEIGHT, **_bounded_kwargs(t)):
         by_component.setdefault(component_of(t, cls), []).append(cls)
     out = []
     for comp in sorted(by_component):
@@ -253,7 +261,7 @@ def _suite_weyl_oracle(t):
     return out
 
 
-def _suite_branching(t, seed=2024, count=5, max_height=16):
+def _suite_branching(t):
     out = []
     try:
         desc = fixed_group_descriptor(t, CHAR0)
@@ -262,12 +270,9 @@ def _suite_branching(t, seed=2024, count=5, max_height=16):
     if desc.folded_cartan is None:
         return [CheckResult("branching", "skipped-no-folded-data", True)]
     # Dominant characters of t = dominant coweights of the dual base.
-    duals = dominant_coweights_up_to_height(
-        dualize(t.base), max_height,
-        coord_bound=4 if _has_invariant_central_direction(t) else None,
-    )
-    rng = random.Random(seed)
-    sample = duals if len(duals) <= count else rng.sample(duals, count)
+    duals = dominant_coweights_up_to_height(dualize(t.base), BRANCHING_HEIGHT, **_bounded_kwargs(t))
+    rng = random.Random(BRANCHING_SEED)
+    sample = duals if len(duals) <= BRANCHING_SAMPLE else rng.sample(duals, BRANCHING_SAMPLE)
     ok = True
     detail = f"{len(sample)} weights"
     for lam in sample:

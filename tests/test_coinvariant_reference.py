@@ -91,7 +91,7 @@ def ref_descend(t, m, cls):
 def u3_like():
     """Rank-3 A2 lattice with the flip (a,b,c) -> (-c,-b,-a): X_*(T)_I = Z + Z/2."""
     base = BasedRootDatum.make(3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)])
-    flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0), order=2)
+    flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0))
     return TwistedRootDatum.make(base, (flip,))
 
 

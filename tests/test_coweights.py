@@ -213,6 +213,8 @@ class TestSurjectivity:
             rep = surjectivity_conditions(t, 8, **kwargs)
             if rep.center_is_torus:
                 assert rep.surjective_observed, name
+            assert rep.image_size == len(dominant_image_monoid(t, 8, **kwargs)), name
+            assert rep.cone_size == len(enumerate_dominant_classes(t, 8, **kwargs)), name
 
 
 class TestHeights:

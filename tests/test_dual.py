@@ -31,6 +31,7 @@ from twisted_satake.galois import (
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
+from twisted_satake.weyl import relative_weyl
 
 from test_weyl_reference import enumerate_absolute_weyl, fixed_weyl_subgroup
 
@@ -93,10 +94,10 @@ class TestDualTwisted:
 
 class TestFixedGroupDescriptor:
     def test_swap_pair_gives_sl2(self):
-        desc = fixed_group_descriptor(preset("SL2xSL2-swap"))
-        assert desc.folded_cartan.type_label == "SL2"
-        assert desc.fixed_torus_characters.quotient == FgAbelianGroup(1, ())
-        assert desc.descended_weyl.order == 2
+        t = preset("SL2xSL2-swap")
+        assert fixed_group_descriptor(t).folded_cartan.type_label == "SL2"
+        assert coinvariants(dual_twisted(t)).quotient == FgAbelianGroup(1, ())
+        assert relative_weyl(dual_twisted(t)).order == 2
 
     def test_su3_gives_pgl2(self):
         desc = fixed_group_descriptor(preset("SU3"))
@@ -122,9 +123,9 @@ class TestFixedGroupDescriptor:
     def test_tannakian_torus_identity(self):
         # The fixed torus of the dual datum's group is X_*(T)_I of the source.
         for name, entry in default_presets():
-            t = entry.twisted
-            desc = fixed_group_descriptor(dual_twisted(t))
-            assert desc.fixed_torus_characters.quotient == coinvariants(t).quotient, name
+            s = dual_twisted(entry.twisted)
+            chars = coinvariants(dual_twisted(s))  # X^*(s)_I
+            assert chars.quotient == coinvariants(entry.twisted).quotient, name
 
     def test_folded_weyl_matches_oracle(self):
         for name, entry in default_presets():
@@ -161,7 +162,7 @@ class TestFixedGroupDescriptor:
         # the rank-one unitary preset, classes 0..n at height 2n.
         from twisted_satake.coweights import enumerate_dominant_classes, is_dominant_class
 
-        dual = dual_twisted(fixed_group_descriptor(preset("SU3")).source)
+        dual = dual_twisted(preset("SU3"))
         cone = enumerate_dominant_classes(dual, 8)
         assert [c[0][0] for c in cone] == [0, 1, 2, 3, 4]
         assert is_dominant_class(dual, ((2,), ())) is not None
@@ -181,7 +182,6 @@ class TestFixedGroupDescriptor:
         swap = DiagramAutomorphism.make(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
             (2, 3, 0, 1),
-            order=2,
         )
         t = TwistedRootDatum.make(base, (swap,))
         desc = fixed_group_descriptor(t)
@@ -215,6 +215,23 @@ class TestRankOne:
             assert desc.folded_cartan.type_label == case.char0_fixed_group, name
 
 
+# Tori and a torus factor with an inversion: X_*(T) -> X_*(T_ad) = 0 has
+# all of X_*(T) as its kernel, and on SL2 x G_m the kernel is the G_m line.
+TORUS_KERNELS = {
+    "torus-rank-2": (preset("torus-rank-2"), ((1, 0), (0, 1))),
+    "torus-rank-1-inversion": (
+        TwistedRootDatum.make(BasedRootDatum.make(1, [], []),
+                              (DiagramAutomorphism.make([[-1]], ()),)),
+        ((1,),),
+    ),
+    "SL2xGm-inversion": (
+        TwistedRootDatum.make(BasedRootDatum.make(2, [(2, 0)], [(1, 0)]),
+                              (DiagramAutomorphism.make([[1, 0], [0, -1]], (0,)),)),
+        ((0, 1),),
+    ),
+}
+
+
 class TestAdjointQuotient:
     def test_su3_to_psu3(self):
         aq = adjoint_quotient(preset("SU3"))
@@ -239,17 +256,20 @@ class TestAdjointQuotient:
 
     def test_adjoint_is_adjoint(self):
         for name, entry in default_presets():
-            if name.startswith("torus"):
-                continue
             aq = adjoint_quotient(entry.twisted)
             assert is_adjoint(aq.adjoint.base), name
 
     def test_adjoint_pi1_finite(self):
         for name, entry in default_presets():
-            if name.startswith("torus"):
-                continue
             aq = adjoint_quotient(entry.twisted)
             assert kottwitz_components(aq.adjoint).is_finite, name
+
+    @pytest.mark.parametrize("name", sorted(TORUS_KERNELS))
+    def test_kernel_of_data_with_a_torus_factor(self, name):
+        t, kernel = TORUS_KERNELS[name]
+        aq = adjoint_quotient(t)
+        assert aq.kernel_basis == kernel
+        assert (aq.to_adjoint.rows, aq.to_adjoint.cols) == (t.base.num_simple, t.rank)
 
     def test_adjoint_surjectivity_conditions_hold(self):
         from twisted_satake.coweights import surjectivity_conditions

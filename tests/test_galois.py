@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_satake.abelian import FgAbelianGroup
+from twisted_satake.abelian import FgAbelianGroup, IntMatrix, InvariantViolation
 from twisted_satake.galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
@@ -31,15 +31,20 @@ class TestTwistedValidation:
     def test_pinning_violation_detected(self):
         base = preset("SL3").base
         # Identity permutation with the swap matrix breaks the pinning.
-        bad = DiagramAutomorphism.make([[0, 1], [1, 0]], (0, 1), order=2)
+        bad = DiagramAutomorphism.make([[0, 1], [1, 0]], (0, 1))
         with pytest.raises(InvalidDatumError):
             TwistedRootDatum.make(base, (bad,))
 
     def test_wrong_order_detected(self):
-        base = preset("SL3").base
-        bad = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=4)
-        with pytest.raises(InvalidDatumError):
-            TwistedRootDatum.make(base, (bad,))
+        # The order is read from the lattice map: it cannot be declared, and
+        # a map of infinite order is refused.
+        with pytest.raises(TypeError):
+            DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0), order=4)
+        with pytest.raises(InvariantViolation, match="lattice map order exceeds cap"):
+            DiagramAutomorphism.make([[1, 1], [0, 1]], ())
+        shear = DiagramAutomorphism(IntMatrix.from_rows([[1, 1], [0, 1]]), ())
+        with pytest.raises(InvariantViolation, match="lattice map order exceeds cap"):
+            TwistedRootDatum.make(BasedRootDatum.make(2, [], []), (shear,))
 
     def test_group_sizes(self):
         assert group_order(preset("SL2")) == 1
@@ -67,7 +72,7 @@ class TestCoinvariants:
 
     def test_swap_on_z2(self):
         base = BasedRootDatum.make(2, [], [])
-        swap = DiagramAutomorphism.make([[0, 1], [1, 0]], (), order=2)
+        swap = DiagramAutomorphism.make([[0, 1], [1, 0]], ())
         t = TwistedRootDatum.make(base, (swap,))
         c = coinvariants(t)
         assert c.quotient == FgAbelianGroup(1, ())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from twisted_satake import presets
 from twisted_satake.galois import coinvariants, group_order, relative_simple_roots
 from twisted_satake.presets import (
     DEFAULT_PRESET_NAMES,
@@ -35,6 +36,10 @@ def test_parameterized_unitary_family():
     assert preset("SU(5)") == preset("SU5")
     with pytest.raises(UnknownPresetError):
         preset("SU6")
+
+
+def test_su4_is_the_unitary_builder():
+    assert get_preset("SU4") is presets._special_unitary(4)
 
 
 def test_parameterized_torus_family():

@@ -290,7 +290,6 @@ class TestBranch:
         swap = DiagramAutomorphism.make(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
             (2, 3, 0, 1),
-            order=2,
         )
         t = TwistedRootDatum.make(base, (swap,))
         with pytest.raises(UnsupportedDecompositionError):

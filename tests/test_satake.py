@@ -112,9 +112,10 @@ class TestClosurePoset:
                 assert below == oracle, (name, lam)
 
     def test_dims_increase_along_order(self):
-        p = closure_poset(preset("SU4"), max_height=8)
+        t = preset("SU4")
+        p = closure_poset(t, max_height=8)
         dims = {s.label: s.dim for s in p.strata}
-        for lo, up, _c in order_relations(p.datum, p.labels):
+        for lo, up, _c in order_relations(t, p.labels):
             if lo != up:
                 assert dims[lo] < dims[up]
 

@@ -17,7 +17,7 @@ slots of a coinvariant class are read only inside
 `abelian.QuotientPresentation`.  The order coordinates of a class are
 read only in `coweights`, and no module lists all comparable pairs of the
 dominance order.  `abelian` and `rootdatum` import nothing from
-`fractions`.
+`fractions`.  Every field of a value class is read by name somewhere.
 """
 
 import ast
@@ -25,7 +25,8 @@ from pathlib import Path
 
 from twisted_satake.weyl import RelativeWeylGroup
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "twisted_satake"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twisted_satake"
 
 
 def _referenced_names(tree, skip):
@@ -174,3 +175,31 @@ def test_lattice_modules_import_no_fractions():
                     alias.name == "fractions" for alias in node.names):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _value_fields():
+    """(class, field) for each annotated field of a `@frozen` class."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "frozen" for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id
+
+
+def test_every_value_field_is_read():
+    """A value holds only what someone reads: each field of a `@frozen`
+    class is read as an attribute (`.name`) in the package, the bench or a
+    test.  `test_value.py` does not count, since its generic walk reaches
+    every field through `getattr`."""
+    readers = [*SRC.glob("*.py"), *ROOT.glob("bench/**/*.py"), *ROOT.glob("tests/*.py")]
+    read = {
+        node.attr
+        for path in readers if path.name != "test_value.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = list(_value_fields())
+    assert len(found) > 50, "no value fields found; is the source path right?"
+    assert [f"{cls}.{name}" for cls, name in found if name not in read] == []

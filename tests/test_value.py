@@ -181,7 +181,6 @@ def test_defaults_apply():
     assert dual.CoefficientProfile("char0").ell is None
     assert suites.CheckResult("s", "n", True).detail == ""
     assert presets.PresetEntry("x", ts.preset("SL2")).embedding is None
-    assert presets.AmbientEmbedding(m, m).description == ""
     assert rep.DecompositionResult(()).restriction is None
 
     @frozen
@@ -219,6 +218,6 @@ def test_post_init_checks_still_fire():
     with pytest.raises(ValueError, match="divisibility chain"):
         abelian.FgAbelianGroup(0, (2, 3))
     with pytest.raises(DimensionMismatch, match="square"):
-        galois.DiagramAutomorphism(IntMatrix(1, 2, (1, 0)), (0,), 1)
+        galois.DiagramAutomorphism(IntMatrix(1, 2, (1, 0)), (0,))
     with pytest.raises(DimensionMismatch, match="square"):
         galois.DiagramAutomorphism.make([[1, 0]], (0,))

@@ -261,7 +261,7 @@ def u3_like():
     base = BasedRootDatum.make(
         3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]
     )
-    flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0), order=2)
+    flip = DiagramAutomorphism.make([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], (1, 0))
     return TwistedRootDatum.make(base, (flip,))
 
 
