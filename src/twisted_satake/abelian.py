@@ -483,6 +483,14 @@ class QuotientPresentation:
         """`lift` of each unit class, in coordinate order."""
         return tuple(self.smith.U_inverse.column(i) for i in self._coordinate_slots)
 
+    @functools.cached_property
+    def _kept_rows(self):
+        """The rows of U that class coordinates read: one per free slot, and
+        (row, invariant factor) per torsion slot; unit slots are dropped."""
+        U = self.smith.U
+        return (tuple(U.row(i) for i in self.free_slots),
+                tuple((U.row(i), d) for i, d in self.torsion_slots))
+
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
         v = tuple(map(_integer, v))
@@ -490,10 +498,9 @@ class QuotientPresentation:
             raise DimensionMismatch(
                 f"vector length {len(v)}, ambient rank {self.ambient_rank}"
             )
-        w = self.smith.U.apply(v)
-        free = tuple(w[i] for i in self.free_slots)
-        torsion = tuple(w[i] % d for i, d in self.torsion_slots)
-        return (free, torsion)
+        free_rows, torsion_rows = self._kept_rows
+        return (tuple([sum(map(operator.mul, row, v)) for row in free_rows]),
+                tuple([sum(map(operator.mul, row, v)) % d for row, d in torsion_rows]))
 
     def coordinates(self, cls):
         """The flat coordinate vector free + torsion of a class; a non-integer

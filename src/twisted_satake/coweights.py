@@ -109,10 +109,11 @@ class _Substrate:
     cone: tuple | None
     reflections: tuple        # (c_O, a_O) per orbit
 
-    def scaled_pairing(self, x, chi):
-        """|I| <average of the class with coordinates x, chi>, an integer:
-        torsion classes average to zero."""
-        return dot(x[: len(self.free_sums)], [dot(v, chi) for v in self.free_sums])
+    def scaled_height(self, x):
+        """(|I| <average, 2 rho>, whether the class is dominant) for the class
+        with coordinates x: integer dot products with the rows."""
+        dominant = all([sum(map(operator.mul, row, x)) >= 0 for row in self.root_pairings])
+        return dot(self.heights, x), dominant
 
     def order_coordinates(self, x):
         """(order key, L-scaled orbit coordinates) of the class with coordinates x."""
@@ -180,14 +181,6 @@ def class_height(t: TwistedRootDatum, cls) -> Fraction:
     return Fraction(dot(sub.heights, coinvariants(t).coordinates(cls)), sub.group_order)
 
 
-def _scaled_height(t: TwistedRootDatum, cls):
-    """(|I| <average, 2 rho>, whether the class is dominant): integer dot
-    products with the substrate rows, building no Fraction."""
-    sub = _substrate(t)
-    x = coinvariants(t).coordinates(cls)
-    return dot(sub.heights, x), all(dot(row, x) >= 0 for row in sub.root_pairings)
-
-
 def is_dominant_class(t: TwistedRootDatum, cls):
     """The DominantClass witness, or None."""
     sub = _substrate(t)
@@ -203,29 +196,46 @@ def is_dominant_class(t: TwistedRootDatum, cls):
 def dominant_representative(t: TwistedRootDatum, cls):
     """The dominant class in the W0-orbit of cls, with the chamber walk's element
     carrying cls onto it (not the first such element in closure order); the
-    class is read from that element's descended action and checked dominant."""
-    return _dominant_representative(t, coinvariants(t).coordinates(cls))
+    class is read from the descended generators along the walk's word and
+    checked dominant."""
+    return _dominant_representative(t, coinvariants(t).coordinates(cls))[:2]
 
 
 @functools.lru_cache(maxsize=None)
 def _dominant_representative(t: TwistedRootDatum, x):
-    """Keyed on checked class coordinates, as `_order_coordinates` is."""
-    sub = _substrate(t)
+    """(witness, w, coordinates of the witness's class), keyed on checked
+    class coordinates, as `_order_coordinates` is.  W0's generators,
+    descended once per datum, act on x along the walk's word."""
     limit = len(full_root_system(t.base).positive)
-    _point, word = dominant_walk(x, sub.reflections, limit)
+    _point, word = dominant_walk(x, _substrate(t).reflections, limit)
     w0 = relative_weyl(t)
-    w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
-                                     IntMatrix.identity(t.rank)), word=word)
-    witness = is_dominant_class(t, w0.act(w, coinvariants(t).normal_form(x)))
+    descended = w0.descended_generators
+    for i in reversed(word):
+        x = descended[i].apply(x)
+    c = coinvariants(t)
+    witness = is_dominant_class(t, c.normal_form(x))
     if witness is None:
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
-    return witness, w
+    w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
+                                     IntMatrix.identity(t.rank)), word=word)
+    return witness, w, c.coordinates(witness.cls)
 
 
 @functools.lru_cache(maxsize=None)
 def _order_coordinates(t: TwistedRootDatum, x):
     """Keyed on checked class coordinates: a class key would equate 2.0 with 2."""
     return _substrate(t).order_coordinates(x)
+
+
+def _order_gap(t: TwistedRootDatum, x, y):
+    """c(y) - c(x), the L-scaled orbit coordinates of the difference, when
+    the class with coordinates x lies below the one with y; else None."""
+    key_x, c_x = _order_coordinates(t, x)
+    key_y, c_y = _order_coordinates(t, y)
+    diff = vec_sub(c_y, c_x)
+    if key_x != key_y or any(v < 0 for v in diff):
+        return None
+    return diff
 
 
 def leq(t: TwistedRootDatum, lam, mu):
@@ -238,10 +248,8 @@ def leq(t: TwistedRootDatum, lam, mu):
     part by the verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
     """
     c = coinvariants(t)
-    key_lam, c_lam = _order_coordinates(t, c.coordinates(lam))
-    key_mu, c_mu = _order_coordinates(t, c.coordinates(mu))
-    diff = vec_sub(c_mu, c_lam)
-    if key_lam != key_mu or any(x < 0 for x in diff):
+    diff = _order_gap(t, c.coordinates(lam), c.coordinates(mu))
+    if diff is None:
         return None
     scale = _substrate(t).order_scale
     return OrderCertificate(coefficients=tuple(x // scale for x in diff))
@@ -280,8 +288,9 @@ def _project(t: TwistedRootDatum, v):
     """The class of a dominant absolute coweight, checked dominant."""
     if any(dot(v, alpha) < 0 for alpha in t.base.simple_roots):
         raise NonDominantError(f"{v} is not a dominant coweight")
-    cls = coinvariants(t).class_of(v)
-    if not _scaled_height(t, cls)[1]:
+    c = coinvariants(t)
+    cls = c.class_of(v)
+    if not _substrate(t).scaled_height(c.coordinates(cls))[1]:
         raise InvariantViolation("projection of a dominant coweight must be dominant")
     return cls
 
@@ -325,20 +334,20 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
                              "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.quotient.free_rank)
         return sorted(cls for cls in itertools.product(box, _torsion_combinations(c))
-                      if _within(t, cls, bound))
+                      if _within(sub, c.coordinates(cls), bound))
     den, generators, weights = sub.cone
     out = list(itertools.product(_walk_cone(den, generators, weights, bound),
                                  _torsion_combinations(c)))
     for cls in out:
-        if not _within(t, cls, bound):
+        if not _within(sub, c.coordinates(cls), bound):
             raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
 
 
-def _within(t, cls, bound):
-    """Is cls dominant with |I| <average, 2 rho> <= bound?"""
-    h, dominant = _scaled_height(t, cls)
+def _within(sub, x, bound):
+    """Is the class with coordinates x dominant with |I| <average, 2 rho> <= bound?"""
+    h, dominant = sub.scaled_height(x)
     return h <= bound and dominant
 
 

@@ -30,7 +30,6 @@ from .abelian import IntMatrix, InvariantViolation, dot, integer_kernel_basis, q
 from .galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
-    UnsupportedOrbitError,
     coinvariants,
     one_minus_gamma_columns,
     relative_simple_roots,
@@ -262,7 +261,7 @@ class FoldedGroupDescriptor:
     `fixed_group_descriptor`."""
 
     folded_cartan: FoldedCartan | None
-    smooth_over_Z_ell: str                # "yes" | "no" | "unknown"
+    smooth_over_Z_ell: str                # "yes" | "no"
     connected_char0: str                  # "yes" | "no" | "unknown"
     has_adjacent_pair_orbit: bool
 
@@ -281,35 +280,22 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     alone.
     """
     weyl = relative_weyl(dual_twisted(s))
-
-    try:
-        rel = relative_simple_roots(s)
-        adjacent = any(kind == "adjacent-pair" for kind in rel.orbit_type)
-        orbits_ok = True
-    except UnsupportedOrbitError:
-        adjacent = False
-        orbits_ok = False
+    adjacent = any(kind == "adjacent-pair" for kind in relative_simple_roots(s).orbit_type)
 
     folded = None
-    if orbits_ok and (not s.generators or _registry_known(s)):
+    if not s.generators or _registry_known(s):
         folded = _fold_recipe(s)
         if folded is not None:
             _check_fold(weyl, folded)
-    if folded is not None and not profile.is_char0 and profile.ell == 2 and adjacent:
+    smooth = profile.is_char0 or profile.ell != 2 or not adjacent
+    if not smooth:
         # The fixed group fails smoothness here; its special fiber is the
         # quasi-reductive mechanism, so no reductive root datum is published.
         folded = None
 
-    if profile.is_char0:
-        smooth = "yes"
-    elif adjacent and profile.ell == 2:
-        smooth = "no"
-    else:
-        smooth = "yes" if orbits_ok else "unknown"
-
     return FoldedGroupDescriptor(
         folded_cartan=folded,
-        smooth_over_Z_ell=smooth,
+        smooth_over_Z_ell="yes" if smooth else "no",
         connected_char0=_connectedness_char0(s),
         has_adjacent_pair_orbit=adjacent,
     )

@@ -169,7 +169,6 @@ def is_dominant_character(d: BasedRootDatum, lam) -> bool:
     return all(dot(coroot, lam) >= 0 for coroot in d.simple_coroots)
 
 
-@functools.lru_cache(maxsize=None)
 def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     """Weight multiplicities of the irreducible with highest weight lam,
     by the Freudenthal recursion in integers; the multiset is frozen.
@@ -187,7 +186,12 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     equal the Weyl dimension.
     """
     require_valid(d)
-    lam = tuple(map(_integer, lam))
+    return _irreducible_character(d, tuple(map(_integer, lam)))
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
+    """Keyed on checked entries: a weight key would equate True with 1."""
     if len(lam) != d.rank:
         raise DimensionMismatch("weight has wrong rank")
     if not is_dominant_character(d, lam):
@@ -251,6 +255,10 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     if sum(weights.values()) != data.weyl_dimension(lam):
         raise InvariantViolation("Freudenthal multiplicities do not sum to the Weyl dimension")
     return WeightMultiset.make("absolute", weights)
+
+
+irreducible_character.cache_info = _irreducible_character.cache_info
+irreducible_character.cache_clear = _irreducible_character.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,19 @@ doubles as a defect detector.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from ._value import frozen
-from .abelian import DimensionMismatch, InvariantViolation, vec_sub
+from .abelian import DimensionMismatch, InvariantViolation, dot, vec_sub
 from .coweights import (
     NonDominantError,
-    _scaled_height,
+    _dominant_representative,
+    _order_gap,
     _substrate,
-    dominant_representative,
     enumerate_dominant_classes,
     hasse_covers,
-    leq,
 )
 from .galois import (
     TwistedRootDatum,
@@ -37,13 +37,14 @@ from .galois import (
 from .rootdatum import _walk_cone, rho_data
 
 
-def _require_dominant(t, cls):
-    """|I| <average, 2 rho> of a dominant class, an integer dot product;
-    NonDominantError on a class that is not dominant."""
-    h, dominant = _scaled_height(t, cls)
+def _dominant_coordinates(t, cls):
+    """(coordinates, |I| <average, 2 rho>) of a dominant class, the height
+    an integer dot product; NonDominantError on a class that is not dominant."""
+    x = coinvariants(t).coordinates(cls)
+    h, dominant = _substrate(t).scaled_height(x)
     if not dominant:
         raise NonDominantError(f"{cls} is not a dominant class")
-    return h
+    return x, h
 
 
 def _integral(num: int, den: int, what: str) -> int:
@@ -70,7 +71,8 @@ def component_of(t: TwistedRootDatum, cls) -> tuple:
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     """The stratum attached to a dominant class, with its exact dimension."""
-    dim = _integral(_require_dominant(t, cls), _substrate(t).group_order, "stratum dimension")
+    dim = _integral(_dominant_coordinates(t, cls)[1], _substrate(t).group_order,
+                    "stratum dimension")
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
     return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
@@ -93,7 +95,7 @@ def strata_below(t: TwistedRootDatum, cls):
     """The dominant classes mu <= cls, sorted: walk the coefficient simplex
     sum c_O <= height/2 over the coroot-orbit classes (each step drops the
     height by exactly 2) and keep the dominant differences."""
-    h = _integral(_require_dominant(t, cls), _substrate(t).group_order, "stratum dimension")
+    h = _integral(_dominant_coordinates(t, cls)[1], _substrate(t).group_order, "stratum dimension")
     c = coinvariants(t)
     basis = orbit_coroot_classes(t)
     unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
@@ -102,7 +104,7 @@ def strata_below(t: TwistedRootDatum, cls):
         cur = cls
         for x, b in zip(coeffs, basis):
             cur = c.sub(cur, c.scale(x, b))
-        if _scaled_height(t, cur)[1]:
+        if _substrate(t).scaled_height(c.coordinates(cur))[1]:
             out.add(cur)
     return sorted(out)
 
@@ -146,16 +148,25 @@ class MvCell:
     dim: int | None
 
 
+def _attractor(t, mu, x_lam):
+    """(|I| <average of mu, 2 rho>, whether the dominant representative of
+    mu lies below the class with coordinates x_lam)."""
+    x = coinvariants(t).coordinates(mu)
+    below = _order_gap(t, _dominant_representative(t, x)[2], x_lam) is not None
+    return _substrate(t).scaled_height(x)[0], below
+
+
 def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
-    an integer precisely in that case (asserted)."""
-    h = _require_dominant(t, lam) + _scaled_height(t, mu)[0]
-    rep, _w = dominant_representative(t, mu)
-    if leq(t, rep.cls, lam) is None:
+    an integer precisely in that case (asserted).  Each class is read as
+    one coordinate vector."""
+    x_lam, h_lam = _dominant_coordinates(t, lam)
+    h_mu, below = _attractor(t, mu, x_lam)
+    if not below:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
     return MvCell(mu=mu, lam=lam, nonempty=True,
-                  dim=_integral(h, 2 * _substrate(t).group_order, "cell half-pairing"))
+                  dim=_integral(h_lam + h_mu, 2 * _substrate(t).group_order, "cell half-pairing"))
 
 
 @frozen
@@ -172,14 +183,12 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     """Convolution analogue in the twisted labeling: both dominant
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
-    h = (_require_dominant(t, lam) + _require_dominant(t, lam2)
-         + _scaled_height(t, mu)[0] + _scaled_height(t, mu2)[0])
-    rep1, _ = dominant_representative(t, mu)
-    rep2, _ = dominant_representative(t, mu2)
-    nonempty = (
-        leq(t, rep1.cls, lam) is not None and leq(t, rep2.cls, lam2) is not None
-    )
-    if not nonempty:
+    x_lam, h_lam = _dominant_coordinates(t, lam)
+    x_lam2, h_lam2 = _dominant_coordinates(t, lam2)
+    h_mu, below = _attractor(t, mu, x_lam)
+    h_mu2, below2 = _attractor(t, mu2, x_lam2)
+    h = h_lam + h_lam2 + h_mu + h_mu2
+    if not (below and below2):
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
     return ConvCell(
         mu=mu, mu2=mu2, lam=lam, lam2=lam2,
@@ -195,18 +204,23 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     """<class of v, 2 rho - 2 rho_M> for the Levi attached to a union of
     simple-root orbits: the Z-linear normalization shift between constant
     term functors.  Vanishes on the Levi coroot classes and is I-invariant."""
-    rel = relative_simple_roots(t)
     levi_orbits = tuple(sorted(set(levi_orbits)))
-    if any(i < 0 or i >= rel.relative_rank for i in levi_orbits):
+    if any(i < 0 or i >= relative_simple_roots(t).relative_rank for i in levi_orbits):
         raise DimensionMismatch("Levi orbit index out of range")
-    subset = set()
-    for i in levi_orbits:
-        subset.update(rel.simple_orbit_list[i])
+    free, _torsion = coinvariants(t).class_of(v)
+    value = dot(_corr_row(t, levi_orbits), free)
+    return _integral(value, _substrate(t).group_order, "corr value")
+
+
+@functools.lru_cache(maxsize=None)
+def _corr_row(t: TwistedRootDatum, levi_orbits):
+    """|I| <average of each free unit class, 2 rho - 2 rho_M> for the Levi of
+    the sorted orbit indices, in range; torsion classes average to zero."""
+    rel = relative_simple_roots(t)
+    subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
     rd = rho_data(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
-    sub, c = _substrate(t), coinvariants(t)
-    value = sub.scaled_pairing(c.coordinates(c.class_of(tuple(v))), shift)
-    return _integral(value, sub.group_order, "corr value")
+    return tuple(dot(v, shift) for v in _substrate(t).free_sums)
 
 
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):

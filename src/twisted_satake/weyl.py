@@ -151,6 +151,12 @@ class RelativeWeylGroup:
         cached integer map that w induces on class coordinates."""
         return _descend(self.datum, w.matrix, cls)
 
+    @functools.cached_property
+    def descended_generators(self):
+        """Each generator's integer map on class coordinates (`_descended`),
+        built on first use."""
+        return tuple(_descended(self.datum, g.matrix) for g in self.generators)
+
 
 @functools.lru_cache(maxsize=None)
 def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:

@@ -187,6 +187,31 @@ class TestFixedGroupDescriptor:
         desc = fixed_group_descriptor(t)
         assert desc.folded_cartan is None
 
+    A2XA2 = {"rank": 4,
+             "simple_roots": [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+             "simple_coroots": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+    # The 4-cycle (0 2 1 3) on the nodes: one orbit of four simple roots.
+    FOUR_CYCLE = {"lattice_map": [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+                  "root_permutation": [2, 3, 1, 0]}
+
+    def test_unsupported_orbit_is_refused(self, tmp_path, capsys):
+        """An orbit that is neither orthogonal nor an adjacent pair has no
+        descriptor: the library raises UnsupportedOrbitError (there is no
+        "unknown" smoothness), and `describe --file` exits 2 naming it."""
+        import json
+
+        from twisted_satake.cli import datum_from_dict, main
+        from twisted_satake.galois import UnsupportedOrbitError
+
+        data = {"base": self.A2XA2, "generators": [self.FOUR_CYCLE]}
+        with pytest.raises(UnsupportedOrbitError, match=r"^orbit \(0, 1, 2, 3\) is neither"):
+            fixed_group_descriptor(datum_from_dict(data))
+        path = tmp_path / "four-cycle.json"
+        path.write_text(json.dumps(data))
+        assert main(["describe", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: orbit (0, 1, 2, 3) is neither orthogonal nor an adjacent A2 pair\n"
+
 
 class TestRankOne:
     def test_cases(self):

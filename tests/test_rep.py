@@ -342,3 +342,18 @@ class TestWeightRank:
         t = preset("SU3")
         with pytest.raises(NonDominantWeightError):
             weight_rank(t, ((-1,), ()), ((0,), ()))
+
+
+def test_character_cache_refuses_what_a_fresh_process_refuses():
+    """The cache sits behind the entry check: after (1, 0), the weight
+    (True, 0) is still refused, as in a fresh process, and the public
+    function's `cache_info` and `cache_clear` reach that cache."""
+    d = preset("SU3").base
+    irreducible_character.cache_clear()
+    assert irreducible_character.cache_info().currsize == 0
+    char = irreducible_character(d, (1, 0))
+    with pytest.raises(ValueError, match=r"^not an integer entry: True$"):
+        irreducible_character(d, (True, 0))
+    assert irreducible_character(d, (1, 0)) is char
+    info = irreducible_character.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)

@@ -18,6 +18,8 @@ slots of a coinvariant class are read only inside
 read only in `coweights`, and no module lists all comparable pairs of the
 dominance order.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Every field of a value class is read by name somewhere.
+The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
+`RelativeWeylGroup.act` nor `two_rho_levi` except through a per-datum cache.
 """
 
 import ast
@@ -133,6 +135,42 @@ def test_no_group_closure_and_walks_only_in_suites():
         users = {m for m, n in defined if n == walk}
         users |= {m for m, tree in trees.items() if _enclosing_names(tree, walk)}
         assert users == {"suites.py"}, walk
+
+
+def _cached(node):
+    """Is the function definition wrapped in `functools.lru_cache`?"""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "lru_cache"
+               for d in node.decorator_list)
+
+
+def test_point_queries_call_no_order_certificate_action_or_levi_sum():
+    """From `mv_cell`, `conv_cell` and `corr`, every module-level function of
+    the package they call, and what those call in turn, calls none of `leq`,
+    `act` and `two_rho_levi`.  The walk stops at an `lru_cache`d function:
+    a per-datum or per-class cache may build with them."""
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+    forbidden = {"leq", "act", "two_rho_levi"}
+    found, seen = [], set()
+    stack = [(name, name) for name in ("mv_cell", "conv_cell", "corr")]
+    assert all(name in functions for _, name in stack)
+    while stack:
+        root, name = stack.pop()
+        for definition in functions.get(name, ()):
+            if id(definition) in seen or (name != root and _cached(definition)):
+                continue
+            seen.add(id(definition))
+            for node in ast.walk(definition):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called in forbidden:
+                        found.append(f"{root} -> {name} calls {called}")
+                    elif called in functions:
+                        stack.append((root, called))
+    assert found == []
 
 
 def test_class_slots_are_read_only_by_the_presentation():
