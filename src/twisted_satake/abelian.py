@@ -45,6 +45,14 @@ def _integer(x):
     raise ValueError(f"not an integer entry: {x!r}")
 
 
+def _integers(v):
+    """The entries of v as a tuple of ints, refused as `_integer` refuses:
+    one pass over their types, and `_integer` on each only when one is not
+    an int."""
+    v = tuple(v)
+    return v if {int}.issuperset(map(type, v)) else tuple(map(_integer, v))
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices
 
@@ -493,7 +501,7 @@ class QuotientPresentation:
 
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
-        v = tuple(map(_integer, v))
+        v = _integers(v)
         if len(v) != self.ambient_rank:
             raise DimensionMismatch(
                 f"vector length {len(v)}, ambient rank {self.ambient_rank}"
@@ -504,11 +512,11 @@ class QuotientPresentation:
 
     def coordinates(self, cls):
         """The flat coordinate vector free + torsion of a class; a non-integer
-        entry is refused (`_integer`)."""
+        entry is refused (`_integers`)."""
         free, torsion = cls
         if len(free) != len(self.free_slots) or len(torsion) != len(self.torsion_slots):
             raise DimensionMismatch("class does not match this presentation")
-        return tuple(map(_integer, free)) + tuple(map(_integer, torsion))
+        return _integers(tuple(free) + tuple(torsion))
 
     def normal_form(self, x):
         """The class with coordinates x, torsion entries reduced mod their

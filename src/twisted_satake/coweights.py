@@ -24,6 +24,7 @@ from ._value import frozen
 from .abelian import (
     IntMatrix,
     InvariantViolation,
+    _integer,
     dot,
     smith_normal_form,
     vec_sub,
@@ -193,45 +194,71 @@ def is_dominant_class(t: TwistedRootDatum, cls):
     )
 
 
+# Each per-class cache keeps at most this many entries: a session of distinct
+# classes runs in bounded memory.
+CLASS_CACHE_SIZE = 2**16
+
+
+def _walk(t: TwistedRootDatum, x):
+    """(coordinates of the dominant class in the W0-orbit of the class with
+    coordinates x, the chamber walk's word).  W0's generators, descended
+    once per datum, act on x along the word, and the end is checked dominant."""
+    sub = _substrate(t)
+    _point, word = dominant_walk(x, sub.reflections, len(full_root_system(t.base).positive))
+    descended = relative_weyl(t).descended_generators
+    for i in reversed(word):
+        x = descended[i].apply(x)
+    free, torsion = coinvariants(t).normal_form(x)
+    x = free + torsion
+    if not sub.scaled_height(x)[1]:
+        raise InvariantViolation("the chamber walk ended outside the dominant cone")
+    return x, word
+
+
 def dominant_representative(t: TwistedRootDatum, cls):
     """The dominant class in the W0-orbit of cls, with the chamber walk's element
     carrying cls onto it (not the first such element in closure order); the
     class is read from the descended generators along the walk's word and
-    checked dominant."""
-    return _dominant_representative(t, coinvariants(t).coordinates(cls))[:2]
-
-
-@functools.lru_cache(maxsize=None)
-def _dominant_representative(t: TwistedRootDatum, x):
-    """(witness, w, coordinates of the witness's class), keyed on checked
-    class coordinates, as `_order_coordinates` is.  W0's generators,
-    descended once per datum, act on x along the walk's word."""
-    limit = len(full_root_system(t.base).positive)
-    _point, word = dominant_walk(x, _substrate(t).reflections, limit)
-    w0 = relative_weyl(t)
-    descended = w0.descended_generators
-    for i in reversed(word):
-        x = descended[i].apply(x)
+    checked dominant.  The witness and the element are built on each call."""
     c = coinvariants(t)
-    witness = is_dominant_class(t, c.normal_form(x))
-    if witness is None:
-        raise InvariantViolation("the chamber walk ended outside the dominant cone")
-    w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
+    x, word = _walk(t, c.coordinates(cls))
+    generators = relative_weyl(t).generators
+    w = WeylElement(functools.reduce(IntMatrix.mul, (generators[i].matrix for i in word),
                                      IntMatrix.identity(t.rank)), word=word)
-    return witness, w, c.coordinates(witness.cls)
+    return is_dominant_class(t, c.normal_form(x)), w
 
 
-@functools.lru_cache(maxsize=None)
-def _order_coordinates(t: TwistedRootDatum, x):
-    """Keyed on checked class coordinates: a class key would equate 2.0 with 2."""
-    return _substrate(t).order_coordinates(x)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _attractor_row(t: TwistedRootDatum, x):
+    """(|I| <average, 2 rho> of the class with coordinates x, order key,
+    L-scaled order coordinates of its dominant representative), keyed on
+    checked class coordinates as `_class_row` is."""
+    sub = _substrate(t)
+    return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _class_row(t: TwistedRootDatum, x):
+    """(|I| <average, 2 rho>, dominance, order key, L-scaled order
+    coordinates) of the class with coordinates x, keyed on checked class
+    coordinates: a class key would equate 2.0 with 2."""
+    sub = _substrate(t)
+    return sub.scaled_height(x) + sub.order_coordinates(x)
+
+
+def _attractor(t: TwistedRootDatum, x, key, coords):
+    """(|I| <average, 2 rho> of the class with coordinates x, whether its
+    dominant representative lies below the class with the given order key
+    and coordinates): one cached row and one entrywise comparison."""
+    h, rep_key, rep = _attractor_row(t, x)
+    return h, rep_key == key and all(map(operator.le, rep, coords))
 
 
 def _order_gap(t: TwistedRootDatum, x, y):
     """c(y) - c(x), the L-scaled orbit coordinates of the difference, when
     the class with coordinates x lies below the one with y; else None."""
-    key_x, c_x = _order_coordinates(t, x)
-    key_y, c_y = _order_coordinates(t, y)
+    key_x, c_x = _class_row(t, x)[2:]
+    key_y, c_y = _class_row(t, y)[2:]
     diff = vec_sub(c_y, c_x)
     if key_x != key_y or any(v < 0 for v in diff):
         return None
@@ -267,7 +294,7 @@ def hasse_covers(t: TwistedRootDatum, labels):
     c = coinvariants(t)
     groups = {}
     for cls in labels:
-        key, coords = _order_coordinates(t, c.coordinates(cls))
+        key, coords = _class_row(t, c.coordinates(cls))[2:]
         groups.setdefault(key, []).append((sum(coords), coords, cls))
     covers = []
     for members in groups.values():
@@ -324,7 +351,10 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     each with every torsion combination; every class it returns is
     re-checked.  Data with invariant central directions (tori, GL-like
     lattices) need an explicit coord_bound: a free-coordinate box is scanned.
+    max_height is an integer (an int, or a Fraction with denominator 1); a
+    float or a bool is refused with ValueError("not an integer entry: ...").
     """
+    max_height = _integer(max_height)
     c = coinvariants(t)
     sub = _substrate(t)
     bound = sub.group_order * max_height

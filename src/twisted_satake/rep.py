@@ -64,7 +64,7 @@ class WeightMultiset:
 
     @staticmethod
     def make(support_lattice, mapping):
-        items = tuple(sorted((k, int(m)) for k, m in mapping.items() if m != 0))
+        items = tuple(sorted((k, _integer(m)) for k, m in mapping.items() if m != 0))
         if any(m <= 0 for _k, m in items):
             raise ValueError("multiplicities must be strictly positive")
         return WeightMultiset(support_lattice=support_lattice, entries=items)

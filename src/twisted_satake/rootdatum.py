@@ -321,8 +321,11 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
     simple roots and 2rho gives the omega_i^vee and their heights once per
     datum.  Data with central directions need an explicit coord_bound,
     since their dominant cone is infinite in every height slab; for them a
-    coordinate box is scanned.
+    coordinate box is scanned.  max_height is an integer (an int, or a
+    Fraction with denominator 1); a float or a bool is refused with
+    ValueError("not an integer entry: ...").
     """
+    max_height = _integer(max_height)
     require_valid(d)
     two_rho = rho_data(d).two_rho
     if d.num_simple != d.rank:

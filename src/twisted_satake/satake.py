@@ -18,11 +18,12 @@ import json
 from fractions import Fraction
 
 from ._value import frozen
-from .abelian import DimensionMismatch, InvariantViolation, dot, vec_sub
+from .abelian import DimensionMismatch, InvariantViolation, _integers, dot, vec_sub
 from .coweights import (
+    CLASS_CACHE_SIZE,
     NonDominantError,
-    _dominant_representative,
-    _order_gap,
+    _attractor,
+    _class_row,
     _substrate,
     enumerate_dominant_classes,
     hasse_covers,
@@ -37,14 +38,14 @@ from .galois import (
 from .rootdatum import _walk_cone, rho_data
 
 
-def _dominant_coordinates(t, cls):
-    """(coordinates, |I| <average, 2 rho>) of a dominant class, the height
-    an integer dot product; NonDominantError on a class that is not dominant."""
-    x = coinvariants(t).coordinates(cls)
-    h, dominant = _substrate(t).scaled_height(x)
+def _dominant_row(t, x, cls):
+    """(|I| <average, 2 rho>, order key, order coordinates) of the class cls
+    with coordinates x, read from its cached row; NonDominantError when it
+    is not dominant."""
+    h, dominant, key, coords = _class_row(t, x)
     if not dominant:
         raise NonDominantError(f"{cls} is not a dominant class")
-    return x, h
+    return h, key, coords
 
 
 def _integral(num: int, den: int, what: str) -> int:
@@ -71,8 +72,8 @@ def component_of(t: TwistedRootDatum, cls) -> tuple:
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     """The stratum attached to a dominant class, with its exact dimension."""
-    dim = _integral(_dominant_coordinates(t, cls)[1], _substrate(t).group_order,
-                    "stratum dimension")
+    h = _dominant_row(t, coinvariants(t).coordinates(cls), cls)[0]
+    dim = _integral(h, _substrate(t).group_order, "stratum dimension")
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
     return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
@@ -95,8 +96,9 @@ def strata_below(t: TwistedRootDatum, cls):
     """The dominant classes mu <= cls, sorted: walk the coefficient simplex
     sum c_O <= height/2 over the coroot-orbit classes (each step drops the
     height by exactly 2) and keep the dominant differences."""
-    h = _integral(_dominant_coordinates(t, cls)[1], _substrate(t).group_order, "stratum dimension")
     c = coinvariants(t)
+    h = _integral(_dominant_row(t, c.coordinates(cls), cls)[0], _substrate(t).group_order,
+                  "stratum dimension")
     basis = orbit_coroot_classes(t)
     unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     out = set()
@@ -111,7 +113,9 @@ def strata_below(t: TwistedRootDatum, cls):
 
 def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=None) -> SchubertPoset:
     """The stratification of a Schubert closure (given its open label), or of
-    the union of strata within a height bound."""
+    the union of strata within a height bound.  The bound is an integer, as
+    `enumerate_dominant_classes` requires: a float or a bool is refused
+    with ValueError("not an integer entry: ...")."""
     if (cls is None) == (max_height is None):
         raise ValueError("pass exactly one of cls / max_height")
     if cls is not None:
@@ -148,21 +152,14 @@ class MvCell:
     dim: int | None
 
 
-def _attractor(t, mu, x_lam):
-    """(|I| <average of mu, 2 rho>, whether the dominant representative of
-    mu lies below the class with coordinates x_lam)."""
-    x = coinvariants(t).coordinates(mu)
-    below = _order_gap(t, _dominant_representative(t, x)[2], x_lam) is not None
-    return _substrate(t).scaled_height(x)[0], below
-
-
 def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
     an integer precisely in that case (asserted).  Each class is read as
-    one coordinate vector."""
-    x_lam, h_lam = _dominant_coordinates(t, lam)
-    h_mu, below = _attractor(t, mu, x_lam)
+    one coordinate vector and answered from one cached row."""
+    c = coinvariants(t)
+    h_lam, key, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_mu, below = _attractor(t, c.coordinates(mu), key, top)
     if not below:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
     return MvCell(mu=mu, lam=lam, nonempty=True,
@@ -183,10 +180,11 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     """Convolution analogue in the twisted labeling: both dominant
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
-    x_lam, h_lam = _dominant_coordinates(t, lam)
-    x_lam2, h_lam2 = _dominant_coordinates(t, lam2)
-    h_mu, below = _attractor(t, mu, x_lam)
-    h_mu2, below2 = _attractor(t, mu2, x_lam2)
+    c = coinvariants(t)
+    h_lam, key, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_lam2, key2, top2 = _dominant_row(t, c.coordinates(lam2), lam2)
+    h_mu, below = _attractor(t, c.coordinates(mu), key, top)
+    h_mu2, below2 = _attractor(t, c.coordinates(mu2), key2, top2)
     h = h_lam + h_lam2 + h_mu + h_mu2
     if not (below and below2):
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
@@ -204,15 +202,16 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     """<class of v, 2 rho - 2 rho_M> for the Levi attached to a union of
     simple-root orbits: the Z-linear normalization shift between constant
     term functors.  Vanishes on the Levi coroot classes and is I-invariant."""
-    levi_orbits = tuple(sorted(set(levi_orbits)))
-    if any(i < 0 or i >= relative_simple_roots(t).relative_rank for i in levi_orbits):
+    levi_orbits = tuple(sorted(set(_integers(levi_orbits))))
+    if levi_orbits and (levi_orbits[0] < 0
+                        or levi_orbits[-1] >= relative_simple_roots(t).relative_rank):
         raise DimensionMismatch("Levi orbit index out of range")
     free, _torsion = coinvariants(t).class_of(v)
     value = dot(_corr_row(t, levi_orbits), free)
     return _integral(value, _substrate(t).group_order, "corr value")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _corr_row(t: TwistedRootDatum, levi_orbits):
     """|I| <average of each free unit class, 2 rho - 2 rho_M> for the Levi of
     the sorted orbit indices, in range; torsion classes average to zero."""
@@ -226,7 +225,9 @@ def _corr_row(t: TwistedRootDatum, levi_orbits):
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):
     """The parity of <., 2 rho> across the bounded dominant classes of one
     Kottwitz component; inconsistency is an invariant violation, never a
-    silent answer.  None when the bound sees no stratum in the component."""
+    silent answer.  None when the bound sees no stratum in the component.
+    max_height is an integer, as `enumerate_dominant_classes` requires: a
+    float or a bool is refused with ValueError("not an integer entry: ...")."""
     labels = enumerate_dominant_classes(t, max_height, coord_bound)
     members = [cls for cls in labels if component_of(t, cls) == component]
     return component_parity(t, component, members)

@@ -15,7 +15,7 @@ from ._value import frozen
 from .abelian import InvariantViolation
 from .coweights import (
     _has_invariant_central_direction,
-    dominant_representative,
+    _walk,
     enumerate_dominant_classes,
     is_dominant_class,
 )
@@ -178,8 +178,9 @@ def _suite_orbits(t):
             break
     out.append(CheckResult("orbits", "ball-bijection", ok, detail=detail))
 
+    coordinates = coinvariants(t).coordinates
     idem = all(
-        dominant_representative(t, c)[0].cls == d
+        _walk(t, coordinates(c))[0] == coordinates(d)
         for d in doms[: min(len(doms), 8)]
         for c in orbit_of[d]
     )

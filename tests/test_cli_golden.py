@@ -130,6 +130,21 @@ WORKLOAD = tuple(
        "schubert torus-rank-2 --bound 6 --coord-bound 3 --format json"]
 )
 
+# Point queries whose mu takes a long chamber walk to its dominant
+# representative (8-9 of SU7's 9 reflections, 6 of Spin8-triality's 6),
+# with entries up to 60: nonempty and empty cells, both formats.
+LONG_WALKS = (
+    "mv SU7 --mu=-45,-39,-30 --lam=45,39,30 --format json",
+    "mv SU7 --mu=-45,-39,-30 --lam=60,60,31",
+    "mv SU7 --mu=-51,-38,-24 --lam=45,39,30 --format json",
+    "conv SU7 --mu=-45,-39,-30 --mu2=-51,-38,-24 --lam=45,39,30 --lam2=51,38,24",
+    "conv SU7 --mu=-45,-39,-30 --mu2=-51,-38,-24 --lam=45,39,30 --lam2=45,39,30 --format json",
+    "mv Spin8-triality --mu=-35,-60 --lam=35,60 --format json",
+    "mv Spin8-triality --mu=-30,-56 --lam=35,60",
+    "mv Spin8-triality --mu=-35,-60 --lam=30,56",
+    "conv Spin8-triality --mu=-35,-60 --mu2=-30,-56 --lam=35,60 --lam2=30,56 --format json",
+)
+
 
 def _fmt(vec):
     return ",".join(str(x) for x in vec)
@@ -217,6 +232,7 @@ def golden_argvs():
     out += [list(argv) for argv in INPUT_ERRORS]
     out += [line.split() for line in HEAVY]
     out += [line.split() for line in WORKLOAD]
+    out += [line.split() for line in LONG_WALKS]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

@@ -153,7 +153,7 @@ def order_relations(t, labels):
     scale, c = coweights._substrate(t).order_scale, coinvariants(t)
     groups = {}
     for cls in labels:
-        key, coords = coweights._order_coordinates(t, c.coordinates(cls))
+        key, coords = coweights._class_row(t, c.coordinates(cls))[2:]
         groups.setdefault(key, []).append((cls, coords))
     out = []
     for members in groups.values():

@@ -7,8 +7,10 @@ dominant representative is read from the walk's whole Weyl element
 descended by `weyl._descended` (one new matrix per class), "rep <= lam" is
 an `OrderCertificate` from `leq`, and corr rebuilds 2 rho_M from the
 positive roots on every call.  A seeded table over every default preset and
-SU7 compares answers, exception types and messages.  A bound checks that
-point queries descend no matrix per class.
+SU7 compares answers, exception types and messages, and so does a seeded
+stream of 5,000 distinct SU7 classes.  Bounds check that point queries
+descend no matrix per class, that long chamber walks build no Weyl element
+and no Fraction, and that every per-class cache has a finite size.
 """
 
 import functools
@@ -17,12 +19,14 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import weyl
+import inspect
+
+from twisted_satake import coweights, satake, weyl
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_sub
 from twisted_satake.coweights import (
     NonDominantError,
     OrderCertificate,
-    _order_coordinates,
+    _class_row,
     _substrate,
     dominant_representative,
     is_dominant_class,
@@ -80,8 +84,8 @@ def ref_dominant_representative(t, cls):
 
 def ref_leq(t, lam, mu):
     c = coinvariants(t)
-    key_lam, c_lam = _order_coordinates(t, c.coordinates(lam))
-    key_mu, c_mu = _order_coordinates(t, c.coordinates(mu))
+    key_lam, c_lam = _class_row(t, c.coordinates(lam))[2:]
+    key_mu, c_mu = _class_row(t, c.coordinates(mu))[2:]
     diff = vec_sub(c_mu, c_lam)
     if key_lam != key_mu or any(x < 0 for x in diff):
         return None
@@ -242,3 +246,84 @@ def test_point_queries_descend_no_matrix_per_class():
     cells = [query() for _ in range(500)]
     assert weyl._descended.cache_info().currsize == size
     assert any(cell.nonempty for cell in cells) and not all(cell.nonempty for cell in cells)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built on the point-query path")
+
+
+def _long_walks(t, rng, n, box=60, min_steps=7):
+    """n seeded classes with entries in [-box, box] whose chamber walk takes
+    at least min_steps reflections."""
+    c = coinvariants(t)
+    out = []
+    while len(out) < n:
+        x = tuple(rng.randint(-box, box) for _ in range(c.quotient.free_rank))
+        if len(coweights._walk(t, x)[1]) >= min_steps:
+            out.append(c.normal_form(x))
+    return out
+
+
+def test_long_walks_build_no_weyl_element_or_fraction(monkeypatch):
+    """On SU7 classes with entries up to 60 and walks of 7-9 reflections,
+    mv_cell and conv_cell answer as the earlier code does while
+    `IntMatrix.mul` and `Fraction` raise: the walk builds no Weyl element and
+    no dominance witness."""
+    t = preset("SU7")
+    rng = random.Random("long-walks")
+    mus = _long_walks(t, rng, 40)
+    lams = [ref_dominant_representative(t, mu)[0].cls for mu in mus]
+    lams = lams[1:] + lams[:1]      # each mu's own label, and its neighbour's
+    cases = [("mv", (t, mu, lam)) for mu, lam in zip(mus, lams)]
+    cases += [("mv", (t, mu, lams[i - 1])) for i, mu in enumerate(mus)]
+    cases += [("conv", (t, mus[i], mus[i + 1], lams[i - 1], lams[i])) for i in range(0, 38, 2)]
+    want = [_outcome(lambda: CALLS[kind][1](*args)) for kind, args in cases]
+    coweights._attractor_row.cache_clear()
+    coweights._class_row.cache_clear()
+    monkeypatch.setattr(IntMatrix, "mul", _refuse)
+    monkeypatch.setattr(Fraction, "__new__", _refuse)
+    got = [_outcome(lambda: CALLS[kind][0](*args)) for kind, args in cases]
+    monkeypatch.undo()
+    assert got == want
+    assert coweights._attractor_row.cache_info().misses == len(mus)
+    assert {o[1].nonempty for o in got if o[0] == "ok"} == {True, False}
+
+
+def test_stream_of_distinct_classes_matches_the_earlier_code():
+    """A seeded stream of 5,000 distinct SU7 classes, each asked once through
+    mv_cell against a few dominant labels and through corr, answers as the
+    earlier code does."""
+    t = preset("SU7")
+    c = coinvariants(t)
+    rng = random.Random("stream:SU7")
+    labels = [ref_dominant_representative(t, _random_class(t, rng, box))[0].cls
+              for box in (2, 5, 10, 20, 40, 60)]
+    seen = set()
+    while len(seen) < 5_000:
+        x = tuple(rng.randint(-60, 60) for _ in range(c.quotient.free_rank))
+        if x in seen:
+            continue
+        seen.add(x)
+        mu, lam = c.normal_form(x), rng.choice(labels)
+        assert mv_cell(t, mu, lam) == ref_mv_cell(t, mu, lam), (mu, lam)
+        v = c.lift(mu)
+        levi = [i for i in range(3) if rng.random() < 0.5]
+        assert corr(t, levi, v) == ref_corr(t, levi, v), (levi, v)
+
+
+def test_per_class_caches_are_bounded():
+    """Every cache of coweights and satake keyed on more than the datum (a
+    class, or a Levi) holds at most `CLASS_CACHE_SIZE` entries."""
+    keyed = {
+        f"{module.__name__}.{name}": f
+        for module in (coweights, satake)
+        for name, f in vars(module).items()
+        if hasattr(f, "cache_info") and getattr(f, "__module__", None) == module.__name__
+        and len(inspect.signature(f.__wrapped__).parameters) > 1
+    }
+    assert sorted(keyed) == [
+        "twisted_satake.coweights._attractor_row",
+        "twisted_satake.coweights._class_row",
+        "twisted_satake.satake._corr_row",
+    ]
+    assert {f.cache_info().maxsize for f in keyed.values()} == {coweights.CLASS_CACHE_SIZE}

@@ -17,8 +17,8 @@ from twisted_satake.coweights import (
 )
 from twisted_satake.galois import DiagramAutomorphism, coinvariants
 from twisted_satake.presets import default_presets, get_preset, preset
-from twisted_satake.rep import branch_to_fixed_group
-from twisted_satake.rootdatum import BasedRootDatum
+from twisted_satake.rep import WeightMultiset, branch_to_fixed_group
+from twisted_satake.rootdatum import BasedRootDatum, dominant_coweights_up_to_height
 from twisted_satake.satake import (
     NonDominantError,
     closure_poset,
@@ -335,7 +335,8 @@ class TestExports:
 # root permutation made from that class's two free entries.  The cached
 # dominant_representative is first asked for the class with its entries
 # truncated (2.0 -> 2, True -> 1), so a cache keyed on the class would
-# answer the bad one.
+# answer the bad one; so is corr, whose Levi indices are the class's free
+# entries (reduced into SU9's four orbits) and key a cached row.
 
 BAD_ENTRIES = (Fraction(5, 2), Fraction(1, 2), -1.5, 0.9, 2.0, True, False)
 CLASS_ENTRY_POINTS = {
@@ -349,6 +350,10 @@ CLASS_ENTRY_POINTS = {
     "dominant_representative": lambda t, cls: (
         dominant_representative(t, (tuple(map(int, cls[0])), ())),
         dominant_representative(t, cls),
+    ),
+    "corr": lambda t, cls: (
+        corr(preset("SU9"), tuple(int(x) % 4 for x in cls[0]), (1,) * 8),
+        corr(preset("SU9"), cls[0], (1,) * 8),
     ),
     "branch_to_fixed_group": lambda t, cls: branch_to_fixed_group(preset("SU3"), cls[0]),
     "BasedRootDatum.make": lambda t, cls: BasedRootDatum.make(2, [cls[0], (0, 1)], [(1, 0), (0, 1)]),
@@ -382,9 +387,23 @@ class TestIntegerClasses:
             lambda: DiagramAutomorphism.make([[1]], (0.5,)),
             lambda: (dominant_representative(t, ((2,), ())), dominant_representative(t, ((2.0,), ()))),
             lambda: (dominant_representative(t, ((1,), ())), dominant_representative(t, ((True,), ()))),
+            lambda: (corr(t, (0,), (1, 0)), corr(t, (0.0,), (1, 0))),
+            lambda: (corr(t, (0,), (1, 0)), corr(t, (False,), (1, 0))),
+            lambda: corr(t, (0.0,), (1, 0)),
+            lambda: enumerate_dominant_classes(t, True),
+            lambda: enumerate_dominant_classes(t, 2.5),
+            lambda: WeightMultiset.make("absolute", {(1, 0): 1.5}),
         ):
             with pytest.raises(ValueError, match="^not an integer entry: "):
                 call()
+
+    def test_corr_refuses_a_non_integer_index_in_a_fresh_cache(self):
+        """The refusal does not depend on which equal integer index was
+        asked first: the check runs before any cache lookup."""
+        satake._corr_row.cache_clear()
+        with pytest.raises(ValueError, match=r"^not an integer entry: 0\.0$"):
+            corr(preset("SU3"), (0.0,), (1, 0))
+        assert corr(preset("SU3"), (0,), (1, 0)) == corr(preset("SU3"), (Fraction(0),), (1, 0))
 
     def test_integral_fraction_is_its_integer(self):
         t = preset("SU5")
@@ -393,3 +412,29 @@ class TestIntegerClasses:
         x = c.coordinates(((Fraction(6, 3), 1), ()))
         assert x == (2, 1) and all(type(v) is int for v in x)
         assert stratum(t, ((Fraction(2), 1), ())) == stratum(t, ((2, 1), ()))
+
+
+# Height bounds are integers or refused, with the same ValueError as class
+# entries: each bounded enumeration is first asked with the bound truncated.
+BOUND_ENTRY_POINTS = {
+    "enumerate_dominant_classes": lambda t, b: enumerate_dominant_classes(t, b),
+    "dominant_coweights_up_to_height": lambda t, b: dominant_coweights_up_to_height(t.base, b),
+    "closure_poset": lambda t, b: closure_poset(t, max_height=b),
+    "parity_check": lambda t, b: parity_check(t, ((), ()), max_height=b),
+}
+
+
+@pytest.mark.parametrize("entry", BOUND_ENTRY_POINTS)
+@pytest.mark.parametrize("value", BAD_ENTRIES)
+def test_non_integer_height_bound_is_refused_by_name(entry, value):
+    call = BOUND_ENTRY_POINTS[entry]
+    call(preset("SU5"), int(value))
+    with pytest.raises(ValueError, match=f"^not an integer entry: {re.escape(repr(value))}$"):
+        call(preset("SU5"), value)
+
+
+@pytest.mark.parametrize("entry", BOUND_ENTRY_POINTS)
+def test_integral_fraction_bound_is_its_integer(entry):
+    call = BOUND_ENTRY_POINTS[entry]
+    got = call(preset("SU5"), Fraction(6, 2))
+    assert got == call(preset("SU5"), 3)

@@ -452,7 +452,8 @@ def test_reflection_rows_match_descended_generators(name):
 
 
 def _mutated_walk(monkeypatch, mutate):
-    """dominant_representative, uncached, reading mutated reflections."""
+    """The dominant class of the cells' chamber walk `coweights._walk`
+    (uncached), reading mutated reflections."""
     real = coweights._substrate
 
     def substrate(t):
@@ -465,8 +466,12 @@ def _mutated_walk(monkeypatch, mutate):
         return type(sub)(**kept | {"reflections": reflections})
 
     monkeypatch.setattr(coweights, "_substrate", substrate)
-    walk = coweights._dominant_representative.__wrapped__
-    return lambda t, cls: walk(t, coinvariants(t).coordinates(cls))
+
+    def walk(t, cls):
+        c = coinvariants(t)
+        return c.normal_form(coweights._walk(t, c.coordinates(cls))[0])
+
+    return walk
 
 
 def _halve_adjacent(kind, c, a):
@@ -491,7 +496,7 @@ def test_wrong_reflections_are_caught(monkeypatch, mutate):
         for cls, want in zip(classes, expected):
             checked += 1
             try:
-                got = walk(t, cls)[0].cls
+                got = walk(t, cls)
             except InvariantViolation:
                 caught += 1
                 continue
@@ -506,12 +511,13 @@ def _refuse_closure(*args, **kwargs):
 
 def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     """mv_cell and conv_cell on SU11 build W0's generators, each the longest
-    element of a parabolic by one chamber walk, but walk no group orbit
-    (|W0| = 3,840 there)."""
+    element of a parabolic by one chamber walk, and walk mu's class by
+    `coweights._walk`, but walk no group orbit (|W0| = 3,840 there)."""
     t = preset("SU11")
     relative_weyl.cache_clear()
     longest_parabolic_element.cache_clear()
-    coweights._dominant_representative.cache_clear()
+    coweights._attractor_row.cache_clear()
+    coweights._class_row.cache_clear()
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
     monkeypatch.setattr(suites, "_w0_orbit", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
@@ -519,6 +525,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     assert cell.nonempty and cell.dim == 0
     conv = conv_cell(t, mu, mu, lam, lam)
     assert conv.nonempty and conv.dim == 0
+    assert coweights._attractor_row.cache_info().misses == 1   # mu was walked once
 
 
 # ---------------------------------------------------------------------------
