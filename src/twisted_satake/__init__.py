@@ -1,11 +1,13 @@
 """Exact combinatorics of twisted affine Grassmannians.
 
 Twisted root data with finite pinned inertia actions; coinvariant lattices
-by Smith normal form; relative Weyl groups and the Iwahori-Weyl semidirect
-product; dominance order, Schubert strata and closure posets; fixed-point
-dual group descriptors with folded root data; characteristic-zero character
-restriction, branching and convolution decomposition.  All arithmetic is
-arbitrary-precision integers and exact rationals.
+by Smith normal form; relative Weyl groups; dominance order, Schubert strata
+and closure posets; fixed-point dual group descriptors with folded root
+data; characteristic-zero character restriction, branching and convolution
+decomposition.  All arithmetic is arbitrary-precision integers and exact
+rationals.  The Iwahori-Weyl semidirect product is not exported: no command
+reads it, and it is kept as a test oracle in
+`tests/test_iwahori_weyl_reference.py`.
 """
 
 from .abelian import (
@@ -22,7 +24,6 @@ from .rootdatum import (
     RhoData,
     dualize,
     full_root_system,
-    fundamental_group,
     rho_data,
     validate,
 )
@@ -38,11 +39,8 @@ from .galois import (
     split_twisted,
 )
 from .weyl import (
-    IwahoriWeylElement,
     RelativeWeylGroup,
     WeylElement,
-    iw_affine_action,
-    iw_multiply,
     relative_weyl,
 )
 from .coweights import (
@@ -53,8 +51,6 @@ from .coweights import (
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
-    project_dominant,
-    surjectivity_conditions,
 )
 from .dual import (
     CHAR0,
@@ -88,7 +84,6 @@ from .satake import (
     mv_cell,
     parity_check,
     poset_to_dot,
-    poset_to_json,
     stratum,
 )
 from .presets import DEFAULT_PRESET_NAMES, default_presets, get_preset, preset

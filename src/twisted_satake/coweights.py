@@ -38,6 +38,7 @@ from .galois import (
     relative_simple_roots,
 )
 from .rootdatum import (
+    _coord_bound,
     _dominant_cone,
     _walk_cone,
     dominant_coweights_up_to_height,
@@ -322,11 +323,6 @@ def _project(t: TwistedRootDatum, v):
     return cls
 
 
-def project_dominant(t: TwistedRootDatum, v) -> DominantClass:
-    """Class of a dominant absolute coweight; dominance is preserved."""
-    return is_dominant_class(t, _project(t, v))
-
-
 # ---------------------------------------------------------------------------
 # Bounded enumeration
 
@@ -351,10 +347,12 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     each with every torsion combination; every class it returns is
     re-checked.  Data with invariant central directions (tori, GL-like
     lattices) need an explicit coord_bound: a free-coordinate box is scanned.
-    max_height is an integer (an int, or a Fraction with denominator 1); a
-    float or a bool is refused with ValueError("not an integer entry: ...").
+    max_height and coord_bound are integers (an int, or a Fraction with
+    denominator 1); a float or a bool is refused with ValueError("not an
+    integer entry: ..."), and a negative coord_bound with ValueError too.
     """
     max_height = _integer(max_height)
+    coord_bound = _coord_bound(coord_bound)
     c = coinvariants(t)
     sub = _substrate(t)
     bound = sub.group_order * max_height
@@ -390,27 +388,3 @@ def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):
     sources = dominant_coweights_up_to_height(t.base, max_height, coord_bound)
     return sorted({_project(t, v) for v in sources})
 
-
-@frozen
-class SurjectivityReport:
-    center_is_torus: bool
-    surjective_observed: bool
-    image_size: int
-    cone_size: int
-
-
-def surjectivity_conditions(t: TwistedRootDatum, max_height=12, coord_bound=None) -> SurjectivityReport:
-    """Condition (c) of the dominant-lifting criterion (X_*(T) -> X_*(T_ad)
-    surjective) alongside the observed image within a bounded cone; the
-    implication runs one way only, and both facts are reported as computed."""
-    dec = smith_normal_form(IntMatrix.from_rows(t.base.simple_roots))
-    k = t.base.num_simple
-    center_is_torus = dec.rank == k and all(d == 1 for d in dec.diagonal[:k])
-    image = dominant_image_monoid(t, max_height, coord_bound)
-    cone = enumerate_dominant_classes(t, max_height, coord_bound)
-    return SurjectivityReport(
-        center_is_torus=center_is_torus,
-        surjective_observed=set(image) == set(cone),
-        image_size=len(image),
-        cone_size=len(cone),
-    )

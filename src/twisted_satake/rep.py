@@ -79,10 +79,6 @@ class WeightMultiset:
     def multiplicity(self, key):
         return self.as_dict().get(key, 0)
 
-    @property
-    def is_empty(self):
-        return not self.entries
-
 
 def total_dimension(w: WeightMultiset) -> int:
     """Total mass: the rank of the underlying module."""

@@ -1,4 +1,4 @@
-"""Based root data: validity, duality, root systems, rho, fundamental group.
+"""Based root data: validity, duality, root systems, rho, dominant coweights.
 
 A based root datum is modeled on Z^rank twice over: the character copy
 carries the simple roots, the cocharacter copy the simple coroots, and the
@@ -16,12 +16,10 @@ import math
 from ._value import field, frozen
 from .abelian import (
     DimensionMismatch,
-    FgAbelianGroup,
     IntMatrix,
     InvariantViolation,
     _integer,
     dot,
-    quotient_group,
     smith_normal_form,
     vec_add,
 )
@@ -229,14 +227,6 @@ def dualize(d: BasedRootDatum) -> BasedRootDatum:
     return BasedRootDatum(rank=d.rank, simple_roots=d.simple_coroots, simple_coroots=d.simple_roots)
 
 
-@functools.lru_cache(maxsize=None)
-def fundamental_group(d: BasedRootDatum) -> FgAbelianGroup:
-    """X_*(T) modulo the coroot lattice."""
-    require_valid(d)
-    relations = IntMatrix.from_columns(list(d.simple_coroots), nrows=d.rank)
-    return quotient_group(d.rank, relations).quotient
-
-
 @frozen
 class RhoData:
     """2*rho and its Levi variants, as exact character vectors."""
@@ -312,6 +302,17 @@ def _dominant_cone(free_rank, pairings, heights):
     return den, generators, tuple(weights)
 
 
+def _coord_bound(coord_bound):
+    """coord_bound as an int, or None: read as `_integer` reads, and refused
+    with ValueError when negative."""
+    if coord_bound is None:
+        return None
+    coord_bound = _integer(coord_bound)
+    if coord_bound < 0:
+        raise ValueError(f"coord_bound must be nonnegative: {coord_bound}")
+    return coord_bound
+
+
 def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
     """All dominant cocharacters v with <v, 2rho> <= max_height, sorted.
 
@@ -321,11 +322,13 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
     simple roots and 2rho gives the omega_i^vee and their heights once per
     datum.  Data with central directions need an explicit coord_bound,
     since their dominant cone is infinite in every height slab; for them a
-    coordinate box is scanned.  max_height is an integer (an int, or a
-    Fraction with denominator 1); a float or a bool is refused with
-    ValueError("not an integer entry: ...").
+    coordinate box is scanned.  max_height and coord_bound are integers (an
+    int, or a Fraction with denominator 1); a float or a bool is refused
+    with ValueError("not an integer entry: ..."), and a negative coord_bound
+    with ValueError too.
     """
     max_height = _integer(max_height)
+    coord_bound = _coord_bound(coord_bound)
     require_valid(d)
     two_rho = rho_data(d).two_rho
     if d.num_simple != d.rank:

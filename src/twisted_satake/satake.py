@@ -14,7 +14,6 @@ doubles as a defect detector.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 
 from ._value import frozen
@@ -113,9 +112,10 @@ def strata_below(t: TwistedRootDatum, cls):
 
 def closure_poset(t: TwistedRootDatum, cls=None, max_height=None, coord_bound=None) -> SchubertPoset:
     """The stratification of a Schubert closure (given its open label), or of
-    the union of strata within a height bound.  The bound is an integer, as
+    the union of strata within a height bound.  The bounds are integers, as
     `enumerate_dominant_classes` requires: a float or a bool is refused
-    with ValueError("not an integer entry: ...")."""
+    with ValueError("not an integer entry: ..."), a negative coord_bound
+    with ValueError too."""
     if (cls is None) == (max_height is None):
         raise ValueError("pass exactly one of cls / max_height")
     if cls is not None:
@@ -226,8 +226,9 @@ def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None
     """The parity of <., 2 rho> across the bounded dominant classes of one
     Kottwitz component; inconsistency is an invariant violation, never a
     silent answer.  None when the bound sees no stratum in the component.
-    max_height is an integer, as `enumerate_dominant_classes` requires: a
-    float or a bool is refused with ValueError("not an integer entry: ...")."""
+    The bounds are integers, as `enumerate_dominant_classes` requires: a
+    float or a bool is refused with ValueError("not an integer entry: ..."),
+    a negative coord_bound with ValueError too."""
     labels = enumerate_dominant_classes(t, max_height, coord_bound)
     members = [cls for cls in labels if component_of(t, cls) == component]
     return component_parity(t, component, members)
@@ -269,10 +270,6 @@ def poset_document(poset: SchubertPoset) -> dict:
         for lo, up in poset.covers
     ]
     return {"nodes": nodes, "edges": edges}
-
-
-def poset_to_json(poset: SchubertPoset) -> str:
-    return json.dumps(poset_document(poset), sort_keys=True)
 
 
 def poset_to_dot(poset: SchubertPoset) -> str:

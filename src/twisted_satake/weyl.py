@@ -1,4 +1,4 @@
-"""Absolute and relative Weyl groups, and the Iwahori-Weyl semidirect product.
+"""Absolute and relative Weyl groups: simple reflections, W0 and its action.
 
 Weyl elements are stored as matrices acting on the cocharacter lattice, with
 optional words; equality is matrix equality.  The relative simple reflection
@@ -13,11 +13,10 @@ positive roots of a reduced root system (Macdonald, Math. Ann. 199, 1972;
 Kostant, Amer. J. Math. 81, 1959).  Groups are counted and walked here,
 never enumerated; the orbit oracle behind `verify` lives in `suites.py`.
 
-Every lattice map that reaches the coinvariants (a W0 element, or the
-finite part of an Iwahori-Weyl element) does so through one integer matrix
-on class coordinates (free..., torsion...), built once per (datum, map) by
-`_descended`; acting is one matrix-vector product with the torsion entries
-reduced by their invariant factors.
+Every W0 element that reaches the coinvariants does so through one integer
+matrix on class coordinates (free..., torsion...), built once per (datum,
+map) by `_descended`; acting is one matrix-vector product with the torsion
+entries reduced by their invariant factors.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
 Reflection Groups and Coxeter Groups, 1.6-1.8).
@@ -26,19 +25,17 @@ compares each, descended by `_descended`, with a folded simple reflection;
 descent is faithful on W^I (2rho^vee of the dual is I-fixed and regular), so
 |W0| = |W(folded)| without enumerating either group.
 
-The Iwahori-Weyl group is the semidirect product of the descended finite
-group with the coinvariant translations, with multiplication
-(w1, l1)(w2, l2) = (w1 w2, w2^{-1} l1 + l2); it acts on the rational
-apartment on the right, a translation class mu moving a point p to p - mu.
+The Iwahori-Weyl product X_*(T)_I x| W0 and its affine action are not part
+of the package, since no command reads them; they are kept as a test oracle
+in `tests/test_iwahori_weyl_reference.py`.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from ._value import field, frozen
-from .abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
+from .abelian import IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import BasedRootDatum, full_root_system, rho_data
 
@@ -198,67 +195,3 @@ def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
                 )
         gens.append(WeylElement(matrix=w.matrix, word=(rel.simple_orbit_list.index(orbit),)))
     return RelativeWeylGroup(datum=t, generators=tuple(gens))
-
-
-# ---------------------------------------------------------------------------
-# Iwahori-Weyl group
-
-
-@frozen
-class IwahoriWeylElement:
-    """(finite part, translation class) in W_a x| X_*(T)_I."""
-
-    datum: TwistedRootDatum
-    finite: WeylElement
-    translation: tuple  # coinvariant normal form
-
-
-def iw_identity(t: TwistedRootDatum) -> IwahoriWeylElement:
-    return iw_translation(t, coinvariants(t).zero_class())
-
-
-def iw_translation(t: TwistedRootDatum, cls) -> IwahoriWeylElement:
-    return IwahoriWeylElement(
-        datum=t,
-        finite=WeylElement(matrix=IntMatrix.identity(t.rank), word=()),
-        translation=cls,
-    )
-
-
-def iw_multiply(x: IwahoriWeylElement, y: IwahoriWeylElement) -> IwahoriWeylElement:
-    """(w1, l1)(w2, l2) = (w1 w2, w2^{-1} l1 + l2)."""
-    if x.datum != y.datum:
-        raise DimensionMismatch("elements live over different twisted data")
-    t = x.datum
-    c = coinvariants(t)
-    moved = _descend(t, y.finite.inverse_matrix, x.translation)
-    return IwahoriWeylElement(
-        datum=t,
-        finite=WeylElement(matrix=x.finite.matrix.mul(y.finite.matrix)),
-        translation=c.add(moved, y.translation),
-    )
-
-
-def iw_inverse(x: IwahoriWeylElement) -> IwahoriWeylElement:
-    t = x.datum
-    c = coinvariants(t)
-    moved = _descend(t, x.finite.matrix, x.translation)
-    return IwahoriWeylElement(
-        datum=t,
-        finite=WeylElement(matrix=x.finite.inverse_matrix),
-        translation=c.neg(moved),
-    )
-
-
-def iw_affine_action(x: IwahoriWeylElement, point):
-    """Right action on the rational apartment (free coinvariant coordinates):
-    p -> w^{-1}(p) - mu, so a pure translation class mu sends p to p - mu.
-    w^{-1} acts through the free block of its descended map."""
-    t = x.datum
-    r = coinvariants(t).quotient.free_rank
-    point = tuple(Fraction(p) for p in point)
-    if len(point) != r:
-        raise DimensionMismatch("point has wrong dimension for the apartment")
-    a = _descended(t, x.finite.inverse_matrix)
-    moved = (dot(a.row(i)[:r], point) for i in range(r))
-    return tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))

@@ -10,6 +10,7 @@ import pytest
 from twisted_satake import satake
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.coweights import (
+    dominant_image_monoid,
     dominant_representative,
     enumerate_dominant_classes,
     is_dominant_class,
@@ -29,7 +30,7 @@ from twisted_satake.satake import (
     mv_cell,
     parity_check,
     poset_to_dot,
-    poset_to_json,
+    poset_document,
     strata_below,
     stratum,
 )
@@ -306,7 +307,7 @@ class TestParity:
 class TestExports:
     def test_json_round_trip(self):
         p = closure_poset(preset("SU3"), cls=su3_class(2))
-        doc = json.loads(poset_to_json(p))
+        doc = json.loads(json.dumps(poset_document(p), sort_keys=True))
         assert [n["label"] for n in doc["nodes"]] == ["0", "1", "2"]
         assert doc["edges"] == [
             {"lower": "0", "upper": "1"},
@@ -322,7 +323,7 @@ class TestExports:
     def test_deterministic(self):
         p1 = closure_poset(preset("SU4"), max_height=6)
         p2 = closure_poset(preset("SU4"), max_height=6)
-        assert poset_to_json(p1) == poset_to_json(p2)
+        assert json.dumps(poset_document(p1)) == json.dumps(poset_document(p2))
 
     def test_format_class(self):
         assert format_class(((3,), ())) == "3"
@@ -416,11 +417,24 @@ class TestIntegerClasses:
 
 # Height bounds are integers or refused, with the same ValueError as class
 # entries: each bounded enumeration is first asked with the bound truncated.
+# So are the coordinate-box bounds (`coord_bound`) of data with a central
+# direction, asked on torus-rank-1, and a negative box bound is refused.
+TORUS = preset("torus-rank-1")
+COORD_BOUND_ENTRY_POINTS = {
+    "enumerate_dominant_classes coord_bound": lambda _t, b: enumerate_dominant_classes(TORUS, 2, b),
+    "dominant_coweights_up_to_height coord_bound":
+        lambda _t, b: dominant_coweights_up_to_height(TORUS.base, 2, b),
+    "closure_poset coord_bound": lambda _t, b: closure_poset(TORUS, max_height=2, coord_bound=b),
+    "dominant_image_monoid coord_bound": lambda _t, b: dominant_image_monoid(TORUS, 2, b),
+    "parity_check coord_bound":
+        lambda _t, b: parity_check(TORUS, ((0,), ()), max_height=2, coord_bound=b),
+}
 BOUND_ENTRY_POINTS = {
     "enumerate_dominant_classes": lambda t, b: enumerate_dominant_classes(t, b),
     "dominant_coweights_up_to_height": lambda t, b: dominant_coweights_up_to_height(t.base, b),
     "closure_poset": lambda t, b: closure_poset(t, max_height=b),
     "parity_check": lambda t, b: parity_check(t, ((), ()), max_height=b),
+    **COORD_BOUND_ENTRY_POINTS,
 }
 
 
@@ -428,9 +442,16 @@ BOUND_ENTRY_POINTS = {
 @pytest.mark.parametrize("value", BAD_ENTRIES)
 def test_non_integer_height_bound_is_refused_by_name(entry, value):
     call = BOUND_ENTRY_POINTS[entry]
-    call(preset("SU5"), int(value))
+    call(preset("SU5"), abs(int(value)))
     with pytest.raises(ValueError, match=f"^not an integer entry: {re.escape(repr(value))}$"):
         call(preset("SU5"), value)
+
+
+@pytest.mark.parametrize("entry", COORD_BOUND_ENTRY_POINTS)
+def test_negative_coord_bound_is_refused(entry):
+    """A negative box bound once answered as an empty box."""
+    with pytest.raises(ValueError, match="^coord_bound must be nonnegative: -1$"):
+        COORD_BOUND_ENTRY_POINTS[entry](None, -1)
 
 
 @pytest.mark.parametrize("entry", BOUND_ENTRY_POINTS)
@@ -438,3 +459,4 @@ def test_integral_fraction_bound_is_its_integer(entry):
     call = BOUND_ENTRY_POINTS[entry]
     got = call(preset("SU5"), Fraction(6, 2))
     assert got == call(preset("SU5"), 3)
+

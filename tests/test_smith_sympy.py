@@ -1,10 +1,11 @@
 """Smith normal form invariant factors against sympy.
 
 sympy is not a dependency of the package; the module is skipped where it is
-not installed.  The inputs are the relation matrices behind `coinvariants`,
-`pi1_coinvariants_presentation` and `fundamental_group` for every fixed
-preset and its dual, and seeded random integer matrices up to 6 x 6 with
-entries in [-9, 9], some with zero rows or zero columns.
+not installed.  The inputs are the relation matrices behind `coinvariants`
+and `pi1_coinvariants_presentation`, and behind pi_1 itself (X_*(T) modulo
+the coroot lattice, which is `kottwitz_components(split_twisted(d))`), for
+every fixed preset and its dual, and seeded random integer matrices up to
+6 x 6 with entries in [-9, 9], some with zero rows or zero columns.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from twisted_satake.abelian import IntMatrix, smith_normal_form
 from twisted_satake.dual import dual_twisted
-from twisted_satake.galois import coinvariants, pi1_coinvariants_presentation
+from twisted_satake.galois import coinvariants, pi1_coinvariants_presentation, split_twisted
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 
 sympy = pytest.importorskip("sympy")
@@ -35,8 +36,8 @@ def check(m: IntMatrix):
 def relation_matrices(t):
     yield coinvariants(t).relations
     yield pi1_coinvariants_presentation(t).relations
-    # The relations of fundamental_group: X_*(T) modulo the coroot lattice.
-    yield IntMatrix.from_columns(list(t.base.simple_coroots), nrows=t.rank)
+    # pi_1: X_*(T) modulo the coroot lattice, the split datum's components.
+    yield pi1_coinvariants_presentation(split_twisted(t.base)).relations
 
 
 @pytest.mark.parametrize("name", DEFAULT_PRESET_NAMES)

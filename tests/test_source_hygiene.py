@@ -20,9 +20,15 @@ dominance order.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Every field of a value class is read by name somewhere.
 The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
 `RelativeWeylGroup.act` nor `two_rho_levi` except through a per-datum cache.
+
+Every public top-level name of a public module has a reader: a command or
+suite reaches it from the package's module-level code, README's code names
+it, the bench names it, or `READ_ONLY_BY_TESTS` gives the test that reads
+it.  A name read only by tests or by other unread names fails.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from twisted_satake.weyl import RelativeWeylGroup
@@ -241,3 +247,79 @@ def test_every_value_field_is_read():
     found = list(_value_fields())
     assert len(found) > 50, "no value fields found; is the source path right?"
     assert [f"{cls}.{name}" for cls, name in found if name not in read] == []
+
+
+# Public names that only a test reads, each with that test.  The guard below
+# fails on an entry that is no longer defined or that something else reads.
+READ_ONLY_BY_TESTS = {
+    "adjoint_quotient": "tests/test_acceptance.py, criterion 5: the adjoint quotient of SU4",
+    "fundamental_coweight_pairing": "tests/test_acceptance.py, criterion 5",
+}
+
+
+def _top_level():
+    """(public (module, name) pairs, definitions by name, names read by
+    module-level statements that define nothing).  `__init__.py` imports
+    to re-export, so it reads nothing; a private module has no public names."""
+    public, definitions, roots = [], {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                roots |= _referenced_names(stmt, set())
+                continue
+            for name in names:
+                definitions.setdefault(name, []).append(stmt)
+                if not name.startswith("_") and not path.name.startswith("_"):
+                    public.append((path.stem, name))
+    return public, definitions, roots
+
+
+def _outside_readers():
+    """Identifiers in README's code (fenced blocks and `spans`) and anywhere
+    in the bench's sources, which name traced functions in strings."""
+    readme = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    bench = [path.read_text() for path in sorted(ROOT.glob("bench/**/*.py"))]
+    return set(re.findall(r"\w+", " ".join(code + bench)))
+
+
+def _live(definitions, roots):
+    """The top-level names reached from roots, each definition reached
+    reading on."""
+    live, stack = set(), list(roots)
+    while stack:
+        name = stack.pop()
+        if name in live or name not in definitions:
+            continue
+        live.add(name)
+        for stmt in definitions[name]:
+            stack.extend(_referenced_names(stmt, set()) - live)
+    return live
+
+
+def test_every_public_name_has_a_reader():
+    """Ship only what something reads: a public name whose only readers are
+    tests moves to a test file, or is kept with its reader named in
+    `READ_ONLY_BY_TESTS`."""
+    public, definitions, roots = _top_level()
+    assert len(public) > 100, "no public names found; is the source path right?"
+    live = _live(definitions, roots | _outside_readers() | set(READ_ONLY_BY_TESTS))
+    assert [f"{module}.{name}" for module, name in public if name not in live] == []
+
+
+def test_names_read_only_by_tests_are_listed_exactly():
+    """Each entry of `READ_ONLY_BY_TESTS` is a public name that nothing but
+    its test reads, so the list shrinks when a command starts reading one."""
+    public, definitions, roots = _top_level()
+    live = _live(definitions, roots | _outside_readers())
+    names = {name for _module, name in public}
+    assert [name for name in READ_ONLY_BY_TESTS if name not in names or name in live] == []
