@@ -12,19 +12,16 @@ checked in `test_weyl.py::TestIwahoriWeyl` and the comparison with the
 lift -> apply -> class_of action in
 `test_weyl_reference.py::test_iwahori_weyl_matches_reference` keep those
 maps honest.  An element is still a frozen value with the repr it had in
-the package.
+the package, checked with the package's value classes in `test_value.py`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-
-from twisted_satake._value import fields, frozen
+from twisted_satake._value import frozen
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, dot
 from twisted_satake.galois import TwistedRootDatum, coinvariants
-from twisted_satake.presets import preset
 from twisted_satake.weyl import WeylElement, _descend, _descended
 
 
@@ -83,28 +80,3 @@ def iw_affine_action(x: IwahoriWeylElement, point):
     moved = (dot(a.row(i)[:r], point) for i in range(r))
     return tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))
 
-
-REPR = (
-    "IwahoriWeylElement(datum=TwistedRootDatum(base=BasedRootDatum(rank=2, "
-    "simple_roots=((2, -1), (-1, 2)), simple_coroots=((1, 0), (0, 1))), "
-    "generators=(DiagramAutomorphism(lattice_map=IntMatrix(rows=2, cols=2, "
-    "entries=(0, 1, 1, 0)), root_permutation=(1, 0)),)), finite=WeylElement("
-    "matrix=IntMatrix(rows=2, cols=2, entries=(1, 0, 0, 1)), word=()), "
-    "translation=((0,), ()))"
-)
-
-
-def test_element_is_a_frozen_value():
-    """The identity of SU3's group prints its package repr, refuses field
-    assignment and deletion, and equals and hashes like a fresh copy."""
-    su3 = preset("SU3")
-    e = iw_translation(su3, coinvariants(su3).zero_class())
-    assert repr(e) == REPR
-    for name in (*fields(e), "unrelated"):
-        with pytest.raises(AttributeError):
-            setattr(e, name, None)
-    for name in fields(e):
-        with pytest.raises(AttributeError):
-            delattr(e, name)
-    twin = IwahoriWeylElement(**{name: getattr(e, name) for name in fields(e)})
-    assert twin is not e and twin == e and hash(twin) == hash(e)
