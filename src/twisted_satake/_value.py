@@ -25,11 +25,6 @@ def field(*, default=_MISSING, compare=True, repr=True):
     return _Field(default, compare, repr)
 
 
-def fields(value):
-    """The field names of a value class or instance, in declaration order."""
-    return value.__value_fields__
-
-
 def _repr(self):
     shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__value_repr__)
     return f"{type(self).__qualname__}({shown})"
@@ -76,6 +71,5 @@ def frozen(cls):
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
-    cls.__value_fields__ = tuple(specs)
     cls.__value_repr__ = tuple(name for name, spec in specs.items() if spec.repr)
     return cls

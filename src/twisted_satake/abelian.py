@@ -99,10 +99,6 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
-    def zero(n, m):
-        return IntMatrix(n, m, (0,) * (n * m))
-
-    @staticmethod
     def permutation(perm):
         """The matrix sending basis vector j to basis vector perm[j]."""
         k = len(perm)
@@ -434,10 +430,6 @@ class FgAbelianGroup:
             prev = d
 
     @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
     def is_finite(self):
         return self.free_rank == 0
 
@@ -531,20 +523,8 @@ class QuotientPresentation:
             w[i] = x
         return self.smith.U_inverse.apply(w)
 
-    def zero_class(self):
-        return self.normal_form((0,) * (len(self.free_slots) + len(self.torsion_slots)))
-
-    def add(self, c1, c2):
-        return self.normal_form(vec_add(self.coordinates(c1), self.coordinates(c2)))
-
     def neg(self, c):
         return self.normal_form(vec_scale(-1, self.coordinates(c)))
-
-    def sub(self, c1, c2):
-        return self.normal_form(vec_sub(self.coordinates(c1), self.coordinates(c2)))
-
-    def scale(self, n, c):
-        return self.normal_form(vec_scale(n, self.coordinates(c)))
 
 
 def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentation:

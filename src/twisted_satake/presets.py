@@ -3,9 +3,10 @@
 Simply connected presets put the simple coroots on the standard basis (roots
 are then Cartan-matrix columns); adjoint presets put the fundamental
 coweights on the standard basis (roots are standard basis vectors, coroots
-Cartan-matrix rows).  The unitary family additionally records the embedding
-into the familiar sum-zero/quotient coordinates on Z^3 (and its analogues)
-so that hand computations in those coordinates can be replayed verbatim.
+Cartan-matrix rows).  No command reads the familiar sum-zero/quotient
+coordinates on Z^3 (and its analogues), so the matrices that replay hand
+computations in them, for the unitary family and PSU3, live with the
+registry's tests in `tests/test_presets.py`.
 
 Parameterized families: ``SU<odd k>`` for the quasi-split special unitary
 groups split by a quadratic extension, and ``torus-rank-<n>``.  Their
@@ -25,25 +26,9 @@ from .rootdatum import BasedRootDatum, adjoint_from_cartan
 
 
 @frozen
-class AmbientEmbedding:
-    """Round trip between internal Z^rank coordinates and a familiar ambient
-    presentation (for the unitary family: Z^3-style coordinates)."""
-
-    into_ambient: IntMatrix   # internal -> ambient representative
-    from_ambient: IntMatrix   # ambient representative -> internal
-
-    def to_internal(self, v):
-        return self.from_ambient.apply(v)
-
-    def to_ambient(self, v):
-        return self.into_ambient.apply(v)
-
-
-@frozen
 class PresetEntry:
     name: str
     twisted: TwistedRootDatum
-    embedding: AmbientEmbedding | None = None
 
 
 class UnknownPresetError(KeyError):
@@ -71,20 +56,6 @@ def _flip(n):
     return tuple(n - 1 - i for i in range(n))
 
 
-def _unitary_embedding(n_ambient):
-    """Internal coordinates for the sum-zero lattice in Z^n_ambient with
-    basis e_i - e_{i+1}; the section drops the redundant coordinate."""
-    k = n_ambient - 1
-    into = IntMatrix.from_rows(
-        [[1 if j == i else (-1 if j == i - 1 else 0) for j in range(k)] for i in range(n_ambient)]
-    )
-    # (a_1, ..., a_n) with sum 0 has coordinates x_i = a_1 + ... + a_i.
-    back = IntMatrix.from_rows(
-        [[1 if j <= i else 0 for j in range(n_ambient)] for i in range(k)]
-    )
-    return AmbientEmbedding(into_ambient=into, from_ambient=back)
-
-
 @functools.lru_cache(maxsize=None)
 def _special_unitary(k):
     """SU_k: A_(k-1) with the diagram flip."""
@@ -92,11 +63,7 @@ def _special_unitary(k):
     base = _cartan_sc(_a_n_cartan(n))
     flip = _flip(n)
     gen = DiagramAutomorphism.make(IntMatrix.permutation(flip), flip)
-    return PresetEntry(
-        name=f"SU{k}",
-        twisted=TwistedRootDatum.make(base, (gen,)),
-        embedding=_unitary_embedding(k),
-    )
+    return PresetEntry(name=f"SU{k}", twisted=TwistedRootDatum.make(base, (gen,)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,17 +107,7 @@ def _build_fixed_registry():
     # PSU3: the adjoint A2 datum with the flip on the coweight basis.
     psu3_base = adjoint_from_cartan(a2)
     psu3_gen = DiagramAutomorphism.make([[0, 1], [1, 0]], (1, 0))
-    # Coweight-lattice coordinates inside Z^3/(1,1,1): class of (a,b,c)
-    # has internal coordinates (a-b, b-c); omega_1 lifts to (1,0,0).
-    psu3_embed = AmbientEmbedding(
-        into_ambient=IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]]),
-        from_ambient=IntMatrix.from_rows([[1, -1, 0], [0, 1, -1]]),
-    )
-    add(PresetEntry(
-        "PSU3",
-        TwistedRootDatum.make(psu3_base, (psu3_gen,)),
-        embedding=psu3_embed,
-    ))
+    add(PresetEntry("PSU3", TwistedRootDatum.make(psu3_base, (psu3_gen,))))
 
     add(_special_unitary(4))
 

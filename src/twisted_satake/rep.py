@@ -72,10 +72,6 @@ class WeightMultiset:
     def as_dict(self):
         return dict(self.entries)
 
-    @property
-    def support(self):
-        return tuple(k for k, _m in self.entries)
-
     def multiplicity(self, key):
         return self.as_dict().get(key, 0)
 

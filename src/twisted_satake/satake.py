@@ -93,20 +93,21 @@ class SchubertPoset:
 
 def strata_below(t: TwistedRootDatum, cls):
     """The dominant classes mu <= cls, sorted: walk the coefficient simplex
-    sum c_O <= height/2 over the coroot-orbit classes (each step drops the
-    height by exactly 2) and keep the dominant differences."""
+    sum k_O <= height/2 over the coroot-orbit classes b_O (each step drops
+    the height by exactly 2) and keep the dominant differences.  Each point
+    is read on class coordinates, x - sum k_O coordinates(b_O), with one
+    normal form."""
     c = coinvariants(t)
-    h = _integral(_dominant_row(t, c.coordinates(cls), cls)[0], _substrate(t).group_order,
-                  "stratum dimension")
-    basis = orbit_coroot_classes(t)
-    unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+    sub = _substrate(t)
+    x = c.coordinates(cls)
+    h = _integral(_dominant_row(t, x, cls)[0], sub.group_order, "stratum dimension")
+    basis = [c.coordinates(b) for b in orbit_coroot_classes(t)]
+    points = _walk_cone(1, basis, (1,) * len(basis), h // 2) if basis else [(0,) * len(x)]
     out = set()
-    for coeffs in _walk_cone(1, unit, (1,) * len(basis), h // 2):
-        cur = cls
-        for x, b in zip(coeffs, basis):
-            cur = c.sub(cur, c.scale(x, b))
-        if _substrate(t).scaled_height(c.coordinates(cur))[1]:
-            out.add(cur)
+    for point in points:
+        free, torsion = c.normal_form(vec_sub(x, point))
+        if sub.scaled_height(free + torsion)[1]:
+            out.add((free, torsion))
     return sorted(out)
 
 

@@ -15,9 +15,9 @@ from ._value import frozen
 from .abelian import InvariantViolation
 from .coweights import (
     _has_invariant_central_direction,
+    _substrate,
     _walk,
     enumerate_dominant_classes,
-    is_dominant_class,
 )
 from .dual import CHAR0, dual_twisted, fixed_group_descriptor
 from .galois import (
@@ -26,6 +26,7 @@ from .galois import (
     coinvariants,
     coroot_coinvariants_exact_sequence,
     kottwitz_components,
+    pi1_coinvariants_presentation,
 )
 from .rep import (
     branch_to_fixed_group,
@@ -116,12 +117,15 @@ def _regular_orbit(d, permutations=()):
     return size, fixed
 
 
-def _w0_orbit(w0, cls):
-    """The W0-orbit of a class, sorted: its closure under the generators."""
+def _w0_orbit(t, cls):
+    """The W0-orbit of a class, sorted: its closure under W0's generators,
+    descended to class coordinates once per datum."""
+    c = coinvariants(t)
+    generators = relative_weyl(t).descended_generators
     orbit, frontier = {cls}, [cls]
     while frontier:
-        x = frontier.pop()
-        new = {w0.act(g, x) for g in w0.generators} - orbit
+        x = c.coordinates(frontier.pop())
+        new = {c.normal_form(g.apply(x)) for g in generators} - orbit
         orbit |= new
         frontier += new
     return tuple(sorted(orbit))
@@ -147,7 +151,8 @@ def _suite_exactness(t):
     pi1 = kottwitz_components(t)
     if pi1.is_finite and t.rank <= 3:
         box = range(-4, 5)
-        classes = {component_of(t, coinvariants(t).class_of(v))
+        c, pres = coinvariants(t), pi1_coinvariants_presentation(t)
+        classes = {pres.class_of(c.lift(c.class_of(v)))
                    for v in itertools.product(box, repeat=t.rank)}
         out.append(CheckResult(
             "exactness",
@@ -161,28 +166,27 @@ def _suite_exactness(t):
 def _suite_orbits(t):
     out = []
     doms = enumerate_dominant_classes(t, ORBITS_HEIGHT, **_bounded_kwargs(t))
-    w0 = relative_weyl(t)
-    neg = coinvariants(t).neg
-    orbit_of = {d: _w0_orbit(w0, d) for d in doms}
+    c = coinvariants(t)
+    sub = _substrate(t)
+    orbit_of = {d: _w0_orbit(t, d) for d in doms}
     orbits = set(orbit_of.values())
     ok = len(orbits) == len(doms)
     detail = f"{len(doms)} dominant classes, {len(orbits)} orbits"
     # A whole orbit meets the antidominant chamber too (by the longest
     # element); the orbit of a proper subgroup misses it at a regular class.
     for orb in orbits:
-        n_dom = sum(1 for c in orb if is_dominant_class(t, c) is not None)
-        n_anti = sum(1 for c in orb if is_dominant_class(t, neg(c)) is not None)
+        n_dom = sum(sub.scaled_height(c.coordinates(x))[1] for x in orb)
+        n_anti = sum(sub.scaled_height(c.coordinates(c.neg(x)))[1] for x in orb)
         if (n_dom, n_anti) != (1, 1):
             ok = False
             detail = f"orbit {orb} holds {n_dom} dominant and {n_anti} antidominant classes"
             break
     out.append(CheckResult("orbits", "ball-bijection", ok, detail=detail))
 
-    coordinates = coinvariants(t).coordinates
     idem = all(
-        _walk(t, coordinates(c))[0] == coordinates(d)
+        _walk(t, c.coordinates(x))[0] == c.coordinates(d)
         for d in doms[: min(len(doms), 8)]
-        for c in orbit_of[d]
+        for x in orbit_of[d]
     )
     out.append(CheckResult("orbits", "representative-invariance", idem))
     return out

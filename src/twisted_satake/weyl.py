@@ -46,21 +46,6 @@ class WeylElement:
     matrix: IntMatrix
     word: tuple = field(default=(), compare=False)
 
-    def apply(self, v):
-        return self.matrix.apply(v)
-
-    @functools.cached_property
-    def char_matrix(self):
-        """The contragredient action on the character lattice."""
-        return self.inverse_matrix.transpose()
-
-    def apply_char(self, chi):
-        return self.char_matrix.apply(chi)
-
-    @functools.cached_property
-    def inverse_matrix(self):
-        return self.matrix.inverse_unimodular()
-
 
 def simple_reflection(d: BasedRootDatum, i: int) -> WeylElement:
     """s_i on X_*(T): v -> v - <v, alpha_i> alpha_i^vee."""

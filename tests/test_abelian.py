@@ -64,8 +64,9 @@ class TestSmithNormalForm:
         assert abs(m.determinant()) == 2 * 4
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix.zero(3, 2))
-        assert dec.D == IntMatrix.zero(3, 2)
+        zero = IntMatrix(3, 2, (0,) * 6)
+        dec = smith_normal_form(zero)
+        assert dec.D == zero
         assert dec.rank == 0
 
     def test_empty_matrix(self):
@@ -127,7 +128,7 @@ class TestClassOf:
 
     def test_relation_is_zero(self):
         q = quotient_group(2, IntMatrix.from_columns([(1, -1)]))
-        assert q.class_of((1, -1)) == q.zero_class()
+        assert q.class_of((1, -1)) == ((0,), ())
 
     def test_torsion_coordinate(self):
         q = quotient_group(1, IntMatrix.from_columns([(2,)]))
@@ -146,7 +147,7 @@ class TestClassOf:
     def test_additive(self, v, w):
         q = quotient_group(2, IntMatrix.from_columns([(2, 4)]))
         lhs = q.class_of([a + b for a, b in zip(v, w)])
-        rhs = q.add(q.class_of(v), q.class_of(w))
+        rhs = q.normal_form(vec_add(q.coordinates(q.class_of(v)), q.coordinates(q.class_of(w))))
         assert lhs == rhs
 
     def test_lift_section(self):
@@ -164,7 +165,7 @@ class TestClassOf:
             span.add(tuple(a * x + b * y for x, y in zip(*cols)))
         for v in itertools.product(range(-3, 4), repeat=3):
             in_span = v in span
-            if q.class_of(v) == q.zero_class():
+            if q.class_of(v) == q.class_of((0, 0, 0)):
                 assert in_span, v
             else:
                 assert not in_span, v
@@ -267,7 +268,7 @@ class TestMul:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))
+            IntMatrix(2, 3, (0,) * 6).mul(IntMatrix(2, 3, (0,) * 6))
 
 
 # Entries are integers or refused: the table below places each bad value at

@@ -49,6 +49,7 @@ from twisted_satake.rootdatum import dominant_coweights_up_to_height, dualize, i
 from twisted_satake.satake import component_of, conv_cell, mv_cell, parity_check, stratum
 from twisted_satake.weyl import relative_weyl
 
+from test_presets import ambient_embedding
 from test_weyl_reference import (
     enumerate_absolute_weyl,
     fixed_weyl_subgroup,
@@ -98,7 +99,7 @@ def test_criterion_01_class_map(capsys):
         for _ in range(100):
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
             v = (a, b, -a - b)
-            assert c.class_of(entry.embedding.to_internal(v)) == ((a - (-a - b),), ())
+            assert c.class_of(ambient_embedding("SU3").to_internal(v)) == ((a - (-a - b),), ())
     _assert_budget(tm)
 
 

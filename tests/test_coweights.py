@@ -17,10 +17,11 @@ from twisted_satake.coweights import (
     leq,
 )
 from twisted_satake.galois import coinvariants
-from twisted_satake.presets import default_presets, get_preset, preset
+from twisted_satake.presets import default_presets, preset
 from twisted_satake.rootdatum import is_adjoint
 from twisted_satake.weyl import relative_weyl
 
+from test_presets import ambient_embedding
 from test_weyl_reference import relative_elements
 
 
@@ -32,7 +33,7 @@ class TestDominance:
     def test_zero_dominant(self):
         for name, entry in default_presets():
             t = entry.twisted
-            zero = coinvariants(t).zero_class()
+            zero = coinvariants(t).class_of((0,) * t.rank)
             assert is_dominant_class(t, zero) is not None, name
 
     def test_su3_values(self):
@@ -65,7 +66,7 @@ class TestRepresentative:
         # The S3-orbit of (-1,1,0) in sum-zero coordinates holds exactly one
         # dominant element: the descending sort (1,0,-1).
         t = preset("SL3")
-        emb = get_preset("SU3").embedding  # same internal coordinates
+        emb = ambient_embedding("SU3")  # same internal coordinates
         cls = coinvariants(t).class_of(emb.to_internal((-1, 1, 0)))
         rep, _w = dominant_representative(t, cls)
         assert rep.cls == coinvariants(t).class_of(emb.to_internal((1, 0, -1)))
@@ -138,7 +139,7 @@ class TestProjection:
 
     def test_su3_sum_zero_values(self):
         t = preset("SU3")
-        emb = get_preset("SU3").embedding
+        emb = ambient_embedding("SU3")
         assert _project(t, emb.to_internal((1, 0, -1))) == su3_class(2)
         assert _project(t, emb.to_internal((1, 1, -2))) == su3_class(3)
         assert is_dominant_class(t, su3_class(3)).certificate == (Fraction(3, 2), Fraction(3, 2))
@@ -149,7 +150,7 @@ class TestProjection:
 
     def test_non_dominant_rejected(self):
         t = preset("SU3")
-        emb = get_preset("SU3").embedding
+        emb = ambient_embedding("SU3")
         with pytest.raises(Exception):
             _project(t, emb.to_internal((0, 1, -1)))  # b > a: not dominant
 
@@ -158,7 +159,7 @@ class TestProjection:
 
         assert satake.NonDominantError is coweights.NonDominantError
         t = preset("SU3")
-        emb = get_preset("SU3").embedding
+        emb = ambient_embedding("SU3")
         with pytest.raises(satake.NonDominantError):
             _project(t, emb.to_internal((0, 1, -1)))
 

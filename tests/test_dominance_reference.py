@@ -28,6 +28,7 @@ from twisted_satake.abelian import (
     dot,
     smith_normal_form,
     solve_integer,
+    vec_scale,
     vec_sub,
 )
 from twisted_satake.coweights import (
@@ -73,7 +74,8 @@ def ref_leq(t, lam, mu):
     rel = relative_simple_roots(t)
     cols = [t.base.simple_coroots[orbit[0]] for orbit in rel.simple_orbit_list]
     m = IntMatrix.from_columns(cols + one_minus_gamma_columns(t), nrows=t.rank)
-    sol = solve_integer(smith_normal_form(m), c.lift(c.sub(mu, lam)))
+    diff = c.normal_form(vec_sub(c.coordinates(mu), c.coordinates(lam)))
+    sol = solve_integer(smith_normal_form(m), c.lift(diff))
     if sol is None:
         return None
     coeffs = tuple(sol[: len(cols)])
@@ -259,7 +261,7 @@ def ref_strata_below(t, cls):
             continue
         cur = cls
         for x, b in zip(coeffs, basis):
-            cur = c.sub(cur, c.scale(x, b))
+            cur = c.normal_form(vec_sub(c.coordinates(cur), vec_scale(x, c.coordinates(b))))
         if is_dominant_class(t, cur) is not None:
             out.add(cur)
     return sorted(out)

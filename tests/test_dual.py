@@ -306,11 +306,10 @@ class TestAdjointQuotient:
 
 _ORDER_SCRIPT = textwrap.dedent("""
     from twisted_satake import presets
-    from twisted_satake._value import fields as field_names
     from twisted_satake.dual import fixed_group_descriptor
 
     def fields(desc):
-        return {name: getattr(desc, name) for name in field_names(desc)}
+        return {name: getattr(desc, name) for name in type(desc).__annotations__}
 
     direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
     assert direct.folded_cartan.type_label == "rank-3", direct.folded_cartan

@@ -13,7 +13,6 @@ generator check catches them.
 import pytest
 
 from twisted_satake import dual
-from twisted_satake._value import fields
 from twisted_satake.abelian import InvariantViolation
 from twisted_satake.dual import (
     CHAR0,
@@ -102,7 +101,7 @@ def descriptor_with(monkeypatch, s, fold=None, weyl=None):
 
 def replace(value, **changes):
     """A copy of a package value with the given fields changed."""
-    return type(value)(**{name: getattr(value, name) for name in fields(value)} | changes)
+    return type(value)(**{name: getattr(value, name) for name in type(value).__annotations__} | changes)
 
 
 def permute_generators(w0):

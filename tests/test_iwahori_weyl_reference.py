@@ -3,8 +3,10 @@
 No command or `verify` suite reads the Iwahori-Weyl product, so it left the
 package.  The code below is `IwahoriWeylElement`, `iw_translation`,
 `iw_multiply`, `iw_inverse` and `iw_affine_action` as they stood in
-`weyl.py`, unchanged; `iw_identity` was `iw_translation(t, zero class)` and
-is not kept.  The product is (w1, l1)(w2, l2) = (w1 w2, w2^{-1} l1 + l2),
+`weyl.py`, unchanged but for two members that left the package too:
+`w.inverse_matrix` is `w.matrix.inverse_unimodular()`, and the
+presentation's `add` is the normal form of the summed class coordinates.
+`iw_identity` was `iw_translation(t, zero class)` and is not kept.  The product is (w1, l1)(w2, l2) = (w1 w2, w2^{-1} l1 + l2),
 and the group acts on the rational apartment on the right, a translation
 class mu moving a point p to p - mu.  Both read W0 through the package's
 descended maps (`weyl._descend`, `weyl._descended`), so the group laws
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from twisted_satake._value import frozen
-from twisted_satake.abelian import DimensionMismatch, IntMatrix, dot
+from twisted_satake.abelian import DimensionMismatch, IntMatrix, dot, vec_add
 from twisted_satake.galois import TwistedRootDatum, coinvariants
 from twisted_satake.weyl import WeylElement, _descend, _descended
 
@@ -48,11 +50,11 @@ def iw_multiply(x: IwahoriWeylElement, y: IwahoriWeylElement) -> IwahoriWeylElem
         raise DimensionMismatch("elements live over different twisted data")
     t = x.datum
     c = coinvariants(t)
-    moved = _descend(t, y.finite.inverse_matrix, x.translation)
+    moved = _descend(t, y.finite.matrix.inverse_unimodular(), x.translation)
     return IwahoriWeylElement(
         datum=t,
         finite=WeylElement(matrix=x.finite.matrix.mul(y.finite.matrix)),
-        translation=c.add(moved, y.translation),
+        translation=c.normal_form(vec_add(c.coordinates(moved), c.coordinates(y.translation))),
     )
 
 
@@ -62,7 +64,7 @@ def iw_inverse(x: IwahoriWeylElement) -> IwahoriWeylElement:
     moved = _descend(t, x.finite.matrix, x.translation)
     return IwahoriWeylElement(
         datum=t,
-        finite=WeylElement(matrix=x.finite.inverse_matrix),
+        finite=WeylElement(matrix=x.finite.matrix.inverse_unimodular()),
         translation=c.neg(moved),
     )
 
@@ -76,7 +78,7 @@ def iw_affine_action(x: IwahoriWeylElement, point):
     point = tuple(Fraction(p) for p in point)
     if len(point) != r:
         raise DimensionMismatch("point has wrong dimension for the apartment")
-    a = _descended(t, x.finite.inverse_matrix)
+    a = _descended(t, x.finite.matrix.inverse_unimodular())
     moved = (dot(a.row(i)[:r], point) for i in range(r))
     return tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))
 

@@ -254,7 +254,7 @@ def test_inverse_refusals_match_fraction_gauss_jordan(n):
 
 def test_zero_matrix_refusals():
     for n in (1, 3):
-        m = IntMatrix.zero(n, n)
+        m = IntMatrix(n, n, (0,) * (n * n))
         assert outcome(IntMatrix.inverse_unimodular, m) == outcome(ref_inverse_unimodular, m)
     m = IntMatrix.from_rows([[2]])
     assert outcome(IntMatrix.inverse_unimodular, m) == (ValueError, "matrix is not unimodular")

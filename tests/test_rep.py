@@ -21,7 +21,7 @@ from twisted_satake.rep import (
 )
 from twisted_satake.rootdatum import dualize, dominant_coweights_up_to_height, full_root_system
 
-from test_weyl_reference import enumerate_absolute_weyl
+from test_weyl_reference import apply_char, enumerate_absolute_weyl
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def weyl_character_oracle(d, lam):
         poly = {}
         for w in W:
             sgn = w.matrix.determinant()
-            expo = w.apply_char(shift)
+            expo = apply_char(w, shift)
             poly[expo] = poly.get(expo, 0) + sgn
         return {k: v for k, v in poly.items() if v}
 
@@ -119,7 +119,7 @@ class TestIrreducibleCharacter:
             d = preset(name).base
             ch = irreducible_character(d, (1, 1)).as_dict()
             for w in enumerate_absolute_weyl(d):
-                moved = {w.apply_char(k): m for k, m in ch.items()}
+                moved = {apply_char(w, k): m for k, m in ch.items()}
                 assert moved == ch, name
 
     def test_highest_weight_multiplicity_one(self):

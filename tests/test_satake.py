@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import satake
-from twisted_satake.abelian import InvariantViolation
+from twisted_satake.abelian import InvariantViolation, vec_add
 from twisted_satake.coweights import (
     dominant_image_monoid,
     dominant_representative,
@@ -17,7 +17,7 @@ from twisted_satake.coweights import (
     leq,
 )
 from twisted_satake.galois import DiagramAutomorphism, coinvariants
-from twisted_satake.presets import default_presets, get_preset, preset
+from twisted_satake.presets import default_presets, preset
 from twisted_satake.rep import WeightMultiset, branch_to_fixed_group
 from twisted_satake.rootdatum import BasedRootDatum, dominant_coweights_up_to_height
 from twisted_satake.satake import (
@@ -36,6 +36,7 @@ from twisted_satake.satake import (
 )
 
 from test_dominance_reference import order_relations
+from test_presets import ambient_embedding
 from test_weyl_reference import relative_elements
 
 
@@ -51,7 +52,7 @@ class TestStratum:
     def test_base_point(self):
         for name, entry in default_presets():
             t = entry.twisted
-            s = stratum(t, coinvariants(t).zero_class())
+            s = stratum(t, coinvariants(t).class_of((0,) * t.rank))
             assert s.dim == 0, name
 
     def test_split_sl2_coroot(self):
@@ -65,7 +66,7 @@ class TestStratum:
     def test_lift_independence_of_dim(self):
         # Two lifts of the same class pair equally with 2rho.
         t = preset("SU3")
-        emb = get_preset("SU3").embedding
+        emb = ambient_embedding("SU3")
         c = coinvariants(t)
         lift_a = emb.to_internal((1, -1, 0))
         lift_b = emb.to_internal((0, 1, -1))
@@ -160,8 +161,9 @@ class TestComponents:
         pres = __import__("twisted_satake.galois", fromlist=["x"]).pi1_coinvariants_presentation(t)
         a, b = ((1,), ()), ((2,), ())
         c = coinvariants(t)
-        total = c.add(a, b)
-        assert component_of(t, total) == pres.add(component_of(t, a), component_of(t, b))
+        total = c.normal_form(vec_add(c.coordinates(a), c.coordinates(b)))
+        parts = vec_add(pres.coordinates(component_of(t, a)), pres.coordinates(component_of(t, b)))
+        assert component_of(t, total) == pres.normal_form(parts)
 
 
 class TestMvCells:
@@ -289,7 +291,7 @@ class TestParity:
             if name.startswith("torus"):
                 continue
             t = entry.twisted
-            assert parity_check(t, component_of(t, coinvariants(t).zero_class())) == 0, name
+            assert parity_check(t, component_of(t, coinvariants(t).class_of((0,) * t.rank))) == 0, name
 
     def test_pgl2_odd_component(self):
         # The one-dimensional projective-line component: parity 1.

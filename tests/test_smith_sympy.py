@@ -74,5 +74,5 @@ def test_random_matrices(seed):
 
 def test_all_zero_and_empty_matrices():
     for rows, cols in ((1, 1), (3, 2), (2, 5)):
-        check(IntMatrix.zero(rows, cols))
+        check(IntMatrix(rows, cols, (0,) * (rows * cols)))
     check(IntMatrix(3, 0, ()))

@@ -24,11 +24,16 @@ The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
 Every public top-level name of a public module has a reader: a command or
 suite reaches it from the package's module-level code, README's code names
 it, the bench names it, or `READ_ONLY_BY_TESTS` gives the test that reads
-it.  A name read only by tests or by other unread names fails.
+it.  A name read only by tests or by other unread names fails.  So does a
+public method, property or static method of a class that no reached code
+reads as an attribute, that README's code and the bench never write after
+a dot, and that `READ_ONLY_BY_TESTS` does not list as `Class.member`.
 """
 
 import ast
+import copy
 import re
+import textwrap
 from pathlib import Path
 
 from twisted_satake.weyl import RelativeWeylGroup
@@ -37,9 +42,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twisted_satake"
 
 
-def _referenced_names(tree, skip):
+def _referenced_names(tree, skip, members=False):
     """Names read, attribute names and imported names in tree, outside the
-    nodes in skip."""
+    nodes in skip; with members, each attribute name also as `.attr`, the
+    class member that only an attribute read reaches."""
     names = set()
     stack = [tree]
     while stack:
@@ -50,6 +56,8 @@ def _referenced_names(tree, skip):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if members:
+                names.add("." + node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(node))
@@ -249,51 +257,81 @@ def test_every_value_field_is_read():
     assert [f"{cls}.{name}" for cls, name in found if name not in read] == []
 
 
-# Public names that only a test reads, each with that test.  The guard below
-# fails on an entry that is no longer defined or that something else reads.
+# Public names and class members that only a test reads, each with that
+# test; a member is written `Class.member`.  The guards below fail on an
+# entry that is no longer defined or that something else reads.
 READ_ONLY_BY_TESTS = {
     "adjoint_quotient": "tests/test_acceptance.py, criterion 5: the adjoint quotient of SU4",
     "fundamental_coweight_pairing": "tests/test_acceptance.py, criterion 5",
 }
 
 
-def _top_level():
-    """(public (module, name) pairs, definitions by name, names read by
-    module-level statements that define nothing).  `__init__.py` imports
-    to re-export, so it reads nothing; a private module has no public names."""
-    public, definitions, roots = [], {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+def _sources():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _methods(cls):
+    """The functions a class body defines, dunders aside: those are called
+    implicitly, so they are read with the class."""
+    return [node for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _top_level(trees):
+    """(public (module, name) pairs, public (module, class, member) triples,
+    definitions, names read by module-level statements that define nothing).
+    Definitions map a top-level name, or `.member` for a method of any
+    class, to (node, nodes to skip) pairs: a class is read without the
+    methods it defines, each of which is read only when it is reached.
+    `__init__.py` imports to re-export, so it reads nothing; a private
+    module has no public names."""
+    public, members, definitions, roots = [], [], {}, set()
+    for module, tree in trees.items():
+        if module == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text()).body:
+        stem = module.removesuffix(".py")
+        for stmt in tree.body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
+            methods = _methods(stmt) if isinstance(stmt, ast.ClassDef) else []
+            for method in methods:
+                definitions.setdefault("." + method.name, []).append((method, set()))
+                if not method.name.startswith("_"):
+                    members.append((stem, stmt.name, method.name))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
-                roots |= _referenced_names(stmt, set())
+                roots |= _referenced_names(stmt, set(), members=True)
                 continue
             for name in names:
-                definitions.setdefault(name, []).append(stmt)
-                if not name.startswith("_") and not path.name.startswith("_"):
-                    public.append((path.stem, name))
-    return public, definitions, roots
+                definitions.setdefault(name, []).append((stmt, set(methods)))
+                if not name.startswith("_") and not module.startswith("_"):
+                    public.append((stem, name))
+    return public, members, definitions, roots
 
 
 def _outside_readers():
     """Identifiers in README's code (fenced blocks and `spans`) and anywhere
-    in the bench's sources, which name traced functions in strings."""
+    in the bench's sources, which name traced functions in strings; an
+    identifier written after a dot also reads the member of that name."""
     readme = (ROOT / "README.md").read_text()
     code = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
     bench = [path.read_text() for path in sorted(ROOT.glob("bench/**/*.py"))]
-    return set(re.findall(r"\w+", " ".join(code + bench)))
+    text = " ".join(code + bench)
+    return set(re.findall(r"\w+", text)) | set(re.findall(r"\.\w+", text))
+
+
+def _listed(entries):
+    """READ_ONLY_BY_TESTS entries as the keys `_live` reaches."""
+    return {"." + entry.split(".")[1] if "." in entry else entry for entry in entries}
 
 
 def _live(definitions, roots):
-    """The top-level names reached from roots, each definition reached
+    """The names and `.member`s reached from roots, each definition reached
     reading on."""
     live, stack = set(), list(roots)
     while stack:
@@ -301,25 +339,159 @@ def _live(definitions, roots):
         if name in live or name not in definitions:
             continue
         live.add(name)
-        for stmt in definitions[name]:
-            stack.extend(_referenced_names(stmt, set()) - live)
+        for node, skip in definitions[name]:
+            stack.extend(_referenced_names(node, skip, members=True) - live)
     return live
+
+
+def _unread(trees, listed=READ_ONLY_BY_TESTS):
+    """Public names and members that nothing reaches but the entries in listed."""
+    public, members, definitions, roots = _top_level(trees)
+    live = _live(definitions, roots | _outside_readers() | _listed(listed))
+    return ([f"{module}.{name}" for module, name in public if name not in live],
+            [f"{cls}.{member}" for _module, cls, member in members if "." + member not in live])
 
 
 def test_every_public_name_has_a_reader():
     """Ship only what something reads: a public name whose only readers are
     tests moves to a test file, or is kept with its reader named in
     `READ_ONLY_BY_TESTS`."""
-    public, definitions, roots = _top_level()
-    assert len(public) > 100, "no public names found; is the source path right?"
-    live = _live(definitions, roots | _outside_readers() | set(READ_ONLY_BY_TESTS))
-    assert [f"{module}.{name}" for module, name in public if name not in live] == []
+    trees = _sources()
+    assert len(_top_level(trees)[0]) > 100, "no public names found; is the source path right?"
+    assert _unread(trees)[0] == []
+
+
+def test_every_public_member_has_a_reader():
+    """The same for the public methods, properties and static methods of
+    the package's classes: each is read as an attribute by code that
+    something reaches, by README's code or by the bench, or is listed.
+    Members are matched by name, so `IntMatrix.apply` also answers for a
+    method `apply` of another class."""
+    trees = _sources()
+    assert len(_top_level(trees)[1]) > 50, "no members found; is the source path right?"
+    assert _unread(trees)[1] == []
+
+
+def _plant(trees, module, cls, source):
+    """A copy of trees with the definitions in source added to class cls of
+    module, or to the module itself when cls is None."""
+    planted = dict(trees)
+    tree = copy.deepcopy(trees[module])
+    target = tree if cls is None else next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    target.body += ast.parse(textwrap.dedent(source)).body
+    planted[module] = tree
+    return planted
+
+
+def test_a_member_only_a_test_reads_is_reported():
+    """A method that nothing in the package, README or the bench reads is
+    reported, and so is a method that only it reads; listing the first
+    clears both.  A member entry is stale once the member is gone, when
+    something reads it, or when its class lacks it."""
+    planted = _plant(_sources(), "abelian.py", "FgAbelianGroup", """
+        def planted_unread(self):
+            return self.planted_helper()
+
+        def planted_helper(self):
+            return self.free_rank
+    """)
+    assert _unread(planted)[1] == ["FgAbelianGroup.planted_unread", "FgAbelianGroup.planted_helper"]
+    listed = {**READ_ONLY_BY_TESTS, "FgAbelianGroup.planted_unread": "a test"}
+    assert _unread(planted, listed) == ([], [])
+    assert _stale(planted, listed) == []
+    assert _stale(_sources(), listed) == ["FgAbelianGroup.planted_unread"]
+    stale = {"IntMatrix.apply": "a test", "IntMatrix.planted_unread": "a test"}
+    assert _stale(planted, listed | stale) == list(stale)
+
+
+# The members that only tests read before they left the package (to a test,
+# or deleted as a restatement), as they stood there.
+LEFT_THE_PACKAGE = {
+    ("abelian.py", "IntMatrix"): """
+        @staticmethod
+        def zero(n, m):
+            return IntMatrix(n, m, (0,) * (n * m))
+    """,
+    ("abelian.py", "FgAbelianGroup"): """
+        @property
+        def is_trivial(self):
+            return self.free_rank == 0 and not self.invariant_factors
+    """,
+    ("abelian.py", "QuotientPresentation"): """
+        def zero_class(self):
+            return self.normal_form((0,) * (len(self.free_slots) + len(self.torsion_slots)))
+
+        def add(self, c1, c2):
+            return self.normal_form(vec_add(self.coordinates(c1), self.coordinates(c2)))
+
+        def sub(self, c1, c2):
+            return self.normal_form(vec_sub(self.coordinates(c1), self.coordinates(c2)))
+
+        def scale(self, n, c):
+            return self.normal_form(vec_scale(n, self.coordinates(c)))
+    """,
+    ("rep.py", "WeightMultiset"): """
+        @property
+        def support(self):
+            return tuple(k for k, _m in self.entries)
+    """,
+    ("weyl.py", "WeylElement"): """
+        def apply(self, v):
+            return self.matrix.apply(v)
+
+        @functools.cached_property
+        def char_matrix(self):
+            return self.inverse_matrix.transpose()
+
+        def apply_char(self, chi):
+            return self.char_matrix.apply(chi)
+
+        @functools.cached_property
+        def inverse_matrix(self):
+            return self.matrix.inverse_unimodular()
+    """,
+    ("presets.py", None): """
+        @frozen
+        class AmbientEmbedding:
+            into_ambient: IntMatrix
+            from_ambient: IntMatrix
+
+            def to_internal(self, v):
+                return self.from_ambient.apply(v)
+
+            def to_ambient(self, v):
+                return self.into_ambient.apply(v)
+    """,
+}
+
+
+def test_members_that_left_the_package_are_reported():
+    """Planted back, each member that left is reported, but for those whose
+    name another reader shares: `add` (`set.add`, `operator.add`), `sub`
+    (`operator.sub`) and `WeylElement.apply` (`IntMatrix.apply`)."""
+    trees = _sources()
+    for (module, cls), source in LEFT_THE_PACKAGE.items():
+        trees = _plant(trees, module, cls, source)
+    assert _unread(trees) == (["presets.AmbientEmbedding"], [
+        "IntMatrix.zero", "FgAbelianGroup.is_trivial", "QuotientPresentation.zero_class",
+        "QuotientPresentation.scale", "AmbientEmbedding.to_internal", "AmbientEmbedding.to_ambient",
+        "WeightMultiset.support", "WeylElement.char_matrix", "WeylElement.apply_char",
+        "WeylElement.inverse_matrix",
+    ])
+
+
+def _stale(trees, listed):
+    """The entries of listed that are no public name or `Class.member` of
+    trees, or that something other than tests reads."""
+    public, members, definitions, roots = _top_level(trees)
+    live = _live(definitions, roots | _outside_readers())
+    known = {name for _module, name in public} | {f"{cls}.{m}" for _module, cls, m in members}
+    return [entry for entry in listed if entry not in known or _listed([entry]) <= live]
 
 
 def test_names_read_only_by_tests_are_listed_exactly():
-    """Each entry of `READ_ONLY_BY_TESTS` is a public name that nothing but
-    its test reads, so the list shrinks when a command starts reading one."""
-    public, definitions, roots = _top_level()
-    live = _live(definitions, roots | _outside_readers())
-    names = {name for _module, name in public}
-    assert [name for name in READ_ONLY_BY_TESTS if name not in names or name in live] == []
+    """Each entry of `READ_ONLY_BY_TESTS` is a public name, or a public
+    `Class.member`, that nothing but its test reads, so the list shrinks
+    when a command starts reading one."""
+    assert _stale(_sources(), READ_ONLY_BY_TESTS) == []

@@ -42,9 +42,9 @@ def test_coinvariants_have_torsion(u3_like):
     c = coinvariants(u3_like)
     assert c.quotient == FgAbelianGroup(1, (2,))
     # e1 + e3 = (1-gamma)e1 is a relation; e2's class is pure torsion.
-    assert c.class_of((1, 0, 1)) == c.zero_class()
+    assert c.class_of((1, 0, 1)) == ((0,), (0,))
     assert c.class_of((0, 1, 0)) == ((0,), (1,))
-    assert c.class_of((0, 2, 0)) == c.zero_class()
+    assert c.class_of((0, 2, 0)) == ((0,), (0,))
 
 
 def test_exact_sequence_with_torsion(u3_like):
@@ -57,7 +57,7 @@ def test_exact_sequence_with_torsion(u3_like):
 
 def test_order_sees_torsion(u3_like):
     c = coinvariants(u3_like)
-    zero = c.zero_class()
+    zero = ((0,), (0,))
     coroot_class = c.class_of((1, -1, 0))
     assert coroot_class == ((1,), (1,))
     assert leq(u3_like, zero, coroot_class) is not None

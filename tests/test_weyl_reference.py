@@ -7,7 +7,10 @@ the longest parabolic element by testing every element of the parabolic
 for negated simple roots, and the unit-class loops of the dominance
 substrate and of the folding recipe.  The sweep covers every fixed preset,
 its dual, SU7 and a datum whose coinvariants are Z + Z/2, on classes with
-negative free entries and torsion residues outside [0, d).
+negative free entries and torsion residues outside [0, d).  The
+contragredient action of a Weyl element on characters (`char_matrix`,
+`apply_char`), which only tests read, left `WeylElement` for this file;
+`test_rep.py`'s alternating-sum oracle reads it too.
 
 `ref_dominant_representative` is the W0 scan the chamber walk replaced;
 the walk is compared with it on the same sweep plus SU9, and two wrong
@@ -41,8 +44,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import abelian, coweights, suites
-from twisted_satake._value import fields
-from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot
+from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_add
 from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
@@ -137,9 +139,20 @@ def relative_orbit(self: RelativeWeylGroup, cls):
 # Reference implementations
 
 
+@functools.lru_cache(maxsize=None)
+def char_matrix(w):
+    """The contragredient action of the Weyl element w on the character
+    lattice: the transpose of its inverse."""
+    return w.matrix.inverse_unimodular().transpose()
+
+
+def apply_char(w, chi):
+    return char_matrix(w).apply(chi)
+
+
 def ref_act(t, w, cls):
     c = coinvariants(t)
-    return c.class_of(w.apply(c.lift(cls)))
+    return c.class_of(w.matrix.apply(c.lift(cls)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +202,7 @@ def ref_longest_parabolic_element(d, subset):
     candidates = [
         w
         for w in elements
-        if all(_is_negative_root(d, w.apply_char(d.simple_roots[i])) for i in subset)
+        if all(_is_negative_root(d, apply_char(w, d.simple_roots[i])) for i in subset)
     ]
     if len(candidates) != 1:
         raise InvariantViolation("parabolic longest element is not unique")
@@ -323,15 +336,15 @@ def test_iwahori_weyl_matches_reference(name):
         for y in elements:
             prod = iw_multiply(x, y)
             assert prod.finite.matrix == x.finite.matrix.mul(y.finite.matrix)
-            expected = c.add(ref_act(t, WeylElement(y.finite.inverse_matrix), x.translation),
-                             y.translation)
+            moved = ref_act(t, WeylElement(y.finite.matrix.inverse_unimodular()), x.translation)
+            expected = c.normal_form(vec_add(c.coordinates(moved), c.coordinates(y.translation)))
             assert prod.translation == expected
     for x in elements:
         inv = iw_inverse(x)
-        assert inv.finite.matrix == x.finite.inverse_matrix
+        assert inv.finite.matrix == x.finite.matrix.inverse_unimodular()
         assert inv.translation == c.neg(ref_act(t, x.finite, x.translation))
         for point in apartment_points(t):
-            moved = ref_free_matrix(t, x.finite.inverse_matrix).apply_frac(
+            moved = ref_free_matrix(t, x.finite.matrix.inverse_unimodular()).apply_frac(
                 tuple(Fraction(p) for p in point)
             )
             expected = tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))
@@ -460,7 +473,7 @@ def _mutated_walk(monkeypatch, mutate):
         reflections = tuple(
             mutate(kind, c, a) for kind, (c, a) in zip(rel.orbit_type, sub.reflections)
         )
-        kept = {name: getattr(sub, name) for name in fields(sub)}
+        kept = {name: getattr(sub, name) for name in type(sub).__annotations__}
         return type(sub)(**kept | {"reflections": reflections})
 
     monkeypatch.setattr(coweights, "_substrate", substrate)
@@ -625,7 +638,7 @@ def test_w0_orbit_matches_closure():
         c = coinvariants(t)
         for cls in sample_classes(t)[:6]:
             cls = c.normal_form(c.coordinates(cls))
-            assert suites._w0_orbit(w0, cls) == relative_orbit(w0, cls), (name, cls)
+            assert suites._w0_orbit(t, cls) == relative_orbit(w0, cls), (name, cls)
 
 
 def _mutant(monkeypatch, old, new):
