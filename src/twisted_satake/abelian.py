@@ -160,37 +160,6 @@ class IntMatrix:
     def is_unimodular(self):
         return self.rows == self.cols and self.determinant() in (1, -1)
 
-    def inverse_unimodular(self):
-        """Inverse of a unimodular matrix, exact and integral.
-
-        Integer Gauss-Jordan on [A | I]: Euclid's algorithm on row pairs
-        leaves the gcd of each pivot column in the pivot, and the block still
-        to be reduced keeps determinant +-1, so that gcd is 1 up to sign.
-        """
-        n = self.rows
-        if n != self.cols:
-            raise DimensionMismatch("inverse of non-square matrix")
-        det = self.determinant()
-        if det == 0:
-            raise ValueError("matrix is singular")
-        if det not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        a = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            for r in range(col + 1, n):
-                while a[r][col]:
-                    q = a[col][col] // a[r][col]
-                    a[col], a[r] = a[r], [x - q * y for x, y in zip(a[col], a[r])]
-            pv = a[col][col]
-            if pv not in (1, -1):
-                raise InvariantViolation("unimodular elimination left a pivot other than +-1")
-            a[col] = [pv * x for x in a[col]]
-            for r in range(n):
-                f = a[r][col]
-                if r != col and f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return IntMatrix(n, n, tuple(x for row in a for x in row[n:]))
-
 
 def _bareiss(a):
     """Fraction-free row echelon form of the rows a, in place: (rank, sign of

@@ -9,7 +9,10 @@ edges among a set of labels (`hasse_covers`); this module alone reads the
 order coordinates both come from.  Heights are measured by the pairing of
 the average with 2*rho, an exact rational that the dimension formulas force
 to be an integer on dominant classes; bounded enumeration reads them, and
-dominance, in integer arithmetic.
+dominance, in integer arithmetic.  W0 acts on class coordinates by one
+reflection row per orbit (`_w0_reflections`), checked once per datum
+against W0's descended generators; the chamber walk to a dominant
+representative steps by these rows alone.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .rootdatum import (
     full_root_system,
     rho_data,
 )
-from .weyl import WeylElement, dominant_walk, relative_weyl
+from .weyl import WeylElement, _descended, dominant_walk, relative_weyl
 
 
 class NonDominantError(ValueError):
@@ -94,10 +97,6 @@ class _Substrate:
     simple root per orbit) is an invertible map of the free coordinates,
     and |I| * height = sum_O N_O y_O.  `cone` holds (den, den times the free
     coordinates of each unit y_O, N_O); it is None with central directions.
-
-    Orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O =
-    (|O| / |I|) root_pairings[O[0]] pairs x with the sum of O's simple roots, and
-    a_O = m_O [coroot_O] with m_O = 2 for an adjacent pair (alpha_i + alpha_j), else 1.
     """
 
     group_order: int          # |I|
@@ -109,7 +108,6 @@ class _Substrate:
     order_lift: tuple         # per orbit O: V[O][i] * L / d_i for i < k
     order_scale: int          # L
     cone: tuple | None
-    reflections: tuple        # (c_O, a_O) per orbit
 
     def scaled_height(self, x):
         """(|I| <average, 2 rho>, whether the class is dominant) for the class
@@ -169,12 +167,39 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
         cone=_dominant_cone(
             r, tuple(root_pairings[orbit[0]] for orbit in rel.simple_orbit_list), heights
         ),
-        reflections=tuple(
-            (tuple(len(orbit) * x // group_order(t) for x in root_pairings[orbit[0]]),
-             tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
-            for orbit, kind, (free, torsion) in zip(rel.simple_orbit_list, rel.orbit_type, orbit_classes)
-        ),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _w0_reflections(t: TwistedRootDatum):
+    """W0's generators on class coordinates, one row pair (c_O, a_O) per orbit:
+    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O =
+    (|O| / |I|) root_pairings[O[0]] pairs x with the sum of O's simple roots, and
+    a_O = m_O [coroot_O] with m_O = 2 for an adjacent pair (alpha_i + alpha_j), else 1.
+
+    Built once per datum, and checked before it is returned: on every unit
+    class, each row's map must equal the descended matrix of its W0 generator
+    (`weyl._descended`), torsion entries modulo their invariant factors.  Both
+    maps are Z-linear and fix the torsion relations, so they then agree on
+    every class; a mismatch raises InvariantViolation.
+    """
+    sub = _substrate(t)
+    rel = relative_simple_roots(t)
+    c = coinvariants(t)
+    moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
+    rows = tuple(
+        (tuple(len(orbit) * x // sub.group_order for x in sub.root_pairings[orbit[0]]),
+         tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
+        for orbit, kind, (free, torsion)
+        in zip(rel.simple_orbit_list, rel.orbit_type, orbit_coroot_classes(t))
+    )
+    for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
+        m = _descended(t, g.matrix)
+        for j, p in enumerate(pairing):
+            image = (int(k == j) - p * x for k, x in enumerate(a))
+            if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
+                raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
+    return rows
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
@@ -202,16 +227,12 @@ CLASS_CACHE_SIZE = 2**16
 
 def _walk(t: TwistedRootDatum, x):
     """(coordinates of the dominant class in the W0-orbit of the class with
-    coordinates x, the chamber walk's word).  W0's generators, descended
-    once per datum, act on x along the word, and the end is checked dominant."""
-    sub = _substrate(t)
-    _point, word = dominant_walk(x, sub.reflections, len(full_root_system(t.base).positive))
-    descended = relative_weyl(t).descended_generators
-    for i in reversed(word):
-        x = descended[i].apply(x)
-    free, torsion = coinvariants(t).normal_form(x)
+    coordinates x, the chamber walk's word).  The walk steps by W0's
+    reflection rows, and the normal form of its end is checked dominant."""
+    point, word = dominant_walk(x, _w0_reflections(t), len(full_root_system(t.base).positive))
+    free, torsion = coinvariants(t).normal_form(point)
     x = free + torsion
-    if not sub.scaled_height(x)[1]:
+    if not _substrate(t).scaled_height(x)[1]:
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return x, word
 
@@ -219,8 +240,8 @@ def _walk(t: TwistedRootDatum, x):
 def dominant_representative(t: TwistedRootDatum, cls):
     """The dominant class in the W0-orbit of cls, with the chamber walk's element
     carrying cls onto it (not the first such element in closure order); the
-    class is read from the descended generators along the walk's word and
-    checked dominant.  The witness and the element are built on each call."""
+    class is the walk's end, checked dominant.  The witness and the element
+    are built on each call."""
     c = coinvariants(t)
     x, word = _walk(t, c.coordinates(cls))
     generators = relative_weyl(t).generators
@@ -364,7 +385,7 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
         return sorted(cls for cls in itertools.product(box, _torsion_combinations(c))
                       if _within(sub, c.coordinates(cls), bound))
     den, generators, weights = sub.cone
-    out = list(itertools.product(_walk_cone(den, generators, weights, bound),
+    out = list(itertools.product(_walk_cone(den, generators, weights, bound, c.quotient.free_rank),
                                  _torsion_combinations(c)))
     for cls in out:
         if not _within(sub, c.coordinates(cls), bound):

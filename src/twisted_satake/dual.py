@@ -30,9 +30,11 @@ from .abelian import IntMatrix, InvariantViolation, dot, integer_kernel_basis, q
 from .galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
+    _matrix_order,
     coinvariants,
     one_minus_gamma_columns,
     relative_simple_roots,
+    validate_twisted,
 )
 from .rootdatum import (
     BasedRootDatum,
@@ -117,11 +119,18 @@ def parse_profile(text: str) -> CoefficientProfile:
 
 @functools.lru_cache(maxsize=None)
 def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
-    """Dualize the base and transport each generator contragrediently."""
+    """Dualize the base and transport each generator contragrediently.  A
+    lattice map g of order k has inverse g^(k-1), from its order walk.  t is
+    validated first, so a datum built without `make` is refused as `make`
+    refuses it."""
+    validate_twisted(t)
     base = dualize(t.base)
     gens = tuple(
         DiagramAutomorphism(
-            lattice_map=g.lattice_map.inverse_unimodular().transpose(),
+            lattice_map=functools.reduce(
+                IntMatrix.mul, [g.lattice_map] * (_matrix_order(g.lattice_map) - 1),
+                IntMatrix.identity(t.rank),
+            ).transpose(),
             root_permutation=g.root_permutation,
         )
         for g in t.generators

@@ -342,12 +342,13 @@ def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=N
         )
 
     den, generators, weights = _dominant_cone(d.rank, d.simple_roots, two_rho)
-    return sorted(_walk_cone(den, generators, weights, max_height))
+    return sorted(_walk_cone(den, generators, weights, max_height, d.rank))
 
 
-def _walk_cone(den, generators, weights, budget):
+def _walk_cone(den, generators, weights, budget, length):
     """The integral points sum c_i generators[i] / den over integers c >= 0
-    with sum c_i weights[i] <= budget, in walk order.
+    with sum c_i weights[i] <= budget, in walk order; points have the given
+    length, so without generators the one point is zero.
 
     generators are den times the cone's generators, each weight is positive,
     and every c in the simplex is visited once.
@@ -367,5 +368,5 @@ def _walk_cone(den, generators, weights, budget):
             budget -= weights[i]
 
     if budget >= 0:
-        walk(0, (0,) * (len(generators[0]) if n else 0), budget)
+        walk(0, (0,) * length, budget)
     return out

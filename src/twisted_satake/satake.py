@@ -102,9 +102,8 @@ def strata_below(t: TwistedRootDatum, cls):
     x = c.coordinates(cls)
     h = _integral(_dominant_row(t, x, cls)[0], sub.group_order, "stratum dimension")
     basis = [c.coordinates(b) for b in orbit_coroot_classes(t)]
-    points = _walk_cone(1, basis, (1,) * len(basis), h // 2) if basis else [(0,) * len(x)]
     out = set()
-    for point in points:
+    for point in _walk_cone(1, basis, (1,) * len(basis), h // 2, len(x)):
         free, torsion = c.normal_form(vec_sub(x, point))
         if sub.scaled_height(free + torsion)[1]:
             out.add((free, torsion))

@@ -12,10 +12,11 @@ import itertools
 import random
 
 from ._value import frozen
-from .abelian import InvariantViolation
+from .abelian import InvariantViolation, dot
 from .coweights import (
     _has_invariant_central_direction,
     _substrate,
+    _w0_reflections,
     _walk,
     enumerate_dominant_classes,
 )
@@ -118,14 +119,15 @@ def _regular_orbit(d, permutations=()):
 
 
 def _w0_orbit(t, cls):
-    """The W0-orbit of a class, sorted: its closure under W0's generators,
-    descended to class coordinates once per datum."""
+    """The W0-orbit of a class, sorted: its closure under W0's reflection
+    rows x -> x - <c_O, x> a_O, checked once per datum."""
     c = coinvariants(t)
-    generators = relative_weyl(t).descended_generators
+    rows = _w0_reflections(t)
     orbit, frontier = {cls}, [cls]
     while frontier:
         x = c.coordinates(frontier.pop())
-        new = {c.normal_form(g.apply(x)) for g in generators} - orbit
+        new = {c.normal_form(tuple(v - dot(p, x) * b for v, b in zip(x, a)))
+               for p, a in rows} - orbit
         orbit |= new
         frontier += new
     return tuple(sorted(orbit))

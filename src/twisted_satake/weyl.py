@@ -1,4 +1,4 @@
-"""Absolute and relative Weyl groups: simple reflections, W0 and its action.
+"""Absolute and relative Weyl groups: simple reflections and W0.
 
 Weyl elements are stored as matrices acting on the cocharacter lattice, with
 optional words; equality is matrix equality.  The relative simple reflection
@@ -13,10 +13,11 @@ positive roots of a reduced root system (Macdonald, Math. Ann. 199, 1972;
 Kostant, Amer. J. Math. 81, 1959).  Groups are counted and walked here,
 never enumerated; the orbit oracle behind `verify` lives in `suites.py`.
 
-Every W0 element that reaches the coinvariants does so through one integer
-matrix on class coordinates (free..., torsion...), built once per (datum,
-map) by `_descended`; acting is one matrix-vector product with the torsion
-entries reduced by their invariant factors.
+An I-commuting lattice map reaches the coinvariants as one integer matrix
+on class coordinates (free..., torsion...), built by `_descended`.  W0
+acts on classes by reflection rows instead (`coweights._w0_reflections`),
+checked against its descended generators once per datum; the descended
+matrices serve only that check and the fold check below.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
 Reflection Groups and Coxeter Groups, 1.6-1.8).
@@ -119,7 +120,7 @@ def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
 
 @frozen
 class RelativeWeylGroup:
-    """W0 with one generator per simple-root orbit, acting on coinvariants."""
+    """W0 with one generator per simple-root orbit."""
 
     datum: TwistedRootDatum
     generators: tuple   # WeylElement per orbit
@@ -128,19 +129,7 @@ class RelativeWeylGroup:
     def order(self):
         return _weyl_order(self.datum.base, relative_simple_roots(self.datum).simple_orbit_list)
 
-    def act(self, w: WeylElement, cls):
-        """The descended action on a coinvariant class, read from the
-        cached integer map that w induces on class coordinates."""
-        return _descend(self.datum, w.matrix, cls)
 
-    @functools.cached_property
-    def descended_generators(self):
-        """Each generator's integer map on class coordinates (`_descended`),
-        built on first use."""
-        return tuple(_descended(self.datum, g.matrix) for g in self.generators)
-
-
-@functools.lru_cache(maxsize=None)
 def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
     """The integer matrix an I-commuting lattice map m induces on class
     coordinates (free..., torsion...): column j is the normal form of m
@@ -157,12 +146,6 @@ def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
     if any(any(col[:r]) for col in cols[r:]):
         raise InvariantViolation("a torsion class left the torsion subgroup")
     return IntMatrix.from_columns(cols, nrows=len(cols))
-
-
-def _descend(t: TwistedRootDatum, m: IntMatrix, cls):
-    """The normal form of the class m sends cls to."""
-    p = coinvariants(t)
-    return p.normal_form(_descended(t, m).apply(p.coordinates(cls)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -53,6 +53,7 @@ from test_presets import ambient_embedding
 from test_weyl_reference import (
     enumerate_absolute_weyl,
     fixed_weyl_subgroup,
+    ref_act,
     relative_elements,
     relative_orbit,
 )
@@ -225,7 +226,7 @@ def test_criterion_06_dimension_formulas():
             two_rho = rho_data(t.base).two_rho
             doms = enumerate_dominant_classes(t, 12, **_kwargs(name, 2))
             w0 = relative_weyl(t)
-            ball = sorted({w0.act(w, d) for d in doms for w in relative_elements(w0)})
+            ball = sorted({ref_act(t, w, d) for d in doms for w in relative_elements(w0)})
             from twisted_satake.galois import one_minus_gamma_columns
 
             rel_cols = one_minus_gamma_columns(t)

@@ -22,7 +22,7 @@ from twisted_satake.rootdatum import is_adjoint
 from twisted_satake.weyl import relative_weyl
 
 from test_presets import ambient_embedding
-from test_weyl_reference import relative_elements
+from test_weyl_reference import ref_act, relative_elements
 
 
 def su3_class(n):
@@ -78,7 +78,7 @@ class TestRepresentative:
             kwargs = {"coord_bound": 2} if name.startswith("torus") else {}
             for cls in enumerate_dominant_classes(t, 6, **kwargs)[:6]:
                 for w in relative_elements(w0):
-                    moved = w0.act(w, cls)
+                    moved = ref_act(t, w, cls)
                     assert dominant_representative(t, moved)[0].cls == cls, name
 
 

@@ -515,5 +515,5 @@ def test_dominant_cone_matches_fundamental_coweights(name):
         assert [n * ref_den for n in weights] == list(ref_heights)
         for h in (-1, 0, 1, 2, 7, 12):
             assert dominant_coweights_up_to_height(d, h) == sorted(
-                rootdatum._walk_cone(ref_den, scaled, ref_heights, ref_den * h)
+                rootdatum._walk_cone(ref_den, scaled, ref_heights, ref_den * h, d.rank)
             ), h

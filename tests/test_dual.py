@@ -1,6 +1,7 @@
 """Dual transport, fixed-group descriptors, rank-one cases, adjoint quotients."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -33,7 +34,34 @@ from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
 from twisted_satake.weyl import relative_weyl
 
+from test_linalg_reference import ref_inverse_unimodular, unimodular
 from test_weyl_reference import enumerate_absolute_weyl, fixed_weyl_subgroup
+
+DUAL_SWEEP = (
+    tuple(DEFAULT_PRESET_NAMES)
+    + tuple(f"{name}-dual" for name in DEFAULT_PRESET_NAMES)
+    + ("SU7", "SU9")
+)
+
+
+def dual_sweep_datum(name):
+    if name.endswith("-dual"):
+        return dual_twisted(preset(name[: -len("-dual")]))
+    return preset(name)
+
+
+def transport(t, p):
+    """t moved along the unimodular p: coroots p c, roots p^-T alpha, and
+    generators p g p^-1, so every pairing and pinning is kept."""
+    p_inv = ref_inverse_unimodular(p)
+    base = BasedRootDatum.make(
+        t.rank,
+        [p_inv.transpose().apply(alpha) for alpha in t.base.simple_roots],
+        [p.apply(c) for c in t.base.simple_coroots],
+    )
+    gens = [DiagramAutomorphism.make(p.mul(g.lattice_map).mul(p_inv), g.root_permutation)
+            for g in t.generators]
+    return TwistedRootDatum.make(base, gens)
 
 
 def _trial_division(n):
@@ -90,6 +118,31 @@ class TestDualTwisted:
     def test_dual_of_split_pgl2_is_sl2(self):
         d = dual_twisted(preset("PGL2"))
         assert d.base == preset("SL2").base
+
+    @pytest.mark.parametrize("name", DUAL_SWEEP)
+    def test_inverses_match_fraction_gauss_jordan(self, name):
+        """Each generator of the dual is the transposed inverse of the
+        datum's, by the oracle, and dualizing twice gives the datum back."""
+        t = dual_sweep_datum(name)
+        d = dual_twisted(t)
+        for g, h in zip(t.generators, d.generators):
+            assert h.lattice_map == ref_inverse_unimodular(g.lattice_map).transpose()
+            assert h.root_permutation == g.root_permutation
+        assert dual_twisted(d) == t
+
+    @pytest.mark.parametrize("name", DEFAULT_PRESET_NAMES)
+    def test_inverses_of_conjugated_generators(self, name):
+        """The same on seeded transports of each preset along unimodular P:
+        coroots P c, roots P^-T alpha, generators P g P^-1."""
+        t = preset(name)
+        rng = random.Random(f"conjugate:{name}")
+        for _ in range(4):
+            p = unimodular(rng, t.rank, steps=12, big=50)
+            moved = transport(t, p)
+            d = dual_twisted(moved)
+            for g, h in zip(moved.generators, d.generators):
+                assert h.lattice_map == ref_inverse_unimodular(g.lattice_map).transpose()
+            assert dual_twisted(d) == moved
 
 
 class TestFixedGroupDescriptor:

@@ -6,7 +6,8 @@ prefix, and a function-local import became a module-level one), and
 imported by the other reference tests:
 
 - `ref_inverse_unimodular`, the earlier `IntMatrix.inverse_unimodular`
-  (Gauss-Jordan over Q);
+  (Gauss-Jordan over Q), which left the package: `dual_twisted` inverts an
+  inertia map g of order k as g^(k-1);
 - `ref_independence`, the earlier independence test of
   `rootdatum.validate` (two `rational_solve` calls);
 - `rational_solve`, Gauss-Jordan elimination in `Fraction`s, and
@@ -16,9 +17,12 @@ imported by the other reference tests:
 - `invariant_subspace_dimension`, the rank of the invariant subspace by a
   Smith decomposition of the (1 - gamma) columns of its own.
 
-The integer inverse must agree on seeded unimodular matrices of sizes 0-8
-with entries above 2^64, and raise the same exception type and message on
-singular and non-unimodular ones; the U^-1 recorded by `smith_normal_form`
+The inverse `dual_twisted` reads from the order walk must agree with it on
+seeded finite-order maps of sizes 0-8 with entries above 2^64 (signed
+permutations conjugated by seeded unimodular matrices), and a torus datum
+whose inertia map the oracle refuses as singular or not unimodular must be
+refused by `dual_twisted` as `TwistedRootDatum.make` refuses it; the U^-1
+recorded by `smith_normal_form`
 must equal the oracle inverse of U, also for shapes with no rows or no
 columns; integer rank must decide independence as the oracle does.
 `membership_and_coordinates`, one Smith solve, must return what the
@@ -40,8 +44,9 @@ from twisted_satake.abelian import (
     membership_and_coordinates,
     smith_normal_form,
 )
-from twisted_satake.galois import TwistedRootDatum, one_minus_gamma_columns
-from twisted_satake.rootdatum import BasedRootDatum, require_valid, validate
+from twisted_satake.dual import dual_twisted
+from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum, one_minus_gamma_columns
+from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, require_valid, validate
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -215,6 +220,21 @@ def singular_or_not_unimodular(rng, n):
     return IntMatrix.from_rows(rows)
 
 
+def signed_permutation(rng, n):
+    """A seeded permutation matrix with seeded signs: finite order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return IntMatrix(n, n, tuple(signs[j] * (perm[j] == i) for i in range(n) for j in range(n)))
+
+
+def torus_with(m):
+    """The torus datum of rank m.rows with the one inertia map m, built
+    without `make`, so nothing has checked m."""
+    base = BasedRootDatum(rank=m.rows, simple_roots=(), simple_coroots=())
+    return TwistedRootDatum(base=base, generators=(DiagramAutomorphism(m, ()),))
+
+
 def outcome(fn, m):
     try:
         return ("ok", fn(m))
@@ -228,36 +248,48 @@ def outcome(fn, m):
 
 @pytest.mark.parametrize("n", range(9))
 def test_inverse_matches_fraction_gauss_jordan(n):
+    """The dual's inertia map is the transpose of g^(k-1), k the order of
+    g: on P g P^-1 for seeded signed permutations g and unimodular P, it is
+    the transposed Fraction Gauss-Jordan inverse."""
     rng = random.Random(9100 + n)
     large = False
     for _ in range(12):
-        m = unimodular(rng, n)
+        p = unimodular(rng, n)
+        m = p.mul(signed_permutation(rng, n)).mul(ref_inverse_unimodular(p))
         large = large or any(abs(x) > 2**64 for x in m.entries)
-        inv = m.inverse_unimodular()
+        inv = dual_twisted(torus_with(m)).generators[0].lattice_map.transpose()
         assert inv == ref_inverse_unimodular(m)
         assert m.mul(inv) == IntMatrix.identity(n)
     assert large or n < 2
 
 
+def _refusal(m):
+    """What `make` and `dual_twisted` raise for the torus datum with inertia map m."""
+    t = torus_with(m)
+    got = outcome(dual_twisted, t)
+    assert got == outcome(lambda t: TwistedRootDatum.make(t.base, t.generators), t)
+    return got
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_inverse_refusals_match_fraction_gauss_jordan(n):
+    """Where the oracle refuses a map as singular or not unimodular,
+    `dual_twisted` refuses a datum holding it, before any inverse."""
     rng = random.Random(9200 + n)
     kinds = set()
     for _ in range(20):
         m = singular_or_not_unimodular(rng, n)
-        got = outcome(IntMatrix.inverse_unimodular, m)
-        assert got == outcome(ref_inverse_unimodular, m)
-        assert got[0] is ValueError
-        kinds.add(got[1])
+        want = outcome(ref_inverse_unimodular, m)
+        assert want[0] is ValueError
+        kinds.add(want[1])
+        assert _refusal(m) == (InvalidDatumError, "lattice map is not unimodular")
     assert kinds == {"matrix is singular", "matrix is not unimodular"} or n == 1
 
 
 def test_zero_matrix_refusals():
-    for n in (1, 3):
-        m = IntMatrix(n, n, (0,) * (n * n))
-        assert outcome(IntMatrix.inverse_unimodular, m) == outcome(ref_inverse_unimodular, m)
-    m = IntMatrix.from_rows([[2]])
-    assert outcome(IntMatrix.inverse_unimodular, m) == (ValueError, "matrix is not unimodular")
+    for m in (IntMatrix(1, 1, (0,)), IntMatrix(3, 3, (0,) * 9), IntMatrix.from_rows([[2]])):
+        assert outcome(ref_inverse_unimodular, m)[0] is ValueError
+        assert _refusal(m) == (InvalidDatumError, "lattice map is not unimodular")
 
 
 SMITH_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4), (5, 2), (6, 7), (8, 3)]

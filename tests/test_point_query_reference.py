@@ -3,14 +3,21 @@ replaced.
 
 The reference functions below are the earlier request-path code, kept as
 oracles: each class is converted to coordinates each time it is read, the
-dominant representative is read from the walk's whole Weyl element
-descended by `weyl._descended` (one new matrix per class), "rep <= lam" is
-an `OrderCertificate` from `leq`, and corr rebuilds 2 rho_M from the
+dominant representative is read from the walk's whole Weyl element acting
+through lift -> apply -> class_of (one new matrix per class), "rep <= lam"
+is an `OrderCertificate` from `leq`, and corr rebuilds 2 rho_M from the
 positive roots on every call.  A seeded table over every default preset and
 SU7 compares answers, exception types and messages, and so does a seeded
-stream of 5,000 distinct SU7 classes.  Bounds check that point queries
-descend no matrix per class, that long chamber walks build no Weyl element
-and no Fraction, and that every per-class cache has a finite size.
+stream of 5,000 distinct SU7 classes.
+
+`ref_walk` is the chamber walk `coweights._walk` as it stood before it
+kept its own end point: it dropped the end of the walk by the reflection
+rows and replayed the word through W0's generators, descended to class
+coordinates once per datum.  The walk is compared with it on seeded classes
+of every default preset, SU7, SU9 and a datum whose coinvariants are
+Z + Z/2.  Bounds check that point queries descend no matrix per class, that
+a warm walk applies no matrix at all, that long chamber walks build no Weyl
+element and no Fraction, and that every per-class cache has a finite size.
 """
 
 import functools
@@ -28,6 +35,7 @@ from twisted_satake.coweights import (
     OrderCertificate,
     _class_row,
     _substrate,
+    _w0_reflections,
     dominant_representative,
     is_dominant_class,
 )
@@ -35,9 +43,15 @@ from twisted_satake.galois import coinvariants, relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import full_root_system, rho_data
 from twisted_satake.satake import ConvCell, MvCell, _integral, conv_cell, corr, mv_cell
-from twisted_satake.weyl import WeylElement, dominant_walk, relative_weyl
+from twisted_satake.weyl import WeylElement, _descended, dominant_walk, relative_weyl
+
+from test_weyl_reference import ref_act, u3_like
 
 DATA = DEFAULT_PRESET_NAMES + ("SU7",)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built on the point-query path")
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +82,40 @@ def _require_dominant(t, cls):
 
 
 def ref_dominant_representative(t, cls):
-    """The chamber walk's element, descended as one matrix per class."""
+    """The chamber walk's element, acting as one matrix per class."""
     x = coinvariants(t).coordinates(cls)
-    sub = _substrate(t)
     limit = len(full_root_system(t.base).positive)
-    _point, word = dominant_walk(x, sub.reflections, limit)
+    _point, word = dominant_walk(x, _w0_reflections(t), limit)
     w0 = relative_weyl(t)
     w = WeylElement(functools.reduce(IntMatrix.mul, (w0.generators[i].matrix for i in word),
                                      IntMatrix.identity(t.rank)), word=word)
-    witness = is_dominant_class(t, w0.act(w, coinvariants(t).normal_form(x)))
+    witness = is_dominant_class(t, ref_act(t, w, coinvariants(t).normal_form(x)))
     if witness is None:
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return witness, w
+
+
+@functools.lru_cache(maxsize=None)
+def descended_generators(t):
+    """Each W0 generator's integer map on class coordinates, as
+    `RelativeWeylGroup.descended_generators` built it once per datum."""
+    return tuple(_descended(t, g.matrix) for g in relative_weyl(t).generators)
+
+
+def ref_walk(t, x):
+    """(coordinates of the dominant class in the W0-orbit of the class with
+    coordinates x, the chamber walk's word).  W0's generators, descended
+    once per datum, act on x along the word, and the end is checked dominant."""
+    sub = _substrate(t)
+    _point, word = dominant_walk(x, _w0_reflections(t), len(full_root_system(t.base).positive))
+    descended = descended_generators(t)
+    for i in reversed(word):
+        x = descended[i].apply(x)
+    free, torsion = coinvariants(t).normal_form(x)
+    x = free + torsion
+    if not sub.scaled_height(x)[1]:
+        raise InvariantViolation("the chamber walk ended outside the dominant cone")
+    return x, word
 
 
 def ref_leq(t, lam, mu):
@@ -228,12 +264,54 @@ def test_dominant_representative_keeps_its_element():
             got = dominant_representative(t, cls)
             assert got == ref_dominant_representative(t, cls)
             assert got[1].word == ref_dominant_representative(t, cls)[1].word
-            assert relative_weyl(t).act(got[1], cls) == got[0].cls
+            assert ref_act(t, got[1], cls) == got[0].cls
 
 
-def test_point_queries_descend_no_matrix_per_class():
-    """W0's generators are descended once per datum; 500 mv queries on new
-    classes leave `weyl._descended` at its size after the first one."""
+WALK_DATA = {**{name: preset for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9")},
+             "u3-like": lambda _name: u3_like()}
+
+
+@pytest.mark.parametrize("name", WALK_DATA)
+def test_walk_matches_the_replayed_walk(name):
+    """The walk's own end point, in normal form, is the class the earlier
+    code read by replaying the word through the descended generators, on
+    seeded coordinates with negative entries and torsion entries outside
+    [0, d)."""
+    t = WALK_DATA[name](name)
+    c = coinvariants(t)
+    rng = random.Random(f"walk:{name}")
+    n = c.quotient.free_rank + len(c.quotient.invariant_factors)
+    for box in (1, 3, 10, 40) * 15:
+        x = tuple(rng.randint(-box, box) for _ in range(n))
+        assert coweights._walk(t, x) == ref_walk(t, x), x
+
+
+@pytest.mark.parametrize("name", ("SU7", "Spin8-triality", "u3-like"))
+def test_warm_walk_applies_no_matrix(monkeypatch, name):
+    """On a warm datum `coweights._walk` calls `IntMatrix.apply` zero times:
+    it steps by the reflection rows and reads their end point."""
+    t = WALK_DATA[name](name)
+    c = coinvariants(t)
+    rng = random.Random(f"warm:{name}")
+    n = c.quotient.free_rank + len(c.quotient.invariant_factors)
+    points = [tuple(rng.randint(-20, 20) for _ in range(n)) for _ in range(200)]
+    want = [ref_walk(t, x) for x in points]
+    calls = []
+    real_apply = IntMatrix.apply
+
+    def counting_apply(self, v):
+        calls.append(v)
+        return real_apply(self, v)
+
+    monkeypatch.setattr(IntMatrix, "apply", counting_apply)
+    assert [coweights._walk(t, x) for x in points] == want
+    assert calls == []
+
+
+def test_point_queries_descend_no_matrix_per_class(monkeypatch):
+    """W0's reflection rows are checked against the descended generators
+    once per datum; after the first query, 500 mv queries on new classes
+    answer with `weyl._descended` refused."""
     t = preset("SU7")
     rng = random.Random(500)
 
@@ -242,14 +320,10 @@ def test_point_queries_descend_no_matrix_per_class():
         return mv_cell(t, _random_class(t, rng), lam)
 
     query()
-    size = weyl._descended.cache_info().currsize
+    monkeypatch.setattr(weyl, "_descended", _refuse)
+    monkeypatch.setattr(coweights, "_descended", _refuse)
     cells = [query() for _ in range(500)]
-    assert weyl._descended.cache_info().currsize == size
     assert any(cell.nonempty for cell in cells) and not all(cell.nonempty for cell in cells)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("built on the point-query path")
 
 
 def _long_walks(t, rng, n, box=60, min_steps=7):

@@ -251,3 +251,12 @@ class TestDominantEnumeration:
             dominant_coweights_up_to_height(preset("torus-rank-1").base, 4)
         vs = dominant_coweights_up_to_height(preset("torus-rank-1").base, 4, coord_bound=2)
         assert vs == [(-2,), (-1,), (0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("length", [0, 1, 2])
+    def test_cone_walk_without_generators_is_the_zero_point(self, length):
+        """With no generators the simplex is one point, the zero vector of
+        the given length; a negative budget leaves nothing."""
+        for den in (1, 3):
+            assert rootdatum._walk_cone(den, [], (), 0, length) == [(0,) * length]
+            assert rootdatum._walk_cone(den, [], (), 5, length) == [(0,) * length]
+            assert rootdatum._walk_cone(den, [], (), -1, length) == []

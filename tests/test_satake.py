@@ -37,7 +37,7 @@ from twisted_satake.satake import (
 
 from test_dominance_reference import order_relations
 from test_presets import ambient_embedding
-from test_weyl_reference import relative_elements
+from test_weyl_reference import ref_act, relative_elements
 
 
 def dot_frac(u, v):
@@ -188,7 +188,7 @@ class TestMvCells:
         from twisted_satake.weyl import relative_weyl
 
         w0 = relative_weyl(t)
-        ball = sorted({w0.act(w, d) for d in doms for w in relative_elements(w0)})
+        ball = sorted({ref_act(t, w, d) for d in doms for w in relative_elements(w0)})
         for mu in ball:
             rep, _ = dominant_representative(t, mu)
             for lam in doms:
@@ -230,7 +230,7 @@ class TestConvCells:
         from twisted_satake.weyl import relative_weyl
 
         w0 = relative_weyl(t)
-        ball = sorted({w0.act(w, d) for d in doms for w in relative_elements(w0)})[:10]
+        ball = sorted({ref_act(t, w, d) for d in doms for w in relative_elements(w0)})[:10]
         for mu in ball:
             for mu2 in ball[:5]:
                 for lam in doms[:4]:

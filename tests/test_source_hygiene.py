@@ -19,7 +19,7 @@ read only in `coweights`, and no module lists all comparable pairs of the
 dominance order.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Every field of a value class is read by name somewhere.
 The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
-`RelativeWeylGroup.act` nor `two_rho_levi` except through a per-datum cache.
+`weyl._descended` nor `two_rho_levi` except through a per-datum cache.
 
 Every public top-level name of a public module has a reader: a command or
 suite reaches it from the package's module-level code, README's code names
@@ -160,14 +160,15 @@ def _cached(node):
 def test_point_queries_call_no_order_certificate_action_or_levi_sum():
     """From `mv_cell`, `conv_cell` and `corr`, every module-level function of
     the package they call, and what those call in turn, calls none of `leq`,
-    `act` and `two_rho_levi`.  The walk stops at an `lru_cache`d function:
-    a per-datum or per-class cache may build with them."""
+    `_descended` (a W0 generator's matrix on class coordinates) and
+    `two_rho_levi`.  The walk stops at an `lru_cache`d function: a per-datum
+    or per-class cache may build with them."""
     functions = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 functions.setdefault(node.name, []).append(node)
-    forbidden = {"leq", "act", "two_rho_levi"}
+    forbidden = {"leq", "_descended", "two_rho_levi"}
     found, seen = [], set()
     stack = [(name, name) for name in ("mv_cell", "conv_cell", "corr")]
     assert all(name in functions for _, name in stack)

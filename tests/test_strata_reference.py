@@ -49,7 +49,7 @@ def parent_strata_below(t, cls):
     basis = orbit_coroot_classes(t)
     unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     out = set()
-    for coeffs in _walk_cone(1, unit, (1,) * len(basis), h // 2):
+    for coeffs in _walk_cone(1, unit, (1,) * len(basis), h // 2, len(basis)):
         cur = cls
         for x, b in zip(coeffs, basis):
             cur = sub(c, cur, scale(c, x, b))

@@ -12,10 +12,14 @@ contragredient action of a Weyl element on characters (`char_matrix`,
 `apply_char`), which only tests read, left `WeylElement` for this file;
 `test_rep.py`'s alternating-sum oracle reads it too.
 
+W0 acts on classes by reflection rows (`coweights._w0_reflections`); every
+element of W0, applied along its word, must act as its matrix does through
+lift -> apply -> class_of.
 `ref_dominant_representative` is the W0 scan the chamber walk replaced;
-the walk is compared with it on the same sweep plus SU9, and two wrong
-reflections (no doubling for an adjacent pair, c_O with the wrong sign) must
-be caught rather than loop.
+the walk is compared with it on the same sweep plus SU9.  Three wrong
+reflection rows (no doubling for an adjacent pair, c_O with the wrong sign,
+a_O's torsion entry moved off its class) must each be refused by the rows'
+check against the descended generators before any walk answers.
 
 The breadth-first matrix closure below is the code `verify` read before it
 walked orbits: `_closure`, `enumerate_absolute_weyl` and
@@ -31,12 +35,13 @@ It is also the oracle for `suites._regular_orbit`, whose (|W|, |W^I|) must
 equal the closure's on the sweep and on every folded datum.  Three faults
 must each turn a `verify` record to FAIL: a walk that drops one orbit point,
 a fixed-point test that ignores one generator's permutation, and a W0
-generator replaced by the identity.
+generator's reflection row replaced by the identity.
 """
 
 import functools
 import inspect
 import itertools
+import sys
 import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +50,12 @@ import pytest
 
 from twisted_satake import abelian, coweights, suites
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_add
-from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
+from twisted_satake.coweights import (
+    _substrate,
+    _w0_reflections,
+    dominant_representative,
+    is_dominant_class,
+)
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
     DiagramAutomorphism,
@@ -70,6 +80,7 @@ from twisted_satake.weyl import (
 )
 
 from test_iwahori_weyl_reference import IwahoriWeylElement, iw_affine_action, iw_inverse, iw_multiply
+from test_linalg_reference import ref_inverse_unimodular
 
 # ---------------------------------------------------------------------------
 # The matrix closure
@@ -132,7 +143,7 @@ def relative_elements(self: RelativeWeylGroup):
 
 
 def relative_orbit(self: RelativeWeylGroup, cls):
-    return tuple(sorted({self.act(w, cls) for w in relative_elements(self)}))
+    return tuple(sorted({ref_act(self.datum, w, cls) for w in relative_elements(self)}))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +154,7 @@ def relative_orbit(self: RelativeWeylGroup, cls):
 def char_matrix(w):
     """The contragredient action of the Weyl element w on the character
     lattice: the transpose of its inverse."""
-    return w.matrix.inverse_unimodular().transpose()
+    return ref_inverse_unimodular(w.matrix).transpose()
 
 
 def apply_char(w, chi):
@@ -153,6 +164,18 @@ def apply_char(w, chi):
 def ref_act(t, w, cls):
     c = coinvariants(t)
     return c.class_of(w.matrix.apply(c.lift(cls)))
+
+
+def rows_act(t, w, cls):
+    """w's action on a class through W0's reflection rows, along its word
+    (the last letter acts first)."""
+    c = coinvariants(t)
+    x = c.coordinates(cls)
+    rows = _w0_reflections(t)
+    for i in reversed(w.word):
+        p, a = rows[i]
+        x = tuple(v - dot(p, x) * b for v, b in zip(x, a))
+    return c.normal_form(x)
 
 
 @dataclass(frozen=True)
@@ -215,7 +238,7 @@ def ref_dominant_representative(t, cls):
     w0 = relative_weyl(t)
     hits = []
     for w in relative_elements(w0):
-        image = w0.act(w, cls)
+        image = ref_act(t, w, cls)
         witness = is_dominant_class(t, image)
         if witness is not None:
             hits.append((witness, w))
@@ -314,11 +337,14 @@ def apartment_points(t):
 
 @pytest.mark.parametrize("name", SWEEP)
 def test_act_matches_lift_apply_class_of(name):
+    """Every element of W0 acts on classes through the reflection rows,
+    letter by letter along its word, as its matrix does through lift ->
+    apply -> class_of."""
     t = datum(name)
     w0 = relative_weyl(t)
     for w in relative_elements(w0):
         for cls in sample_classes(t):
-            assert w0.act(w, cls) == ref_act(t, w, cls), (w.word, cls)
+            assert rows_act(t, w, cls) == ref_act(t, w, cls), (w.word, cls)
 
 
 @pytest.mark.parametrize("name", SWEEP)
@@ -336,15 +362,15 @@ def test_iwahori_weyl_matches_reference(name):
         for y in elements:
             prod = iw_multiply(x, y)
             assert prod.finite.matrix == x.finite.matrix.mul(y.finite.matrix)
-            moved = ref_act(t, WeylElement(y.finite.matrix.inverse_unimodular()), x.translation)
+            moved = ref_act(t, WeylElement(ref_inverse_unimodular(y.finite.matrix)), x.translation)
             expected = c.normal_form(vec_add(c.coordinates(moved), c.coordinates(y.translation)))
             assert prod.translation == expected
     for x in elements:
         inv = iw_inverse(x)
-        assert inv.finite.matrix == x.finite.matrix.inverse_unimodular()
+        assert inv.finite.matrix == ref_inverse_unimodular(x.finite.matrix)
         assert inv.translation == c.neg(ref_act(t, x.finite, x.translation))
         for point in apartment_points(t):
-            moved = ref_free_matrix(t, x.finite.matrix.inverse_unimodular()).apply_frac(
+            moved = ref_free_matrix(t, ref_inverse_unimodular(x.finite.matrix)).apply_frac(
                 tuple(Fraction(p) for p in point)
             )
             expected = tuple(m - Fraction(f) for m, f in zip(moved, x.translation[0]))
@@ -384,18 +410,22 @@ def test_unit_lifts_match_reference_loops(name):
 
 
 def test_act_rejects_mismatched_class():
+    """The W0 action on classes, in the orbit walk and the chamber walk,
+    refuses a class of the wrong shape."""
     t = u3_like()
-    w0 = relative_weyl(t)
     for cls in (((1, 1), ()), ((1,), ()), ((), (1, 1))):
-        with pytest.raises(DimensionMismatch, match="class does not match this presentation"):
-            w0.act(relative_elements(w0)[-1], cls)
+        for act in (suites._w0_orbit, dominant_representative):
+            with pytest.raises(DimensionMismatch, match="class does not match this presentation"):
+                act(t, cls)
 
 
 def test_warm_action_makes_no_lift_or_class_of_calls(monkeypatch):
-    w0 = relative_weyl(preset("SU5"))
-    classes = sample_classes(w0.datum)
-    for w in relative_elements(w0):
-        w0.act(w, classes[-1])
+    """Once the datum is warm, the orbit walk and the chamber walk act on
+    class coordinates alone."""
+    t = preset("SU5")
+    classes = sample_classes(t)
+    suites._w0_orbit(t, classes[-1])
+    dominant_representative(t, classes[-1])
     calls = []
     presentation = abelian.QuotientPresentation
     real_lift, real_class_of = presentation.lift, presentation.class_of
@@ -410,9 +440,9 @@ def test_warm_action_makes_no_lift_or_class_of_calls(monkeypatch):
 
     monkeypatch.setattr(presentation, "lift", counting_lift)
     monkeypatch.setattr(presentation, "class_of", counting_class_of)
-    for w in relative_elements(w0):
-        for cls in classes:
-            w0.act(w, cls)
+    for cls in classes:
+        suites._w0_orbit(t, cls)
+        dominant_representative(t, cls)
     assert calls == []
 
 
@@ -426,7 +456,7 @@ def walk_classes(t):
     """The sample classes and their images under every element of W0."""
     w0 = relative_weyl(t)
     base = sample_classes(t)
-    return list(dict.fromkeys(base + [w0.act(w, cls) for w in relative_elements(w0) for cls in base[:4]]))
+    return list(dict.fromkeys(base + [ref_act(t, w, cls) for w in relative_elements(w0) for cls in base[:4]]))
 
 
 @pytest.mark.parametrize("name", WALK_SWEEP)
@@ -438,7 +468,7 @@ def test_dominant_representative_matches_w0_scan(name):
         witness, w = dominant_representative(t, cls)
         ref_witness, _ref_w = ref_dominant_representative(t, cls)
         assert witness == ref_witness, cls
-        assert w0.act(w, cls) == witness.cls, cls
+        assert ref_act(t, w, cls) == witness.cls, cls
         assert w.matrix in matrices, cls
 
 
@@ -451,7 +481,7 @@ def test_reflection_rows_match_descended_generators(name):
     sub = _substrate(t)
     n = len(sub.free_sums) + len(torsion)
     moduli = (0,) * len(sub.free_sums) + tuple(torsion)
-    for g, (c, a) in zip(relative_weyl(t).generators, sub.reflections):
+    for g, (c, a) in zip(relative_weyl(t).generators, _w0_reflections(t)):
         m = _descended(t, g.matrix)
         for j in range(n):
             unit = tuple(int(k == j) for k in range(n))
@@ -462,58 +492,35 @@ def test_reflection_rows_match_descended_generators(name):
             ), (g.word, j)
 
 
-def _mutated_walk(monkeypatch, mutate):
-    """The dominant class of the cells' chamber walk `coweights._walk`
-    (uncached), reading mutated reflections."""
-    real = coweights._substrate
-
-    def substrate(t):
-        sub = real(t)
-        rel = relative_simple_roots(t)
-        reflections = tuple(
-            mutate(kind, c, a) for kind, (c, a) in zip(rel.orbit_type, sub.reflections)
-        )
-        kept = {name: getattr(sub, name) for name in type(sub).__annotations__}
-        return type(sub)(**kept | {"reflections": reflections})
-
-    monkeypatch.setattr(coweights, "_substrate", substrate)
-
-    def walk(t, cls):
-        c = coinvariants(t)
-        return c.normal_form(coweights._walk(t, c.coordinates(cls))[0])
-
-    return walk
+# (source in `coweights._w0_reflections`, mutated source, the data it changes)
+REFLECTION_FAULTS = {
+    # a_O is not doubled for an adjacent pair
+    "_halve_adjacent": ('(2 if kind == "adjacent-pair" else 1) * x', "x", ("SU5", "SU7", "SU9")),
+    # c_O pairs with minus the sum of the orbit's simple roots
+    "_flip_pairing": ("(len(orbit) * x //", "(-len(orbit) * x //",
+                      ("SU5", "SU7", "SU9", "SU4", "Spin8-triality")),
+    # a_O's torsion entries move off their class
+    "_shift_torsion": ("* x for x in free + torsion))",
+                       "* x + (i >= len(free)) for i, x in enumerate(free + torsion)))", ("U3-like",)),
+}
 
 
-def _halve_adjacent(kind, c, a):
-    return c, (tuple(x // 2 for x in a) if kind == "adjacent-pair" else a)
-
-
-def _flip_pairing(kind, c, a):
-    return tuple(-x for x in c), a
-
-
-@pytest.mark.parametrize("mutate", [_halve_adjacent, _flip_pairing])
+@pytest.mark.parametrize("mutate", REFLECTION_FAULTS)
 def test_wrong_reflections_are_caught(monkeypatch, mutate):
-    """A wrong reflection raises InvariantViolation or gives a class the W0
-    scan disagrees with; the step limit keeps every walk finite."""
-    caught = 0
-    checked = 0
-    for name in ("SU5", "SU7", "SU9", "SU4", "Spin8-triality"):
+    """A wrong reflection row is refused by `_w0_reflections` with
+    InvariantViolation, so the chamber walk and the orbit walk answer
+    nothing from it."""
+    old, new, names = REFLECTION_FAULTS[mutate]
+    mutant = _mutant(monkeypatch, coweights._w0_reflections, old, new)
+    monkeypatch.setattr(suites, "_w0_reflections", mutant)
+    refused = r"^reflection row \d+ is not descended W0 generator \d+$"
+    for name in names:
         t = datum(name)
-        classes = walk_classes(t)
-        expected = [ref_dominant_representative(t, cls)[0].cls for cls in classes]
-        walk = _mutated_walk(monkeypatch, mutate)
-        for cls, want in zip(classes, expected):
-            checked += 1
-            try:
-                got = walk(t, cls)
-            except InvariantViolation:
-                caught += 1
-                continue
-            caught += got != want
-        monkeypatch.undo()
-    assert caught > 0, checked
+        cls = walk_classes(t)[-1]
+        with pytest.raises(InvariantViolation, match=refused):
+            coweights._walk(t, coinvariants(t).coordinates(cls))
+        with pytest.raises(InvariantViolation, match=refused):
+            suites._w0_orbit(t, cls)
 
 
 def _refuse_closure(*args, **kwargs):
@@ -527,6 +534,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     t = preset("SU11")
     relative_weyl.cache_clear()
     longest_parabolic_element.cache_clear()
+    coweights._w0_reflections.cache_clear()
     coweights._attractor_row.cache_clear()
     coweights._class_row.cache_clear()
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
@@ -641,14 +649,17 @@ def test_w0_orbit_matches_closure():
             assert suites._w0_orbit(t, cls) == relative_orbit(w0, cls), (name, cls)
 
 
-def _mutant(monkeypatch, old, new):
-    """Rebind `suites._regular_orbit` to its own source with `old` replaced
-    by `new`, compiled in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(suites._regular_orbit))
+def _mutant(monkeypatch, function, old, new):
+    """Rebind `function` in its module to its own source with `old` replaced
+    by `new`, compiled in the module's namespace (with a cache of its own,
+    if it has one); returns the rebound function."""
+    module = sys.modules[function.__module__]
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
-    namespace = dict(vars(suites))
-    exec(compile(source.replace(old, new), suites.__file__, "exec"), namespace)
-    monkeypatch.setattr(suites, "_regular_orbit", namespace["_regular_orbit"])
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
+    return namespace[function.__name__]
 
 
 def _failed(t, suite):
@@ -672,19 +683,18 @@ def test_walk_faults_fail_the_weyl_oracle(monkeypatch, name, fault):
     old, new, failing = WALK_FAULTS[fault]
     t = datum(name)
     assert _failed(t, "weyl-oracle") == []
-    _mutant(monkeypatch, old, new)
+    _mutant(monkeypatch, suites._regular_orbit, old, new)
     assert _failed(t, "weyl-oracle") == failing
 
 
 @pytest.mark.parametrize("name", ["Spin8-triality", "SU5", "SU3", "SU7"])
 def test_identity_generator_fails_the_orbits_suite(monkeypatch, name):
-    """With one W0 generator replaced by the identity, the orbits of a
-    proper subgroup still hold one dominant class each; at a regular class
-    they miss the antidominant chamber."""
+    """With one W0 generator's reflection row replaced by the identity
+    (c_O = 0), the orbits of a proper subgroup still hold one dominant class
+    each; at a regular class they miss the antidominant chamber."""
     t = datum(name)
     assert _failed(t, "orbits") == []
-    w0 = relative_weyl(t)
-    identity = WeylElement(matrix=IntMatrix.identity(t.rank), word=(0,))
-    faulty = RelativeWeylGroup(datum=t, generators=(identity,) + w0.generators[1:])
-    monkeypatch.setattr(suites, "relative_weyl", lambda _t: faulty)
+    rows = _w0_reflections(t)
+    identity = ((0,) * len(rows[0][0]), rows[0][1])
+    monkeypatch.setattr(suites, "_w0_reflections", lambda _t: (identity,) + rows[1:])
     assert _failed(t, "orbits") == ["ball-bijection"]
