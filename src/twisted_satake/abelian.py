@@ -532,9 +532,10 @@ def membership_and_coordinates(basis, v):
     m = IntMatrix.from_columns([[x * den for x in col] for col in basis])
     if len(v) != m.rows:
         raise DimensionMismatch("target length does not match the basis vectors")
-    if m.rank() < m.cols:
+    dec = smith_normal_form(m)
+    if dec.rank < m.cols:
         raise DependentBasisError("columns are linearly dependent over Q")
-    return solve_integer(smith_normal_form(m), [x * den for x in v])
+    return solve_integer(dec, [x * den for x in v])
 
 
 def integer_kernel_basis(m: IntMatrix):

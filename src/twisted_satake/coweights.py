@@ -9,10 +9,9 @@ edges among a set of labels (`hasse_covers`); this module alone reads the
 order coordinates both come from.  Heights are measured by the pairing of
 the average with 2*rho, an exact rational that the dimension formulas force
 to be an integer on dominant classes; bounded enumeration reads them, and
-dominance, in integer arithmetic.  W0 acts on class coordinates by one
-reflection row per orbit (`_w0_reflections`), checked once per datum
-against W0's descended generators; the chamber walk to a dominant
-representative steps by these rows alone.
+dominance, in integer arithmetic.  The chamber walk to a dominant
+representative steps by W0's reflection rows alone (`weyl._w0_reflections`,
+checked once per datum against W0's descended generators).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .rootdatum import (
     full_root_system,
     rho_data,
 )
-from .weyl import WeylElement, _descended, dominant_walk, relative_weyl
+from .weyl import WeylElement, _w0_reflections, dominant_walk, relative_weyl
 
 
 class NonDominantError(ValueError):
@@ -168,38 +167,6 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
             r, tuple(root_pairings[orbit[0]] for orbit in rel.simple_orbit_list), heights
         ),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_reflections(t: TwistedRootDatum):
-    """W0's generators on class coordinates, one row pair (c_O, a_O) per orbit:
-    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O =
-    (|O| / |I|) root_pairings[O[0]] pairs x with the sum of O's simple roots, and
-    a_O = m_O [coroot_O] with m_O = 2 for an adjacent pair (alpha_i + alpha_j), else 1.
-
-    Built once per datum, and checked before it is returned: on every unit
-    class, each row's map must equal the descended matrix of its W0 generator
-    (`weyl._descended`), torsion entries modulo their invariant factors.  Both
-    maps are Z-linear and fix the torsion relations, so they then agree on
-    every class; a mismatch raises InvariantViolation.
-    """
-    sub = _substrate(t)
-    rel = relative_simple_roots(t)
-    c = coinvariants(t)
-    moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
-    rows = tuple(
-        (tuple(len(orbit) * x // sub.group_order for x in sub.root_pairings[orbit[0]]),
-         tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
-        for orbit, kind, (free, torsion)
-        in zip(rel.simple_orbit_list, rel.orbit_type, orbit_coroot_classes(t))
-    )
-    for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
-        m = _descended(t, g.matrix)
-        for j, p in enumerate(pairing):
-            image = (int(k == j) - p * x for k, x in enumerate(a))
-            if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
-                raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
-    return rows
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:

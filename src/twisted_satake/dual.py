@@ -8,17 +8,14 @@ lattice X^*(s)_I is `coinvariants(dual_twisted(s))` (the cocharacter
 coinvariants of the dual datum) and the descended Weyl group is
 `relative_weyl(dual_twisted(s))`.  `fixed_group_descriptor(s)` adds what
 those do not say: smoothness, connectedness and, for registry presets and
-split data, the folded root datum produced by the standard recipe
-(orthogonal orbit: common root class with the summed coroots; adjacent
-pair: root class with the doubled summed coroots).  Registry membership is
-decided from the datum's structure alone.  On the request path the folded
-datum is checked by comparing generators, with no group enumerated: the
-descended matrix of each W0 generator on X^*(s)_I must equal the folded
-simple reflection there.
-W^I acts faithfully on X_I tensor Q, because 2rho^vee of the dual is I-fixed
-and regular, so equal generators give |W(folded)| = |W0| (`_check_fold`
-carries the proof).  The |W^I| oracle, a walk of the orbit of a regular
-point (`suites._regular_orbit`), runs in `verify <datum> weyl-oracle`.
+split data, the folded root datum.  Registry membership is decided from the
+datum's structure alone.  The folded datum is W0's reflection rows on
+X^*(s)_I (`weyl._w0_reflections` of the dual, checked once per datum
+against W0's descended longest elements): each orbit's folded simple
+reflection is its row, so |W(folded)| = |W0| holds by construction, with
+no group enumerated (`_fold_recipe` carries the proof).  The |W^I| oracle,
+a walk of the orbit of a regular point (`suites._regular_orbit`), runs in
+`verify <datum> weyl-oracle`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from __future__ import annotations
 import functools
 
 from ._value import frozen
-from .abelian import IntMatrix, InvariantViolation, dot, integer_kernel_basis, quotient_group
+from .abelian import IntMatrix, InvariantViolation, integer_kernel_basis, quotient_group
 from .galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
@@ -44,7 +41,7 @@ from .rootdatum import (
     dualize,
     require_valid,
 )
-from .weyl import _descended, relative_weyl, simple_reflection
+from .weyl import _w0_reflections
 
 
 # ---------------------------------------------------------------------------
@@ -182,59 +179,49 @@ def _classify_label(d: BasedRootDatum):
 
 def _fold_recipe(s: TwistedRootDatum):
     """The folded root datum of the fixed-point group of s, on the free part
-    of X^*(s)_I; None when torsion obstructs a based presentation."""
+    of X^*(s)_I; None when torsion obstructs a based presentation.
+
+    It is read from W0's reflection rows x -> x - <c_O, x> a_O on X^*(s)_I,
+    those of the dual datum.  Orbit O's folded root is the class of
+    alpha_{O[0]}, which every root of O must share; m_O is the integer with
+    a_O = m_O root_O, and the folded coroot is m_O c_O, so the folded simple
+    reflection of O is its row.  m_O is read from the checked row, never
+    from an orbit type: a wrong type would fold SU3 to the valid datum SL2
+    in place of PGL2, which no validity test sees.
+
+    So descended W0 and W(folded) are one subgroup of GL(X^*(s)_I), and
+    |W(folded)| = |W0| with no enumeration.  W0 lies in W^I, the
+    I-commuting part of the dual's Weyl group: its generators are products
+    of simple reflections and commute with I (`relative_weyl` checks both).
+    W^I acts faithfully on X_I tensor Q = (X tensor Q)^I: an element acting
+    trivially fixes the I-fixed vector 2rho^vee of the dual, which pairs to
+    2 with every simple root and so is regular, and only 1 fixes a regular
+    vector.  So descent is injective on W0, and |W0| = |descended W0| =
+    |W(folded)|.
+    """
     dual = dual_twisted(s)
     chars = coinvariants(dual)  # X^*(s)_I
     if chars.quotient.invariant_factors:
         return None
-    rel = relative_simple_roots(s)
-    r = chars.quotient.free_rank
+    rows = _w0_reflections(dual)
     folded_roots = []
     folded_coroots = []
-    for orbit, kind in zip(rel.simple_orbit_list, rel.orbit_type):
+    for o, (orbit, (pairing, a)) in enumerate(zip(relative_simple_roots(s).simple_orbit_list, rows)):
         root_class = chars.class_of(s.base.simple_roots[orbit[0]])
         for i in orbit[1:]:
             if chars.class_of(s.base.simple_roots[i]) != root_class:
                 raise InvariantViolation("orbit roots do not share a class")
-        folded_roots.append(root_class[0])
-        multiplier = 2 if kind == "adjacent-pair" else 1
-        kappa = [0] * s.rank
-        for i in orbit:
-            for idx in range(s.rank):
-                kappa[idx] += multiplier * s.base.simple_coroots[i][idx]
-        # Express the invariant functional <kappa, -> in free coordinates.
-        folded_coroots.append(tuple(dot(kappa, v) for v in chars.unit_lifts))
-    folded = BasedRootDatum.make(r, folded_roots, folded_coroots)
+        root = root_class[0]
+        m = next((y // x for x, y in zip(root, a) if x), None)
+        if m is None or tuple(m * x for x in root) != a:
+            raise InvariantViolation(f"reflection row {o} is no multiple of its folded root")
+        folded_roots.append(root)
+        folded_coroots.append(tuple(m * x for x in pairing))
+    folded = BasedRootDatum.make(chars.quotient.free_rank, folded_roots, folded_coroots)
     report = _validity_report(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
     return FoldedCartan(type_label=_classify_label(folded), datum=folded)
-
-
-def _check_fold(weyl, folded: FoldedCartan):
-    """Each W0 generator, descended to class coordinates of X^*(s)_I, must
-    equal the folded simple reflection of its orbit there: the transpose of
-    `simple_reflection(folded.datum, O)`, which acts on the cocharacter copy.
-
-    This implies |W(folded)| = |W0| with no enumeration.  Equal generators
-    make descended W0 and W(folded) one subgroup of GL(X^*(s)_I), up to the
-    transpose, which keeps orders.  W0 lies in W^I, the I-commuting part of
-    the dual's Weyl group: its generators are products of simple reflections
-    and commute with I (`relative_weyl` checks both).  W^I acts faithfully
-    on X_I tensor Q = (X tensor Q)^I: an element acting trivially fixes the
-    I-fixed vector 2rho^vee of the dual, which pairs to 2 with every simple
-    root and so is regular, and only 1 fixes a regular vector.  So descent
-    is injective on W0, and |W0| = |descended W0| = |W(folded)|.  The check
-    is strictly stronger than comparing orders: it also fails when the
-    folded simple roots or the W0 generators are permuted.
-    """
-    if len(weyl.generators) != folded.datum.num_simple:
-        raise InvariantViolation(
-            f"{folded.datum.num_simple} folded simple roots for {len(weyl.generators)} W0 generators"
-        )
-    for o, w in enumerate(weyl.generators):
-        if _descended(weyl.datum, w.matrix) != simple_reflection(folded.datum, o).matrix.transpose():
-            raise InvariantViolation(f"descended W0 generator {o} is not folded reflection {o}")
 
 
 def _registry_known(s: TwistedRootDatum) -> bool:
@@ -283,19 +270,16 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     Its torus X^*(s)_I and its Weyl group, the descended relative group, are
     `coinvariants` and `relative_weyl` of `dual_twisted(s)`; the descriptor
     does not hold them.  Folded Cartan data appear only for split actions
-    and data equal to a registry preset or its dual, where they must pass
-    `_check_fold` against that Weyl group; unknown foldings yield an absent
-    folded_cartan, never a guess.  The result depends on s and the profile
-    alone.
+    and data equal to a registry preset or its dual, where they are read
+    from that Weyl group's checked reflection rows (`_fold_recipe`); unknown
+    foldings yield an absent folded_cartan, never a guess.  The result
+    depends on s and the profile alone.
     """
-    weyl = relative_weyl(dual_twisted(s))
     adjacent = any(kind == "adjacent-pair" for kind in relative_simple_roots(s).orbit_type)
 
     folded = None
     if not s.generators or _registry_known(s):
         folded = _fold_recipe(s)
-        if folded is not None:
-            _check_fold(weyl, folded)
     smooth = profile.is_char0 or profile.ell != 2 or not adjacent
     if not smooth:
         # The fixed group fails smoothness here; its special fiber is the

@@ -16,7 +16,6 @@ from .abelian import InvariantViolation, dot
 from .coweights import (
     _has_invariant_central_direction,
     _substrate,
-    _w0_reflections,
     _walk,
     enumerate_dominant_classes,
 )
@@ -37,7 +36,7 @@ from .rep import (
 )
 from .rootdatum import dominant_coweights_up_to_height, dualize
 from .satake import component_of, component_parity, format_class
-from .weyl import _weyl_order, relative_weyl
+from .weyl import _w0_reflections, _weyl_order, relative_weyl
 
 SUITE_NAMES = ("exactness", "orbits", "parity", "weyl-oracle", "branching")
 

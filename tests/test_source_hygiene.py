@@ -20,6 +20,8 @@ dominance order.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Every field of a value class is read by name somewhere.
 The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
 `weyl._descended` nor `two_rho_levi` except through a per-datum cache.
+W0 on class coordinates is derived once: `_descended` is read only by
+`weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.
 
 Every public top-level name of a public module has a reader: a command or
 suite reaches it from the package's module-level code, README's code names
@@ -186,6 +188,24 @@ def test_point_queries_call_no_order_certificate_action_or_levi_sum():
                     elif called in functions:
                         stack.append((root, called))
     assert found == []
+
+
+def test_w0_on_classes_is_derived_once():
+    """`weyl._w0_reflections` is the one derivation of W0 on class
+    coordinates: no other function of the package reads `_descended`, no
+    module but `weyl` reads `simple_reflection`, and no module imports
+    either."""
+    trees = _sources()
+    descended = {(module, scope) for module, tree in trees.items()
+                 for scope in _enclosing_names(tree, "_descended")}
+    assert descended == {("weyl.py", "_w0_reflections")}
+    assert {module for module, tree in trees.items()
+            if _enclosing_names(tree, "simple_reflection")} == {"weyl.py"}
+    imported = [f"{module}:{node.lineno} {alias.name}"
+                for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in ("_descended", "simple_reflection")]
+    assert imported == []
 
 
 def test_class_slots_are_read_only_by_the_presentation():

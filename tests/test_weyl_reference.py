@@ -12,9 +12,12 @@ contragredient action of a Weyl element on characters (`char_matrix`,
 `apply_char`), which only tests read, left `WeylElement` for this file;
 `test_rep.py`'s alternating-sum oracle reads it too.
 
-W0 acts on classes by reflection rows (`coweights._w0_reflections`); every
+W0 acts on classes by reflection rows (`weyl._w0_reflections`); every
 element of W0, applied along its word, must act as its matrix does through
-lift -> apply -> class_of.
+lift -> apply -> class_of.  `ref_w0_reflections` is the earlier derivation
+of the rows in `coweights`, which read c_O from the dominance substrate's
+root pairings scaled by |O| / |I|; the rows must equal it on the sweep plus
+SU9, SU11, SU13 and their duals.
 `ref_dominant_representative` is the W0 scan the chamber walk replaced;
 the walk is compared with it on the same sweep plus SU9.  Three wrong
 reflection rows (no doubling for an adjacent pair, c_O with the wrong sign,
@@ -48,20 +51,16 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import abelian, coweights, suites
+from twisted_satake import abelian, coweights, suites, weyl
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_add
-from twisted_satake.coweights import (
-    _substrate,
-    _w0_reflections,
-    dominant_representative,
-    is_dominant_class,
-)
+from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
     coinvariants,
     group_sum,
+    orbit_coroot_classes,
     relative_simple_roots,
     split_twisted,
 )
@@ -73,6 +72,7 @@ from twisted_satake.weyl import (
     RelativeWeylGroup,
     WeylElement,
     _descended,
+    _w0_reflections,
     _weyl_order,
     longest_parabolic_element,
     relative_weyl,
@@ -176,6 +176,38 @@ def rows_act(t, w, cls):
         p, a = rows[i]
         x = tuple(v - dot(p, x) * b for v, b in zip(x, a))
     return c.normal_form(x)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_w0_reflections(t: TwistedRootDatum):
+    """W0's generators on class coordinates, one row pair (c_O, a_O) per orbit:
+    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O =
+    (|O| / |I|) root_pairings[O[0]] pairs x with the sum of O's simple roots, and
+    a_O = m_O [coroot_O] with m_O = 2 for an adjacent pair (alpha_i + alpha_j), else 1.
+
+    Built once per datum, and checked before it is returned: on every unit
+    class, each row's map must equal the descended matrix of its W0 generator
+    (`weyl._descended`), torsion entries modulo their invariant factors.  Both
+    maps are Z-linear and fix the torsion relations, so they then agree on
+    every class; a mismatch raises InvariantViolation.
+    """
+    sub = _substrate(t)
+    rel = relative_simple_roots(t)
+    c = coinvariants(t)
+    moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
+    rows = tuple(
+        (tuple(len(orbit) * x // sub.group_order for x in sub.root_pairings[orbit[0]]),
+         tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
+        for orbit, kind, (free, torsion)
+        in zip(rel.simple_orbit_list, rel.orbit_type, orbit_coroot_classes(t))
+    )
+    for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
+        m = _descended(t, g.matrix)
+        for j, p in enumerate(pairing):
+            image = (int(k == j) - p * x for k, x in enumerate(a))
+            if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
+                raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -311,7 +343,7 @@ def datum(name):
     if name == "U3-like":
         return u3_like()
     if name.endswith("-dual"):
-        return dual_twisted(preset(name[: -len("-dual")]))
+        return dual_twisted(datum(name[: -len("-dual")]))
     return preset(name)
 
 
@@ -492,16 +524,28 @@ def test_reflection_rows_match_descended_generators(name):
             ), (g.word, j)
 
 
-# (source in `coweights._w0_reflections`, mutated source, the data it changes)
+ROWS_SWEEP = WALK_SWEEP + ("SU11", "SU13", "SU9-dual", "SU11-dual", "SU13-dual", "SU7-dual",
+                          "U3-like-dual")
+
+
+@pytest.mark.parametrize("name", ROWS_SWEEP)
+def test_reflection_rows_match_reference(name):
+    """c_O read as <unit lift, sum of O's simple roots> is the substrate's
+    scaled root pairing it replaced, and a_O is unchanged."""
+    t = datum(name)
+    assert _w0_reflections(t) == ref_w0_reflections(t)
+
+
+# (source in `weyl._w0_reflections`, mutated source, the data it changes)
 REFLECTION_FAULTS = {
     # a_O is not doubled for an adjacent pair
     "_halve_adjacent": ('(2 if kind == "adjacent-pair" else 1) * x', "x", ("SU5", "SU7", "SU9")),
     # c_O pairs with minus the sum of the orbit's simple roots
-    "_flip_pairing": ("(len(orbit) * x //", "(-len(orbit) * x //",
+    "_flip_pairing": ("sum(dot(u, t.base", "-sum(dot(u, t.base",
                       ("SU5", "SU7", "SU9", "SU4", "Spin8-triality")),
     # a_O's torsion entries move off their class
-    "_shift_torsion": ("* x for x in free + torsion))",
-                       "* x + (i >= len(free)) for i, x in enumerate(free + torsion)))", ("U3-like",)),
+    "_shift_torsion": ("* x for x in free + torsion)",
+                       "* x + (i >= len(free)) for i, x in enumerate(free + torsion))", ("U3-like",)),
 }
 
 
@@ -511,7 +555,8 @@ def test_wrong_reflections_are_caught(monkeypatch, mutate):
     InvariantViolation, so the chamber walk and the orbit walk answer
     nothing from it."""
     old, new, names = REFLECTION_FAULTS[mutate]
-    mutant = _mutant(monkeypatch, coweights._w0_reflections, old, new)
+    mutant = _mutant(monkeypatch, weyl._w0_reflections, old, new)
+    monkeypatch.setattr(coweights, "_w0_reflections", mutant)
     monkeypatch.setattr(suites, "_w0_reflections", mutant)
     refused = r"^reflection row \d+ is not descended W0 generator \d+$"
     for name in names:
@@ -534,7 +579,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     t = preset("SU11")
     relative_weyl.cache_clear()
     longest_parabolic_element.cache_clear()
-    coweights._w0_reflections.cache_clear()
+    _w0_reflections.cache_clear()
     coweights._attractor_row.cache_clear()
     coweights._class_row.cache_clear()
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
