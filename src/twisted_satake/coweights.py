@@ -7,11 +7,11 @@ order compares classes through the free basis of coroot-orbit classes, with
 an explicit nonnegative-integer certificate (`leq`), and gives the Hasse
 edges among a set of labels (`hasse_covers`); this module alone reads the
 order coordinates both come from.  Heights are measured by the pairing of
-the average with 2*rho, an exact rational that the dimension formulas force
-to be an integer on dominant classes; bounded enumeration reads them, and
-dominance, in integer arithmetic.  The chamber walk to a dominant
-representative steps by W0's reflection rows alone (`weyl._w0_reflections`,
-checked once per datum against W0's descended generators).
+the average with 2*rho, an integer on every class.  Heights, dominance and
+bounded enumeration read the orbit rows c_O of `weyl._orbit_pairings`, in
+integer arithmetic.  The chamber walk to a dominant representative steps
+by W0's reflection rows alone (`weyl._w0_reflections`, checked once per
+datum against W0's descended generators).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .abelian import (
 from .galois import (
     TwistedRootDatum,
     coinvariants,
-    group_order,
-    group_sum,
     orbit_coroot_classes,
     relative_simple_roots,
 )
@@ -45,9 +43,8 @@ from .rootdatum import (
     _walk_cone,
     dominant_coweights_up_to_height,
     full_root_system,
-    rho_data,
 )
-from .weyl import WeylElement, _w0_reflections, dominant_walk, relative_weyl
+from .weyl import WeylElement, _orbit_pairings, _w0_reflections, dominant_walk, relative_weyl
 
 
 class NonDominantError(ValueError):
@@ -75,12 +72,13 @@ class _Substrate:
     read for one datum.
 
     Classes are read in the coordinates x = (free..., torsion...) that
-    `coinvariants(t).coordinates` gives.  The average
-    of a class is linear in them, with |I| times the average of unit class
-    j equal to the group sum of the presentation's `unit_lifts[j]`.  So |I|
-    times its pairings with the simple roots and with 2*rho are integer dot
-    products with fixed rows; the torsion entries of those rows are zero,
-    as torsion classes average to zero (checked on their group sums).
+    `coinvariants(t).coordinates` gives.  Dominance and heights are integer
+    dot products with the orbit rows c_O of `weyl._orbit_pairings`: for i
+    in the orbit O, <average, alpha_i> = <c_O, x> / |O|, so a class is
+    dominant exactly when every <c_O, x> >= 0.  As 2*rho = sum n_i alpha_i
+    with n_i = n_O constant on each orbit, <average, 2 rho> = sum_O n_O
+    <c_O, x>, an integer on every class.  The torsion entries of the rows
+    are zero, as torsion classes pair to zero (checked).
 
     The order solves mu - lam = sum c_O [coroot_O] on class coordinates,
     with U M V = D the Smith decomposition of M = [orbit coroot classes |
@@ -92,27 +90,24 @@ class _Substrate:
     (c(mu) - c(lam)) / L: the integer solution of the system, read without
     solving it per pair.
 
-    Without invariant central directions, y_O = |I| <average, alpha_O> (one
-    simple root per orbit) is an invertible map of the free coordinates,
-    and |I| * height = sum_O N_O y_O.  `cone` holds (den, den times the free
-    coordinates of each unit y_O, N_O); it is None with central directions.
+    Without invariant central directions, y_O = <c_O, x> is an invertible
+    map of the free coordinates, and height = sum_O n_O y_O.  `cone` holds
+    (den, den times the free coordinates of each unit y_O, n_O); it is None
+    with central directions.
     """
 
-    group_order: int          # |I|
-    free_sums: tuple          # sum_gamma gamma(lift e_j), per free basis class j
-    root_pairings: tuple      # per simple root alpha_i: |I| <average of basis class, alpha_i>
-    heights: tuple            # |I| <average of basis class, 2 rho>, per basis class
+    pairings: tuple           # c_O per simple-root orbit O, per basis class
+    heights: tuple            # sum_O n_O c_O: <average of basis class, 2 rho>
     order_rows: tuple         # the rows of U
     order_moduli: tuple       # d_i for i < k
     order_lift: tuple         # per orbit O: V[O][i] * L / d_i for i < k
     order_scale: int          # L
     cone: tuple | None
 
-    def scaled_height(self, x):
-        """(|I| <average, 2 rho>, whether the class is dominant) for the class
-        with coordinates x: integer dot products with the rows."""
-        dominant = all([sum(map(operator.mul, row, x)) >= 0 for row in self.root_pairings])
-        return dot(self.heights, x), dominant
+    def dominant(self, x):
+        """Is the class with coordinates x dominant?  Integer dot products
+        with the orbit rows."""
+        return all([sum(map(operator.mul, row, x)) >= 0 for row in self.pairings])
 
     def order_coordinates(self, x):
         """(order key, L-scaled orbit coordinates) of the class with coordinates x."""
@@ -128,13 +123,14 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     c = coinvariants(t)
     r, factors = c.quotient.free_rank, c.quotient.invariant_factors
     s = len(factors)
-    sums = [group_sum(t, v) for v in c.unit_lifts]
-    if any(any(v) for v in sums[r:]):
-        raise InvariantViolation("a torsion class has a nonzero average")
-    free_sums = tuple(sums[:r])
-
-    def row(chi):
-        return tuple(dot(v, chi) for v in free_sums) + (0,) * s
+    pairings = _orbit_pairings(t)
+    if any(any(row[r:]) for row in pairings):
+        raise InvariantViolation("a c_O row has a nonzero torsion entry")
+    roots = full_root_system(t.base)
+    # n_O, the simple coordinate of 2 rho on each orbit O
+    n = [sum(roots.simple_coordinates(root)[orbit[0]] for root, _ in roots.positive)
+         for orbit in relative_simple_roots(t).simple_orbit_list]
+    heights = tuple(sum(n_o * row[j] for n_o, row in zip(n, pairings)) for j in range(r + s))
 
     # mu - lam = sum c_O [coroot_O] in X_*(T)_I is an integer system on class
     # coordinates once each torsion coordinate may move by its invariant factor.
@@ -151,40 +147,33 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
         tuple(system.V[o, i] * (scale // d) for i, d in enumerate(diagonal))
         for o in range(len(orbit_classes))
     )
-    root_pairings = tuple(row(alpha) for alpha in t.base.simple_roots)
-    heights = row(rho_data(t.base).two_rho)
-    rel = relative_simple_roots(t)
     return _Substrate(
-        group_order=group_order(t),
-        free_sums=free_sums,
-        root_pairings=root_pairings,
+        pairings=pairings,
         heights=heights,
         order_rows=tuple(system.U.row(i) for i in range(r + s)),
         order_moduli=diagonal,
         order_lift=order_lift,
         order_scale=scale,
-        cone=_dominant_cone(
-            r, tuple(root_pairings[orbit[0]] for orbit in rel.simple_orbit_list), heights
-        ),
+        cone=_dominant_cone(r, pairings, heights),
     )
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
-    """<average lift, 2 rho>; integral on dominant classes (tested)."""
-    sub = _substrate(t)
-    return Fraction(dot(sub.heights, coinvariants(t).coordinates(cls)), sub.group_order)
+    """<average lift, 2 rho>, an integer on every class (a Fraction with
+    denominator 1)."""
+    return Fraction(dot(_substrate(t).heights, coinvariants(t).coordinates(cls)))
 
 
 def is_dominant_class(t: TwistedRootDatum, cls):
-    """The DominantClass witness, or None."""
-    sub = _substrate(t)
+    """The DominantClass witness, or None.  The certificate's entry for an
+    absolute simple root i in the orbit O is <average, alpha_i> = <c_O, x> / |O|."""
     x = coinvariants(t).coordinates(cls)
-    pairings = [dot(row, x) for row in sub.root_pairings]
+    pairings = [dot(row, x) for row in _substrate(t).pairings]
     if any(p < 0 for p in pairings):
         return None
-    return DominantClass(
-        cls=cls, certificate=tuple(Fraction(p, sub.group_order) for p in pairings)
-    )
+    by_root = {i: Fraction(p, len(orbit)) for orbit, p
+               in zip(relative_simple_roots(t).simple_orbit_list, pairings) for i in orbit}
+    return DominantClass(cls=cls, certificate=tuple(v for _i, v in sorted(by_root.items())))
 
 
 # Each per-class cache keeps at most this many entries: a session of distinct
@@ -199,7 +188,7 @@ def _walk(t: TwistedRootDatum, x):
     point, word = dominant_walk(x, _w0_reflections(t), len(full_root_system(t.base).positive))
     free, torsion = coinvariants(t).normal_form(point)
     x = free + torsion
-    if not _substrate(t).scaled_height(x)[1]:
+    if not _substrate(t).dominant(x):
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return x, word
 
@@ -219,7 +208,7 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _attractor_row(t: TwistedRootDatum, x):
-    """(|I| <average, 2 rho> of the class with coordinates x, order key,
+    """(<average, 2 rho> of the class with coordinates x, order key,
     L-scaled order coordinates of its dominant representative), keyed on
     checked class coordinates as `_class_row` is."""
     sub = _substrate(t)
@@ -228,15 +217,15 @@ def _attractor_row(t: TwistedRootDatum, x):
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_row(t: TwistedRootDatum, x):
-    """(|I| <average, 2 rho>, dominance, order key, L-scaled order
-    coordinates) of the class with coordinates x, keyed on checked class
-    coordinates: a class key would equate 2.0 with 2."""
+    """(<average, 2 rho>, dominance, order key, L-scaled order coordinates)
+    of the class with coordinates x, keyed on checked class coordinates: a
+    class key would equate 2.0 with 2."""
     sub = _substrate(t)
-    return sub.scaled_height(x) + sub.order_coordinates(x)
+    return (dot(sub.heights, x), sub.dominant(x)) + sub.order_coordinates(x)
 
 
 def _attractor(t: TwistedRootDatum, x, key, coords):
-    """(|I| <average, 2 rho> of the class with coordinates x, whether its
+    """(<average, 2 rho> of the class with coordinates x, whether its
     dominant representative lies below the class with the given order key
     and coordinates): one cached row and one entrywise comparison."""
     h, rep_key, rep = _attractor_row(t, x)
@@ -306,7 +295,7 @@ def _project(t: TwistedRootDatum, v):
         raise NonDominantError(f"{v} is not a dominant coweight")
     c = coinvariants(t)
     cls = c.class_of(v)
-    if not _substrate(t).scaled_height(c.coordinates(cls))[1]:
+    if not _substrate(t).dominant(c.coordinates(cls)):
         raise InvariantViolation("projection of a dominant coweight must be dominant")
     return cls
 
@@ -329,12 +318,12 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     """All dominant classes with <average, 2 rho> <= max_height, sorted.
 
     Without invariant central directions the free coordinates are a linear
-    bijection of y = (|I| <average, alpha_O>)_O over the simple-root orbits,
-    and |I| * height = sum_O N_O y_O, so the search walks the simplex y >= 0,
-    sum_O N_O y_O <= |I| * max_height, keeps the integral points, and pairs
-    each with every torsion combination; every class it returns is
-    re-checked.  Data with invariant central directions (tori, GL-like
-    lattices) need an explicit coord_bound: a free-coordinate box is scanned.
+    bijection of y = (<c_O, x>)_O over the simple-root orbits, and height =
+    sum_O n_O y_O, so the search walks the simplex y >= 0, sum_O n_O y_O <=
+    max_height, keeps the integral points, and pairs each with every torsion
+    combination; every class it returns is re-checked.  Data with invariant
+    central directions (tori, GL-like lattices) need an explicit
+    coord_bound: a free-coordinate box is scanned.
     max_height and coord_bound are integers (an int, or a Fraction with
     denominator 1); a float or a bool is refused with ValueError("not an
     integer entry: ..."), and a negative coord_bound with ValueError too.
@@ -343,28 +332,27 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     coord_bound = _coord_bound(coord_bound)
     c = coinvariants(t)
     sub = _substrate(t)
-    bound = sub.group_order * max_height
     if sub.cone is None:
         if coord_bound is None:
             raise ValueError("datum has invariant central directions; "
                              "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.quotient.free_rank)
         return sorted(cls for cls in itertools.product(box, _torsion_combinations(c))
-                      if _within(sub, c.coordinates(cls), bound))
+                      if _within(sub, c.coordinates(cls), max_height))
     den, generators, weights = sub.cone
-    out = list(itertools.product(_walk_cone(den, generators, weights, bound, c.quotient.free_rank),
-                                 _torsion_combinations(c)))
+    out = list(itertools.product(
+        _walk_cone(den, generators, weights, max_height, c.quotient.free_rank),
+        _torsion_combinations(c)))
     for cls in out:
-        if not _within(sub, c.coordinates(cls), bound):
+        if not _within(sub, c.coordinates(cls), max_height):
             raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
 
 
 def _within(sub, x, bound):
-    """Is the class with coordinates x dominant with |I| <average, 2 rho> <= bound?"""
-    h, dominant = sub.scaled_height(x)
-    return h <= bound and dominant
+    """Is the class with coordinates x dominant with <average, 2 rho> <= bound?"""
+    return sub.dominant(x) and dot(sub.heights, x) <= bound
 
 
 def dominant_image_monoid(t: TwistedRootDatum, max_height, coord_bound=None):

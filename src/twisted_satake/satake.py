@@ -1,8 +1,8 @@
 """Schubert combinatorics of the twisted affine Grassmannian.
 
 Strata are dominant coinvariant classes graded by the pairing of the
-average lift with 2*rho (an exact rational which the dimension theorem
-forces to be a nonnegative integer, read in integer arithmetic); closures
+average lift with 2*rho (an integer on every class, read from the orbit
+rows of `coweights`, and asserted nonnegative on dominant classes); closures
 are computed by the coroot-orbit dominance order, whose Hasse edges
 `coweights.hasse_covers` reads from each label's order coordinates;
 components by the Kottwitz class.  Cell dimensions for the attractor
@@ -38,7 +38,7 @@ from .rootdatum import _walk_cone, rho_data
 
 
 def _dominant_row(t, x, cls):
-    """(|I| <average, 2 rho>, order key, order coordinates) of the class cls
+    """(<average, 2 rho>, order key, order coordinates) of the class cls
     with coordinates x, read from its cached row; NonDominantError when it
     is not dominant."""
     h, dominant, key, coords = _class_row(t, x)
@@ -71,8 +71,7 @@ def component_of(t: TwistedRootDatum, cls) -> tuple:
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     """The stratum attached to a dominant class, with its exact dimension."""
-    h = _dominant_row(t, coinvariants(t).coordinates(cls), cls)[0]
-    dim = _integral(h, _substrate(t).group_order, "stratum dimension")
+    dim = _dominant_row(t, coinvariants(t).coordinates(cls), cls)[0]
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
     return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
@@ -100,12 +99,12 @@ def strata_below(t: TwistedRootDatum, cls):
     c = coinvariants(t)
     sub = _substrate(t)
     x = c.coordinates(cls)
-    h = _integral(_dominant_row(t, x, cls)[0], sub.group_order, "stratum dimension")
+    h = _dominant_row(t, x, cls)[0]
     basis = [c.coordinates(b) for b in orbit_coroot_classes(t)]
     out = set()
     for point in _walk_cone(1, basis, (1,) * len(basis), h // 2, len(x)):
         free, torsion = c.normal_form(vec_sub(x, point))
-        if sub.scaled_height(free + torsion)[1]:
+        if sub.dominant(free + torsion):
             out.add((free, torsion))
     return sorted(out)
 
@@ -163,7 +162,7 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     if not below:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
     return MvCell(mu=mu, lam=lam, nonempty=True,
-                  dim=_integral(h_lam + h_mu, 2 * _substrate(t).group_order, "cell half-pairing"))
+                  dim=_integral(h_lam + h_mu, 2, "cell half-pairing"))
 
 
 @frozen
@@ -190,7 +189,7 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
     return ConvCell(
         mu=mu, mu2=mu2, lam=lam, lam2=lam2,
-        nonempty=True, dim=_integral(h, 2 * _substrate(t).group_order, "convolution half-pairing"),
+        nonempty=True, dim=_integral(h, 2, "convolution half-pairing"),
     )
 
 
@@ -207,19 +206,20 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
                         or levi_orbits[-1] >= relative_simple_roots(t).relative_rank):
         raise DimensionMismatch("Levi orbit index out of range")
     free, _torsion = coinvariants(t).class_of(v)
-    value = dot(_corr_row(t, levi_orbits), free)
-    return _integral(value, _substrate(t).group_order, "corr value")
+    return dot(_corr_row(t, levi_orbits), free)
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _corr_row(t: TwistedRootDatum, levi_orbits):
-    """|I| <average of each free unit class, 2 rho - 2 rho_M> for the Levi of
-    the sorted orbit indices, in range; torsion classes average to zero."""
+    """<lift of each free unit class, 2 rho - 2 rho_M> for the Levi of the
+    sorted orbit indices, in range.  The character is I-invariant, so any
+    lift gives the pairing of the average, and torsion classes pair to zero."""
     rel = relative_simple_roots(t)
     subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
     rd = rho_data(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
-    return tuple(dot(v, shift) for v in _substrate(t).free_sums)
+    c = coinvariants(t)
+    return tuple(dot(v, shift) for v in c.unit_lifts[: c.quotient.free_rank])
 
 
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):

@@ -176,8 +176,8 @@ def _suite_orbits(t):
     # A whole orbit meets the antidominant chamber too (by the longest
     # element); the orbit of a proper subgroup misses it at a regular class.
     for orb in orbits:
-        n_dom = sum(sub.scaled_height(c.coordinates(x))[1] for x in orb)
-        n_anti = sum(sub.scaled_height(c.coordinates(c.neg(x)))[1] for x in orb)
+        n_dom = sum(sub.dominant(c.coordinates(x)) for x in orb)
+        n_anti = sum(sub.dominant(c.coordinates(c.neg(x))) for x in orb)
         if (n_dom, n_anti) != (1, 1):
             ok = False
             detail = f"orbit {orb} holds {n_dom} dominant and {n_anti} antidominant classes"

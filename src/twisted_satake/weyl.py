@@ -19,7 +19,9 @@ acts on classes by one reflection row per orbit (`_w0_reflections`),
 checked against the descended longest elements once per datum; this is
 the only derivation of W0 on class coordinates.  The chamber walk to a
 dominant class, the orbit walk of `verify` and the folded datum of
-`dual` all read these rows.
+`dual` all read these rows.  Their pairings c_O (`_orbit_pairings`, not
+cached and not checked) are also the rows that heights and dominance
+read in `coweights`, which need no W0.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
 Reflection Groups and Coxeter Groups, 1.6-1.8).
@@ -163,13 +165,23 @@ def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
     return RelativeWeylGroup(datum=t, generators=tuple(gens))
 
 
+def _orbit_pairings(t: TwistedRootDatum):
+    """c_O per simple-root orbit O: each unit class's lift paired with the
+    sum of O's simple roots.  That character is I-invariant, so any lift
+    gives the same pairing, and torsion classes pair to zero.  For i in O,
+    <average, alpha_i> = <c_O, x> / |O| on the class with coordinates x."""
+    lifts = coinvariants(t).unit_lifts
+    return tuple(
+        tuple(sum(dot(u, t.base.simple_roots[i]) for i in orbit) for u in lifts)
+        for orbit in relative_simple_roots(t).simple_orbit_list
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _w0_reflections(t: TwistedRootDatum):
     """W0's generators on class coordinates, one row pair (c_O, a_O) per orbit:
-    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, where c_O
-    pairs each unit class's lift with the sum of O's simple roots (an
-    I-invariant character, so any lift gives the same pairing, and torsion
-    classes pair to zero), and a_O = m_O [coroot_O] with m_O = 2 for an
+    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, with c_O
+    from `_orbit_pairings` and a_O = m_O [coroot_O], where m_O = 2 for an
     adjacent pair (alpha_i + alpha_j), else 1.
 
     Built once per datum, and checked before it is returned: on every unit
@@ -182,10 +194,9 @@ def _w0_reflections(t: TwistedRootDatum):
     c = coinvariants(t)
     moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
     rows = tuple(
-        (tuple(sum(dot(u, t.base.simple_roots[i]) for i in orbit) for u in c.unit_lifts),
-         tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
-        for orbit, kind, (free, torsion)
-        in zip(rel.simple_orbit_list, rel.orbit_type, orbit_coroot_classes(t))
+        (pairing, tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
+        for pairing, kind, (free, torsion)
+        in zip(_orbit_pairings(t), rel.orbit_type, orbit_coroot_classes(t))
     )
     for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
         m = _descended(t, g.matrix)

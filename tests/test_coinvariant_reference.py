@@ -19,7 +19,7 @@ import random
 import pytest
 
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, dot, vec_add, vec_scale, vec_sub
-from twisted_satake.coweights import _substrate, class_height, is_dominant_class
+from twisted_satake.coweights import class_height, is_dominant_class
 from twisted_satake.dual import dual_twisted
 from twisted_satake.galois import (
     DiagramAutomorphism,
@@ -30,6 +30,8 @@ from twisted_satake.galois import (
 from twisted_satake.presets import preset
 from twisted_satake.rootdatum import BasedRootDatum
 from twisted_satake.weyl import _descended, relative_weyl
+
+from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------
 # Reference implementations: one loop per slot kind, as before
@@ -188,7 +190,7 @@ def test_coordinates_and_descent_match_reference(name):
     t = datum(name)
     rng = random.Random(f"descent:{name}")
     classes = random_classes(t, rng, count=20)
-    sub = _substrate(t)
+    sub = ref_substrate(t)
     for cls in classes:
         x = coinvariants(t).coordinates(cls)
         assert x == ref_coordinates(t, cls)

@@ -5,7 +5,10 @@ counting, and then with `suites._regular_orbit` and `suites._w0_orbit`, the
 package's only group walks, raising: a cold query builds no Fraction and
 walks no group orbit.  Every command but `verify`, on the five branch
 presets, and `describe` on SU13 and SU17 (|W0| = 46,080 and 10,321,920) are
-answered under the same refusal.  A cold
+answered under the same refusal.  Cold `schubert`, `dominant-image` and
+`corr` commands build no W0 either: they read heights and dominance from
+the orbit rows alone, so they answer as before with `weyl.relative_weyl`
+raising in every module that reads it.  A cold
 char-0 `tensor` computes exactly one folded character (one cache miss of
 `rep.irreducible_character`), and a refused modular one computes none.
 
@@ -102,6 +105,17 @@ suites._w0_orbit = refuse
 COUNT = lambda: 0
 """
 
+REFUSE_W0 = """
+import sys
+import twisted_satake.cli
+def refuse(*args, **kwargs):
+    raise AssertionError("W0 was built")
+for name, module in list(sys.modules.items()):
+    if name.startswith("twisted_satake") and hasattr(module, "relative_weyl"):
+        module.relative_weyl = refuse
+COUNT = lambda: 0
+"""
+
 COUNT_CHARACTERS = """
 from twisted_satake import rep
 COUNT = lambda: rep.irreducible_character.cache_info().misses
@@ -144,6 +158,23 @@ def test_cold_command_builds_no_closure(argv):
     results, _ = run_fresh(REFUSE_ENUMERATION, [argv])
     assert results == [answer(argv)]
     assert results[0][0] == 0
+
+
+W0_FREE = [argv for argv in CLOSURE_FREE if argv[0] in ("schubert", "dominant-image", "corr")]
+
+
+@pytest.mark.parametrize("argv", W0_FREE, ids=" ".join)
+def test_cold_schubert_command_builds_no_w0(argv):
+    results, _ = run_fresh(REFUSE_W0, [argv])
+    assert results == [answer(argv)]
+    assert results[0][0] == 0
+
+
+def test_w0_refusal_stops_mv():
+    """The refusal reaches the chamber walk's reflection rows, so the guard
+    above would see a command that built W0."""
+    with pytest.raises(AssertionError, match="W0 was built"):
+        run_fresh(REFUSE_W0, [["mv", "SU3", "--mu=-1", "--lam", "1"]])
 
 
 @pytest.mark.parametrize("suite", ["weyl-oracle", "orbits"])

@@ -1,5 +1,6 @@
 """Dominance: cones, representatives, order certificates, projections."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -240,8 +241,16 @@ class TestHeights:
         assert class_height(t, su3_class(3)) == 6
 
     def test_integral_on_dominants(self):
+        """Heights are integers on the bounded dominant classes, and on
+        seeded classes that are not dominant as well."""
+        non_dominant = 0
         for name, entry in default_presets():
             t = entry.twisted
             kwargs = {"coord_bound": 3} if name.startswith("torus") else {}
-            for cls in enumerate_dominant_classes(t, 10, **kwargs):
+            rng = random.Random(f"heights:{name}")
+            seeded = [coinvariants(t).class_of(tuple(rng.randint(-5, 5) for _ in range(t.rank)))
+                      for _ in range(40)]
+            non_dominant += sum(is_dominant_class(t, cls) is None for cls in seeded)
+            for cls in enumerate_dominant_classes(t, 10, **kwargs) + seeded:
                 assert class_height(t, cls).denominator == 1, (name, cls)
+        assert non_dominant > 100

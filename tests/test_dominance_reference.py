@@ -6,9 +6,11 @@ columns] per pair, heights and dominance by Fraction averages, the
 box scans of dominant coweights and of dominant classes, the central-
 direction test by a rational solve, the coefficient box below a stratum,
 the all-pairs relation list `order_relations` and the triple-loop Hasse
-diagram over it.  The sweep covers every fixed preset,
-SU5, SU7, torus-rank-2 and a datum whose coinvariants carry torsion, at
-small bounds.
+diagram over it.  The central-direction test and the box bounds read
+the group-sum substrate they read then
+(`test_substrate_reference.ref_substrate`).  The sweep covers every fixed
+preset, SU5, SU7, torus-rank-2 and a datum whose coinvariants carry
+torsion, at small bounds.
 """
 
 import functools
@@ -60,6 +62,7 @@ from twisted_satake.rootdatum import (
 from twisted_satake.satake import closure_poset, corr, strata_below
 
 from test_linalg_reference import fundamental_coweights_rational, rational_solve
+from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -152,7 +155,7 @@ def order_relations(t, labels):
     """Every (lam, mu, certificate coefficients) with lam <= mu among the
     labels, sorted: the triples of `leq`, from each label's order
     coordinates and one tuple subtraction per pair with equal keys."""
-    scale, c = coweights._substrate(t).order_scale, coinvariants(t)
+    scale, c = ref_substrate(t).order_scale, coinvariants(t)
     groups = {}
     for cls in labels:
         key, coords = coweights._class_row(t, c.coordinates(cls))[2:]
@@ -180,7 +183,7 @@ def ref_covering_relations(t, poset):
 
 
 def ref_has_invariant_central_direction(t):
-    sub = coweights._substrate(t)
+    sub = ref_substrate(t)
     if not sub.free_sums:
         return False
     if not sub.root_pairings:
@@ -223,7 +226,7 @@ def _free_box(t, max_height):
     at most max_height: write the average over the averaged fundamental
     coweights (nonnegative coefficients, height-bounded) and push the cone
     vertices through the inverse of free-coords -> average."""
-    sub = coweights._substrate(t)
+    sub = ref_substrate(t)
     if not sub.free_sums:
         return ()
     rel = relative_simple_roots(t)

@@ -6,7 +6,8 @@ oracles: each class is converted to coordinates each time it is read, the
 dominant representative is read from the walk's whole Weyl element acting
 through lift -> apply -> class_of (one new matrix per class), "rep <= lam"
 is an `OrderCertificate` from `leq`, and corr rebuilds 2 rho_M from the
-positive roots on every call.  A seeded table over every default preset and
+positive roots on every call.  They read the group-sum substrate
+(`test_substrate_reference.ref_substrate`) that the code read then.  A seeded table over every default preset and
 SU7 compares answers, exception types and messages, and so does a seeded
 stream of 5,000 distinct SU7 classes.
 
@@ -34,7 +35,6 @@ from twisted_satake.coweights import (
     NonDominantError,
     OrderCertificate,
     _class_row,
-    _substrate,
     dominant_representative,
     is_dominant_class,
 )
@@ -44,6 +44,7 @@ from twisted_satake.rootdatum import full_root_system, rho_data
 from twisted_satake.satake import ConvCell, MvCell, _integral, conv_cell, corr, mv_cell
 from twisted_satake.weyl import WeylElement, _descended, _w0_reflections, dominant_walk, relative_weyl
 
+from test_substrate_reference import ref_substrate
 from test_weyl_reference import ref_act, u3_like
 
 DATA = DEFAULT_PRESET_NAMES + ("SU7",)
@@ -66,7 +67,7 @@ def _scaled_pairing(sub, x, chi):
 def _scaled_height(t, cls):
     """(|I| <average, 2 rho>, whether the class is dominant): integer dot
     products with the substrate rows, building no Fraction."""
-    sub = _substrate(t)
+    sub = ref_substrate(t)
     x = coinvariants(t).coordinates(cls)
     return dot(sub.heights, x), all(dot(row, x) >= 0 for row in sub.root_pairings)
 
@@ -105,7 +106,7 @@ def ref_walk(t, x):
     """(coordinates of the dominant class in the W0-orbit of the class with
     coordinates x, the chamber walk's word).  W0's generators, descended
     once per datum, act on x along the word, and the end is checked dominant."""
-    sub = _substrate(t)
+    sub = ref_substrate(t)
     _point, word = dominant_walk(x, _w0_reflections(t), len(full_root_system(t.base).positive))
     descended = descended_generators(t)
     for i in reversed(word):
@@ -124,7 +125,7 @@ def ref_leq(t, lam, mu):
     diff = vec_sub(c_mu, c_lam)
     if key_lam != key_mu or any(x < 0 for x in diff):
         return None
-    scale = _substrate(t).order_scale
+    scale = ref_substrate(t).order_scale
     return OrderCertificate(coefficients=tuple(x // scale for x in diff))
 
 
@@ -134,7 +135,7 @@ def ref_mv_cell(t, mu, lam):
     if ref_leq(t, rep.cls, lam) is None:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
     return MvCell(mu=mu, lam=lam, nonempty=True,
-                  dim=_integral(h, 2 * _substrate(t).group_order, "cell half-pairing"))
+                  dim=_integral(h, 2 * ref_substrate(t).group_order, "cell half-pairing"))
 
 
 def ref_conv_cell(t, mu, mu2, lam, lam2):
@@ -149,7 +150,7 @@ def ref_conv_cell(t, mu, mu2, lam, lam2):
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
     return ConvCell(
         mu=mu, mu2=mu2, lam=lam, lam2=lam2,
-        nonempty=True, dim=_integral(h, 2 * _substrate(t).group_order, "convolution half-pairing"),
+        nonempty=True, dim=_integral(h, 2 * ref_substrate(t).group_order, "convolution half-pairing"),
     )
 
 
@@ -163,7 +164,7 @@ def ref_corr(t, levi_orbits, v):
         subset.update(rel.simple_orbit_list[i])
     rd = rho_data(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
-    sub, c = _substrate(t), coinvariants(t)
+    sub, c = ref_substrate(t), coinvariants(t)
     value = _scaled_pairing(sub, c.coordinates(c.class_of(tuple(v))), shift)
     return _integral(value, sub.group_order, "corr value")
 

@@ -21,7 +21,11 @@ dominance order.  `abelian` and `rootdatum` import nothing from
 The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
 `weyl._descended` nor `two_rho_levi` except through a per-datum cache.
 W0 on class coordinates is derived once: `_descended` is read only by
-`weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.
+`weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.  So are
+the orbit rows c_O that heights and dominance read: only
+`weyl._orbit_pairings` pairs unit lifts with simple roots, only `galois`
+reads the inertia group sum, and `coweights` and `satake` import no
+`group_order`.
 
 Every public top-level name of a public module has a reader: a command or
 suite reaches it from the package's module-level code, README's code names
@@ -205,6 +209,26 @@ def test_w0_on_classes_is_derived_once():
                 for module, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name in ("_descended", "simple_reflection")]
+    assert imported == []
+
+
+def test_orbit_rows_are_derived_once():
+    """c_O, each unit class's lift paired with the sum of an orbit's simple
+    roots, is derived in `weyl._orbit_pairings` alone: no other function
+    reads both `unit_lifts` and `simple_roots`.  No module but `galois`
+    reads `group_sum`, and neither `coweights` nor `satake` imports
+    `group_order`: their heights and dominance average nothing."""
+    trees = _sources()
+    pairing = {(module, scope) for module, tree in trees.items()
+               for scope in set(_enclosing_names(tree, "unit_lifts"))
+               & set(_enclosing_names(tree, "simple_roots"))}
+    assert pairing == {("weyl.py", "_orbit_pairings")}
+    assert {module for module, tree in trees.items()
+            if "group_sum" in _referenced_names(tree, set())} == {"galois.py"}
+    imported = [f"{module}:{node.lineno}"
+                for module in ("coweights.py", "satake.py") for node in ast.walk(trees[module])
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name == "group_order"]
     assert imported == []
 
 

@@ -3,8 +3,10 @@
 `parent_strata_below` is the earlier code, kept as an oracle: it walks the
 coefficient simplex sum k_O <= height/2 over the coroot-orbit classes and
 chains one class subtraction per coefficient.  It is verbatim but for the
-presentation's `sub` and `scale`, which left the package with it; they are
-the module functions `sub` and `scale` below, verbatim too.  The package
+presentation's `sub` and `scale`, which left the package with it (they are
+the module functions `sub` and `scale` below, verbatim too), and for the
+height and dominance, which it reads from the group-sum substrate that also
+left the package (`test_substrate_reference.ref_substrate`).  The package
 now subtracts on class coordinates, with one normal form per simplex point.
 
 A seeded table of dominant classes of height at most 24 compares the two
@@ -17,15 +19,13 @@ import random
 import pytest
 
 from twisted_satake.abelian import vec_scale, vec_sub
-from twisted_satake.coweights import (
-    _has_invariant_central_direction,
-    _substrate,
-    enumerate_dominant_classes,
-)
+from twisted_satake.coweights import _has_invariant_central_direction, enumerate_dominant_classes
 from twisted_satake.galois import coinvariants, orbit_coroot_classes
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import _walk_cone
-from twisted_satake.satake import _dominant_row, _integral, strata_below
+from twisted_satake.satake import _integral, strata_below
+
+from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------
 # Reference implementation
@@ -44,8 +44,8 @@ def parent_strata_below(t, cls):
     sum c_O <= height/2 over the coroot-orbit classes (each step drops the
     height by exactly 2) and keep the dominant differences."""
     c = coinvariants(t)
-    h = _integral(_dominant_row(t, c.coordinates(cls), cls)[0], _substrate(t).group_order,
-                  "stratum dimension")
+    h = _integral(ref_substrate(t).scaled_height(c.coordinates(cls))[0],
+                  ref_substrate(t).group_order, "stratum dimension")
     basis = orbit_coroot_classes(t)
     unit = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
     out = set()
@@ -53,7 +53,7 @@ def parent_strata_below(t, cls):
         cur = cls
         for x, b in zip(coeffs, basis):
             cur = sub(c, cur, scale(c, x, b))
-        if _substrate(t).scaled_height(c.coordinates(cur))[1]:
+        if ref_substrate(t).scaled_height(c.coordinates(cur))[1]:
             out.add(cur)
     return sorted(out)
 

@@ -15,14 +15,16 @@ contragredient action of a Weyl element on characters (`char_matrix`,
 W0 acts on classes by reflection rows (`weyl._w0_reflections`); every
 element of W0, applied along its word, must act as its matrix does through
 lift -> apply -> class_of.  `ref_w0_reflections` is the earlier derivation
-of the rows in `coweights`, which read c_O from the dominance substrate's
-root pairings scaled by |O| / |I|; the rows must equal it on the sweep plus
+of the rows in `coweights`, which read c_O from the group-sum dominance
+substrate's root pairings (`test_substrate_reference.ref_substrate`) scaled
+by |O| / |I|; the rows must equal it on the sweep plus
 SU9, SU11, SU13 and their duals.
 `ref_dominant_representative` is the W0 scan the chamber walk replaced;
 the walk is compared with it on the same sweep plus SU9.  Three wrong
-reflection rows (no doubling for an adjacent pair, c_O with the wrong sign,
-a_O's torsion entry moved off its class) must each be refused by the rows'
-check against the descended generators before any walk answers.
+reflection rows (no doubling for an adjacent pair, c_O with the wrong sign
+in `weyl._orbit_pairings`, a_O's torsion entry moved off its class) must
+each be refused by the rows' check against the descended generators before
+any walk answers.
 
 The breadth-first matrix closure below is the code `verify` read before it
 walked orbits: `_closure`, `enumerate_absolute_weyl` and
@@ -53,7 +55,7 @@ import pytest
 
 from twisted_satake import abelian, coweights, suites, weyl
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_add
-from twisted_satake.coweights import _substrate, dominant_representative, is_dominant_class
+from twisted_satake.coweights import dominant_representative, is_dominant_class
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
 from twisted_satake.galois import (
     DiagramAutomorphism,
@@ -81,6 +83,7 @@ from twisted_satake.weyl import (
 
 from test_iwahori_weyl_reference import IwahoriWeylElement, iw_affine_action, iw_inverse, iw_multiply
 from test_linalg_reference import ref_inverse_unimodular
+from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------
 # The matrix closure
@@ -191,7 +194,7 @@ def ref_w0_reflections(t: TwistedRootDatum):
     maps are Z-linear and fix the torsion relations, so they then agree on
     every class; a mismatch raises InvariantViolation.
     """
-    sub = _substrate(t)
+    sub = ref_substrate(t)
     rel = relative_simple_roots(t)
     c = coinvariants(t)
     moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
@@ -435,7 +438,7 @@ def test_unit_lifts_match_reference_loops(name):
         for j in range(r + s)
     ]
     assert c.unit_lifts == tuple(c.lift(u) for u in units)
-    assert _substrate(t).free_sums == ref_free_sums(t)
+    assert ref_substrate(t).free_sums == ref_free_sums(t)
     folded = fixed_group_descriptor(t).folded_cartan
     if folded is not None:
         assert folded.datum.simple_coroots == ref_folded_coroots(t)
@@ -509,10 +512,9 @@ def test_reflection_rows_match_descended_generators(name):
     """x - <c_O, x> a_O is the descended matrix of the orbit's generator,
     with torsion entries read modulo their invariant factors."""
     t = datum(name)
-    torsion = coinvariants(t).quotient.invariant_factors
-    sub = _substrate(t)
-    n = len(sub.free_sums) + len(torsion)
-    moduli = (0,) * len(sub.free_sums) + tuple(torsion)
+    quotient = coinvariants(t).quotient
+    n = quotient.free_rank + len(quotient.invariant_factors)
+    moduli = (0,) * quotient.free_rank + tuple(quotient.invariant_factors)
     for g, (c, a) in zip(relative_weyl(t).generators, _w0_reflections(t)):
         m = _descended(t, g.matrix)
         for j in range(n):
@@ -536,15 +538,16 @@ def test_reflection_rows_match_reference(name):
     assert _w0_reflections(t) == ref_w0_reflections(t)
 
 
-# (source in `weyl._w0_reflections`, mutated source, the data it changes)
+# (function of `weyl`, source in it, mutated source, the data it changes)
 REFLECTION_FAULTS = {
     # a_O is not doubled for an adjacent pair
-    "_halve_adjacent": ('(2 if kind == "adjacent-pair" else 1) * x', "x", ("SU5", "SU7", "SU9")),
+    "_halve_adjacent": ("_w0_reflections", '(2 if kind == "adjacent-pair" else 1) * x', "x",
+                        ("SU5", "SU7", "SU9")),
     # c_O pairs with minus the sum of the orbit's simple roots
-    "_flip_pairing": ("sum(dot(u, t.base", "-sum(dot(u, t.base",
+    "_flip_pairing": ("_orbit_pairings", "sum(dot(u, t.base", "-sum(dot(u, t.base",
                       ("SU5", "SU7", "SU9", "SU4", "Spin8-triality")),
     # a_O's torsion entries move off their class
-    "_shift_torsion": ("* x for x in free + torsion)",
+    "_shift_torsion": ("_w0_reflections", "* x for x in free + torsion)",
                        "* x + (i >= len(free)) for i, x in enumerate(free + torsion))", ("U3-like",)),
 }
 
@@ -553,9 +556,12 @@ REFLECTION_FAULTS = {
 def test_wrong_reflections_are_caught(monkeypatch, mutate):
     """A wrong reflection row is refused by `_w0_reflections` with
     InvariantViolation, so the chamber walk and the orbit walk answer
-    nothing from it."""
-    old, new, names = REFLECTION_FAULTS[mutate]
-    mutant = _mutant(monkeypatch, weyl._w0_reflections, old, new)
+    nothing from it.  A mutated `_orbit_pairings` is read by a copy of
+    `_w0_reflections` with a cache of its own."""
+    target, old, new, names = REFLECTION_FAULTS[mutate]
+    mutant = _mutant(monkeypatch, getattr(weyl, target), old, new)
+    if target != "_w0_reflections":
+        mutant = _mutant(monkeypatch, weyl._w0_reflections, "", "")
     monkeypatch.setattr(coweights, "_w0_reflections", mutant)
     monkeypatch.setattr(suites, "_w0_reflections", mutant)
     refused = r"^reflection row \d+ is not descended W0 generator \d+$"
@@ -696,11 +702,12 @@ def test_w0_orbit_matches_closure():
 
 def _mutant(monkeypatch, function, old, new):
     """Rebind `function` in its module to its own source with `old` replaced
-    by `new`, compiled in the module's namespace (with a cache of its own,
-    if it has one); returns the rebound function."""
+    by `new` (unchanged when `old` is empty), compiled in the module's
+    namespace (with a cache of its own, if it has one); returns the rebound
+    function."""
     module = sys.modules[function.__module__]
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, old
+    assert not old or source.count(old) == 1, old
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
