@@ -7,9 +7,9 @@ datum s regarded as the group being fixed, the fixed-torus character
 lattice X^*(s)_I is `coinvariants(dual_twisted(s))` (the cocharacter
 coinvariants of the dual datum) and the descended Weyl group is
 `relative_weyl(dual_twisted(s))`.  `fixed_group_descriptor(s)` adds what
-those do not say: smoothness, connectedness and, for registry presets and
-split data, the folded root datum.  Registry membership is decided from the
-datum's structure alone.  The folded datum is W0's reflection rows on
+those do not say: smoothness, connectedness and the folded root datum, all
+from the datum alone.  One test decides the fold and connectedness: whether
+X^*(s)_I is torsion-free.  The folded datum is W0's reflection rows on
 X^*(s)_I (`weyl._w0_reflections` of the dual, checked once per datum
 against W0's descended longest elements): each orbit's folded simple
 reflection is its row, so |W(folded)| = |W0| holds by construction, with
@@ -224,33 +224,6 @@ def _fold_recipe(s: TwistedRootDatum):
     return FoldedCartan(type_label=_classify_label(folded), datum=folded)
 
 
-def _registry_known(s: TwistedRootDatum) -> bool:
-    """Whether s equals a registry preset or the dual of one: a fixed entry,
-    or SU<k> for odd k (rank k - 1), recognised by rebuilding it.
-
-    s is the dual of c exactly when dual_twisted(s) equals c, since
-    dual_twisted is an involution up to equality; so only the dual of s is
-    built."""
-    from . import presets
-
-    candidates = [entry.twisted for entry in presets._FIXED.values()]
-    if s.rank % 2 == 0 and s.rank >= 2:
-        candidates.append(presets._special_unitary(s.rank + 1).twisted)
-    dual = dual_twisted(s)
-    return any(c == s or c == dual for c in candidates)
-
-
-def _connectedness_char0(s: TwistedRootDatum) -> str:
-    from . import presets
-    from .rootdatum import is_simply_connected
-
-    if not s.generators or is_simply_connected(s.base):
-        return "yes"  # fixed points in a simply connected group are connected
-    if any(s == entry.twisted for entry in presets._FIXED.values()):
-        return "yes"  # the fixed entries are checked case by case
-    return "unknown"
-
-
 @frozen
 class FoldedGroupDescriptor:
     """The fixed-point group of s beyond its torus and Weyl group; see
@@ -258,7 +231,7 @@ class FoldedGroupDescriptor:
 
     folded_cartan: FoldedCartan | None
     smooth_over_Z_ell: str                # "yes" | "no"
-    connected_char0: str                  # "yes" | "no" | "unknown"
+    connected_char0: str                  # "yes" | "unknown"
     has_adjacent_pair_orbit: bool
 
 
@@ -269,17 +242,34 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
 
     Its torus X^*(s)_I and its Weyl group, the descended relative group, are
     `coinvariants` and `relative_weyl` of `dual_twisted(s)`; the descriptor
-    does not hold them.  Folded Cartan data appear only for split actions
-    and data equal to a registry preset or its dual, where they are read
-    from that Weyl group's checked reflection rows (`_fold_recipe`); unknown
-    foldings yield an absent folded_cartan, never a guess.  The result
-    depends on s and the profile alone.
+    does not hold them.  One test decides both the fold and connectedness:
+    whether X^*(s)_I is torsion-free, which is when `_fold_recipe` returns a
+    datum, read from that Weyl group's checked reflection rows.  With
+    torsion, folded_cartan is absent and connectedness "unknown", never a
+    guess.  The result depends on s and the profile alone.
+
+    Connectedness.  Let G carry the datum s and I, a finite group of pinned
+    automorphisms, preserve B, T and the pinning.  In characteristic 0,
+    every component of G^I meets T^I, that is G^I = (G^I)° T^I (Steinberg,
+    "Endomorphisms of linear algebraic groups", Mem. AMS 80, 1968, for one
+    automorphism; Haines, "Dualities for root systems with automorphisms
+    and applications to non-split groups", Represent. Theory 22, 2018, for
+    finite I).  An element g of G^I lies in one Bruhat cell U n_w T U_w,
+    whose factors are unique, and I permutes the cells and the pinned
+    lifts n_w; so w lies in W^I and each factor is I-fixed.  U^I is
+    unipotent, so connected in characteristic 0, and n_w lies in
+    (G^I)° T^I, since W^I is the Weyl group of (G^I)° on (T^I)°.  So G^I is
+    connected once T^I is, and the diagonalizable T^I is connected exactly
+    when its character group X^*(s)_I is torsion-free.  Split data (I trivial) and simply
+    connected ones (I permutes the fundamental weights, a basis of X^*(s))
+    have free coinvariants, so they are special cases.  With torsion the
+    group can be disconnected: on the rank-one torus with inversion it is
+    {+1, -1}.
     """
     adjacent = any(kind == "adjacent-pair" for kind in relative_simple_roots(s).orbit_type)
 
-    folded = None
-    if not s.generators or _registry_known(s):
-        folded = _fold_recipe(s)
+    folded = _fold_recipe(s)
+    connected = "unknown" if folded is None else "yes"
     smooth = profile.is_char0 or profile.ell != 2 or not adjacent
     if not smooth:
         # The fixed group fails smoothness here; its special fiber is the
@@ -289,7 +279,7 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     return FoldedGroupDescriptor(
         folded_cartan=folded,
         smooth_over_Z_ell="yes" if smooth else "no",
-        connected_char0=_connectedness_char0(s),
+        connected_char0=connected,
         has_adjacent_pair_orbit=adjacent,
     )
 

@@ -260,14 +260,6 @@ def rho_data(d: BasedRootDatum) -> RhoData:
     return RhoData(datum=d, two_rho=total)
 
 
-def is_simply_connected(d: BasedRootDatum) -> bool:
-    """Do the simple coroots form a Z-basis of the cocharacter lattice?"""
-    if d.num_simple != d.rank:
-        return False
-    m = IntMatrix.from_columns(list(d.simple_coroots), nrows=d.rank)
-    return m.is_unimodular()
-
-
 def is_adjoint(d: BasedRootDatum) -> bool:
     """Do the fundamental coweights form a Z-basis of the cocharacter
     lattice?  Equivalently, is v -> (<v, alpha_j>)_j a bijection onto Z^k?"""

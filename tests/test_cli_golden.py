@@ -9,7 +9,9 @@ bounds, `branch` and `tensor` on the five branch presets, `mv`, `conv` and
 `corr`, the README command lines, input errors, a `--file` datum whose
 coinvariants are Z + Z/2, and `verify` on data whose Weyl groups the orbit
 oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800),
-and Schubert posets and dominant images at the sizes the benchmark queries.
+Schubert posets and dominant images at the sizes the benchmark queries,
+and two `--file` data in no registry that fold (E6 and Spin8 with diagram
+automorphisms).
 
 A line of the golden file is `<exit code> <md5 stdout> <md5 stderr> <argv
 as JSON>`.  After a change that is meant to alter output, regenerate it
@@ -52,6 +54,30 @@ FILES = {
         "base": {"rank": 2, "simple_roots": [[2, -1], [-1, 2]],
                  "simple_coroots": [[1, 0], [0, 1]]},
         "generators": [{"lattice_map": [[0, 1]], "root_permutation": [1, 0]}],
+    },
+    # E6 with its diagram flip folds to F4 (|W| = 1152), and Spin8 with
+    # the whole S3 of diagram automorphisms (two generators) to G2: no
+    # registry entry, so the fold is read from the datum alone.
+    "e6-flip.json": {
+        "name": "E6-flip",
+        "base": {"rank": 6,
+                 "simple_roots": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+                                  [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]],
+                 "simple_coroots": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                                    [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
+        "generators": [{"lattice_map": [[0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0],
+                                        [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+                        "root_permutation": [5, 1, 4, 3, 2, 0]}],
+    },
+    "d4-s3.json": {
+        "name": "D4-S3",
+        "base": {"rank": 4,
+                 "simple_roots": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+                 "simple_coroots": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        "generators": [{"lattice_map": [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]],
+                        "root_permutation": [2, 1, 3, 0]},
+                       {"lattice_map": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                        "root_permutation": [0, 1, 3, 2]}],
     },
     "badname.json": {
         "name": 7,
@@ -233,6 +259,12 @@ def golden_argvs():
     out += [line.split() for line in HEAVY]
     out += [line.split() for line in WORKLOAD]
     out += [line.split() for line in LONG_WALKS]
+    # Each folded datum: the first fundamental weight, and the top class of
+    # its branch tensored with itself.
+    for name, weight, top in (("e6-flip.json", "1,0,0,0,0,0", "0,0,0,1"),
+                              ("d4-s3.json", "1,0,0,0", "0,1")):
+        out += [["describe", "--file", name], ["branch", "--file", name, "--weight", weight],
+                ["tensor", "--file", name, top, top], ["verify", "--file", name, "all"]]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

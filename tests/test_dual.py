@@ -11,13 +11,11 @@ import pytest
 
 import twisted_satake
 from twisted_satake.abelian import FgAbelianGroup, IntMatrix
-from twisted_satake import presets
 from twisted_satake.dual import (
     CHAR0,
     ELL_CAP,
     CoefficientProfile,
     _is_prime,
-    _registry_known,
     adjoint_quotient,
     classify_rank_one,
     dual_twisted,
@@ -34,6 +32,7 @@ from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
 from twisted_satake.weyl import relative_weyl
 
+from test_fold_reference import ref_registry_known, ref_registry_known_one_dual
 from test_linalg_reference import ref_inverse_unimodular, unimodular
 from test_weyl_reference import enumerate_absolute_weyl, fixed_weyl_subgroup
 
@@ -62,6 +61,15 @@ def transport(t, p):
     gens = [DiagramAutomorphism.make(p.mul(g.lattice_map).mul(p_inv), g.root_permutation)
             for g in t.generators]
     return TwistedRootDatum.make(base, gens)
+
+
+def golden_u3_like():
+    """The golden file's u3-like datum, whose X^*(s)_I = Z + Z/2 has torsion."""
+    from twisted_satake.cli import datum_from_dict
+
+    from test_cli_golden import FILES
+
+    return datum_from_dict(FILES["torsion.json"])
 
 
 def _trial_division(n):
@@ -204,8 +212,8 @@ class TestFixedGroupDescriptor:
             assert fixed_group_descriptor(preset(name)).folded_cartan.type_label == label, name
 
     def test_dual_of_unitary_hits_adjoint_entry(self):
-        # dual_twisted(SU3) is structurally the PSU3 registry entry, so its
-        # recorded connectedness applies.
+        # dual_twisted(SU3) is structurally the PSU3 registry entry; its
+        # X^*(s)_I is free, so it folds and reads as connected.
         desc = fixed_group_descriptor(dual_twisted(preset("SU3")))
         assert desc.connected_char0 == "yes"
         assert desc.folded_cartan.type_label == "PGL2"
@@ -222,11 +230,10 @@ class TestFixedGroupDescriptor:
         assert is_dominant_class(dual, ((-1,), ())) is None
 
     def test_unknown_folding_refused_for_user_data(self):
-        # A structurally fine twisted datum that is not in the registry gets
-        # no folded data (refusal, never a guess).
-        from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum
-        from twisted_satake.rootdatum import BasedRootDatum
-
+        """User data fold by structure alone: SL3 x SL3 with the factor
+        swap, in no registry, folds to A2.  The u3-like datum, whose
+        X^*(s)_I = Z + Z/2 has torsion, is still refused: no folded data
+        and no claim of connectedness (refusal, never a guess)."""
         base = BasedRootDatum.make(
             4,
             [(2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)],
@@ -236,8 +243,26 @@ class TestFixedGroupDescriptor:
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
             (2, 3, 0, 1),
         )
-        t = TwistedRootDatum.make(base, (swap,))
-        desc = fixed_group_descriptor(t)
+        desc = fixed_group_descriptor(TwistedRootDatum.make(base, (swap,)))
+        assert desc.folded_cartan.type_label == "A2"
+        assert desc.folded_cartan.datum.cartan_matrix() == ((2, -1), (-1, 2))
+        assert desc.connected_char0 == "yes"
+        u3 = golden_u3_like()
+        assert coinvariants(dual_twisted(u3)).quotient == FgAbelianGroup(1, (2,))
+        desc = fixed_group_descriptor(u3)
+        assert desc.folded_cartan is None
+        assert desc.connected_char0 == "unknown"
+
+    @pytest.mark.parametrize("name", ["u3-like", "torus-rank-1-inversion"])
+    @pytest.mark.parametrize("profile", ["char0", "Fl:2", "Fl:3", "Zl:5"])
+    def test_torsion_never_reads_as_connected(self, name, profile):
+        """With torsion in X^*(s)_I the fixed group can be disconnected: the
+        u3-like group is O(3)-like, and the inversion on the rank-one torus
+        fixes {+1, -1}.  Neither reports connected_char0 == "yes"."""
+        s = golden_u3_like() if name == "u3-like" else TORUS_KERNELS[name][0]
+        assert coinvariants(dual_twisted(s)).quotient.invariant_factors == (2,)
+        desc = fixed_group_descriptor(s, parse_profile(profile))
+        assert desc.connected_char0 == "unknown"
         assert desc.folded_cartan is None
 
     A2XA2 = {"rank": 4,
@@ -424,14 +449,6 @@ def test_family_lookups_are_memoised():
     assert get_preset("torus-rank-3") is get_preset("torus-rank-3")
 
 
-def ref_registry_known(s):
-    """The registry check as it was: one dual per candidate."""
-    candidates = [entry.twisted for entry in presets._FIXED.values()]
-    if s.rank % 2 == 0 and s.rank >= 2:
-        candidates.append(presets._special_unitary(s.rank + 1).twisted)
-    return any(s == c or s == dual_twisted(c) for c in candidates)
-
-
 REGISTRY_DATA = {
     label: t for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11")
     for label, t in ((name, preset(name)), (f"{name}-dual", dual_twisted(preset(name))))
@@ -439,10 +456,13 @@ REGISTRY_DATA = {
 
 
 class TestRegistryKnown:
+    """The registry gate of `test_fold_reference.ref_fixed_group_descriptor`:
+    the shipped one-dual check against one dual per candidate."""
+
     @pytest.mark.parametrize("t", list(REGISTRY_DATA.values()), ids=list(REGISTRY_DATA))
     def test_matches_per_candidate_duals(self, t):
-        assert _registry_known(t) == ref_registry_known(t)
-        assert _registry_known(t)
+        assert ref_registry_known_one_dual(t) == ref_registry_known(t)
+        assert ref_registry_known_one_dual(t)
 
     def test_unregistered_datum(self):
         """A swap datum on A1 x A1 x A1 (rank 3, not a registry shape) is
@@ -451,15 +471,15 @@ class TestRegistryKnown:
                                    [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         swap = DiagramAutomorphism.make([[0, 1, 0], [1, 0, 0], [0, 0, 1]], (1, 0, 2))
         t = TwistedRootDatum.make(base, (swap,))
-        assert _registry_known(t) is ref_registry_known(t) is False
-        assert _registry_known(dual_twisted(t)) is ref_registry_known(dual_twisted(t)) is False
+        assert ref_registry_known_one_dual(t) is ref_registry_known(t) is False
+        assert ref_registry_known_one_dual(dual_twisted(t)) is ref_registry_known(dual_twisted(t)) is False
 
     def test_builds_one_dual(self):
         """Only the dual of the datum itself is built."""
         t = preset("SU9")
         dual_twisted(t)
         before = dual_twisted.cache_info()
-        assert _registry_known(t)
+        assert ref_registry_known_one_dual(t)
         after = dual_twisted.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 1

@@ -12,6 +12,19 @@ datum (None both ways, for torsion).  The generator check must accept
 every fold it returns, and the order check every fold but SU13's, whose
 |W0| = 46,080 takes seconds to enumerate.
 
+`ref_fixed_group_descriptor` is the descriptor as it was when only split
+data and data equal to a registry preset or its dual were folded, and
+connectedness was read from the registry; `ref_connectedness_char0` is
+its helper, verbatim.  Its gate reads `ref_registry_known`, which builds
+one dual per candidate; the gate as shipped built only the datum's own
+dual, kept verbatim as `ref_registry_known_one_dual`, and
+`tests/test_dual.py::TestRegistryKnown` checks that the two agree.  On every fixed
+preset, SU7, SU9, SU11, SU13 and all their duals, under four profiles,
+each field of `fixed_group_descriptor` must have the reference's repr,
+except connected_char0 on the eight duals whose X^*(s)_I is free but whose
+datum is neither split, simply connected nor a fixed entry: "yes" now,
+where the registry said "unknown".
+
 The fold now reads the dual's reflection rows, whose check against W0's
 descended longest elements is what certifies it.  So every mutation below
 changes an input the rows read (an orbit type, W0's generators, a_O) or
@@ -22,21 +35,24 @@ uncached.  An orbit type in `dual`'s own lookup no longer enters the fold.
 
 import pytest
 
-from twisted_satake import dual, weyl
+from twisted_satake import dual, presets, weyl
 from twisted_satake.abelian import InvariantViolation, dot
 from twisted_satake.dual import (
     CHAR0,
     FoldedCartan,
+    FoldedGroupDescriptor,
     _classify_label,
     _fold_recipe,
     dual_twisted,
     fixed_group_descriptor,
+    parse_profile,
 )
 from twisted_satake.galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import BasedRootDatum, _validity_report
 from twisted_satake.weyl import _descended, relative_weyl, simple_reflection
 
+from test_rootdatum import is_simply_connected
 from test_weyl_reference import enumerate_absolute_weyl, u3_like
 
 # ---------------------------------------------------------------------------
@@ -106,6 +122,56 @@ def ref_check_fold(weyl, folded: FoldedCartan):
     for o, w in enumerate(weyl.generators):
         if _descended(weyl.datum, w.matrix) != simple_reflection(folded.datum, o).matrix.transpose():
             raise InvariantViolation(f"descended W0 generator {o} is not folded reflection {o}")
+
+
+def ref_registry_known(s):
+    """The registry check as it was: one dual per candidate."""
+    candidates = [entry.twisted for entry in presets._FIXED.values()]
+    if s.rank % 2 == 0 and s.rank >= 2:
+        candidates.append(presets._special_unitary(s.rank + 1).twisted)
+    return any(s == c or s == dual_twisted(c) for c in candidates)
+
+
+def ref_registry_known_one_dual(s: TwistedRootDatum) -> bool:
+    """Whether s equals a registry preset or the dual of one: a fixed entry,
+    or SU<k> for odd k (rank k - 1), recognised by rebuilding it.
+
+    s is the dual of c exactly when dual_twisted(s) equals c, since
+    dual_twisted is an involution up to equality; so only the dual of s is
+    built."""
+    candidates = [entry.twisted for entry in presets._FIXED.values()]
+    if s.rank % 2 == 0 and s.rank >= 2:
+        candidates.append(presets._special_unitary(s.rank + 1).twisted)
+    dual = dual_twisted(s)
+    return any(c == s or c == dual for c in candidates)
+
+
+def ref_connectedness_char0(s: TwistedRootDatum) -> str:
+    if not s.generators or is_simply_connected(s.base):
+        return "yes"  # fixed points in a simply connected group are connected
+    if any(s == entry.twisted for entry in presets._FIXED.values()):
+        return "yes"  # the fixed entries are checked case by case
+    return "unknown"
+
+
+def ref_fixed_group_descriptor(s: TwistedRootDatum, profile=CHAR0) -> FoldedGroupDescriptor:
+    adjacent = any(kind == "adjacent-pair" for kind in relative_simple_roots(s).orbit_type)
+
+    folded = None
+    if not s.generators or ref_registry_known(s):
+        folded = _fold_recipe(s)
+    smooth = profile.is_char0 or profile.ell != 2 or not adjacent
+    if not smooth:
+        # The fixed group fails smoothness here; its special fiber is the
+        # quasi-reductive mechanism, so no reductive root datum is published.
+        folded = None
+
+    return FoldedGroupDescriptor(
+        folded_cartan=folded,
+        smooth_over_Z_ell="yes" if smooth else "no",
+        connected_char0=ref_connectedness_char0(s),
+        has_adjacent_pair_orbit=adjacent,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +333,28 @@ def test_permuted_w0_generators_pass_reference_only(monkeypatch, name):
     patched(monkeypatch, weyl, "relative_weyl", permute_generators)
     with pytest.raises(InvariantViolation, match="^reflection row"):
         descriptor(monkeypatch, s)
+
+
+# ---------------------------------------------------------------------------
+# The descriptor against the registry's
+
+REGISTRY_SWEEP = tuple(
+    label for name in DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11", "SU13")
+    for label in (name, f"{name}-dual")
+)
+# Free X^*(s)_I, but neither split, simply connected nor a fixed entry.
+NOW_CONNECTED = tuple(f"{name}-dual" for name in (
+    "SL2xSL2-swap", "SU4", "SU5", "Spin8-triality", "SU7", "SU9", "SU11", "SU13"))
+
+
+@pytest.mark.parametrize("profile", ["char0", "Fl:2", "Fl:3", "Zl:5"])
+@pytest.mark.parametrize("name", REGISTRY_SWEEP)
+def test_descriptor_matches_registry_reference(name, profile):
+    s = datum(name)
+    p = parse_profile(profile)
+    got, want = fixed_group_descriptor(s, p), ref_fixed_group_descriptor(s, p)
+    for field in type(got).__annotations__:
+        if field == "connected_char0" and name in NOW_CONNECTED:
+            assert (got.connected_char0, want.connected_char0) == ("yes", "unknown")
+        else:
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field

@@ -279,21 +279,12 @@ class TestBranch:
         assert exc.value.restriction is not None
 
     def test_unsupported_folding_refused(self):
-        from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum
-        from twisted_satake.rootdatum import BasedRootDatum
+        """The u3-like datum's X^*(s)_I = Z + Z/2 has torsion, so it has no
+        folded datum and `branch` refuses it."""
+        from test_dual import golden_u3_like
 
-        base = BasedRootDatum.make(
-            4,
-            [(2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)],
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-        )
-        swap = DiagramAutomorphism.make(
-            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
-            (2, 3, 0, 1),
-        )
-        t = TwistedRootDatum.make(base, (swap,))
-        with pytest.raises(UnsupportedDecompositionError):
-            branch_to_fixed_group(t, (1, 0, 1, 0))
+        with pytest.raises(UnsupportedDecompositionError, match="^no verified folded root datum"):
+            branch_to_fixed_group(golden_u3_like(), (1, 0, 0))
 
 
 class TestTensor:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import rootdatum
-from twisted_satake.abelian import FgAbelianGroup
+from twisted_satake.abelian import FgAbelianGroup, IntMatrix
 from twisted_satake.galois import kottwitz_components, split_twisted
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
@@ -14,7 +14,6 @@ from twisted_satake.rootdatum import (
     dualize,
     full_root_system,
     is_adjoint,
-    is_simply_connected,
     require_valid,
     rho_data,
     validate,
@@ -22,6 +21,14 @@ from twisted_satake.rootdatum import (
 
 from test_linalg_reference import fundamental_coweights_rational, rational_solve
 from test_presets import ambient_embedding
+
+
+def is_simply_connected(d):
+    """Do the simple coroots form a Z-basis of the cocharacter lattice?"""
+    if d.num_simple != d.rank:
+        return False
+    m = IntMatrix.from_columns(list(d.simple_coroots), nrows=d.rank)
+    return m.is_unimodular()
 
 
 def fundamental_group(d):

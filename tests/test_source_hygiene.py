@@ -18,8 +18,10 @@ slots of a coinvariant class are read only inside
 read only in `coweights`, and no module lists all comparable pairs of the
 dominance order.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Every field of a value class is read by name somewhere.
-The point queries `mv_cell`, `conv_cell` and `corr` reach neither `leq`,
-`weyl._descended` nor `two_rho_levi` except through a per-datum cache.
+Within the package only `__init__` and `cli` import `presets`: no answer
+depends on a preset name.  The point queries `mv_cell`, `conv_cell` and
+`corr` reach neither `leq`, `weyl._descended` nor `two_rho_levi` except
+through a per-datum cache.
 W0 on class coordinates is derived once: `_descended` is read only by
 `weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.  So are
 the orbit rows c_O that heights and dominance read: only
@@ -230,6 +232,22 @@ def test_orbit_rows_are_derived_once():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name == "group_order"]
     assert imported == []
+
+
+def _imports_presets(tree):
+    """Does tree import the preset registry, at any level?"""
+    return any(
+        "presets" in (getattr(node, "module", None) or "").split(".")
+        or any("presets" in alias.name.split(".") for alias in node.names)
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_only_the_front_ends_import_presets():
+    """The mathematics reads no preset name: within the package only
+    `__init__` (to re-export) and `cli` (to look names up) import
+    `presets`, at any level."""
+    importers = {module for module, tree in _sources().items() if _imports_presets(tree)}
+    assert importers == {"__init__.py", "cli.py"}
 
 
 def test_class_slots_are_read_only_by_the_presentation():
