@@ -11,7 +11,9 @@ the average with 2*rho, an integer on every class.  Heights, dominance and
 bounded enumeration read the orbit rows c_O of `weyl._orbit_pairings`, in
 integer arithmetic.  The chamber walk to a dominant representative steps
 by W0's reflection rows alone (`weyl._w0_reflections`, checked once per
-datum against W0's descended generators).
+datum against W0's descended generators).  `enumerate_dominant_classes`
+is the one enumerator of dominant lattice points: the dominant coweights
+of a based datum (`dominant_coweights_up_to_height`) are its split case.
 """
 
 from __future__ import annotations
@@ -36,14 +38,9 @@ from .galois import (
     coinvariants,
     orbit_coroot_classes,
     relative_simple_roots,
+    split_twisted,
 )
-from .rootdatum import (
-    _coord_bound,
-    _dominant_cone,
-    _walk_cone,
-    dominant_coweights_up_to_height,
-    full_root_system,
-)
+from .rootdatum import BasedRootDatum, _dominant_cone, _walk_cone, full_root_system
 from .weyl import WeylElement, _orbit_pairings, _w0_reflections, dominant_walk, relative_weyl
 
 
@@ -329,12 +326,15 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
     integer entry: ..."), and a negative coord_bound with ValueError too.
     """
     max_height = _integer(max_height)
-    coord_bound = _coord_bound(coord_bound)
+    if coord_bound is not None:
+        coord_bound = _integer(coord_bound)
+        if coord_bound < 0:
+            raise ValueError(f"coord_bound must be nonnegative: {coord_bound}")
     c = coinvariants(t)
     sub = _substrate(t)
     if sub.cone is None:
         if coord_bound is None:
-            raise ValueError("datum has invariant central directions; "
+            raise ValueError("datum has central directions; "
                              "pass coord_bound (--coord-bound on the command line)")
         box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=c.quotient.free_rank)
         return sorted(cls for cls in itertools.product(box, _torsion_combinations(c))
@@ -348,6 +348,15 @@ def enumerate_dominant_classes(t: TwistedRootDatum, max_height, coord_bound=None
             raise InvariantViolation(f"the cone walk proposed {cls} outside the cone")
     out.sort()
     return out
+
+
+def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
+    """All dominant cocharacters v with <v, 2rho> <= max_height, sorted: the
+    split case of `enumerate_dominant_classes`, whose classes are (v, ())
+    as the split datum's coinvariants are X_*(T) itself.  Data with central
+    directions need an explicit coord_bound, and the bounds are read as
+    there."""
+    return [v for v, _ in enumerate_dominant_classes(split_twisted(d), max_height, coord_bound)]
 
 
 def _within(sub, x, bound):

@@ -1,4 +1,4 @@
-"""Based root data: validity, duality, root systems, rho, dominant coweights.
+"""Based root data: validity, duality, root systems, rho.
 
 A based root datum is modeled on Z^rank twice over: the character copy
 carries the simple roots, the cocharacter copy the simple coroots, and the
@@ -10,7 +10,6 @@ downstream formula stays a dot product.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 from ._value import field, frozen
@@ -292,49 +291,6 @@ def _dominant_cone(free_rank, pairings, heights):
             raise InvariantViolation("cone weight of 2 rho is not a positive integer")
         weights.append(n)
     return den, generators, tuple(weights)
-
-
-def _coord_bound(coord_bound):
-    """coord_bound as an int, or None: read as `_integer` reads, and refused
-    with ValueError when negative."""
-    if coord_bound is None:
-        return None
-    coord_bound = _integer(coord_bound)
-    if coord_bound < 0:
-        raise ValueError(f"coord_bound must be nonnegative: {coord_bound}")
-    return coord_bound
-
-
-def dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
-    """All dominant cocharacters v with <v, 2rho> <= max_height, sorted.
-
-    For semisimple data v = sum c_i omega_i^vee with c_i = <v, alpha_i>, so
-    the search walks the cone of c >= 0 with sum c_i <omega_i^vee, 2rho> <=
-    max_height and keeps the integral combinations; `_dominant_cone` of the
-    simple roots and 2rho gives the omega_i^vee and their heights once per
-    datum.  Data with central directions need an explicit coord_bound,
-    since their dominant cone is infinite in every height slab; for them a
-    coordinate box is scanned.  max_height and coord_bound are integers (an
-    int, or a Fraction with denominator 1); a float or a bool is refused
-    with ValueError("not an integer entry: ..."), and a negative coord_bound
-    with ValueError too.
-    """
-    max_height = _integer(max_height)
-    coord_bound = _coord_bound(coord_bound)
-    require_valid(d)
-    two_rho = rho_data(d).two_rho
-    if d.num_simple != d.rank:
-        if coord_bound is None:
-            raise ValueError("datum has central directions; "
-                             "pass coord_bound (--coord-bound on the command line)")
-        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=d.rank)
-        return sorted(
-            v for v in box
-            if all(dot(v, a) >= 0 for a in d.simple_roots) and dot(v, two_rho) <= max_height
-        )
-
-    den, generators, weights = _dominant_cone(d.rank, d.simple_roots, two_rho)
-    return sorted(_walk_cone(den, generators, weights, max_height, d.rank))
 
 
 def _walk_cone(den, generators, weights, budget, length):

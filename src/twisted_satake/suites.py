@@ -27,6 +27,7 @@ from .galois import (
     coroot_coinvariants_exact_sequence,
     kottwitz_components,
     pi1_coinvariants_presentation,
+    split_twisted,
 )
 from .rep import (
     branch_to_fixed_group,
@@ -34,7 +35,7 @@ from .rep import (
     is_dominant_character,
     total_dimension,
 )
-from .rootdatum import dominant_coweights_up_to_height, dualize
+from .rootdatum import dualize
 from .satake import component_of, component_parity, format_class
 from .weyl import _w0_reflections, _weyl_order, relative_weyl
 
@@ -275,8 +276,11 @@ def _suite_branching(t):
         return [CheckResult("branching", "descriptor", False, detail=str(e))]
     if desc.folded_cartan is None:
         return [CheckResult("branching", "skipped-no-folded-data", True)]
-    # Dominant characters of t = dominant coweights of the dual base.
-    duals = dominant_coweights_up_to_height(dualize(t.base), BRANCHING_HEIGHT, **_bounded_kwargs(t))
+    # Dominant characters of t = dominant coweights of the dual base, the
+    # classes of its split datum; that datum decides whether a box is needed.
+    dual_split = split_twisted(dualize(t.base))
+    duals = [v for v, _ in enumerate_dominant_classes(
+        dual_split, BRANCHING_HEIGHT, **_bounded_kwargs(dual_split))]
     rng = random.Random(BRANCHING_SEED)
     sample = duals if len(duals) <= BRANCHING_SAMPLE else rng.sample(duals, BRANCHING_SAMPLE)
     ok = True

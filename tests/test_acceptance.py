@@ -22,6 +22,7 @@ from fractions import Fraction
 from twisted_satake.abelian import dot
 from twisted_satake.cli import main as cli_main
 from twisted_satake.coweights import (
+    dominant_coweights_up_to_height,
     dominant_image_monoid,
     enumerate_dominant_classes,
     is_dominant_class,
@@ -45,7 +46,7 @@ from twisted_satake.rep import (
     irreducible_character,
     total_dimension,
 )
-from twisted_satake.rootdatum import dominant_coweights_up_to_height, dualize, is_adjoint, rho_data
+from twisted_satake.rootdatum import dualize, is_adjoint, rho_data
 from twisted_satake.satake import component_of, conv_cell, mv_cell, parity_check, stratum
 from twisted_satake.weyl import relative_weyl
 

@@ -2,24 +2,32 @@
 the same on a datum, on two seeded unimodular transports of it and on a
 seeded relabelling of its simple roots.
 
-The sources are the default presets, SU7, SU9, and six data in no registry:
-E6, Spin8 and Spin10 with a diagram flip, SL3 x SL3 with the factor swap,
-Spin8 with the whole S3 of diagram automorphisms (two generators), and
-SU3 x SL2.  A transport moves a datum along a product of elementary
-matrices whose multipliers are at most 3 (`test_dual.transport`); a
-relabelling permutes the simple roots and conjugates each root
-permutation to match.
+The sources are the default presets, SU7, SU9, and seven data in no
+registry: E6, Spin8 and Spin10 with a diagram flip, SL3 x SL3 with the
+factor swap, Spin8 with the whole S3 of diagram automorphisms (two
+generators), SU3 x SL2, and SL2 times a rank-2 torus rotated by an
+automorphism of order 6 (the golden file's `sl2-rot6.json`).  A transport
+moves a datum along a product of elementary matrices whose multipliers are
+at most 3 (`test_dual.transport`); a relabelling permutes the simple roots
+and conjugates each root permutation to match.
 
 Compared: the groups X_*(T)_I and X^*(s)_I (free rank and invariant
 factors) and the orders of W0 on both sides; the folded Cartan matrix up to
 a simultaneous permutation of its rows and columns; connected_char0; the
 multiset of `branch` summand dimensions on small dominant weights, moved
-with the datum; and whether `run_suite` passes, with its number of checks.
+with the datum; whether `run_suite` passes, with its number of checks; the
+Schubert poset at a small height (strata per dimension, components, Hasse
+edges); and the dominant image (|image|, |cone|, surjectivity).  A
+`coord_bound` box depends on the basis, so the poset is compared only where
+X_*(T)_I has no invariant central direction, and the dominant image, which
+enumerates the base's coweights too, only where the base has no central
+direction either.
 So the fold depends on the datum alone, never on its coordinates or on a
 registry name.  Each case has a time budget.  Large-entry transports, where
 Smith normal form entries grow, are not here.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -28,8 +36,14 @@ import time
 import pytest
 
 from twisted_satake.abelian import IntMatrix
+from twisted_satake.cli import datum_from_dict
+from twisted_satake.coweights import (
+    _has_invariant_central_direction,
+    dominant_image_monoid,
+    enumerate_dominant_classes,
+)
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
-from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum, coinvariants
+from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum, coinvariants, split_twisted
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rep import (
     branch_to_fixed_group,
@@ -38,9 +52,11 @@ from twisted_satake.rep import (
     total_dimension,
 )
 from twisted_satake.rootdatum import BasedRootDatum
+from twisted_satake.satake import closure_poset
 from twisted_satake.suites import run_suite
 from twisted_satake.weyl import relative_weyl
 
+from test_cli_golden import FILES
 from test_dual import transport
 from test_linalg_reference import ref_inverse_unimodular, unimodular
 from test_rootdatum import is_simply_connected
@@ -76,6 +92,7 @@ BUILT = {
     "SL3xSL3-swap": lambda: _twisted(_cartan(4, [(0, 1), (2, 3)]), (2, 3, 0, 1)),
     "D4-S3": lambda: _twisted(D4, (2, 1, 3, 0), (0, 1, 3, 2)),
     "SU3xSL2": lambda: _twisted(_cartan(3, [(0, 1)]), (1, 0, 2)),
+    "SL2xT2-rot6": lambda: datum_from_dict(FILES["sl2-rot6.json"]),
 }
 SOURCES = tuple(DEFAULT_PRESET_NAMES) + ("SU7", "SU9") + tuple(BUILT)
 VARIANTS = ("transport-0", "transport-1", "relabel")
@@ -84,6 +101,8 @@ VARIANTS = ("transport-0", "transport-1", "relabel")
 # 4 s), so SU9 runs its branching suite alone.
 SUITE = {"SU9": "branching"}
 BUDGET_S = {"E6-flip": 6.0}
+# The height of the compared Schubert posets and dominant images.
+POSET_HEIGHT = 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,12 +151,28 @@ def canonical_cartan(cartan):
                for perm in itertools.permutations(range(k)))
 
 
+def posets(t):
+    """The Schubert poset's and the dominant image's counts at
+    POSET_HEIGHT, each where no box is needed."""
+    out = {}
+    if not _has_invariant_central_direction(t):
+        poset = closure_poset(t, max_height=POSET_HEIGHT)
+        out["schubert"] = (sorted(collections.Counter(s.dim for s in poset.strata).items()),
+                           len({s.component for s in poset.strata}), len(poset.covers))
+    if not _has_invariant_central_direction(split_twisted(t.base)):
+        image = dominant_image_monoid(t, POSET_HEIGHT)
+        cone = enumerate_dominant_classes(t, POSET_HEIGHT)
+        out["dominant-image"] = (len(image), len(cone), set(image) == set(cone))
+    return out
+
+
 def basis_free(name, t, weights):
     dual = dual_twisted(t)
     desc = fixed_group_descriptor(t)
     folded = desc.folded_cartan
     results = run_suite(t, SUITE.get(name, "all"))
     return {
+        **posets(t),
         "X_*(T)_I": coinvariants(t).quotient,
         "X^*(s)_I": coinvariants(dual).quotient,
         "|W0|": (relative_weyl(t).order, relative_weyl(dual).order),

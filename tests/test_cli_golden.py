@@ -10,8 +10,10 @@ bounds, `branch` and `tensor` on the five branch presets, `mv`, `conv` and
 coinvariants are Z + Z/2, and `verify` on data whose Weyl groups the orbit
 oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800),
 Schubert posets and dominant images at the sizes the benchmark queries,
-and two `--file` data in no registry that fold (E6 and Spin8 with diagram
-automorphisms).
+two `--file` data in no registry that fold (E6 and Spin8 with diagram
+automorphisms), and SL2 times a rank-2 torus rotated by an automorphism of
+order 6, whose base has central directions but whose X_*(T)_I = Z has no
+invariant one.
 
 A line of the golden file is `<exit code> <md5 stdout> <md5 stderr> <argv
 as JSON>`.  After a change that is meant to alter output, regenerate it
@@ -78,6 +80,14 @@ FILES = {
                         "root_permutation": [2, 1, 3, 0]},
                        {"lattice_map": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                         "root_permutation": [0, 1, 3, 2]}],
+    },
+    # SL2 x T2, with I acting on the torus by a rotation of order 6: X_*(T)_I = Z
+    # needs no box, the base and its dual do.
+    "sl2-rot6.json": {
+        "name": "SL2xT2-rot6",
+        "base": {"rank": 3, "simple_roots": [[2, 0, 0]], "simple_coroots": [[1, 0, 0]]},
+        "generators": [{"lattice_map": [[1, 0, 0], [0, 1, -1], [0, 1, 0]],
+                        "root_permutation": [0]}],
     },
     "badname.json": {
         "name": 7,
@@ -265,6 +275,10 @@ def golden_argvs():
                               ("d4-s3.json", "1,0,0,0", "0,1")):
         out += [["describe", "--file", name], ["branch", "--file", name, "--weight", weight],
                 ["tensor", "--file", name, top, top], ["verify", "--file", name, "all"]]
+    rot6 = ["--file", "sl2-rot6.json"]
+    out += [["describe", *rot6], ["verify", *rot6, "all"], ["branch", *rot6, "--weight", "1,0,0"],
+            ["dominant-image", *rot6, "--bound", "2", "--coord-bound", "2"],
+            ["dominant-image", *rot6, "--bound", "2"]]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

@@ -10,7 +10,10 @@ diagram over it.  The central-direction test and the box bounds read
 the group-sum substrate they read then
 (`test_substrate_reference.ref_substrate`).  The sweep covers every fixed
 preset, SU5, SU7, torus-rank-2 and a datum whose coinvariants carry
-torsion, at small bounds.
+torsion, at small bounds.  The absolute enumeration that kept its own cone
+walk and box scan before it became the split case of
+`enumerate_dominant_classes` is kept verbatim as
+`parent_dominant_coweights_up_to_height`.
 """
 
 import functools
@@ -27,6 +30,7 @@ from twisted_satake.abelian import (
     DependentBasisError,
     IntMatrix,
     InvariantViolation,
+    _integer,
     dot,
     smith_normal_form,
     solve_integer,
@@ -38,6 +42,7 @@ from twisted_satake.coweights import (
     OrderCertificate,
     _has_invariant_central_direction,
     class_height,
+    dominant_coweights_up_to_height,
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
@@ -51,12 +56,15 @@ from twisted_satake.galois import (
     one_minus_gamma_columns,
     orbit_coroot_classes,
     relative_simple_roots,
+    split_twisted,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
     BasedRootDatum,
-    dominant_coweights_up_to_height,
+    _dominant_cone,
+    _walk_cone,
     dualize,
+    require_valid,
     rho_data,
 )
 from twisted_satake.satake import closure_poset, corr, strata_below
@@ -127,6 +135,49 @@ def ref_dominant_coweights_up_to_height(d, max_height, coord_bound=None):
         if all(sum(a * b for a, b in zip(v, alpha)) >= 0 for alpha in d.simple_roots)
         and sum(a * b for a, b in zip(v, two_rho)) <= max_height
     )
+
+
+def _coord_bound(coord_bound):
+    """coord_bound as an int, or None: read as `_integer` reads, and refused
+    with ValueError when negative."""
+    if coord_bound is None:
+        return None
+    coord_bound = _integer(coord_bound)
+    if coord_bound < 0:
+        raise ValueError(f"coord_bound must be nonnegative: {coord_bound}")
+    return coord_bound
+
+
+def parent_dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_bound=None):
+    """All dominant cocharacters v with <v, 2rho> <= max_height, sorted.
+
+    For semisimple data v = sum c_i omega_i^vee with c_i = <v, alpha_i>, so
+    the search walks the cone of c >= 0 with sum c_i <omega_i^vee, 2rho> <=
+    max_height and keeps the integral combinations; `_dominant_cone` of the
+    simple roots and 2rho gives the omega_i^vee and their heights once per
+    datum.  Data with central directions need an explicit coord_bound,
+    since their dominant cone is infinite in every height slab; for them a
+    coordinate box is scanned.  max_height and coord_bound are integers (an
+    int, or a Fraction with denominator 1); a float or a bool is refused
+    with ValueError("not an integer entry: ..."), and a negative coord_bound
+    with ValueError too.
+    """
+    max_height = _integer(max_height)
+    coord_bound = _coord_bound(coord_bound)
+    require_valid(d)
+    two_rho = rho_data(d).two_rho
+    if d.num_simple != d.rank:
+        if coord_bound is None:
+            raise ValueError("datum has central directions; "
+                             "pass coord_bound (--coord-bound on the command line)")
+        box = itertools.product(range(-coord_bound, coord_bound + 1), repeat=d.rank)
+        return sorted(
+            v for v in box
+            if all(dot(v, a) >= 0 for a in d.simple_roots) and dot(v, two_rho) <= max_height
+        )
+
+    den, generators, weights = _dominant_cone(d.rank, d.simple_roots, two_rho)
+    return sorted(_walk_cone(den, generators, weights, max_height, d.rank))
 
 
 def ref_fundamental_cone(d):
@@ -520,3 +571,33 @@ def test_dominant_cone_matches_fundamental_coweights(name):
             assert dominant_coweights_up_to_height(d, h) == sorted(
                 rootdatum._walk_cone(ref_den, scaled, ref_heights, ref_den * h, d.rank)
             ), h
+
+
+SPLIT_CASE_SWEEP = tuple(dict.fromkeys(DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11")))
+SPLIT_CASE_HEIGHTS = (-1, 0, 1, 2, 7, 12, 16)
+
+
+@pytest.mark.parametrize("name", SPLIT_CASE_SWEEP)
+def test_split_case_matches_parent_enumeration(name):
+    """The absolute enumeration is the split case of the twisted one: on
+    each base and dual base it gives the earlier cone walk's and box scan's
+    lists, and the classes of each split datum are those coweights with no
+    torsion part.  Data with central directions are asked with boxes 2 and
+    3, and both refuse them without a box, with the same message."""
+    base = preset(name).base
+    for d in (base, dualize(base)):
+        central = d.num_simple != d.rank
+        for coord in ((2, 3) if central else (None,)):
+            for h in SPLIT_CASE_HEIGHTS:
+                want = parent_dominant_coweights_up_to_height(d, h, coord)
+                assert dominant_coweights_up_to_height(d, h, coord) == want, (d, h, coord)
+                split = enumerate_dominant_classes(split_twisted(d), h, coord)
+                assert split == [(v, ()) for v in want], (d, h, coord)
+        if central:
+            messages = []
+            for enumerate_ in (parent_dominant_coweights_up_to_height,
+                               dominant_coweights_up_to_height):
+                with pytest.raises(ValueError) as caught:
+                    enumerate_(d, 4)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake.abelian import InvariantViolation, dot, vec_sub
+from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.dual import fixed_group_descriptor
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake import rep
@@ -30,7 +31,6 @@ from twisted_satake.rep import (
     total_dimension,
 )
 from twisted_satake.rootdatum import (
-    dominant_coweights_up_to_height,
     dualize,
     full_root_system,
     rho_data,

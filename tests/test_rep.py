@@ -6,6 +6,7 @@ import random
 import pytest
 
 from twisted_satake.abelian import dot
+from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor, parse_profile
 from twisted_satake.presets import preset
 from twisted_satake.rep import (
@@ -19,7 +20,7 @@ from twisted_satake.rep import (
     total_dimension,
     weight_rank,
 )
-from twisted_satake.rootdatum import dualize, dominant_coweights_up_to_height, full_root_system
+from twisted_satake.rootdatum import dualize, full_root_system
 
 from test_weyl_reference import apply_char, enumerate_absolute_weyl
 

@@ -6,11 +6,11 @@ import pytest
 
 from twisted_satake import rootdatum
 from twisted_satake.abelian import FgAbelianGroup, IntMatrix
+from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.galois import kottwitz_components, split_twisted
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import (
     BasedRootDatum,
-    dominant_coweights_up_to_height,
     dualize,
     full_root_system,
     is_adjoint,

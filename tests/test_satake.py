@@ -10,6 +10,7 @@ import pytest
 from twisted_satake import satake
 from twisted_satake.abelian import InvariantViolation, vec_add
 from twisted_satake.coweights import (
+    dominant_coweights_up_to_height,
     dominant_image_monoid,
     dominant_representative,
     enumerate_dominant_classes,
@@ -19,7 +20,7 @@ from twisted_satake.coweights import (
 from twisted_satake.galois import DiagramAutomorphism, coinvariants
 from twisted_satake.presets import default_presets, preset
 from twisted_satake.rep import WeightMultiset, branch_to_fixed_group
-from twisted_satake.rootdatum import BasedRootDatum, dominant_coweights_up_to_height
+from twisted_satake.rootdatum import BasedRootDatum
 from twisted_satake.satake import (
     NonDominantError,
     closure_poset,

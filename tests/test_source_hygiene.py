@@ -17,7 +17,9 @@ slots of a coinvariant class are read only inside
 `abelian.QuotientPresentation`.  The order coordinates of a class are
 read only in `coweights`, and no module lists all comparable pairs of the
 dominance order.  `abelian` and `rootdatum` import nothing from
-`fractions`.  Every field of a value class is read by name somewhere.
+`fractions`.  Dominant lattice points have one enumerator: only
+`coweights.enumerate_dominant_classes` scans a `coord_bound` box, and
+`rootdatum` imports no `itertools`.  Every field of a value class is read by name somewhere.
 Within the package only `__init__` and `cli` import `presets`: no answer
 depends on a preset name.  The point queries `mv_cell`, `conv_cell` and
 `corr` reach neither `leq`, `weyl._descended` nor `two_rho_levi` except
@@ -290,6 +292,45 @@ def test_lattice_modules_import_no_fractions():
                     alias.name == "fractions" for alias in node.names):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _scopes_calling(tree, predicate):
+    """Qualified names of the functions holding a call that predicate accepts."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call) and predicate(node):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _coord_bound_box(call):
+    """Is call `range(-coord_bound, ...)`?"""
+    return (isinstance(call.func, ast.Name) and call.func.id == "range" and call.args
+            and isinstance(call.args[0], ast.UnaryOp) and isinstance(call.args[0].op, ast.USub)
+            and isinstance(call.args[0].operand, ast.Name)
+            and call.args[0].operand.id == "coord_bound")
+
+
+def test_one_enumerator_scans_a_coordinate_box():
+    """The absolute enumeration is the split case of the twisted one, so a
+    box over `range(-coord_bound, ...)` is scanned in
+    `coweights.enumerate_dominant_classes` alone, and `rootdatum`, which
+    keeps the cone builders, imports no `itertools`."""
+    trees = _sources()
+    boxes = {(module, scope) for module, tree in trees.items()
+             for scope in _scopes_calling(tree, _coord_bound_box)}
+    assert boxes == {("coweights.py", "enumerate_dominant_classes")}
+    imported = [node.lineno for node in ast.walk(trees["rootdatum.py"])
+                if isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "itertools"]
+    assert imported == []
 
 
 def _value_fields():
