@@ -69,7 +69,6 @@ from .rep import (
     branch_to_fixed_group,
     decompose_tensor,
     irreducible_character,
-    restrict_to_coinvariants,
     total_dimension,
     weight_rank,
 )

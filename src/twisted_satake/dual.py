@@ -148,33 +148,64 @@ class FoldedCartan:
 
 
 def _classify_label(d: BasedRootDatum):
-    """Human label for small folded data; rank-one lattices are pinned down
-    exactly (root 2 / coroot 1 versus root 1 / coroot 2)."""
-    k = d.num_simple
-    if k == 0:
+    """Human label for folded data: rank-one lattices are pinned down
+    exactly (root 2 / coroot 1 versus root 1 / coroot 2); otherwise each
+    connected component of the Dynkin diagram is named by its type, joined
+    by "x", and a lone double-bonded pair reads B2/C2."""
+    if d.num_simple == 0:
         return f"torus-rank-{d.rank}"
-    if k == 1 and d.rank == 1:
+    if d.num_simple == 1 and d.rank == 1:
         root, coroot = d.simple_roots[0][0], d.simple_coroots[0][0]
         if (abs(root), abs(coroot)) == (2, 1):
             return "SL2"
         if (abs(root), abs(coroot)) == (1, 2):
             return "PGL2"
         return "A1"
-    cartan = d.cartan_matrix()
-    if k == 1:
-        return "A1"
-    if k == 2:
-        off = (cartan[0][1], cartan[1][0])
-        pair = tuple(sorted((abs(off[0]), abs(off[1]))))
-        if off == (0, 0):
-            return "A1xA1"
-        if pair == (1, 1):
-            return "A2"
-        if pair == (1, 2):
-            return "B2/C2"
-        if pair == (1, 3):
-            return "G2"
-    return f"rank-{k}"
+    types = _dynkin_types(d.cartan_matrix())
+    return "B2/C2" if types == ["B2"] else "x".join(types)
+
+
+def _dynkin_types(cartan):
+    """The type of each connected component of a finite-type Cartan matrix
+    (A_n, B_n, C_n, D_n, E_6-E_8, F_4, G_2), in order of its first node; a
+    double-bonded pair is B2.  With a_ij = <alpha_i^vee, alpha_j>, a_ij = -2
+    makes alpha_j the longer root, and B_n has one short simple root, C_n
+    one long one."""
+    k = len(cartan)
+    adjacent = [[j for j in range(k) if j != i and cartan[i][j]] for i in range(k)]
+
+    def side(start, away):
+        """The nodes reached from start without passing through away."""
+        reached, stack = {start}, [start]
+        while stack:
+            for j in adjacent[stack.pop()]:
+                if j != away and j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+        return reached
+
+    types, seen = [], set()
+    for start in range(k):
+        if start in seen:
+            continue
+        nodes = side(start, None)
+        seen |= nodes
+        n = len(nodes)
+        bonds = {cartan[i][j] * cartan[j][i] for i in nodes for j in adjacent[i]}
+        branch = [i for i in nodes if len(adjacent[i]) == 3]
+        if 3 in bonds:
+            types.append("G2")
+        elif 2 in bonds:
+            short, long = next((i, j) for i in nodes for j in adjacent[i] if cartan[i][j] == -2)
+            longer = len(side(long, short))
+            types.append("B2" if n == 2 else f"B{n}" if longer == n - 1
+                         else f"C{n}" if longer == 1 else "F4")
+        elif not branch:
+            types.append(f"A{n}")
+        else:
+            arms = sorted(len(side(j, branch[0])) for j in adjacent[branch[0]])
+            types.append(f"D{n}" if arms[:2] == [1, 1] else f"E{n}")
+    return types
 
 
 def _fold_recipe(s: TwistedRootDatum):

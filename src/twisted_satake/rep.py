@@ -3,22 +3,18 @@
 Irreducible characters are computed by the Freudenthal recursion with the
 invariant form built from coroot pairings, all in integers: the recursion
 is scaled by 4 and run on 2nu + 2rho.  It runs on the dominant weights only
-(Moody-Patera): they are reached from the highest weight by a walk down
-positive roots through dominant weights, which also gives each one's depth,
-and every multiplicity the recursion reads is looked up at the dominant
-conjugate of its weight.  Each dominant weight is then expanded into its
-W-orbit, and the total multiplicity must equal the Weyl dimension, computed
-exactly in integers, so a dominant weight missed by the walk cannot pass
-silently.  For a twisted datum s
-regarded as the group being restricted, the restriction to the fixed
-subgroup pushes the character along the class map of X^*(s)_I, and the
-char-0 decomposition straightens each weight of the restriction under the
-dot action of the folded Weyl group (the Brauer-Klimyk rule), one chamber
-walk per weight; a tensor product straightens one character shifted by the
-other highest weight.  Positive
-characteristic profiles return the restriction multiset but refuse
-irreducible decomposition: that side of the theory is not semisimple, and a
-silently truncated answer would be a defect, not a result.
+(Moody-Patera), and one walk of their W-orbits sums the multiplicities into
+a Z-linear image of the weight lattice, checked against the exact Weyl
+dimension.  The identity image gives the character; for a twisted datum s
+regarded as the group being restricted, the class map of X^*(s)_I gives the
+restriction to the fixed subgroup.  The char-0 decomposition straightens
+each weight of the restriction under the dot action of the folded Weyl
+group (the Brauer-Klimyk rule) and is checked on dominant weights; a tensor
+product straightens one character shifted by the other highest weight.
+Positive characteristic profiles return the restriction multiset but
+refuse irreducible decomposition: that side of the theory is not
+semisimple, and a silently truncated answer would be a defect, not a
+result.
 """
 
 from __future__ import annotations
@@ -53,21 +49,17 @@ class ResidualError(InvariantViolation):
 
 @frozen
 class WeightMultiset:
-    """Finitely supported positive multiplicities on a weight lattice.
+    """Finitely supported positive multiplicities on a weight lattice: keys
+    are character vectors, or coinvariant classes for a restriction."""
 
-    Keys are character vectors for support "absolute", coinvariant normal
-    forms for support "coinvariant".
-    """
-
-    support_lattice: str  # "absolute" | "coinvariant"
     entries: tuple        # sorted ((key, multiplicity), ...) pairs
 
     @staticmethod
-    def make(support_lattice, mapping):
+    def make(mapping):
         items = tuple(sorted((k, _integer(m)) for k, m in mapping.items() if m != 0))
         if any(m <= 0 for _k, m in items):
             raise ValueError("multiplicities must be strictly positive")
-        return WeightMultiset(support_lattice=support_lattice, entries=items)
+        return WeightMultiset(entries=items)
 
     def as_dict(self):
         return dict(self.entries)
@@ -163,7 +155,30 @@ def is_dominant_character(d: BasedRootDatum, lam) -> bool:
 
 def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     """Weight multiplicities of the irreducible with highest weight lam,
-    by the Freudenthal recursion in integers; the multiset is frozen.
+    by the Freudenthal recursion in integers; the multiset is frozen."""
+    require_valid(d)
+    return _irreducible_character(d, tuple(map(_integer, lam)))
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
+    """Keyed on checked entries: a weight key would equate True with 1."""
+    return WeightMultiset.make(_orbit_sum(d, lam, lambda x: x))
+
+
+def _clear_characters():
+    _irreducible_character.cache_clear()
+    _dominant_character.cache_clear()
+
+
+irreducible_character.cache_info = _irreducible_character.cache_info
+irreducible_character.cache_clear = _clear_characters
+
+
+@functools.lru_cache(maxsize=None)
+def _dominant_character(d: BasedRootDatum, lam: tuple):
+    """((nu, m(nu)), ...) over the dominant weights nu of the irreducible
+    with highest weight lam, in order of depth.
 
     With Q as in _FreudenthalData, the recursion
         (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)
@@ -173,23 +188,12 @@ def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     Patera, "Fast recursion formula for weight multiplicities", Bull. AMS 7,
     1982).  That conjugate lies strictly less deep than nu, so its
     multiplicity is known; the alpha-string stops at the first conjugate
-    outside the dominant support, since weight strings are unbroken.  Each
-    dominant weight is then expanded into its W-orbit, and the total must
-    equal the Weyl dimension.
+    outside the dominant support, since weight strings are unbroken.
     """
-    require_valid(d)
-    return _irreducible_character(d, tuple(map(_integer, lam)))
-
-
-@functools.lru_cache(maxsize=None)
-def _irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
-    """Keyed on checked entries: a weight key would equate True with 1."""
     if len(lam) != d.rank:
         raise DimensionMismatch("weight has wrong rank")
     if not is_dominant_character(d, lam):
         raise NonDominantWeightError(f"{lam} is not dominant")
-    if d.num_simple == 0:
-        return WeightMultiset.make("absolute", {lam: 1})
 
     data = _freudenthal_data(d)
     two_rho = data.two_rho
@@ -226,51 +230,49 @@ def _irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
             raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
         if value:
             mult[nu] = value
+    return tuple(mult.items())
 
-    # The orbit of a dominant mu is reached from mu by the s_i that lower:
-    # those with <alpha_i^vee, x> > 0.  Each point carries its pairings with
-    # the simple coroots, which s_i changes by p times column i of the Cartan
-    # matrix.  Distinct dominant weights have disjoint orbits.
-    columns = tuple(tuple(dot(c, alpha) for c in d.simple_coroots) for alpha in d.simple_roots)
-    weights = {}
-    for mu, m in mult.items():
-        weights[mu] = m
-        stack = [(mu, tuple(dot(c, mu) for c in d.simple_coroots))]
+
+def _orbit_sum(d: BasedRootDatum, lam: tuple, image):
+    """{image(nu): summed multiplicity} over the weights nu of V(lam), for
+    a Z-linear map image to integer vectors.  The orbit of a dominant mu is
+    reached by the s_i with p = <alpha_i^vee, x> > 0, which move a point's
+    simple-coroot pairings by p times column i of the Cartan matrix and its
+    image by p times the image of alpha_i.  Within one orbit the pairings
+    determine the point (a root-lattice vector orthogonal to every coroot
+    is 0), so they key the visited set; distinct orbits are disjoint."""
+    steps = tuple((image(alpha), tuple(dot(c, alpha) for c in d.simple_coroots))
+                  for alpha in d.simple_roots)
+    sums = {}
+    total = 0
+    for mu, m in _dominant_character(d, lam):
+        start = tuple(dot(c, mu) for c in d.simple_coroots)
+        seen = {start}
+        stack = [(start, image(mu))]
         while stack:
-            x, pairings = stack.pop()
-            for alpha, column, p in zip(d.simple_roots, columns, pairings):
+            pairings, y = stack.pop()
+            sums[y] = sums.get(y, 0) + m
+            for (a, column), p in zip(steps, pairings):
                 if p > 0:
-                    y = tuple(a - p * b for a, b in zip(x, alpha))
-                    if y not in weights:
-                        weights[y] = m
-                        stack.append((y, tuple(c - p * e for c, e in zip(pairings, column))))
-    if sum(weights.values()) != data.weyl_dimension(lam):
+                    moved = tuple(c - p * e for c, e in zip(pairings, column))
+                    if moved not in seen:
+                        seen.add(moved)
+                        stack.append((moved, tuple(v - p * b for v, b in zip(y, a))))
+        total += m * len(seen)
+    if total != _freudenthal_data(d).weyl_dimension(lam):
         raise InvariantViolation("Freudenthal multiplicities do not sum to the Weyl dimension")
-    return WeightMultiset.make("absolute", weights)
+    return sums
 
 
-irreducible_character.cache_info = _irreducible_character.cache_info
-irreducible_character.cache_clear = _irreducible_character.cache_clear
-
-
-# ---------------------------------------------------------------------------
-# Restriction to coinvariants
-
-
-def restrict_to_coinvariants(t: TwistedRootDatum, w: WeightMultiset) -> WeightMultiset:
-    """Push an absolute multiset on X_*(t) along the class map; total
-    dimension is conserved (pushforward preserves mass)."""
-    if w.support_lattice != "absolute":
-        raise ValueError("input must be supported on the absolute lattice")
-    c = coinvariants(t)
+def _restriction(s: TwistedRootDatum, lam: tuple) -> WeightMultiset:
+    """V(lam) of s on the fixed torus: its weights summed into class
+    coordinates of X^*(s)_I, each vector reduced to its class once."""
+    chars = coinvariants(dual_twisted(s))
     out = {}
-    for key, m in w.entries:
-        cls = c.class_of(key)
+    for y, m in _orbit_sum(s.base, lam, lambda x: chars.coordinates(chars.class_of(x))).items():
+        cls = chars.normal_form(y)
         out[cls] = out.get(cls, 0) + m
-    result = WeightMultiset.make("coinvariant", out)
-    if total_dimension(result) != total_dimension(w):
-        raise InvariantViolation("pushforward lost mass")
-    return result
+    return WeightMultiset.make(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,35 +350,52 @@ def branch_to_fixed_group(
     The summand at the projected class of lam always appears (the projected
     class is the folded highest weight of the restriction's top stratum).
     """
+    require_valid(s.base)
     lam = tuple(map(_integer, lam))
-    char = irreducible_character(s.base, lam)
-    dual = dual_twisted(s)
-    restricted = restrict_to_coinvariants(dual, char)
-    desc = _folded_context(s, profile, restriction=restricted)
-    folded = desc.folded_cartan.datum
+    restricted = _restriction(s, lam)
+    folded = _folded_context(s, profile, restriction=restricted).folded_cartan.datum
     mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
     result = DecompositionResult(
         summands=_straighten(folded, mapping, (0,) * folded.rank),
         restriction=restricted,
     )
-    _verify_branch(s, lam, result, restricted, folded)
+    _verify_branch(s, lam, result, mapping, folded)
     return result
 
 
-def _verify_branch(s, lam, result, restricted, folded):
+def _verify_branch(s, lam, result, mapping, folded):
+    """Check the summands c_mu against the restriction R = mapping: (i) R
+    is invariant under the folded simple reflections, which generate W;
+    (ii) at each dominant nu, R(nu) = sum c_mu m_mu(nu), with m_mu read from
+    the dominant-weight recursion; (iii) sum c_mu dim V(mu) = dim V(lam).
+
+    (i) and (ii) hold exactly when R equals S = sum c_mu ch V(mu), the
+    summands' full characters, which are never built.  S is W-invariant,
+    and the orbit walk gives each weight of S the multiplicity of its
+    dominant conjugate, the right side of (ii).  Each W-orbit meets the
+    dominant chamber once, so W-invariant functions that agree on dominant
+    weights are equal: (i) and (ii) give R = S, and R = S gives both.
+    (iii) counts dimensions by the Weyl formula alone, and R's total is
+    dim V(lam) by its walk.  A multiplicity of R corrupted off the dominant
+    chamber fails (i); a dropped or wrongly signed summand fails (ii)."""
+    simple = tuple(zip(folded.simple_coroots, folded.simple_roots))
+    for nu, m in mapping.items():
+        for coroot, root in simple:
+            p = dot(coroot, nu)
+            if p and mapping.get(tuple(x - p * a for x, a in zip(nu, root))) != m:
+                raise ResidualError("restriction is not invariant under the folded Weyl group")
     rebuilt = {}
     for cls, m in result.summands:
-        char = irreducible_character(folded, cls[0])
-        for key, mult in char.entries:
-            k = (key, ())
-            rebuilt[k] = rebuilt.get(k, 0) + m * mult
-    if rebuilt != restricted.as_dict():
+        for nu, mult in _dominant_character(folded, cls[0]):
+            rebuilt[nu] = rebuilt.get(nu, 0) + m * mult
+    if rebuilt != {nu: m for nu, m in mapping.items() if is_dominant_character(folded, nu)}:
         raise ResidualError("branch summands do not reconstruct the restriction")
-    # The folded coroot kappa_O is m_O times the I-invariant sum of O's
-    # coroots, so this is the dominance test of coweights.is_dominant_class.
+    dim = _freudenthal_data(folded).weyl_dimension
+    total = sum(m * dim(cls[0]) for cls, m in result.summands)
+    if total != _freudenthal_data(s.base).weyl_dimension(lam):
+        raise ResidualError("branch dimensions do not add up")
+    # Summands are dominant by construction, so the projection of lam is too.
     top = coinvariants(dual_twisted(s)).class_of(lam)
-    if not is_dominant_character(folded, top[0]):
-        raise InvariantViolation("projection of a dominant coweight must be dominant")
     if result.as_dict().get(top, 0) < 1:
         raise InvariantViolation("projected highest class missing from the branch")
 
@@ -387,8 +406,7 @@ def decompose_tensor(
     """V(lam) (x) V(mu) on the folded datum, by the Brauer-Klimyk rule: the
     character of the smaller factor, shifted by the other highest weight and
     straightened.  The unit object tensors trivially and dimensions multiply."""
-    desc = _folded_context(s, profile, classes=(lam_cls, mu_cls))
-    folded = desc.folded_cartan.datum
+    folded = _folded_context(s, profile, classes=(lam_cls, mu_cls)).folded_cartan.datum
     a = _class_to_vector(lam_cls)
     b = _class_to_vector(mu_cls)
     for v in (a, b):
@@ -407,12 +425,9 @@ def decompose_tensor(
 def weight_rank(t: TwistedRootDatum, mu_cls, nu_cls, profile: CoefficientProfile = CHAR0) -> int:
     """The rank of the weight space attached to nu in the folded irreducible
     with highest class mu, both classes living in X_*(t)_I."""
-    s = dual_twisted(t)
-    desc = _folded_context(s, profile, classes=(mu_cls, nu_cls))
-    folded = desc.folded_cartan.datum
+    folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls)).folded_cartan.datum
     mu_vec = _class_to_vector(mu_cls)
     nu_vec = _class_to_vector(nu_cls)
     if not is_dominant_character(folded, mu_vec):
         raise NonDominantWeightError(f"{mu_cls} is not a dominant class")
-    char = irreducible_character(folded, mu_vec)
-    return char.multiplicity(nu_vec)
+    return irreducible_character(folded, mu_vec).multiplicity(nu_vec)

@@ -8,16 +8,19 @@ factor swap, Spin8 with the whole S3 of diagram automorphisms (two
 generators), SU3 x SL2, and SL2 times a rank-2 torus rotated by an
 automorphism of order 6 (the golden file's `sl2-rot6.json`).  A transport
 moves a datum along a product of elementary matrices whose multipliers are
-at most 3 (`test_dual.transport`); a relabelling permutes the simple roots
-and conjugates each root permutation to match.
+at most 3 (`test_dual.transport`), cocharacters along the matrix and
+characters along its inverse transpose; a relabelling permutes the simple
+roots and conjugates each root permutation to match, and moves no vector.
 
 Compared: the groups X_*(T)_I and X^*(s)_I (free rank and invariant
 factors) and the orders of W0 on both sides; the folded Cartan matrix up to
 a simultaneous permutation of its rows and columns; connected_char0; the
 multiset of `branch` summand dimensions on small dominant weights, moved
-with the datum; whether `run_suite` passes, with its number of checks; the
-Schubert poset at a small height (strata per dimension, components, Hasse
-edges); and the dominant image (|image|, |cone|, surjectivity).  A
+with the datum; `mv_cell` and `conv_cell` (nonempty, dim) on seeded
+classes, drawn as cocharacters and moved with the datum; whether
+`run_suite` passes, with its number of checks; the Schubert poset at a
+small height (strata per dimension, components, Hasse edges); and the
+dominant image (|image|, |cone|, surjectivity).  A
 `coord_bound` box depends on the basis, so the poset is compared only where
 X_*(T)_I has no invariant central direction, and the dominant image, which
 enumerates the base's coweights too, only where the base has no central
@@ -40,6 +43,7 @@ from twisted_satake.cli import datum_from_dict
 from twisted_satake.coweights import (
     _has_invariant_central_direction,
     dominant_image_monoid,
+    dominant_representative,
     enumerate_dominant_classes,
 )
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor
@@ -52,7 +56,7 @@ from twisted_satake.rep import (
     total_dimension,
 )
 from twisted_satake.rootdatum import BasedRootDatum
-from twisted_satake.satake import closure_poset
+from twisted_satake.satake import closure_poset, conv_cell, mv_cell
 from twisted_satake.suites import run_suite
 from twisted_satake.weyl import relative_weyl
 
@@ -122,18 +126,23 @@ def relabel(t, sigma):
     return TwistedRootDatum.make(base, gens)
 
 
+def _unmoved(v):
+    return v
+
+
 @functools.lru_cache(maxsize=None)
 def variant(name, kind):
-    """(datum, map on characters) for one seeded variant of the source."""
+    """(datum, map on characters, map on cocharacters) for one seeded
+    variant of the source."""
     t = source(name)
     rng = random.Random(f"zoo:{name}:{kind}")
     if kind == "relabel":
         sigma = list(range(t.base.num_simple))
         rng.shuffle(sigma)
-        return relabel(t, sigma), lambda lam: lam
+        return relabel(t, sigma), _unmoved, _unmoved
     p = unimodular(rng, t.rank, steps=2 * t.rank, big=3)
     chars = ref_inverse_unimodular(p).transpose()
-    return transport(t, p), chars.apply
+    return transport(t, p), chars.apply, p.apply
 
 
 def small_dominant_weights(t, count=2):
@@ -166,7 +175,33 @@ def posets(t):
     return out
 
 
-def basis_free(name, t, weights):
+def cells(name, t, move):
+    """(nonempty, dim) of `mv_cell` and `conv_cell` on classes of seeded
+    cocharacters in -2..2, drawn in the source's coordinates and moved into
+    t's: on each seeded pair (mu, lam) and quadruple, with each lam replaced
+    by its dominant representative, and with lam the dominant representative
+    of mu, which is never empty."""
+    rng = random.Random(f"zoo:{name}:cells")
+    c = coinvariants(t)
+
+    def draw():
+        return c.class_of(move(tuple(rng.randint(-2, 2) for _ in range(t.rank))))
+
+    def top(cls):
+        return dominant_representative(t, cls)[0].cls
+
+    found = []
+    for _ in range(3):
+        mu, lam = draw(), draw()
+        found += [mv_cell(t, mu, top(lam)), mv_cell(t, mu, top(mu))]
+    for _ in range(2):
+        mu, mu2, lam, lam2 = draw(), draw(), draw(), draw()
+        found += [conv_cell(t, mu, mu2, top(lam), top(lam2)),
+                  conv_cell(t, mu, mu2, top(mu), top(mu2))]
+    return [(cell.nonempty, cell.dim) for cell in found]
+
+
+def basis_free(name, t, weights, move=_unmoved):
     dual = dual_twisted(t)
     desc = fixed_group_descriptor(t)
     folded = desc.folded_cartan
@@ -182,6 +217,7 @@ def basis_free(name, t, weights):
                           for cls, m in branch_to_fixed_group(t, lam).summands
                           for _copy in range(m))
                    for lam in weights],
+        "cells": cells(name, t, move),
         "suite": (all(r.passed for r in results), len(results)),
     }
 
@@ -197,9 +233,9 @@ def source_answers(name):
 def test_variant_gives_the_same_answers(name, kind):
     want = source_answers(name)
     start = time.perf_counter()
-    t, move = variant(name, kind)
-    weights = [move(lam) for lam in small_dominant_weights(source(name))]
-    got = basis_free(name, t, weights)
+    t, move_chars, move_cochars = variant(name, kind)
+    weights = [move_chars(lam) for lam in small_dominant_weights(source(name))]
+    got = basis_free(name, t, weights, move_cochars)
     elapsed = time.perf_counter() - start
     assert got == want
     assert want["folded"] is not None and want["suite"][0]

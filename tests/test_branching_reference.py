@@ -1,18 +1,27 @@
-"""Straightening under the dot action against the decompositions it replaced.
+"""Branching and straightening against the pipelines they replaced.
 
-`branch` and `tensor` decompose a W-invariant character by straightening
-each weight under the dot action (the Brauer-Klimyk rule).  The earlier
-request path is kept here verbatim as the oracle: greedy highest-weight
-extraction, which subtracts the irreducible character at a maximal-height
-dominant weight until nothing remains, and a tensor product that multiplies
-two full characters before extracting.  They must agree on every
-branching-cli stratum weight of the branch presets, on the split data G2,
-Sp4 and torus-rank-2, and on the tensor candidates.
+`branch` restricts a character by one orbit walk into class coordinates of
+X^*(s)_I, decomposes it by straightening each weight under the dot action
+(the Brauer-Klimyk rule), and checks the summands on dominant weights.
+Earlier request paths are kept here verbatim as oracles:
+
+- the parent pipeline: the full absolute character, pushed weight by
+  weight along the class map (`restrict_to_coinvariants`), straightened,
+  and checked by rebuilding every summand's full character
+  (`parent_verify_branch`);
+- greedy highest-weight extraction, which subtracts the irreducible
+  character at a maximal-height dominant weight until nothing remains, and
+  a tensor product that multiplies two full characters before extracting.
+
+They must agree on every branching-cli stratum weight of the branch
+presets, on the split data G2, Sp4 and torus-rank-2, on small weights of
+the basis zoo's sources, SU7 and SU9, and on the tensor candidates.
 
 The mutation tests corrupt one piece of the new path and require the
-request path to raise: a non-dominant restricted multiplicity, a dropped
-summand, one flipped sign in the straightening, and one multiplicity of
-the character a tensor product straightens.
+request path to raise: a non-dominant restricted multiplicity, one
+dominant multiplicity of one summand, a dropped summand, one flipped sign
+in the straightening, and one multiplicity of the character a tensor
+product straightens.
 """
 
 import itertools
@@ -22,6 +31,7 @@ import pytest
 from twisted_satake import rep
 from twisted_satake.abelian import InvariantViolation, dot, vec_add
 from twisted_satake.dual import CHAR0, dual_twisted, fixed_group_descriptor
+from twisted_satake.galois import coinvariants
 from twisted_satake.presets import preset
 from twisted_satake.rep import (
     DecompositionResult,
@@ -30,14 +40,15 @@ from twisted_satake.rep import (
     _class_to_vector,
     _folded_context,
     _freudenthal_data,
-    _verify_branch,
+    _straighten,
     branch_to_fixed_group,
     decompose_tensor,
     irreducible_character,
     is_dominant_character,
-    restrict_to_coinvariants,
     total_dimension,
 )
+
+from test_basis_zoo import SOURCES, small_dominant_weights, source
 
 BRANCH_PRESETS = ("SU3", "SU4", "SU5", "SL2xSL2-swap", "Spin8-triality")
 SPLIT = ("G2", "Sp4", "torus-rank-2")
@@ -80,6 +91,56 @@ def ref_extract_irreducibles(folded, mapping):
     return summands
 
 
+def restrict_to_coinvariants(t, w):
+    """Push an absolute multiset on X_*(t) along the class map; total
+    dimension is conserved (pushforward preserves mass).  The parent's
+    `rep.restrict_to_coinvariants`, less its check of the multiset's support
+    lattice, a field `WeightMultiset` no longer has."""
+    c = coinvariants(t)
+    out = {}
+    for key, m in w.entries:
+        cls = c.class_of(key)
+        out[cls] = out.get(cls, 0) + m
+    result = WeightMultiset.make(out)
+    if total_dimension(result) != total_dimension(w):
+        raise InvariantViolation("pushforward lost mass")
+    return result
+
+
+def parent_verify_branch(s, lam, result, restricted, folded):
+    rebuilt = {}
+    for cls, m in result.summands:
+        char = irreducible_character(folded, cls[0])
+        for key, mult in char.entries:
+            k = (key, ())
+            rebuilt[k] = rebuilt.get(k, 0) + m * mult
+    if rebuilt != restricted.as_dict():
+        raise ResidualError("branch summands do not reconstruct the restriction")
+    # The folded coroot kappa_O is m_O times the I-invariant sum of O's
+    # coroots, so this is the dominance test of coweights.is_dominant_class.
+    top = coinvariants(dual_twisted(s)).class_of(lam)
+    if not is_dominant_character(folded, top[0]):
+        raise InvariantViolation("projection of a dominant coweight must be dominant")
+    if result.as_dict().get(top, 0) < 1:
+        raise InvariantViolation("projected highest class missing from the branch")
+
+
+def parent_branch_to_fixed_group(s, lam, profile=CHAR0):
+    lam = tuple(int(x) for x in lam)
+    char = irreducible_character(s.base, lam)
+    dual = dual_twisted(s)
+    restricted = restrict_to_coinvariants(dual, char)
+    desc = _folded_context(s, profile, restriction=restricted)
+    folded = desc.folded_cartan.datum
+    mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
+    result = DecompositionResult(
+        summands=_straighten(folded, mapping, (0,) * folded.rank),
+        restriction=restricted,
+    )
+    parent_verify_branch(s, lam, result, restricted, folded)
+    return result
+
+
 def ref_branch_to_fixed_group(s, lam, profile=CHAR0):
     lam = tuple(int(x) for x in lam)
     char = irreducible_character(s.base, lam)
@@ -93,7 +154,7 @@ def ref_branch_to_fixed_group(s, lam, profile=CHAR0):
         summands=tuple(sorted(((vec, ()), m) for vec, m in summands.items())),
         restriction=restricted,
     )
-    _verify_branch(s, lam, result, restricted, folded)
+    parent_verify_branch(s, lam, result, restricted, folded)
     return result
 
 
@@ -163,6 +224,10 @@ def tensor_candidates(name, box=8):
 
 BRANCH_CASES = [(name, w) for name in BRANCH_PRESETS for w in stratum_weights(name)]
 SPLIT_CASES = [(name, w) for name in SPLIT for w in dominant_weights(preset(name).base)]
+# The zoo's sources on their first four small weights, and SU7 and SU9 on
+# every weight with at most two labels 1 (simply connected: all dominant).
+ZOO_CASES = [(name, w) for name in SOURCES
+             for w in small_dominant_weights(source(name), None if name in ("SU7", "SU9") else 4)]
 TENSOR_CASES = [(name, a, b) for name in BRANCH_PRESETS for a, b in tensor_candidates(name)]
 SPLIT_TENSOR_CASES = [
     (name, a, b) for name in SPLIT
@@ -187,6 +252,16 @@ def test_branch_matches_greedy_extraction(name, weight):
     t = preset(name)
     got = branch_to_fixed_group(t, weight)
     want = ref_branch_to_fixed_group(t, weight)
+    assert got == want
+    assert got.restriction == want.restriction
+
+
+@pytest.mark.parametrize("name,weight", BRANCH_CASES + ZOO_CASES,
+                         ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_branch_matches_the_parent_pipeline(name, weight):
+    t = source(name)
+    got = branch_to_fixed_group(t, weight)
+    want = parent_branch_to_fixed_group(t, weight)
     assert got == want
     assert got.restriction == want.restriction
 
@@ -229,16 +304,37 @@ RANK_TWO_TENSORS = [case for case in MUTATION_TENSORS if len(case[1]) == 2]
 def test_corrupted_non_dominant_restricted_multiplicity_raises(monkeypatch, name, weight):
     t = preset(name)
     folded = folded_datum(name)
-    real = rep.restrict_to_coinvariants
+    real = rep._restriction
 
-    def corrupted(dual, char):
-        restricted = dict(real(dual, char).entries)
+    def corrupted(s, lam):
+        restricted = dict(real(s, lam).entries)
         key = next(k for k in sorted(restricted) if not is_dominant_character(folded, k[0]))
         restricted[key] += 1
-        return WeightMultiset.make("coinvariant", restricted)
+        return WeightMultiset.make(restricted)
 
-    monkeypatch.setattr(rep, "restrict_to_coinvariants", corrupted)
+    monkeypatch.setattr(rep, "_restriction", corrupted)
     with pytest.raises(InvariantViolation):
+        branch_to_fixed_group(t, weight)
+
+
+@pytest.mark.parametrize("name,weight", MUTATION_BRANCHES)
+def test_corrupted_summand_dominant_multiplicity_raises(monkeypatch, name, weight):
+    """One summand's deepest dominant multiplicity, off by one, is caught by
+    the comparison of dominant parts."""
+    t = preset(name)
+    folded = folded_datum(name)
+    top = branch_to_fixed_group(t, weight).summands[0][0][0]
+    real = rep._dominant_character
+
+    def corrupted(d, lam):
+        pairs = real(d, lam)
+        if (d, lam) != (folded, top):
+            return pairs
+        (nu, m), = pairs[-1:]
+        return pairs[:-1] + ((nu, m + 1),)
+
+    monkeypatch.setattr(rep, "_dominant_character", corrupted)
+    with pytest.raises(ResidualError, match="do not reconstruct the restriction"):
         branch_to_fixed_group(t, weight)
 
 
@@ -311,7 +407,7 @@ def test_corrupted_character_fails_the_dimension_check(monkeypatch, name, a, b):
     def corrupted(d, lam):
         char = dict(real(d, lam).entries)
         char[lam] += 1
-        return WeightMultiset.make("absolute", char)
+        return WeightMultiset.make(char)
 
     monkeypatch.setattr(rep, "irreducible_character", corrupted)
     with pytest.raises(ResidualError, match="tensor dimensions do not multiply"):

@@ -460,7 +460,7 @@ class TestFoldingFromDatum:
             from_preset = run_cold(rest[0], "SU7", *rest[1:])
             assert from_file.returncode == from_preset.returncode == EXIT_OK, rest
             assert from_file.stdout == from_preset.stdout, rest
-        assert "label=rank-3" in run_cold("describe", "--file", str(path)).stdout
+        assert "label=B3" in run_cold("describe", "--file", str(path)).stdout
 
     def test_cold_describe_su9_finishes(self):
         # The absolute Weyl group of SU9 has 9! elements; describe must not
@@ -468,8 +468,8 @@ class TestFoldingFromDatum:
         proc = run_cold("describe", "SU9", "--format", "json", timeout=60)
         assert proc.returncode == EXIT_OK, proc.stderr
         fixed = json.loads(proc.stdout)["result"]["fixed_group"]
-        assert fixed["label"] == "rank-4"
-        assert fixed["folded_cartan"]["type"] == "rank-4"
+        assert fixed["label"] == "B4"
+        assert fixed["folded_cartan"]["type"] == "B4"
 
 
 class TestColdSU9Posets:

@@ -11,9 +11,10 @@ coinvariants are Z + Z/2, and `verify` on data whose Weyl groups the orbit
 oracle walks (SU9, |W| = 362,880) or refuses (SU11, |W| = 39,916,800),
 Schubert posets and dominant images at the sizes the benchmark queries,
 two `--file` data in no registry that fold (E6 and Spin8 with diagram
-automorphisms), and SL2 times a rank-2 torus rotated by an automorphism of
+automorphisms), SL2 times a rank-2 torus rotated by an automorphism of
 order 6, whose base has central directions but whose X_*(T)_I = Z has no
-invariant one.
+invariant one, and the heaviest `branch` inputs of the benchmark's data
+(Spin8-triality at 4,4,4,4, SU7 at 2,1,1,1,1,2).
 
 A line of the golden file is `<exit code> <md5 stdout> <md5 stderr> <argv
 as JSON>`.  After a change that is meant to alter output, regenerate it
@@ -181,6 +182,13 @@ LONG_WALKS = (
     "conv Spin8-triality --mu=-35,-60 --mu2=-30,-56 --lam=35,60 --lam2=30,56 --format json",
 )
 
+# The heaviest branch inputs: V(4,4,4,4) of Spin8-triality (95,569 weights)
+# and V(2,1,1,1,1,2) of SU7 (115,627 weights), restricted and straightened.
+HEAVY_BRANCHES = (
+    "branch Spin8-triality --weight 4,4,4,4 --format json",
+    "branch SU7 --weight 2,1,1,1,1,2 --format json",
+)
+
 
 def _fmt(vec):
     return ",".join(str(x) for x in vec)
@@ -279,6 +287,7 @@ def golden_argvs():
     out += [["describe", *rot6], ["verify", *rot6, "all"], ["branch", *rot6, "--weight", "1,0,0"],
             ["dominant-image", *rot6, "--bound", "2", "--coord-bound", "2"],
             ["dominant-image", *rot6, "--bound", "2"]]
+    out += [line.split() for line in HEAVY_BRANCHES]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

@@ -15,6 +15,7 @@ from twisted_satake.dual import (
     CHAR0,
     ELL_CAP,
     CoefficientProfile,
+    _dynkin_types,
     _is_prime,
     adjoint_quotient,
     classify_rank_one,
@@ -61,6 +62,33 @@ def transport(t, p):
     gens = [DiagramAutomorphism.make(p.mul(g.lattice_map).mul(p_inv), g.root_permutation)
             for g in t.generators]
     return TwistedRootDatum.make(base, gens)
+
+
+def _cartan(k, bonds):
+    """The Cartan matrix on k nodes with bonds (i, j, a_ij, a_ji)."""
+    c = [[2 * (i == j) for j in range(k)] for i in range(k)]
+    for i, j, a, b in bonds:
+        c[i][j], c[j][i] = a, b
+    return c
+
+
+def _chain(k):
+    return [(i, i + 1, -1, -1) for i in range(k - 1)]
+
+
+@pytest.mark.parametrize("k,bonds,types", [
+    (3, _chain(3), ["A3"]),
+    (3, _chain(2) + [(1, 2, -1, -2)], ["B3"]),      # a_21 = -2: alpha_1 longer, alpha_2 short
+    (4, _chain(3) + [(2, 3, -2, -1)], ["C4"]),      # alpha_3 the one long root
+    (4, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)], ["F4"]),
+    (5, _chain(4) + [(2, 4, -1, -1)], ["D5"]),
+    (7, _chain(6) + [(2, 6, -1, -1)], ["E7"]),
+    (8, _chain(7) + [(4, 7, -1, -1)], ["E8"]),
+    (6, [(0, 1, -1, -2), (2, 3, -1, -3), (4, 5, -1, -1)], ["B2", "G2", "A2"]),
+    (3, [(0, 2, -1, -1)], ["A2", "A1"]),
+])
+def test_dynkin_types_name_each_component(k, bonds, types):
+    assert _dynkin_types(_cartan(k, bonds)) == types
 
 
 def golden_u3_like():
@@ -210,6 +238,17 @@ class TestFixedGroupDescriptor:
         }
         for name, label in expected.items():
             assert fixed_group_descriptor(preset(name)).folded_cartan.type_label == label, name
+
+    def test_folded_types_from_rank_three(self):
+        """From three folded simple roots on, the label is the Dynkin type:
+        SU(2n+1) folds to B_n (SO(2n+1)), E6 with its flip to F4, and
+        Spin(2n) with a flip to B_(n-1) (Spin(2n-1))."""
+        from test_basis_zoo import source
+
+        expected = {"SU7": "B3", "SU9": "B4", "E6-flip": "F4", "Spin8-flip": "B3",
+                    "Spin10-flip": "B4"}
+        for name, label in expected.items():
+            assert fixed_group_descriptor(source(name)).folded_cartan.type_label == label, name
 
     def test_dual_of_unitary_hits_adjoint_entry(self):
         # dual_twisted(SU3) is structurally the PSU3 registry entry; its
@@ -390,7 +429,7 @@ _ORDER_SCRIPT = textwrap.dedent("""
         return {name: getattr(desc, name) for name in type(desc).__annotations__}
 
     direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
-    assert direct.folded_cartan.type_label == "rank-3", direct.folded_cartan
+    assert direct.folded_cartan.type_label == "B3", direct.folded_cartan
     fixed_group_descriptor.cache_clear()
     via_preset = fixed_group_descriptor(presets.preset("SU7"))
     assert fields(via_preset) == fields(direct)

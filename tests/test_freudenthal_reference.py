@@ -90,7 +90,7 @@ def ref_two_rho(d):
 def ref_irreducible_character(d, lam):
     lam = tuple(int(x) for x in lam)
     if d.num_simple == 0:
-        return WeightMultiset.make("absolute", {lam: 1})
+        return WeightMultiset.make({lam: 1})
 
     system = full_root_system(d)
     form = ref_invariant_form(system)
@@ -130,7 +130,7 @@ def ref_irreducible_character(d, lam):
             raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
         if value:
             mult[nu] = int(value)
-    return WeightMultiset.make("absolute", mult)
+    return WeightMultiset.make(mult)
 
 
 def ref_int_weight_support(d, lam):
@@ -161,7 +161,7 @@ def ref_irreducible_character_int(d, lam):
     dominant-weight scheme."""
     lam = tuple(int(x) for x in lam)
     if d.num_simple == 0:
-        return WeightMultiset.make("absolute", {lam: 1})
+        return WeightMultiset.make({lam: 1})
 
     data = _freudenthal_data(d)
     two_rho = data.two_rho
@@ -194,7 +194,7 @@ def ref_irreducible_character_int(d, lam):
             raise InvariantViolation("Freudenthal produced a non-integer multiplicity")
         if value:
             mult[nu] = value
-    return WeightMultiset.make("absolute", mult)
+    return WeightMultiset.make(mult)
 
 
 # ---------------------------------------------------------------------------

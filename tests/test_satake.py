@@ -396,7 +396,7 @@ class TestIntegerClasses:
             lambda: corr(t, (0.0,), (1, 0)),
             lambda: enumerate_dominant_classes(t, True),
             lambda: enumerate_dominant_classes(t, 2.5),
-            lambda: WeightMultiset.make("absolute", {(1, 0): 1.5}),
+            lambda: WeightMultiset.make({(1, 0): 1.5}),
         ):
             with pytest.raises(ValueError, match="^not an integer entry: "):
                 call()

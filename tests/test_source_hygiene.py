@@ -23,7 +23,8 @@ dominance order.  `abelian` and `rootdatum` import nothing from
 Within the package only `__init__` and `cli` import `presets`: no answer
 depends on a preset name.  The point queries `mv_cell`, `conv_cell` and
 `corr` reach neither `leq`, `weyl._descended` nor `two_rho_levi` except
-through a per-datum cache.
+through a per-datum cache.  `branch_to_fixed_group` and `_verify_branch`
+reach no full character, and no module defines `restrict_to_coinvariants`.
 W0 on class coordinates is derived once: `_descended` is read only by
 `weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.  So are
 the orbit rows c_O that heights and dominance read: only
@@ -196,6 +197,38 @@ def test_point_queries_call_no_order_certificate_action_or_levi_sum():
                     elif called in functions:
                         stack.append((root, called))
     assert found == []
+
+
+def test_branch_builds_no_full_character():
+    """`branch_to_fixed_group` restricts by one orbit walk into class
+    coordinates and `_verify_branch` checks on dominant weights: no
+    module-level function of the package that either reads, nor any that
+    those read in turn, reads `irreducible_character` or
+    `_irreducible_character`.  The weight-by-weight pushforward
+    `restrict_to_coinvariants` is defined in no module; it is the oracle in
+    `tests/test_branching_reference.py`."""
+    trees = _sources()
+    functions = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+    forbidden = {"irreducible_character", "_irreducible_character"}
+    found, seen = [], set()
+    stack = [(name, name) for name in ("branch_to_fixed_group", "_verify_branch")]
+    assert all(name in functions for _, name in stack)
+    while stack:
+        root, name = stack.pop()
+        for definition in functions.get(name, ()):
+            if id(definition) in seen:
+                continue
+            seen.add(id(definition))
+            names = _referenced_names(definition, set())
+            found += [f"{root} -> {name} reads {n}" for n in sorted(names & forbidden)]
+            stack += [(root, n) for n in names if n in functions]
+    assert found == []
+    defined = {n.rsplit(".", 1)[-1] for tree in trees.values() for n in _definitions(tree)}
+    assert "restrict_to_coinvariants" not in defined
 
 
 def test_w0_on_classes_is_derived_once():
