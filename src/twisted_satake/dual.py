@@ -353,7 +353,6 @@ class AdjointQuotient:
     kernel_basis: tuple        # basis of ker(to_adjoint), the central cocharacters
 
 
-@functools.lru_cache(maxsize=None)
 def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
     """The adjoint datum on the fundamental-coweight lattice, with the
     transported action and the natural map from X_*(T)."""

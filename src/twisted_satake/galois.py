@@ -289,7 +289,6 @@ class ExactSequenceData:
         return self.injective and self.cokernel == self.pi1_coinvariants
 
 
-@functools.lru_cache(maxsize=None)
 def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData:
     """Verify exactness of the coinvariant sequence by Smith-normal-form rank
     computations; an internal failure is a defect, not an input error."""

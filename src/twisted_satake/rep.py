@@ -7,7 +7,10 @@ is scaled by 4 and run on 2nu + 2rho.  It runs on the dominant weights only
 a Z-linear image of the weight lattice, checked against the exact Weyl
 dimension.  The identity image gives the character; for a twisted datum s
 regarded as the group being restricted, the class map of X^*(s)_I gives the
-restriction to the fixed subgroup.  The char-0 decomposition straightens
+restriction to the fixed subgroup.  The dominant multiplicities are the
+one cached character, per datum and highest weight; each character,
+restriction and tensor product walks their orbits again and checks the
+Weyl dimension.  The char-0 decomposition straightens
 each weight of the restriction under the dot action of the folded Weyl
 group (the Brauer-Klimyk rule) and is checked on dominant weights; a tensor
 product straightens one character shifted by the other highest weight.
@@ -63,9 +66,6 @@ class WeightMultiset:
 
     def as_dict(self):
         return dict(self.entries)
-
-    def multiplicity(self, key):
-        return self.as_dict().get(key, 0)
 
 
 def total_dimension(w: WeightMultiset) -> int:
@@ -155,30 +155,22 @@ def is_dominant_character(d: BasedRootDatum, lam) -> bool:
 
 def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     """Weight multiplicities of the irreducible with highest weight lam,
-    by the Freudenthal recursion in integers; the multiset is frozen."""
+    by the Freudenthal recursion in integers; the multiset is frozen.  Only
+    the dominant multiplicities are cached (`_dominant_character`): each
+    call walks their orbits again and checks the Weyl dimension."""
     require_valid(d)
-    return _irreducible_character(d, tuple(map(_integer, lam)))
+    return WeightMultiset.make(_orbit_sum(d, tuple(map(_integer, lam)), _identity))
 
 
-@functools.lru_cache(maxsize=None)
-def _irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
-    """Keyed on checked entries: a weight key would equate True with 1."""
-    return WeightMultiset.make(_orbit_sum(d, lam, lambda x: x))
-
-
-def _clear_characters():
-    _irreducible_character.cache_clear()
-    _dominant_character.cache_clear()
-
-
-irreducible_character.cache_info = _irreducible_character.cache_info
-irreducible_character.cache_clear = _clear_characters
+def _identity(x):
+    return x
 
 
 @functools.lru_cache(maxsize=None)
 def _dominant_character(d: BasedRootDatum, lam: tuple):
     """((nu, m(nu)), ...) over the dominant weights nu of the irreducible
-    with highest weight lam, in order of depth.
+    with highest weight lam, in order of depth; the one character cache,
+    keyed on checked entries, since a weight key would equate True with 1.
 
     With Q as in _FreudenthalData, the recursion
         (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)
@@ -307,13 +299,6 @@ def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restrictio
     return desc
 
 
-def _class_to_vector(cls):
-    free, torsion = cls
-    if any(torsion):
-        raise UnsupportedDecompositionError("torsion class outside the folded lattice")
-    return free
-
-
 def _straighten(folded: BasedRootDatum, mapping, shift):
     """The folded irreducibles in chi (x) V(shift), as sorted summands, for chi
     the W-invariant character {nu: mapping[nu]}: the Brauer-Klimyk rule.
@@ -354,7 +339,7 @@ def branch_to_fixed_group(
     lam = tuple(map(_integer, lam))
     restricted = _restriction(s, lam)
     folded = _folded_context(s, profile, restriction=restricted).folded_cartan.datum
-    mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
+    mapping = {cls[0]: m for cls, m in restricted.entries}
     result = DecompositionResult(
         summands=_straighten(folded, mapping, (0,) * folded.rank),
         restriction=restricted,
@@ -407,16 +392,14 @@ def decompose_tensor(
     character of the smaller factor, shifted by the other highest weight and
     straightened.  The unit object tensors trivially and dimensions multiply."""
     folded = _folded_context(s, profile, classes=(lam_cls, mu_cls)).folded_cartan.datum
-    a = _class_to_vector(lam_cls)
-    b = _class_to_vector(mu_cls)
+    a, b = (tuple(map(_integer, cls[0])) for cls in (lam_cls, mu_cls))
     for v in (a, b):
         if not is_dominant_character(folded, v):
             raise NonDominantWeightError(f"{v} is not dominant")
     dim = _freudenthal_data(folded).weyl_dimension
     if dim(a) > dim(b):
         a, b = b, a
-    result = DecompositionResult(
-        summands=_straighten(folded, irreducible_character(folded, a).as_dict(), b))
+    result = DecompositionResult(summands=_straighten(folded, _orbit_sum(folded, a, _identity), b))
     if dim(a) * dim(b) != sum(m * dim(cls[0]) for cls, m in result.summands):
         raise ResidualError("tensor dimensions do not multiply")
     return result
@@ -426,8 +409,7 @@ def weight_rank(t: TwistedRootDatum, mu_cls, nu_cls, profile: CoefficientProfile
     """The rank of the weight space attached to nu in the folded irreducible
     with highest class mu, both classes living in X_*(t)_I."""
     folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls)).folded_cartan.datum
-    mu_vec = _class_to_vector(mu_cls)
-    nu_vec = _class_to_vector(nu_cls)
-    if not is_dominant_character(folded, mu_vec):
+    mu = tuple(map(_integer, mu_cls[0]))
+    if not is_dominant_character(folded, mu):
         raise NonDominantWeightError(f"{mu_cls} is not a dominant class")
-    return irreducible_character(folded, mu_vec).multiplicity(nu_vec)
+    return _orbit_sum(folded, mu, _identity).get(nu_cls[0], 0)

@@ -268,7 +268,6 @@ def is_adjoint(d: BasedRootDatum) -> bool:
     return m.is_unimodular()
 
 
-@functools.lru_cache(maxsize=None)
 def _dominant_cone(free_rank, pairings, heights):
     """(den, den * A^-1 columns, N) for the square map A of free
     coordinates onto their pairings with the given rows, or None when A has

@@ -34,8 +34,6 @@ from .rootdatum import dualize
 from .satake import component_of, component_parity, format_class
 from .weyl import _w0_reflections, _weyl_order, relative_weyl
 
-SUITE_NAMES = ("exactness", "orbits", "parity", "weyl-oracle", "branching")
-
 WEYL_BOUND_DEFAULT = 10**6
 
 # The suites' fixed sizes: the coordinate box for data with an invariant
@@ -63,25 +61,6 @@ class CheckResult:
 
 def _bounded_kwargs(t):
     return {"coord_bound": COORD_BOUND} if _has_invariant_central_direction(t) else {}
-
-
-def run_suite(t: TwistedRootDatum, suite: str):
-    if suite == "all":
-        out = []
-        for name in SUITE_NAMES:
-            out.extend(run_suite(t, name))
-        return out
-    if suite == "exactness":
-        return _suite_exactness(t)
-    if suite == "orbits":
-        return _suite_orbits(t)
-    if suite == "parity":
-        return _suite_parity(t)
-    if suite == "weyl-oracle":
-        return _suite_weyl_oracle(t)
-    if suite == "branching":
-        return _suite_branching(t)
-    raise ValueError(f"unknown suite {suite!r}")
 
 
 def _regular_orbit(d, permutations=()):
@@ -255,8 +234,6 @@ def _suite_weyl_oracle(t):
         if dual_desc.folded_cartan is not None:
             cone_ok = True
             for cls in enumerate_dominant_classes(t, 8, **kwargs):
-                if any(cls[1]):
-                    continue
                 if not is_dominant_character(dual_desc.folded_cartan.datum, cls[0]):
                     cone_ok = False
             out.append(CheckResult("weyl-oracle", "dominant-cone-geometry", cone_ok))
@@ -290,3 +267,21 @@ def _suite_branching(t):
             break
     out.append(CheckResult("branching", "conservation-and-reconstruction", ok, detail=detail))
     return out
+
+
+_SUITES = {
+    "exactness": _suite_exactness,
+    "orbits": _suite_orbits,
+    "parity": _suite_parity,
+    "weyl-oracle": _suite_weyl_oracle,
+    "branching": _suite_branching,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def run_suite(t: TwistedRootDatum, suite: str):
+    if suite == "all":
+        return [r for suite_fn in _SUITES.values() for r in suite_fn(t)]
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return _SUITES[suite](t)

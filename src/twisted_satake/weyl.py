@@ -99,7 +99,6 @@ def _weyl_order(d: BasedRootDatum, orbits):
     return order
 
 
-@functools.lru_cache(maxsize=None)
 def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     """The longest element w_J of the parabolic generated by the simple
     reflections in J = subset, by the chamber walk from -2rho_J on

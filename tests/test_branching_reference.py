@@ -36,8 +36,8 @@ from twisted_satake.presets import preset
 from twisted_satake.rep import (
     DecompositionResult,
     ResidualError,
+    UnsupportedDecompositionError,
     WeightMultiset,
-    _class_to_vector,
     _folded_context,
     _freudenthal_data,
     _straighten,
@@ -56,6 +56,13 @@ STRATUM = 17   # inputs per branching-cli stratum
 
 # ---------------------------------------------------------------------------
 # Reference implementation
+
+
+def _class_to_vector(cls):
+    free, torsion = cls
+    if any(torsion):
+        raise UnsupportedDecompositionError("torsion class outside the folded lattice")
+    return free
 
 
 def ref_height(folded):
@@ -402,13 +409,15 @@ def test_flipped_sign_raises_in_tensor(monkeypatch, name, a, b):
 
 @pytest.mark.parametrize("name,a,b", MUTATION_TENSORS)
 def test_corrupted_character_fails_the_dimension_check(monkeypatch, name, a, b):
-    real = rep.irreducible_character
+    """The character of the smaller factor, as its orbit walk returns it,
+    with one multiplicity raised by 1."""
+    real = rep._orbit_sum
 
-    def corrupted(d, lam):
-        char = dict(real(d, lam).entries)
+    def corrupted(d, lam, image):
+        char = real(d, lam, image)
         char[lam] += 1
-        return WeightMultiset.make(char)
+        return char
 
-    monkeypatch.setattr(rep, "irreducible_character", corrupted)
+    monkeypatch.setattr(rep, "_orbit_sum", corrupted)
     with pytest.raises(ResidualError, match="tensor dimensions do not multiply"):
         decompose_tensor(preset(name), (a, ()), (b, ()))

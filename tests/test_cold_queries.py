@@ -118,7 +118,7 @@ COUNT = lambda: 0
 
 COUNT_CHARACTERS = """
 from twisted_satake import rep
-COUNT = lambda: rep.irreducible_character.cache_info().misses
+COUNT = lambda: rep._dominant_character.cache_info().misses
 """
 
 

@@ -262,7 +262,7 @@ def test_warm_datum_miss_builds_no_fraction(monkeypatch):
     builds no `Fraction` at all: depth comes from the support walk, and the
     recursion runs in integers."""
     d = preset("SU5").base
-    irreducible_character.cache_clear()
+    rep._dominant_character.cache_clear()
     irreducible_character(d, (1, 0, 0, 0))
     made = []
     real_new = fractions.Fraction.__new__
@@ -274,7 +274,7 @@ def test_warm_datum_miss_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     char = irreducible_character(d, (2, 1, 1, 3))
     monkeypatch.undo()
-    assert irreducible_character.cache_info().misses == 2
+    assert rep._dominant_character.cache_info().misses == 2
     assert total_dimension(char) == weyl_dimension(d, (2, 1, 1, 3))
     assert made == []
 
@@ -305,10 +305,10 @@ def test_missed_dominant_weight_is_caught(name, lam, monkeypatch):
         del support[deepest]
         return support
 
-    irreducible_character.cache_clear()
+    rep._dominant_character.cache_clear()
     monkeypatch.setattr(rep, "_dominant_support", lossy)
     try:
         with pytest.raises(InvariantViolation):
             irreducible_character(d, lam)
     finally:
-        irreducible_character.cache_clear()
+        rep._dominant_character.cache_clear()

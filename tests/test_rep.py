@@ -2,12 +2,14 @@
 restriction, branching, tensor decomposition, weight ranks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from twisted_satake.abelian import dot
+from twisted_satake.abelian import DimensionMismatch, InvariantViolation, dot
 from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.dual import dual_twisted, fixed_group_descriptor, parse_profile
+from twisted_satake import rep
 from twisted_satake.presets import preset
 from twisted_satake.rep import (
     NonDominantWeightError,
@@ -126,7 +128,7 @@ class TestIrreducibleCharacter:
     def test_highest_weight_multiplicity_one(self):
         d = preset("Sp4").base
         for lam in [(1, 0), (0, 1), (2, 1)]:
-            assert irreducible_character(d, lam).multiplicity(lam) == 1
+            assert irreducible_character(d, lam).as_dict()[lam] == 1
 
     def test_against_alternating_sum_oracle(self):
         # All rank<=2 presets, highest weights of 2rho-height <= 20.
@@ -334,15 +336,63 @@ class TestWeightRank:
 
 
 def test_character_cache_refuses_what_a_fresh_process_refuses():
-    """The cache sits behind the entry check: after (1, 0), the weight
-    (True, 0) is still refused, as in a fresh process, and the public
-    function's `cache_info` and `cache_clear` reach that cache."""
+    """The one character cache, the dominant multiplicities, sits behind
+    the entry check: after (1, 0), the weight (True, 0) is still refused,
+    as in a fresh process, and a repeated call reads the one cached entry
+    again to rebuild an equal character."""
     d = preset("SU3").base
-    irreducible_character.cache_clear()
-    assert irreducible_character.cache_info().currsize == 0
+    rep._dominant_character.cache_clear()
     char = irreducible_character(d, (1, 0))
     with pytest.raises(ValueError, match=r"^not an integer entry: True$"):
         irreducible_character(d, (True, 0))
-    assert irreducible_character(d, (1, 0)) is char
-    info = irreducible_character.cache_info()
+    assert irreducible_character(d, (1, 0)) == char
+    info = rep._dominant_character.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_rational_class_entries_reach_the_cache_as_ints():
+    """`tensor` and `weight_rank` accept a `Fraction` with denominator 1 in
+    a class, and the cached dominant multiplicities they leave behind are
+    keyed and filled with ints, as in a fresh process."""
+    t = preset("SU3")
+    rep._dominant_character.cache_clear()
+    decompose_tensor(t, ((Fraction(1),), ()), ((Fraction(2),), ()))
+    weight_rank(t, ((Fraction(3),), ()), ((Fraction(1),), ()))
+    for s, lam in ((t, (1,)), (dual_twisted(t), (3,))):
+        folded = fixed_group_descriptor(s).folded_cartan.datum
+        keys = [x for nu, _m in irreducible_character(folded, lam).entries for x in nu]
+        assert {type(x) for x in keys} == {int}, lam
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decompose_tensor(preset("SU3"), ((1,), (1,)), ((1,), ())),
+    lambda: weight_rank(preset("SU3"), ((1,), (0,)), ((1,), ())),
+], ids=["tensor", "weight_rank"])
+def test_torsion_entry_is_refused_as_a_shape_mismatch(call):
+    """A datum folds exactly when X^*(s)_I is torsion-free, so a class with
+    a torsion entry has the wrong shape and is refused before any weight
+    is read."""
+    with pytest.raises(DimensionMismatch, match="^class does not match this presentation$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: irreducible_character(preset("SU3").base, (2, 1)),
+    lambda: decompose_tensor(preset("SU4"), ((1, 1), ()), ((2, 1), ())),
+    lambda: weight_rank(preset("SU4"), ((1, 1), ()), ((0, 0), ())),
+], ids=["character", "tensor", "weight_rank"])
+def test_every_call_checks_the_weyl_dimension(monkeypatch, call):
+    """Warm or cold, each call sums the orbit walk against the Weyl
+    dimension: one cached dominant multiplicity raised by 1 is caught on
+    the first call and again on a repeated one."""
+    call()
+    real = rep._dominant_character
+
+    def corrupted(d, lam):
+        (top, m), *rest = real(d, lam)
+        return ((top, m + 1), *rest)
+
+    monkeypatch.setattr(rep, "_dominant_character", corrupted)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="do not sum to the Weyl dimension"):
+            call()

@@ -20,7 +20,14 @@ def test_every_preset_passes_all_suites():
 
 
 def test_suite_names_cover_cli_choices():
-    assert set(SUITE_NAMES) == {"exactness", "orbits", "parity", "weyl-oracle", "branching"}
+    assert SUITE_NAMES == ("exactness", "orbits", "parity", "weyl-oracle", "branching")
+
+
+def test_all_runs_each_suite_in_order_and_unknown_names_are_refused():
+    t = preset("SU3")
+    assert run_suite(t, "all") == [r for name in SUITE_NAMES for r in run_suite(t, name)]
+    with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+        run_suite(t, "nope")
 
 
 @pytest.mark.parametrize("name, kwargs", [("SU3", {}), ("torus-rank-2", {"coord_bound": 4})])

@@ -584,7 +584,6 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     `coweights._walk`, but walk no group orbit (|W0| = 3,840 there)."""
     t = preset("SU11")
     relative_weyl.cache_clear()
-    longest_parabolic_element.cache_clear()
     _w0_reflections.cache_clear()
     coweights._attractor_row.cache_clear()
     coweights._class_row.cache_clear()
