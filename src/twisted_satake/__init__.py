@@ -21,10 +21,8 @@ from .abelian import (
 )
 from .rootdatum import (
     BasedRootDatum,
-    RhoData,
     dualize,
     full_root_system,
-    rho_data,
     validate,
 )
 from .galois import (

@@ -27,9 +27,9 @@ from .rootdatum import (
     BasedRootDatum,
     InvalidDatumError,
     _dominant_cone,
+    full_root_system,
     is_adjoint,
     require_valid,
-    rho_data,
 )
 
 GROUP_CLOSURE_CAP = 10000
@@ -368,7 +368,8 @@ def fundamental_coweight_pairing(t: TwistedRootDatum, orbit, beta_index) -> Frac
     if orbit not in rel.simple_orbit_list:
         raise DimensionMismatch(f"{orbit} is not an I-orbit of simple roots")
     base = t.base
-    den, omegas, _heights = _dominant_cone(base.rank, base.simple_roots, rho_data(base).two_rho)
+    two_rho = full_root_system(base).two_rho
+    den, omegas, _heights = _dominant_cone(base.rank, base.simple_roots, two_rho)
     if den != 1:
         raise InvariantViolation("fundamental coweights of an adjoint datum are not integral")
     avg = average_vector(t, omegas[orbit[0]])

@@ -2,10 +2,11 @@
 
 Irreducible characters are computed by the Freudenthal recursion with the
 invariant form built from coroot pairings, all in integers: the recursion
-is scaled by 4 and run on 2nu + 2rho.  It runs on the dominant weights only
-(Moody-Patera), and one walk of their W-orbits sums the multiplicities into
-a Z-linear image of the weight lattice, checked against the exact Weyl
-dimension.  The identity image gives the character; for a twisted datum s
+is scaled by 4 and run on 2nu + 2rho.  2rho, the form and the Weyl
+dimension are read from the datum's one record, `full_root_system`.  The
+recursion runs on the dominant weights only (Moody-Patera), and one walk of
+their W-orbits sums the multiplicities into a Z-linear image of the weight
+lattice, checked against the exact Weyl dimension.  The identity image gives the character; for a twisted datum s
 regarded as the group being restricted, the class map of X^*(s)_I gives the
 restriction to the fixed subgroup.  The dominant multiplicities are the
 one cached character, per datum and highest weight; each character,
@@ -28,7 +29,7 @@ from ._value import field, frozen
 from .abelian import DimensionMismatch, InvariantViolation, _integer, dot, vec_add, vec_scale, vec_sub
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
-from .rootdatum import BasedRootDatum, full_root_system, require_valid, rho_data
+from .rootdatum import BasedRootDatum, full_root_system, require_valid
 from .weyl import dominant_walk
 
 
@@ -75,52 +76,6 @@ def total_dimension(w: WeightMultiset) -> int:
 
 # ---------------------------------------------------------------------------
 # Freudenthal characters
-
-
-@frozen
-class _FreudenthalData:
-    """Per-datum integer data for the Freudenthal recursion.
-
-    The form is Q(x, y) = sum over positive coroots of <beta^vee, x><beta^vee,
-    y>, W-invariant and integral on integer vectors (half the usual B; the
-    factor cancels in the recursion).  For each positive root alpha it holds
-    the vector q_alpha with Q(x, alpha) = <q_alpha, x>, and Q(alpha, alpha).
-    """
-
-    positive: tuple   # (alpha, q_alpha, Q(alpha, alpha)) per positive root
-    coroots: tuple    # the positive coroots
-    two_rho: tuple
-
-    def norm(self, x):
-        return sum(dot(c, x) ** 2 for c in self.coroots)
-
-    def weyl_dimension(self, lam):
-        """prod <beta^vee, 2lam + 2rho> / prod <beta^vee, 2rho> over the
-        positive coroots, in integers."""
-        num = den = 1
-        for c in self.coroots:
-            r = dot(c, self.two_rho)
-            num *= 2 * dot(c, lam) + r
-            den *= r
-        value, remainder = divmod(num, den)
-        if remainder:
-            raise InvariantViolation("Weyl dimension is not an integer")
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
-    pairs = full_root_system(d).positive
-    coroots = tuple(c for _r, c in pairs)
-    positive = []
-    for alpha, _coroot in pairs:
-        q = (0,) * d.rank
-        for c in coroots:
-            q = vec_add(q, vec_scale(dot(c, alpha), c))
-        positive.append((alpha, q, dot(q, alpha)))
-    return _FreudenthalData(
-        positive=tuple(positive), coroots=coroots, two_rho=rho_data(d).two_rho,
-    )
 
 
 def _dominant_support(d: BasedRootDatum, lam):
@@ -172,7 +127,7 @@ def _dominant_character(d: BasedRootDatum, lam: tuple):
     with highest weight lam, in order of depth; the one character cache,
     keyed on checked entries, since a weight key would equate True with 1.
 
-    With Q as in _FreudenthalData, the recursion
+    With Q the invariant form of `RootSystem.form`, the recursion
         (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)
     is multiplied by 4 and written with 2nu + 2rho, so both sides are integers.
     It runs on the dominant weights only, in order of depth, and reads each
@@ -187,26 +142,26 @@ def _dominant_character(d: BasedRootDatum, lam: tuple):
     if not is_dominant_character(d, lam):
         raise NonDominantWeightError(f"{lam} is not dominant")
 
-    data = _freudenthal_data(d)
-    two_rho = data.two_rho
+    system = full_root_system(d)
+    two_rho = system.two_rho
     simple = tuple(zip(d.simple_coroots, d.simple_roots))
     conjugates = {}
     support = _dominant_support(d, lam)
     ordered = sorted(support, key=lambda nu: (support[nu], nu))
-    norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
+    norm_lam = system.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
     mult = {lam: 1}
     for nu in ordered:
         if nu == lam:
             continue
         total = 0
-        for alpha, q, q_alpha in data.positive:
+        for (alpha, _coroot), (q, q_alpha) in zip(system.positive, system.form):
             base = dot(q, nu)
             shifted = nu
             k = 1
             while True:
                 shifted = vec_add(shifted, alpha)
                 if shifted not in conjugates:
-                    conjugates[shifted] = dominant_walk(shifted, simple, len(data.coroots))[0]
+                    conjugates[shifted] = dominant_walk(shifted, simple, len(system.positive))[0]
                 conjugate = conjugates[shifted]
                 if conjugate not in support:
                     break
@@ -214,7 +169,7 @@ def _dominant_character(d: BasedRootDatum, lam: tuple):
                 if m:
                     total += m * (base + k * q_alpha)
                 k += 1
-        denom = norm_lam - data.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
+        denom = norm_lam - system.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
         if denom <= 0:
             raise InvariantViolation("Freudenthal denominator must be positive")
         value, remainder = divmod(8 * total, denom)
@@ -251,7 +206,7 @@ def _orbit_sum(d: BasedRootDatum, lam: tuple, image):
                         seen.add(moved)
                         stack.append((moved, tuple(v - p * b for v, b in zip(y, a))))
         total += m * len(seen)
-    if total != _freudenthal_data(d).weyl_dimension(lam):
+    if total != full_root_system(d).weyl_dimension(lam):
         raise InvariantViolation("Freudenthal multiplicities do not sum to the Weyl dimension")
     return sums
 
@@ -308,15 +263,15 @@ def _straighten(folded: BasedRootDatum, mapping, shift):
     when nu+b+rho lies on a wall, and eps(w) * A_{w(nu+b+rho)} otherwise, so
     dividing by A_rho gives c[w(nu+b+rho) - rho] += eps(w) * chi(nu).  The
     walk runs on 2nu + 2b + 2rho, in integers; eps(w) is its word's parity."""
-    data = _freudenthal_data(folded)
+    system = full_root_system(folded)
     simple = tuple(zip(folded.simple_coroots, folded.simple_roots))
-    start = vec_add(data.two_rho, vec_scale(2, shift))
+    start = vec_add(system.two_rho, vec_scale(2, shift))
     c = {}
     for nu, m in mapping.items():
-        x, word = dominant_walk(vec_add(vec_scale(2, nu), start), simple, len(data.coroots))
+        x, word = dominant_walk(vec_add(vec_scale(2, nu), start), simple, len(system.positive))
         if any(dot(coroot, x) == 0 for coroot, _root in simple):
             continue
-        doubled = vec_sub(x, data.two_rho)
+        doubled = vec_sub(x, system.two_rho)
         if any(v % 2 for v in doubled):
             raise InvariantViolation(f"w(nu + rho) - rho is not integral at {nu}")
         mu = tuple(v // 2 for v in doubled)
@@ -375,9 +330,9 @@ def _verify_branch(s, lam, result, mapping, folded):
             rebuilt[nu] = rebuilt.get(nu, 0) + m * mult
     if rebuilt != {nu: m for nu, m in mapping.items() if is_dominant_character(folded, nu)}:
         raise ResidualError("branch summands do not reconstruct the restriction")
-    dim = _freudenthal_data(folded).weyl_dimension
+    dim = full_root_system(folded).weyl_dimension
     total = sum(m * dim(cls[0]) for cls, m in result.summands)
-    if total != _freudenthal_data(s.base).weyl_dimension(lam):
+    if total != full_root_system(s.base).weyl_dimension(lam):
         raise ResidualError("branch dimensions do not add up")
     # Summands are dominant by construction, so the projection of lam is too.
     top = coinvariants(dual_twisted(s)).class_of(lam)
@@ -396,7 +351,7 @@ def decompose_tensor(
     for v in (a, b):
         if not is_dominant_character(folded, v):
             raise NonDominantWeightError(f"{v} is not dominant")
-    dim = _freudenthal_data(folded).weyl_dimension
+    dim = full_root_system(folded).weyl_dimension
     if dim(a) > dim(b):
         a, b = b, a
     result = DecompositionResult(summands=_straighten(folded, _orbit_sum(folded, a, _identity), b))

@@ -5,6 +5,12 @@ carries the simple roots, the cocharacter copy the simple coroots, and the
 pairing between them is the standard dot product.  Nonstandard pairings are
 encoded by choosing coordinates, never by a pairing matrix, so every
 downstream formula stays a dot product.
+
+`full_root_system(d)` is the one record per based datum, built once: the
+positive and negative (root, coroot) pairs, simple-root coordinates, 2rho
+(checked to pair to 2 with every simple coroot), the Levi sums 2rho_J, the
+Weyl dimension, and the invariant form the Freudenthal recursion reads,
+built on first use.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .abelian import (
     dot,
     smith_normal_form,
     vec_add,
+    vec_scale,
 )
 
 ROOT_CLOSURE_CAP = 5000
@@ -173,11 +180,15 @@ def _reflection_closure(d: BasedRootDatum):
 
 @frozen
 class RootSystem:
-    """The full (absolute) root system of a datum, with positivity split."""
+    """The full (absolute) root system of a datum, with positivity split:
+    the one per-datum record, with 2rho, its Levi sums, the invariant form
+    and the Weyl dimension."""
 
     positive: tuple      # (root, coroot) pairs, deterministic order
     negative: tuple
+    two_rho: tuple       # the sum of the positive roots
     coordinates: dict = field(compare=False, repr=False)  # root -> simple-root coordinates
+    datum: BasedRootDatum = field(compare=False, repr=False)
 
     @property
     def all_pairs(self):
@@ -190,6 +201,49 @@ class RootSystem:
     def simple_coordinates(self, root):
         """Coordinates of a root over the simple roots (integers)."""
         return self.coordinates[root]
+
+    def two_rho_levi(self, subset):
+        """Sum of the positive roots supported on the given simple indices."""
+        subset = frozenset(subset)
+        if not subset <= set(range(self.datum.num_simple)):
+            raise DimensionMismatch("Levi subset out of range")
+        total = (0,) * self.datum.rank
+        for root, _coroot in self.positive:
+            if all(c == 0 or i in subset for i, c in enumerate(self.coordinates[root])):
+                total = vec_add(total, root)
+        return total
+
+    @functools.cached_property
+    def form(self):
+        """(q_alpha, Q(alpha, alpha)) per positive root alpha, in order, for
+        the form Q(x, y) = sum over positive coroots of <beta^vee, x><beta^vee,
+        y>: W-invariant and integral on integer vectors (half the usual B;
+        the factor cancels in the Freudenthal recursion), with Q(x, alpha) =
+        <q_alpha, x>.  Built on first use: only characters read it."""
+        out = []
+        for alpha, _coroot in self.positive:
+            q = (0,) * self.datum.rank
+            for _beta, c in self.positive:
+                q = vec_add(q, vec_scale(dot(c, alpha), c))
+            out.append((q, dot(q, alpha)))
+        return tuple(out)
+
+    def norm(self, x):
+        """Q(x, x)."""
+        return sum(dot(c, x) ** 2 for _r, c in self.positive)
+
+    def weyl_dimension(self, lam):
+        """prod <beta^vee, 2lam + 2rho> / prod <beta^vee, 2rho> over the
+        positive coroots, in integers."""
+        num = den = 1
+        for _r, c in self.positive:
+            r = dot(c, self.two_rho)
+            num *= 2 * dot(c, lam) + r
+            den *= r
+        value, remainder = divmod(num, den)
+        if remainder:
+            raise InvariantViolation("Weyl dimension is not an integer")
+        return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +263,13 @@ def full_root_system(d: BasedRootDatum) -> RootSystem:
         coordinates[beta] = coords
     if len(pos) != len(neg):
         raise InvariantViolation("positivity split is not symmetric")
-    return RootSystem(positive=tuple(pos), negative=tuple(neg), coordinates=coordinates)
+    two_rho = (0,) * d.rank
+    for root, _coroot in pos:
+        two_rho = vec_add(two_rho, root)
+    if any(dot(coroot, two_rho) != 2 for coroot in d.simple_coroots):
+        raise InvariantViolation("<alpha^vee, 2rho> != 2")
+    return RootSystem(positive=tuple(pos), negative=tuple(neg), two_rho=two_rho,
+                      coordinates=coordinates, datum=d)
 
 
 def adjoint_from_cartan(cartan) -> BasedRootDatum:
@@ -224,39 +284,6 @@ def dualize(d: BasedRootDatum) -> BasedRootDatum:
     """Swap the character and cocharacter copies; an involution."""
     require_valid(d)
     return BasedRootDatum(rank=d.rank, simple_roots=d.simple_coroots, simple_coroots=d.simple_roots)
-
-
-@frozen
-class RhoData:
-    """2*rho and its Levi variants, as exact character vectors."""
-
-    datum: BasedRootDatum
-    two_rho: tuple
-
-    def two_rho_levi(self, subset):
-        """Sum of the positive roots supported on the given simple indices."""
-        subset = frozenset(subset)
-        if not subset <= set(range(self.datum.num_simple)):
-            raise DimensionMismatch("Levi subset out of range")
-        system = full_root_system(self.datum)
-        total = (0,) * self.datum.rank
-        for root, _coroot in system.positive:
-            coords = system.simple_coordinates(root)
-            if all(c == 0 or i in subset for i, c in enumerate(coords)):
-                total = vec_add(total, root)
-        return total
-
-
-@functools.lru_cache(maxsize=None)
-def rho_data(d: BasedRootDatum) -> RhoData:
-    system = full_root_system(d)
-    total = (0,) * d.rank
-    for root, _coroot in system.positive:
-        total = vec_add(total, root)
-    for coroot in d.simple_coroots:
-        if dot(coroot, total) != 2:
-            raise InvariantViolation("<alpha^vee, 2rho> != 2")
-    return RhoData(datum=d, two_rho=total)
 
 
 def is_adjoint(d: BasedRootDatum) -> bool:

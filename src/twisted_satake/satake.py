@@ -34,7 +34,7 @@ from .galois import (
     pi1_coinvariants_presentation,
     relative_simple_roots,
 )
-from .rootdatum import _walk_cone, rho_data
+from .rootdatum import _walk_cone, full_root_system
 
 
 def _dominant_row(t, x, cls):
@@ -216,8 +216,8 @@ def _corr_row(t: TwistedRootDatum, levi_orbits):
     lift gives the pairing of the average, and torsion classes pair to zero."""
     rel = relative_simple_roots(t)
     subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
-    rd = rho_data(t.base)
-    shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
+    system = full_root_system(t.base)
+    shift = vec_sub(system.two_rho, system.two_rho_levi(subset))
     c = coinvariants(t)
     return tuple(dot(v, shift) for v in c.unit_lifts[: c.quotient.free_rank])
 

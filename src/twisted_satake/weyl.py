@@ -38,7 +38,7 @@ import functools
 from ._value import field, frozen
 from .abelian import IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, orbit_coroot_classes, relative_simple_roots
-from .rootdatum import BasedRootDatum, full_root_system, rho_data
+from .rootdatum import BasedRootDatum, full_root_system
 
 @frozen
 class WeylElement:
@@ -105,9 +105,10 @@ def longest_parabolic_element(d: BasedRootDatum, subset) -> WeylElement:
     characters.  Read from the right, its word takes the least right
     descent at each step, as the closure's shortest words do."""
     subset = tuple(sorted(subset))
-    two_rho = rho_data(d).two_rho_levi(subset)
+    system = full_root_system(d)
+    two_rho = system.two_rho_levi(subset)
     simple = [(d.simple_coroots[i], d.simple_roots[i]) for i in subset]
-    end, steps = dominant_walk(tuple(-x for x in two_rho), simple, len(full_root_system(d).positive))
+    end, steps = dominant_walk(tuple(-x for x in two_rho), simple, len(system.positive))
     if end != two_rho:
         raise InvariantViolation("parabolic walk from -2rho_J does not end at 2rho_J")
     word = tuple(subset[k] for k in steps)

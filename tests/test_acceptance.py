@@ -46,7 +46,7 @@ from twisted_satake.rep import (
     irreducible_character,
     total_dimension,
 )
-from twisted_satake.rootdatum import dualize, is_adjoint, rho_data
+from twisted_satake.rootdatum import dualize, full_root_system, is_adjoint
 from twisted_satake.satake import component_of, conv_cell, mv_cell, parity_check, stratum
 from twisted_satake.weyl import relative_weyl
 
@@ -224,7 +224,7 @@ def test_criterion_06_dimension_formulas():
         for name in ALL_PRESETS:
             t = preset(name)
             c = coinvariants(t)
-            two_rho = rho_data(t.base).two_rho
+            two_rho = full_root_system(t.base).two_rho
             doms = enumerate_dominant_classes(t, 12, **_kwargs(name, 2))
             w0 = relative_weyl(t)
             ball = sorted({ref_act(t, w, d) for d in doms for w in relative_elements(w0)})

@@ -39,7 +39,6 @@ from twisted_satake.rep import (
     UnsupportedDecompositionError,
     WeightMultiset,
     _folded_context,
-    _freudenthal_data,
     _straighten,
     branch_to_fixed_group,
     decompose_tensor,
@@ -47,6 +46,7 @@ from twisted_satake.rep import (
     is_dominant_character,
     total_dimension,
 )
+from twisted_satake.rootdatum import full_root_system
 
 from test_basis_zoo import SOURCES, small_dominant_weights, source
 
@@ -69,7 +69,7 @@ def ref_height(folded):
     """The sum of the positive coroots: the height functional the greedy
     extraction ordered weights by."""
     height = (0,) * folded.rank
-    for c in _freudenthal_data(folded).coroots:
+    for _r, c in full_root_system(folded).positive:
         height = vec_add(height, c)
     return height
 
@@ -207,7 +207,7 @@ def stratum_weights(name, count=3 * STRATUM):
     box = range(9) if d.rank == 2 else range(5)
     weights = [w for w in itertools.product(box, repeat=d.rank)
                if any(w) and is_dominant_character(d, w)]
-    dim = _freudenthal_data(d).weyl_dimension
+    dim = full_root_system(d).weyl_dimension
     return sorted(weights, key=lambda w: (dim(w), w))[:count]
 
 
@@ -221,7 +221,7 @@ def tensor_candidates(name, box=8):
     """The branching-cli tensor inputs: the STRATUM unordered pairs of nonzero
     dominant folded weights in a box with the smallest dim V(a) * dim V(b)."""
     folded = folded_datum(name)
-    dim = _freudenthal_data(folded).weyl_dimension
+    dim = full_root_system(folded).weyl_dimension
     weights = [w for w in itertools.product(range(-box, box + 1), repeat=folded.rank)
                if any(w) and is_dominant_character(folded, w)]
     pairs = sorted(itertools.combinations_with_replacement(sorted(weights), 2),

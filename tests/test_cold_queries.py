@@ -192,6 +192,27 @@ def test_cold_tensor_computes_one_character(argv):
     assert misses == (0 if "--coeff" in argv else 1)
 
 
+FORM_BUILT = """
+from twisted_satake.presets import preset
+from twisted_satake.rootdatum import full_root_system
+COUNT = lambda: [full_root_system.cache_info().currsize > 0,
+                 "form" in vars(full_root_system(preset("SU7").base))]
+"""
+
+
+@pytest.mark.parametrize("argv,built", [
+    ([["schubert", "SU7", "--bound", "5"], ["describe", "SU7"]], False),
+    ([["branch", "SU7", "--weight", "1,0,0,0,0,1"]], True),
+], ids=["posets", "branch"])
+def test_invariant_form_is_built_on_first_use(argv, built):
+    """Cold `schubert` and `describe` build SU7's root system but not its
+    invariant form, which only the Freudenthal recursion reads; a `branch`
+    at the adjoint weight (not minuscule, so the recursion runs) builds it."""
+    results, (had_records, form) = run_fresh(FORM_BUILT, argv)
+    assert results == [answer(a) for a in argv]
+    assert had_records and form is built
+
+
 def _su3_file(tmp_path):
     t = preset("SU3")
     doc = {

@@ -64,8 +64,8 @@ from twisted_satake.rootdatum import (
     _dominant_cone,
     _walk_cone,
     dualize,
+    full_root_system,
     require_valid,
-    rho_data,
 )
 from twisted_satake.satake import closure_poset, corr, strata_below
 
@@ -96,7 +96,7 @@ def ref_leq(t, lam, mu):
 
 
 def ref_class_height(t, cls):
-    return dot_frac(average_map(t, cls), rho_data(t.base).two_rho)
+    return dot_frac(average_map(t, cls), full_root_system(t.base).two_rho)
 
 
 def ref_is_dominant_class(t, cls):
@@ -111,7 +111,7 @@ def ref_corr(t, levi_orbits, v):
     """<Fraction average of the class of v, 2 rho - 2 rho_M>."""
     rel = relative_simple_roots(t)
     subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
-    rd = rho_data(t.base)
+    rd = full_root_system(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
     value = dot_frac(average_map(t, coinvariants(t).class_of(tuple(v))), shift)
     assert value.denominator == 1
@@ -119,7 +119,7 @@ def ref_corr(t, levi_orbits, v):
 
 
 def ref_dominant_coweights_up_to_height(d, max_height, coord_bound=None):
-    two_rho = rho_data(d).two_rho
+    two_rho = full_root_system(d).two_rho
     if d.num_simple == d.rank:
         omegas = fundamental_coweights_rational(d)
         heights = [dot_frac(w, two_rho) for w in omegas]
@@ -165,7 +165,7 @@ def parent_dominant_coweights_up_to_height(d: BasedRootDatum, max_height, coord_
     max_height = _integer(max_height)
     coord_bound = _coord_bound(coord_bound)
     require_valid(d)
-    two_rho = rho_data(d).two_rho
+    two_rho = full_root_system(d).two_rho
     if d.num_simple != d.rank:
         if coord_bound is None:
             raise ValueError("datum has central directions; "
@@ -186,7 +186,7 @@ def ref_fundamental_cone(d):
     omegas = fundamental_coweights_rational(d)
     den = math.lcm(1, *(x.denominator for w in omegas for x in w))
     scaled = tuple(tuple(int(x * den) for x in w) for w in omegas)
-    two_rho = rho_data(d).two_rho
+    two_rho = full_root_system(d).two_rho
     heights = tuple(dot(w, two_rho) for w in scaled)
     if any(h <= 0 for h in heights):
         raise InvariantViolation("fundamental coweight with nonpositive height")
@@ -282,7 +282,7 @@ def _free_box(t, max_height):
         return ()
     rel = relative_simple_roots(t)
     omegas = fundamental_coweights_rational(t.base)
-    two_rho = rho_data(t.base).two_rho
+    two_rho = full_root_system(t.base).two_rho
     orbit_avgs = [average_vector(t, omegas[orbit[0]]) for orbit in rel.simple_orbit_list]
     heights = [dot_frac(v, two_rho) for v in orbit_avgs]
     if any(h <= 0 for h in heights):
@@ -562,7 +562,7 @@ def test_dominant_cone_matches_fundamental_coweights(name):
             continue
         ref_den, scaled, ref_heights = ref_fundamental_cone(d)
         den, generators, weights = rootdatum._dominant_cone(
-            d.rank, d.simple_roots, rho_data(d).two_rho
+            d.rank, d.simple_roots, full_root_system(d).two_rho
         )
         assert [[Fraction(x, den) for x in g] for g in generators] == \
             [[Fraction(x, ref_den) for x in w] for w in scaled]

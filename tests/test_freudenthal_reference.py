@@ -25,7 +25,6 @@ from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake import rep
 from twisted_satake.rep import (
     WeightMultiset,
-    _freudenthal_data,
     irreducible_character,
     is_dominant_character,
     total_dimension,
@@ -33,7 +32,6 @@ from twisted_satake.rep import (
 from twisted_satake.rootdatum import (
     dualize,
     full_root_system,
-    rho_data,
 )
 
 from test_linalg_reference import rational_solve
@@ -163,17 +161,17 @@ def ref_irreducible_character_int(d, lam):
     if d.num_simple == 0:
         return WeightMultiset.make({lam: 1})
 
-    data = _freudenthal_data(d)
-    two_rho = data.two_rho
+    system = full_root_system(d)
+    two_rho = system.two_rho
     support = ref_int_weight_support(d, lam)
     ordered = sorted(support, key=lambda nu: (support[nu], nu))
-    norm_lam = data.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
+    norm_lam = system.norm(tuple(2 * x + r for x, r in zip(lam, two_rho)))
     mult = {lam: 1}
     for nu in ordered:
         if nu == lam:
             continue
         total = 0
-        for alpha, q, q_alpha in data.positive:
+        for (alpha, _coroot), (q, q_alpha) in zip(system.positive, system.form):
             base = dot(q, nu)
             k = 1
             while True:
@@ -186,7 +184,7 @@ def ref_irreducible_character_int(d, lam):
                 if m:
                     total += m * (base + k * q_alpha)
                 k += 1
-        denom = norm_lam - data.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
+        denom = norm_lam - system.norm(tuple(2 * x + r for x, r in zip(nu, two_rho)))
         if denom <= 0:
             raise InvariantViolation("Freudenthal denominator must be positive")
         value, remainder = divmod(8 * total, denom)
@@ -232,7 +230,7 @@ def test_characters_match_integer_reference(label, d):
 
 
 def weyl_dimension(d, lam):
-    two_rho = rho_data(d).two_rho
+    two_rho = full_root_system(d).two_rho
     num = den = 1
     for _r, c in full_root_system(d).positive:
         num *= dot(c, lam) * 2 + dot(c, two_rho)

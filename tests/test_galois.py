@@ -162,11 +162,11 @@ class TestRhoInvariance:
     def test_two_rho_fixed_by_every_generator(self):
         # The contragredient action permutes the positive roots, so it
         # fixes their sum.
-        from twisted_satake.rootdatum import rho_data
+        from twisted_satake.rootdatum import full_root_system
 
         for _name, entry in default_presets():
             t = entry.twisted
-            two_rho = rho_data(t.base).two_rho
+            two_rho = full_root_system(t.base).two_rho
             for g in t.generators:
                 contragredient = ref_inverse_unimodular(g.lattice_map).transpose()
                 assert contragredient.apply(two_rho) == two_rho

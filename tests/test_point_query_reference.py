@@ -40,7 +40,7 @@ from twisted_satake.coweights import (
 )
 from twisted_satake.galois import coinvariants, relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
-from twisted_satake.rootdatum import full_root_system, rho_data
+from twisted_satake.rootdatum import full_root_system
 from twisted_satake.satake import ConvCell, MvCell, _integral, conv_cell, corr, mv_cell
 from twisted_satake.weyl import WeylElement, _descended, _w0_reflections, dominant_walk, relative_weyl
 
@@ -162,7 +162,7 @@ def ref_corr(t, levi_orbits, v):
     subset = set()
     for i in levi_orbits:
         subset.update(rel.simple_orbit_list[i])
-    rd = rho_data(t.base)
+    rd = full_root_system(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
     sub, c = ref_substrate(t), coinvariants(t)
     value = _scaled_pairing(sub, c.coordinates(c.class_of(tuple(v))), shift)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import rootdatum
-from twisted_satake.abelian import FgAbelianGroup, IntMatrix
+from twisted_satake.abelian import DimensionMismatch, FgAbelianGroup, IntMatrix
 from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.galois import kottwitz_components, split_twisted
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
@@ -15,7 +15,6 @@ from twisted_satake.rootdatum import (
     full_root_system,
     is_adjoint,
     require_valid,
-    rho_data,
     validate,
 )
 
@@ -194,13 +193,13 @@ class TestFundamentalGroup:
 class TestRhoData:
     def test_a1(self):
         d = preset("SL2").base
-        assert rho_data(d).two_rho == d.simple_roots[0]
+        assert full_root_system(d).two_rho == d.simple_roots[0]
 
     def test_a2_in_z3(self):
-        assert rho_data(gl3_datum()).two_rho == (2, 0, -2)
+        assert full_root_system(gl3_datum()).two_rho == (2, 0, -2)
 
     def test_levi_subset(self):
-        rd = rho_data(gl3_datum())
+        rd = full_root_system(gl3_datum())
         assert rd.two_rho_levi({0}) == (1, -1, 0)
         assert rd.two_rho_levi(set()) == (0, 0, 0)
         assert rd.two_rho_levi({0, 1}) == rd.two_rho
@@ -211,9 +210,28 @@ class TestRhoData:
 
         for _name, entry in default_presets():
             d = entry.twisted.base
-            rd = rho_data(d)
+            rd = full_root_system(d)
             for coroot in d.simple_coroots:
                 assert dot(coroot, rd.two_rho) == 2
+
+
+@pytest.mark.parametrize("name", DEFAULT_PRESET_NAMES + ("SU7", "SU9"))
+class TestRootSystemRecord:
+    """The Levi sums and duality of each default preset base, SU7 and SU9."""
+
+    def test_levi_sums_at_the_ends_and_out_of_range(self, name):
+        d = preset(name).base
+        system = full_root_system(d)
+        assert system.two_rho_levi(()) == (0,) * d.rank
+        assert system.two_rho_levi(range(d.num_simple)) == system.two_rho
+        for subset in ({d.num_simple}, {-1}, {0, d.num_simple}):
+            with pytest.raises(DimensionMismatch, match="Levi subset out of range"):
+                system.two_rho_levi(subset)
+
+    def test_dual_positive_pairs_are_the_swapped_pairs(self, name):
+        d = preset(name).base
+        swapped = {(coroot, root) for root, coroot in full_root_system(d).positive}
+        assert set(full_root_system(dualize(d)).positive) == swapped
 
 
 class TestLatticeFlags:

@@ -73,9 +73,9 @@ class TestStratum:
         lift_b = emb.to_internal((0, 1, -1))
         assert c.class_of(lift_a) == c.class_of(lift_b)
         from twisted_satake.galois import average_vector
-        from twisted_satake.rootdatum import rho_data
+        from twisted_satake.rootdatum import full_root_system
 
-        two_rho = rho_data(t.base).two_rho
+        two_rho = full_root_system(t.base).two_rho
         assert dot_frac(average_vector(t, lift_a), two_rho) == dot_frac(
             average_vector(t, lift_b), two_rho
         )

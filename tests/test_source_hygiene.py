@@ -77,8 +77,9 @@ def _referenced_names(tree, skip, members=False):
     return names
 
 
-def test_private_helpers_are_referenced():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def _unused_private(trees):
+    """(module, name) for each module-level private function and class of
+    trees whose name nothing in trees refers to outside its own definition."""
     private = {
         (module, node.name): node
         for module, tree in trees.items()
@@ -87,15 +88,15 @@ def test_private_helpers_are_referenced():
         and node.name.startswith("_")
     }
     assert private, "no private helpers found; is the source path right?"
-    unused = []
-    for (module, name), definition in sorted(private.items()):
-        used = any(
-            name in _referenced_names(tree, {definition} if other == module else set())
-            for other, tree in trees.items()
-        )
-        if not used:
-            unused.append(f"{module}:{definition.lineno} {name}")
-    assert unused == []
+    return [
+        (module, name) for (module, name), definition in sorted(private.items())
+        if not any(name in _referenced_names(tree, {definition} if other == module else set())
+                   for other, tree in trees.items())
+    ]
+
+
+def test_private_helpers_are_referenced():
+    assert _unused_private(_sources()) == []
 
 
 def test_module_level_imports_are_read():
@@ -189,11 +190,9 @@ KEPT_CACHES = {
                                 "the same entry on every lookup",
     "presets._torus": "the preset builders return the same entry on every lookup",
     "rep._dominant_character": "library-session; the one character cache",
-    "rep._freudenthal_data": "branching-cli, library-session",
     "rootdatum._reflection_closure": "posets-cli, branching-cli, library-session",
     "rootdatum._validity_report": "posets-cli, branching-cli, library-session",
     "rootdatum.full_root_system": "posets-cli, branching-cli, library-session",
-    "rootdatum.rho_data": "branching-cli, library-session",
     "satake._corr_row": "library-session",
     "weyl._w0_reflections": "library-session",
     "weyl.relative_weyl": "library-session",
@@ -213,7 +212,7 @@ def test_each_cache_has_a_second_reader():
                 copied += [ast.unparse(t) for t in node.targets
                            if getattr(t, "attr", None) in ("cache_info", "cache_clear")]
     assert sorted(cached) == sorted(KEPT_CACHES)
-    assert len(cached) == 21
+    assert len(cached) == 19
     assert copied == []
 
 
@@ -590,8 +589,9 @@ def test_a_member_only_a_test_reads_is_reported():
     assert _stale(planted, listed | stale) == list(stale)
 
 
-# The members that only tests read before they left the package (to a test,
-# or deleted as a restatement), as they stood there.
+# The members that left the package, as they stood there: those only tests
+# read (moved to a test, or deleted as a restatement), and the per-datum
+# records folded into `rootdatum.RootSystem`.
 LEFT_THE_PACKAGE = {
     ("abelian.py", "IntMatrix"): """
         @staticmethod
@@ -639,6 +639,70 @@ LEFT_THE_PACKAGE = {
         def inverse_matrix(self):
             return self.matrix.inverse_unimodular()
     """,
+    ("rootdatum.py", None): """
+        @frozen
+        class RhoData:
+            datum: BasedRootDatum
+            two_rho: tuple
+
+            def two_rho_levi(self, subset):
+                subset = frozenset(subset)
+                if not subset <= set(range(self.datum.num_simple)):
+                    raise DimensionMismatch("Levi subset out of range")
+                system = full_root_system(self.datum)
+                total = (0,) * self.datum.rank
+                for root, _coroot in system.positive:
+                    coords = system.simple_coordinates(root)
+                    if all(c == 0 or i in subset for i, c in enumerate(coords)):
+                        total = vec_add(total, root)
+                return total
+
+        @functools.lru_cache(maxsize=None)
+        def rho_data(d: BasedRootDatum) -> RhoData:
+            system = full_root_system(d)
+            total = (0,) * d.rank
+            for root, _coroot in system.positive:
+                total = vec_add(total, root)
+            for coroot in d.simple_coroots:
+                if dot(coroot, total) != 2:
+                    raise InvariantViolation("<alpha^vee, 2rho> != 2")
+            return RhoData(datum=d, two_rho=total)
+    """,
+    ("rep.py", None): """
+        @frozen
+        class _FreudenthalData:
+            positive: tuple
+            coroots: tuple
+            two_rho: tuple
+
+            def norm(self, x):
+                return sum(dot(c, x) ** 2 for c in self.coroots)
+
+            def weyl_dimension(self, lam):
+                num = den = 1
+                for c in self.coroots:
+                    r = dot(c, self.two_rho)
+                    num *= 2 * dot(c, lam) + r
+                    den *= r
+                value, remainder = divmod(num, den)
+                if remainder:
+                    raise InvariantViolation("Weyl dimension is not an integer")
+                return value
+
+        @functools.lru_cache(maxsize=None)
+        def _freudenthal_data(d: BasedRootDatum) -> _FreudenthalData:
+            pairs = full_root_system(d).positive
+            coroots = tuple(c for _r, c in pairs)
+            positive = []
+            for alpha, _coroot in pairs:
+                q = (0,) * d.rank
+                for c in coroots:
+                    q = vec_add(q, vec_scale(dot(c, alpha), c))
+                positive.append((alpha, q, dot(q, alpha)))
+            return _FreudenthalData(
+                positive=tuple(positive), coroots=coroots, two_rho=rho_data(d).two_rho,
+            )
+    """,
     ("presets.py", None): """
         @frozen
         class AmbientEmbedding:
@@ -657,11 +721,15 @@ LEFT_THE_PACKAGE = {
 def test_members_that_left_the_package_are_reported():
     """Planted back, each member that left is reported, but for those whose
     name another reader shares: `add` (`set.add`, `operator.add`), `sub`
-    (`operator.sub`) and `WeylElement.apply` (`IntMatrix.apply`)."""
+    (`operator.sub`), `WeylElement.apply` (`IntMatrix.apply`), the methods
+    of `_FreudenthalData` and `RhoData` (now `RootSystem`'s), and `RhoData`,
+    which the bench names in a span.  `_freudenthal_data` is reported as an
+    unread private helper; `_FreudenthalData` is read only by it."""
     trees = _sources()
     for (module, cls), source in LEFT_THE_PACKAGE.items():
         trees = _plant(trees, module, cls, source)
-    assert _unread(trees) == (["presets.AmbientEmbedding"], [
+    assert _unused_private(trees) == [("rep.py", "_freudenthal_data")]
+    assert _unread(trees) == (["presets.AmbientEmbedding", "rootdatum.rho_data"], [
         "IntMatrix.zero", "FgAbelianGroup.is_trivial", "QuotientPresentation.zero_class",
         "QuotientPresentation.scale", "AmbientEmbedding.to_internal", "AmbientEmbedding.to_ambient",
         "WeightMultiset.support", "WeightMultiset.multiplicity", "WeylElement.char_matrix", "WeylElement.apply_char",

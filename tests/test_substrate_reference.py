@@ -49,7 +49,7 @@ from twisted_satake.galois import (
     relative_simple_roots,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES
-from twisted_satake.rootdatum import _dominant_cone, _walk_cone, rho_data
+from twisted_satake.rootdatum import _dominant_cone, _walk_cone, full_root_system
 
 # ---------------------------------------------------------------------------
 # The earlier substrate
@@ -138,7 +138,7 @@ def ref_substrate(t: TwistedRootDatum) -> RefSubstrate:
         for o in range(len(orbit_classes))
     )
     root_pairings = tuple(row(alpha) for alpha in t.base.simple_roots)
-    heights = row(rho_data(t.base).two_rho)
+    heights = row(full_root_system(t.base).two_rho)
     rel = relative_simple_roots(t)
     return RefSubstrate(
         group_order=group_order(t),
@@ -179,7 +179,7 @@ def ref_corr_row(t, levi_orbits):
     """|I| <average of each free unit class, 2 rho - 2 rho_M>."""
     rel = relative_simple_roots(t)
     subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
-    rd = rho_data(t.base)
+    rd = full_root_system(t.base)
     shift = vec_sub(rd.two_rho, rd.two_rho_levi(subset))
     return tuple(dot(v, shift) for v in ref_substrate(t).free_sums)
 

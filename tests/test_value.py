@@ -1,6 +1,6 @@
 """The package's frozen value classes.
 
-One instance of each of the 31 classes, built from presets, and of the
+One instance of each of the 29 classes, built from presets, and of the
 value classes the tests define (the oracle `IwahoriWeylElement`, and
 `AmbientEmbedding`, which replays hand computations in Z^3 coordinates),
 prints the repr `dataclasses` gave it (`value_reprs.txt`).  A class's
@@ -73,12 +73,10 @@ def one_of_each():
         ambient_embedding("SU3"),
         ts.get_preset("SL2"),
         ts.irreducible_character(sl2.base, (1,)),
-        rep._freudenthal_data(sl2.base),
         ts.branch_to_fixed_group(su3, (1, 0)),
         su3.base,
         ts.validate(sl2.base),
         ts.full_root_system(su3.base),
-        ts.rho_data(su3.base),
         poset.strata[0],
         poset,
         ts.mv_cell(su3, dominant.cls, dominant.cls),
@@ -107,7 +105,7 @@ def test_every_value_class_has_an_instance():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and "__value_repr__" in vars(obj)
     }
-    assert len(classes) == 31
+    assert len(classes) == 29
     assert classes | TEST_CLASSES == set(one_of_each()) == set(GOLDEN)
 
 
