@@ -522,13 +522,19 @@ def membership_and_coordinates(basis, v):
     """Integer coordinates of v in the integral span of `basis`, or None.
 
     The basis must be linearly independent over Q; dependent input is
-    rejected with DependentBasisError.  Rational entries are scaled by their
-    common denominator, which keeps the coordinates; independent columns
-    then leave no free variable, so the one Smith solution is the answer.
+    rejected with DependentBasisError.  Entries are rationals (int or
+    Fraction); a float or a bool is refused with ValueError("not a rational
+    entry: ...").  Rational entries are scaled by their common denominator,
+    which keeps the coordinates; independent columns then leave no free
+    variable, so the one Smith solution is the answer.
     """
+    entries = (*v, *(x for col in basis for x in col))
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+            raise ValueError(f"not a rational entry: {x!r}")
     if not basis:
         return () if all(x == 0 for x in v) else None
-    den = math.lcm(*(x.denominator for x in (*v, *(x for col in basis for x in col))))
+    den = math.lcm(*(x.denominator for x in entries))
     m = IntMatrix.from_columns([[x * den for x in col] for col in basis])
     if len(v) != m.rows:
         raise DimensionMismatch("target length does not match the basis vectors")

@@ -2,45 +2,40 @@
 
 A coinvariant class is dominant when its rational average pairs
 nonnegatively with every absolute simple root; by invariance of the average
-this agrees with the pairing against the relative simple roots.  The partial
-order compares classes through the free basis of coroot-orbit classes, with
-an explicit nonnegative-integer certificate (`leq`), and gives the Hasse
-edges among a set of labels (`hasse_covers`); this module alone reads the
-order coordinates both come from.  Heights are measured by the pairing of
-the average with 2*rho, an integer on every class.  Heights, dominance and
-bounded enumeration read the orbit rows c_O of `weyl._orbit_pairings`, in
-integer arithmetic.  The chamber walk to a dominant representative steps
-by W0's reflection rows alone (`weyl._w0_reflections`, checked once per
-datum against W0's descended generators).  `enumerate_dominant_classes`
-is the one enumerator of dominant lattice points: the dominant coweights
-of a based datum (`dominant_coweights_up_to_height`) are its split case.
+this agrees with the pairing against the relative simple roots.  Heights
+are measured by the pairing of the average with 2*rho, an integer on every
+class.  Heights, dominance, bounded enumeration and the order read the
+orbit rows c_O of `weyl._orbit_pairings`, in integer arithmetic: lam <= mu
+exactly when they lie in the same Kottwitz component and A^-1 applied to
+the pairing difference (<c_O, mu - lam>)_O is nonnegative, for A[O][O'] =
+<c_O, b_O'> with b_O' the coroot-orbit classes.  `leq` gives the certificate
+and `hasse_covers` the Hasse edges among a set of labels; this module alone
+reads the order coordinates both come from.  The chamber walk to a dominant
+representative steps by W0's reflection rows alone (`weyl._w0_reflections`,
+checked once per datum against W0's descended generators).
+`enumerate_dominant_classes` is the one enumerator of dominant lattice
+points: the dominant coweights of a based datum
+(`dominant_coweights_up_to_height`) are its split case.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 
-from ._value import frozen
-from .abelian import (
-    IntMatrix,
-    InvariantViolation,
-    _integer,
-    dot,
-    smith_normal_form,
-    vec_sub,
-)
+from ._value import field, frozen
+from .abelian import IntMatrix, InvariantViolation, _integer, dot, vec_sub
 from .galois import (
     TwistedRootDatum,
     coinvariants,
     orbit_coroot_classes,
+    pi1_coinvariants_presentation,
     relative_simple_roots,
     split_twisted,
 )
-from .rootdatum import BasedRootDatum, _dominant_cone, _walk_cone, full_root_system
+from .rootdatum import BasedRootDatum, _dominant_cone, _scaled_inverse, _walk_cone, full_root_system
 from .weyl import WeylElement, _orbit_pairings, _w0_reflections, dominant_walk, relative_weyl
 
 
@@ -77,15 +72,15 @@ class _Substrate:
     <c_O, x>, an integer on every class.  The torsion entries of the rows
     are zero, as torsion classes pair to zero (checked).
 
-    The order solves mu - lam = sum c_O [coroot_O] on class coordinates,
-    with U M V = D the Smith decomposition of M = [orbit coroot classes |
-    torsion moduli] (rank k, diagonal d_i, L = lcm d_i).  With w = U x, a
-    class's order key is (w_i mod d_i for i < k) + (w_i for i >= k), and its
-    order coordinates c are the orbit entries of V z, where z_i =
-    w_i L / d_i for i < k and 0 beyond.  By linearity lam <= mu exactly when
-    the keys agree and c(mu) - c(lam) >= 0, with certificate
-    (c(mu) - c(lam)) / L: the integer solution of the system, read without
-    solving it per pair.
+    The order reads the same rows: lam <= mu exactly when lam and mu lie in
+    one Kottwitz component and mu - lam = sum n_O b_O over the coroot-orbit
+    classes b_O with every n_O >= 0.  The component map is one integer
+    matrix on class coordinates (`kottwitz_rows`).  Within one component
+    the exact sequence (Z Phi^vee)_I -> X_*(T)_I -> pi_1(G)_I gives integers
+    n_O with p(mu) - p(lam) = A n, for p(x) = (<c_O, x>)_O and the matrix
+    A[O][O'] = <c_O, b_O'>, invertible over Q.  So the order coordinates are
+    den A^-1 p(x) (`order_inverse`), and the certificate is their difference
+    over den.  Both are built on first use; dominance and heights need neither.
 
     Without invariant central directions, y_O = <c_O, x> is an invertible
     map of the free coordinates, and height = sum_O n_O y_O.  `cone` holds
@@ -95,31 +90,48 @@ class _Substrate:
 
     pairings: tuple           # c_O per simple-root orbit O, per basis class
     heights: tuple            # sum_O n_O c_O: <average of basis class, 2 rho>
-    order_rows: tuple         # the rows of U
-    order_moduli: tuple       # d_i for i < k
-    order_lift: tuple         # per orbit O: V[O][i] * L / d_i for i < k
-    order_scale: int          # L
     cone: tuple | None
+    datum: TwistedRootDatum = field(compare=False, repr=False)
 
     def dominant(self, x):
         """Is the class with coordinates x dominant?  Integer dot products
         with the orbit rows."""
         return all([sum(map(operator.mul, row, x)) >= 0 for row in self.pairings])
 
+    @functools.cached_property
+    def kottwitz_rows(self):
+        """(pi_1(G)_I's presentation, the Kottwitz map's rows on class
+        coordinates): column j is the pi_1(G)_I class of unit class j's
+        lift.  They act on any representative of a class, since pi_1(G)_I
+        divides out the (1 - gamma) span."""
+        pres = pi1_coinvariants_presentation(self.datum)
+        cols = [pres.coordinates(pres.class_of(u)) for u in coinvariants(self.datum).unit_lifts]
+        return pres, tuple(zip(*cols))
+
+    @functools.cached_property
+    def order_inverse(self):
+        """(den, the rows of den A^-1) for A[O][O'] = <c_O, b_O'>."""
+        c = coinvariants(self.datum)
+        basis = [c.coordinates(b) for b in orbit_coroot_classes(self.datum)]
+        inverse = _scaled_inverse([[dot(row, b) for b in basis] for row in self.pairings])
+        if inverse is None:
+            raise InvariantViolation("the orbit rows do not separate the coroot-orbit classes")
+        den, m = inverse
+        return den, tuple(m.row(i) for i in range(m.rows))
+
     def order_coordinates(self, x):
-        """(order key, L-scaled orbit coordinates) of the class with coordinates x."""
-        w = [dot(row, x) for row in self.order_rows]
-        k = len(self.order_moduli)
-        key = tuple(a % d for a, d in zip(w, self.order_moduli)) + tuple(w[k:])
-        return key, tuple(dot(row, w) for row in self.order_lift)
+        """(Kottwitz component, den A^-1 p(x)) of the class with coordinates x."""
+        pres, kottwitz = self.kottwitz_rows
+        p = [dot(row, x) for row in self.pairings]
+        return (pres.normal_form([dot(row, x) for row in kottwitz]),
+                tuple([dot(row, p) for row in self.order_inverse[1]]))
 
 
 @functools.lru_cache(maxsize=None)
 def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
-    r, factors = c.quotient.free_rank, c.quotient.invariant_factors
-    s = len(factors)
+    r, s = c.quotient.free_rank, len(c.quotient.invariant_factors)
     pairings = _orbit_pairings(t)
     if any(any(row[r:]) for row in pairings):
         raise InvariantViolation("a c_O row has a nonzero torsion entry")
@@ -128,31 +140,8 @@ def _substrate(t: TwistedRootDatum) -> _Substrate:
     n = [sum(roots.simple_coordinates(root)[orbit[0]] for root, _ in roots.positive)
          for orbit in relative_simple_roots(t).simple_orbit_list]
     heights = tuple(sum(n_o * row[j] for n_o, row in zip(n, pairings)) for j in range(r + s))
-
-    # mu - lam = sum c_O [coroot_O] in X_*(T)_I is an integer system on class
-    # coordinates once each torsion coordinate may move by its invariant factor.
-    orbit_classes = orbit_coroot_classes(t)
-    moduli = [
-        tuple(d if i == r + k else 0 for i in range(r + s)) for k, d in enumerate(factors)
-    ]
-    system = smith_normal_form(IntMatrix.from_columns(
-        [free + torsion for free, torsion in orbit_classes] + moduli, nrows=r + s
-    ))
-    diagonal = system.diagonal[: system.rank]
-    scale = math.lcm(1, *diagonal)
-    order_lift = tuple(
-        tuple(system.V[o, i] * (scale // d) for i, d in enumerate(diagonal))
-        for o in range(len(orbit_classes))
-    )
-    return _Substrate(
-        pairings=pairings,
-        heights=heights,
-        order_rows=tuple(system.U.row(i) for i in range(r + s)),
-        order_moduli=diagonal,
-        order_lift=order_lift,
-        order_scale=scale,
-        cone=_dominant_cone(r, pairings, heights),
-    )
+    return _Substrate(pairings=pairings, heights=heights,
+                      cone=_dominant_cone(r, pairings, heights), datum=t)
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
@@ -205,37 +194,38 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _attractor_row(t: TwistedRootDatum, x):
-    """(<average, 2 rho> of the class with coordinates x, order key,
-    L-scaled order coordinates of its dominant representative), keyed on
-    checked class coordinates as `_class_row` is."""
+    """(<average, 2 rho> of the class with coordinates x, Kottwitz
+    component and order coordinates of its dominant representative), keyed
+    on checked class coordinates as `_class_row` is."""
     sub = _substrate(t)
     return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _class_row(t: TwistedRootDatum, x):
-    """(<average, 2 rho>, dominance, order key, L-scaled order coordinates)
+    """(<average, 2 rho>, dominance, Kottwitz component, order coordinates)
     of the class with coordinates x, keyed on checked class coordinates: a
     class key would equate 2.0 with 2."""
     sub = _substrate(t)
     return (dot(sub.heights, x), sub.dominant(x)) + sub.order_coordinates(x)
 
 
-def _attractor(t: TwistedRootDatum, x, key, coords):
+def _attractor(t: TwistedRootDatum, x, component, coords):
     """(<average, 2 rho> of the class with coordinates x, whether its
-    dominant representative lies below the class with the given order key
-    and coordinates): one cached row and one entrywise comparison."""
-    h, rep_key, rep = _attractor_row(t, x)
-    return h, rep_key == key and all(map(operator.le, rep, coords))
+    dominant representative lies below the class with the given component
+    and order coordinates): one cached row and one entrywise comparison."""
+    h, rep_component, rep = _attractor_row(t, x)
+    return h, rep_component == component and all(map(operator.le, rep, coords))
 
 
 def _order_gap(t: TwistedRootDatum, x, y):
-    """c(y) - c(x), the L-scaled orbit coordinates of the difference, when
-    the class with coordinates x lies below the one with y; else None."""
-    key_x, c_x = _class_row(t, x)[2:]
-    key_y, c_y = _class_row(t, y)[2:]
+    """c(y) - c(x), den times the coroot-orbit coefficients of the
+    difference, when the class with coordinates x lies below the one with
+    y; else None."""
+    component_x, c_x = _class_row(t, x)[2:]
+    component_y, c_y = _class_row(t, y)[2:]
     diff = vec_sub(c_y, c_x)
-    if key_x != key_y or any(v < 0 for v in diff):
+    if component_x != component_y or any(v < 0 for v in diff):
         return None
     return diff
 
@@ -243,25 +233,26 @@ def _order_gap(t: TwistedRootDatum, x, y):
 def leq(t: TwistedRootDatum, lam, mu):
     """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
 
-    Reads the order key and orbit coordinates of each class, computed once
-    per class from the datum's one Smith decomposition of [orbit coroot
-    classes | torsion moduli]: the certificate (c(mu) - c(lam)) / L is the
-    integer solution of mu - lam = sum c_O [coroot_O], unique in its orbit
-    part by the verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    Reads the Kottwitz component and order coordinates of each class,
+    computed once per class from the orbit rows: lam <= mu exactly when the
+    components agree and A^-1 applied to the pairing difference p(mu) -
+    p(lam) is nonnegative.  The certificate (c(mu) - c(lam)) / den is the
+    integer solution of mu - lam = sum n_O [coroot_O], unique by the
+    verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
     """
     c = coinvariants(t)
     diff = _order_gap(t, c.coordinates(lam), c.coordinates(mu))
     if diff is None:
         return None
-    scale = _substrate(t).order_scale
-    return OrderCertificate(coefficients=tuple(x // scale for x in diff))
+    den = _substrate(t).order_inverse[0]
+    return OrderCertificate(coefficients=tuple(x // den for x in diff))
 
 
 def hasse_covers(t: TwistedRootDatum, labels):
     """The Hasse edges (lower, upper) of the order among the labels, sorted.
 
-    Within one order key, lam <= mu exactly when c(mu) - c(lam) >= 0
-    entrywise, which raises the sum.  The covers of u are the maximal
+    Within one Kottwitz component, lam <= mu exactly when c(mu) - c(lam) =
+    den A^-1 (p(mu) - p(lam)) >= 0 entrywise, which raises the sum.  The covers of u are the maximal
     elements of its strict lower set: in decreasing sum, keep each one below
     u and below no kept one (bitmasks of strict lower sets, over the group
     sorted by sum).  No pair of labels is compared through `leq`.
@@ -269,8 +260,8 @@ def hasse_covers(t: TwistedRootDatum, labels):
     c = coinvariants(t)
     groups = {}
     for cls in labels:
-        key, coords = _class_row(t, c.coordinates(cls))[2:]
-        groups.setdefault(key, []).append((sum(coords), coords, cls))
+        component, coords = _class_row(t, c.coordinates(cls))[2:]
+        groups.setdefault(component, []).append((sum(coords), coords, cls))
     covers = []
     for members in groups.values():
         members.sort()

@@ -23,13 +23,12 @@ from __future__ import annotations
 import functools
 
 from ._value import frozen
-from .abelian import IntMatrix, InvariantViolation, integer_kernel_basis, quotient_group
+from .abelian import IntMatrix, InvariantViolation, integer_kernel_basis
 from .galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
     _matrix_order,
     coinvariants,
-    one_minus_gamma_columns,
     relative_simple_roots,
     validate_twisted,
 )
@@ -327,9 +326,13 @@ class RankOneCase:
 
 
 def classify_rank_one(t: TwistedRootDatum) -> RankOneCase:
-    """The two rank-one possibilities for the dual fixed group: swapped
-    rank-one factors (fixed group SL2) or an adjacent A2 pair (fixed group
-    PGL2 away from characteristic 2, with the 2-adic smoothness failure)."""
+    """The two rank-one possibilities for the char-0 fixed group of the
+    dual of the adjoint form, `fixed_group_descriptor(dual_twisted(
+    adjoint_quotient(t).adjoint))`, which depends on the orbit type alone:
+    orthogonal orbits (fixed group SL2) or an adjacent A2 pair (fixed group
+    PGL2 away from characteristic 2, with the 2-adic smoothness failure).
+    It is not the fixed group of `dual_twisted(t)`, which on SL2xSL2-swap is
+    PGL2."""
     rel = relative_simple_roots(t)
     if rel.relative_rank != 1:
         raise InvalidDatumError(
@@ -373,28 +376,13 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
 
 
 def verify_adjoint_right_exactness(aq: AdjointQuotient):
-    """The coinvariants row of (K -> X_*(T) -> X_*(T_ad)) stays right exact:
-    the cokernel of the induced map on coinvariants agrees with the
-    coinvariants of the cokernel, computed through two different
-    presentations and compared by invariant factors."""
-    t, ad = aq.source, aq.adjoint
-    k = ad.rank
-    image_cols = [aq.to_adjoint.column(j) for j in range(aq.to_adjoint.cols)]
-
-    # Path one: X_*(T_ad)_I modulo the image of X_*(T)_I.
-    cols_one = one_minus_gamma_columns(ad) + image_cols
-    one = quotient_group(k, IntMatrix.from_columns(cols_one, nrows=k)).quotient
-
-    # Path two: coinvariants of coker(X_* -> X_*ad): same lattice, built
-    # from the cokernel presentation first (image columns first).
-    cols_two = image_cols + one_minus_gamma_columns(ad)
-    two = quotient_group(k, IntMatrix.from_columns(cols_two, nrows=k)).quotient
-
-    if one != two:
-        raise InvariantViolation("adjoint coinvariants right-exactness failed")
-
-    # Equivariance of the projection: gamma_ad . to_ad = to_ad . gamma.
-    for g_src, g_ad in zip(t.generators, ad.generators):
+    """Check that the projection X_*(T) -> X_*(T_ad) is equivariant,
+    gamma_ad . to_ad = to_ad . gamma for each inertia generator, and raise
+    InvariantViolation if not.  This is all it checks: an equivariant map
+    induces one on coinvariants, and taking coinvariants is right exact, so
+    the cokernel of the induced map is the coinvariants of the cokernel
+    with no computation."""
+    for g_src, g_ad in zip(aq.source.generators, aq.adjoint.generators):
         lhs = g_ad.lattice_map.mul(aq.to_adjoint)
         rhs = aq.to_adjoint.mul(g_src.lattice_map)
         if lhs != rhs:

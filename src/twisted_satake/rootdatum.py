@@ -295,20 +295,30 @@ def is_adjoint(d: BasedRootDatum) -> bool:
     return m.is_unimodular()
 
 
+def _scaled_inverse(rows):
+    """(den, den * A^-1) for the square integer matrix A with the given
+    rows, or None when A is singular; den is the least common multiple of
+    A's Smith diagonal.  With U A V = D, A^-1 = V D^-1 U."""
+    dec = smith_normal_form(IntMatrix.from_rows(rows))
+    if dec.rank < len(rows):
+        return None
+    den = math.lcm(*dec.diagonal)
+    scaled_u = [[x * (den // d) for x in dec.U.row(i)] for i, d in enumerate(dec.diagonal)]
+    return den, dec.V.mul(IntMatrix.from_rows(scaled_u))
+
+
 def _dominant_cone(free_rank, pairings, heights):
     """(den, den * A^-1 columns, N) for the square map A of free
     coordinates onto their pairings with the given rows, or None when A has
     a kernel (a central direction): the cone is A^-1 (y >= 0), with height
-    weights N_O = heights . A^-1 e_O.  With U A V = D, A^-1 = V D^-1 U.
+    weights N_O = heights . A^-1 e_O.
     """
     if len(pairings) > free_rank:
         raise InvariantViolation("more pairing rows than free coordinates")
-    dec = smith_normal_form(IntMatrix.from_rows([row[:free_rank] for row in pairings]))
-    if dec.rank < free_rank:
+    square = len(pairings) == free_rank and _scaled_inverse([r[:free_rank] for r in pairings])
+    if not square:
         return None
-    den = math.lcm(*dec.diagonal)
-    scaled_u = [[x * (den // d) for x in dec.U.row(i)] for i, d in enumerate(dec.diagonal)]
-    inverse = dec.V.mul(IntMatrix.from_rows(scaled_u))
+    den, inverse = square
     generators = tuple(inverse.column(j) for j in range(free_rank))
     weights = []
     for g in generators:

@@ -3,12 +3,13 @@
 Strata are dominant coinvariant classes graded by the pairing of the
 average lift with 2*rho (an integer on every class, read from the orbit
 rows of `coweights`, and asserted nonnegative on dominant classes); closures
-are computed by the coroot-orbit dominance order, whose Hasse edges
+are computed by the coroot-orbit dominance order (same Kottwitz component,
+and A^-1 applied to the pairing difference nonnegative), whose Hasse edges
 `coweights.hasse_covers` reads from each label's order coordinates;
-components by the Kottwitz class.  Cell dimensions for the attractor
-intersections and their convolution analogues are half-pairings, asserted
-integral exactly where the theory claims integrality, so the assertion
-doubles as a defect detector.
+components are the Kottwitz class, read from the same cached row.  Cell
+dimensions for the attractor intersections and their convolution analogues
+are half-pairings, asserted integral exactly where the theory claims
+integrality, so the assertion doubles as a defect detector.
 """
 
 from __future__ import annotations
@@ -27,24 +28,18 @@ from .coweights import (
     enumerate_dominant_classes,
     hasse_covers,
 )
-from .galois import (
-    TwistedRootDatum,
-    coinvariants,
-    orbit_coroot_classes,
-    pi1_coinvariants_presentation,
-    relative_simple_roots,
-)
+from .galois import TwistedRootDatum, coinvariants, orbit_coroot_classes, relative_simple_roots
 from .rootdatum import _walk_cone, full_root_system
 
 
 def _dominant_row(t, x, cls):
-    """(<average, 2 rho>, order key, order coordinates) of the class cls
+    """(<average, 2 rho>, Kottwitz component, order coordinates) of the class cls
     with coordinates x, read from its cached row; NonDominantError when it
     is not dominant."""
-    h, dominant, key, coords = _class_row(t, x)
+    h, dominant, component, coords = _class_row(t, x)
     if not dominant:
         raise NonDominantError(f"{cls} is not a dominant class")
-    return h, key, coords
+    return h, component, coords
 
 
 def _integral(num: int, den: int, what: str) -> int:
@@ -63,10 +58,9 @@ class SchubertStratum:
 
 
 def component_of(t: TwistedRootDatum, cls) -> tuple:
-    """The Kottwitz component of a coinvariant class; additive."""
-    c = coinvariants(t)
-    pres = pi1_coinvariants_presentation(t)
-    return pres.class_of(c.lift(cls))
+    """The Kottwitz component of a coinvariant class, a class of
+    pi_1(G)_I; additive.  Read from the class's cached row."""
+    return _class_row(t, coinvariants(t).coordinates(cls))[2]
 
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
@@ -157,8 +151,8 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     an integer precisely in that case (asserted).  Each class is read as
     one coordinate vector and answered from one cached row."""
     c = coinvariants(t)
-    h_lam, key, top = _dominant_row(t, c.coordinates(lam), lam)
-    h_mu, below = _attractor(t, c.coordinates(mu), key, top)
+    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
     if not below:
         return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
     return MvCell(mu=mu, lam=lam, nonempty=True,
@@ -180,10 +174,10 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
     c = coinvariants(t)
-    h_lam, key, top = _dominant_row(t, c.coordinates(lam), lam)
-    h_lam2, key2, top2 = _dominant_row(t, c.coordinates(lam2), lam2)
-    h_mu, below = _attractor(t, c.coordinates(mu), key, top)
-    h_mu2, below2 = _attractor(t, c.coordinates(mu2), key2, top2)
+    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_lam2, component2, top2 = _dominant_row(t, c.coordinates(lam2), lam2)
+    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
+    h_mu2, below2 = _attractor(t, c.coordinates(mu2), component2, top2)
     h = h_lam + h_lam2 + h_mu + h_mu2
     if not (below and below2):
         return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)

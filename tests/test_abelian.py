@@ -212,6 +212,20 @@ class TestMembership:
         assert membership_and_coordinates([], (0, 0)) == ()
         assert membership_and_coordinates([], (1, 0)) is None
 
+    @pytest.mark.parametrize("basis,v,entry", [
+        ([(1, 0)], (0.5, 0), "0.5"),
+        ([(0.5, 0)], (1, 0), "0.5"),
+        ([(1, 0)], (True, 0), "True"),
+        ([], (0.0,), "0.0"),
+    ])
+    def test_float_or_bool_entry_refused(self, basis, v, entry):
+        with pytest.raises(ValueError, match=f"^not a rational entry: {re.escape(entry)}$"):
+            membership_and_coordinates(basis, v)
+
+    def test_rational_entries_accepted(self):
+        assert membership_and_coordinates([(Fraction(1, 2), 0)], (1, 0)) == (2,)
+        assert membership_and_coordinates([(1, 0)], (Fraction(3), 0)) == (3,)
+
 
 class TestKernels:
     def test_kernel_basis(self):

@@ -12,6 +12,10 @@ raising in every module that reads it.  A cold
 char-0 `tensor` computes exactly one folded character (one cache miss of
 `rep.irreducible_character`), and a refused modular one computes none.
 
+A cold `dominant-image` builds neither the pi_1(G)_I presentation nor the
+order inverse, which only the dominance order reads; a cold `schubert`
+builds each once.
+
 The order test runs describe/branch/tensor queries in one interpreter,
 forward and reversed, and requires each to print what it prints alone:
 per-datum caches (validation among them) must not leak one query's state
@@ -211,6 +215,32 @@ def test_invariant_form_is_built_on_first_use(argv, built):
     results, (had_records, form) = run_fresh(FORM_BUILT, argv)
     assert results == [answer(a) for a in argv]
     assert had_records and form is built
+
+
+ORDER_BUILT = """
+from twisted_satake import coweights, galois
+built = []
+real_inverse = coweights._scaled_inverse
+def counting_inverse(rows):
+    built.append(rows)
+    return real_inverse(rows)
+coweights._scaled_inverse = counting_inverse
+COUNT = lambda: [galois.pi1_coinvariants_presentation.cache_info().misses, len(built)]
+"""
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["dominant-image", "SU7", "--bound", "3"], [0, 0]),
+    (["schubert", "SU7", "--bound", "3"], [1, 1]),
+], ids=["dominant-image", "schubert"])
+def test_order_data_are_built_on_first_use(argv, built):
+    """A cold `dominant-image` reads dominance and heights alone, so it
+    builds neither SU7's pi_1(G)_I presentation nor the order inverse den
+    A^-1 (`coweights._scaled_inverse`, which the cone reads from
+    `rootdatum` under its own binding); a cold `schubert` builds each once."""
+    results, counts = run_fresh(ORDER_BUILT, [argv])
+    assert results == [answer(argv)]
+    assert counts == built
 
 
 def _su3_file(tmp_path):

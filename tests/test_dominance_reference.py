@@ -193,33 +193,15 @@ def ref_fundamental_cone(d):
     return den, scaled, heights
 
 
-def _certificate(scale, c_lam, c_mu):
-    """(c(mu) - c(lam)) / L for classes with equal keys, or None when an
-    entry is negative."""
-    diff = vec_sub(c_mu, c_lam)
-    if any(x < 0 for x in diff):
-        return None
-    return tuple(x // scale for x in diff)
-
-
 def order_relations(t, labels):
     """Every (lam, mu, certificate coefficients) with lam <= mu among the
-    labels, sorted: the triples of `leq`, from each label's order
-    coordinates and one tuple subtraction per pair with equal keys."""
-    scale, c = ref_substrate(t).order_scale, coinvariants(t)
-    groups = {}
-    for cls in labels:
-        key, coords = coweights._class_row(t, c.coordinates(cls))[2:]
-        groups.setdefault(key, []).append((cls, coords))
+    labels, sorted: the triples of `leq`, one call per pair."""
     out = []
-    for members in groups.values():
-        for lam, c_lam in members:
-            for mu, c_mu in members:
-                coeffs = _certificate(scale, c_lam, c_mu)
-                if coeffs is not None:
-                    out.append((lam, mu, coeffs))
-    out.sort()
-    return tuple(out)
+    for lam, mu in itertools.product(labels, repeat=2):
+        cert = leq(t, lam, mu)
+        if cert is not None:
+            out.append((lam, mu, cert.coefficients))
+    return tuple(sorted(out))
 
 
 def ref_covering_relations(t, poset):
@@ -430,7 +412,7 @@ def test_smith_forms_do_not_grow_with_labels(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(abelian, "smith_normal_form", counting)
-    monkeypatch.setattr(coweights, "smith_normal_form", counting)
+    monkeypatch.setattr(rootdatum, "smith_normal_form", counting)
     seen = {}
     for height in (20, 200):
         for module in (galois, rootdatum, coweights):

@@ -10,10 +10,11 @@ import time
 import pytest
 
 import twisted_satake
-from twisted_satake.abelian import FgAbelianGroup, IntMatrix
+from twisted_satake.abelian import FgAbelianGroup, IntMatrix, InvariantViolation
 from twisted_satake.dual import (
     CHAR0,
     ELL_CAP,
+    AdjointQuotient,
     CoefficientProfile,
     _dynkin_types,
     _is_prime,
@@ -22,6 +23,7 @@ from twisted_satake.dual import (
     dual_twisted,
     fixed_group_descriptor,
     parse_profile,
+    verify_adjoint_right_exactness,
 )
 from twisted_satake.galois import (
     DiagramAutomorphism,
@@ -349,10 +351,17 @@ class TestRankOne:
 
     def test_case_matches_descriptor_of_adjoint_dual(self):
         # The classification names the fixed group of the dual of the
-        # adjoint form; cross-check against the descriptor of that datum.
-        for name in ["SL2xSL2-swap", "SU3", "PGL2", "SL2", "PSU3"]:
-            case = classify_rank_one(preset(name))
-            adj = adjoint_quotient(preset(name)).adjoint
+        # adjoint form; cross-check against the descriptor of that datum,
+        # on the rank-one presets and SL2 x T2 with a rotation of order 6.
+        from twisted_satake.cli import datum_from_dict
+
+        from test_cli_golden import FILES
+
+        data = {name: preset(name) for name in ["SL2xSL2-swap", "SU3", "PGL2", "SL2", "PSU3"]}
+        data["sl2-rot6.json"] = datum_from_dict(FILES["sl2-rot6.json"])
+        for name, t in data.items():
+            case = classify_rank_one(t)
+            adj = adjoint_quotient(t).adjoint
             desc = fixed_group_descriptor(dual_twisted(adj))
             assert desc.folded_cartan.type_label == case.char0_fixed_group, name
 
@@ -385,6 +394,17 @@ class TestAdjointQuotient:
             2, IntMatrix.from_columns([aq.to_adjoint.column(j) for j in range(2)])
         ).quotient
         assert coker == FgAbelianGroup(0, (3,))
+
+    def test_corrupted_projection_is_refused(self):
+        """The check is the equivariance of the projection: one entry of
+        SU3's `to_adjoint` moved breaks it."""
+        aq = adjoint_quotient(preset("SU3"))
+        m = aq.to_adjoint
+        bad = AdjointQuotient(source=aq.source, adjoint=aq.adjoint, kernel_basis=aq.kernel_basis,
+                              to_adjoint=IntMatrix(m.rows, m.cols, (m[0, 0] + 1,) + m.entries[1:]))
+        verify_adjoint_right_exactness(aq)
+        with pytest.raises(InvariantViolation, match="^adjoint projection is not equivariant$"):
+            verify_adjoint_right_exactness(bad)
 
     def test_adjoint_input_identity(self):
         aq = adjoint_quotient(preset("PGL3"))

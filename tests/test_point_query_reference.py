@@ -5,7 +5,8 @@ The reference functions below are the earlier request-path code, kept as
 oracles: each class is converted to coordinates each time it is read, the
 dominant representative is read from the walk's whole Weyl element acting
 through lift -> apply -> class_of (one new matrix per class), "rep <= lam"
-is an `OrderCertificate` from `leq`, and corr rebuilds 2 rho_M from the
+is an `OrderCertificate` from `leq` on the earlier order key and
+coordinates (`test_substrate_reference.ref_leq`), and corr rebuilds 2 rho_M from the
 positive roots on every call.  They read the group-sum substrate
 (`test_substrate_reference.ref_substrate`) that the code read then.  A seeded table over every default preset and
 SU7 compares answers, exception types and messages, and so does a seeded
@@ -33,8 +34,6 @@ from twisted_satake import coweights, satake, weyl
 from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_sub
 from twisted_satake.coweights import (
     NonDominantError,
-    OrderCertificate,
-    _class_row,
     dominant_representative,
     is_dominant_class,
 )
@@ -44,7 +43,7 @@ from twisted_satake.rootdatum import full_root_system
 from twisted_satake.satake import ConvCell, MvCell, _integral, conv_cell, corr, mv_cell
 from twisted_satake.weyl import WeylElement, _descended, _w0_reflections, dominant_walk, relative_weyl
 
-from test_substrate_reference import ref_substrate
+from test_substrate_reference import ref_leq, ref_substrate
 from test_weyl_reference import ref_act, u3_like
 
 DATA = DEFAULT_PRESET_NAMES + ("SU7",)
@@ -116,17 +115,6 @@ def ref_walk(t, x):
     if not sub.scaled_height(x)[1]:
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return x, word
-
-
-def ref_leq(t, lam, mu):
-    c = coinvariants(t)
-    key_lam, c_lam = _class_row(t, c.coordinates(lam))[2:]
-    key_mu, c_mu = _class_row(t, c.coordinates(mu))[2:]
-    diff = vec_sub(c_mu, c_lam)
-    if key_lam != key_mu or any(x < 0 for x in diff):
-        return None
-    scale = ref_substrate(t).order_scale
-    return OrderCertificate(coefficients=tuple(x // scale for x in diff))
 
 
 def ref_mv_cell(t, mu, lam):

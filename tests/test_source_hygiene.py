@@ -16,7 +16,9 @@ read in `suites.py` alone, the module behind `verify`.  The Smith
 slots of a coinvariant class are read only inside
 `abelian.QuotientPresentation`.  The order coordinates of a class are
 read only in `coweights`, and no module lists all comparable pairs of the
-dominance order.  `abelian` and `rootdatum` import nothing from
+dominance order.  Among `coweights`, `satake` and `suites`, only the
+substrate's Kottwitz rows read `pi1_coinvariants_presentation` to find a
+class's component; `suites` keeps its brute-force coset count.  `abelian` and `rootdatum` import nothing from
 `fractions`.  Dominant lattice points have one enumerator: only
 `coweights.enumerate_dominant_classes` scans a `coord_bound` box, and
 `rootdatum` imports no `itertools`.  Every field of a value class is read by name somewhere.
@@ -347,16 +349,34 @@ def test_class_slots_are_read_only_by_the_presentation():
 
 def test_order_coordinates_are_read_only_in_coweights():
     """The dominance order's coordinates are known to `coweights` alone:
-    `_order_coordinates` and the substrate's `order_*` rows appear in no
-    other module, `hasse_covers` is defined, and the all-pairs relation
-    list `order_relations` is defined nowhere in the package."""
+    the substrate's `order_coordinates`, `order_inverse` and
+    `kottwitz_rows` appear in no other module, `hasse_covers` is defined,
+    and the all-pairs relation list `order_relations` is defined nowhere in
+    the package."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    names = ("_order_coordinates", "order_rows", "order_lift", "order_scale", "order_moduli")
+    names = ("order_coordinates", "order_inverse", "kottwitz_rows")
     readers = {module for module, tree in trees.items()
                if set(names) & _referenced_names(tree, set())}
     assert readers == {"coweights.py"}
     defined = {n.rsplit(".", 1)[-1] for tree in trees.values() for n in _definitions(tree)}
     assert "hasse_covers" in defined and "order_relations" not in defined
+
+
+def test_components_are_found_only_in_coweights():
+    """Among `coweights`, `satake` and `suites`, a class's Kottwitz
+    component is found from `pi1_coinvariants_presentation` only by the
+    substrate's `kottwitz_rows`: `satake` no longer imports it, and in
+    `suites` only the brute-force coset count of `_suite_exactness` reads
+    it.  `galois.kottwitz_components` keeps its own read."""
+    trees = _sources()
+    modules = ("coweights.py", "satake.py", "suites.py")
+    readers = {(module, scope) for module in modules
+               for scope in _enclosing_names(trees[module], "pi1_coinvariants_presentation")}
+    assert readers == {("coweights.py", "_Substrate.kottwitz_rows"),
+                       ("suites.py", "_suite_exactness")}
+    importers = {module for module in modules
+                 if "pi1_coinvariants_presentation" in _referenced_names(trees[module], set())}
+    assert importers == {"coweights.py", "suites.py"}
 
 
 def test_lattice_modules_import_no_fractions():

@@ -14,6 +14,18 @@ the corr rows and the bounded enumeration must agree with the reference.
 Three wrong orbit rows must each be caught: one row scaled by 2 (dominance
 is unchanged, the heights differ), one orbit's row dropped (dominance
 differs), and a nonzero torsion entry (the substrate refuses it).
+
+The order reads the same rows and the Kottwitz component, where the
+reference solved the Smith system [orbit coroot classes | torsion moduli]
+and the component was found by lifting each class to X_*(T)
+(`ref_component_of`, `satake.component_of` as it stood then).  On every
+pair of 50 seeded classes of the sweep and of the golden files
+`torsion.json`, `sl2-rot6.json`, `e6-flip.json` and `d4-s3.json` with their
+duals, `leq` certificates and components must equal the reference's, and
+`hasse_covers` and `stratum` must on the dominant classes of height at most
+12.  One c_O row scaled by 2 (the heights differ, the order does not) and
+one entry of the order inverse scaled by 2 (the certificates differ) must
+each be caught.
 """
 
 import functools
@@ -32,24 +44,35 @@ from twisted_satake.abelian import (
     InvariantViolation,
     dot,
     smith_normal_form,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
+from twisted_satake.cli import datum_from_dict
 from twisted_satake.coweights import (
+    OrderCertificate,
     _substrate,
     class_height,
     enumerate_dominant_classes,
+    hasse_covers,
     is_dominant_class,
+    leq,
 )
+from twisted_satake.dual import dual_twisted
 from twisted_satake.galois import (
     TwistedRootDatum,
     coinvariants,
     group_order,
     group_sum,
     orbit_coroot_classes,
+    pi1_coinvariants_presentation,
     relative_simple_roots,
 )
-from twisted_satake.presets import DEFAULT_PRESET_NAMES
+from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import _dominant_cone, _walk_cone, full_root_system
+from twisted_satake.satake import SchubertStratum, component_of, stratum
+
+from test_cli_golden import FILES
 
 # ---------------------------------------------------------------------------
 # The earlier substrate
@@ -312,3 +335,142 @@ def test_nonzero_torsion_entry_is_refused(monkeypatch, fresh):
                         lambda t: ((rows[0][0], 1),) + real(t)[1:])
     with pytest.raises(InvariantViolation, match="^a c_O row has a nonzero torsion entry$"):
         class_height(t, ((1,), (0,)))
+
+
+# ---------------------------------------------------------------------------
+# The order and the Kottwitz component
+
+
+def ref_component_of(t: TwistedRootDatum, cls) -> tuple:
+    """The Kottwitz component of a coinvariant class; additive."""
+    c = coinvariants(t)
+    pres = pi1_coinvariants_presentation(t)
+    return pres.class_of(c.lift(cls))
+
+
+def ref_leq(t, lam, mu):
+    """`leq` on the reference's order keys and L-scaled coordinates."""
+    sub, c = ref_substrate(t), coinvariants(t)
+    key_lam, c_lam = sub.order_coordinates(c.coordinates(lam))
+    key_mu, c_mu = sub.order_coordinates(c.coordinates(mu))
+    diff = vec_sub(c_mu, c_lam)
+    if key_lam != key_mu or any(v < 0 for v in diff):
+        return None
+    return OrderCertificate(coefficients=tuple(v // sub.order_scale for v in diff))
+
+
+def ref_hasse_covers(t, labels):
+    """`hasse_covers` as it read the reference's order keys and coordinates."""
+    c = coinvariants(t)
+    groups = {}
+    for cls in labels:
+        key, coords = ref_substrate(t).order_coordinates(c.coordinates(cls))
+        groups.setdefault(key, []).append((sum(coords), coords, cls))
+    covers = []
+    for members in groups.values():
+        members.sort()
+        lower = []
+        for i, (_, c_up, up) in enumerate(members):
+            mask = 0
+            for j in range(i - 1, -1, -1):
+                _, c_lo, lo = members[j]
+                if not mask >> j & 1 and all(map(operator.ge, c_up, c_lo)):
+                    covers.append((lo, up))
+                    mask |= lower[j] | 1 << j
+            lower.append(mask)
+    return tuple(sorted(covers))
+
+
+def ref_stratum(t, cls):
+    sub = ref_substrate(t)
+    h, dominant = sub.scaled_height(coinvariants(t).coordinates(cls))
+    assert dominant
+    return SchubertStratum(label=cls, dim=h // sub.group_order, component=ref_component_of(t, cls))
+
+
+FILE_DATA = ("torsion.json", "sl2-rot6.json", "e6-flip.json", "d4-s3.json")
+ORDER_NAMES = tuple(name + suffix for name in BASES + FILE_DATA for suffix in ("", "-dual"))
+ORDER_CLASSES = 50
+ORDER_HEIGHT = 12
+
+
+def order_datum(name):
+    base = name.removesuffix("-dual")
+    t = datum_from_dict(FILES[base]) if base in FILES else preset(base)
+    return dual_twisted(t) if name.endswith("-dual") else t
+
+
+def _order_classes(name, t):
+    """Ten seeded anchors, each with four classes that differ from it by
+    seeded combinations of the coroot-orbit classes (coefficients in
+    [-1, 3]), so that many pairs are comparable; torsion entries are left
+    unreduced."""
+    c = coinvariants(t)
+    basis = [c.coordinates(b) for b in orbit_coroot_classes(t)]
+    rng = random.Random(f"order:{name}")
+    out = []
+    for _ in range(ORDER_CLASSES // 5):
+        anchor = (tuple(rng.randint(-4, 4) for _ in range(c.quotient.free_rank))
+                  + tuple(rng.randint(-d, 2 * d) for d in c.quotient.invariant_factors))
+        for k in range(5):
+            x = anchor
+            for b in basis:
+                x = vec_add(x, vec_scale(rng.randint(-1, 3) if k else 0, b))
+            out.append((x[:c.quotient.free_rank], x[c.quotient.free_rank:]))
+    return out
+
+
+def order_mismatches(name, t):
+    """The order checks on which the package disagrees with the reference,
+    and the number of comparable seeded pairs."""
+    found, comparable = set(), 0
+    classes = _order_classes(name, t)
+    for lam in classes:
+        if component_of(t, lam) != ref_component_of(t, lam):
+            found.add("component")
+        for mu in classes:
+            cert = ref_leq(t, lam, mu)
+            comparable += cert is not None
+            if leq(t, lam, mu) != cert:
+                found.add("leq")
+    labels = ref_enumerate_dominant_classes(t, ORDER_HEIGHT, **_bound(t))
+    if hasse_covers(t, labels) != ref_hasse_covers(t, labels):
+        found.add("covers")
+    if [stratum(t, cls) for cls in labels] != [ref_stratum(t, cls) for cls in labels]:
+        found.add("stratum")
+    return found, comparable
+
+
+@pytest.mark.parametrize("name", ORDER_NAMES)
+def test_order_reads_orbit_rows_and_component(name):
+    """Certificates, components, covers and strata agree with the Smith
+    system and the ambient lift; every seeded class lies below itself, and
+    the anchors' shifts make more pairs comparable than that."""
+    found, comparable = order_mismatches(name, order_datum(name))
+    assert found == set()
+    assert comparable > ORDER_CLASSES
+
+
+def _scale_inverse_entry(real):
+    def scaled(rows):
+        den, m = real(rows)
+        return den, IntMatrix(m.rows, m.cols, (2 * m.entries[0],) + m.entries[1:])
+    return scaled
+
+
+# (where the fault is put, how it is made, the checks that must fail)
+ORDER_FAULTS = {
+    "scale-one-row": ("_orbit_pairings", lambda real: lambda t: _scale_first(real(t)), {"stratum"}),
+    "scale-one-inverse-entry": ("_scaled_inverse", _scale_inverse_entry, {"leq"}),
+}
+
+
+@pytest.mark.parametrize("fault", ORDER_FAULTS)
+@pytest.mark.parametrize("name", ["SU3", "SU7-dual", "torsion.json", "d4-s3.json"])
+def test_wrong_order_rows_are_caught(monkeypatch, fresh, name, fault):
+    """A c_O row scaled by 2 scales A's row and p's entry alike, so the
+    order is unchanged and the strata's dimensions catch it; an entry of
+    den A^-1 scaled by 2 moves the certificates."""
+    attr, make, caught = ORDER_FAULTS[fault]
+    monkeypatch.setattr(coweights, attr, make(getattr(coweights, attr)))
+    assert caught <= order_mismatches(name, order_datum(name))[0]
