@@ -71,7 +71,7 @@ from .rep import (
     weight_rank,
 )
 from .satake import (
-    MvCell,
+    Cell,
     SchubertPoset,
     SchubertStratum,
     closure_poset,

@@ -417,7 +417,7 @@ class FgAbelianGroup:
 
 @frozen
 class QuotientPresentation:
-    """Z^ambient_rank modulo the column span of `relations`.
+    """Z^n modulo the column span of `smith.original`, an n-row matrix.
 
     Classes carry a canonical normal form: the coordinates U*v, with torsion
     slots reduced mod their invariant factor and unit slots dropped.  Equality
@@ -426,8 +426,6 @@ class QuotientPresentation:
     flattens class coordinates.
     """
 
-    ambient_rank: int
-    relations: IntMatrix
     smith: SmithDecomposition
     quotient: FgAbelianGroup
 
@@ -440,7 +438,7 @@ class QuotientPresentation:
 
     @functools.cached_property
     def free_slots(self):
-        return tuple(range(self.smith.rank, self.ambient_rank))
+        return tuple(range(self.smith.rank, self.smith.original.rows))
 
     @functools.cached_property
     def _coordinate_slots(self):
@@ -463,10 +461,9 @@ class QuotientPresentation:
     def class_of(self, v):
         """Canonical normal form (free coords, torsion coords) of v's class."""
         v = _integers(v)
-        if len(v) != self.ambient_rank:
-            raise DimensionMismatch(
-                f"vector length {len(v)}, ambient rank {self.ambient_rank}"
-            )
+        n = self.smith.original.rows
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)}, ambient rank {n}")
         free_rows, torsion_rows = self._kept_rows
         return (tuple([sum(map(operator.mul, row, v)) for row in free_rows]),
                 tuple([sum(map(operator.mul, row, v)) % d for row, d in torsion_rows]))
@@ -486,8 +483,8 @@ class QuotientPresentation:
         return tuple(x[:r]), tuple([a % d for a, (_i, d) in zip(x[r:], self.torsion_slots)])
 
     def lift(self, cls):
-        """A representative in Z^ambient_rank of a normal-form class."""
-        w = [0] * self.ambient_rank
+        """A representative in Z^n of a normal-form class."""
+        w = [0] * self.smith.original.rows
         for i, x in zip(self._coordinate_slots, self.coordinates(cls)):
             w[i] = x
         return self.smith.U_inverse.apply(w)
@@ -506,12 +503,7 @@ def quotient_group(ambient_rank: int, relations: IntMatrix) -> QuotientPresentat
     factors = tuple(d for d in dec.diagonal if d > 1)
     free_rank = ambient_rank - dec.rank
     q = FgAbelianGroup(free_rank=free_rank, invariant_factors=factors)
-    return QuotientPresentation(
-        ambient_rank=ambient_rank,
-        relations=relations,
-        smith=dec,
-        quotient=q,
-    )
+    return QuotientPresentation(smith=dec, quotient=q)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +549,12 @@ def induced_map_kernel(m: IntMatrix, q: QuotientPresentation):
     The kernel is the projection to the first k coordinates of the integer
     kernel of the block matrix [m | relations].
     """
-    if m.rows != q.ambient_rank:
+    relations = q.smith.original
+    if m.rows != relations.rows:
         raise DimensionMismatch("map target does not match presentation ambient")
     k = m.cols
     combined = IntMatrix.from_columns(
-        [m.column(j) for j in range(k)]
-        + [q.relations.column(j) for j in range(q.relations.cols)],
+        [m.column(j) for j in range(k)] + [relations.column(j) for j in range(relations.cols)],
         nrows=m.rows,
     )
     return [vec[:k] for vec in integer_kernel_basis(combined)]

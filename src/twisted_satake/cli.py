@@ -376,9 +376,10 @@ def cmd_schubert(args, t):
 
 
 def cmd_mv(args, t):
-    cell = mv_cell(t, parse_class(args.mu), parse_class(args.lam))
+    mu, lam = parse_class(args.mu), parse_class(args.lam)
+    cell = mv_cell(t, mu, lam)
     payload = {
-        "mu": format_class(cell.mu), "lam": format_class(cell.lam),
+        "mu": format_class(mu), "lam": format_class(lam),
         "nonempty": cell.nonempty, "dim": cell.dim,
     }
     text = (
@@ -390,13 +391,11 @@ def cmd_mv(args, t):
 
 
 def cmd_conv(args, t):
-    cell = conv_cell(
-        t, parse_class(args.mu), parse_class(args.mu2),
-        parse_class(args.lam), parse_class(args.lam2),
-    )
+    mu, mu2, lam, lam2 = map(parse_class, (args.mu, args.mu2, args.lam, args.lam2))
+    cell = conv_cell(t, mu, mu2, lam, lam2)
     payload = {
-        "mu": format_class(cell.mu), "mu2": format_class(cell.mu2),
-        "lam": format_class(cell.lam), "lam2": format_class(cell.lam2),
+        "mu": format_class(mu), "mu2": format_class(mu2),
+        "lam": format_class(lam), "lam2": format_class(lam2),
         "nonempty": cell.nonempty, "dim": cell.dim,
     }
     text = "convolution cell: " + (f"nonempty, dim {cell.dim}" if cell.nonempty else "empty")

@@ -350,7 +350,6 @@ def classify_rank_one(t: TwistedRootDatum) -> RankOneCase:
 
 @frozen
 class AdjointQuotient:
-    source: TwistedRootDatum
     adjoint: TwistedRootDatum
     to_adjoint: IntMatrix      # X_*(T) -> X_*(T_ad) in fundamental-coweight coordinates
     kernel_basis: tuple        # basis of ker(to_adjoint), the central cocharacters
@@ -370,19 +369,19 @@ def adjoint_quotient(t: TwistedRootDatum) -> AdjointQuotient:
     roots = t.base.simple_roots
     to_ad = IntMatrix(len(roots), t.rank, tuple(x for alpha in roots for x in alpha))
     kernel = tuple(integer_kernel_basis(to_ad))
-    out = AdjointQuotient(source=t, adjoint=adjoint, to_adjoint=to_ad, kernel_basis=kernel)
-    verify_adjoint_right_exactness(out)
+    out = AdjointQuotient(adjoint=adjoint, to_adjoint=to_ad, kernel_basis=kernel)
+    verify_adjoint_right_exactness(t, out)
     return out
 
 
-def verify_adjoint_right_exactness(aq: AdjointQuotient):
-    """Check that the projection X_*(T) -> X_*(T_ad) is equivariant,
+def verify_adjoint_right_exactness(t: TwistedRootDatum, aq: AdjointQuotient):
+    """Check that the projection X_*(T) -> X_*(T_ad) of t is equivariant,
     gamma_ad . to_ad = to_ad . gamma for each inertia generator, and raise
     InvariantViolation if not.  This is all it checks: an equivariant map
     induces one on coinvariants, and taking coinvariants is right exact, so
     the cokernel of the induced map is the coinvariants of the cokernel
     with no computation."""
-    for g_src, g_ad in zip(aq.source.generators, aq.adjoint.generators):
+    for g_src, g_ad in zip(t.generators, aq.adjoint.generators):
         lhs = g_ad.lattice_map.mul(aq.to_adjoint)
         rhs = aq.to_adjoint.mul(g_src.lattice_map)
         if lhs != rhs:

@@ -9,7 +9,10 @@ and A^-1 applied to the pairing difference nonnegative), whose Hasse edges
 components are the Kottwitz class, read from the same cached row.  Cell
 dimensions for the attractor intersections and their convolution analogues
 are half-pairings, asserted integral exactly where the theory claims
-integrality, so the assertion doubles as a defect detector.
+integrality, so the assertion doubles as a defect detector; a `Cell` holds
+that answer alone.  The `corr` shift pairs the coweight with one cached
+I-invariant character 2*rho - 2*rho_M per (datum, Levi), so it reads no
+class.
 """
 
 from __future__ import annotations
@@ -64,11 +67,12 @@ def component_of(t: TwistedRootDatum, cls) -> tuple:
 
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
-    """The stratum attached to a dominant class, with its exact dimension."""
-    dim = _dominant_row(t, coinvariants(t).coordinates(cls), cls)[0]
+    """The stratum attached to a dominant class, with its exact dimension
+    and component, both read from the class's one cached row."""
+    dim, component, _coords = _dominant_row(t, coinvariants(t).coordinates(cls), cls)
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
-    return SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
+    return SchubertStratum(label=cls, dim=dim, component=component)
 
 
 @frozen
@@ -138,14 +142,15 @@ def _check_poset(t, poset):
 
 
 @frozen
-class MvCell:
-    mu: tuple
-    lam: tuple
+class Cell:
+    """A semi-infinite or convolution cell: whether it is nonempty, and
+    then its dimension."""
+
     nonempty: bool
     dim: int | None
 
 
-def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
+def mv_cell(t: TwistedRootDatum, mu, lam) -> Cell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
     an integer precisely in that case (asserted).  Each class is read as
@@ -154,22 +159,11 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> MvCell:
     h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
     h_mu, below = _attractor(t, c.coordinates(mu), component, top)
     if not below:
-        return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
-    return MvCell(mu=mu, lam=lam, nonempty=True,
-                  dim=_integral(h_lam + h_mu, 2, "cell half-pairing"))
+        return Cell(nonempty=False, dim=None)
+    return Cell(nonempty=True, dim=_integral(h_lam + h_mu, 2, "cell half-pairing"))
 
 
-@frozen
-class ConvCell:
-    mu: tuple
-    mu2: tuple
-    lam: tuple
-    lam2: tuple
-    nonempty: bool
-    dim: int | None
-
-
-def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
+def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> Cell:
     """Convolution analogue in the twisted labeling: both dominant
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
@@ -180,11 +174,8 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
     h_mu2, below2 = _attractor(t, c.coordinates(mu2), component2, top2)
     h = h_lam + h_lam2 + h_mu + h_mu2
     if not (below and below2):
-        return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
-    return ConvCell(
-        mu=mu, mu2=mu2, lam=lam, lam2=lam2,
-        nonempty=True, dim=_integral(h, 2, "convolution half-pairing"),
-    )
+        return Cell(nonempty=False, dim=None)
+    return Cell(nonempty=True, dim=_integral(h, 2, "convolution half-pairing"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +183,33 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> ConvCell:
 
 
 def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
-    """<class of v, 2 rho - 2 rho_M> for the Levi attached to a union of
-    simple-root orbits: the Z-linear normalization shift between constant
-    term functors.  Vanishes on the Levi coroot classes and is I-invariant."""
+    """<v, 2 rho - 2 rho_M> for the Levi attached to a union of simple-root
+    orbits: the Z-linear normalization shift between constant term
+    functors.  The character is I-invariant, so this is its pairing with
+    the class of v; it vanishes on the Levi coroots."""
     levi_orbits = tuple(sorted(set(_integers(levi_orbits))))
     if levi_orbits and (levi_orbits[0] < 0
                         or levi_orbits[-1] >= relative_simple_roots(t).relative_rank):
         raise DimensionMismatch("Levi orbit index out of range")
-    free, _torsion = coinvariants(t).class_of(v)
-    return dot(_corr_row(t, levi_orbits), free)
+    v = _integers(v)
+    if len(v) != t.rank:
+        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {t.rank}")
+    return dot(_corr_row(t, levi_orbits), v)
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _corr_row(t: TwistedRootDatum, levi_orbits):
-    """<lift of each free unit class, 2 rho - 2 rho_M> for the Levi of the
-    sorted orbit indices, in range.  The character is I-invariant, so any
-    lift gives the pairing of the average, and torsion classes pair to zero."""
+    """The character 2 rho - 2 rho_M for the Levi of the sorted orbit
+    indices, in range.  A Levi that is a union of orbits makes it
+    I-invariant, so it pairs alike with every lift of a class; checked
+    once here: the transpose of every generator's lattice map fixes it."""
     rel = relative_simple_roots(t)
     subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
     system = full_root_system(t.base)
     shift = vec_sub(system.two_rho, system.two_rho_levi(subset))
-    c = coinvariants(t)
-    return tuple(dot(v, shift) for v in c.unit_lifts[: c.quotient.free_rank])
+    if any(g.lattice_map.transpose().apply(shift) != shift for g in t.generators):
+        raise InvariantViolation("2 rho - 2 rho_M is not I-invariant")
+    return shift
 
 
 def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None):

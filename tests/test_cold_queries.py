@@ -8,6 +8,9 @@ presets, and `describe` on SU13 and SU17 (|W0| = 46,080 and 10,321,920) are
 answered under the same refusal.  Cold `schubert`, `dominant-image` and
 `corr` commands build no W0 either: they read heights and dominance from
 the orbit rows alone, so they answer as before with `weyl.relative_weyl`
+raising in every module that reads it.  A cold `corr` pairs the coweight
+with one character and builds no coinvariant presentation: no
+`galois.coinvariants` miss, and it answers with `smith_normal_form`
 raising in every module that reads it.  A cold
 char-0 `tensor` computes exactly one folded character (one cache miss of
 `rep.irreducible_character`), and a refused modular one computes none.
@@ -179,6 +182,40 @@ def test_w0_refusal_stops_mv():
     above would see a command that built W0."""
     with pytest.raises(AssertionError, match="W0 was built"):
         run_fresh(REFUSE_W0, [["mv", "SU3", "--mu=-1", "--lam", "1"]])
+
+
+COUNT_COINVARIANTS = """
+from twisted_satake import galois
+COUNT = lambda: galois.coinvariants.cache_info().misses
+"""
+
+REFUSE_SMITH = """
+import sys
+import twisted_satake.cli
+def refuse(*args, **kwargs):
+    raise AssertionError("a Smith normal form was computed")
+for name, module in list(sys.modules.items()):
+    if name.startswith("twisted_satake") and hasattr(module, "smith_normal_form"):
+        module.smith_normal_form = refuse
+COUNT = lambda: 0
+"""
+
+COLD_CORR = ["corr", "SU7", "--levi", "0", "--vector", "1,0,0,0,0,0"]
+
+
+def test_cold_corr_builds_no_presentation():
+    results, misses = run_fresh(COUNT_COINVARIANTS, [COLD_CORR])
+    assert results == [[0, "corr = 0\n"]] == [answer(COLD_CORR)]
+    assert misses == 0
+    results, _ = run_fresh(REFUSE_SMITH, [COLD_CORR])
+    assert results == [[0, "corr = 0\n"]]
+
+
+def test_smith_refusal_stops_mv():
+    """The refusal reaches the coinvariant presentation, so the guard above
+    would see a `corr` that built one."""
+    with pytest.raises(AssertionError, match="a Smith normal form was computed"):
+        run_fresh(REFUSE_SMITH, [["mv", "SU7", "--mu=-1,0,0", "--lam", "1,0,0"]])
 
 
 @pytest.mark.parametrize("suite", ["weyl-oracle", "orbits"])

@@ -398,13 +398,14 @@ class TestAdjointQuotient:
     def test_corrupted_projection_is_refused(self):
         """The check is the equivariance of the projection: one entry of
         SU3's `to_adjoint` moved breaks it."""
-        aq = adjoint_quotient(preset("SU3"))
+        t = preset("SU3")
+        aq = adjoint_quotient(t)
         m = aq.to_adjoint
-        bad = AdjointQuotient(source=aq.source, adjoint=aq.adjoint, kernel_basis=aq.kernel_basis,
+        bad = AdjointQuotient(adjoint=aq.adjoint, kernel_basis=aq.kernel_basis,
                               to_adjoint=IntMatrix(m.rows, m.cols, (m[0, 0] + 1,) + m.entries[1:]))
-        verify_adjoint_right_exactness(aq)
+        verify_adjoint_right_exactness(t, aq)
         with pytest.raises(InvariantViolation, match="^adjoint projection is not equivariant$"):
-            verify_adjoint_right_exactness(bad)
+            verify_adjoint_right_exactness(t, bad)
 
     def test_adjoint_input_identity(self):
         aq = adjoint_quotient(preset("PGL3"))

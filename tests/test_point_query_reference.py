@@ -7,10 +7,15 @@ dominant representative is read from the walk's whole Weyl element acting
 through lift -> apply -> class_of (one new matrix per class), "rep <= lam"
 is an `OrderCertificate` from `leq` on the earlier order key and
 coordinates (`test_substrate_reference.ref_leq`), and corr rebuilds 2 rho_M from the
-positive roots on every call.  They read the group-sum substrate
+positive roots on every call.  `class_corr` is `corr` as it stood while it
+reduced v to its class and paired the free coordinates with a cached row
+of unit-lift pairings.  They read the group-sum substrate
 (`test_substrate_reference.ref_substrate`) that the code read then.  A seeded table over every default preset and
-SU7 compares answers, exception types and messages, and so does a seeded
-stream of 5,000 distinct SU7 classes.
+SU7 compares answers, exception types and messages (corr's with both of its
+oracles), and so does a seeded stream of 5,000 distinct SU7 classes.  On
+every Levi subset of the 14 presets, SU7, SU9, SU11 and four golden files,
+each with its dual, corr equals both oracles on 40 seeded coweights, and a
+Levi that takes one root per orbit is refused as not I-invariant.
 
 `ref_walk` is the chamber walk `coweights._walk` as it stood before it
 kept its own end point: it dropped the end of the walk by the reflection
@@ -23,6 +28,7 @@ element and no Fraction, and that every per-class cache has a finite size.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,18 +37,29 @@ import pytest
 import inspect
 
 from twisted_satake import coweights, satake, weyl
-from twisted_satake.abelian import DimensionMismatch, IntMatrix, InvariantViolation, dot, vec_sub
+from twisted_satake.abelian import (
+    DimensionMismatch,
+    IntMatrix,
+    InvariantViolation,
+    _integers,
+    dot,
+    vec_sub,
+)
+from twisted_satake.cli import datum_from_dict
 from twisted_satake.coweights import (
+    CLASS_CACHE_SIZE,
     NonDominantError,
     dominant_representative,
     is_dominant_class,
 )
-from twisted_satake.galois import coinvariants, relative_simple_roots
+from twisted_satake.dual import dual_twisted
+from twisted_satake.galois import RelativeRootData, coinvariants, relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import full_root_system
-from twisted_satake.satake import ConvCell, MvCell, _integral, conv_cell, corr, mv_cell
+from twisted_satake.satake import Cell, _integral, conv_cell, corr, mv_cell
 from twisted_satake.weyl import WeylElement, _descended, _w0_reflections, dominant_walk, relative_weyl
 
+from test_cli_golden import FILES
 from test_substrate_reference import ref_leq, ref_substrate
 from test_weyl_reference import ref_act, u3_like
 
@@ -121,9 +138,9 @@ def ref_mv_cell(t, mu, lam):
     h = _require_dominant(t, lam) + _scaled_height(t, mu)[0]
     rep, _w = ref_dominant_representative(t, mu)
     if ref_leq(t, rep.cls, lam) is None:
-        return MvCell(mu=mu, lam=lam, nonempty=False, dim=None)
-    return MvCell(mu=mu, lam=lam, nonempty=True,
-                  dim=_integral(h, 2 * ref_substrate(t).group_order, "cell half-pairing"))
+        return Cell(nonempty=False, dim=None)
+    return Cell(nonempty=True,
+                dim=_integral(h, 2 * ref_substrate(t).group_order, "cell half-pairing"))
 
 
 def ref_conv_cell(t, mu, mu2, lam, lam2):
@@ -135,9 +152,8 @@ def ref_conv_cell(t, mu, mu2, lam, lam2):
         ref_leq(t, rep1.cls, lam) is not None and ref_leq(t, rep2.cls, lam2) is not None
     )
     if not nonempty:
-        return ConvCell(mu=mu, mu2=mu2, lam=lam, lam2=lam2, nonempty=False, dim=None)
-    return ConvCell(
-        mu=mu, mu2=mu2, lam=lam, lam2=lam2,
+        return Cell(nonempty=False, dim=None)
+    return Cell(
         nonempty=True, dim=_integral(h, 2 * ref_substrate(t).group_order, "convolution half-pairing"),
     )
 
@@ -155,6 +171,31 @@ def ref_corr(t, levi_orbits, v):
     sub, c = ref_substrate(t), coinvariants(t)
     value = _scaled_pairing(sub, c.coordinates(c.class_of(tuple(v))), shift)
     return _integral(value, sub.group_order, "corr value")
+
+
+def class_corr(t, levi_orbits, v) -> int:
+    """<class of v, 2 rho - 2 rho_M> for the Levi attached to a union of
+    simple-root orbits: the Z-linear normalization shift between constant
+    term functors.  Vanishes on the Levi coroot classes and is I-invariant."""
+    levi_orbits = tuple(sorted(set(_integers(levi_orbits))))
+    if levi_orbits and (levi_orbits[0] < 0
+                        or levi_orbits[-1] >= relative_simple_roots(t).relative_rank):
+        raise DimensionMismatch("Levi orbit index out of range")
+    free, _torsion = coinvariants(t).class_of(v)
+    return dot(_class_corr_row(t, levi_orbits), free)
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _class_corr_row(t, levi_orbits):
+    """<lift of each free unit class, 2 rho - 2 rho_M> for the Levi of the
+    sorted orbit indices, in range.  The character is I-invariant, so any
+    lift gives the pairing of the average, and torsion classes pair to zero."""
+    rel = relative_simple_roots(t)
+    subset = {i for o in levi_orbits for i in rel.simple_orbit_list[o]}
+    system = full_root_system(t.base)
+    shift = vec_sub(system.two_rho, system.two_rho_levi(subset))
+    c = coinvariants(t)
+    return tuple(dot(v, shift) for v in c.unit_lifts[: c.quotient.free_rank])
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +270,74 @@ def test_point_queries_match_the_earlier_code(name):
         new, old = CALLS[kind]
         got, want = _outcome(lambda: new(*args)), _outcome(lambda: old(*args))
         assert got == want, (kind, args[1:])
+        if kind == "corr":
+            assert got == _outcome(lambda: class_corr(*args)), args[1:]
         answered += got[0] == "ok"
         raised += got[0] == "raised"
     assert answered >= 50 and raised >= 5, (answered, raised)
+
+
+SWEEP_FILES = ("torsion.json", "e6-flip.json", "d4-s3.json", "sl2-rot6.json")
+SWEEP = DEFAULT_PRESET_NAMES + ("SU7", "SU9", "SU11") + SWEEP_FILES
+
+
+def _sweep_datum(name, dual):
+    t = datum_from_dict(FILES[name]) if name in FILES else preset(name)
+    return dual_twisted(t) if dual else t
+
+
+@pytest.mark.parametrize("dual", (False, True), ids=("datum", "dual"))
+@pytest.mark.parametrize("name", SWEEP)
+def test_corr_is_the_pairing_with_the_class(name, dual):
+    """On every Levi subset and 40 seeded coweights with entries in [-9, 9],
+    the pairing with v equals the class pairing of `class_corr` and the
+    averaged pairing of `ref_corr`, on each datum and its dual (among them
+    X_*(T)_I = Z + Z/2 and its dual)."""
+    t = _sweep_datum(name, dual)
+    rng = random.Random(f"corr-sweep:{name}:{dual}")
+    vectors = [tuple(rng.randint(-9, 9) for _ in range(t.rank)) for _ in range(40)]
+    orbits = range(relative_simple_roots(t).relative_rank)
+    for k in range(len(orbits) + 1):
+        for levi in itertools.combinations(orbits, k):
+            for v in vectors:
+                got = corr(t, levi, v)
+                assert got == class_corr(t, levi, v) == ref_corr(t, levi, v), (levi, v)
+
+
+FAULT_DATA = ("SU3", "SU5", "SU7", "Spin8-triality", "SL2xSL2-swap", "PSU3")
+
+
+def test_a_levi_that_is_no_union_of_orbits_is_refused(monkeypatch):
+    """Planted fault: each orbit gives only its first simple root to the
+    Levi.  Then 2 rho - 2 rho_M is not I-invariant whenever a chosen orbit
+    has two roots or more, and `_corr_row` refuses all 15 such subsets of
+    these data; subsets of one-root orbits still answer."""
+    real = relative_simple_roots
+
+    def first_roots(t):
+        rel = real(t)
+        return RelativeRootData(simple_orbit_list=tuple(o[:1] for o in rel.simple_orbit_list),
+                                orbit_type=rel.orbit_type)
+
+    monkeypatch.setattr(satake, "relative_simple_roots", first_roots)
+    satake._corr_row.cache_clear()
+    refused = 0
+    try:
+        for name in FAULT_DATA:
+            t = preset(name)
+            orbits = real(t).simple_orbit_list
+            v = tuple(range(1, t.rank + 1))
+            for k in range(len(orbits) + 1):
+                for levi in itertools.combinations(range(len(orbits)), k):
+                    if all(len(orbits[o]) == 1 for o in levi):
+                        assert corr(t, levi, v) == ref_corr(t, levi, v)
+                        continue
+                    with pytest.raises(InvariantViolation, match="^2 rho - 2 rho_M is not I-invariant$"):
+                        corr(t, levi, v)
+                    refused += 1
+    finally:
+        satake._corr_row.cache_clear()
+    assert refused == 15
 
 
 @pytest.mark.parametrize("name", ("SU5", "SU7", "Spin8-triality", "G2"))

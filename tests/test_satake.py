@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import satake
+from twisted_satake import coweights, satake
 from twisted_satake.abelian import InvariantViolation, vec_add
 from twisted_satake.coweights import (
     dominant_coweights_up_to_height,
@@ -89,6 +89,31 @@ class TestStratum:
         for n in range(7):
             assert stratum(t, su3_class(n)).dim == 2 * n
 
+    def test_one_row_per_label(self, monkeypatch):
+        """A stratum reads its dimension and component from the label's one
+        cached row: on SU7 up to height 40, `closure_poset` returns the
+        strata it returned when `component_of` looked the row up again,
+        with one `_class_row` hit fewer per label."""
+        t = preset("SU7")
+
+        def two_lookups(t, cls):
+            dim = satake._dominant_row(t, coinvariants(t).coordinates(cls), cls)[0]
+            return satake.SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
+
+        def hits(build):
+            before = coweights._class_row.cache_info()
+            poset = build(t, max_height=40)
+            after = coweights._class_row.cache_info()
+            assert after.misses == before.misses
+            return poset, after.hits - before.hits
+
+        closure_poset(t, max_height=40)
+        poset, one = hits(closure_poset)
+        monkeypatch.setattr(satake, "stratum", two_lookups)
+        reference, two = hits(closure_poset)
+        assert poset == reference and len(poset.strata) == 37
+        assert two - one == len(poset.strata)
+
 
 class TestClosurePoset:
     def test_su3_chain(self):
@@ -128,9 +153,14 @@ class TestPosetCheck:
     each message of the poset check."""
 
     def test_cover_across_components(self, monkeypatch):
-        real = satake.component_of
-        monkeypatch.setattr(satake, "component_of", lambda t, cls: (
-            ((1,), ()) if cls == su3_class(2) else real(t, cls)))
+        real = satake.stratum
+
+        def moved(t, cls):
+            s = real(t, cls)
+            return satake.SchubertStratum(label=s.label, dim=s.dim, component=(
+                ((1,), ()) if cls == su3_class(2) else s.component))
+
+        monkeypatch.setattr(satake, "stratum", moved)
         with pytest.raises(InvariantViolation, match="^comparable strata in different components$"):
             closure_poset(preset("SU3"), cls=su3_class(3))
 

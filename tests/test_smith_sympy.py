@@ -34,10 +34,10 @@ def check(m: IntMatrix):
 
 
 def relation_matrices(t):
-    yield coinvariants(t).relations
-    yield pi1_coinvariants_presentation(t).relations
+    yield coinvariants(t).smith.original
+    yield pi1_coinvariants_presentation(t).smith.original
     # pi_1: X_*(T) modulo the coroot lattice, the split datum's components.
-    yield pi1_coinvariants_presentation(split_twisted(t.base)).relations
+    yield pi1_coinvariants_presentation(split_twisted(t.base)).smith.original
 
 
 @pytest.mark.parametrize("name", DEFAULT_PRESET_NAMES)

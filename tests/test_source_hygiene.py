@@ -25,7 +25,8 @@ class's component; `suites` keeps its brute-force coset count.  `abelian` and `r
 Within the package only `__init__` and `cli` import `presets`: no answer
 depends on a preset name.  The point queries `mv_cell`, `conv_cell` and
 `corr` reach neither `leq`, `weyl._descended` nor `two_rho_levi` except
-through a per-datum cache.  `branch_to_fixed_group` and `_verify_branch`
+through a per-datum cache, and `corr` and `_corr_row` call neither
+`coinvariants` nor `class_of`: the Levi shift pairs with the coweight.  `branch_to_fixed_group` and `_verify_branch`
 reach no full character, and no module defines `restrict_to_coinvariants`.
 W0 on class coordinates is derived once: `_descended` is read only by
 `weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.  So are
@@ -246,6 +247,22 @@ def test_point_queries_call_no_order_certificate_action_or_levi_sum():
                         found.append(f"{root} -> {name} calls {called}")
                     elif called in functions:
                         stack.append((root, called))
+    assert found == []
+
+
+def test_corr_reads_no_class():
+    """`corr` pairs the coweight itself with the I-invariant character
+    2 rho - 2 rho_M: neither `satake.corr` nor `satake._corr_row` calls
+    `coinvariants` or `class_of`."""
+    tree = _sources()["satake.py"]
+    definitions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [
+        f"{name} calls {called}"
+        for name in ("corr", "_corr_row")
+        for node in ast.walk(definitions[name]) if isinstance(node, ast.Call)
+        for called in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if called in ("coinvariants", "class_of")
+    ]
     assert found == []
 
 

@@ -10,7 +10,8 @@ the rows that left the package from here.
 The package now reads the orbit rows c_O of `weyl._orbit_pairings`.  On
 seeded classes of every default preset, SU7, SU9, SU11 and all their duals,
 dominance, heights (|I| scaled in the reference), dominance certificates,
-the corr rows and the bounded enumeration must agree with the reference.
+corr on each free unit class and the bounded enumeration must agree with
+the reference.
 Three wrong orbit rows must each be caught: one row scaled by 2 (dominance
 is unchanged, the heights differ), one orbit's row dropped (dominance
 differs), and a nonzero torsion entry (the substrate refuses it).
@@ -272,9 +273,10 @@ def mismatches(name, t):
         if dominant and witness is not None and witness.certificate != tuple(
                 Fraction(dot(row, x), ref.group_order) for row in ref.root_pairings):
             found.add("certificate")
+    lifts = c.unit_lifts[: c.quotient.free_rank]
     for levi in _levis(t):
-        if satake._corr_row(t, levi) != tuple(Fraction(v, ref.group_order)
-                                              for v in ref_corr_row(t, levi)):
+        if tuple(satake.corr(t, levi, u) for u in lifts) != tuple(
+                Fraction(v, ref.group_order) for v in ref_corr_row(t, levi)):
             found.add("corr")
     try:
         if enumerate_dominant_classes(t, HEIGHT, **_bound(t)) != ref_enumerate_dominant_classes(
@@ -287,7 +289,7 @@ def mismatches(name, t):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_orbit_rows_match_group_sums(name):
-    """Dominance, heights, certificates, corr rows and the bounded
+    """Dominance, heights, certificates, corr on the unit classes and the bounded
     enumeration read from c_O are those of the group-sum substrate; every
     height is an integer."""
     t = datum(name)
