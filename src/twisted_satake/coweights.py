@@ -3,16 +3,16 @@
 A coinvariant class is dominant when its rational average pairs
 nonnegatively with every absolute simple root; by invariance of the average
 this agrees with the pairing against the relative simple roots.  Heights
-are measured by the pairing of the average with 2*rho, an integer on every
-class.  Heights, dominance, bounded enumeration and the order read the
-orbit rows c_O of `weyl._orbit_pairings`, in integer arithmetic: lam <= mu
-exactly when they lie in the same Kottwitz component and A^-1 applied to
-the pairing difference (<c_O, mu - lam>)_O is nonnegative, for A[O][O'] =
-<c_O, b_O'> with b_O' the coroot-orbit classes.  `leq` gives the certificate
-and `hasse_covers` the Hasse edges among a set of labels; this module alone
-reads the order coordinates both come from.  The chamber walk to a dominant
-representative steps by W0's reflection rows alone (`weyl._w0_reflections`,
-checked once per datum against W0's descended generators).
+are the pairing of any lift with the I-invariant 2*rho, an integer on
+every class.  Each datum has one record on class coordinates, `_Substrate`:
+heights, dominance, bounded enumeration and the order read its orbit rows
+c_O in integer arithmetic: lam <= mu exactly when they lie in the same
+Kottwitz component and A^-1 applied to the pairing difference (<c_O, mu -
+lam>)_O is nonnegative, for A[O][O'] = <c_O, b_O'> with b_O' the
+coroot-orbit classes.  `leq` gives the certificate and `hasse_covers` the
+Hasse edges among a set of labels; this module alone reads the order
+coordinates both come from.  The chamber walk to a dominant representative
+steps by the record's W0 reflection rows alone.
 `enumerate_dominant_classes` is the one enumerator of dominant lattice
 points: the dominant coweights of a based datum
 (`dominant_coweights_up_to_height`) are its split case.
@@ -30,13 +30,12 @@ from .abelian import IntMatrix, InvariantViolation, _integer, dot, vec_sub
 from .galois import (
     TwistedRootDatum,
     coinvariants,
-    orbit_coroot_classes,
     pi1_coinvariants_presentation,
     relative_simple_roots,
     split_twisted,
 )
 from .rootdatum import BasedRootDatum, _dominant_cone, _scaled_inverse, _walk_cone, full_root_system
-from .weyl import WeylElement, _orbit_pairings, _w0_reflections, dominant_walk, relative_weyl
+from .weyl import WeylElement, _descended, dominant_walk, relative_weyl
 
 
 class NonDominantError(ValueError):
@@ -60,43 +59,83 @@ class OrderCertificate:
 
 @frozen
 class _Substrate:
-    """Integer data that heights, dominance, the order and the bounded cone
-    read for one datum.
+    """The integer data of one datum on class coordinates: what heights,
+    dominance, the order, the bounded cone and W0's reflections read.
 
     Classes are read in the coordinates x = (free..., torsion...) that
-    `coinvariants(t).coordinates` gives.  Dominance and heights are integer
-    dot products with the orbit rows c_O of `weyl._orbit_pairings`: for i
-    in the orbit O, <average, alpha_i> = <c_O, x> / |O|, so a class is
-    dominant exactly when every <c_O, x> >= 0.  As 2*rho = sum n_i alpha_i
-    with n_i = n_O constant on each orbit, <average, 2 rho> = sum_O n_O
-    <c_O, x>, an integer on every class.  The torsion entries of the rows
-    are zero, as torsion classes pair to zero (checked).
+    `coinvariants(t).coordinates` gives.  c_O pairs each unit class's lift
+    with the sum of O's simple roots, an I-invariant character, so for i in
+    O, <average, alpha_i> = <c_O, x> / |O|: a class is dominant exactly
+    when every <c_O, x> >= 0.  The torsion entries of the rows are zero, as
+    torsion classes pair to zero (checked).  2*rho is I-invariant too, so
+    `heights` pairs each unit lift with it.  The rest is built on first
+    use: `coroot_orbits` (b_O, the basis of the image of (Z Phi^vee)_I in
+    X_*(T)_I), W0's `reflections`, the `cone` and the order's rows.
 
     The order reads the same rows: lam <= mu exactly when lam and mu lie in
-    one Kottwitz component and mu - lam = sum n_O b_O over the coroot-orbit
-    classes b_O with every n_O >= 0.  The component map is one integer
-    matrix on class coordinates (`kottwitz_rows`).  Within one component
-    the exact sequence (Z Phi^vee)_I -> X_*(T)_I -> pi_1(G)_I gives integers
-    n_O with p(mu) - p(lam) = A n, for p(x) = (<c_O, x>)_O and the matrix
-    A[O][O'] = <c_O, b_O'>, invertible over Q.  So the order coordinates are
-    den A^-1 p(x) (`order_inverse`), and the certificate is their difference
-    over den.  Both are built on first use; dominance and heights need neither.
+    one Kottwitz component and mu - lam = sum n_O b_O with every n_O >= 0.
+    The component map is one integer matrix on class coordinates
+    (`kottwitz_rows`).  Within one component the exact sequence
+    (Z Phi^vee)_I -> X_*(T)_I -> pi_1(G)_I gives integers n_O with p(mu) -
+    p(lam) = A n, for p(x) = (<c_O, x>)_O and the matrix A[O][O'] = <c_O,
+    b_O'>, invertible over Q.  So the order coordinates are den A^-1 p(x)
+    (`order_inverse`), and the certificate is their difference over den.
 
     Without invariant central directions, y_O = <c_O, x> is an invertible
-    map of the free coordinates, and height = sum_O n_O y_O.  `cone` holds
-    (den, den times the free coordinates of each unit y_O, n_O); it is None
-    with central directions.
+    map of the free coordinates.  `cone` holds (den, den times the free
+    coordinates of each unit y_O, the height of each); it is None with
+    central directions.
     """
 
     pairings: tuple           # c_O per simple-root orbit O, per basis class
-    heights: tuple            # sum_O n_O c_O: <average of basis class, 2 rho>
-    cone: tuple | None
+    heights: tuple            # <unit lift, 2 rho> per basis class
     datum: TwistedRootDatum = field(compare=False, repr=False)
 
     def dominant(self, x):
         """Is the class with coordinates x dominant?  Integer dot products
         with the orbit rows."""
         return all([sum(map(operator.mul, row, x)) >= 0 for row in self.pairings])
+
+    @functools.cached_property
+    def coroot_orbits(self):
+        """The coordinates of b_O, the class of one simple coroot per orbit."""
+        t = self.datum
+        c = coinvariants(t)
+        return tuple(c.coordinates(c.class_of(t.base.simple_coroots[orbit[0]]))
+                     for orbit in relative_simple_roots(t).simple_orbit_list)
+
+    @functools.cached_property
+    def reflections(self):
+        """W0's generators on class coordinates, one row pair (c_O, a_O) per
+        orbit: O's relative simple reflection is x -> x - <c_O, x> a_O, with
+        a_O = m_O b_O, where m_O = 2 for an adjacent pair, else 1.  Checked
+        before they are returned: on every unit class, each row's map must
+        equal the descended matrix of its W0 generator (`weyl._descended`),
+        torsion entries modulo their invariant factors.  Both maps are
+        Z-linear and fix the torsion relations, so they then agree on every
+        class; a mismatch raises InvariantViolation."""
+        t = self.datum
+        rel = relative_simple_roots(t)
+        c = coinvariants(t)
+        r = c.quotient.free_rank
+        moduli = (0,) * r + tuple(c.quotient.invariant_factors)
+        rows = tuple(
+            (pairing, tuple((2 if kind == "adjacent-pair" else 1) * x for x in b))
+            for pairing, kind, b in zip(self.pairings, rel.orbit_type, self.coroot_orbits)
+        )
+        for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
+            m = _descended(t, g.matrix)
+            for j, p in enumerate(pairing):
+                image = (int(k == j) - p * x for k, x in enumerate(a))
+                if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
+                    raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
+        return rows
+
+    @functools.cached_property
+    def cone(self):
+        """The cone of `rootdatum._dominant_cone`, None with central directions."""
+        free_rank = coinvariants(self.datum).quotient.free_rank
+        return _dominant_cone(free_rank, self.pairings, self.heights)
 
     @functools.cached_property
     def kottwitz_rows(self):
@@ -111,8 +150,7 @@ class _Substrate:
     @functools.cached_property
     def order_inverse(self):
         """(den, the rows of den A^-1) for A[O][O'] = <c_O, b_O'>."""
-        c = coinvariants(self.datum)
-        basis = [c.coordinates(b) for b in orbit_coroot_classes(self.datum)]
+        basis = self.coroot_orbits
         inverse = _scaled_inverse([[dot(row, b) for b in basis] for row in self.pairings])
         if inverse is None:
             raise InvariantViolation("the orbit rows do not separate the coroot-orbit classes")
@@ -131,17 +169,15 @@ class _Substrate:
 def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
-    r, s = c.quotient.free_rank, len(c.quotient.invariant_factors)
-    pairings = _orbit_pairings(t)
+    lifts, r = c.unit_lifts, c.quotient.free_rank
+    pairings = tuple(
+        tuple(sum(dot(u, t.base.simple_roots[i]) for i in orbit) for u in lifts)
+        for orbit in relative_simple_roots(t).simple_orbit_list
+    )
     if any(any(row[r:]) for row in pairings):
         raise InvariantViolation("a c_O row has a nonzero torsion entry")
-    roots = full_root_system(t.base)
-    # n_O, the simple coordinate of 2 rho on each orbit O
-    n = [sum(roots.simple_coordinates(root)[orbit[0]] for root, _ in roots.positive)
-         for orbit in relative_simple_roots(t).simple_orbit_list]
-    heights = tuple(sum(n_o * row[j] for n_o, row in zip(n, pairings)) for j in range(r + s))
-    return _Substrate(pairings=pairings, heights=heights,
-                      cone=_dominant_cone(r, pairings, heights), datum=t)
+    two_rho = full_root_system(t.base).two_rho
+    return _Substrate(pairings=pairings, heights=tuple(dot(u, two_rho) for u in lifts), datum=t)
 
 
 def class_height(t: TwistedRootDatum, cls) -> Fraction:
@@ -171,10 +207,11 @@ def _walk(t: TwistedRootDatum, x):
     """(coordinates of the dominant class in the W0-orbit of the class with
     coordinates x, the chamber walk's word).  The walk steps by W0's
     reflection rows, and the normal form of its end is checked dominant."""
-    point, word = dominant_walk(x, _w0_reflections(t), len(full_root_system(t.base).positive))
+    sub = _substrate(t)
+    point, word = dominant_walk(x, sub.reflections, len(full_root_system(t.base).positive))
     free, torsion = coinvariants(t).normal_form(point)
     x = free + torsion
-    if not _substrate(t).dominant(x):
+    if not sub.dominant(x):
         raise InvariantViolation("the chamber walk ended outside the dominant cone")
     return x, word
 

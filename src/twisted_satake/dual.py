@@ -10,10 +10,10 @@ coinvariants of the dual datum) and the descended Weyl group is
 those do not say: smoothness, connectedness and the folded root datum, all
 from the datum alone.  One test decides the fold and connectedness: whether
 X^*(s)_I is torsion-free.  The folded datum is W0's reflection rows on
-X^*(s)_I (`weyl._w0_reflections` of the dual, checked once per datum
-against W0's descended longest elements): each orbit's folded simple
-reflection is its row, so |W(folded)| = |W0| holds by construction, with
-no group enumerated (`_fold_recipe` carries the proof).  The |W^I| oracle,
+X^*(s)_I (`reflections` of the dual's `coweights._Substrate`, checked once
+per datum against W0's descended longest elements): each orbit's folded
+simple reflection is its row, so |W(folded)| = |W0| holds by construction,
+with no group enumerated (`_fold_recipe` carries the proof).  The |W^I| oracle,
 a walk of the orbit of a regular point (`suites._regular_orbit`), runs in
 `verify <datum> weyl-oracle`.
 """
@@ -24,6 +24,7 @@ import functools
 
 from ._value import frozen
 from .abelian import IntMatrix, InvariantViolation, integer_kernel_basis
+from .coweights import _substrate
 from .galois import (
     DiagramAutomorphism,
     TwistedRootDatum,
@@ -40,7 +41,6 @@ from .rootdatum import (
     dualize,
     require_valid,
 )
-from .weyl import _w0_reflections
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def _fold_recipe(s: TwistedRootDatum):
     chars = coinvariants(dual)  # X^*(s)_I
     if chars.quotient.invariant_factors:
         return None
-    rows = _w0_reflections(dual)
+    rows = _substrate(dual).reflections
     folded_roots = []
     folded_coroots = []
     for o, (orbit, (pairing, a)) in enumerate(zip(relative_simple_roots(s).simple_orbit_list, rows)):

@@ -263,14 +263,6 @@ def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
     return RelativeRootData(simple_orbit_list=tuple(orbits), orbit_type=tuple(types))
 
 
-def orbit_coroot_classes(t: TwistedRootDatum):
-    """The classes of one simple coroot per orbit: the basis of the image of
-    (Z Phi^vee)_I in X_*(T)_I used by the dominance order."""
-    c = coinvariants(t)
-    rel = relative_simple_roots(t)
-    return tuple(c.class_of(t.base.simple_coroots[orbit[0]]) for orbit in rel.simple_orbit_list)
-
-
 # ---------------------------------------------------------------------------
 # The coroot-coinvariants exact sequence and Kottwitz components
 

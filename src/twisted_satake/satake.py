@@ -1,18 +1,18 @@
 """Schubert combinatorics of the twisted affine Grassmannian.
 
 Strata are dominant coinvariant classes graded by the pairing of the
-average lift with 2*rho (an integer on every class, read from the orbit
-rows of `coweights`, and asserted nonnegative on dominant classes); closures
-are computed by the coroot-orbit dominance order (same Kottwitz component,
-and A^-1 applied to the pairing difference nonnegative), whose Hasse edges
-`coweights.hasse_covers` reads from each label's order coordinates;
-components are the Kottwitz class, read from the same cached row.  Cell
-dimensions for the attractor intersections and their convolution analogues
-are half-pairings, asserted integral exactly where the theory claims
-integrality, so the assertion doubles as a defect detector; a `Cell` holds
-that answer alone.  The `corr` shift pairs the coweight with one cached
-I-invariant character 2*rho - 2*rho_M per (datum, Levi), so it reads no
-class.
+average lift with 2*rho (an integer on every class, read from the datum's
+`coweights._Substrate`, and asserted nonnegative on dominant classes);
+closures walk down its coroot-orbit classes, ordered by the dominance
+order (same Kottwitz component, and A^-1 applied to the pairing difference
+nonnegative), whose Hasse edges `coweights.hasse_covers` reads from each
+label's order coordinates; components are the Kottwitz class, read from
+the same cached row.  Cell dimensions for the attractor intersections and
+their convolution analogues are half-pairings, asserted integral exactly
+where the theory claims integrality, so the assertion doubles as a defect
+detector; a `Cell` holds that answer alone.  The `corr` shift pairs the
+coweight with one cached I-invariant character 2*rho - 2*rho_M per
+(datum, Levi), so it reads no class.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .coweights import (
     enumerate_dominant_classes,
     hasse_covers,
 )
-from .galois import TwistedRootDatum, coinvariants, orbit_coroot_classes, relative_simple_roots
+from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import _walk_cone, full_root_system
 
 
@@ -92,13 +92,12 @@ def strata_below(t: TwistedRootDatum, cls):
     """The dominant classes mu <= cls, sorted: walk the coefficient simplex
     sum k_O <= height/2 over the coroot-orbit classes b_O (each step drops
     the height by exactly 2) and keep the dominant differences.  Each point
-    is read on class coordinates, x - sum k_O coordinates(b_O), with one
-    normal form."""
+    is read on class coordinates, x - sum k_O b_O, with one normal form."""
     c = coinvariants(t)
     sub = _substrate(t)
     x = c.coordinates(cls)
     h = _dominant_row(t, x, cls)[0]
-    basis = [c.coordinates(b) for b in orbit_coroot_classes(t)]
+    basis = sub.coroot_orbits
     out = set()
     for point in _walk_cone(1, basis, (1,) * len(basis), h // 2, len(x)):
         free, torsion = c.normal_form(vec_sub(x, point))
@@ -218,7 +217,10 @@ def parity_check(t: TwistedRootDatum, component, max_height=20, coord_bound=None
     silent answer.  None when the bound sees no stratum in the component.
     The bounds are integers, as `enumerate_dominant_classes` requires: a
     float or a bool is refused with ValueError("not an integer entry: ..."),
-    a negative coord_bound with ValueError too."""
+    a negative coord_bound with ValueError too.  Any representative names
+    its component, and one of the wrong shape raises DimensionMismatch."""
+    pres = _substrate(t).kottwitz_rows[0]
+    component = pres.normal_form(pres.coordinates(component))
     labels = enumerate_dominant_classes(t, max_height, coord_bound)
     members = [cls for cls in labels if component_of(t, cls) == component]
     return component_parity(t, component, members)

@@ -32,7 +32,7 @@ from .galois import (
 from .rep import branch_to_fixed_group, is_dominant_character
 from .rootdatum import dualize
 from .satake import component_of, component_parity, format_class
-from .weyl import _w0_reflections, _weyl_order, relative_weyl
+from .weyl import _weyl_order, relative_weyl
 
 WEYL_BOUND_DEFAULT = 10**6
 
@@ -96,7 +96,7 @@ def _w0_orbit(t, cls):
     """The W0-orbit of a class, sorted: its closure under W0's reflection
     rows x -> x - <c_O, x> a_O, checked once per datum."""
     c = coinvariants(t)
-    rows = _w0_reflections(t)
+    rows = _substrate(t).reflections
     orbit, frontier = {cls}, [cls]
     while frontier:
         x = c.coordinates(frontier.pop())

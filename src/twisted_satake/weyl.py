@@ -15,13 +15,10 @@ never enumerated; the orbit oracle behind `verify` lives in `suites.py`.
 
 An I-commuting lattice map reaches the coinvariants as one integer matrix
 on class coordinates (free..., torsion...), built by `_descended`.  W0
-acts on classes by one reflection row per orbit (`_w0_reflections`),
-checked against the descended longest elements once per datum; this is
-the only derivation of W0 on class coordinates.  The chamber walk to a
-dominant class, the orbit walk of `verify` and the folded datum of
-`dual` all read these rows.  Their pairings c_O (`_orbit_pairings`, not
-cached and not checked) are also the rows that heights and dominance
-read in `coweights`, which need no W0.
+acts on classes by one reflection row per orbit, held by the datum's
+substrate (`coweights._Substrate.reflections`), which checks them once
+against the descended longest elements; that is the only reader of
+`_descended` and the only derivation of W0 on class coordinates.
 
 `dominant_walk` finds dominant conjugates by simple reflections (Humphreys,
 Reflection Groups and Coxeter Groups, 1.6-1.8).
@@ -37,7 +34,7 @@ import functools
 
 from ._value import field, frozen
 from .abelian import IntMatrix, InvariantViolation, dot
-from .galois import TwistedRootDatum, coinvariants, orbit_coroot_classes, relative_simple_roots
+from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import BasedRootDatum, full_root_system
 
 @frozen
@@ -163,45 +160,3 @@ def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
                 )
         gens.append(WeylElement(matrix=w.matrix, word=(rel.simple_orbit_list.index(orbit),)))
     return RelativeWeylGroup(datum=t, generators=tuple(gens))
-
-
-def _orbit_pairings(t: TwistedRootDatum):
-    """c_O per simple-root orbit O: each unit class's lift paired with the
-    sum of O's simple roots.  That character is I-invariant, so any lift
-    gives the same pairing, and torsion classes pair to zero.  For i in O,
-    <average, alpha_i> = <c_O, x> / |O| on the class with coordinates x."""
-    lifts = coinvariants(t).unit_lifts
-    return tuple(
-        tuple(sum(dot(u, t.base.simple_roots[i]) for i in orbit) for u in lifts)
-        for orbit in relative_simple_roots(t).simple_orbit_list
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_reflections(t: TwistedRootDatum):
-    """W0's generators on class coordinates, one row pair (c_O, a_O) per orbit:
-    orbit O's relative simple reflection is x -> x - <c_O, x> a_O, with c_O
-    from `_orbit_pairings` and a_O = m_O [coroot_O], where m_O = 2 for an
-    adjacent pair (alpha_i + alpha_j), else 1.
-
-    Built once per datum, and checked before it is returned: on every unit
-    class, each row's map must equal the descended matrix of its W0 generator
-    (`_descended`), torsion entries modulo their invariant factors.  Both
-    maps are Z-linear and fix the torsion relations, so they then agree on
-    every class; a mismatch raises InvariantViolation.
-    """
-    rel = relative_simple_roots(t)
-    c = coinvariants(t)
-    moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
-    rows = tuple(
-        (pairing, tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
-        for pairing, kind, (free, torsion)
-        in zip(_orbit_pairings(t), rel.orbit_type, orbit_coroot_classes(t))
-    )
-    for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
-        m = _descended(t, g.matrix)
-        for j, p in enumerate(pairing):
-            image = (int(k == j) - p * x for k, x in enumerate(a))
-            if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
-                raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
-    return rows

@@ -17,7 +17,10 @@ char-0 `tensor` computes exactly one folded character (one cache miss of
 
 A cold `dominant-image` builds neither the pi_1(G)_I presentation nor the
 order inverse, which only the dominance order reads; a cold `schubert`
-builds each once.
+builds each once.  Cold `mv` and `conv` build no dominant cone, which only
+the bounded enumeration reads, and run three Smith normal forms; a cold
+`schubert` or `dominant-image` builds the cone once per datum it
+enumerates.
 
 The order test runs describe/branch/tensor queries in one interpreter,
 forward and reversed, and requires each to print what it prints alone:
@@ -277,6 +280,46 @@ def test_order_data_are_built_on_first_use(argv, built):
     `rootdatum` under its own binding); a cold `schubert` builds each once."""
     results, counts = run_fresh(ORDER_BUILT, [argv])
     assert results == [answer(argv)]
+    assert counts == built
+
+
+CONE_BUILT = """
+import sys
+import twisted_satake.cli
+from twisted_satake import abelian, rootdatum
+calls = {"cone": 0, "smith": 0}
+def counting(key, real):
+    def call(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+    return call
+reals = {"_dominant_cone": rootdatum._dominant_cone, "smith_normal_form": abelian.smith_normal_form}
+wrapped = {"_dominant_cone": counting("cone", reals["_dominant_cone"]),
+           "smith_normal_form": counting("smith", reals["smith_normal_form"])}
+for name, module in list(sys.modules.items()):
+    if name.startswith("twisted_satake"):
+        for attr, real in reals.items():
+            if getattr(module, attr, None) is real:
+                setattr(module, attr, wrapped[attr])
+COUNT = lambda: [calls["cone"], calls["smith"]]
+"""
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["mv", "SU7", "--mu=-1,0,0", "--lam", "2,2,1"], [0, 3]),
+    (["conv", "SU7", "--mu=-1,0,0", "--mu2=-1,-1,-1", "--lam", "2,2,1", "--lam2", "1,1,1"], [0, 3]),
+    (["schubert", "SU7", "--bound", "3"], [1, 4]),
+    (["dominant-image", "SU7", "--bound", "3"], [2, 4]),
+], ids=["mv", "conv", "schubert", "dominant-image"])
+def test_cone_is_built_on_first_use(argv, built):
+    """Cold `mv` and `conv` read no dominant cone: they call
+    `rootdatum._dominant_cone` in no module and run 3 Smith normal forms
+    (SU7's coinvariants, pi_1(G)_I and the order inverse).  `schubert`
+    builds SU7's cone once, and `dominant-image` once for SU7 and once for
+    its split base, whose dominant coweights it projects."""
+    results, counts = run_fresh(CONE_BUILT, [argv])
+    assert results == [answer(argv)]
+    assert results[0][0] == 0
     assert counts == built
 
 

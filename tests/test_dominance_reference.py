@@ -54,7 +54,6 @@ from twisted_satake.galois import (
     average_vector,
     coinvariants,
     one_minus_gamma_columns,
-    orbit_coroot_classes,
     relative_simple_roots,
     split_twisted,
 )
@@ -70,6 +69,7 @@ from twisted_satake.rootdatum import (
 from twisted_satake.satake import closure_poset, corr, strata_below
 
 from test_linalg_reference import fundamental_coweights_rational, rational_solve
+from test_orbit_rows_reference import orbit_coroot_classes
 from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ uncached.  An orbit type in `dual`'s own lookup no longer enters the fold.
 
 import pytest
 
-from twisted_satake import dual, presets, weyl
+from twisted_satake import coweights, dual, presets
 from twisted_satake.abelian import InvariantViolation, dot
 from twisted_satake.dual import (
     CHAR0,
@@ -247,9 +247,9 @@ def patched(monkeypatch, module, name, change):
 
 
 def descriptor(monkeypatch, s):
-    """fixed_group_descriptor(s), with the descriptor and the reflection
-    rows uncached."""
-    monkeypatch.setattr(dual, "_w0_reflections", weyl._w0_reflections.__wrapped__)
+    """fixed_group_descriptor(s), with the descriptor and the dual's
+    substrate, which holds the reflection rows, uncached."""
+    monkeypatch.setattr(dual, "_substrate", coweights._substrate.__wrapped__)
     return fixed_group_descriptor.__wrapped__(s, CHAR0)
 
 
@@ -270,7 +270,7 @@ def test_swapped_orbit_type_is_caught(monkeypatch, name, orbit):
         kinds[orbit] = swap_kind(kinds[orbit])
         return replace(rel, orbit_type=tuple(kinds))
 
-    patched(monkeypatch, weyl, "relative_simple_roots", swapped)
+    patched(monkeypatch, coweights, "relative_simple_roots", swapped)
     with pytest.raises(InvariantViolation, match="^reflection row"):
         descriptor(monkeypatch, preset(name))
 
@@ -289,12 +289,13 @@ def test_orbit_types_in_dual_do_not_enter_the_fold(monkeypatch, name):
 @pytest.mark.parametrize("name", ("SU3", "SU5", "SU7", "Sp4", "G2", "Spin8-triality"))
 def test_doubled_folded_root_is_caught(monkeypatch, name):
     """The root a_O that orbit 0's folded reflection moves along, doubled in
-    the rows' coroot-class lookup, is refused by the rows' check."""
-    def doubled(classes):
-        free, torsion = classes[0]
-        return (tuple(2 * x for x in free), torsion), *classes[1:]
+    the rows' coroot-orbit coordinates (X^*(s)_I is free here), is refused
+    by the rows' check."""
+    def doubled(rows):
+        return (tuple(2 * x for x in rows[0]), *rows[1:])
 
-    patched(monkeypatch, weyl, "orbit_coroot_classes", doubled)
+    real = vars(coweights._Substrate)["coroot_orbits"].func
+    monkeypatch.setattr(coweights._Substrate, "coroot_orbits", property(lambda sub: doubled(real(sub))))
     with pytest.raises(InvariantViolation, match="^reflection row 0 "):
         descriptor(monkeypatch, preset(name))
 
@@ -330,7 +331,7 @@ def test_permuted_w0_generators_pass_reference_only(monkeypatch, name):
     assert ref_fold_order_check(mutated, folded) is None
     with pytest.raises(InvariantViolation):
         ref_check_fold(mutated, folded)
-    patched(monkeypatch, weyl, "relative_weyl", permute_generators)
+    patched(monkeypatch, coweights, "relative_weyl", permute_generators)
     with pytest.raises(InvariantViolation, match="^reflection row"):
         descriptor(monkeypatch, s)
 

@@ -19,7 +19,7 @@ Levi that takes one root per orbit is refused as not I-invariant.
 
 `ref_walk` is the chamber walk `coweights._walk` as it stood before it
 kept its own end point: it dropped the end of the walk by the reflection
-rows and replayed the word through W0's generators, descended to class
+rows (read here from `test_orbit_rows_reference._w0_reflections`) and replayed the word through W0's generators, descended to class
 coordinates once per datum.  The walk is compared with it on seeded classes
 of every default preset, SU7, SU9 and a datum whose coinvariants are
 Z + Z/2.  Bounds check that point queries descend no matrix per class, that
@@ -57,9 +57,10 @@ from twisted_satake.galois import RelativeRootData, coinvariants, relative_simpl
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import full_root_system
 from twisted_satake.satake import Cell, _integral, conv_cell, corr, mv_cell
-from twisted_satake.weyl import WeylElement, _descended, _w0_reflections, dominant_walk, relative_weyl
+from twisted_satake.weyl import WeylElement, _descended, dominant_walk, relative_weyl
 
 from test_cli_golden import FILES
+from test_orbit_rows_reference import _w0_reflections
 from test_substrate_reference import ref_leq, ref_substrate
 from test_weyl_reference import ref_act, u3_like
 

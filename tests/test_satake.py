@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_satake import coweights, satake
-from twisted_satake.abelian import InvariantViolation, vec_add
+from twisted_satake.abelian import DimensionMismatch, InvariantViolation, vec_add
 from twisted_satake.coweights import (
     dominant_coweights_up_to_height,
     dominant_image_monoid,
@@ -335,6 +335,21 @@ class TestParity:
             comps = {component_of(t, cls) for cls in enumerate_dominant_classes(t, 12)}
             for comp in comps:
                 assert parity_check(t, comp, 12) in (0, 1), name
+
+    def test_any_representative_names_its_component(self):
+        """A component is read through pi_1(G)_I's presentation: ((), (4,))
+        is the class ((), (1,)) of Z/3 for PGL3, and each torsion entry
+        answers as its residue does."""
+        t = preset("PGL3")
+        assert parity_check(t, ((), (4,)), 12) == parity_check(t, ((), (1,)), 12) == 0
+        for k in range(-4, 8):
+            assert parity_check(t, ((), (k,)), 12) == parity_check(t, ((), (k % 3,)), 12), k
+
+    def test_component_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="^class does not match this presentation$"):
+            parity_check(preset("SU3"), ((5,), ()))
+        with pytest.raises(DimensionMismatch):
+            parity_check(preset("PGL3"), ((), ()), 12)
 
 
 class TestExports:

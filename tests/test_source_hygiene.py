@@ -29,9 +29,9 @@ through a per-datum cache, and `corr` and `_corr_row` call neither
 `coinvariants` nor `class_of`: the Levi shift pairs with the coweight.  `branch_to_fixed_group` and `_verify_branch`
 reach no full character, and no module defines `restrict_to_coinvariants`.
 W0 on class coordinates is derived once: `_descended` is read only by
-`weyl._w0_reflections`, and `simple_reflection` only inside `weyl`.  So are
-the orbit rows c_O that heights and dominance read: only
-`weyl._orbit_pairings` pairs unit lifts with simple roots, only `galois`
+`coweights._Substrate.reflections`, and `simple_reflection` only inside
+`weyl`.  So are the orbit rows c_O that dominance and the order read: only
+`coweights._substrate` pairs unit lifts with simple roots, only `galois`
 reads the inertia group sum, and `coweights` and `satake` import no
 `group_order`.  The package's `lru_cache`s are those in `KEPT_CACHES`, each
 with the bench workload that reads it twice or the reason it is kept, and
@@ -197,7 +197,6 @@ KEPT_CACHES = {
     "rootdatum._validity_report": "posets-cli, branching-cli, library-session",
     "rootdatum.full_root_system": "posets-cli, branching-cli, library-session",
     "satake._corr_row": "library-session",
-    "weyl._w0_reflections": "library-session",
     "weyl.relative_weyl": "library-session",
 }
 
@@ -215,7 +214,7 @@ def test_each_cache_has_a_second_reader():
                 copied += [ast.unparse(t) for t in node.targets
                            if getattr(t, "attr", None) in ("cache_info", "cache_clear")]
     assert sorted(cached) == sorted(KEPT_CACHES)
-    assert len(cached) == 19
+    assert len(cached) == 18
     assert copied == []
 
 
@@ -298,26 +297,26 @@ def test_branch_builds_no_full_character():
 
 
 def test_w0_on_classes_is_derived_once():
-    """`weyl._w0_reflections` is the one derivation of W0 on class
-    coordinates: no other function of the package reads `_descended`, no
-    module but `weyl` reads `simple_reflection`, and no module imports
-    either."""
+    """`coweights._Substrate.reflections` is the one derivation of W0 on
+    class coordinates: no other function of the package reads `_descended`,
+    no module but `weyl` reads `simple_reflection`, only `coweights`
+    imports `_descended` and no module imports `simple_reflection`."""
     trees = _sources()
     descended = {(module, scope) for module, tree in trees.items()
                  for scope in _enclosing_names(tree, "_descended")}
-    assert descended == {("weyl.py", "_w0_reflections")}
+    assert descended == {("coweights.py", "_Substrate.reflections")}
     assert {module for module, tree in trees.items()
             if _enclosing_names(tree, "simple_reflection")} == {"weyl.py"}
-    imported = [f"{module}:{node.lineno} {alias.name}"
+    imported = [f"{module} {alias.name}"
                 for module, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name in ("_descended", "simple_reflection")]
-    assert imported == []
+    assert imported == ["coweights.py _descended"]
 
 
 def test_orbit_rows_are_derived_once():
     """c_O, each unit class's lift paired with the sum of an orbit's simple
-    roots, is derived in `weyl._orbit_pairings` alone: no other function
+    roots, is derived in `coweights._substrate` alone: no other function
     reads both `unit_lifts` and `simple_roots`.  No module but `galois`
     reads `group_sum`, and neither `coweights` nor `satake` imports
     `group_order`: their heights and dominance average nothing."""
@@ -325,7 +324,7 @@ def test_orbit_rows_are_derived_once():
     pairing = {(module, scope) for module, tree in trees.items()
                for scope in set(_enclosing_names(tree, "unit_lifts"))
                & set(_enclosing_names(tree, "simple_roots"))}
-    assert pairing == {("weyl.py", "_orbit_pairings")}
+    assert pairing == {("coweights.py", "_substrate")}
     assert {module for module, tree in trees.items()
             if "group_sum" in _referenced_names(tree, set())} == {"galois.py"}
     imported = [f"{module}:{node.lineno}"
@@ -367,14 +366,18 @@ def test_class_slots_are_read_only_by_the_presentation():
 def test_order_coordinates_are_read_only_in_coweights():
     """The dominance order's coordinates are known to `coweights` alone:
     the substrate's `order_coordinates`, `order_inverse` and
-    `kottwitz_rows` appear in no other module, `hasse_covers` is defined,
-    and the all-pairs relation list `order_relations` is defined nowhere in
-    the package."""
+    `kottwitz_rows` appear in no other module, but for `satake.parity_check`,
+    which reads the pi_1(G)_I presentation in `kottwitz_rows` to read the
+    component it is given; `hasse_covers` is defined, and the all-pairs
+    relation list `order_relations` is defined nowhere in the package."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     names = ("order_coordinates", "order_inverse", "kottwitz_rows")
-    readers = {module for module, tree in trees.items()
-               if set(names) & _referenced_names(tree, set())}
-    assert readers == {"coweights.py"}
+    readers = {(module, scope) for module, tree in trees.items()
+               for name in names for scope in _enclosing_names(tree, name)}
+    assert {module for module, _scope in readers} == {"coweights.py", "satake.py"}
+    assert {(module, scope) for module, scope in readers if module != "coweights.py"} == {
+        ("satake.py", "parity_check")}
+    assert not {"order_coordinates", "order_inverse"} & _referenced_names(trees["satake.py"], set())
     defined = {n.rsplit(".", 1)[-1] for tree in trees.values() for n in _definitions(tree)}
     assert "hasse_covers" in defined and "order_relations" not in defined
 
@@ -627,8 +630,9 @@ def test_a_member_only_a_test_reads_is_reported():
 
 
 # The members that left the package, as they stood there: those only tests
-# read (moved to a test, or deleted as a restatement), and the per-datum
-# records folded into `rootdatum.RootSystem`.
+# read (moved to a test, or deleted as a restatement), the per-datum
+# records folded into `rootdatum.RootSystem`, and the helpers whose rows
+# joined `coweights._Substrate`.
 LEFT_THE_PACKAGE = {
     ("abelian.py", "IntMatrix"): """
         @staticmethod
@@ -740,6 +744,38 @@ LEFT_THE_PACKAGE = {
                 positive=tuple(positive), coroots=coroots, two_rho=rho_data(d).two_rho,
             )
     """,
+    ("galois.py", None): """
+        def orbit_coroot_classes(t: TwistedRootDatum):
+            c = coinvariants(t)
+            rel = relative_simple_roots(t)
+            return tuple(c.class_of(t.base.simple_coroots[orbit[0]]) for orbit in rel.simple_orbit_list)
+    """,
+    ("weyl.py", None): """
+        def _orbit_pairings(t: TwistedRootDatum):
+            lifts = coinvariants(t).unit_lifts
+            return tuple(
+                tuple(sum(dot(u, t.base.simple_roots[i]) for i in orbit) for u in lifts)
+                for orbit in relative_simple_roots(t).simple_orbit_list
+            )
+
+        @functools.lru_cache(maxsize=None)
+        def _w0_reflections(t: TwistedRootDatum):
+            rel = relative_simple_roots(t)
+            c = coinvariants(t)
+            moduli = (0,) * c.quotient.free_rank + tuple(c.quotient.invariant_factors)
+            rows = tuple(
+                (pairing, tuple((2 if kind == "adjacent-pair" else 1) * x for x in free + torsion))
+                for pairing, kind, (free, torsion)
+                in zip(_orbit_pairings(t), rel.orbit_type, orbit_coroot_classes(t))
+            )
+            for o, (g, (pairing, a)) in enumerate(zip(relative_weyl(t).generators, rows)):
+                m = _descended(t, g.matrix)
+                for j, p in enumerate(pairing):
+                    image = (int(k == j) - p * x for k, x in enumerate(a))
+                    if any((x - y) % d if d else x != y for x, y, d in zip(image, m.column(j), moduli)):
+                        raise InvariantViolation(f"reflection row {o} is not descended W0 generator {o}")
+            return rows
+    """,
     ("presets.py", None): """
         @frozen
         class AmbientEmbedding:
@@ -760,13 +796,16 @@ def test_members_that_left_the_package_are_reported():
     name another reader shares: `add` (`set.add`, `operator.add`), `sub`
     (`operator.sub`), `WeylElement.apply` (`IntMatrix.apply`), the methods
     of `_FreudenthalData` and `RhoData` (now `RootSystem`'s), and `RhoData`,
-    which the bench names in a span.  `_freudenthal_data` is reported as an
-    unread private helper; `_FreudenthalData` is read only by it."""
+    which the bench names in a span.  `_freudenthal_data` and
+    `weyl._w0_reflections` are reported as unread private helpers;
+    `_FreudenthalData` is read only by the first, and `weyl._orbit_pairings`
+    only by the second."""
     trees = _sources()
     for (module, cls), source in LEFT_THE_PACKAGE.items():
         trees = _plant(trees, module, cls, source)
-    assert _unused_private(trees) == [("rep.py", "_freudenthal_data")]
-    assert _unread(trees) == (["presets.AmbientEmbedding", "rootdatum.rho_data"], [
+    assert _unused_private(trees) == [("rep.py", "_freudenthal_data"), ("weyl.py", "_w0_reflections")]
+    assert _unread(trees) == (["galois.orbit_coroot_classes", "presets.AmbientEmbedding",
+                               "rootdatum.rho_data"], [
         "IntMatrix.zero", "FgAbelianGroup.is_trivial", "QuotientPresentation.zero_class",
         "QuotientPresentation.scale", "AmbientEmbedding.to_internal", "AmbientEmbedding.to_ambient",
         "WeightMultiset.support", "WeightMultiset.multiplicity", "WeylElement.char_matrix", "WeylElement.apply_char",

@@ -20,11 +20,12 @@ import pytest
 
 from twisted_satake.abelian import vec_scale, vec_sub
 from twisted_satake.coweights import _has_invariant_central_direction, enumerate_dominant_classes
-from twisted_satake.galois import coinvariants, orbit_coroot_classes
+from twisted_satake.galois import coinvariants
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import _walk_cone
 from twisted_satake.satake import _integral, strata_below
 
+from test_orbit_rows_reference import orbit_coroot_classes
 from test_substrate_reference import ref_substrate
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,18 @@ roots and with 2*rho, as integer rows built from group sums.  They are
 verbatim but for their names; the oracles of the other reference files read
 the rows that left the package from here.
 
-The package now reads the orbit rows c_O of `weyl._orbit_pairings`.  On
-seeded classes of every default preset, SU7, SU9, SU11 and all their duals,
-dominance, heights (|I| scaled in the reference), dominance certificates,
-corr on each free unit class and the bounded enumeration must agree with
-the reference.
-Three wrong orbit rows must each be caught: one row scaled by 2 (dominance
-is unchanged, the heights differ), one orbit's row dropped (dominance
-differs), and a nonzero torsion entry (the substrate refuses it).
+The package now reads the orbit rows c_O of `coweights._Substrate`, and
+pairs each unit lift with 2*rho for the heights.  On seeded classes of
+every default preset, SU7, SU9, SU11 and all their duals, dominance,
+heights (|I| scaled in the reference), dominance certificates, corr on
+each free unit class and the bounded enumeration must agree with the
+reference, and the chamber walk from each class must end at a class that
+is dominant and above it in the reference's order (`walk_mismatch`).
+Three wrong orbit rows, put in by a copy of `coweights._substrate`
+(`patch_pairings`), must each be caught: one row scaled by 2 (dominance
+and the heights are unchanged, the certificates differ and W0's
+reflection rows refuse it), one orbit's row dropped (dominance differs),
+and a nonzero torsion entry (the substrate refuses it).
 
 The order reads the same rows and the Kottwitz component, where the
 reference solved the Smith system [orbit coroot classes | torsion moduli]
@@ -24,16 +28,20 @@ pair of 50 seeded classes of the sweep and of the golden files
 `torsion.json`, `sl2-rot6.json`, `e6-flip.json` and `d4-s3.json` with their
 duals, `leq` certificates and components must equal the reference's, and
 `hasse_covers` and `stratum` must on the dominant classes of height at most
-12.  One c_O row scaled by 2 (the heights differ, the order does not) and
-one entry of the order inverse scaled by 2 (the certificates differ) must
-each be caught.
+12, and each seeded class must lie below the end of its chamber walk.
+One c_O row scaled by 2 (the order and the heights do not differ, the
+reflection rows refuse it) and one entry of the order inverse scaled by 2
+(the certificates differ) must each be caught.
 """
 
 import functools
+import inspect
 import itertools
 import math
 import operator
 import random
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -65,7 +73,6 @@ from twisted_satake.galois import (
     coinvariants,
     group_order,
     group_sum,
-    orbit_coroot_classes,
     pi1_coinvariants_presentation,
     relative_simple_roots,
 )
@@ -74,6 +81,7 @@ from twisted_satake.rootdatum import _dominant_cone, _walk_cone, full_root_syste
 from twisted_satake.satake import SchubertStratum, component_of, stratum
 
 from test_cli_golden import FILES
+from test_orbit_rows_reference import orbit_coroot_classes
 
 # ---------------------------------------------------------------------------
 # The earlier substrate
@@ -258,6 +266,34 @@ def fresh():
     _clear()
 
 
+def patch_pairings(monkeypatch, mutate):
+    """Rebind `coweights._substrate`, in every module of the package that
+    reads it, to a copy of its source that passes the orbit rows c_O
+    through mutate before any check, with a cache of its own."""
+    real = coweights._substrate
+    source = textwrap.dedent(inspect.getsource(real))
+    check = "    if any(any(row[r:]) for row in pairings):\n"
+    assert source.count(check) == 1
+    namespace = dict(vars(coweights), _mutate=mutate)
+    exec(compile(source.replace(check, "    pairings = _mutate(pairings)\n" + check),
+                 coweights.__file__, "exec"), namespace)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twisted_satake") and vars(module).get("_substrate") is real:
+            monkeypatch.setattr(module, "_substrate", namespace["_substrate"])
+
+
+def walk_mismatch(t, cls):
+    """Does the chamber walk from cls fail, or end at a class that is not
+    dominant in the reference or not above cls in its order?  Every
+    W0-conjugate of a dominant class lies below it."""
+    ref, c = ref_substrate(t), coinvariants(t)
+    try:
+        end = coweights._walk(t, c.coordinates(cls))[0]
+    except InvariantViolation:
+        return True
+    return not ref.scaled_height(end)[1] or ref_leq(t, cls, c.normal_form(end)) is None
+
+
 def mismatches(name, t):
     """The checks on which the package disagrees with the reference."""
     ref, c = ref_substrate(t), coinvariants(t)
@@ -273,6 +309,8 @@ def mismatches(name, t):
         if dominant and witness is not None and witness.certificate != tuple(
                 Fraction(dot(row, x), ref.group_order) for row in ref.root_pairings):
             found.add("certificate")
+        if walk_mismatch(t, cls):
+            found.add("walk")
     lifts = c.unit_lifts[: c.quotient.free_rank]
     for levi in _levis(t):
         if tuple(satake.corr(t, levi, u) for u in lifts) != tuple(
@@ -290,8 +328,9 @@ def mismatches(name, t):
 @pytest.mark.parametrize("name", NAMES)
 def test_orbit_rows_match_group_sums(name):
     """Dominance, heights, certificates, corr on the unit classes and the bounded
-    enumeration read from c_O are those of the group-sum substrate; every
-    height is an integer."""
+    enumeration read from c_O are those of the group-sum substrate, and the
+    chamber walk from each class ends above it; every height is an
+    integer."""
     t = datum(name)
     assert mismatches(name, t) == set()
     assert all(class_height(t, cls).denominator == 1 for cls in _classes(name, t))
@@ -307,7 +346,7 @@ def _drop_first(rows):
 
 # (mutation of the orbit rows, the checks that must fail)
 ROW_FAULTS = {
-    "scale-one-row": (_scale_first, {"height", "certificate"}),
+    "scale-one-row": (_scale_first, {"certificate", "walk"}),
     "drop-one-row": (_drop_first, {"dominance"}),
 }
 
@@ -315,11 +354,12 @@ ROW_FAULTS = {
 @pytest.mark.parametrize("fault", ROW_FAULTS)
 @pytest.mark.parametrize("name", ["SU3", "SU5", "Spin8-triality", "SU7-dual"])
 def test_wrong_orbit_rows_are_caught(monkeypatch, fresh, name, fault):
-    """A row scaled by 2 keeps every sign, so dominance agrees and the
-    heights catch it; a dropped row admits classes that are not dominant."""
+    """A row scaled by 2 keeps every sign, so dominance agrees; the heights
+    pair lifts with 2 rho and do not read it, but the certificates do and
+    the reflection rows refuse it, so the walk fails.  A dropped row admits
+    classes that are not dominant."""
     mutate, caught = ROW_FAULTS[fault]
-    real = coweights._orbit_pairings
-    monkeypatch.setattr(coweights, "_orbit_pairings", lambda t: mutate(real(t)))
+    patch_pairings(monkeypatch, mutate)
     found = mismatches(name, datum(name))
     assert caught <= found
     if fault == "scale-one-row":
@@ -330,11 +370,9 @@ def test_nonzero_torsion_entry_is_refused(monkeypatch, fresh):
     """On a datum whose coinvariants are Z + Z/2, a c_O row with a nonzero
     torsion entry is refused before any class is read."""
     t = datum("U3-like")
-    real = coweights._orbit_pairings
-    rows = real(t)
+    rows = _substrate(t).pairings
     assert len(rows[0]) == 2 and rows[0][1] == 0
-    monkeypatch.setattr(coweights, "_orbit_pairings",
-                        lambda t: ((rows[0][0], 1),) + real(t)[1:])
+    patch_pairings(monkeypatch, lambda real: ((real[0][0], 1),) + real[1:])
     with pytest.raises(InvariantViolation, match="^a c_O row has a nonzero torsion entry$"):
         class_height(t, ((1,), (0,)))
 
@@ -430,6 +468,8 @@ def order_mismatches(name, t):
     for lam in classes:
         if component_of(t, lam) != ref_component_of(t, lam):
             found.add("component")
+        if walk_mismatch(t, lam):
+            found.add("walk")
         for mu in classes:
             cert = ref_leq(t, lam, mu)
             comparable += cert is not None
@@ -446,8 +486,9 @@ def order_mismatches(name, t):
 @pytest.mark.parametrize("name", ORDER_NAMES)
 def test_order_reads_orbit_rows_and_component(name):
     """Certificates, components, covers and strata agree with the Smith
-    system and the ambient lift; every seeded class lies below itself, and
-    the anchors' shifts make more pairs comparable than that."""
+    system and the ambient lift, and each seeded class lies below the end
+    of its chamber walk; every seeded class lies below itself, and the
+    anchors' shifts make more pairs comparable than that."""
     found, comparable = order_mismatches(name, order_datum(name))
     assert found == set()
     assert comparable > ORDER_CLASSES
@@ -460,10 +501,11 @@ def _scale_inverse_entry(real):
     return scaled
 
 
-# (where the fault is put, how it is made, the checks that must fail)
+# (how the fault is put in, the checks that must fail)
 ORDER_FAULTS = {
-    "scale-one-row": ("_orbit_pairings", lambda real: lambda t: _scale_first(real(t)), {"stratum"}),
-    "scale-one-inverse-entry": ("_scaled_inverse", _scale_inverse_entry, {"leq"}),
+    "scale-one-row": (lambda mp: patch_pairings(mp, _scale_first), {"walk"}),
+    "scale-one-inverse-entry": (lambda mp: mp.setattr(
+        coweights, "_scaled_inverse", _scale_inverse_entry(coweights._scaled_inverse)), {"leq"}),
 }
 
 
@@ -471,8 +513,9 @@ ORDER_FAULTS = {
 @pytest.mark.parametrize("name", ["SU3", "SU7-dual", "torsion.json", "d4-s3.json"])
 def test_wrong_order_rows_are_caught(monkeypatch, fresh, name, fault):
     """A c_O row scaled by 2 scales A's row and p's entry alike, so the
-    order is unchanged and the strata's dimensions catch it; an entry of
+    order is unchanged, and the strata's dimensions pair lifts with 2 rho;
+    the reflection rows refuse it, so the chamber walks fail.  An entry of
     den A^-1 scaled by 2 moves the certificates."""
-    attr, make, caught = ORDER_FAULTS[fault]
-    monkeypatch.setattr(coweights, attr, make(getattr(coweights, attr)))
+    put, caught = ORDER_FAULTS[fault]
+    put(monkeypatch)
     assert caught <= order_mismatches(name, order_datum(name))[0]

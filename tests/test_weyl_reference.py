@@ -12,7 +12,7 @@ contragredient action of a Weyl element on characters (`char_matrix`,
 `apply_char`), which only tests read, left `WeylElement` for this file;
 `test_rep.py`'s alternating-sum oracle reads it too.
 
-W0 acts on classes by reflection rows (`weyl._w0_reflections`); every
+W0 acts on classes by reflection rows (`coweights._Substrate.reflections`); every
 element of W0, applied along its word, must act as its matrix does through
 lift -> apply -> class_of.  `ref_w0_reflections` is the earlier derivation
 of the rows in `coweights`, which read c_O from the group-sum dominance
@@ -22,7 +22,7 @@ SU9, SU11, SU13 and their duals.
 `ref_dominant_representative` is the W0 scan the chamber walk replaced;
 the walk is compared with it on the same sweep plus SU9.  Three wrong
 reflection rows (no doubling for an adjacent pair, c_O with the wrong sign
-in `weyl._orbit_pairings`, a_O's torsion entry moved off its class) must
+in `coweights._substrate`, a_O's torsion entry moved off its class) must
 each be refused by the rows' check against the descended generators before
 any walk answers.
 
@@ -62,7 +62,6 @@ from twisted_satake.galois import (
     TwistedRootDatum,
     coinvariants,
     group_sum,
-    orbit_coroot_classes,
     relative_simple_roots,
     split_twisted,
 )
@@ -74,7 +73,6 @@ from twisted_satake.weyl import (
     RelativeWeylGroup,
     WeylElement,
     _descended,
-    _w0_reflections,
     _weyl_order,
     longest_parabolic_element,
     relative_weyl,
@@ -83,7 +81,8 @@ from twisted_satake.weyl import (
 
 from test_iwahori_weyl_reference import IwahoriWeylElement, iw_affine_action, iw_inverse, iw_multiply
 from test_linalg_reference import ref_inverse_unimodular
-from test_substrate_reference import ref_substrate
+from test_orbit_rows_reference import orbit_coroot_classes
+from test_substrate_reference import fresh, patch_pairings, ref_substrate
 
 # ---------------------------------------------------------------------------
 # The matrix closure
@@ -174,7 +173,7 @@ def rows_act(t, w, cls):
     (the last letter acts first)."""
     c = coinvariants(t)
     x = c.coordinates(cls)
-    rows = _w0_reflections(t)
+    rows = coweights._substrate(t).reflections
     for i in reversed(w.word):
         p, a = rows[i]
         x = tuple(v - dot(p, x) * b for v, b in zip(x, a))
@@ -515,7 +514,7 @@ def test_reflection_rows_match_descended_generators(name):
     quotient = coinvariants(t).quotient
     n = quotient.free_rank + len(quotient.invariant_factors)
     moduli = (0,) * quotient.free_rank + tuple(quotient.invariant_factors)
-    for g, (c, a) in zip(relative_weyl(t).generators, _w0_reflections(t)):
+    for g, (c, a) in zip(relative_weyl(t).generators, coweights._substrate(t).reflections):
         m = _descended(t, g.matrix)
         for j in range(n):
             unit = tuple(int(k == j) for k in range(n))
@@ -535,35 +534,38 @@ def test_reflection_rows_match_reference(name):
     """c_O read as <unit lift, sum of O's simple roots> is the substrate's
     scaled root pairing it replaced, and a_O is unchanged."""
     t = datum(name)
-    assert _w0_reflections(t) == ref_w0_reflections(t)
+    assert coweights._substrate(t).reflections == ref_w0_reflections(t)
 
 
-# (function of `weyl`, source in it, mutated source, the data it changes)
+def _negate(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+# (how the fault is put into the substrate's rows, the data it changes)
 REFLECTION_FAULTS = {
     # a_O is not doubled for an adjacent pair
-    "_halve_adjacent": ("_w0_reflections", '(2 if kind == "adjacent-pair" else 1) * x', "x",
-                        ("SU5", "SU7", "SU9")),
+    "_halve_adjacent": (lambda mp: _member_mutant(
+        mp, coweights._Substrate, "reflections", '(2 if kind == "adjacent-pair" else 1) * x', "x"),
+        ("SU5", "SU7", "SU9")),
     # c_O pairs with minus the sum of the orbit's simple roots
-    "_flip_pairing": ("_orbit_pairings", "sum(dot(u, t.base", "-sum(dot(u, t.base",
+    "_flip_pairing": (lambda mp: patch_pairings(mp, _negate),
                       ("SU5", "SU7", "SU9", "SU4", "Spin8-triality")),
     # a_O's torsion entries move off their class
-    "_shift_torsion": ("_w0_reflections", "* x for x in free + torsion)",
-                       "* x + (i >= len(free)) for i, x in enumerate(free + torsion))", ("U3-like",)),
+    "_shift_torsion": (lambda mp: _member_mutant(
+        mp, coweights._Substrate, "reflections",
+        "* x for x in b)", "* x + (i >= r) for i, x in enumerate(b))"), ("U3-like",)),
 }
 
 
 @pytest.mark.parametrize("mutate", REFLECTION_FAULTS)
-def test_wrong_reflections_are_caught(monkeypatch, mutate):
-    """A wrong reflection row is refused by `_w0_reflections` with
+def test_wrong_reflections_are_caught(monkeypatch, fresh, mutate):
+    """A wrong reflection row is refused by `_Substrate.reflections` with
     InvariantViolation, so the chamber walk and the orbit walk answer
-    nothing from it.  A mutated `_orbit_pairings` is read by a copy of
-    `_w0_reflections` with a cache of its own."""
-    target, old, new, names = REFLECTION_FAULTS[mutate]
-    mutant = _mutant(monkeypatch, getattr(weyl, target), old, new)
-    if target != "_w0_reflections":
-        mutant = _mutant(monkeypatch, weyl._w0_reflections, "", "")
-    monkeypatch.setattr(coweights, "_w0_reflections", mutant)
-    monkeypatch.setattr(suites, "_w0_reflections", mutant)
+    nothing from it.  Negated orbit rows c_O are put in by a copy of
+    `coweights._substrate` with a cache of its own; the records are built
+    afresh, as the caches are cleared before and after."""
+    put, names = REFLECTION_FAULTS[mutate]
+    put(monkeypatch)
     refused = r"^reflection row \d+ is not descended W0 generator \d+$"
     for name in names:
         t = datum(name)
@@ -584,7 +586,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     `coweights._walk`, but walk no group orbit (|W0| = 3,840 there)."""
     t = preset("SU11")
     relative_weyl.cache_clear()
-    _w0_reflections.cache_clear()
+    coweights._substrate.cache_clear()
     coweights._attractor_row.cache_clear()
     coweights._class_row.cache_clear()
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
@@ -713,6 +715,19 @@ def _mutant(monkeypatch, function, old, new):
     return namespace[function.__name__]
 
 
+def _member_mutant(monkeypatch, cls, member, old, new):
+    """Rebind cls.member, a `functools.cached_property`, to its own source
+    with `old` replaced by `new`, compiled in its module's namespace."""
+    module = sys.modules[cls.__module__]
+    source = textwrap.dedent(inspect.getsource(vars(cls)[member].func))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    mutant = namespace[member]
+    mutant.__set_name__(cls, member)
+    monkeypatch.setattr(cls, member, mutant)
+
+
 def _failed(t, suite):
     return [r.name for r in run_suite(t, suite) if not r.passed]
 
@@ -745,7 +760,9 @@ def test_identity_generator_fails_the_orbits_suite(monkeypatch, name):
     each; at a regular class they miss the antidominant chamber."""
     t = datum(name)
     assert _failed(t, "orbits") == []
-    rows = _w0_reflections(t)
+    sub = coweights._substrate.__wrapped__(t)   # a record of its own
+    rows = sub.reflections
     identity = ((0,) * len(rows[0][0]), rows[0][1])
-    monkeypatch.setattr(suites, "_w0_reflections", lambda _t: (identity,) + rows[1:])
+    sub.__dict__["reflections"] = (identity,) + rows[1:]
+    monkeypatch.setattr(suites, "_substrate", lambda _t: sub)
     assert _failed(t, "orbits") == ["ball-bijection"]
