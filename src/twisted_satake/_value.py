@@ -6,8 +6,11 @@ annotations, in order.  It compiles the class's `__init__`, `__eq__` and
 and attaches shared `__repr__`, `__setattr__` and `__delattr__`.  A method
 the class body defines itself is kept.  `__init__` ends by calling
 `__post_init__` when the class has one.  Instances keep a `__dict__`, so
-`functools.cached_property` works on them.
+`functools.cached_property` works on them, and so does `@memo`: a value keeps
+what is derived from it and frees it with itself; equal values compute alike.
 """
+
+import functools
 
 _MISSING = object()
 
@@ -73,3 +76,24 @@ def frozen(cls):
             setattr(cls, name, method)
     cls.__value_repr__ = tuple(name for name, spec in specs.items() if spec.repr)
     return cls
+
+
+def memo(maxsize=None):
+    """Keep fn(value, *args) on the value, as `cached_property` does: one
+    result in its `__dict__`, or keyed ones in its own `lru_cache` of maxsize
+    entries.  A miss calls `fn.__wrapped__`, so wrapping that counts builds;
+    `fn.put(value, result)` stores a result and returns the value."""
+    def decorate(fn):
+        key = f"{fn.__module__}.{fn.__qualname__}"
+        keyed = fn.__code__.co_argcount > 1
+
+        def wrapper(value, *args):
+            slots = value.__dict__
+            if key not in slots:
+                build = functools.partial(wrapper.__wrapped__, value)
+                slots[key] = functools.lru_cache(maxsize)(build) if keyed else build()
+            return slots[key](*args) if keyed else slots[key]
+
+        wrapper.put = lambda value, result: vars(value).update({key: result}) or value
+        return functools.update_wrapper(wrapper, fn)
+    return decorate

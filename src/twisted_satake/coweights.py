@@ -4,7 +4,7 @@ A coinvariant class is dominant when its rational average pairs
 nonnegatively with every absolute simple root; by invariance of the average
 this agrees with the pairing against the relative simple roots.  Heights
 are the pairing of any lift with the I-invariant 2*rho, an integer on
-every class.  Each datum has one record on class coordinates, `_Substrate`:
+every class.  Each datum keeps one record on class coordinates, `_Substrate`:
 heights, dominance, bounded enumeration and the order read its orbit rows
 c_O in integer arithmetic: lam <= mu exactly when they lie in the same
 Kottwitz component and A^-1 applied to the pairing difference (<c_O, mu -
@@ -25,7 +25,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from ._value import field, frozen
+from ._value import field, frozen, memo
 from .abelian import IntMatrix, InvariantViolation, _integer, dot, vec_sub
 from .galois import (
     TwistedRootDatum,
@@ -165,7 +165,7 @@ class _Substrate:
                 tuple([dot(row, p) for row in self.order_inverse[1]]))
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
@@ -198,8 +198,8 @@ def is_dominant_class(t: TwistedRootDatum, cls):
     return DominantClass(cls=cls, certificate=tuple(v for _i, v in sorted(by_root.items())))
 
 
-# Each per-class cache keeps at most this many entries: a session of distinct
-# classes runs in bounded memory.
+# Each per-class and per-weight memo keeps at most this many entries per
+# datum: a session of distinct classes or data runs in bounded memory.
 CLASS_CACHE_SIZE = 2**16
 
 
@@ -229,7 +229,7 @@ def dominant_representative(t: TwistedRootDatum, cls):
     return is_dominant_class(t, c.normal_form(x)), w
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+@memo(CLASS_CACHE_SIZE)
 def _attractor_row(t: TwistedRootDatum, x):
     """(<average, 2 rho> of the class with coordinates x, Kottwitz
     component and order coordinates of its dominant representative), keyed
@@ -238,7 +238,7 @@ def _attractor_row(t: TwistedRootDatum, x):
     return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+@memo(CLASS_CACHE_SIZE)
 def _class_row(t: TwistedRootDatum, x):
     """(<average, 2 rho>, dominance, Kottwitz component, order coordinates)
     of the class with coordinates x, keyed on checked class coordinates: a

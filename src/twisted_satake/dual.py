@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-from ._value import frozen
+from ._value import frozen, memo
 from .abelian import IntMatrix, InvariantViolation, integer_kernel_basis
 from .coweights import _substrate
 from .galois import (
@@ -36,10 +36,10 @@ from .galois import (
 from .rootdatum import (
     BasedRootDatum,
     InvalidDatumError,
-    _validity_report,
     adjoint_from_cartan,
     dualize,
     require_valid,
+    validate,
 )
 
 
@@ -113,12 +113,12 @@ def parse_profile(text: str) -> CoefficientProfile:
 # Dual transport
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
     """Dualize the base and transport each generator contragrediently.  A
     lattice map g of order k has inverse g^(k-1), from its order walk.  t is
     validated first, so a datum built without `make` is refused as `make`
-    refuses it."""
+    refuses it.  An involution: t is kept as the dual of the result."""
     validate_twisted(t)
     base = dualize(t.base)
     gens = tuple(
@@ -131,7 +131,7 @@ def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
         )
         for g in t.generators
     )
-    return TwistedRootDatum.make(base, gens)
+    return dual_twisted.put(TwistedRootDatum.make(base, gens), t)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def _fold_recipe(s: TwistedRootDatum):
         folded_roots.append(root)
         folded_coroots.append(tuple(m * x for x in pairing))
     folded = BasedRootDatum.make(chars.quotient.free_rank, folded_roots, folded_coroots)
-    report = _validity_report(folded)
+    report = validate(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
     return FoldedCartan(type_label=_classify_label(folded), datum=folded)
@@ -265,7 +265,7 @@ class FoldedGroupDescriptor:
     has_adjacent_pair_orbit: bool
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CHAR0) -> FoldedGroupDescriptor:
     """The folded root datum, smoothness and connectedness of the fixed-point
     group of the datum s.

@@ -5,14 +5,14 @@ pinning-preserving automorphisms, enumerated explicitly.  The quotient
 X_*(T)_I of the cocharacter lattice by the sublattice generated by
 (1 - gamma)v is presented via Smith normal form, with a canonical class map,
 an exact section, and rational averaging back into the invariant subspace.
+What is derived from a datum is kept on it (`_value.memo`) and freed with it.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-from ._value import frozen
+from ._value import frozen, memo
 from .abelian import (
     DimensionMismatch,
     FgAbelianGroup,
@@ -106,14 +106,6 @@ class TwistedRootDatum:
     base: BasedRootDatum
     generators: tuple
 
-    @functools.cached_property
-    def _hash(self):
-        return hash((self.base, self.generators))
-
-    def __hash__(self):
-        # Every per-datum cache hashes the datum on each lookup.
-        return self._hash
-
     @staticmethod
     def make(base, generators):
         t = TwistedRootDatum(base=base, generators=tuple(generators))
@@ -125,7 +117,7 @@ class TwistedRootDatum:
         return self.base.rank
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def validate_twisted(t: TwistedRootDatum):
     """Raise unless t is valid; a datum that passes is not checked again."""
     require_valid(t.base)
@@ -134,12 +126,13 @@ def validate_twisted(t: TwistedRootDatum):
     group_elements(t)
 
 
+@memo()
 def split_twisted(base: BasedRootDatum) -> TwistedRootDatum:
-    """The split form: trivial inertia action."""
+    """The split form: trivial inertia action, one per base."""
     return TwistedRootDatum.make(base, ())
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def group_elements(t: TwistedRootDatum):
     """The enumerated closure of the generated automorphism group, as
     (lattice matrix, root permutation) pairs; deterministic order."""
@@ -184,7 +177,7 @@ def one_minus_gamma_columns(t: TwistedRootDatum):
     return cols
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def coinvariants(t: TwistedRootDatum) -> QuotientPresentation:
     """X_*(T)_I, presented by Smith normal form of the (1 - gamma) columns;
     its `quotient` is the group."""
@@ -229,7 +222,7 @@ class RelativeRootData:
         return len(self.simple_orbit_list)
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
     """Partition the simple roots into I-orbits; the fibers of the
     restriction to relative simple roots, classified by Cartan pairings."""
@@ -328,7 +321,7 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     return data
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def pi1_coinvariants_presentation(t: TwistedRootDatum):
     """Presentation of pi_1(G)_I = X_*(T) / (Z Phi^vee + (1-gamma)X_*(T)),
     with its class map (the Kottwitz component map)."""

@@ -8,8 +8,8 @@ recursion runs on the dominant weights only (Moody-Patera), and one walk of
 their W-orbits sums the multiplicities into a Z-linear image of the weight
 lattice, checked against the exact Weyl dimension.  The identity image gives the character; for a twisted datum s
 regarded as the group being restricted, the class map of X^*(s)_I gives the
-restriction to the fixed subgroup.  The dominant multiplicities are the
-one cached character, per datum and highest weight; each character,
+restriction to the fixed subgroup.  The dominant multiplicities are the one
+memoised character, kept on the datum per highest weight; each character,
 restriction and tensor product walks their orbits again and checks the
 Weyl dimension.  The char-0 decomposition straightens
 each weight of the restriction under the dot action of the folded Weyl
@@ -23,10 +23,9 @@ result.
 
 from __future__ import annotations
 
-import functools
-
-from ._value import field, frozen
+from ._value import field, frozen, memo
 from .abelian import DimensionMismatch, InvariantViolation, _integer, dot, vec_add, vec_scale, vec_sub
+from .coweights import CLASS_CACHE_SIZE
 from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
 from .galois import TwistedRootDatum, coinvariants
 from .rootdatum import BasedRootDatum, full_root_system, require_valid
@@ -111,7 +110,7 @@ def is_dominant_character(d: BasedRootDatum, lam) -> bool:
 def irreducible_character(d: BasedRootDatum, lam: tuple) -> WeightMultiset:
     """Weight multiplicities of the irreducible with highest weight lam,
     by the Freudenthal recursion in integers; the multiset is frozen.  Only
-    the dominant multiplicities are cached (`_dominant_character`): each
+    the dominant multiplicities are kept (`_dominant_character`): each
     call walks their orbits again and checks the Weyl dimension."""
     require_valid(d)
     return WeightMultiset.make(_orbit_sum(d, tuple(map(_integer, lam)), _identity))
@@ -121,11 +120,11 @@ def _identity(x):
     return x
 
 
-@functools.lru_cache(maxsize=None)
+@memo(CLASS_CACHE_SIZE)
 def _dominant_character(d: BasedRootDatum, lam: tuple):
     """((nu, m(nu)), ...) over the dominant weights nu of the irreducible
-    with highest weight lam, in order of depth; the one character cache,
-    keyed on checked entries, since a weight key would equate True with 1.
+    with highest weight lam, in order of depth; the one character memo, keyed
+    on checked entries, since a weight key would equate True with 1.
 
     With Q the invariant form of `RootSystem.form`, the recursion
         (Q(lam+rho) - Q(nu+rho)) m(nu) = 2 sum_{alpha>0, k>=1} m(nu+k alpha) Q(nu+k alpha, alpha)

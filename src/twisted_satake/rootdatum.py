@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._value import field, frozen
+from ._value import field, frozen, memo
 from .abelian import (
     DimensionMismatch,
     IntMatrix,
@@ -83,8 +83,9 @@ class ValidityReport:
         return None
 
 
+@memo()
 def validate(d: BasedRootDatum) -> ValidityReport:
-    """Check the based-root-datum axioms; report-only, never raises."""
+    """Check the based-root-datum axioms, once per datum; never raises."""
     checks = []
 
     shapes_ok = (
@@ -129,20 +130,14 @@ def validate(d: BasedRootDatum) -> ValidityReport:
     return ValidityReport(tuple(checks))
 
 
-@functools.lru_cache(maxsize=None)
-def _validity_report(d: BasedRootDatum) -> ValidityReport:
-    """validate(d), run once per datum: it is pure and only reports."""
-    return validate(d)
-
-
 def require_valid(d: BasedRootDatum):
-    report = _validity_report(d)
+    report = validate(d)
     if not report.valid:
         name, detail = report.first_violation
         raise InvalidDatumError(f"invalid root datum ({name}): {detail}")
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def _reflection_closure(d: BasedRootDatum):
     """All (root, coroot) pairs generated from the simple ones by simple
     reflections, each mapped to its coordinates over the simple roots;
@@ -173,7 +168,7 @@ def _reflection_closure(d: BasedRootDatum):
                     pairs[img] = img_coords
                     new.append((img, img_coords))
                     if len(pairs) > ROOT_CLOSURE_CAP:
-                        raise InvariantViolation("reflection closure is not finite")
+                        raise InvariantViolation(f"reflection closure exceeds {ROOT_CLOSURE_CAP} roots")
         frontier = new
     return tuple(sorted(pairs.items()))
 
@@ -246,7 +241,7 @@ class RootSystem:
         return value
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def full_root_system(d: BasedRootDatum) -> RootSystem:
     """Reflection closure of the simple roots, split into positive and
     negative roots by simple-root coordinates."""
@@ -280,10 +275,11 @@ def adjoint_from_cartan(cartan) -> BasedRootDatum:
     return BasedRootDatum.make(k, roots, [tuple(row) for row in cartan])
 
 
+@memo()
 def dualize(d: BasedRootDatum) -> BasedRootDatum:
-    """Swap the character and cocharacter copies; an involution."""
+    """Swap the character and cocharacter copies; the dual's dual is d itself."""
     require_valid(d)
-    return BasedRootDatum(rank=d.rank, simple_roots=d.simple_coroots, simple_coroots=d.simple_roots)
+    return dualize.put(BasedRootDatum(d.rank, d.simple_coroots, d.simple_roots), d)
 
 
 def is_adjoint(d: BasedRootDatum) -> bool:

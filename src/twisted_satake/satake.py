@@ -17,10 +17,9 @@ coweight with one cached I-invariant character 2*rho - 2*rho_M per
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-from ._value import frozen
+from ._value import frozen, memo
 from .abelian import DimensionMismatch, InvariantViolation, _integers, dot, vec_sub
 from .coweights import (
     CLASS_CACHE_SIZE,
@@ -196,7 +195,7 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     return dot(_corr_row(t, levi_orbits), v)
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+@memo(CLASS_CACHE_SIZE)
 def _corr_row(t: TwistedRootDatum, levi_orbits):
     """The character 2 rho - 2 rho_M for the Levi of the sorted orbit
     indices, in range.  A Levi that is a union of orbits makes it

@@ -30,9 +30,7 @@ in `tests/test_iwahori_weyl_reference.py`.
 
 from __future__ import annotations
 
-import functools
-
-from ._value import field, frozen
+from ._value import field, frozen, memo
 from .abelian import IntMatrix, InvariantViolation, dot
 from .galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from .rootdatum import BasedRootDatum, full_root_system
@@ -145,7 +143,7 @@ def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, nrows=len(cols))
 
 
-@functools.lru_cache(maxsize=None)
+@memo()
 def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
     """W0, generated by the longest parabolic elements of the orbits."""
     rel = relative_simple_roots(t)

@@ -10,10 +10,11 @@ answered under the same refusal.  Cold `schubert`, `dominant-image` and
 the orbit rows alone, so they answer as before with `weyl.relative_weyl`
 raising in every module that reads it.  A cold `corr` pairs the coweight
 with one character and builds no coinvariant presentation: no
-`galois.coinvariants` miss, and it answers with `smith_normal_form`
+`galois.coinvariants` build, and it answers with `smith_normal_form`
 raising in every module that reads it.  A cold
-char-0 `tensor` computes exactly one folded character (one cache miss of
-`rep.irreducible_character`), and a refused modular one computes none.
+char-0 `tensor` computes exactly one folded character (one build of
+`rep._dominant_character`), and a refused modular one computes none.
+Builds are counted by wrapping the memo's underlying function.
 
 A cold `dominant-image` builds neither the pi_1(G)_I presentation nor the
 order inverse, which only the dominance order reads; a cold `schubert`
@@ -128,7 +129,10 @@ COUNT = lambda: 0
 
 COUNT_CHARACTERS = """
 from twisted_satake import rep
-COUNT = lambda: rep._dominant_character.cache_info().misses
+built = []
+real = rep._dominant_character.__wrapped__
+rep._dominant_character.__wrapped__ = lambda d, lam: built.append(lam) or real(d, lam)
+COUNT = lambda: len(built)
 """
 
 
@@ -189,7 +193,10 @@ def test_w0_refusal_stops_mv():
 
 COUNT_COINVARIANTS = """
 from twisted_satake import galois
-COUNT = lambda: galois.coinvariants.cache_info().misses
+built = []
+real = galois.coinvariants.__wrapped__
+galois.coinvariants.__wrapped__ = lambda t: built.append(t) or real(t)
+COUNT = lambda: len(built)
 """
 
 REFUSE_SMITH = """
@@ -239,8 +246,10 @@ def test_cold_tensor_computes_one_character(argv):
 FORM_BUILT = """
 from twisted_satake.presets import preset
 from twisted_satake.rootdatum import full_root_system
-COUNT = lambda: [full_root_system.cache_info().currsize > 0,
-                 "form" in vars(full_root_system(preset("SU7").base))]
+built = []
+real = full_root_system.__wrapped__
+full_root_system.__wrapped__ = lambda d: built.append(d) or real(d)
+COUNT = lambda: [len(built) > 0, "form" in vars(full_root_system(preset("SU7").base))]
 """
 
 
@@ -265,7 +274,11 @@ def counting_inverse(rows):
     built.append(rows)
     return real_inverse(rows)
 coweights._scaled_inverse = counting_inverse
-COUNT = lambda: [galois.pi1_coinvariants_presentation.cache_info().misses, len(built)]
+presentations = []
+real_presentation = galois.pi1_coinvariants_presentation.__wrapped__
+galois.pi1_coinvariants_presentation.__wrapped__ = (
+    lambda t: presentations.append(t) or real_presentation(t))
+COUNT = lambda: [len(presentations), len(built)]
 """
 
 

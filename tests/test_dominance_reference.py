@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import abelian, cli, coweights, galois, rootdatum
+from twisted_satake import abelian, cli, coweights, rootdatum
 from twisted_satake.abelian import (
     DependentBasisError,
     IntMatrix,
@@ -43,6 +43,7 @@ from twisted_satake.coweights import (
     _has_invariant_central_direction,
     class_height,
     dominant_coweights_up_to_height,
+    dominant_image_monoid,
     enumerate_dominant_classes,
     is_dominant_class,
     leq,
@@ -71,6 +72,7 @@ from twisted_satake.satake import closure_poset, corr, strata_below
 from test_linalg_reference import fundamental_coweights_rational, rational_solve
 from test_orbit_rows_reference import orbit_coroot_classes
 from test_substrate_reference import ref_substrate
+from test_value import cold
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -415,15 +417,32 @@ def test_smith_forms_do_not_grow_with_labels(monkeypatch):
     monkeypatch.setattr(rootdatum, "smith_normal_form", counting)
     seen = {}
     for height in (20, 200):
-        for module in (galois, rootdatum, coweights):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
         calls.clear()
-        poset = closure_poset(preset("SU3"), max_height=height)
+        poset = closure_poset(cold(preset("SU3")), max_height=height)
         seen[height] = (len(poset.strata), len(calls))
     assert seen[200][0] > 5 * seen[20][0]
     assert seen[20][1] == seen[200][1] <= 5
+
+
+def test_the_split_datum_of_a_base_is_built_once(monkeypatch):
+    """One split datum per base: a repeated `dominant_image_monoid` reads
+    the split datum's coinvariants and cone again and computes no Smith
+    normal form after the first call."""
+    calls = []
+    real = abelian.smith_normal_form
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(rootdatum, "smith_normal_form", counting)
+    t = cold(preset("SU5"))
+    assert split_twisted(t.base) is split_twisted(t.base)
+    first = dominant_image_monoid(t, 8)
+    assert calls
+    calls.clear()
+    assert dominant_image_monoid(t, 8) == first and calls == []
 
 
 @pytest.mark.parametrize("name", SWEEP)
@@ -482,11 +501,7 @@ def test_closure_poset_makes_no_per_pair_solves(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("twisted_satake") and getattr(module, "solve_integer", None) is real:
             monkeypatch.setattr(module, "solve_integer", counting)
-    for module in (galois, rootdatum, coweights):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    t = preset("SU3")
+    t = cold(preset("SU3"))
     poset = closure_poset(t, max_height=200)
     assert len(order_relations(t, poset.labels)) > len(poset.strata) > 50
     assert calls == []

@@ -1,5 +1,9 @@
 """Dual transport, fixed-group descriptors, rank-one cases, adjoint quotients."""
 
+import argparse
+import contextlib
+import io
+import itertools
 import os
 import random
 import subprocess
@@ -10,7 +14,9 @@ import time
 import pytest
 
 import twisted_satake
-from twisted_satake.abelian import FgAbelianGroup, IntMatrix, InvariantViolation
+from twisted_satake import cli
+from twisted_satake.abelian import FgAbelianGroup, IntMatrix, InvariantViolation, dot
+from twisted_satake.coweights import dominant_representative
 from twisted_satake.dual import (
     CHAR0,
     ELL_CAP,
@@ -30,9 +36,11 @@ from twisted_satake.galois import (
     TwistedRootDatum,
     coinvariants,
     kottwitz_components,
+    relative_simple_roots,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
-from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, is_adjoint
+from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, dualize, is_adjoint
+from twisted_satake.satake import corr, mv_cell
 from twisted_satake.weyl import relative_weyl
 
 from test_fold_reference import ref_registry_known, ref_registry_known_one_dual
@@ -445,18 +453,20 @@ class TestAdjointQuotient:
 _ORDER_SCRIPT = textwrap.dedent("""
     from twisted_satake import presets
     from twisted_satake.dual import fixed_group_descriptor
+    from twisted_satake.galois import TwistedRootDatum
 
     def fields(desc):
         return {name: getattr(desc, name) for name in type(desc).__annotations__}
 
+    def cold(t):  # a value-equal copy of t, which carries none of t's derived data
+        return TwistedRootDatum(base=t.base, generators=t.generators)
+
     direct = fixed_group_descriptor(presets._special_unitary(7).twisted)
     assert direct.folded_cartan.type_label == "B3", direct.folded_cartan
-    fixed_group_descriptor.cache_clear()
-    via_preset = fixed_group_descriptor(presets.preset("SU7"))
+    via_preset = fixed_group_descriptor(cold(presets.preset("SU7")))
     assert fields(via_preset) == fields(direct)
     presets.get_preset("SU7")
-    fixed_group_descriptor.cache_clear()
-    after = fixed_group_descriptor(presets._special_unitary(7).twisted)
+    after = fixed_group_descriptor(cold(presets._special_unitary(7).twisted))
     assert fields(after) == fields(direct)
     print("ok")
 """)
@@ -495,10 +505,117 @@ _EQUAL_DATUM_SCRIPT = textwrap.dedent("""
 
 
 def test_cached_answers_independent_of_which_equal_datum_came_first():
-    """Per-datum caches key on equality; an answer must not carry anything
-    of the equal datum that happened to fill the cache."""
+    """Each datum keeps its own derived data; an answer must not depend on
+    an equal datum that was asked first."""
     alone = run_fresh(_EQUAL_DATUM_SCRIPT, "alone")
     assert run_fresh(_EQUAL_DATUM_SCRIPT, "dual-first") == alone
+
+
+@pytest.mark.parametrize("name", DEFAULT_PRESET_NAMES)
+def test_the_dual_of_the_dual_is_the_datum_itself(name):
+    """`dual_twisted` and `dualize` are involutions that keep their argument
+    as the dual of their result, so the dual's dual carries the records the
+    datum already has."""
+    t = preset(name)
+    assert dual_twisted(dual_twisted(t)) is t
+    assert dualize(dualize(t.base)) is t.base
+
+
+SESSION_DATA = ("SU3", "SU4", "SU5", "SL2xSL2-swap", "Spin8-triality")
+
+
+def _printed(command, t, **options):
+    """The JSON a CLI command prints for the datum t."""
+    args = argparse.Namespace(command=command.__name__[4:], format="json", coeff="char0",
+                              display_name="session", **options)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert command(args, t) == 0
+    return out.getvalue()
+
+
+def _session_answers(t, name):
+    """A library-session-style round on t: describe, 20 seeded mv cells and
+    corr shifts, and the branch of the first dominant weights."""
+    rng = random.Random(f"session:{name}")
+    c = coinvariants(t)
+    orbits = relative_simple_roots(t).relative_rank
+    answers = [_printed(cli.cmd_describe, t)]
+    for _ in range(20):
+        mu = c.class_of(tuple(rng.randint(-3, 3) for _ in range(t.rank)))
+        lam = dominant_representative(t, c.class_of(tuple(rng.randint(-3, 3) for _ in range(t.rank))))
+        answers.append(mv_cell(t, mu, lam[0].cls))
+        levi = tuple(o for o in range(orbits) if rng.random() < 0.5)
+        answers.append(corr(t, levi, tuple(rng.randint(-4, 4) for _ in range(t.rank))))
+    weights = [w for w in itertools.product(range(2), repeat=t.rank)
+               if any(w) and all(dot(c, w) >= 0 for c in t.base.simple_coroots)]
+    answers += [_printed(cli.cmd_branch, t, weight=",".join(map(str, w))) for w in weights[:3]]
+    return answers
+
+
+@pytest.mark.parametrize("name", SESSION_DATA)
+def test_a_fresh_equal_datum_answers_as_the_warm_preset(name):
+    """Each datum keeps its own derived data: after a session round on the
+    warm preset, a value-equal copy with none of them computes the same
+    describe, mv, corr and branch answers."""
+    warm = preset(name)
+    want = _session_answers(warm, name)
+    assert _session_answers(warm, name) == want
+    fresh = TwistedRootDatum(base=warm.base, generators=warm.generators)
+    assert fresh == warm and fresh is not warm
+    assert _session_answers(fresh, name) == want
+
+
+_STREAM_SCRIPT = textwrap.dedent("""
+    import random, resource, sys
+    sys.path.insert(0, sys.argv[1])
+    from test_dual import transport
+    from twisted_satake.abelian import IntMatrix
+    from twisted_satake.coweights import dominant_representative
+    from twisted_satake.dual import dual_twisted, fixed_group_descriptor
+    from twisted_satake.galois import coinvariants
+    from twisted_satake.presets import preset
+    from twisted_satake.satake import mv_cell
+    from twisted_satake.weyl import relative_weyl
+
+    def peak_mb():
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+    rng, su3, seen, peaks = random.Random(7), preset("SU3"), set(), {}
+    while len(seen) < 1000:
+        p = IntMatrix.identity(2)
+        for _ in range(6):
+            i, j = rng.sample(range(2), 2)
+            rows = [[int(r == c) for c in range(2)] for r in range(2)]
+            rows[i][j] = rng.randint(-2, 2)
+            p = IntMatrix.from_rows(rows).mul(p)
+        t = transport(su3, p)
+        if repr(t) in seen:   # the repr, so that no datum outlives its turn
+            continue
+        seen.add(repr(t))
+        coinvariants(t)
+        relative_weyl(t).order
+        fixed_group_descriptor(dual_twisted(t))
+        mu = coinvariants(t).class_of(tuple(-x for x in t.base.simple_coroots[0]))
+        mv_cell(t, mu, dominant_representative(t, mu)[0].cls)
+        if len(seen) in (500, 1000):
+            peaks[len(seen)] = peak_mb()
+    print(peaks[500], peaks[1000])
+""")
+
+# Stated before the run: 500 more distinct data may raise peak RSS by this much.
+STREAM_GROWTH_MB = 4
+
+
+def test_a_stream_of_distinct_data_runs_in_bounded_memory():
+    """Derived data are freed with their datum.  A fresh interpreter asks
+    1,000 distinct SU3 transports (products of 6 elementary matrices with
+    multipliers up to 2, from random.Random(7)) for coinvariants, the order
+    of W0, the descriptor of the dual and one mv cell; peak RSS grows by at
+    most STREAM_GROWTH_MB from the 500th datum to the 1,000th.  Module-level
+    caches that kept every datum's records grew it by about 9 MB there."""
+    at_500, at_1000 = map(float, run_fresh(_STREAM_SCRIPT, os.path.dirname(__file__)).split())
+    assert at_1000 - at_500 <= STREAM_GROWTH_MB, (at_500, at_1000)
 
 
 def test_family_lookups_are_memoised():
@@ -534,12 +651,16 @@ class TestRegistryKnown:
         assert ref_registry_known_one_dual(t) is ref_registry_known(t) is False
         assert ref_registry_known_one_dual(dual_twisted(t)) is ref_registry_known(dual_twisted(t)) is False
 
-    def test_builds_one_dual(self):
-        """Only the dual of the datum itself is built."""
+    def test_builds_one_dual(self, monkeypatch):
+        """Only the dual of the datum itself is asked for, and the warm
+        datum answers it without a build."""
+        import test_fold_reference
+
         t = preset("SU9")
         dual_twisted(t)
-        before = dual_twisted.cache_info()
+        calls, builds, real = [], [], dual_twisted.__wrapped__
+        monkeypatch.setattr(test_fold_reference, "dual_twisted",
+                            lambda s: calls.append(s) or dual_twisted(s))
+        monkeypatch.setattr(dual_twisted, "__wrapped__", lambda s: builds.append(s) or real(s))
         assert ref_registry_known_one_dual(t)
-        after = dual_twisted.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 1
+        assert (calls, builds) == ([t], [])

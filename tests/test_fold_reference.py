@@ -49,7 +49,7 @@ from twisted_satake.dual import (
 )
 from twisted_satake.galois import TwistedRootDatum, coinvariants, relative_simple_roots
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
-from twisted_satake.rootdatum import BasedRootDatum, _validity_report
+from twisted_satake.rootdatum import BasedRootDatum, validate
 from twisted_satake.weyl import _descended, relative_weyl, simple_reflection
 
 from test_rootdatum import is_simply_connected
@@ -92,7 +92,7 @@ def ref_fold_recipe(s: TwistedRootDatum):
         # Express the invariant functional <kappa, -> in free coordinates.
         folded_coroots.append(tuple(dot(kappa, v) for v in chars.unit_lifts))
     folded = BasedRootDatum.make(r, folded_roots, folded_coroots)
-    report = _validity_report(folded)
+    report = validate(folded)
     if not report.valid:
         raise InvariantViolation(f"folded datum invalid: {report.first_violation}")
     return FoldedCartan(type_label=_classify_label(folded), datum=folded)

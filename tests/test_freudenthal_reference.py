@@ -35,6 +35,7 @@ from twisted_satake.rootdatum import (
 )
 
 from test_linalg_reference import rational_solve
+from test_value import cold
 
 # ---------------------------------------------------------------------------
 # Reference implementation
@@ -259,8 +260,10 @@ def test_warm_datum_miss_builds_no_fraction(monkeypatch):
     """Once a datum has answered one character, another character of it
     builds no `Fraction` at all: depth comes from the support walk, and the
     recursion runs in integers."""
-    d = preset("SU5").base
-    rep._dominant_character.cache_clear()
+    d = cold(preset("SU5").base)
+    builds, real = [], rep._dominant_character.__wrapped__
+    monkeypatch.setattr(rep._dominant_character, "__wrapped__",
+                        lambda d, lam: builds.append(lam) or real(d, lam))
     irreducible_character(d, (1, 0, 0, 0))
     made = []
     real_new = fractions.Fraction.__new__
@@ -272,7 +275,7 @@ def test_warm_datum_miss_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     char = irreducible_character(d, (2, 1, 1, 3))
     monkeypatch.undo()
-    assert rep._dominant_character.cache_info().misses == 2
+    assert builds == [(1, 0, 0, 0), (2, 1, 1, 3)]
     assert total_dimension(char) == weyl_dimension(d, (2, 1, 1, 3))
     assert made == []
 
@@ -294,7 +297,7 @@ def test_missed_dominant_weight_is_caught(name, lam, monkeypatch):
     """A walk that loses one dominant weight cannot pass silently.  The
     deepest one is read by no other weight's recursion, so only the
     Weyl-dimension total can catch it."""
-    d = preset(name).base
+    d = cold(preset(name).base)
     walk = rep._dominant_support
 
     def lossy(d, lam):
@@ -303,10 +306,6 @@ def test_missed_dominant_weight_is_caught(name, lam, monkeypatch):
         del support[deepest]
         return support
 
-    rep._dominant_character.cache_clear()
     monkeypatch.setattr(rep, "_dominant_support", lossy)
-    try:
-        with pytest.raises(InvariantViolation):
-            irreducible_character(d, lam)
-    finally:
-        rep._dominant_character.cache_clear()
+    with pytest.raises(InvariantViolation):
+        irreducible_character(d, lam)

@@ -62,6 +62,7 @@ from twisted_satake.weyl import WeylElement, _descended, dominant_walk, relative
 from test_cli_golden import FILES
 from test_orbit_rows_reference import _w0_reflections
 from test_substrate_reference import ref_leq, ref_substrate
+from test_value import cold
 from test_weyl_reference import ref_act, u3_like
 
 DATA = DEFAULT_PRESET_NAMES + ("SU7",)
@@ -321,23 +322,19 @@ def test_a_levi_that_is_no_union_of_orbits_is_refused(monkeypatch):
                                 orbit_type=rel.orbit_type)
 
     monkeypatch.setattr(satake, "relative_simple_roots", first_roots)
-    satake._corr_row.cache_clear()
     refused = 0
-    try:
-        for name in FAULT_DATA:
-            t = preset(name)
-            orbits = real(t).simple_orbit_list
-            v = tuple(range(1, t.rank + 1))
-            for k in range(len(orbits) + 1):
-                for levi in itertools.combinations(range(len(orbits)), k):
-                    if all(len(orbits[o]) == 1 for o in levi):
-                        assert corr(t, levi, v) == ref_corr(t, levi, v)
-                        continue
-                    with pytest.raises(InvariantViolation, match="^2 rho - 2 rho_M is not I-invariant$"):
-                        corr(t, levi, v)
-                    refused += 1
-    finally:
-        satake._corr_row.cache_clear()
+    for name in FAULT_DATA:
+        t = cold(preset(name))
+        orbits = real(t).simple_orbit_list
+        v = tuple(range(1, t.rank + 1))
+        for k in range(len(orbits) + 1):
+            for levi in itertools.combinations(range(len(orbits)), k):
+                if all(len(orbits[o]) == 1 for o in levi):
+                    assert corr(t, levi, v) == ref_corr(t, levi, v)
+                    continue
+                with pytest.raises(InvariantViolation, match="^2 rho - 2 rho_M is not I-invariant$"):
+                    corr(t, levi, v)
+                refused += 1
     assert refused == 15
 
 
@@ -391,6 +388,7 @@ def test_warm_walk_applies_no_matrix(monkeypatch, name):
     n = c.quotient.free_rank + len(c.quotient.invariant_factors)
     points = [tuple(rng.randint(-20, 20) for _ in range(n)) for _ in range(200)]
     want = [ref_walk(t, x) for x in points]
+    coweights._walk(t, points[0])   # warms the datum's own records
     calls = []
     real_apply = IntMatrix.apply
 
@@ -446,14 +444,23 @@ def test_long_walks_build_no_weyl_element_or_fraction(monkeypatch):
     cases += [("mv", (t, mu, lams[i - 1])) for i, mu in enumerate(mus)]
     cases += [("conv", (t, mus[i], mus[i + 1], lams[i - 1], lams[i])) for i in range(0, 38, 2)]
     want = [_outcome(lambda: CALLS[kind][1](*args)) for kind, args in cases]
-    coweights._attractor_row.cache_clear()
-    coweights._class_row.cache_clear()
+    # A value-equal copy with its datum records warm (by a query on the
+    # zero class) and no other class rows.
+    walked, real = [], coweights._attractor_row.__wrapped__
+    monkeypatch.setattr(coweights._attractor_row, "__wrapped__",
+                        lambda t, x: walked.append(x) or real(t, x))
+    warm = cold(t)
+    zero = coinvariants(warm).normal_form((0,) * coinvariants(warm).quotient.free_rank)
+    mv_cell(warm, zero, zero)
+    conv_cell(warm, zero, zero, zero, zero)
+    walked.clear()
+    cases = [(kind, (warm, *args[1:])) for kind, args in cases]
     monkeypatch.setattr(IntMatrix, "mul", _refuse)
     monkeypatch.setattr(Fraction, "__new__", _refuse)
     got = [_outcome(lambda: CALLS[kind][0](*args)) for kind, args in cases]
     monkeypatch.undo()
     assert got == want
-    assert coweights._attractor_row.cache_info().misses == len(mus)
+    assert len(walked) == len(mus)
     assert {o[1].nonempty for o in got if o[0] == "ok"} == {True, False}
 
 
@@ -480,13 +487,14 @@ def test_stream_of_distinct_classes_matches_the_earlier_code():
 
 
 def test_per_class_caches_are_bounded():
-    """Every cache of coweights and satake keyed on more than the datum (a
-    class, or a Levi) holds at most `CLASS_CACHE_SIZE` entries."""
+    """Every memo of coweights and satake keyed on more than the datum (a
+    class, or a Levi) holds at most `CLASS_CACHE_SIZE` entries per datum,
+    in the datum's own `lru_cache`."""
     keyed = {
         f"{module.__name__}.{name}": f
         for module in (coweights, satake)
         for name, f in vars(module).items()
-        if hasattr(f, "cache_info") and getattr(f, "__module__", None) == module.__name__
+        if hasattr(f, "put") and getattr(f, "__module__", None) == module.__name__
         and len(inspect.signature(f.__wrapped__).parameters) > 1
     }
     assert sorted(keyed) == [
@@ -494,4 +502,8 @@ def test_per_class_caches_are_bounded():
         "twisted_satake.coweights._class_row",
         "twisted_satake.satake._corr_row",
     ]
-    assert {f.cache_info().maxsize for f in keyed.values()} == {coweights.CLASS_CACHE_SIZE}
+    t = cold(preset("SU3"))
+    coweights._attractor_row(t, (1,))
+    coweights._class_row(t, (1,))
+    satake._corr_row(t, ())
+    assert {vars(t)[name].cache_info().maxsize for name in keyed} == {coweights.CLASS_CACHE_SIZE}

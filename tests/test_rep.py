@@ -24,6 +24,7 @@ from twisted_satake.rep import (
 from twisted_satake.rootdatum import dualize, full_root_system
 
 from test_branching_reference import restrict_to_coinvariants
+from test_value import cold
 from test_weyl_reference import apply_char, enumerate_absolute_weyl
 
 
@@ -335,27 +336,27 @@ class TestWeightRank:
             weight_rank(t, ((-1,), ()), ((0,), ()))
 
 
-def test_character_cache_refuses_what_a_fresh_process_refuses():
+def test_character_cache_refuses_what_a_fresh_process_refuses(monkeypatch):
     """The one character cache, the dominant multiplicities, sits behind
     the entry check: after (1, 0), the weight (True, 0) is still refused,
     as in a fresh process, and a repeated call reads the one cached entry
     again to rebuild an equal character."""
-    d = preset("SU3").base
-    rep._dominant_character.cache_clear()
+    d = cold(preset("SU3").base)
+    builds, real = [], rep._dominant_character.__wrapped__
+    monkeypatch.setattr(rep._dominant_character, "__wrapped__",
+                        lambda d, lam: builds.append(lam) or real(d, lam))
     char = irreducible_character(d, (1, 0))
     with pytest.raises(ValueError, match=r"^not an integer entry: True$"):
         irreducible_character(d, (True, 0))
     assert irreducible_character(d, (1, 0)) == char
-    info = rep._dominant_character.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert builds == [(1, 0)]
 
 
 def test_rational_class_entries_reach_the_cache_as_ints():
     """`tensor` and `weight_rank` accept a `Fraction` with denominator 1 in
     a class, and the cached dominant multiplicities they leave behind are
     keyed and filled with ints, as in a fresh process."""
-    t = preset("SU3")
-    rep._dominant_character.cache_clear()
+    t = cold(preset("SU3"))
     decompose_tensor(t, ((Fraction(1),), ()), ((Fraction(2),), ()))
     weight_rank(t, ((Fraction(3),), ()), ((Fraction(1),), ()))
     for s, lam in ((t, (1,)), (dual_twisted(t), (3,))):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twisted_satake import rootdatum
+from twisted_satake import presets, rootdatum
 from twisted_satake.abelian import DimensionMismatch, FgAbelianGroup, IntMatrix
 from twisted_satake.coweights import dominant_coweights_up_to_height
 from twisted_satake.galois import kottwitz_components, split_twisted
@@ -86,17 +86,20 @@ class TestValidate:
         )
         report = validate(d)
         assert not report.valid
-        assert report.first_violation[0] == "finite-type"
+        assert report.first_violation == ("finite-type", "reflection closure exceeds 5000 roots")
+
+    def test_a_finite_closure_above_the_cap_names_the_cap(self):
+        """A72 is finite, with 72 * 73 = 5,256 roots, more than the closure
+        cap: the refusal names the cap and does not call it infinite."""
+        d = presets._cartan_sc(presets._a_n_cartan(72))
+        assert rootdatum.ROOT_CLOSURE_CAP < 72 * 73
+        with pytest.raises(rootdatum.InvalidDatumError,
+                           match=r"^invalid root datum \(finite-type\): reflection closure exceeds 5000 roots$"):
+            require_valid(d)
 
     def test_require_valid_validates_once(self, monkeypatch):
-        calls = []
-
-        def counting(d):
-            calls.append(d)
-            return validate(d)
-
-        monkeypatch.setattr(rootdatum, "validate", counting)
-        rootdatum._validity_report.cache_clear()
+        calls, real = [], validate.__wrapped__
+        monkeypatch.setattr(validate, "__wrapped__", lambda d: calls.append(d) or real(d))
         d = gl3_datum()
         for _ in range(5):
             require_valid(d)

@@ -38,6 +38,7 @@ from twisted_satake.satake import (
 
 from test_dominance_reference import order_relations
 from test_presets import ambient_embedding
+from test_value import cold
 from test_weyl_reference import ref_act, relative_elements
 
 
@@ -93,7 +94,7 @@ class TestStratum:
         """A stratum reads its dimension and component from the label's one
         cached row: on SU7 up to height 40, `closure_poset` returns the
         strata it returned when `component_of` looked the row up again,
-        with one `_class_row` hit fewer per label."""
+        with one hit fewer per label in SU7's own `_class_row` cache."""
         t = preset("SU7")
 
         def two_lookups(t, cls):
@@ -101,9 +102,10 @@ class TestStratum:
             return satake.SchubertStratum(label=cls, dim=dim, component=component_of(t, cls))
 
         def hits(build):
-            before = coweights._class_row.cache_info()
+            rows = vars(t)["twisted_satake.coweights._class_row"]
+            before = rows.cache_info()
             poset = build(t, max_height=40)
-            after = coweights._class_row.cache_info()
+            after = rows.cache_info()
             assert after.misses == before.misses
             return poset, after.hits - before.hits
 
@@ -449,10 +451,10 @@ class TestIntegerClasses:
     def test_corr_refuses_a_non_integer_index_in_a_fresh_cache(self):
         """The refusal does not depend on which equal integer index was
         asked first: the check runs before any cache lookup."""
-        satake._corr_row.cache_clear()
+        t = cold(preset("SU3"))
         with pytest.raises(ValueError, match=r"^not an integer entry: 0\.0$"):
-            corr(preset("SU3"), (0.0,), (1, 0))
-        assert corr(preset("SU3"), (0,), (1, 0)) == corr(preset("SU3"), (Fraction(0),), (1, 0))
+            corr(t, (0.0,), (1, 0))
+        assert corr(t, (0,), (1, 0)) == corr(t, (Fraction(0),), (1, 0))
 
     def test_integral_fraction_is_its_integer(self):
         t = preset("SU5")

@@ -33,9 +33,10 @@ W0 on class coordinates is derived once: `_descended` is read only by
 `weyl`.  So are the orbit rows c_O that dominance and the order read: only
 `coweights._substrate` pairs unit lifts with simple roots, only `galois`
 reads the inertia group sum, and `coweights` and `satake` import no
-`group_order`.  The package's `lru_cache`s are those in `KEPT_CACHES`, each
-with the bench workload that reads it twice or the reason it is kept, and
-no function carries a copied `cache_info` or `cache_clear`.
+`group_order`.  The package's `lru_cache`s are those in `KEPT_CACHES` and
+its per-value memos (`_value.memo`) those in `MEMOS`, each with the bench
+workload that reads it twice or the reason it is kept; no `lru_cache` takes
+a datum, and no function carries a copied `cache_info` or `cache_clear`.
 
 Every public top-level name of a public module has a reader: a command or
 suite reaches it from the package's module-level code, README's code names
@@ -168,53 +169,80 @@ def test_no_group_closure_and_walks_only_in_suites():
         assert users == {"suites.py"}, walk
 
 
-def _cached(node):
-    """Is the function definition wrapped in `functools.lru_cache`?"""
-    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "lru_cache"
-               for d in node.decorator_list)
+def _cache_kind(node):
+    """"lru_cache" or "memo" when the function definition is wrapped in
+    `functools.lru_cache` or `_value.memo`, else None."""
+    for d in node.decorator_list:
+        name = isinstance(d, ast.Call) and (getattr(d.func, "attr", None) or getattr(d.func, "id", None))
+        if name in ("lru_cache", "memo"):
+            return name
+    return None
 
 
-# Every `lru_cache` of the package, with the bench workload whose round
-# (seed 1) reads it again, or the reason it is kept without one.  A cache
-# that no workload hits and no stated reason needs costs memory and a
-# second code path, so it leaves.
+# Every module-level `lru_cache` of the package, with the bench workload
+# whose round (seed 1) reads it again, or the reason it is kept without
+# one.  A cache that no workload hits and no stated reason needs costs
+# memory and a second code path, so it leaves.  Neither takes a datum: a
+# preset's identity keeps its derived data warm.
 KEPT_CACHES = {
+    "presets._special_unitary": "library-session; and the preset builders return "
+                                "the same entry on every lookup",
+    "presets._torus": "the preset builders return the same entry on every lookup",
+}
+
+# Every per-value memo (`_value.memo`): what is derived from one datum lives
+# on it and is freed with it.  Each is read again by the named workloads,
+# or kept for the stated reason.
+MEMOS = {
     "coweights._attractor_row": "library-session",
     "coweights._class_row": "posets-cli, library-session",
     "coweights._substrate": "posets-cli, library-session",
-    "dual.dual_twisted": "branching-cli, library-session",
+    "dual.dual_twisted": "branching-cli, library-session; the dual's dual is the datum",
     "dual.fixed_group_descriptor": "library-session",
     "galois.coinvariants": "posets-cli, branching-cli, library-session",
     "galois.group_elements": "posets-cli, branching-cli, library-session",
     "galois.pi1_coinvariants_presentation": "posets-cli, library-session",
     "galois.relative_simple_roots": "posets-cli, branching-cli, library-session",
+    "galois.split_twisted": "one split datum per base, so the dominant coweights of a base "
+                            "reuse its coinvariants and cone",
     "galois.validate_twisted": "all three; and it checks each datum once",
-    "presets._special_unitary": "library-session; and the preset builders return "
-                                "the same entry on every lookup",
-    "presets._torus": "the preset builders return the same entry on every lookup",
     "rep._dominant_character": "library-session; the one character cache",
     "rootdatum._reflection_closure": "posets-cli, branching-cli, library-session",
-    "rootdatum._validity_report": "posets-cli, branching-cli, library-session",
+    "rootdatum.dualize": "dual.dual_twisted; the dual's dual is the datum, with its records",
     "rootdatum.full_root_system": "posets-cli, branching-cli, library-session",
+    "rootdatum.validate": "posets-cli, branching-cli, library-session",
     "satake._corr_row": "library-session",
     "weyl.relative_weyl": "library-session",
 }
 
+DATUM_TYPES = {"BasedRootDatum", "TwistedRootDatum"}
+
 
 def test_each_cache_has_a_second_reader():
-    """The package's `lru_cache`s are exactly `KEPT_CACHES`, and no
-    function carries another's cache by assigning `cache_info` or
+    """The package's `lru_cache`s are exactly `KEPT_CACHES` and its memos
+    exactly `MEMOS`.  No `lru_cache` takes a datum: no parameter of one is
+    annotated with a datum type or named as a memo's datum parameter is.
+    No function carries another's cache by assigning `cache_info` or
     `cache_clear`."""
-    cached, copied = [], []
+    cached, memos, copied = {}, {}, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and _cached(node):
-                cached.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.FunctionDef) and _cache_kind(node):
+                kind = cached if _cache_kind(node) == "lru_cache" else memos
+                kind[f"{path.stem}.{node.name}"] = node.args.args
             elif isinstance(node, ast.Assign):
                 copied += [ast.unparse(t) for t in node.targets
                            if getattr(t, "attr", None) in ("cache_info", "cache_clear")]
     assert sorted(cached) == sorted(KEPT_CACHES)
-    assert len(cached) == 18
+    assert sorted(memos) == sorted(MEMOS)
+    assert (len(cached), len(memos)) == (2, 18)
+    datum_params = {args[0].arg for args in memos.values()}
+    assert datum_params == {"base", "d", "t", "s"}
+    assert all(args[0].annotation is None or ast.unparse(args[0].annotation) in DATUM_TYPES
+               for args in memos.values())
+    assert [(name, a.arg) for name, args in cached.items() for a in args
+            if a.arg in datum_params or a.annotation is not None
+            and ast.unparse(a.annotation) in DATUM_TYPES] == []
     assert copied == []
 
 
@@ -222,8 +250,8 @@ def test_point_queries_call_no_order_certificate_action_or_levi_sum():
     """From `mv_cell`, `conv_cell` and `corr`, every module-level function of
     the package they call, and what those call in turn, calls none of `leq`,
     `_descended` (a W0 generator's matrix on class coordinates) and
-    `two_rho_levi`.  The walk stops at an `lru_cache`d function: a per-datum
-    or per-class cache may build with them."""
+    `two_rho_levi`.  The walk stops at a memoised function: a per-datum or
+    per-class memo may build with them."""
     functions = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -236,7 +264,7 @@ def test_point_queries_call_no_order_certificate_action_or_levi_sum():
     while stack:
         root, name = stack.pop()
         for definition in functions.get(name, ()):
-            if id(definition) in seen or (name != root and _cached(definition)):
+            if id(definition) in seen or (name != root and _cache_kind(definition)):
                 continue
             seen.add(id(definition))
             for node in ast.walk(definition):

@@ -82,6 +82,7 @@ from twisted_satake.satake import SchubertStratum, component_of, stratum
 
 from test_cli_golden import FILES
 from test_orbit_rows_reference import orbit_coroot_classes
+from test_value import cold
 
 # ---------------------------------------------------------------------------
 # The earlier substrate
@@ -253,25 +254,14 @@ def _levis(t):
     return list(dict.fromkeys([(), *[(o,) for o in range(k)], tuple(range(k))]))
 
 
-def _clear():
-    for cached in (_substrate, coweights._class_row, coweights._attractor_row, satake._corr_row):
-        cached.cache_clear()
-
-
-@pytest.fixture
-def fresh():
-    """Per-datum and per-class caches empty before and after the test."""
-    _clear()
-    yield
-    _clear()
-
-
 def patch_pairings(monkeypatch, mutate):
     """Rebind `coweights._substrate`, in every module of the package that
     reads it, to a copy of its source that passes the orbit rows c_O
-    through mutate before any check, with a cache of its own."""
+    through mutate before any check, with a memo of its own (`_mutant`).
+    Only a datum with no derived data yet (`test_value.cold`) reads the
+    mutant in every record built from it."""
     real = coweights._substrate
-    source = textwrap.dedent(inspect.getsource(real))
+    source = textwrap.dedent(inspect.getsource(real)).replace("def _substrate(", "def _mutant(")
     check = "    if any(any(row[r:]) for row in pairings):\n"
     assert source.count(check) == 1
     namespace = dict(vars(coweights), _mutate=mutate)
@@ -279,7 +269,7 @@ def patch_pairings(monkeypatch, mutate):
                  coweights.__file__, "exec"), namespace)
     for name, module in list(sys.modules.items()):
         if name.startswith("twisted_satake") and vars(module).get("_substrate") is real:
-            monkeypatch.setattr(module, "_substrate", namespace["_substrate"])
+            monkeypatch.setattr(module, "_substrate", namespace["_mutant"])
 
 
 def walk_mismatch(t, cls):
@@ -353,23 +343,23 @@ ROW_FAULTS = {
 
 @pytest.mark.parametrize("fault", ROW_FAULTS)
 @pytest.mark.parametrize("name", ["SU3", "SU5", "Spin8-triality", "SU7-dual"])
-def test_wrong_orbit_rows_are_caught(monkeypatch, fresh, name, fault):
+def test_wrong_orbit_rows_are_caught(monkeypatch, name, fault):
     """A row scaled by 2 keeps every sign, so dominance agrees; the heights
     pair lifts with 2 rho and do not read it, but the certificates do and
     the reflection rows refuse it, so the walk fails.  A dropped row admits
     classes that are not dominant."""
     mutate, caught = ROW_FAULTS[fault]
     patch_pairings(monkeypatch, mutate)
-    found = mismatches(name, datum(name))
+    found = mismatches(name, cold(datum(name)))
     assert caught <= found
     if fault == "scale-one-row":
         assert "dominance" not in found
 
 
-def test_nonzero_torsion_entry_is_refused(monkeypatch, fresh):
+def test_nonzero_torsion_entry_is_refused(monkeypatch):
     """On a datum whose coinvariants are Z + Z/2, a c_O row with a nonzero
     torsion entry is refused before any class is read."""
-    t = datum("U3-like")
+    t = cold(datum("U3-like"))
     rows = _substrate(t).pairings
     assert len(rows[0]) == 2 and rows[0][1] == 0
     patch_pairings(monkeypatch, lambda real: ((real[0][0], 1),) + real[1:])
@@ -511,11 +501,11 @@ ORDER_FAULTS = {
 
 @pytest.mark.parametrize("fault", ORDER_FAULTS)
 @pytest.mark.parametrize("name", ["SU3", "SU7-dual", "torsion.json", "d4-s3.json"])
-def test_wrong_order_rows_are_caught(monkeypatch, fresh, name, fault):
+def test_wrong_order_rows_are_caught(monkeypatch, name, fault):
     """A c_O row scaled by 2 scales A's row and p's entry alike, so the
     order is unchanged, and the strata's dimensions pair lifts with 2 rho;
     the reflection rows refuse it, so the chamber walks fail.  An entry of
     den A^-1 scaled by 2 moves the certificates."""
     put, caught = ORDER_FAULTS[fault]
     put(monkeypatch)
-    assert caught <= order_mismatches(name, order_datum(name))[0]
+    assert caught <= order_mismatches(name, cold(order_datum(name)))[0]

@@ -103,6 +103,15 @@ def copy_of(value, **changes):
     return type(value)(**{name: getattr(value, name) for name in fields(value)} | changes)
 
 
+def cold(value):
+    """A value-equal copy of a datum that carries none of its derived data
+    (a twisted datum's base is copied too): what a test asks of it is
+    computed afresh, as in a new process."""
+    if isinstance(value, galois.TwistedRootDatum):
+        return copy_of(value, base=cold(value.base))
+    return copy_of(value)
+
+
 def test_every_value_class_has_an_instance():
     classes = {
         name for module in MODULES for name, obj in vars(module).items()
@@ -178,9 +187,16 @@ def test_uncompared_fields_leave_eq_and_hash_alone():
 
 
 def test_a_class_body_keeps_its_own_methods():
+    @frozen
+    class Keyed:
+        a: int
+
+        def __hash__(self):
+            return 7
+
+    assert hash(Keyed(1)) == 7 and Keyed(1) == Keyed(1) != Keyed(2)
     su3 = ts.preset("SU3")
-    assert galois.TwistedRootDatum.__hash__.__code__.co_filename == galois.__file__
-    assert hash(su3) == su3._hash == hash((su3.base, su3.generators))
+    assert hash(su3) == hash((su3.base, su3.generators))
     assert str(dual.CHAR0) == "char0"
     assert repr(dual.CHAR0) == "CoefficientProfile(kind='char0', ell=None)"
 

@@ -82,7 +82,8 @@ from twisted_satake.weyl import (
 from test_iwahori_weyl_reference import IwahoriWeylElement, iw_affine_action, iw_inverse, iw_multiply
 from test_linalg_reference import ref_inverse_unimodular
 from test_orbit_rows_reference import orbit_coroot_classes
-from test_substrate_reference import fresh, patch_pairings, ref_substrate
+from test_substrate_reference import patch_pairings, ref_substrate
+from test_value import cold
 
 # ---------------------------------------------------------------------------
 # The matrix closure
@@ -558,17 +559,17 @@ REFLECTION_FAULTS = {
 
 
 @pytest.mark.parametrize("mutate", REFLECTION_FAULTS)
-def test_wrong_reflections_are_caught(monkeypatch, fresh, mutate):
+def test_wrong_reflections_are_caught(monkeypatch, mutate):
     """A wrong reflection row is refused by `_Substrate.reflections` with
     InvariantViolation, so the chamber walk and the orbit walk answer
     nothing from it.  Negated orbit rows c_O are put in by a copy of
-    `coweights._substrate` with a cache of its own; the records are built
-    afresh, as the caches are cleared before and after."""
+    `coweights._substrate` with a memo of its own; the records are built
+    afresh, on a value-equal copy of each datum with no derived data."""
     put, names = REFLECTION_FAULTS[mutate]
     put(monkeypatch)
     refused = r"^reflection row \d+ is not descended W0 generator \d+$"
     for name in names:
-        t = datum(name)
+        t = cold(datum(name))
         cls = walk_classes(t)[-1]
         with pytest.raises(InvariantViolation, match=refused):
             coweights._walk(t, coinvariants(t).coordinates(cls))
@@ -584,11 +585,10 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     """mv_cell and conv_cell on SU11 build W0's generators, each the longest
     element of a parabolic by one chamber walk, and walk mu's class by
     `coweights._walk`, but walk no group orbit (|W0| = 3,840 there)."""
-    t = preset("SU11")
-    relative_weyl.cache_clear()
-    coweights._substrate.cache_clear()
-    coweights._attractor_row.cache_clear()
-    coweights._class_row.cache_clear()
+    t = cold(preset("SU11"))
+    walked, real = [], coweights._attractor_row.__wrapped__
+    monkeypatch.setattr(coweights._attractor_row, "__wrapped__",
+                        lambda t, x: walked.append(x) or real(t, x))
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
     monkeypatch.setattr(suites, "_w0_orbit", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
@@ -596,7 +596,7 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     assert cell.nonempty and cell.dim == 0
     conv = conv_cell(t, mu, mu, lam, lam)
     assert conv.nonempty and conv.dim == 0
-    assert coweights._attractor_row.cache_info().misses == 1   # mu was walked once
+    assert walked == [(-1,) * 5]   # mu was walked once
 
 
 # ---------------------------------------------------------------------------
