@@ -78,22 +78,26 @@ def frozen(cls):
     return cls
 
 
-def memo(maxsize=None):
+# Each keyed memo keeps at most this many entries per value: a session of
+# distinct classes or weights on one datum runs in bounded memory.
+CLASS_CACHE_SIZE = 2**16
+
+
+def memo(fn):
     """Keep fn(value, *args) on the value, as `cached_property` does: one
-    result in its `__dict__`, or keyed ones in its own `lru_cache` of maxsize
-    entries.  A miss calls `fn.__wrapped__`, so wrapping that counts builds;
-    `fn.put(value, result)` stores a result and returns the value."""
-    def decorate(fn):
-        key = f"{fn.__module__}.{fn.__qualname__}"
-        keyed = fn.__code__.co_argcount > 1
+    result in its `__dict__`, or keyed ones in its own `lru_cache`, whose
+    one bound, `CLASS_CACHE_SIZE`, every keyed memo shares.  A miss calls
+    `fn.__wrapped__`, so wrapping that counts builds; `fn.put(value,
+    result)` stores a result and returns the value."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+    keyed = fn.__code__.co_argcount > 1
 
-        def wrapper(value, *args):
-            slots = value.__dict__
-            if key not in slots:
-                build = functools.partial(wrapper.__wrapped__, value)
-                slots[key] = functools.lru_cache(maxsize)(build) if keyed else build()
-            return slots[key](*args) if keyed else slots[key]
+    def wrapper(value, *args):
+        slots = value.__dict__
+        if key not in slots:
+            build = functools.partial(wrapper.__wrapped__, value)
+            slots[key] = functools.lru_cache(CLASS_CACHE_SIZE)(build) if keyed else build()
+        return slots[key](*args) if keyed else slots[key]
 
-        wrapper.put = lambda value, result: vars(value).update({key: result}) or value
-        return functools.update_wrapper(wrapper, fn)
-    return decorate
+    wrapper.put = lambda value, result: vars(value).update({key: result}) or value
+    return functools.update_wrapper(wrapper, fn)

@@ -543,23 +543,6 @@ def integer_kernel_basis(m: IntMatrix):
     return [dec.V.column(j) for j in range(r, m.cols)]
 
 
-def induced_map_kernel(m: IntMatrix, q: QuotientPresentation):
-    """Generators of ker(Z^k -> Z^n/relations) for the map v -> class(m*v).
-
-    The kernel is the projection to the first k coordinates of the integer
-    kernel of the block matrix [m | relations].
-    """
-    relations = q.smith.original
-    if m.rows != relations.rows:
-        raise DimensionMismatch("map target does not match presentation ambient")
-    k = m.cols
-    combined = IntMatrix.from_columns(
-        [m.column(j) for j in range(k)] + [relations.column(j) for j in range(relations.cols)],
-        nrows=m.rows,
-    )
-    return [vec[:k] for vec in integer_kernel_basis(combined)]
-
-
 def solve_integer(dec: SmithDecomposition, target):
     """One integer solution x of m x = target, or None, where dec is the
     Smith decomposition of m; one decomposition serves every target.

@@ -165,7 +165,7 @@ class _Substrate:
                 tuple([dot(row, p) for row in self.order_inverse[1]]))
 
 
-@memo()
+@memo
 def _substrate(t: TwistedRootDatum) -> _Substrate:
     """Build the substrate once per datum, on first use."""
     c = coinvariants(t)
@@ -198,11 +198,6 @@ def is_dominant_class(t: TwistedRootDatum, cls):
     return DominantClass(cls=cls, certificate=tuple(v for _i, v in sorted(by_root.items())))
 
 
-# Each per-class and per-weight memo keeps at most this many entries per
-# datum: a session of distinct classes or data runs in bounded memory.
-CLASS_CACHE_SIZE = 2**16
-
-
 def _walk(t: TwistedRootDatum, x):
     """(coordinates of the dominant class in the W0-orbit of the class with
     coordinates x, the chamber walk's word).  The walk steps by W0's
@@ -229,7 +224,7 @@ def dominant_representative(t: TwistedRootDatum, cls):
     return is_dominant_class(t, c.normal_form(x)), w
 
 
-@memo(CLASS_CACHE_SIZE)
+@memo
 def _attractor_row(t: TwistedRootDatum, x):
     """(<average, 2 rho> of the class with coordinates x, Kottwitz
     component and order coordinates of its dominant representative), keyed
@@ -238,7 +233,7 @@ def _attractor_row(t: TwistedRootDatum, x):
     return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
 
 
-@memo(CLASS_CACHE_SIZE)
+@memo
 def _class_row(t: TwistedRootDatum, x):
     """(<average, 2 rho>, dominance, Kottwitz component, order coordinates)
     of the class with coordinates x, keyed on checked class coordinates: a

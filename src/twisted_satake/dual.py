@@ -6,9 +6,11 @@ permutation of simple objects, contragredient lattice map).  For a twisted
 datum s regarded as the group being fixed, the fixed-torus character
 lattice X^*(s)_I is `coinvariants(dual_twisted(s))` (the cocharacter
 coinvariants of the dual datum) and the descended Weyl group is
-`relative_weyl(dual_twisted(s))`.  `fixed_group_descriptor(s)` adds what
-those do not say: smoothness, connectedness and the folded root datum, all
-from the datum alone.  One test decides the fold and connectedness: whether
+`relative_weyl(dual_twisted(s))`.  `fixed_group_descriptor(s, profile)` adds
+what those do not say: smoothness, connectedness and the folded root datum.
+The fold is the char-0 one and is kept on the datum (`_fold_recipe`), so
+every profile and every caller reads one folded datum; the profile decides
+only smoothness.  One test decides the fold and connectedness: whether
 X^*(s)_I is torsion-free.  The folded datum is W0's reflection rows on
 X^*(s)_I (`reflections` of the dual's `coweights._Substrate`, checked once
 per datum against W0's descended longest elements): each orbit's folded
@@ -113,7 +115,7 @@ def parse_profile(text: str) -> CoefficientProfile:
 # Dual transport
 
 
-@memo()
+@memo
 def dual_twisted(t: TwistedRootDatum) -> TwistedRootDatum:
     """Dualize the base and transport each generator contragrediently.  A
     lattice map g of order k has inverse g^(k-1), from its order walk.  t is
@@ -207,9 +209,11 @@ def _dynkin_types(cartan):
     return types
 
 
+@memo
 def _fold_recipe(s: TwistedRootDatum):
     """The folded root datum of the fixed-point group of s, on the free part
-    of X^*(s)_I; None when torsion obstructs a based presentation.
+    of X^*(s)_I; None when torsion obstructs a based presentation.  Kept on
+    s: it does not depend on the coefficient profile.
 
     It is read from W0's reflection rows x -> x - <c_O, x> a_O on X^*(s)_I,
     those of the dual datum.  Orbit O's folded root is the class of
@@ -265,7 +269,6 @@ class FoldedGroupDescriptor:
     has_adjacent_pair_orbit: bool
 
 
-@memo()
 def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CHAR0) -> FoldedGroupDescriptor:
     """The folded root datum, smoothness and connectedness of the fixed-point
     group of the datum s.
@@ -276,7 +279,9 @@ def fixed_group_descriptor(s: TwistedRootDatum, profile: CoefficientProfile = CH
     whether X^*(s)_I is torsion-free, which is when `_fold_recipe` returns a
     datum, read from that Weyl group's checked reflection rows.  With
     torsion, folded_cartan is absent and connectedness "unknown", never a
-    guess.  The result depends on s and the profile alone.
+    guess.  The fold is the datum's own, built once whatever the profile;
+    the profile's ell decides only smoothness, and a profile that is not
+    smooth publishes no fold.
 
     Connectedness.  Let G carry the datum s and I, a finite group of pinned
     automorphisms, preserve B, T and the pinning.  In characteristic 0,

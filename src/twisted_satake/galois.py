@@ -20,7 +20,6 @@ from .abelian import (
     InvariantViolation,
     QuotientPresentation,
     _integer,
-    induced_map_kernel,
     quotient_group,
 )
 from .rootdatum import (
@@ -117,7 +116,7 @@ class TwistedRootDatum:
         return self.base.rank
 
 
-@memo()
+@memo
 def validate_twisted(t: TwistedRootDatum):
     """Raise unless t is valid; a datum that passes is not checked again."""
     require_valid(t.base)
@@ -126,13 +125,13 @@ def validate_twisted(t: TwistedRootDatum):
     group_elements(t)
 
 
-@memo()
+@memo
 def split_twisted(base: BasedRootDatum) -> TwistedRootDatum:
     """The split form: trivial inertia action, one per base."""
     return TwistedRootDatum.make(base, ())
 
 
-@memo()
+@memo
 def group_elements(t: TwistedRootDatum):
     """The enumerated closure of the generated automorphism group, as
     (lattice matrix, root permutation) pairs; deterministic order."""
@@ -177,7 +176,7 @@ def one_minus_gamma_columns(t: TwistedRootDatum):
     return cols
 
 
-@memo()
+@memo
 def coinvariants(t: TwistedRootDatum) -> QuotientPresentation:
     """X_*(T)_I, presented by Smith normal form of the (1 - gamma) columns;
     its `quotient` is the group."""
@@ -222,7 +221,7 @@ class RelativeRootData:
         return len(self.simple_orbit_list)
 
 
-@memo()
+@memo
 def relative_simple_roots(t: TwistedRootDatum) -> RelativeRootData:
     """Partition the simple roots into I-orbits; the fibers of the
     restriction to relative simple roots, classified by Cartan pairings."""
@@ -277,7 +276,6 @@ class ExactSequenceData:
 def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData:
     """Verify exactness of the coinvariant sequence by Smith-normal-form rank
     computations; an internal failure is a defect, not an input error."""
-    c = coinvariants(t)
     rel = relative_simple_roots(t)
     k = t.base.num_simple
 
@@ -296,19 +294,16 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     if coroot_coinv.free_rank != rel.relative_rank:
         raise InvariantViolation("(Z Phi^vee)_I rank must match the number of orbits")
 
-    # Injectivity of the induced map into X_*(T)_I.
+    # One Smith normal form of [orbit coroots | (1 - gamma)].  The columns
+    # of V past the rank span its integer kernel, whose orbit coordinates
+    # are the kernel of the induced map into X_*(T)_I; the quotient is
+    # X_*(T)_I modulo the orbit classes, against pi_1(G)_I.
     orbit_reps = [orbit[0] for orbit in rel.simple_orbit_list]
-    m = IntMatrix.from_columns(
-        [t.base.simple_coroots[i] for i in orbit_reps], nrows=t.rank
-    )
-    kernel_gens = induced_map_kernel(m, c)
-    injective = all(all(x == 0 for x in g) for g in kernel_gens)
-
-    # Cokernel: X_*(T)_I modulo the orbit classes, against pi_1(G)_I.
-    coker_cols = one_minus_gamma_columns(t) + [
-        tuple(t.base.simple_coroots[i]) for i in orbit_reps
-    ]
-    coker = quotient_group(t.rank, IntMatrix.from_columns(coker_cols, nrows=t.rank)).quotient
+    cols = [tuple(t.base.simple_coroots[i]) for i in orbit_reps] + one_minus_gamma_columns(t)
+    pres = quotient_group(t.rank, IntMatrix.from_columns(cols, nrows=t.rank))
+    V = pres.smith.V
+    injective = not any(any(V.column(j)[:len(orbit_reps)]) for j in range(pres.smith.rank, V.cols))
+    coker = pres.quotient
     pi1 = kottwitz_components(t)
     data = ExactSequenceData(
         coroot_coinvariants=coroot_coinv,
@@ -321,7 +316,7 @@ def coroot_coinvariants_exact_sequence(t: TwistedRootDatum) -> ExactSequenceData
     return data
 
 
-@memo()
+@memo
 def pi1_coinvariants_presentation(t: TwistedRootDatum):
     """Presentation of pi_1(G)_I = X_*(T) / (Z Phi^vee + (1-gamma)X_*(T)),
     with its class map (the Kottwitz component map)."""

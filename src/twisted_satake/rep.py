@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from ._value import field, frozen, memo
 from .abelian import DimensionMismatch, InvariantViolation, _integer, dot, vec_add, vec_scale, vec_sub
-from .coweights import CLASS_CACHE_SIZE
-from .dual import CHAR0, CoefficientProfile, dual_twisted, fixed_group_descriptor
+from .dual import CHAR0, CoefficientProfile, _fold_recipe, dual_twisted
 from .galois import TwistedRootDatum, coinvariants
 from .rootdatum import BasedRootDatum, full_root_system, require_valid
 from .weyl import dominant_walk
@@ -120,7 +119,7 @@ def _identity(x):
     return x
 
 
-@memo(CLASS_CACHE_SIZE)
+@memo
 def _dominant_character(d: BasedRootDatum, lam: tuple):
     """((nu, m(nu)), ...) over the dominant weights nu of the irreducible
     with highest weight lam, in order of depth; the one character memo, keyed
@@ -236,21 +235,22 @@ class DecompositionResult:
 
 def _folded_context(s: TwistedRootDatum, profile: CoefficientProfile, restriction=None, classes=()):
     """The folded datum of the fixed group of s, or the documented refusal;
-    then DimensionMismatch unless each of the classes is shaped like X^*(s)_I."""
+    then DimensionMismatch unless each of the classes is shaped like X^*(s)_I.
+    A char-0 profile is smooth, so the datum's own fold is its folded datum."""
     if not profile.is_char0:
         raise UnsupportedDecompositionError(
             f"profile {profile} is not semisimple; restriction only",
             restriction=restriction,
         )
-    desc = fixed_group_descriptor(s, profile)
-    if desc.folded_cartan is None:
+    folded = _fold_recipe(s)
+    if folded is None:
         raise UnsupportedDecompositionError(
             "no verified folded root datum for this input", restriction=restriction
         )
     chars = coinvariants(dual_twisted(s))
     for cls in classes:
         chars.coordinates(cls)
-    return desc
+    return folded.datum
 
 
 def _straighten(folded: BasedRootDatum, mapping, shift):
@@ -292,7 +292,7 @@ def branch_to_fixed_group(
     require_valid(s.base)
     lam = tuple(map(_integer, lam))
     restricted = _restriction(s, lam)
-    folded = _folded_context(s, profile, restriction=restricted).folded_cartan.datum
+    folded = _folded_context(s, profile, restriction=restricted)
     mapping = {cls[0]: m for cls, m in restricted.entries}
     result = DecompositionResult(
         summands=_straighten(folded, mapping, (0,) * folded.rank),
@@ -345,7 +345,7 @@ def decompose_tensor(
     """V(lam) (x) V(mu) on the folded datum, by the Brauer-Klimyk rule: the
     character of the smaller factor, shifted by the other highest weight and
     straightened.  The unit object tensors trivially and dimensions multiply."""
-    folded = _folded_context(s, profile, classes=(lam_cls, mu_cls)).folded_cartan.datum
+    folded = _folded_context(s, profile, classes=(lam_cls, mu_cls))
     a, b = (tuple(map(_integer, cls[0])) for cls in (lam_cls, mu_cls))
     for v in (a, b):
         if not is_dominant_character(folded, v):
@@ -362,7 +362,7 @@ def decompose_tensor(
 def weight_rank(t: TwistedRootDatum, mu_cls, nu_cls, profile: CoefficientProfile = CHAR0) -> int:
     """The rank of the weight space attached to nu in the folded irreducible
     with highest class mu, both classes living in X_*(t)_I."""
-    folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls)).folded_cartan.datum
+    folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls))
     mu = tuple(map(_integer, mu_cls[0]))
     if not is_dominant_character(folded, mu):
         raise NonDominantWeightError(f"{mu_cls} is not a dominant class")

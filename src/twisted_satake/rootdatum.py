@@ -83,7 +83,7 @@ class ValidityReport:
         return None
 
 
-@memo()
+@memo
 def validate(d: BasedRootDatum) -> ValidityReport:
     """Check the based-root-datum axioms, once per datum; never raises."""
     checks = []
@@ -137,7 +137,7 @@ def require_valid(d: BasedRootDatum):
         raise InvalidDatumError(f"invalid root datum ({name}): {detail}")
 
 
-@memo()
+@memo
 def _reflection_closure(d: BasedRootDatum):
     """All (root, coroot) pairs generated from the simple ones by simple
     reflections, each mapped to its coordinates over the simple roots;
@@ -241,7 +241,7 @@ class RootSystem:
         return value
 
 
-@memo()
+@memo
 def full_root_system(d: BasedRootDatum) -> RootSystem:
     """Reflection closure of the simple roots, split into positive and
     negative roots by simple-root coordinates."""
@@ -275,7 +275,7 @@ def adjoint_from_cartan(cartan) -> BasedRootDatum:
     return BasedRootDatum.make(k, roots, [tuple(row) for row in cartan])
 
 
-@memo()
+@memo
 def dualize(d: BasedRootDatum) -> BasedRootDatum:
     """Swap the character and cocharacter copies; the dual's dual is d itself."""
     require_valid(d)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from ._value import frozen, memo
 from .abelian import DimensionMismatch, InvariantViolation, _integers, dot, vec_sub
 from .coweights import (
-    CLASS_CACHE_SIZE,
     NonDominantError,
     _attractor,
     _class_row,
@@ -195,7 +194,7 @@ def corr(t: TwistedRootDatum, levi_orbits, v) -> int:
     return dot(_corr_row(t, levi_orbits), v)
 
 
-@memo(CLASS_CACHE_SIZE)
+@memo
 def _corr_row(t: TwistedRootDatum, levi_orbits):
     """The character 2 rho - 2 rho_M for the Levi of the sorted orbit
     indices, in range.  A Levi that is a union of orbits makes it

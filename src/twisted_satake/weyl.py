@@ -143,7 +143,7 @@ def _descended(t: TwistedRootDatum, m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, nrows=len(cols))
 
 
-@memo()
+@memo
 def relative_weyl(t: TwistedRootDatum) -> RelativeWeylGroup:
     """W0, generated by the longest parabolic elements of the orbits."""
     rel = relative_simple_roots(t)

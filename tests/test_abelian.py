@@ -20,8 +20,8 @@ from twisted_satake.abelian import (
     DimensionMismatch,
     FgAbelianGroup,
     IntMatrix,
+    QuotientPresentation,
     dot,
-    induced_map_kernel,
     integer_kernel_basis,
     membership_and_coordinates,
     quotient_group,
@@ -33,6 +33,23 @@ from twisted_satake.abelian import (
 )
 
 from test_linalg_reference import rational_solve
+
+
+def induced_map_kernel(m: IntMatrix, q: QuotientPresentation):
+    """Generators of ker(Z^k -> Z^n/relations) for the map v -> class(m*v).
+
+    The kernel is the projection to the first k coordinates of the integer
+    kernel of the block matrix [m | relations].
+    """
+    relations = q.smith.original
+    if m.rows != relations.rows:
+        raise DimensionMismatch("map target does not match presentation ambient")
+    k = m.cols
+    combined = IntMatrix.from_columns(
+        [m.column(j) for j in range(k)] + [relations.column(j) for j in range(relations.cols)],
+        nrows=m.rows,
+    )
+    return [vec[:k] for vec in integer_kernel_basis(combined)]
 
 
 def int_matrix(rows):

@@ -137,8 +137,7 @@ def parent_branch_to_fixed_group(s, lam, profile=CHAR0):
     char = irreducible_character(s.base, lam)
     dual = dual_twisted(s)
     restricted = restrict_to_coinvariants(dual, char)
-    desc = _folded_context(s, profile, restriction=restricted)
-    folded = desc.folded_cartan.datum
+    folded = _folded_context(s, profile, restriction=restricted)
     mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
     result = DecompositionResult(
         summands=_straighten(folded, mapping, (0,) * folded.rank),
@@ -153,8 +152,7 @@ def ref_branch_to_fixed_group(s, lam, profile=CHAR0):
     char = irreducible_character(s.base, lam)
     dual = dual_twisted(s)
     restricted = restrict_to_coinvariants(dual, char)
-    desc = _folded_context(s, profile, restriction=restricted)
-    folded = desc.folded_cartan.datum
+    folded = _folded_context(s, profile, restriction=restricted)
     mapping = {_class_to_vector(cls): m for cls, m in restricted.entries}
     summands = ref_extract_irreducibles(folded, mapping)
     result = DecompositionResult(
@@ -166,8 +164,7 @@ def ref_branch_to_fixed_group(s, lam, profile=CHAR0):
 
 
 def ref_decompose_tensor(s, lam_cls, mu_cls, profile=CHAR0):
-    desc = _folded_context(s, profile, classes=(lam_cls, mu_cls))
-    folded = desc.folded_cartan.datum
+    folded = _folded_context(s, profile, classes=(lam_cls, mu_cls))
     a = _class_to_vector(lam_cls)
     b = _class_to_vector(mu_cls)
     char_a = irreducible_character(folded, a)

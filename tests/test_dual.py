@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from twisted_satake.dual import (
     AdjointQuotient,
     CoefficientProfile,
     _dynkin_types,
+    _fold_recipe,
     _is_prime,
     adjoint_quotient,
     classify_rank_one,
@@ -39,8 +41,10 @@ from twisted_satake.galois import (
     relative_simple_roots,
 )
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, default_presets, preset
+from twisted_satake.rep import _folded_context, branch_to_fixed_group, decompose_tensor
 from twisted_satake.rootdatum import BasedRootDatum, InvalidDatumError, dualize, is_adjoint
 from twisted_satake.satake import corr, mv_cell
+from twisted_satake.suites import run_suite
 from twisted_satake.weyl import relative_weyl
 
 from test_fold_reference import ref_registry_known, ref_registry_known_one_dual
@@ -616,6 +620,61 @@ def test_a_stream_of_distinct_data_runs_in_bounded_memory():
     caches that kept every datum's records grew it by about 9 MB there."""
     at_500, at_1000 = map(float, run_fresh(_STREAM_SCRIPT, os.path.dirname(__file__)).split())
     assert at_1000 - at_500 <= STREAM_GROWTH_MB, (at_500, at_1000)
+
+
+FOLDING = tuple(name for name in DEFAULT_PRESET_NAMES if _fold_recipe(preset(name)) is not None)
+PROFILES = (None, "char0", "Fl:2", "Fl:3", "Zl:5")
+
+
+@pytest.mark.parametrize("name", FOLDING)
+def test_one_fold_per_datum(monkeypatch, name):
+    """The fold does not depend on the coefficient profile, so a cold copy
+    of a folding preset builds it once, whatever the profile and whichever
+    caller asks (describe, branch, tensor, every suite), and every profile
+    that publishes a fold publishes that one folded datum."""
+    warm = preset(name)
+    t = TwistedRootDatum(base=warm.base, generators=warm.generators)
+    built = []
+    real = _fold_recipe.__wrapped__
+    monkeypatch.setattr(_fold_recipe, "__wrapped__", lambda s: built.append(s) or real(s))
+    descriptors = [fixed_group_descriptor(t) if p is None else fixed_group_descriptor(t, parse_profile(p))
+                   for p in PROFILES]
+    folded = descriptors[0].folded_cartan.datum
+    assert all(d.folded_cartan.datum is folded for d in descriptors if d.folded_cartan is not None)
+    assert _folded_context(t, CHAR0) is folded
+    lam = next((w for w in itertools.product(range(2), repeat=t.rank)
+                if any(w) and all(dot(c, w) >= 0 for c in t.base.simple_coroots)), (0,) * t.rank)
+    branch_to_fixed_group(t, lam)
+    zero = coinvariants(dual_twisted(t)).class_of((0,) * t.rank)
+    decompose_tensor(t, zero, zero)
+    run_suite(t, "all")
+    assert [s for s in built if s is t] == [t]
+    assert len({id(s) for s in built}) == len(built)
+
+
+# Stated before the run: 1,999 more profiles on one warm datum may grow
+# traced memory by this much.
+PROFILE_STREAM_GROWTH_MB = 0.5
+
+
+def test_a_stream_of_profiles_runs_in_bounded_memory():
+    """2,000 distinct primes, as Fl:p and Zl:p in turn, asked of one warm
+    Spin8-triality: after the first profile, traced memory grows by at most
+    PROFILE_STREAM_GROWTH_MB.  A descriptor memo keyed on the profile, with
+    no bound, grew it by about 9 MB and built one fold per profile."""
+    primes = [n for n in range(2, 20000) if all(n % d for d in range(2, int(n**0.5) + 1))][:2000]
+    profiles = [parse_profile(f"{'Fl' if i % 2 else 'Zl'}:{p}") for i, p in enumerate(primes)]
+    t = preset("Spin8-triality")
+    tracemalloc.start()
+    try:
+        fixed_group_descriptor(t, profiles[0])
+        start = tracemalloc.get_traced_memory()[0]
+        for profile in profiles[1:]:
+            fixed_group_descriptor(t, profile)
+        growth = (tracemalloc.get_traced_memory()[0] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert growth <= PROFILE_STREAM_GROWTH_MB, growth
 
 
 def test_family_lookups_are_memoised():

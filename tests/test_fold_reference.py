@@ -29,8 +29,9 @@ The fold now reads the dual's reflection rows, whose check against W0's
 descended longest elements is what certifies it.  So every mutation below
 changes an input the rows read (an orbit type, W0's generators, a_O) or
 pairs a folded root with another orbit's row, and must be refused with
-InvariantViolation through `fixed_group_descriptor`, with the rows
-uncached.  An orbit type in `dual`'s own lookup no longer enters the fold.
+InvariantViolation through `fixed_group_descriptor` on a cold copy of the
+datum, whose fold, dual and rows are built afresh.  An orbit type in
+`dual`'s own lookup no longer enters the fold.
 """
 
 import pytest
@@ -53,6 +54,7 @@ from twisted_satake.rootdatum import BasedRootDatum, validate
 from twisted_satake.weyl import _descended, relative_weyl, simple_reflection
 
 from test_rootdatum import is_simply_connected
+from test_value import cold
 from test_weyl_reference import enumerate_absolute_weyl, u3_like
 
 # ---------------------------------------------------------------------------
@@ -246,11 +248,10 @@ def patched(monkeypatch, module, name, change):
     monkeypatch.setattr(module, name, lambda t: change(real(t)))
 
 
-def descriptor(monkeypatch, s):
-    """fixed_group_descriptor(s), with the descriptor and the dual's
-    substrate, which holds the reflection rows, uncached."""
-    monkeypatch.setattr(dual, "_substrate", coweights._substrate.__wrapped__)
-    return fixed_group_descriptor.__wrapped__(s, CHAR0)
+def descriptor(s):
+    """fixed_group_descriptor(s) on a cold copy of s: the fold and the
+    dual's substrate, which holds the reflection rows, are built afresh."""
+    return fixed_group_descriptor(cold(s), CHAR0)
 
 
 def orbit_swaps():
@@ -272,7 +273,7 @@ def test_swapped_orbit_type_is_caught(monkeypatch, name, orbit):
 
     patched(monkeypatch, coweights, "relative_simple_roots", swapped)
     with pytest.raises(InvariantViolation, match="^reflection row"):
-        descriptor(monkeypatch, preset(name))
+        descriptor(preset(name))
 
 
 @pytest.mark.parametrize("name", ("SU3", "SU5", "SU7"))
@@ -283,7 +284,7 @@ def test_orbit_types_in_dual_do_not_enter_the_fold(monkeypatch, name):
     want = fixed_group_descriptor(s).folded_cartan
     patched(monkeypatch, dual, "relative_simple_roots", lambda rel: replace(
         rel, orbit_type=tuple(swap_kind(kind) for kind in rel.orbit_type)))
-    assert descriptor(monkeypatch, s).folded_cartan == want
+    assert descriptor(s).folded_cartan == want
 
 
 @pytest.mark.parametrize("name", ("SU3", "SU5", "SU7", "Sp4", "G2", "Spin8-triality"))
@@ -297,7 +298,7 @@ def test_doubled_folded_root_is_caught(monkeypatch, name):
     real = vars(coweights._Substrate)["coroot_orbits"].func
     monkeypatch.setattr(coweights._Substrate, "coroot_orbits", property(lambda sub: doubled(real(sub))))
     with pytest.raises(InvariantViolation, match="^reflection row 0 "):
-        descriptor(monkeypatch, preset(name))
+        descriptor(preset(name))
 
 
 MULTI_ORBIT = ("SL3", "Sp4", "G2", "SU4", "SU5", "Spin8-triality", "SU7", "SU9")
@@ -318,7 +319,7 @@ def test_reordered_folded_roots_pass_reference_only(monkeypatch, name):
     patched(monkeypatch, dual, "relative_simple_roots", lambda rel: replace(
         rel, simple_orbit_list=rel.simple_orbit_list[::-1], orbit_type=rel.orbit_type[::-1]))
     with pytest.raises(InvariantViolation, match="is no multiple of its folded root$"):
-        descriptor(monkeypatch, s)
+        descriptor(s)
 
 
 @pytest.mark.parametrize("name", MULTI_ORBIT)
@@ -333,7 +334,7 @@ def test_permuted_w0_generators_pass_reference_only(monkeypatch, name):
         ref_check_fold(mutated, folded)
     patched(monkeypatch, coweights, "relative_weyl", permute_generators)
     with pytest.raises(InvariantViolation, match="^reflection row"):
-        descriptor(monkeypatch, s)
+        descriptor(s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,14 @@ coordinates once per datum.  The walk is compared with it on seeded classes
 of every default preset, SU7, SU9 and a datum whose coinvariants are
 Z + Z/2.  Bounds check that point queries descend no matrix per class, that
 a warm walk applies no matrix at all, that long chamber walks build no Weyl
-element and no Fraction, and that every per-class cache has a finite size.
+element and no Fraction, and that every keyed memo of the package has
+one finite size.
 """
 
 import functools
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -36,7 +39,9 @@ import pytest
 
 import inspect
 
-from twisted_satake import coweights, satake, weyl
+import twisted_satake
+from twisted_satake import coweights, rep, satake, weyl
+from twisted_satake._value import CLASS_CACHE_SIZE
 from twisted_satake.abelian import (
     DimensionMismatch,
     IntMatrix,
@@ -47,7 +52,6 @@ from twisted_satake.abelian import (
 )
 from twisted_satake.cli import datum_from_dict
 from twisted_satake.coweights import (
-    CLASS_CACHE_SIZE,
     NonDominantError,
     dominant_representative,
     is_dominant_class,
@@ -487,12 +491,14 @@ def test_stream_of_distinct_classes_matches_the_earlier_code():
 
 
 def test_per_class_caches_are_bounded():
-    """Every memo of coweights and satake keyed on more than the datum (a
-    class, or a Levi) holds at most `CLASS_CACHE_SIZE` entries per datum,
-    in the datum's own `lru_cache`."""
+    """Every memo of the package keyed on more than its value (a class, a
+    Levi or a weight) holds at most `CLASS_CACHE_SIZE` entries per value,
+    in the value's own `lru_cache`."""
+    modules = [importlib.import_module(f"twisted_satake.{info.name}")
+               for info in pkgutil.iter_modules(twisted_satake.__path__)]
     keyed = {
         f"{module.__name__}.{name}": f
-        for module in (coweights, satake)
+        for module in modules
         for name, f in vars(module).items()
         if hasattr(f, "put") and getattr(f, "__module__", None) == module.__name__
         and len(inspect.signature(f.__wrapped__).parameters) > 1
@@ -500,10 +506,14 @@ def test_per_class_caches_are_bounded():
     assert sorted(keyed) == [
         "twisted_satake.coweights._attractor_row",
         "twisted_satake.coweights._class_row",
+        "twisted_satake.rep._dominant_character",
         "twisted_satake.satake._corr_row",
     ]
     t = cold(preset("SU3"))
     coweights._attractor_row(t, (1,))
     coweights._class_row(t, (1,))
     satake._corr_row(t, ())
-    assert {vars(t)[name].cache_info().maxsize for name in keyed} == {coweights.CLASS_CACHE_SIZE}
+    rep._dominant_character(t.base, (0, 0))
+    caches = {name: vars(t.base if name.endswith("_dominant_character") else t)[name]
+              for name in keyed}
+    assert {cache.cache_info().maxsize for cache in caches.values()} == {CLASS_CACHE_SIZE}

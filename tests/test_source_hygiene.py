@@ -173,7 +173,8 @@ def _cache_kind(node):
     """"lru_cache" or "memo" when the function definition is wrapped in
     `functools.lru_cache` or `_value.memo`, else None."""
     for d in node.decorator_list:
-        name = isinstance(d, ast.Call) and (getattr(d.func, "attr", None) or getattr(d.func, "id", None))
+        d = d.func if isinstance(d, ast.Call) else d
+        name = getattr(d, "attr", None) or getattr(d, "id", None)
         if name in ("lru_cache", "memo"):
             return name
     return None
@@ -197,8 +198,8 @@ MEMOS = {
     "coweights._attractor_row": "library-session",
     "coweights._class_row": "posets-cli, library-session",
     "coweights._substrate": "posets-cli, library-session",
+    "dual._fold_recipe": "branching-cli, library-session",
     "dual.dual_twisted": "branching-cli, library-session; the dual's dual is the datum",
-    "dual.fixed_group_descriptor": "library-session",
     "galois.coinvariants": "posets-cli, branching-cli, library-session",
     "galois.group_elements": "posets-cli, branching-cli, library-session",
     "galois.pi1_coinvariants_presentation": "posets-cli, library-session",

@@ -57,7 +57,7 @@ def _parent_irreducible_character(d, lam):
 
 
 def parent_weight_rank(t, mu_cls, nu_cls, profile=CHAR0):
-    folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls)).folded_cartan.datum
+    folded = _folded_context(dual_twisted(t), profile, classes=(mu_cls, nu_cls))
     mu_vec = _class_to_vector(mu_cls)
     nu_vec = _class_to_vector(nu_cls)
     if not is_dominant_character(folded, mu_vec):
