@@ -23,7 +23,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .abelian import DimensionMismatch, InvariantViolation
+from .abelian import InvariantViolation
 from .coweights import dominant_image_monoid, enumerate_dominant_classes
 from .dual import fixed_group_descriptor, parse_profile
 from .galois import (
@@ -35,7 +35,6 @@ from .galois import (
     relative_simple_roots,
 )
 from .rep import (
-    NonDominantWeightError,
     UnsupportedDecompositionError,
     branch_to_fixed_group,
     decompose_tensor,
@@ -44,7 +43,6 @@ from .rep import (
 from .rootdatum import BasedRootDatum, InvalidDatumError, full_root_system
 from .presets import UnknownPresetError, get_preset
 from .satake import (
-    NonDominantError,
     closure_poset,
     conv_cell,
     corr,
@@ -564,8 +562,7 @@ def _run(argv):
             "verify": cmd_verify,
         }
         return dispatch[args.command](args, t)
-    except (InputError, InvalidDatumError, NonDominantError, NonDominantWeightError,
-            DimensionMismatch, ValueError) as e:
+    except (InputError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as e:

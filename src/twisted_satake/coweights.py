@@ -12,7 +12,11 @@ lam>)_O is nonnegative, for A[O][O'] = <c_O, b_O'> with b_O' the
 coroot-orbit classes.  `leq` gives the certificate and `hasse_covers` the
 Hasse edges among a set of labels; this module alone reads the order
 coordinates both come from.  The chamber walk to a dominant representative
-steps by the record's W0 reflection rows alone.
+steps by the record's W0 reflection rows alone.  Each class has one cached
+row, `_class_row`: its height, its dominance, and the Kottwitz component
+and order coordinates of its dominant representative, walked once when
+the class is not dominant itself.  The point queries, `stratum`,
+`component_of` and `hasse_covers` all read it.
 `enumerate_dominant_classes` is the one enumerator of dominant lattice
 points: the dominant coweights of a based datum
 (`dominant_coweights_up_to_height`) are its split case.
@@ -225,69 +229,49 @@ def dominant_representative(t: TwistedRootDatum, cls):
 
 
 @memo
-def _attractor_row(t: TwistedRootDatum, x):
-    """(<average, 2 rho> of the class with coordinates x, Kottwitz
-    component and order coordinates of its dominant representative), keyed
-    on checked class coordinates as `_class_row` is."""
-    sub = _substrate(t)
-    return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
-
-
-@memo
 def _class_row(t: TwistedRootDatum, x):
-    """(<average, 2 rho>, dominance, Kottwitz component, order coordinates)
-    of the class with coordinates x, keyed on checked class coordinates: a
-    class key would equate 2.0 with 2."""
+    """(<average, 2 rho>, dominance, Kottwitz component, order coordinates
+    of the dominant representative) of the class with coordinates x, keyed
+    on checked class coordinates: a class key would equate 2.0 with 2.  A
+    dominant class is its own representative; any other is walked once.
+    The component read at the representative is x's own: each reflection
+    row moves x by m_O b_O, a coroot-orbit class that the Kottwitz map
+    kills."""
     sub = _substrate(t)
-    return (dot(sub.heights, x), sub.dominant(x)) + sub.order_coordinates(x)
-
-
-def _attractor(t: TwistedRootDatum, x, component, coords):
-    """(<average, 2 rho> of the class with coordinates x, whether its
-    dominant representative lies below the class with the given component
-    and order coordinates): one cached row and one entrywise comparison."""
-    h, rep_component, rep = _attractor_row(t, x)
-    return h, rep_component == component and all(map(operator.le, rep, coords))
-
-
-def _order_gap(t: TwistedRootDatum, x, y):
-    """c(y) - c(x), den times the coroot-orbit coefficients of the
-    difference, when the class with coordinates x lies below the one with
-    y; else None."""
-    component_x, c_x = _class_row(t, x)[2:]
-    component_y, c_y = _class_row(t, y)[2:]
-    diff = vec_sub(c_y, c_x)
-    if component_x != component_y or any(v < 0 for v in diff):
-        return None
-    return diff
+    dominant = sub.dominant(x)
+    rep = x if dominant else _walk(t, x)[0]
+    return (dot(sub.heights, x), dominant) + sub.order_coordinates(rep)
 
 
 def leq(t: TwistedRootDatum, lam, mu):
     """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
 
-    Reads the Kottwitz component and order coordinates of each class,
-    computed once per class from the orbit rows: lam <= mu exactly when the
-    components agree and A^-1 applied to the pairing difference p(mu) -
-    p(lam) is nonnegative.  The certificate (c(mu) - c(lam)) / den is the
-    integer solution of mu - lam = sum n_O [coroot_O], unique by the
-    verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    Reads the Kottwitz component and order coordinates of each class from
+    the orbit rows: lam <= mu exactly when the components agree and A^-1
+    applied to the pairing difference p(mu) - p(lam) is nonnegative.  The
+    certificate (c(mu) - c(lam)) / den is the integer solution of mu - lam
+    = sum n_O [coroot_O], unique by the verified injectivity of
+    (Z Phi^vee)_I -> X_*(T)_I.
     """
-    c = coinvariants(t)
-    diff = _order_gap(t, c.coordinates(lam), c.coordinates(mu))
-    if diff is None:
+    c, sub = coinvariants(t), _substrate(t)
+    x, y = c.coordinates(lam), c.coordinates(mu)
+    (component_x, c_x), (component_y, c_y) = sub.order_coordinates(x), sub.order_coordinates(y)
+    diff = vec_sub(c_y, c_x)
+    if component_x != component_y or any(v < 0 for v in diff):
         return None
-    den = _substrate(t).order_inverse[0]
-    return OrderCertificate(coefficients=tuple(x // den for x in diff))
+    return OrderCertificate(coefficients=tuple(v // sub.order_inverse[0] for v in diff))
 
 
 def hasse_covers(t: TwistedRootDatum, labels):
     """The Hasse edges (lower, upper) of the order among the labels, sorted.
 
-    Within one Kottwitz component, lam <= mu exactly when c(mu) - c(lam) =
-    den A^-1 (p(mu) - p(lam)) >= 0 entrywise, which raises the sum.  The covers of u are the maximal
-    elements of its strict lower set: in decreasing sum, keep each one below
-    u and below no kept one (bitmasks of strict lower sets, over the group
-    sorted by sum).  No pair of labels is compared through `leq`.
+    The labels are dominant classes, so each one's cached row holds its own
+    order coordinates.  Within one Kottwitz component, lam <= mu exactly
+    when c(mu) - c(lam) = den A^-1 (p(mu) - p(lam)) >= 0 entrywise, which
+    raises the sum.  The covers of u are the maximal elements of its strict
+    lower set: in decreasing sum, keep each one below u and below no kept
+    one (bitmasks of strict lower sets, over the group sorted by sum).  No
+    pair of labels is compared through `leq`.
     """
     c = coinvariants(t)
     groups = {}

@@ -1,29 +1,32 @@
 """Schubert combinatorics of the twisted affine Grassmannian.
 
-Strata are dominant coinvariant classes graded by the pairing of the
-average lift with 2*rho (an integer on every class, read from the datum's
-`coweights._Substrate`, and asserted nonnegative on dominant classes);
-closures walk down its coroot-orbit classes, ordered by the dominance
-order (same Kottwitz component, and A^-1 applied to the pairing difference
-nonnegative), whose Hasse edges `coweights.hasse_covers` reads from each
-label's order coordinates; components are the Kottwitz class, read from
-the same cached row.  Cell dimensions for the attractor intersections and
-their convolution analogues are half-pairings, asserted integral exactly
-where the theory claims integrality, so the assertion doubles as a defect
-detector; a `Cell` holds that answer alone.  The `corr` shift pairs the
-coweight with one cached I-invariant character 2*rho - 2*rho_M per
-(datum, Levi), so it reads no class.
+Every class is read from its one cached row, `coweights._class_row`: its
+height, its dominance, and the Kottwitz component and order coordinates
+of its dominant representative.  Strata are dominant coinvariant classes
+graded by the pairing of the average lift with 2*rho (an integer on every
+class, asserted nonnegative on dominant classes); closures walk down the
+coroot-orbit classes of the datum's `coweights._Substrate`, ordered by the
+dominance order (same Kottwitz component, and A^-1 applied to the pairing
+difference nonnegative), whose Hasse edges `coweights.hasse_covers` reads
+from each label's row; components are read from the same row.  An
+attractor-intersection cell is nonempty when mu's row lies below lam's,
+one entrywise comparison.  Cell dimensions for the attractor
+intersections and their convolution analogues are half-pairings, asserted
+integral exactly where the theory claims integrality, so the assertion
+doubles as a defect detector; a `Cell` holds that answer alone.  The
+`corr` shift pairs the coweight with one cached I-invariant character
+2*rho - 2*rho_M per (datum, Levi), so it reads no class.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ._value import frozen, memo
 from .abelian import DimensionMismatch, InvariantViolation, _integers, dot, vec_sub
 from .coweights import (
     NonDominantError,
-    _attractor,
     _class_row,
     _substrate,
     enumerate_dominant_classes,
@@ -34,13 +37,18 @@ from .rootdatum import _walk_cone, full_root_system
 
 
 def _dominant_row(t, x, cls):
-    """(<average, 2 rho>, Kottwitz component, order coordinates) of the class cls
-    with coordinates x, read from its cached row; NonDominantError when it
-    is not dominant."""
-    h, dominant, component, coords = _class_row(t, x)
-    if not dominant:
+    """The cached row of the class cls with coordinates x; NonDominantError
+    when it is not dominant."""
+    row = _class_row(t, x)
+    if not row[1]:
         raise NonDominantError(f"{cls} is not a dominant class")
-    return h, component, coords
+    return row
+
+
+def _below(row, top):
+    """Does the dominant representative of the class with the given row lie
+    below the dominant class whose row is top?  One entrywise comparison."""
+    return row[2] == top[2] and all(map(operator.le, row[3], top[3]))
 
 
 def _integral(num: int, den: int, what: str) -> int:
@@ -60,14 +68,16 @@ class SchubertStratum:
 
 def component_of(t: TwistedRootDatum, cls) -> tuple:
     """The Kottwitz component of a coinvariant class, a class of
-    pi_1(G)_I; additive.  Read from the class's cached row."""
+    pi_1(G)_I; additive.  Read from the class's cached row, which is its
+    dominant representative's component: building the row of a class that
+    is not dominant walks it."""
     return _class_row(t, coinvariants(t).coordinates(cls))[2]
 
 
 def stratum(t: TwistedRootDatum, cls) -> SchubertStratum:
     """The stratum attached to a dominant class, with its exact dimension
     and component, both read from the class's one cached row."""
-    dim, component, _coords = _dominant_row(t, coinvariants(t).coordinates(cls), cls)
+    dim, _dominant, component, _coords = _dominant_row(t, coinvariants(t).coordinates(cls), cls)
     if dim < 0:
         raise InvariantViolation("negative stratum dimension")
     return SchubertStratum(label=cls, dim=dim, component=component)
@@ -151,13 +161,13 @@ def mv_cell(t: TwistedRootDatum, mu, lam) -> Cell:
     """The attractor-intersection cell: nonempty exactly when the dominant
     representative of mu lies below lam; then of dimension <mu + lam, rho>,
     an integer precisely in that case (asserted).  Each class is read as
-    one coordinate vector and answered from one cached row."""
+    one coordinate vector and answered from its one cached row."""
     c = coinvariants(t)
-    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
-    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
-    if not below:
+    top = _dominant_row(t, c.coordinates(lam), lam)
+    row = _class_row(t, c.coordinates(mu))
+    if not _below(row, top):
         return Cell(nonempty=False, dim=None)
-    return Cell(nonempty=True, dim=_integral(h_lam + h_mu, 2, "cell half-pairing"))
+    return Cell(nonempty=True, dim=_integral(top[0] + row[0], 2, "cell half-pairing"))
 
 
 def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> Cell:
@@ -165,13 +175,13 @@ def conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> Cell:
     representatives must sit below their closures; the dimension is the
     half-pairing of the total sum with 2*rho."""
     c = coinvariants(t)
-    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
-    h_lam2, component2, top2 = _dominant_row(t, c.coordinates(lam2), lam2)
-    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
-    h_mu2, below2 = _attractor(t, c.coordinates(mu2), component2, top2)
-    h = h_lam + h_lam2 + h_mu + h_mu2
-    if not (below and below2):
+    top = _dominant_row(t, c.coordinates(lam), lam)
+    top2 = _dominant_row(t, c.coordinates(lam2), lam2)
+    row = _class_row(t, c.coordinates(mu))
+    row2 = _class_row(t, c.coordinates(mu2))
+    if not (_below(row, top) and _below(row2, top2)):
         return Cell(nonempty=False, dim=None)
+    h = top[0] + top2[0] + row[0] + row2[0]
     return Cell(nonempty=True, dim=_integral(h, 2, "convolution half-pairing"))
 
 

@@ -23,7 +23,9 @@ with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.txt
 
-and say in the change which lines moved and why.
+and say in the change which lines moved and why.  The script's output is
+also checked under a second hash seed, PYTHONHASHSEED=4242, in a
+subprocess: it must equal the golden file byte for byte.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -338,6 +341,17 @@ def test_golden_file_lists_every_argv_in_order():
 def test_cli_output_matches_golden(expected, argv, datum_dir, monkeypatch):
     monkeypatch.chdir(datum_dir)
     assert golden_line(argv) == expected
+
+
+def test_golden_file_holds_under_a_second_hash_seed():
+    """No answer depends on hash order: this file, run as a script under
+    PYTHONHASHSEED=4242, prints the golden file byte for byte."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONHASHSEED": "4242", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr.decode()[-2000:]
+    assert done.stdout == GOLDEN.read_bytes()
 
 
 if __name__ == "__main__":

@@ -24,13 +24,22 @@ coordinates once per datum.  The walk is compared with it on seeded classes
 of every default preset, SU7, SU9 and a datum whose coinvariants are
 Z + Z/2.  Bounds check that point queries descend no matrix per class, that
 a warm walk applies no matrix at all, that long chamber walks build no Weyl
-element and no Fraction, and that every keyed memo of the package has
-one finite size.
+element and no Fraction and walk each mu once, and that every keyed memo
+of the package has one finite size.
+
+The two cached rows per class that `coweights._class_row` replaced are
+kept below as an oracle: `_class_row` then held lam's own component and
+order coordinates, and `_attractor_row` mu's dominant representative's,
+compared by `_attractor` (and by `_order_gap` for `leq`).  The one row
+equals the two on seeded classes, the point queries and `leq` answer as
+the two-row code does, and a class asked as mu and as lam builds one row.
 """
 
+import collections
 import functools
 import importlib
 import itertools
+import operator
 import pkgutil
 import random
 from fractions import Fraction
@@ -41,7 +50,7 @@ import inspect
 
 import twisted_satake
 from twisted_satake import coweights, rep, satake, weyl
-from twisted_satake._value import CLASS_CACHE_SIZE
+from twisted_satake._value import CLASS_CACHE_SIZE, memo
 from twisted_satake.abelian import (
     DimensionMismatch,
     IntMatrix,
@@ -53,11 +62,21 @@ from twisted_satake.abelian import (
 from twisted_satake.cli import datum_from_dict
 from twisted_satake.coweights import (
     NonDominantError,
+    OrderCertificate,
+    _substrate,
+    _walk,
     dominant_representative,
+    enumerate_dominant_classes,
     is_dominant_class,
+    leq,
 )
 from twisted_satake.dual import dual_twisted
-from twisted_satake.galois import RelativeRootData, coinvariants, relative_simple_roots
+from twisted_satake.galois import (
+    RelativeRootData,
+    TwistedRootDatum,
+    coinvariants,
+    relative_simple_roots,
+)
 from twisted_satake.presets import DEFAULT_PRESET_NAMES, preset
 from twisted_satake.rootdatum import full_root_system
 from twisted_satake.satake import Cell, _integral, conv_cell, corr, mv_cell
@@ -202,6 +221,104 @@ def _class_corr_row(t, levi_orbits):
     shift = vec_sub(system.two_rho, system.two_rho_levi(subset))
     c = coinvariants(t)
     return tuple(dot(v, shift) for v in c.unit_lifts[: c.quotient.free_rank])
+
+
+# ---------------------------------------------------------------------------
+# The two rows per class, as `coweights` and `satake` kept them
+
+
+@memo
+def _attractor_row(t: TwistedRootDatum, x):
+    """(<average, 2 rho> of the class with coordinates x, Kottwitz
+    component and order coordinates of its dominant representative), keyed
+    on checked class coordinates as `_class_row` is."""
+    sub = _substrate(t)
+    return (dot(sub.heights, x),) + sub.order_coordinates(_walk(t, x)[0])
+
+
+@memo
+def _class_row(t: TwistedRootDatum, x):
+    """(<average, 2 rho>, dominance, Kottwitz component, order coordinates)
+    of the class with coordinates x, keyed on checked class coordinates: a
+    class key would equate 2.0 with 2."""
+    sub = _substrate(t)
+    return (dot(sub.heights, x), sub.dominant(x)) + sub.order_coordinates(x)
+
+
+def _attractor(t: TwistedRootDatum, x, component, coords):
+    """(<average, 2 rho> of the class with coordinates x, whether its
+    dominant representative lies below the class with the given component
+    and order coordinates): one cached row and one entrywise comparison."""
+    h, rep_component, rep = _attractor_row(t, x)
+    return h, rep_component == component and all(map(operator.le, rep, coords))
+
+
+def _order_gap(t: TwistedRootDatum, x, y):
+    """c(y) - c(x), den times the coroot-orbit coefficients of the
+    difference, when the class with coordinates x lies below the one with
+    y; else None."""
+    component_x, c_x = _class_row(t, x)[2:]
+    component_y, c_y = _class_row(t, y)[2:]
+    diff = vec_sub(c_y, c_x)
+    if component_x != component_y or any(v < 0 for v in diff):
+        return None
+    return diff
+
+
+def two_row_leq(t: TwistedRootDatum, lam, mu):
+    """mu - lam as a nonnegative combination of coroot-orbit classes, or None.
+
+    Reads the Kottwitz component and order coordinates of each class,
+    computed once per class from the orbit rows: lam <= mu exactly when the
+    components agree and A^-1 applied to the pairing difference p(mu) -
+    p(lam) is nonnegative.  The certificate (c(mu) - c(lam)) / den is the
+    integer solution of mu - lam = sum n_O [coroot_O], unique by the
+    verified injectivity of (Z Phi^vee)_I -> X_*(T)_I.
+    """
+    c = coinvariants(t)
+    diff = _order_gap(t, c.coordinates(lam), c.coordinates(mu))
+    if diff is None:
+        return None
+    den = _substrate(t).order_inverse[0]
+    return OrderCertificate(coefficients=tuple(x // den for x in diff))
+
+
+def _dominant_row(t, x, cls):
+    """(<average, 2 rho>, Kottwitz component, order coordinates) of the class cls
+    with coordinates x, read from its cached row; NonDominantError when it
+    is not dominant."""
+    h, dominant, component, coords = _class_row(t, x)
+    if not dominant:
+        raise NonDominantError(f"{cls} is not a dominant class")
+    return h, component, coords
+
+
+def two_row_mv_cell(t: TwistedRootDatum, mu, lam) -> Cell:
+    """The attractor-intersection cell: nonempty exactly when the dominant
+    representative of mu lies below lam; then of dimension <mu + lam, rho>,
+    an integer precisely in that case (asserted).  Each class is read as
+    one coordinate vector and answered from one cached row."""
+    c = coinvariants(t)
+    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
+    if not below:
+        return Cell(nonempty=False, dim=None)
+    return Cell(nonempty=True, dim=_integral(h_lam + h_mu, 2, "cell half-pairing"))
+
+
+def two_row_conv_cell(t: TwistedRootDatum, mu, mu2, lam, lam2) -> Cell:
+    """Convolution analogue in the twisted labeling: both dominant
+    representatives must sit below their closures; the dimension is the
+    half-pairing of the total sum with 2*rho."""
+    c = coinvariants(t)
+    h_lam, component, top = _dominant_row(t, c.coordinates(lam), lam)
+    h_lam2, component2, top2 = _dominant_row(t, c.coordinates(lam2), lam2)
+    h_mu, below = _attractor(t, c.coordinates(mu), component, top)
+    h_mu2, below2 = _attractor(t, c.coordinates(mu2), component2, top2)
+    h = h_lam + h_lam2 + h_mu + h_mu2
+    if not (below and below2):
+        return Cell(nonempty=False, dim=None)
+    return Cell(nonempty=True, dim=_integral(h, 2, "convolution half-pairing"))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +555,7 @@ def test_long_walks_build_no_weyl_element_or_fraction(monkeypatch):
     """On SU7 classes with entries up to 60 and walks of 7-9 reflections,
     mv_cell and conv_cell answer as the earlier code does while
     `IntMatrix.mul` and `Fraction` raise: the walk builds no Weyl element and
-    no dominance witness."""
+    no dominance witness, and each mu is walked once."""
     t = preset("SU7")
     rng = random.Random("long-walks")
     mus = _long_walks(t, rng, 40)
@@ -449,22 +566,23 @@ def test_long_walks_build_no_weyl_element_or_fraction(monkeypatch):
     cases += [("conv", (t, mus[i], mus[i + 1], lams[i - 1], lams[i])) for i in range(0, 38, 2)]
     want = [_outcome(lambda: CALLS[kind][1](*args)) for kind, args in cases]
     # A value-equal copy with its datum records warm (by a query on the
-    # zero class) and no other class rows.
-    walked, real = [], coweights._attractor_row.__wrapped__
-    monkeypatch.setattr(coweights._attractor_row, "__wrapped__",
-                        lambda t, x: walked.append(x) or real(t, x))
+    # zero class, which is dominant and so walks nothing, and W0's
+    # reflection rows, which the first walk reads) and no other class rows.
+    walked, real = [], coweights._walk
+    monkeypatch.setattr(coweights, "_walk", lambda t, x: walked.append(x) or real(t, x))
     warm = cold(t)
     zero = coinvariants(warm).normal_form((0,) * coinvariants(warm).quotient.free_rank)
     mv_cell(warm, zero, zero)
     conv_cell(warm, zero, zero, zero, zero)
-    walked.clear()
+    _substrate(warm).reflections
+    assert walked == []
     cases = [(kind, (warm, *args[1:])) for kind, args in cases]
     monkeypatch.setattr(IntMatrix, "mul", _refuse)
     monkeypatch.setattr(Fraction, "__new__", _refuse)
     got = [_outcome(lambda: CALLS[kind][0](*args)) for kind, args in cases]
     monkeypatch.undo()
     assert got == want
-    assert len(walked) == len(mus)
+    assert sorted(walked) == sorted(coinvariants(t).coordinates(mu) for mu in mus)
     assert {o[1].nonempty for o in got if o[0] == "ok"} == {True, False}
 
 
@@ -504,16 +622,80 @@ def test_per_class_caches_are_bounded():
         and len(inspect.signature(f.__wrapped__).parameters) > 1
     }
     assert sorted(keyed) == [
-        "twisted_satake.coweights._attractor_row",
         "twisted_satake.coweights._class_row",
         "twisted_satake.rep._dominant_character",
         "twisted_satake.satake._corr_row",
     ]
     t = cold(preset("SU3"))
-    coweights._attractor_row(t, (1,))
     coweights._class_row(t, (1,))
     satake._corr_row(t, ())
     rep._dominant_character(t.base, (0, 0))
     caches = {name: vars(t.base if name.endswith("_dominant_character") else t)[name]
               for name in keyed}
     assert {cache.cache_info().maxsize for cache in caches.values()} == {CLASS_CACHE_SIZE}
+
+
+ROW_DATA = {**{name: preset for name in DATA}, "u3-like": lambda _name: u3_like()}
+
+
+@pytest.mark.parametrize("name", ROW_DATA)
+def test_one_row_is_the_two_rows(name):
+    """On seeded classes, the one row is the two-row code's `_class_row`
+    with the component and order coordinates of `_attractor_row`; the
+    component the walk ends in is the class's own.  The seeded table
+    answers as the two-row `mv_cell` and `conv_cell` do, and `leq` on a
+    box of classes, dominant or not, as the two-row `leq`."""
+    t = ROW_DATA[name](name)
+    c = coinvariants(t)
+    rng = random.Random(f"one-row:{name}")
+    n = c.quotient.free_rank + len(c.quotient.invariant_factors)
+    for _ in range(60):
+        x = c.coordinates(c.normal_form(tuple(rng.randint(-6, 6) for _ in range(n))))
+        h, dominant, component, coords = coweights._class_row(t, x)
+        assert (h, dominant) == _class_row(t, x)[:2], x
+        assert (h, component, coords) == _attractor_row(t, x), x
+        assert component == _class_row(t, x)[2], x
+    if name in DATA:
+        two_rows = {"mv": two_row_mv_cell, "conv": two_row_conv_cell}
+        for kind, args in _cases(name):
+            if kind in two_rows:
+                got = _outcome(lambda: CALLS[kind][0](*args))
+                assert got == _outcome(lambda: two_rows[kind](*args)), (kind, args[1:])
+    classes = sorted({c.normal_form(x) for x in itertools.product(range(-2, 3), repeat=n)})
+    for lam, mu in itertools.product(classes[::3], repeat=2):
+        assert leq(t, lam, mu) == two_row_leq(t, lam, mu), (lam, mu)
+
+
+def test_a_class_asked_as_mu_and_as_lam_builds_one_row(monkeypatch):
+    """On a cold SU7 copy, each dominant class is asked first as mu
+    (`mv_cell`) and then as lam, or the other way round, and each
+    non-dominant mu twice, through `mv_cell` and `conv_cell`.  The
+    package's per-class memos together build one row per class, and the
+    answers are the two-row code's."""
+    keyed = [f for f in vars(coweights).values()
+             if hasattr(f, "put") and len(inspect.signature(f.__wrapped__).parameters) > 1]
+    builds = []
+    for f in keyed:
+        monkeypatch.setattr(f, "__wrapped__",
+                            lambda t, x, real=f.__wrapped__: builds.append(x) or real(t, x))
+    t = cold(preset("SU7"))
+    c = coinvariants(t)
+    doms = enumerate_dominant_classes(t, 30)
+    rng = random.Random("one-row:SU7")
+    mus = [_random_class(t, rng) for _ in range(10)]
+    mus = [mu for mu in dict.fromkeys(mus) if not is_dominant_class(t, mu)]
+    half = len(doms) // 2
+    calls = [(mv_cell, (t, mu, lam)) for mu, lam in zip(doms[:half], doms[half:])]
+    calls += [(mv_cell, (t, mu, lam)) for mu, lam in zip(doms[half:], doms[:half])]
+    calls += [(mv_cell, (t, mu, doms[-1])) for mu in mus]
+    calls += [(conv_cell, (t, mu, mu2, doms[-1], doms[-2])) for mu, mu2 in zip(mus, mus[1:])]
+    got = [_outcome(lambda: query(*args)) for query, args in calls]
+    counts = collections.Counter(builds)
+    assert sorted(counts) == sorted(c.coordinates(cls) for cls in doms + mus)
+    assert set(counts.values()) == {1}
+    two_rows = {mv_cell: two_row_mv_cell, conv_cell: two_row_conv_cell}
+    monkeypatch.undo()
+    fresh = cold(t)
+    want = [_outcome(lambda: two_rows[query](fresh, *args[1:])) for query, args in calls]
+    assert got == want
+    assert {o[1].nonempty for o in got if o[0] == "ok"} == {True, False}

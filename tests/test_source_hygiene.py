@@ -195,7 +195,6 @@ KEPT_CACHES = {
 # on it and is freed with it.  Each is read again by the named workloads,
 # or kept for the stated reason.
 MEMOS = {
-    "coweights._attractor_row": "library-session",
     "coweights._class_row": "posets-cli, library-session",
     "coweights._substrate": "posets-cli, library-session",
     "dual._fold_recipe": "branching-cli, library-session",
@@ -236,7 +235,7 @@ def test_each_cache_has_a_second_reader():
                            if getattr(t, "attr", None) in ("cache_info", "cache_clear")]
     assert sorted(cached) == sorted(KEPT_CACHES)
     assert sorted(memos) == sorted(MEMOS)
-    assert (len(cached), len(memos)) == (2, 18)
+    assert (len(cached), len(memos)) == (2, 17)
     datum_params = {args[0].arg for args in memos.values()}
     assert datum_params == {"base", "d", "t", "s"}
     assert all(args[0].annotation is None or ast.unparse(args[0].annotation) in DATUM_TYPES

@@ -2,6 +2,9 @@
 
 import pytest
 
+from twisted_satake import galois
+from twisted_satake.abelian import FgAbelianGroup
+from twisted_satake.cli import EXIT_PROPERTY, main
 from twisted_satake.coweights import _has_invariant_central_direction, enumerate_dominant_classes
 from twisted_satake.galois import DiagramAutomorphism, TwistedRootDatum, split_twisted
 from twisted_satake.presets import default_presets, preset
@@ -41,6 +44,26 @@ def test_parity_suite_equals_per_component_checks(name, kwargs):
     ]
     assert expected
     assert run_suite(t, "parity") == expected
+
+
+def test_a_failed_sequence_names_the_failing_part(monkeypatch, capsys):
+    """Planted fault: pi_1(G)_I read as Z/3 on SU3, where it is trivial.
+    The exactness suite fails the cokernel record by name, with both
+    groups, and still runs the brute-force coset count, which reads the
+    presentation itself; `verify` prints that record and exits 3."""
+    monkeypatch.setattr(galois, "kottwitz_components", lambda t: FgAbelianGroup(0, (3,)))
+    assert [(r.name, r.passed, r.detail) for r in run_suite(preset("SU3"), "exactness")] == [
+        ("injectivity", True, ""),
+        ("cokernel-is-pi1-coinvariants", False, "cokernel 0, pi1_I Z/3"),
+        ("component-coset-count", True, "box found 1, order 1"),
+    ]
+    assert main(["verify", "SU3", "exactness"]) == EXIT_PROPERTY
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   exactness/injectivity",
+        "FAIL exactness/cokernel-is-pi1-coinvariants  (cokernel 0, pi1_I Z/3)",
+        "ok   exactness/component-coset-count  (box found 1, order 1)",
+        "fail: 2/3 checks",
+    ]
 
 
 def test_weyl_oracle_suite_passes_on_su7():

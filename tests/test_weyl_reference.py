@@ -586,9 +586,8 @@ def test_mv_and_conv_build_no_weyl_closure(monkeypatch):
     element of a parabolic by one chamber walk, and walk mu's class by
     `coweights._walk`, but walk no group orbit (|W0| = 3,840 there)."""
     t = cold(preset("SU11"))
-    walked, real = [], coweights._attractor_row.__wrapped__
-    monkeypatch.setattr(coweights._attractor_row, "__wrapped__",
-                        lambda t, x: walked.append(x) or real(t, x))
+    walked, real = [], coweights._walk
+    monkeypatch.setattr(coweights, "_walk", lambda t, x: walked.append(x) or real(t, x))
     monkeypatch.setattr(suites, "_regular_orbit", _refuse_closure)
     monkeypatch.setattr(suites, "_w0_orbit", _refuse_closure)
     mu, lam = ((-1,) * 5, ()), ((1,) * 5, ())
